@@ -31,7 +31,7 @@ use crate::top_k::ScoredVertex;
 use crate::SimRankEstimator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rwalk::arena::{CsrSampler, WalkArena};
+use rwalk::arena::{instantiate_row, CsrSampler, WalkArena};
 use rwalk::transpr::{transition_rows_from, TransPrError, TransPrOptions};
 use ugraph::{CsrGraph, CsrView, UncertainGraph, VertexId};
 
@@ -185,19 +185,14 @@ impl SingleSourceEstimator {
         choices: &mut Vec<VertexId>,
     ) {
         for (w, slot) in next.iter_mut().enumerate().take(view.num_vertices()) {
-            let neighbors = view.neighbors(w as VertexId);
-            let probabilities = view.probabilities(w as VertexId);
             choices.clear();
-            for (&x, &p) in neighbors.iter().zip(probabilities) {
-                if rng.gen::<f64>() < p {
-                    choices.push(x);
-                }
-            }
-            *slot = if choices.is_empty() {
-                None
-            } else {
-                Some(choices[rng.gen_range(0..choices.len())])
-            };
+            let kept = instantiate_row(
+                view.neighbors(w as VertexId),
+                view.probabilities(w as VertexId),
+                rng,
+                choices,
+            );
+            *slot = (kept > 0).then(|| choices[rng.gen_range(0..kept)]);
         }
     }
 

@@ -16,7 +16,8 @@
 //!   walks is a single integer increment;
 //! * a **bump-allocated instantiation pool** — the surviving out-neighbors of
 //!   every first-visited vertex are appended to one shared `Vec`, truncated
-//!   (capacity kept) at walk start;
+//!   (capacity kept) at walk start, by the branch-free [`instantiate_row`]
+//!   kernel;
 //! * caller-provided **position buffers** (`Vec<VertexId>` with
 //!   [`DEAD`] as the tombstone), reused across samples.
 //!
@@ -29,11 +30,16 @@
 //! possible out-arc in neighbor order, then one `gen_range` over the
 //! survivors), so a walk sampled through the arena from a given RNG state is
 //! bit-identical to one sampled by `WalkSampler` from the same state.  The
-//! estimator migration in `usim_core` relies on this equivalence.
+//! estimator migration in `usim_core` relies on this equivalence.  The
+//! branch-free compaction in [`instantiate_row`] keeps that draw order: it
+//! draws one coin per arc in neighbor order whatever the outcomes, and each
+//! surviving target lands in the next free slot of the row, so the kept
+//! prefix and its order — hence the final `gen_range` pick — are exactly
+//! the survivor list the reference loop builds.
 
 use crate::sampler::DeadEndPolicy;
 use rand::Rng;
-use ugraph::{alias_draw, AliasView, GraphView, VertexId};
+use ugraph::{alias_draw, AliasView, GraphView, Probability, VertexId};
 
 /// Tombstone marking a dead walk position (the walk terminated earlier).
 /// Real vertex ids are `< num_vertices`, far below `u32::MAX` in practice.
@@ -132,18 +138,49 @@ impl WalkArena {
         // already O(degree) in RNG draws — one gated counter bump is noise.
         usim_obs::walk_metrics().count_rows_instantiated(1);
         let start = self.pool.len() as u32;
-        let neighbors = view.neighbors(v);
-        let probabilities = view.probabilities(v);
-        for (&w, &p) in neighbors.iter().zip(probabilities) {
-            if rng.gen::<f64>() < p {
-                self.pool.push(w);
-            }
-        }
-        let slot = (start, self.pool.len() as u32 - start);
+        let kept = instantiate_row(
+            view.neighbors(v),
+            view.probabilities(v),
+            rng,
+            &mut self.pool,
+        );
+        let slot = (start, kept as u32);
         self.stamp[v as usize] = self.epoch;
         self.slots[v as usize] = slot;
         slot
     }
+}
+
+/// Instantiates one row of possible arcs: flips one coin per arc, in
+/// neighbor order (`rng.gen::<f64>() < p` keeps the arc), appends the targets
+/// of the surviving arcs to `out` in neighbor order and returns their count.
+///
+/// This is the per-arc kernel of every legacy walk and of the single-source
+/// functional instantiation, and it makes exactly the draws of
+/// [`crate::sampler::WalkSampler`]'s reference loop.  It is written without
+/// a data-dependent branch: `out` grows by the row's degree once, every
+/// neighbor is written at the `kept` cursor, the coin's `bool` is added to
+/// the cursor (a lost coin's target is overwritten by the next write) and
+/// the tail is truncated.  The coin flips mispredict about half the time as
+/// branches, and a `push` that may reallocate keeps the RNG state out of
+/// registers; the compaction avoids both.
+pub fn instantiate_row<R: Rng + ?Sized>(
+    neighbors: &[VertexId],
+    probabilities: &[Probability],
+    rng: &mut R,
+    out: &mut Vec<VertexId>,
+) -> usize {
+    debug_assert_eq!(neighbors.len(), probabilities.len());
+    let base = out.len();
+    out.resize(base + neighbors.len(), 0);
+    let row = &mut out[base..];
+    let mut kept = 0;
+    for (&w, &p) in neighbors.iter().zip(probabilities) {
+        row[kept] = w;
+        kept += usize::from(rng.gen::<f64>() < p);
+    }
+    out.truncate(base + kept);
+    kept
 }
 
 /// A sampler of lazily-instantiated random walks over any [`GraphView`]
@@ -370,6 +407,70 @@ mod tests {
         }
         // Both RNGs must have advanced identically.
         assert_eq!(rng_a, rng_b);
+    }
+
+    /// Two hubs over `SPOKES` spokes: hub 0 → every spoke, every spoke → hub
+    /// `SPOKES + 1`, and every spoke → hub 0 (so walks revisit hub 0 within a
+    /// few steps), plus a spoke ring.  Hub rows hold hundreds of arcs in
+    /// both directions with probabilities spread over (0, 1], including
+    /// exact 1.0 and values within a few ulps of 0.
+    fn hub_graph() -> UncertainGraph {
+        const SPOKES: u32 = 300;
+        let far_hub = SPOKES + 1;
+        let probability = |i: u32, salt: u32| -> f64 {
+            match (i * 7 + salt) % 23 {
+                0 => 1.0,
+                1 => 1e-300,
+                2 => f64::EPSILON,
+                3 => 1.0 - f64::EPSILON,
+                _ => f64::from((i * 7919 + salt * 104_729) % 1000 + 1) / 1000.0,
+            }
+        };
+        let mut builder = UncertainGraphBuilder::new(SPOKES as usize + 2);
+        for i in 1..=SPOKES {
+            builder = builder
+                .arc(0, i, probability(i, 0))
+                .arc(i, 0, probability(i, 1))
+                .arc(i, far_hub, probability(i, 2))
+                .arc(i, i % SPOKES + 1, probability(i, 3));
+        }
+        builder.arc(far_hub, 0, 1.0).build().unwrap()
+    }
+
+    #[test]
+    fn hub_row_walks_are_bit_identical_to_walk_sampler() {
+        // Degree ≤ 2 fixtures cannot catch a draw-order slip on long rows;
+        // here every first visit to a hub draws hundreds of coins.
+        let g = hub_graph();
+        let csr = CsrGraph::from_uncertain(&g);
+        let transposed = g.transpose();
+        assert!(csr.forward().neighbors(0).len() >= 300);
+        assert!(csr.reverse().neighbors(0).len() >= 300);
+        assert!(csr.reverse().neighbors(301).len() >= 300);
+        for (view, reference_graph) in [(csr.forward(), &g), (csr.reverse(), &transposed)] {
+            let sampler = CsrSampler::new(view);
+            let mut legacy = WalkSampler::new(reference_graph);
+            let mut arena = WalkArena::new();
+            let mut positions = Vec::new();
+            let mut rng_a = StdRng::seed_from_u64(0x4b0b);
+            let mut rng_b = StdRng::seed_from_u64(0x4b0b);
+            let mut hub_revisits = 0;
+            for start in [0u32, 1, 150, 300, 301] {
+                for _ in 0..40 {
+                    let reference = legacy.sample_walk(start, 8, &mut rng_a);
+                    sampler.sample_walk_into(&mut arena, start, 8, &mut rng_b, &mut positions);
+                    for (k, &position) in positions.iter().enumerate() {
+                        let expected = reference.position(k).unwrap_or(DEAD);
+                        assert_eq!(position, expected, "start {start}, step {k}");
+                    }
+                    if positions.iter().filter(|&&p| p == 0).count() >= 2 {
+                        hub_revisits += 1;
+                    }
+                }
+            }
+            assert!(hub_revisits > 0, "no walk revisited the hub");
+            assert_eq!(rng_a, rng_b);
+        }
     }
 
     #[test]

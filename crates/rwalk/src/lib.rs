@@ -47,7 +47,7 @@ pub mod transpr;
 pub mod walk;
 pub mod walkpr;
 
-pub use arena::{AliasSampler, CsrSampler, WalkArena, DEAD};
+pub use arena::{instantiate_row, AliasSampler, CsrSampler, WalkArena, DEAD};
 pub use expected::expected_one_step_matrix;
 pub use footprint::record_walk;
 pub use girth::{directed_girth, girth_at_least};
