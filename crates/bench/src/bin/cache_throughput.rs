@@ -33,7 +33,7 @@
 use std::time::Instant;
 use ugraph::VertexId;
 use usim_bench::random_pairs;
-use usim_core::{SharedQueryEngine, SimRankConfig};
+use usim_core::{QueryEngine, SimRankConfig};
 use usim_datasets::RmatGenerator;
 use usim_server::{RequestHandler, DEFAULT_MAX_BATCH};
 
@@ -129,12 +129,12 @@ fn main() {
     let config = SimRankConfig::default().with_samples(samples).with_seed(42);
     let labels: Vec<u64> = (0..graph.num_vertices() as u64).collect();
     let uncached = RequestHandler::new(
-        SharedQueryEngine::new(&graph, config),
+        QueryEngine::new(&graph, config),
         labels.clone(),
         DEFAULT_MAX_BATCH,
     );
     let cached = RequestHandler::with_cache(
-        SharedQueryEngine::new(&graph, config),
+        QueryEngine::new(&graph, config),
         labels,
         DEFAULT_MAX_BATCH,
         capacity,

@@ -42,7 +42,7 @@
 use bytes::BytesMut;
 use std::time::Instant;
 use usim_bench::random_pairs;
-use usim_core::{SharedQueryEngine, SimRankConfig};
+use usim_core::{QueryEngine, SimRankConfig};
 use usim_datasets::RmatGenerator;
 use usim_obs::walk_metrics;
 use usim_server::RequestHandler;
@@ -122,18 +122,14 @@ fn main() {
     }
 
     let bare = RequestHandler::new(
-        SharedQueryEngine::new(&graph, config),
+        QueryEngine::new(&graph, config),
         labels.clone(),
         usize::MAX >> 1,
     );
     // Sample rate 1.0: every request traced — the worst case the gate
     // bounds.  Walk metrics are enabled only while a traced round runs.
-    let traced = RequestHandler::new(
-        SharedQueryEngine::new(&graph, config),
-        labels,
-        usize::MAX >> 1,
-    )
-    .with_tracing(1.0, 32);
+    let traced = RequestHandler::new(QueryEngine::new(&graph, config), labels, usize::MAX >> 1)
+        .with_tracing(1.0, 32);
 
     // Bit-identity: the traced handler serves byte-for-byte the bare
     // handler's responses (warm pass, also warms both engines' arenas).

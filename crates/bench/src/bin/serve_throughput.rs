@@ -44,7 +44,7 @@ use std::net::TcpStream;
 use std::time::Instant;
 use ugraph::VertexId;
 use usim_bench::random_pairs;
-use usim_core::{QueryEngine, SharedQueryEngine, SimRankConfig};
+use usim_core::{QueryEngine, SimRankConfig};
 use usim_datasets::RmatGenerator;
 use usim_server::{CoalesceOptions, RequestHandler, Server, ServerOptions};
 
@@ -176,7 +176,7 @@ fn main() {
     // coalesced across connections exactly like `usim serve
     // --coalesce-window` runs in production.
     let handler = RequestHandler::new(
-        SharedQueryEngine::new(&graph, config),
+        QueryEngine::new(&graph, config),
         (0..graph.num_vertices() as u64).collect(),
         usize::MAX >> 1,
     )

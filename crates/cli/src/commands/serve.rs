@@ -87,7 +87,7 @@ use crate::CliError;
 use std::io::Write;
 use ugraph::snapshot::read_snapshot_file;
 use ugraph::{CsrGraph, UpdateLog};
-use usim_core::SharedQueryEngine;
+use usim_core::QueryEngine;
 use usim_server::{
     CoalesceOptions, MetricsExporter, RequestHandler, Server, ServerOptions, DEFAULT_MAX_BATCH,
 };
@@ -170,14 +170,14 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
             let snapshot = read_snapshot_file(snapshot_path)
                 .map_err(|e| CliError::new(format!("{snapshot_path}: {e}")))?;
             let labels = snapshot.labels_or_identity();
-            let engine = SharedQueryEngine::from_csr(snapshot.graph, config);
+            let engine = QueryEngine::from_csr(snapshot.graph, config);
             ("snapshot", snapshot_path.to_string(), engine, labels)
         }
         None => {
             let path = args.require_positional(0, "the graph file (or --snapshot)")?;
             let loaded = load_graph(path, args.option("format"))?;
             let csr = CsrGraph::from_uncertain(&loaded.graph);
-            let engine = SharedQueryEngine::from_csr(csr, config);
+            let engine = QueryEngine::from_csr(csr, config);
             ("text", path.to_string(), engine, loaded.labels)
         }
     };
@@ -212,10 +212,9 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
         replayed = rounds.len() as u64;
         handler = handler.with_update_log(log);
     }
-    let (num_vertices, num_arcs) = {
-        let engine = handler.cached_engine();
-        (engine.num_vertices(), engine.num_arcs())
-    };
+    let (num_vertices, num_arcs) = handler
+        .cached_engine()
+        .with_read(|e| (e.num_vertices(), e.num_arcs()));
     let options = ServerOptions {
         workers,
         queue_depth,

@@ -33,7 +33,7 @@ use crate::updates::read_update_rounds;
 use crate::CliError;
 use std::time::Instant;
 use ugraph::VertexId;
-use usim_core::{CachedQueryEngine, SharedQueryEngine};
+use usim_core::{CachedQueryEngine, QueryEngine};
 
 const BASE_OPTIONS: &[&str] = &[
     "source",
@@ -197,10 +197,7 @@ fn run_batch(
     let start = Instant::now();
     // The same caching wrapper `usim serve` uses; capacity 0 (the default)
     // is a pass-through to the raw engine.
-    let engine = CachedQueryEngine::new(
-        SharedQueryEngine::new(&loaded.graph, config),
-        cache_capacity,
-    );
+    let engine = CachedQueryEngine::new(QueryEngine::new(&loaded.graph, config), cache_capacity);
     let build_time = start.elapsed();
 
     // Round 0 answers the pristine graph; each update round appends one

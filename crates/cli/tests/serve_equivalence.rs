@@ -152,7 +152,7 @@ fn server_answers_are_bit_identical_to_the_cli_at_any_worker_count() {
             .with_samples(SAMPLES.parse().unwrap())
             .with_seed(SEED.parse().unwrap());
         let handler = usim_server::RequestHandler::new(
-            usim_core::SharedQueryEngine::new(&loaded.graph, config),
+            usim_core::QueryEngine::new(&loaded.graph, config),
             loaded.labels,
             usim_server::DEFAULT_MAX_BATCH,
         );
@@ -241,7 +241,7 @@ fn wire_floats_survive_the_round_trip_exactly() {
     ];
 
     let handler = usim_server::RequestHandler::new(
-        usim_core::SharedQueryEngine::new(&loaded.graph, config),
+        usim_core::QueryEngine::new(&loaded.graph, config),
         loaded.labels,
         usim_server::DEFAULT_MAX_BATCH,
     );

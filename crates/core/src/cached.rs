@@ -1,7 +1,12 @@
-//! The caching layer over [`SharedQueryEngine`]: epoch-validated,
-//! bit-identical result reuse for serving workloads.
+//! The serving engine: one reader/writer-locked [`QueryEngine`] with an
+//! epoch-validated, bit-identical result cache in front of it.
 //!
-//! [`CachedQueryEngine`] pairs a shared engine with an optional
+//! [`QueryEngine`] answers queries through `&self`, but
+//! [`QueryEngine::apply_updates`] takes `&mut self`: the overlay patches
+//! rows and the pooled arenas are invalidated, so updates must exclude
+//! concurrent readers.  [`CachedQueryEngine`] owns the engine behind a
+//! reader/writer lock — every query takes the read lock, every update
+//! batch the write lock — and pairs it with an optional
 //! [`usim_cache::ResultCache`] keyed on `(query kind, ordered vertex pair,
 //! config fingerprint)` and tagged with the update epoch each answer was
 //! computed under.  The contract is the project's signature invariant,
@@ -24,6 +29,9 @@
 //!   cache entry in O(1): entries from older epochs never hit (counted as
 //!   `stale`), so no scan or flush runs inside the write lock.
 //!
+//! Every query goes through [`CachedQueryEngine::serve_batch_with_trace`];
+//! the per-request methods are one-slot calls of it.
+//!
 //! # Footprint-based survival
 //!
 //! The epoch bump alone would throw away every entry on every update round,
@@ -41,20 +49,32 @@
 //! superset of those, and bloom false positives only kill entries — never
 //! let one survive a round that touched it.
 //!
-//! With the cache disabled (capacity 0) the wrapper is a zero-cost
-//! pass-through to the engine's own entry points — which already
-//! deduplicate repeated pairs within one batch.
+//! With the cache disabled (capacity 0) every slot goes straight to the
+//! engine's own entry points — which already deduplicate repeated pairs
+//! within one batch.
 
 use crate::config::{SamplerKind, SimRankConfig, WalkDirection};
 use crate::engine::{QueryEngine, QueryError};
 use crate::meeting::MeetingProfile;
-use crate::shared::SharedQueryEngine;
-use crate::top_k::{ScoredPair, ScoredVertex};
+use crate::top_k::ScoredVertex;
+use parking_lot::RwLock;
 use std::ops::Range;
-use std::sync::Arc;
 use ugraph::{GraphUpdate, UpdateError, UpdateSummary, VertexId};
 use usim_cache::{CacheStats, ConfigFingerprint, PairKey, ResultCache};
 use usim_obs::{time_stage, Stage, StageTrace};
+
+// The audit serving relies on, checked at compile time: the engine (CSR
+// base + delta overlay + the Mutex-protected scratch pool) must be
+// shareable across serving threads.  If a future field introduces
+// thread-unsafe interior mutability (`Cell`, `Rc`, raw pointers), this
+// fails to compile instead of corrupting a live server.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<QueryEngine>();
+    assert_send_sync::<CachedQueryEngine>();
+    assert_send_sync::<SimRankConfig>();
+    assert_send_sync::<QueryError>();
+};
 
 /// The concrete cache type the engine integration uses: pair keys to
 /// cached answers.
@@ -82,7 +102,7 @@ pub enum CachedAnswer {
 pub enum CoalescedQuery {
     /// One pair score — [`CachedQueryEngine::similarity`].
     Similarity(VertexId, VertexId),
-    /// One pair meeting-probability profile — [`CachedQueryEngine::profile`].
+    /// One pair meeting-probability profile (see [`QueryEngine::profile`]).
     Profile(VertexId, VertexId),
     /// Ranked candidates for one query vertex —
     /// [`CachedQueryEngine::batch_top_k_similar_to`].
@@ -100,7 +120,7 @@ pub enum CoalescedQuery {
 }
 
 /// The answer to one [`CoalescedQuery`] slot, carrying exactly what the
-/// matching per-request entry point would have returned.
+/// matching [`QueryEngine`] entry point would have returned.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoalescedAnswer {
     /// Answer to [`CoalescedQuery::Similarity`].
@@ -147,16 +167,18 @@ pub fn config_fingerprint(config: &SimRankConfig) -> ConfigFingerprint {
     ])
 }
 
-/// A [`SharedQueryEngine`] with an optional epoch-validated result cache in
-/// front of it.  Every query method returns `(epoch, answer)` captured
-/// under one read-lock acquisition, which is what the wire protocol stamps
-/// on responses.
+/// A reader/writer-locked [`QueryEngine`] with an optional epoch-validated
+/// result cache in front of it — the one engine type the server answers
+/// through.  Every query returns `(epoch, answer)` captured under one
+/// read-lock acquisition, which is what the wire protocol stamps on
+/// responses.
 ///
 /// # Example
 ///
 /// ```
+/// use std::sync::Arc;
 /// use ugraph::{GraphUpdate, UncertainGraphBuilder};
-/// use usim_core::{CachedQueryEngine, SharedQueryEngine, SimRankConfig};
+/// use usim_core::{CachedQueryEngine, QueryEngine, SimRankConfig};
 ///
 /// let g = UncertainGraphBuilder::new(3)
 ///     .arc(2, 0, 0.9)
@@ -164,19 +186,24 @@ pub fn config_fingerprint(config: &SimRankConfig) -> ConfigFingerprint {
 ///     .build()
 ///     .unwrap();
 /// let config = SimRankConfig::default().with_samples(100);
-/// let cached = CachedQueryEngine::new(SharedQueryEngine::new(&g, config), 1024);
-/// let uncached = CachedQueryEngine::new(SharedQueryEngine::new(&g, config), 0);
+/// let cached = Arc::new(CachedQueryEngine::new(QueryEngine::new(&g, config), 1024));
+/// let uncached = CachedQueryEngine::new(QueryEngine::new(&g, config), 0);
 ///
-/// // First ask fills the cache, second is served from it — bit-identical
-/// // to the cache-free engine either way.
-/// let (_, a) = cached.similarity(0, 1).unwrap();
+/// // Readers run concurrently.  The first ask fills the cache, the second
+/// // is served from it — bit-identical to the cache-free engine either way.
+/// let worker = {
+///     let cached = Arc::clone(&cached);
+///     std::thread::spawn(move || cached.similarity(0, 1).unwrap())
+/// };
+/// let (epoch, a) = worker.join().unwrap();
 /// let (_, b) = cached.similarity(0, 1).unwrap();
 /// let (_, c) = uncached.similarity(0, 1).unwrap();
-/// assert_eq!(a, b);
+/// assert_eq!((epoch, a), (0, b));
 /// assert_eq!(a, c);
 /// assert_eq!(cached.cache_stats().unwrap().hits, 1);
 ///
-/// // Updates bump the epoch: every cached entry is logically gone.
+/// // A writer excludes readers for one atomic batch; the epoch bump
+/// // logically drops every cached entry the batch may have changed.
 /// cached
 ///     .apply_updates(&[GraphUpdate::SetProbability { source: 2, target: 0, probability: 0.1 }])
 ///     .unwrap();
@@ -186,27 +213,71 @@ pub fn config_fingerprint(config: &SimRankConfig) -> ConfigFingerprint {
 /// ```
 #[derive(Debug)]
 pub struct CachedQueryEngine {
-    engine: SharedQueryEngine,
-    cache: Option<Arc<QueryCache>>,
+    engine: RwLock<QueryEngine>,
+    cache: Option<QueryCache>,
     fingerprint: ConfigFingerprint,
 }
 
 impl CachedQueryEngine {
-    /// Wraps `engine` with a result cache bounded to `capacity` entries;
-    /// `capacity == 0` disables caching entirely (the wrapper becomes a
-    /// pass-through, no map is allocated).
-    pub fn new(engine: SharedQueryEngine, capacity: usize) -> Self {
-        let fingerprint = config_fingerprint(&engine.config());
+    /// Takes ownership of `engine` behind a reader/writer lock, with a
+    /// result cache bounded to `capacity` entries in front of it;
+    /// `capacity == 0` disables caching entirely (no map is allocated).
+    pub fn new(engine: QueryEngine, capacity: usize) -> Self {
+        let fingerprint = config_fingerprint(engine.config());
         CachedQueryEngine {
-            engine,
-            cache: (capacity > 0).then(|| Arc::new(QueryCache::new(capacity))),
+            engine: RwLock::new(engine),
+            cache: (capacity > 0).then(|| QueryCache::new(capacity)),
             fingerprint,
         }
     }
 
-    /// The shared engine behind the cache.
-    pub fn shared(&self) -> &SharedQueryEngine {
-        &self.engine
+    /// Runs `f` under a single read-lock acquisition.
+    ///
+    /// Use this when a response must couple several engine facts (epoch,
+    /// vertex and arc counts, config): separate calls could interleave with
+    /// a writer and pair a new epoch with an old arc count.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use ugraph::{GraphUpdate, UncertainGraphBuilder};
+    /// use usim_core::{CachedQueryEngine, QueryEngine, SimRankConfig};
+    ///
+    /// let g = UncertainGraphBuilder::new(3)
+    ///     .arc(2, 0, 0.9)
+    ///     .arc(2, 1, 0.8)
+    ///     .build()
+    ///     .unwrap();
+    /// let config = SimRankConfig::default().with_samples(100);
+    /// let engine = Arc::new(CachedQueryEngine::new(QueryEngine::new(&g, config), 0));
+    ///
+    /// // A reader captures the epoch and the facts it describes as one
+    /// // consistent tuple, from any thread.
+    /// let worker = {
+    ///     let engine = Arc::clone(&engine);
+    ///     std::thread::spawn(move || {
+    ///         engine.with_read(|e| (e.update_epoch(), e.num_arcs(), e.similarity(0, 1)))
+    ///     })
+    /// };
+    /// let (epoch, arcs, score) = worker.join().unwrap();
+    /// assert_eq!((epoch, arcs), (0, 2));
+    /// assert_eq!(score, engine.similarity(0, 1).unwrap().1);
+    ///
+    /// // A writer excludes readers for one atomic batch; later reads see
+    /// // the new epoch together with the new graph.
+    /// engine
+    ///     .apply_updates(&[GraphUpdate::DeleteArc { source: 2, target: 0 }])
+    ///     .unwrap();
+    /// assert_eq!(engine.with_read(|e| (e.update_epoch(), e.num_arcs())), (1, 1));
+    /// ```
+    pub fn with_read<R>(&self, f: impl FnOnce(&QueryEngine) -> R) -> R {
+        f(&self.engine.read())
+    }
+
+    /// How many update batches the engine has applied.
+    pub fn update_epoch(&self) -> u64 {
+        self.with_read(QueryEngine::update_epoch)
     }
 
     /// Whether a cache is attached.
@@ -226,21 +297,10 @@ impl CachedQueryEngine {
 
     /// `(epoch, score)` of one pair (see [`QueryEngine::try_similarity`]).
     pub fn similarity(&self, u: VertexId, v: VertexId) -> Result<(u64, f64), QueryError> {
-        self.engine.with_read(|e| {
-            e.validate_vertices([u, v])?;
-            let epoch = e.update_epoch();
-            let scores = self.scores_for(e, epoch, &[(u, v)], None)?;
-            Ok((epoch, scores[0]))
-        })
-    }
-
-    /// `(epoch, profile)` of one pair (see [`QueryEngine::try_profile`]).
-    pub fn profile(&self, u: VertexId, v: VertexId) -> Result<(u64, MeetingProfile), QueryError> {
-        self.engine.with_read(|e| {
-            e.validate_vertices([u, v])?;
-            let epoch = e.update_epoch();
-            Ok((epoch, self.profile_at(e, epoch, u, v, None)))
-        })
+        match self.serve_one(CoalescedQuery::Similarity(u, v))? {
+            (epoch, CoalescedAnswer::Similarity(score)) => Ok((epoch, score)),
+            _ => unreachable!("a similarity slot answers with a score"),
+        }
     }
 
     /// `(epoch, scores)` of a batch in input order (see
@@ -251,28 +311,10 @@ impl CachedQueryEngine {
         &self,
         pairs: &[(VertexId, VertexId)],
     ) -> Result<(u64, Vec<f64>), QueryError> {
-        self.engine.with_read(|e| {
-            e.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
-            let epoch = e.update_epoch();
-            Ok((epoch, self.scores_for(e, epoch, pairs, None)?))
-        })
-    }
-
-    /// `(epoch, ranked pairs)` (see [`QueryEngine::batch_top_k`]); the
-    /// per-pair scores behind the ranking go through the cache.
-    pub fn batch_top_k(
-        &self,
-        pairs: &[(VertexId, VertexId)],
-        k: usize,
-    ) -> Result<(u64, Vec<ScoredPair>), QueryError> {
-        self.engine.with_read(|e| {
-            e.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
-            let epoch = e.update_epoch();
-            let ranked = crate::engine::rank_pairs(pairs, k, |unique| {
-                self.scores_for(e, epoch, unique, None)
-            })?;
-            Ok((epoch, ranked))
-        })
+        match self.serve_one(CoalescedQuery::Scores(pairs.to_vec()))? {
+            (epoch, CoalescedAnswer::Scores(scores)) => Ok((epoch, scores)),
+            _ => unreachable!("a scores slot answers with scores"),
+        }
     }
 
     /// `(epoch, ranked candidates)` (see
@@ -284,14 +326,22 @@ impl CachedQueryEngine {
         candidates: &[VertexId],
         k: usize,
     ) -> Result<(u64, Vec<ScoredVertex>), QueryError> {
-        self.engine.with_read(|e| {
-            e.validate_vertices(std::iter::once(query).chain(candidates.iter().copied()))?;
-            let epoch = e.update_epoch();
-            let ranked = crate::engine::rank_candidates(query, candidates, k, |pairs| {
-                self.scores_for(e, epoch, pairs, None)
-            })?;
-            Ok((epoch, ranked))
-        })
+        let slot = CoalescedQuery::TopK {
+            query,
+            candidates: candidates.to_vec(),
+            k,
+        };
+        match self.serve_one(slot)? {
+            (epoch, CoalescedAnswer::TopK(ranked)) => Ok((epoch, ranked)),
+            _ => unreachable!("a top-k slot answers with a ranking"),
+        }
+    }
+
+    /// One slot through [`CachedQueryEngine::serve_batch_with_trace`].
+    fn serve_one(&self, query: CoalescedQuery) -> Result<(u64, CoalescedAnswer), QueryError> {
+        let (epoch, answers) = self.serve_batch_with_trace(std::slice::from_ref(&query), None);
+        let answer = answers.into_iter().next().expect("one answer per slot")?;
+        Ok((epoch, answer))
     }
 
     /// Answers a batch of heterogeneous queries — the one entry point the
@@ -303,10 +353,10 @@ impl CachedQueryEngine {
     /// slots — concurrent clients asking overlapping questions pay for each
     /// distinct pair once.
     ///
-    /// Answers are bit-identical to calling the per-request entry points
-    /// ([`CachedQueryEngine::similarity`] and friends) one at a time: the
-    /// scores come off the same pair-keyed RNG streams regardless of batch
-    /// shape, and ranking goes through the same `rank_candidates` helper.
+    /// Answers are bit-identical to calling the matching [`QueryEngine`]
+    /// entry points one at a time: the scores come off the same pair-keyed
+    /// RNG streams regardless of batch shape, and ranking goes through the
+    /// same `rank_candidates` helper.
     /// Validation stays per-slot — an invalid query turns into its own
     /// `Err` and never poisons the rest of the batch.
     ///
@@ -317,7 +367,7 @@ impl CachedQueryEngine {
         queries: &[CoalescedQuery],
         trace: Option<&StageTrace>,
     ) -> (u64, Vec<Result<CoalescedAnswer, QueryError>>) {
-        self.engine.with_read(|e| {
+        self.with_read(|e| {
             let epoch = e.update_epoch();
             // Pass 1: validate each slot (same id order as the per-request
             // entry points, so error values match exactly) and lay out the
@@ -395,46 +445,27 @@ impl CachedQueryEngine {
     }
 
     /// Applies an update batch and returns `(summary, new epoch)` captured
-    /// under one write-lock acquisition.  The epoch bump invalidates every
-    /// cached entry by default; immediately after it (still inside the
-    /// write lock, so no reader can race the sweep) the cache is
-    /// revalidated against the round's touched-vertex set — entries whose
-    /// walk footprint is disjoint from every updated endpoint are
-    /// re-stamped to the new epoch and keep serving hits.
+    /// under one write-lock acquisition, while no query is in flight (see
+    /// [`QueryEngine::apply_updates`]; a rejected batch leaves the engine
+    /// untouched).  The epoch bump invalidates every cached entry by
+    /// default; immediately after it (still inside the write lock, so no
+    /// reader can race the sweep) the cache is revalidated against the
+    /// round's touched-vertex set — entries whose walk footprint is
+    /// disjoint from every updated endpoint are re-stamped to the new epoch
+    /// and keep serving hits.
     pub fn apply_updates(
         &self,
         updates: &[GraphUpdate],
     ) -> Result<(UpdateSummary, u64), UpdateError> {
-        self.engine.with_write(|e| {
-            let from_epoch = e.update_epoch();
-            let summary = e.apply_updates(updates)?;
-            let to_epoch = e.update_epoch();
-            if let Some(cache) = &self.cache {
-                let touched = ugraph::footprint::touched_vertices(updates);
-                cache.revalidate(&touched, from_epoch, to_epoch);
-            }
-            Ok((summary, to_epoch))
-        })
-    }
-
-    /// How many update batches the engine has applied.
-    pub fn update_epoch(&self) -> u64 {
-        self.engine.update_epoch()
-    }
-
-    /// Number of vertices of the underlying graph.
-    pub fn num_vertices(&self) -> usize {
-        self.engine.num_vertices()
-    }
-
-    /// Number of live arcs.
-    pub fn num_arcs(&self) -> usize {
-        self.engine.num_arcs()
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> SimRankConfig {
-        self.engine.config()
+        let mut e = self.engine.write();
+        let from_epoch = e.update_epoch();
+        let summary = e.apply_updates(updates)?;
+        let to_epoch = e.update_epoch();
+        if let Some(cache) = &self.cache {
+            let touched = ugraph::footprint::touched_vertices(updates);
+            cache.revalidate(&touched, from_epoch, to_epoch);
+        }
+        Ok((summary, to_epoch))
     }
 
     /// The profile of one validated pair at `epoch`, served from the cache
@@ -548,13 +579,27 @@ mod tests {
         let g = fig1_graph();
         let config = SimRankConfig::default().with_samples(150).with_seed(7);
         (
-            CachedQueryEngine::new(SharedQueryEngine::new(&g, config), capacity),
+            CachedQueryEngine::new(QueryEngine::new(&g, config), capacity),
             QueryEngine::new(&g, config),
         )
     }
 
     fn all_pairs() -> Vec<(VertexId, VertexId)> {
         (0..5).flat_map(|u| (0..5).map(move |v| (u, v))).collect()
+    }
+
+    /// `(epoch, profile)` of one pair through a one-slot served batch.
+    fn profile(
+        cached: &CachedQueryEngine,
+        u: VertexId,
+        v: VertexId,
+    ) -> Result<(u64, MeetingProfile), QueryError> {
+        let (epoch, answers) =
+            cached.serve_batch_with_trace(&[CoalescedQuery::Profile(u, v)], None);
+        match answers.into_iter().next().unwrap()? {
+            CoalescedAnswer::Profile(profile) => Ok((epoch, profile)),
+            other => panic!("a profile slot answered {other:?}"),
+        }
     }
 
     #[test]
@@ -568,10 +613,8 @@ mod tests {
             assert_eq!(scores, reference.batch_similarities(&pairs).unwrap());
             let (_, score) = cached.similarity(1, 2).unwrap();
             assert_eq!(score, reference.similarity(1, 2));
-            let (_, profile) = cached.profile(2, 3).unwrap();
+            let (_, profile) = profile(&cached, 2, 3).unwrap();
             assert_eq!(profile, reference.profile(2, 3));
-            let (_, top) = cached.batch_top_k(&pairs, 3).unwrap();
-            assert_eq!(top, reference.batch_top_k(&pairs, 3).unwrap());
             let (_, ranked) = cached.batch_top_k_similar_to(0, &[1, 2, 3, 4], 2).unwrap();
             assert_eq!(
                 ranked,
@@ -642,7 +685,7 @@ mod tests {
     fn entries_survive_updates_disjoint_from_their_footprint() {
         let g = two_component_graph();
         let config = SimRankConfig::default().with_samples(150).with_seed(7);
-        let cached = CachedQueryEngine::new(SharedQueryEngine::new(&g, config), 256);
+        let cached = CachedQueryEngine::new(QueryEngine::new(&g, config), 256);
         let pairs: Vec<(VertexId, VertexId)> = vec![(0, 1), (0, 2), (1, 2)];
         let (_, before) = cached.batch_similarities(&pairs).unwrap();
 
@@ -681,7 +724,7 @@ mod tests {
     fn entries_touching_the_updated_region_still_die() {
         let g = two_component_graph();
         let config = SimRankConfig::default().with_samples(150).with_seed(7);
-        let cached = CachedQueryEngine::new(SharedQueryEngine::new(&g, config), 256);
+        let cached = CachedQueryEngine::new(QueryEngine::new(&g, config), 256);
         cached.batch_similarities(&[(0, 1), (3, 4)]).unwrap();
 
         // Touches component A (vertex 0 is in (0, 1)'s footprint — both
@@ -713,8 +756,8 @@ mod tests {
     fn profile_entries_survive_disjoint_rounds_too() {
         let g = two_component_graph();
         let config = SimRankConfig::default().with_samples(150).with_seed(7);
-        let cached = CachedQueryEngine::new(SharedQueryEngine::new(&g, config), 256);
-        let (_, before) = cached.profile(0, 1).unwrap();
+        let cached = CachedQueryEngine::new(QueryEngine::new(&g, config), 256);
+        let (_, before) = profile(&cached, 0, 1).unwrap();
         cached
             .apply_updates(&[GraphUpdate::InsertArc {
                 source: 4,
@@ -725,7 +768,7 @@ mod tests {
         let stats = cached.cache_stats().unwrap();
         assert_eq!((stats.survived, stats.killed), (1, 0), "{stats:?}");
         let hits_before = stats.hits;
-        let (epoch, after) = cached.profile(0, 1).unwrap();
+        let (epoch, after) = profile(&cached, 0, 1).unwrap();
         assert_eq!(epoch, 1);
         assert_eq!(after, before);
         assert_eq!(cached.cache_stats().unwrap().hits, hits_before + 1);
@@ -757,18 +800,26 @@ mod tests {
             expected
         );
         assert_eq!(cached.similarity(0, 99).unwrap_err(), expected);
-        assert_eq!(cached.profile(99, 0).unwrap_err(), expected);
-        // Self-pair ids are validated before dedup drops them (k > 0 and
-        // k == 0 alike), exactly like the engine.
-        assert_eq!(cached.batch_top_k(&[(99, 99)], 5).unwrap_err(), expected);
-        assert_eq!(cached.batch_top_k(&[(99, 99)], 0).unwrap_err(), expected);
+        assert_eq!(profile(&cached, 99, 0).unwrap_err(), expected);
+        // Ids are validated even when k == 0 skips scoring, exactly like
+        // the engine.
         assert_eq!(
             cached.batch_top_k_similar_to(99, &[0], 2).unwrap_err(),
             expected
         );
+        assert_eq!(
+            cached.batch_top_k_similar_to(0, &[99], 0).unwrap_err(),
+            expected
+        );
     }
 
-    fn assert_serve_batch_matches_per_request_calls(cached: &CachedQueryEngine) {
+    /// The served batch against a plain [`QueryEngine`] on the same graph
+    /// and config, one entry point per slot — not against the wrapper's own
+    /// per-request methods, which are one-slot calls of the same path.
+    fn assert_serve_batch_matches_per_request_calls(
+        cached: &CachedQueryEngine,
+        reference: &QueryEngine,
+    ) {
         let candidates: Vec<VertexId> = (0..5).collect();
         let queries = vec![
             CoalescedQuery::Similarity(1, 3),
@@ -789,28 +840,27 @@ mod tests {
             },
         ];
         let (epoch, answers) = cached.serve_batch_with_trace(&queries, None);
-        assert_eq!(epoch, cached.update_epoch());
+        assert_eq!(epoch, reference.update_epoch());
         assert_eq!(answers.len(), queries.len());
         for (query, answer) in queries.iter().zip(&answers) {
             let expected = match query {
                 CoalescedQuery::Similarity(u, v) => {
-                    CoalescedAnswer::Similarity(cached.similarity(*u, *v).unwrap().1)
+                    CoalescedAnswer::Similarity(reference.similarity(*u, *v))
                 }
                 CoalescedQuery::Profile(u, v) => {
-                    CoalescedAnswer::Profile(cached.profile(*u, *v).unwrap().1)
+                    CoalescedAnswer::Profile(reference.profile(*u, *v))
                 }
                 CoalescedQuery::TopK {
                     query,
                     candidates,
                     k,
                 } => CoalescedAnswer::TopK(
-                    cached
+                    reference
                         .batch_top_k_similar_to(*query, candidates, *k)
-                        .unwrap()
-                        .1,
+                        .unwrap(),
                 ),
                 CoalescedQuery::Scores(pairs) => {
-                    CoalescedAnswer::Scores(cached.batch_similarities(pairs).unwrap().1)
+                    CoalescedAnswer::Scores(reference.batch_similarities(pairs).unwrap())
                 }
             };
             assert_eq!(answer.as_ref().unwrap(), &expected, "{query:?}");
@@ -820,10 +870,10 @@ mod tests {
     #[test]
     fn serve_batch_is_bit_identical_to_per_request_calls() {
         for capacity in [0, 256] {
-            let (cached, _) = engines(capacity);
+            let (cached, reference) = engines(capacity);
             // Twice with the cache on: the second batch is served from it.
-            assert_serve_batch_matches_per_request_calls(&cached);
-            assert_serve_batch_matches_per_request_calls(&cached);
+            assert_serve_batch_matches_per_request_calls(&cached, &reference);
+            assert_serve_batch_matches_per_request_calls(&cached, &reference);
         }
     }
 
@@ -878,6 +928,100 @@ mod tests {
 
         let (epoch, answers) = cached.serve_batch_with_trace(&[], None);
         assert_eq!((epoch, answers.len()), (1, 0));
+    }
+
+    #[test]
+    fn concurrent_readers_and_a_writer_stay_deterministic() {
+        let config = SimRankConfig::default().with_samples(100).with_seed(3);
+        let pairs: Vec<(VertexId, VertexId)> = vec![(0, 1), (1, 2), (2, 3), (3, 4)];
+        let round = |round: u64| {
+            [GraphUpdate::SetProbability {
+                source: 0,
+                target: 2,
+                probability: 0.1 + 0.15 * round as f64,
+            }]
+        };
+
+        // A fresh engine's answers at every epoch the writer will produce.
+        let reference: Vec<Vec<f64>> = (0..=5)
+            .map(|epoch| {
+                let mut fresh = QueryEngine::new(&fig1_graph(), config);
+                for r in 0..epoch {
+                    fresh.apply_updates(&round(r)).unwrap();
+                }
+                fresh.batch_similarities(&pairs).unwrap()
+            })
+            .collect();
+
+        for capacity in [0, 64] {
+            let cached = std::sync::Arc::new(CachedQueryEngine::new(
+                QueryEngine::new(&fig1_graph(), config),
+                capacity,
+            ));
+            // Several readers serve batches while one writer applies
+            // rounds.  Whatever the interleaving, each served batch pairs an
+            // epoch with exactly that epoch's answers.
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    let cached = std::sync::Arc::clone(&cached);
+                    let slot = [CoalescedQuery::Scores(pairs.clone())];
+                    std::thread::spawn(move || {
+                        (0..20)
+                            .map(|_| {
+                                let (epoch, mut answers) =
+                                    cached.serve_batch_with_trace(&slot, None);
+                                (epoch, answers.pop().unwrap().unwrap())
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let writer = {
+                let cached = std::sync::Arc::clone(&cached);
+                std::thread::spawn(move || {
+                    for r in 0..5 {
+                        cached.apply_updates(&round(r)).unwrap();
+                    }
+                })
+            };
+            writer.join().unwrap();
+            assert_eq!(cached.update_epoch(), 5);
+            for reader in readers {
+                for (epoch, answer) in reader.join().unwrap() {
+                    assert_eq!(
+                        answer,
+                        CoalescedAnswer::Scores(reference[epoch as usize].clone()),
+                        "capacity {capacity}: epoch {epoch} diverged from a fresh engine"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rejected_updates_and_bad_queries_stay_typed() {
+        let (cached, _) = engines(64);
+        assert_eq!(
+            cached
+                .apply_updates(&[GraphUpdate::DeleteArc {
+                    source: 0,
+                    target: 4
+                }])
+                .unwrap_err(),
+            UpdateError::ArcNotFound {
+                source: 0,
+                target: 4
+            }
+        );
+        assert_eq!(cached.update_epoch(), 0);
+        assert_eq!(
+            cached.similarity(0, 99).unwrap_err(),
+            QueryError::VertexOutOfRange {
+                vertex: 99,
+                num_vertices: 5
+            }
+        );
+        assert!(profile(&cached, 99, 0).is_err());
     }
 
     #[test]

@@ -702,7 +702,29 @@ impl QueryEngine {
         k: usize,
     ) -> Result<Vec<ScoredPair>, QueryError> {
         self.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
-        rank_pairs(pairs, k, |unique| self.batch_similarities(unique))
+        if k == 0 {
+            return Ok(Vec::new());
+        }
+        let mut unique: Vec<(VertexId, VertexId)> = pairs
+            .iter()
+            .filter(|(a, b)| a != b)
+            .map(|&(a, b)| (a.min(b), a.max(b)))
+            .collect();
+        unique.sort_unstable();
+        unique.dedup();
+        let scores = self.batch_similarities(&unique)?;
+        let mut scored: Vec<ScoredPair> = unique
+            .into_iter()
+            .zip(scores)
+            .map(|(pair, score)| ScoredPair { pair, score })
+            .collect();
+        crate::top_k::sort_descending_by_score(
+            &mut scored,
+            |s| s.score,
+            |s| (s.pair.0 as u64) << 32 | s.pair.1 as u64,
+        );
+        scored.truncate(k);
+        Ok(scored)
     }
 
     /// The `k` candidates most similar to `query` (the query vertex itself
@@ -796,39 +818,6 @@ pub(crate) fn dedup_pairs(
     (distinct, slots)
 }
 
-/// The ranking half of [`QueryEngine::batch_top_k`], parameterised over the
-/// score provider so the caching layer ranks through the exact same
-/// dedup / tie-break / truncation logic (callers validate ids first).
-pub(crate) fn rank_pairs(
-    pairs: &[(VertexId, VertexId)],
-    k: usize,
-    score_of: impl FnOnce(&[(VertexId, VertexId)]) -> Result<Vec<f64>, QueryError>,
-) -> Result<Vec<ScoredPair>, QueryError> {
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    let mut unique: Vec<(VertexId, VertexId)> = pairs
-        .iter()
-        .filter(|(a, b)| a != b)
-        .map(|&(a, b)| (a.min(b), a.max(b)))
-        .collect();
-    unique.sort_unstable();
-    unique.dedup();
-    let scores = score_of(&unique)?;
-    let mut scored: Vec<ScoredPair> = unique
-        .into_iter()
-        .zip(scores)
-        .map(|(pair, score)| ScoredPair { pair, score })
-        .collect();
-    crate::top_k::sort_descending_by_score(
-        &mut scored,
-        |s| s.score,
-        |s| (s.pair.0 as u64) << 32 | s.pair.1 as u64,
-    );
-    scored.truncate(k);
-    Ok(scored)
-}
-
 /// The pairs [`rank_candidates`] scores: `(query, v)` for every distinct
 /// candidate `v != query`, in ascending `v` order.
 pub(crate) fn candidate_pairs(
@@ -841,8 +830,10 @@ pub(crate) fn candidate_pairs(
     unique.into_iter().map(|v| (query, v)).collect()
 }
 
-/// The ranking half of [`QueryEngine::batch_top_k_similar_to`] (see
-/// [`rank_pairs`]).
+/// The ranking half of [`QueryEngine::batch_top_k_similar_to`],
+/// parameterised over the score provider so the caching layer ranks
+/// through the exact same dedup / tie-break / truncation logic (callers
+/// validate ids first).
 pub(crate) fn rank_candidates(
     query: VertexId,
     candidates: &[VertexId],

@@ -75,7 +75,6 @@ pub mod engine;
 pub mod meeting;
 pub mod parallel;
 pub mod sampling;
-pub mod shared;
 pub mod single_source;
 pub mod speedup;
 pub mod top_k;
@@ -98,12 +97,18 @@ pub use parallel::{
     par_mean_similarity, par_scored_pairs, par_similarities, par_top_k_pairs, par_top_k_similar_to,
 };
 pub use sampling::SamplingEstimator;
-pub use shared::SharedQueryEngine;
 pub use single_source::{SingleSourceEstimator, SingleSourceResult, SourceMode};
 pub use speedup::SpeedupEstimator;
 pub use top_k::{top_k_pairs, top_k_similar_to, ScoredPair, ScoredVertex};
 pub use two_phase::TwoPhaseEstimator;
 pub use usim_cache::CacheStats;
+
+/// The former reader/writer-locked engine handle, now a plain alias of
+/// [`QueryEngine`] (the lock lives in [`CachedQueryEngine`]).  It exists
+/// only so the unchanged `perfbench-trace` binary still builds
+/// (`SharedQueryEngine::from_csr` is [`QueryEngine::from_csr`]); it is
+/// deleted at the next change to the benchmark.  Use [`QueryEngine`].
+pub type SharedQueryEngine = QueryEngine;
 
 use ugraph::VertexId;
 

@@ -120,7 +120,7 @@ mod tests {
     use super::*;
     use crate::protocol::RequestHandler;
     use ugraph::UncertainGraphBuilder;
-    use usim_core::{SharedQueryEngine, SimRankConfig};
+    use usim_core::{QueryEngine, SimRankConfig};
 
     fn handler() -> Arc<RequestHandler> {
         let g = UncertainGraphBuilder::new(3)
@@ -128,7 +128,7 @@ mod tests {
             .arc(2, 1, 0.8)
             .build()
             .unwrap();
-        let engine = SharedQueryEngine::new(&g, SimRankConfig::default().with_samples(60));
+        let engine = QueryEngine::new(&g, SimRankConfig::default().with_samples(60));
         Arc::new(RequestHandler::new(engine, (0..3).collect(), 1024).with_tracing(1.0, 8))
     }
 

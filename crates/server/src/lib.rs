@@ -1,11 +1,12 @@
 //! `usim_server` — a threaded query server over the dynamic SimRank engine.
 //!
-//! This crate turns the batch engine ([`usim_core::QueryEngine`] behind the
-//! reader/writer [`usim_core::SharedQueryEngine`] handle) into a long-lived
-//! network service: the graph is loaded and compiled to CSR **once**, then
-//! any number of clients issue queries and live graph updates over plain
-//! TCP, speaking a line-delimited JSON protocol (one request per line, one
-//! response per line).
+//! This crate turns the batch engine ([`usim_core::QueryEngine`], owned
+//! behind the reader/writer lock and result cache of
+//! [`usim_core::CachedQueryEngine`]) into a long-lived network service:
+//! the graph is loaded and compiled to CSR **once**, then any number of
+//! clients issue queries and live graph updates over plain TCP, speaking a
+//! line-delimited JSON protocol (one request per line, one response per
+//! line).
 //!
 //! Two layers, separately testable:
 //!

@@ -60,9 +60,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ugraph::{GraphUpdate, UpdateError, UpdateLog, VertexId};
-use usim_core::{
-    CachedQueryEngine, CoalescedAnswer, CoalescedQuery, QueryError, SharedQueryEngine,
-};
+use usim_core::{CachedQueryEngine, CoalescedAnswer, CoalescedQuery, QueryEngine, QueryError};
 use usim_obs::{time_stage, walk_metrics, PromWriter, Stage, StageTrace, Tracer};
 
 /// Default cap on `batch` pairs, `top_k` candidates and `update` batches —
@@ -155,14 +153,14 @@ impl Reject {
 
 type Entries = [(String, Value)];
 
-/// The transport-free request handler: owns the shared engine, the label
+/// The transport-free request handler: owns the served engine, the label
 /// table, and the batch-size limit.
 ///
 /// # Example
 ///
 /// ```
 /// use ugraph::UncertainGraphBuilder;
-/// use usim_core::{SharedQueryEngine, SimRankConfig};
+/// use usim_core::{QueryEngine, SimRankConfig};
 /// use usim_server::RequestHandler;
 ///
 /// let g = UncertainGraphBuilder::new(3)
@@ -170,7 +168,7 @@ type Entries = [(String, Value)];
 ///     .arc(2, 1, 0.8)
 ///     .build()
 ///     .unwrap();
-/// let engine = SharedQueryEngine::new(&g, SimRankConfig::default().with_samples(100));
+/// let engine = QueryEngine::new(&g, SimRankConfig::default().with_samples(100));
 /// let handler = RequestHandler::new(engine, (0..3).collect(), 1024);
 ///
 /// let frame = handler
@@ -221,7 +219,7 @@ impl RequestHandler {
     ///
     /// Panics when the label table length does not match the engine's
     /// vertex count, or when `max_batch` is zero.
-    pub fn new(engine: SharedQueryEngine, labels: Vec<u64>, max_batch: usize) -> Self {
+    pub fn new(engine: QueryEngine, labels: Vec<u64>, max_batch: usize) -> Self {
         RequestHandler::with_cache(engine, labels, max_batch, 0)
     }
 
@@ -232,17 +230,17 @@ impl RequestHandler {
     /// cache's hit/miss/stale/eviction counters are surfaced by the
     /// `stats` frame.
     pub fn with_cache(
-        engine: SharedQueryEngine,
+        engine: QueryEngine,
         labels: Vec<u64>,
         max_batch: usize,
         cache_capacity: usize,
     ) -> Self {
-        let engine = CachedQueryEngine::new(engine, cache_capacity);
         assert_eq!(
             labels.len(),
             engine.num_vertices(),
             "label table must cover every vertex"
         );
+        let engine = CachedQueryEngine::new(engine, cache_capacity);
         assert!(max_batch > 0, "max_batch must be positive");
         let index = labels
             .iter()
@@ -687,7 +685,7 @@ impl RequestHandler {
 
     fn stats(&self, entries: &Entries) -> Result<Value, Reject> {
         reject_unknown_fields(entries, "stats", &[])?;
-        let (epoch, vertices, arcs, config) = self.engine.shared().with_read(|e| {
+        let (epoch, vertices, arcs, config) = self.engine.with_read(|e| {
             (
                 e.update_epoch(),
                 e.num_vertices(),
@@ -945,22 +943,21 @@ impl RequestHandler {
     /// when tracing is enabled — one histogram series per pipeline stage.
     /// Served by the `metrics` frame and `usim serve --metrics-port`.
     pub fn prometheus_exposition(&self) -> String {
+        let (epoch, vertices, arcs) = self
+            .engine
+            .with_read(|e| (e.update_epoch(), e.num_vertices(), e.num_arcs()));
         let mut w = PromWriter::new();
         w.gauge(
             "usim_epoch",
             "Update epoch the engine is serving at.",
-            self.engine.update_epoch() as f64,
+            epoch as f64,
         );
         w.gauge(
             "usim_vertices",
             "Vertices in the served graph.",
-            self.engine.num_vertices() as f64,
+            vertices as f64,
         );
-        w.gauge(
-            "usim_arcs",
-            "Arcs in the served graph.",
-            self.engine.num_arcs() as f64,
-        );
+        w.gauge("usim_arcs", "Arcs in the served graph.", arcs as f64);
         let kinds: Vec<(&str, u64)> = RequestKind::ALL
             .iter()
             .map(|&kind| (kind.as_str(), self.metrics.requests_of(kind)))
@@ -1416,11 +1413,8 @@ mod tests {
             .build()
             .unwrap();
         let config = SimRankConfig::default().with_samples(150).with_seed(7);
-        let handler = RequestHandler::new(
-            SharedQueryEngine::new(&g, config),
-            (10..15).collect(),
-            max_batch,
-        );
+        let handler =
+            RequestHandler::new(QueryEngine::new(&g, config), (10..15).collect(), max_batch);
         (handler, QueryEngine::new(&g, config))
     }
 
@@ -1660,7 +1654,7 @@ mod tests {
             .unwrap();
         let config = SimRankConfig::default().with_samples(150).with_seed(7);
         let cached = RequestHandler::with_cache(
-            SharedQueryEngine::new(&g, config),
+            QueryEngine::new(&g, config),
             (10..15).collect(),
             DEFAULT_MAX_BATCH,
             512,
@@ -1716,7 +1710,7 @@ mod tests {
         // every cached footprint that doesn't start at 14.
         let config = SimRankConfig::default().with_samples(150).with_seed(7);
         let cached = RequestHandler::with_cache(
-            SharedQueryEngine::new(&fig1_graph(), config),
+            QueryEngine::new(&fig1_graph(), config),
             (10..15).collect(),
             DEFAULT_MAX_BATCH,
             512,
@@ -1786,7 +1780,7 @@ mod tests {
         let (log, rounds) = UpdateLog::open(&path).unwrap();
         assert!(rounds.is_empty());
         let live = RequestHandler::new(
-            SharedQueryEngine::new(&fig1_graph(), config),
+            QueryEngine::new(&fig1_graph(), config),
             (10..15).collect(),
             DEFAULT_MAX_BATCH,
         )
@@ -1811,7 +1805,7 @@ mod tests {
         let (log, rounds) = UpdateLog::open(&path).unwrap();
         assert_eq!(rounds.len(), 2);
         let reborn = RequestHandler::new(
-            SharedQueryEngine::new(&fig1_graph(), config),
+            QueryEngine::new(&fig1_graph(), config),
             (10..15).collect(),
             DEFAULT_MAX_BATCH,
         )
@@ -2012,7 +2006,7 @@ mod tests {
         // cap = 1: every submission flushes immediately, so a
         // single-threaded test never waits out a window.
         let coalesced = RequestHandler::new(
-            SharedQueryEngine::new(&fig1_graph(), config),
+            QueryEngine::new(&fig1_graph(), config),
             (10..15).collect(),
             DEFAULT_MAX_BATCH,
         )
@@ -2051,7 +2045,7 @@ mod tests {
     fn concurrent_coalesced_requests_share_batches_and_stay_identical() {
         let config = SimRankConfig::default().with_samples(150).with_seed(7);
         let coalesced = RequestHandler::new(
-            SharedQueryEngine::new(&fig1_graph(), config),
+            QueryEngine::new(&fig1_graph(), config),
             (10..15).collect(),
             DEFAULT_MAX_BATCH,
         )
@@ -2131,7 +2125,7 @@ mod tests {
         // With coalescing on, the section reflects the configuration.
         let config = SimRankConfig::default().with_samples(150).with_seed(7);
         let coalesced = RequestHandler::new(
-            SharedQueryEngine::new(&fig1_graph(), config),
+            QueryEngine::new(&fig1_graph(), config),
             (10..15).collect(),
             DEFAULT_MAX_BATCH,
         )

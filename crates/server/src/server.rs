@@ -5,7 +5,7 @@
 //! ```text
 //! accept loop ──sync_channel(queue_depth)──▶ worker 0 ─┐
 //!   (listener)                              worker 1 ──┼──▶ RequestHandler
-//!                                           …          │    (SharedQueryEngine)
+//!                                           …          │    (CachedQueryEngine)
 //!                                           worker N-1 ┘
 //! ```
 //!
@@ -74,7 +74,7 @@ pub struct ServerStats {
 /// ```
 /// use std::io::{BufRead, BufReader, Write};
 /// use ugraph::UncertainGraphBuilder;
-/// use usim_core::{SharedQueryEngine, SimRankConfig};
+/// use usim_core::{QueryEngine, SimRankConfig};
 /// use usim_server::{RequestHandler, Server, ServerOptions};
 ///
 /// let g = UncertainGraphBuilder::new(3)
@@ -83,7 +83,7 @@ pub struct ServerStats {
 ///     .build()
 ///     .unwrap();
 /// let handler = RequestHandler::new(
-///     SharedQueryEngine::new(&g, SimRankConfig::default().with_samples(50)),
+///     QueryEngine::new(&g, SimRankConfig::default().with_samples(50)),
 ///     (0..3).collect(),
 ///     1024,
 /// );
@@ -325,7 +325,7 @@ fn serve_connection(
 mod tests {
     use super::*;
     use ugraph::UncertainGraphBuilder;
-    use usim_core::{SharedQueryEngine, SimRankConfig};
+    use usim_core::{QueryEngine, SimRankConfig};
 
     fn handler() -> RequestHandler {
         let g = UncertainGraphBuilder::new(5)
@@ -340,7 +340,7 @@ mod tests {
             .build()
             .unwrap();
         let config = SimRankConfig::default().with_samples(100).with_seed(5);
-        RequestHandler::new(SharedQueryEngine::new(&g, config), (0..5).collect(), 1024)
+        RequestHandler::new(QueryEngine::new(&g, config), (0..5).collect(), 1024)
     }
 
     fn ask(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, frame: &str) -> String {

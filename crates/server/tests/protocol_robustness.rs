@@ -6,7 +6,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use ugraph::{GraphUpdate, UncertainGraph, UncertainGraphBuilder};
-use usim_core::{QueryEngine, SharedQueryEngine, SimRankConfig};
+use usim_core::{QueryEngine, SimRankConfig};
 use usim_server::{RequestHandler, Server, ServerOptions};
 
 fn fig1_graph() -> UncertainGraph {
@@ -30,7 +30,7 @@ fn config() -> SimRankConfig {
 /// Spawns a server with a small batch cap and `workers` worker threads.
 fn spawn(workers: usize) -> usim_server::ServerHandle {
     let handler = RequestHandler::new(
-        SharedQueryEngine::new(&fig1_graph(), config()),
+        QueryEngine::new(&fig1_graph(), config()),
         (0..5).collect(),
         8, // small cap so the oversized-batch path is reachable
     );

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use ugraph::UncertainGraphBuilder;
-use usim_core::{SamplerKind, SharedQueryEngine, SimRankConfig};
+use usim_core::{QueryEngine, SamplerKind, SimRankConfig};
 use usim_server::{CoalesceOptions, RequestHandler, DEFAULT_MAX_BATCH};
 
 fn fig1_graph() -> ugraph::UncertainGraph {
@@ -79,7 +79,7 @@ fn build_handler(case: &Case, traced: bool) -> RequestHandler {
         config = config.with_sampler(SamplerKind::Alias);
     }
     let mut handler = RequestHandler::with_cache(
-        SharedQueryEngine::new(&fig1_graph(), config),
+        QueryEngine::new(&fig1_graph(), config),
         (10..15).collect(),
         DEFAULT_MAX_BATCH,
         if case.cached { 64 } else { 0 },

@@ -102,6 +102,19 @@ impl CsrSnapshot {
     }
 }
 
+/// Rejects a label table naming one label twice: the serving stack maps
+/// each wire label to one vertex, so a duplicate would hide the earlier
+/// vertex behind the later one.
+fn check_unique_labels(labels: &[u64]) -> Result<(), GraphError> {
+    let mut seen = std::collections::HashSet::with_capacity(labels.len());
+    match labels.iter().find(|&&label| !seen.insert(label)) {
+        Some(label) => Err(format_error(format!(
+            "label table names label {label} more than once"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Bytes of zero padding needed after `len` bytes to reach 8-byte alignment.
 fn pad8(len: usize) -> usize {
     (8 - len % 8) % 8
@@ -193,6 +206,7 @@ pub fn write_snapshot<W: Write>(
             graph.num_vertices()
         )));
     }
+    check_unique_labels(labels)?;
     let mut writer = BufWriter::new(writer);
     let mut checksum = WordFnv::new();
     let mut emit = |writer: &mut BufWriter<W>, bytes: &[u8]| -> Result<(), GraphError> {
@@ -485,6 +499,7 @@ pub fn read_snapshot<R: Read>(reader: R) -> Result<CsrSnapshot, GraphError> {
     if reader.read(&mut trailing).map_err(GraphError::from)? != 0 {
         return Err(format_error("trailing bytes after the snapshot checksum"));
     }
+    check_unique_labels(&labels)?;
 
     let mut graph = CsrGraph::from_raw_directions(n, forward, reverse);
     if let Some((forward_table, reverse_table)) = alias {
@@ -598,6 +613,29 @@ mod tests {
         let mut buffer = Vec::new();
         let err = write_snapshot(&csr, &[1, 2], &mut buffer).unwrap_err();
         assert!(matches!(err, GraphError::Format { .. }), "{err}");
+    }
+
+    #[test]
+    fn duplicate_labels_are_rejected_at_write_time() {
+        let csr = CsrGraph::from_uncertain(&fig1_graph());
+        let err = write_snapshot(&csr, &[10, 20, 30, 20, 50], Vec::new()).unwrap_err();
+        assert!(matches!(err, GraphError::Format { .. }), "{err}");
+        assert!(err.to_string().contains("label 20"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_labels_in_a_checksummed_snapshot_are_rejected() {
+        let csr = CsrGraph::from_uncertain(&fig1_graph());
+        let mut bytes = encode(&csr, &[10, 20, 30, 40, 50]);
+        // The label table is the last section before the checksum: make
+        // vertex 3's label repeat vertex 1's and re-seal, so only the
+        // uniqueness check stands between the file and a shadowed vertex.
+        let label_3 = bytes.len() - 8 - 2 * 8;
+        bytes[label_3..label_3 + 8].copy_from_slice(&20u64.to_le_bytes());
+        reseal(&mut bytes);
+        let err = read_snapshot(bytes.as_slice()).unwrap_err();
+        assert!(matches!(err, GraphError::Format { .. }), "{err}");
+        assert!(err.to_string().contains("label 20"), "{err}");
     }
 
     #[test]

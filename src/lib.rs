@@ -79,8 +79,8 @@ pub mod prelude {
     pub use crate::server::{CoalesceOptions, RequestHandler, Server, ServerOptions};
     pub use crate::simrank::{
         BaselineEstimator, CachedQueryEngine, QueryEngine, SamplerKind, SamplingEstimator,
-        SharedQueryEngine, SimRankConfig, SimRankEstimator, SingleSourceEstimator, SourceMode,
-        SpeedupEstimator, TwoPhaseEstimator, WalkDirection,
+        SimRankConfig, SimRankEstimator, SingleSourceEstimator, SourceMode, SpeedupEstimator,
+        TwoPhaseEstimator, WalkDirection,
     };
 }
 

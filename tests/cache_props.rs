@@ -10,6 +10,7 @@ use rayon::ThreadPoolBuilder;
 use std::collections::BTreeMap;
 use uncertain_simrank::graph::{DuplicatePolicy, GraphUpdate, UncertainGraph, VertexId};
 use uncertain_simrank::prelude::*;
+use uncertain_simrank::simrank::{CoalescedAnswer, CoalescedQuery, MeetingProfile, QueryError};
 
 /// Strategy: a small uncertain graph (duplicates keep the max probability).
 fn small_uncertain_graph(
@@ -70,6 +71,20 @@ fn realize_round(
     updates
 }
 
+/// The profile of one pair through a one-slot served batch (the path a
+/// `profile` frame takes).
+fn served_profile(
+    cached: &CachedQueryEngine,
+    u: VertexId,
+    v: VertexId,
+) -> Result<MeetingProfile, QueryError> {
+    let (_, answers) = cached.serve_batch_with_trace(&[CoalescedQuery::Profile(u, v)], None);
+    match answers.into_iter().next().expect("one answer per slot")? {
+        CoalescedAnswer::Profile(profile) => Ok(profile),
+        other => panic!("a profile slot answered {other:?}"),
+    }
+}
+
 /// Strategy: a graph plus interleaved rounds, each one a query batch (with
 /// duplicates likely, since pairs draw from a small id space) followed by a
 /// stream of abstract update ops.
@@ -108,7 +123,7 @@ proptest! {
     ) {
         let (graph, rounds) = input;
         let config = SimRankConfig::default().with_samples(25).with_seed(seed);
-        let cached = CachedQueryEngine::new(SharedQueryEngine::new(&graph, config), capacity);
+        let cached = CachedQueryEngine::new(QueryEngine::new(&graph, config), capacity);
         let uncached = QueryEngine::new(&graph, config);
         let mut uncached = uncached; // apply_updates needs &mut
         let mut model: BTreeMap<(VertexId, VertexId), f64> = graph
@@ -131,11 +146,14 @@ proptest! {
             // Single-pair and profile paths share the same contract.
             let &(u, v) = pairs.first().unwrap();
             prop_assert_eq!(cached.similarity(u, v).unwrap().1, uncached.similarity(u, v));
-            prop_assert_eq!(&cached.profile(u, v).unwrap().1, &uncached.profile(u, v));
+            prop_assert_eq!(&served_profile(&cached, u, v).unwrap(), &uncached.profile(u, v));
 
             // Top-k ranks through cached scores; compare against the engine.
-            let (_, top) = cached.batch_top_k(pairs, 3).unwrap();
-            prop_assert_eq!(&top, &uncached.batch_top_k(pairs, 3).unwrap());
+            let candidates: Vec<VertexId> = pairs.iter().map(|&(_, v)| v).collect();
+            prop_assert_eq!(
+                &cached.batch_top_k_similar_to(u, &candidates, 3).unwrap().1,
+                &uncached.batch_top_k_similar_to(u, &candidates, 3).unwrap()
+            );
 
             // Apply the same update round to both engines.
             let updates = realize_round(n, &mut model, ops);
@@ -167,8 +185,8 @@ proptest! {
         let config = SimRankConfig::default().with_samples(25).with_seed(seed);
         let single = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         let many = ThreadPoolBuilder::new().num_threads(5).build().unwrap();
-        let cached_1 = CachedQueryEngine::new(SharedQueryEngine::new(&graph, config), capacity);
-        let cached_n = CachedQueryEngine::new(SharedQueryEngine::new(&graph, config), capacity);
+        let cached_1 = CachedQueryEngine::new(QueryEngine::new(&graph, config), capacity);
+        let cached_n = CachedQueryEngine::new(QueryEngine::new(&graph, config), capacity);
         let mut reference = QueryEngine::new(&graph, config);
         let mut model: BTreeMap<(VertexId, VertexId), f64> = graph
             .arcs()
@@ -207,10 +225,10 @@ proptest! {
         let n = graph.num_vertices();
         let bad = n as u32 + offset;
         let config = SimRankConfig::default().with_samples(10).with_seed(1);
-        let cached = CachedQueryEngine::new(SharedQueryEngine::new(&graph, config), 16);
+        let cached = CachedQueryEngine::new(QueryEngine::new(&graph, config), 16);
         let reference = QueryEngine::new(&graph, config);
         cached.similarity(0, 0).unwrap(); // (0, 0) is cached now
-        let expected = uncertain_simrank::simrank::QueryError::VertexOutOfRange {
+        let expected = QueryError::VertexOutOfRange {
             vertex: bad,
             num_vertices: n,
         };
@@ -219,8 +237,7 @@ proptest! {
             expected
         );
         prop_assert_eq!(cached.similarity(0, bad).unwrap_err(), expected);
-        prop_assert_eq!(cached.profile(bad, 0).unwrap_err(), expected);
-        prop_assert_eq!(cached.batch_top_k(&[(bad, bad)], 0).unwrap_err(), expected);
+        prop_assert_eq!(served_profile(&cached, bad, 0).unwrap_err(), expected);
         prop_assert_eq!(
             cached.batch_top_k_similar_to(0, &[bad], 1).unwrap_err(),
             expected

@@ -103,7 +103,7 @@ fn check_survivors_against_fresh_engine(
         .num_threads(threads)
         .build()
         .unwrap();
-    let cached = CachedQueryEngine::new(SharedQueryEngine::new(graph, config), capacity);
+    let cached = CachedQueryEngine::new(QueryEngine::new(graph, config), capacity);
     let mut model: BTreeMap<(VertexId, VertexId), f64> = graph
         .arcs()
         .map(|a| ((a.source, a.target), a.probability))
@@ -243,7 +243,7 @@ fn disjoint_updates_yield_guaranteed_survivors_on_both_samplers() {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let cached = CachedQueryEngine::new(SharedQueryEngine::new(&graph, config), 64);
+            let cached = CachedQueryEngine::new(QueryEngine::new(&graph, config), 64);
             let (_, before) = pool.install(|| cached.batch_similarities(&pairs)).unwrap();
             cached.apply_updates(&updates).unwrap();
             let stats = cached.cache_stats().unwrap();

@@ -139,19 +139,15 @@ fn handler_pair(
     let config = config(seed);
     let labels: Vec<u64> = (0..graph.num_vertices() as u64).collect();
     let plain = RequestHandler::new(
-        SharedQueryEngine::new(graph, config),
+        QueryEngine::new(graph, config),
         labels.clone(),
         DEFAULT_MAX_BATCH,
     );
-    let coalesced = RequestHandler::new(
-        SharedQueryEngine::new(graph, config),
-        labels,
-        DEFAULT_MAX_BATCH,
-    )
-    .with_coalescing(CoalesceOptions {
-        window: Duration::from_micros(window_us),
-        cap,
-    });
+    let coalesced = RequestHandler::new(QueryEngine::new(graph, config), labels, DEFAULT_MAX_BATCH)
+        .with_coalescing(CoalesceOptions {
+            window: Duration::from_micros(window_us),
+            cap,
+        });
     (plain, coalesced)
 }
 
