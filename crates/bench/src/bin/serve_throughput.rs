@@ -4,12 +4,9 @@
 //! a local [`QueryEngine`] and once through a full in-process
 //! [`usim_server::Server`] round trip (TCP + line-delimited JSON + the
 //! shared engine's read lock), with several client connections driving
-//! `batch` frames concurrently.  The served path runs with **request
-//! coalescing** on (window `USIM_BENCH_COALESCE_US`, cap = client count):
-//! concurrent identical batches collapse into one engine dispatch through
-//! the intra-batch-dedup path, which is exactly the deployment the
-//! `--coalesce-window` serve flag enables.  The run writes a
-//! `BENCH_serve_throughput.json` artifact and exits non-zero when either
+//! `batch` frames concurrently, each frame answered on its own.  The run
+//! writes a `BENCH_serve_throughput.json` artifact and exits non-zero when
+//! either
 //!
 //! * the **serve ratio** — served throughput divided by same-run direct
 //!   throughput — regresses more than 2x against the checked-in baseline, or
@@ -26,15 +23,13 @@
 //! crossing the wire is bit-identical to the direct engine answer — floats
 //! are serialised in shortest round-trip form) and the observability
 //! contract (the server's latency histogram counted exactly one sample per
-//! served frame, and the coalescer's flush counters add up to its batch
-//! count).
+//! served frame).
 //!
 //! Environment:
 //! * `USIM_BENCH_PAIRS`       — query pairs per client pass (default 192)
 //! * `USIM_BENCH_SAMPLES`     — walk samples per query (default 20)
 //! * `USIM_BENCH_CLIENTS`     — concurrent client connections (default 3)
 //! * `USIM_BENCH_PASSES`      — batch passes per client (default 4)
-//! * `USIM_BENCH_COALESCE_US` — coalescing window in µs (default 1500)
 //! * `USIM_BENCH_OUT`         — artifact path (default `BENCH_serve_throughput.json`)
 //! * `USIM_BENCH_BASELINE`    — baseline path (default
 //!   `crates/bench/baselines/serve_throughput.json`)
@@ -46,7 +41,7 @@ use ugraph::VertexId;
 use usim_bench::random_pairs;
 use usim_core::{QueryEngine, SimRankConfig};
 use usim_datasets::RmatGenerator;
-use usim_server::{CoalesceOptions, RequestHandler, Server, ServerOptions};
+use usim_server::{RequestHandler, Server, ServerOptions};
 
 /// The measurements the artifact records and the baseline pins.
 #[derive(Debug, serde::Serialize, serde::Deserialize)]
@@ -61,8 +56,6 @@ struct ServeReport {
     clients: usize,
     /// Batch passes per client.
     passes: usize,
-    /// Coalescing window (µs) the served path ran with.
-    coalesce_window_us: u64,
     /// Direct in-process batch throughput, pairs per second.
     direct_pairs_per_sec: f64,
     /// Throughput through the TCP + JSON server path, pairs per second.
@@ -141,7 +134,6 @@ fn main() {
     let samples = env_usize("USIM_BENCH_SAMPLES", 20);
     let clients = env_usize("USIM_BENCH_CLIENTS", 3).max(1);
     let passes = env_usize("USIM_BENCH_PASSES", 4);
-    let coalesce_window_us = env_usize("USIM_BENCH_COALESCE_US", 1500) as u64;
     let out_path = std::env::var("USIM_BENCH_OUT")
         .unwrap_or_else(|_| "BENCH_serve_throughput.json".to_string());
     let baseline_path = std::env::var("USIM_BENCH_BASELINE").unwrap_or_else(|_| {
@@ -154,8 +146,8 @@ fn main() {
     let graph = RmatGenerator::small(0xd13a).generate();
     let pairs = random_pairs(&graph, pairs_count, 0x5eed);
     let config = SimRankConfig::default().with_samples(samples).with_seed(42);
-    // Every client needs a live worker for coalescing to collect across
-    // connections — a queued connection cannot join a batch.
+    // Every client gets its own worker, so no connection waits in the
+    // accept queue.
     let workers = rayon::current_num_threads().max(clients).max(2);
 
     // Direct throughput: the same batch on a local engine (warm arenas).
@@ -172,18 +164,12 @@ fn main() {
     let direct_batch_us = 1e6 * direct_secs / passes.max(1) as f64;
 
     // Served throughput: the identical batch through the full TCP + JSON
-    // path, `clients` concurrent connections each driving `passes` frames,
-    // coalesced across connections exactly like `usim serve
-    // --coalesce-window` runs in production.
+    // path, `clients` concurrent connections each driving `passes` frames.
     let handler = RequestHandler::new(
         QueryEngine::new(&graph, config),
         (0..graph.num_vertices() as u64).collect(),
         usize::MAX >> 1,
-    )
-    .with_coalescing(CoalesceOptions {
-        window: std::time::Duration::from_micros(coalesce_window_us),
-        cap: clients,
-    });
+    );
     let handle = Server::bind(
         "127.0.0.1:0",
         handler,
@@ -234,8 +220,7 @@ fn main() {
 
     // Observability contract: every served frame recorded one latency
     // sample (each sample lands before its reply is written, so the count
-    // is exact once the clients have read their replies), and the
-    // coalescer's flush counters add up.
+    // is exact once the clients have read their replies).
     let mut probe = TcpStream::connect(handle.addr()).expect("stats probe");
     probe.set_nodelay(true).expect("nodelay");
     let mut probe_reader = BufReader::new(probe.try_clone().expect("clone"));
@@ -250,36 +235,12 @@ fn main() {
         (clients * passes) as u64,
         "histogram count != served frames: {stats_line}"
     );
-    let coalescer_at = stats_line
-        .find("\"coalescer\":")
-        .expect("coalescer section");
-    let coalesced_requests = extract_u64(&stats_line, coalescer_at, "requests");
-    let batches = extract_u64(&stats_line, coalescer_at, "batches");
-    let window_flushes = extract_u64(&stats_line, coalescer_at, "window_flushes");
-    let cap_flushes = extract_u64(&stats_line, coalescer_at, "cap_flushes");
-    assert_eq!(
-        coalesced_requests,
-        (clients * passes) as u64,
-        "every batch frame went through the coalescer: {stats_line}"
-    );
-    assert_eq!(
-        window_flushes + cap_flushes,
-        batches,
-        "flush counters add up: {stats_line}"
-    );
-
     let stats = handle.shutdown().expect("clean shutdown");
     assert_eq!(stats.errors, 0, "no error frames in a clean run");
     println!(
         "serve_throughput: served == direct engine (bit-identical scores, \
-         {} frames over {} connections; {} coalesced batches, mean occupancy {:.2}, \
-         {} window / {} cap flushes)",
-        stats.frames,
-        stats.connections,
-        batches,
-        coalesced_requests as f64 / batches.max(1) as f64,
-        window_flushes,
-        cap_flushes,
+         {} frames over {} connections)",
+        stats.frames, stats.connections,
     );
 
     latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
@@ -290,7 +251,6 @@ fn main() {
         workers,
         clients,
         passes,
-        coalesce_window_us,
         direct_pairs_per_sec,
         served_pairs_per_sec,
         serve_ratio: served_pairs_per_sec / direct_pairs_per_sec,

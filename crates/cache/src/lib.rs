@@ -17,20 +17,6 @@
 //!   batch invalidates the *whole* cache logically in O(1) — no scan, no
 //!   flush; stale entries are refreshed in place on the next insert and
 //!   evicted preferentially under capacity pressure.
-//! * **Footprint-based survival.**  Entries inserted through
-//!   [`ResultCache::insert_with_footprint`] carry a
-//!   [`ugraph::VertexFootprint`] — a 256-bit bloom filter of the vertices
-//!   the answer's walks visited.  [`ResultCache::revalidate`] re-stamps
-//!   every current-epoch entry whose footprint is disjoint from an update
-//!   round's touched-vertex set to the new epoch (counted in
-//!   [`CacheStats::survived`]), so hot entries survive churn that cannot
-//!   have changed them; intersecting entries are left behind at the old
-//!   epoch and go stale exactly as before (counted in
-//!   [`CacheStats::killed`]).  The bloom filter's false positives only
-//!   *over*-invalidate — survival is decided by `may_contain` per touched
-//!   vertex, which has no false negatives — so a wrong answer can never
-//!   survive.  Plain [`ResultCache::insert`] stores a saturated footprint:
-//!   entries without walk provenance always die, the conservative default.
 //! * **Config fingerprinting.**  Keys carry a [`ConfigFingerprint`] of the
 //!   SimRank configuration (decay, horizon, samples, seed, direction), so
 //!   a cache can never serve an answer computed under different estimator
@@ -54,7 +40,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use ugraph::{VertexFootprint, VertexId};
+use ugraph::VertexId;
 
 /// Default shard count of a [`ResultCache`] (a power of two; each shard has
 /// its own lock, so this bounds reader contention, not capacity).
@@ -170,14 +156,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries written (fresh keys and epoch-refreshes of existing keys).
     pub insertions: u64,
-    /// Entries re-stamped to a new epoch by [`ResultCache::revalidate`]
-    /// because their walk footprint was disjoint from the update round's
-    /// touched-vertex set — served again without recomputation.
-    pub survived: u64,
-    /// Current-epoch entries [`ResultCache::revalidate`] left behind at the
-    /// old epoch because their footprint intersected the touched set (or
-    /// was saturated); they read as `stale` from then on.
-    pub killed: u64,
     /// Entries currently resident across all shards.
     pub entries: usize,
 }
@@ -202,8 +180,6 @@ struct Counters {
     stale: AtomicU64,
     evictions: AtomicU64,
     insertions: AtomicU64,
-    survived: AtomicU64,
-    killed: AtomicU64,
 }
 
 impl Counters {
@@ -214,8 +190,6 @@ impl Counters {
             stale: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
-            survived: AtomicU64::new(0),
-            killed: AtomicU64::new(0),
         }
     }
 }
@@ -224,10 +198,6 @@ impl Counters {
 struct Entry<V> {
     value: V,
     epoch: u64,
-    /// Bloom summary of the vertices the answer's walks visited; the
-    /// saturated footprint (plain [`ResultCache::insert`]) intersects every
-    /// touched set, so provenance-free entries never survive revalidation.
-    footprint: VertexFootprint,
     /// Second-chance bit: set on every hit, cleared when the CLOCK hand
     /// passes over the entry.
     referenced: bool,
@@ -257,13 +227,6 @@ impl<K: Hash + Eq + Clone, V> ShardState<K, V> {
     /// and push to the back; unreferenced → evict.  Terminates because after
     /// one full lap every key has lost its referenced bit, so the second
     /// encounter always evicts.
-    ///
-    /// Staleness keys off `entry.epoch != current_epoch` — which is why
-    /// [`ResultCache::revalidate`] *re-stamps* survivors to the new epoch
-    /// rather than tracking survival out of band: a survivor compares equal
-    /// to the insert epoch here and keeps its second chance, instead of
-    /// being misclassified as stale and evicted first (pinned by the
-    /// `revalidated_survivors_are_not_evicted_as_stale` regression test).
     fn evict_one(&mut self, current_epoch: u64, counters: &Counters) {
         let mut lap = self.clock.len().saturating_mul(2);
         while let Some(key) = self.clock.pop_front() {
@@ -421,27 +384,11 @@ impl<K: Hash + Eq + Clone, V: Clone> ResultCache<K, V> {
     /// Stores `value` for `key` as computed under `epoch`, evicting (CLOCK,
     /// stale-first) when the shard is at capacity.  Re-inserting an existing
     /// key replaces its value and epoch in place.
-    ///
-    /// The entry carries a *saturated* footprint: with no walk provenance it
-    /// must be assumed to depend on every vertex, so
-    /// [`ResultCache::revalidate`] always kills it.  Callers that know the
-    /// visited set use [`ResultCache::insert_with_footprint`].
     pub fn insert(&self, key: K, value: V, epoch: u64) {
-        self.insert_with_footprint(key, value, epoch, VertexFootprint::saturated());
-    }
-
-    /// [`ResultCache::insert`] with an explicit walk footprint: the bloom
-    /// summary of every vertex the answer's walks visited, which
-    /// [`ResultCache::revalidate`] tests against update rounds' touched
-    /// sets.  The footprint must be a *superset* of the vertices the answer
-    /// depends on — over-approximation only over-invalidates, but a missing
-    /// vertex could let a stale answer survive.
-    pub fn insert_with_footprint(&self, key: K, value: V, epoch: u64, footprint: VertexFootprint) {
         let mut shard = self.shard_for(&key).lock();
         if let Some(entry) = shard.map.get_mut(&key) {
             entry.value = value;
             entry.epoch = epoch;
-            entry.footprint = footprint;
             entry.referenced = true;
             self.counters.insertions.fetch_add(1, Ordering::Relaxed);
             return;
@@ -454,64 +401,11 @@ impl<K: Hash + Eq + Clone, V: Clone> ResultCache<K, V> {
             Entry {
                 value,
                 epoch,
-                footprint,
                 referenced: false,
             },
         );
         shard.clock.push_back(key);
         self.counters.insertions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Selective invalidation after an update round that moved the epoch
-    /// from `from_epoch` to `to_epoch` touching `touched` (the deduplicated
-    /// vertex set of the round, e.g. [`ugraph::footprint::touched_vertices`]):
-    /// every entry stored under `from_epoch` whose footprint is disjoint
-    /// from `touched` is **re-stamped** to `to_epoch` — it keeps hitting —
-    /// and every intersecting one is left behind to go stale, exactly as if
-    /// this method had never run.  Returns `(survived, killed)` for the
-    /// round; both are also accumulated into [`CacheStats`].
-    ///
-    /// Only `from_epoch` entries are examined: an entry already stale from
-    /// an earlier round may be disjoint from *this* round's touched set and
-    /// must still never be resurrected.
-    ///
-    /// Safety is one-sided by construction.  Survival requires
-    /// `may_contain(v) == false` for every touched `v`, and the bloom
-    /// filter has no false negatives, so an entry whose walks visited a
-    /// touched vertex always dies; bit collisions only kill entries that
-    /// could have survived.  Callers must run this while holding whatever
-    /// lock serialises updates against lookups (the engine's write lock),
-    /// so no reader can insert at `from_epoch` mid-scan.
-    pub fn revalidate(&self, touched: &[VertexId], from_epoch: u64, to_epoch: u64) -> (u64, u64) {
-        // Quick-reject summary of the touched set: a disjoint bloom AND
-        // proves no touched vertex can test positive, skipping the
-        // per-vertex scan for the common all-survive case.
-        let mut touched_summary = VertexFootprint::new();
-        for &v in touched {
-            touched_summary.insert(v);
-        }
-        let (mut survived, mut killed) = (0u64, 0u64);
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            for entry in shard.map.values_mut() {
-                if entry.epoch != from_epoch {
-                    continue;
-                }
-                let dies = entry.footprint.intersects(&touched_summary)
-                    && touched.iter().any(|&v| entry.footprint.may_contain(v));
-                if dies {
-                    killed += 1;
-                } else {
-                    entry.epoch = to_epoch;
-                    survived += 1;
-                }
-            }
-        }
-        self.counters
-            .survived
-            .fetch_add(survived, Ordering::Relaxed);
-        self.counters.killed.fetch_add(killed, Ordering::Relaxed);
-        (survived, killed)
     }
 
     /// Drops every entry (counters are kept; they are cumulative).
@@ -531,8 +425,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ResultCache<K, V> {
             stale: self.counters.stale.load(Ordering::Relaxed),
             evictions: self.counters.evictions.load(Ordering::Relaxed),
             insertions: self.counters.insertions.load(Ordering::Relaxed),
-            survived: self.counters.survived.load(Ordering::Relaxed),
-            killed: self.counters.killed.load(Ordering::Relaxed),
             entries: self.len(),
         }
     }

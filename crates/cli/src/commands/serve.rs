@@ -5,7 +5,6 @@
 //!            [--max-batch 65536] [--max-connections 0] [--port-file PATH]
 //!            [--cache-capacity 0] [--format text|binary]
 //!            [--update-log PATH]
-//!            [--coalesce-window 0] [--coalesce-max 16]
 //!            [--trace-sample-rate 0] [--slow-log 32]
 //!            [--metrics-port P] [--metrics-port-file PATH]
 //!            [SimRank options]
@@ -49,20 +48,10 @@
 //! reports hit/miss/stale/eviction counters.  `0` (the default) disables
 //! caching.
 //!
-//! `--coalesce-window µS` enables request coalescing: concurrent query
-//! frames arriving within the window (from any connection) are dispatched
-//! as one engine batch through the intra-batch-dedup path, up to
-//! `--coalesce-max` requests per batch.  Answers stay byte-identical —
-//! coalescing trades a bounded latency floor (the window) for throughput
-//! under concurrency.  `0` (the default) disables coalescing; the `stats`
-//! frame's `coalescer` object reports batches formed, mean occupancy, and
-//! window- vs cap-flush counts either way.
-//!
 //! `--trace-sample-rate R` (0 < R ≤ 1) turns on per-request stage tracing:
 //! every ⌈1/R⌉-th request gets a trace id and per-stage wall-clock timings
-//! (parse → coalesce-wait → queue-wait → cache-lookup → walk-sample →
-//! merge → serialize), feeding the per-stage histograms in
-//! the `stats` frame and a bounded slow-query log (`--slow-log N` keeps
+//! (parse → queue-wait → cache-lookup → walk-sample → merge →
+//! serialize), feeding the per-stage histograms in the `stats` frame and a bounded slow-query log (`--slow-log N` keeps
 //! the N slowest traced requests, served by the `slow_queries` frame).
 //! Tracing never changes answers — instrumentation only reads clocks —
 //! so responses stay byte-identical at any sample rate.  `0` (the
@@ -88,9 +77,7 @@ use std::io::Write;
 use ugraph::snapshot::read_snapshot_file;
 use ugraph::{CsrGraph, UpdateLog};
 use usim_core::QueryEngine;
-use usim_server::{
-    CoalesceOptions, MetricsExporter, RequestHandler, Server, ServerOptions, DEFAULT_MAX_BATCH,
-};
+use usim_server::{MetricsExporter, RequestHandler, Server, ServerOptions, DEFAULT_MAX_BATCH};
 
 const BASE_OPTIONS: &[&str] = &[
     "addr",
@@ -103,8 +90,6 @@ const BASE_OPTIONS: &[&str] = &[
     "format",
     "snapshot",
     "update-log",
-    "coalesce-window",
-    "coalesce-max",
     "trace-sample-rate",
     "slow-log",
     "metrics-port",
@@ -134,8 +119,6 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     let max_batch: usize = args.parse_option("max-batch", DEFAULT_MAX_BATCH)?;
     let max_connections: usize = args.parse_option("max-connections", 0usize)?;
     let cache_capacity: usize = args.parse_option("cache-capacity", 0usize)?;
-    let coalesce_window: u64 = args.parse_option("coalesce-window", 0u64)?;
-    let coalesce_max: usize = args.parse_option("coalesce-max", 16usize)?;
     let trace_sample_rate: f64 = args.parse_option("trace-sample-rate", 0.0f64)?;
     let slow_log: usize = args.parse_option("slow-log", 32usize)?;
     let metrics_port: Option<u16> = match args.option("metrics-port") {
@@ -153,9 +136,6 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     }
     if max_batch == 0 {
         return Err(CliError::new("--max-batch must be at least 1"));
-    }
-    if coalesce_max == 0 {
-        return Err(CliError::new("--coalesce-max must be at least 1"));
     }
 
     // Graph source: a compiled snapshot (O(bytes) boot, labels included) or
@@ -185,12 +165,6 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     // Durable update log: replay whatever is already there (epoch catch-up
     // after a crash or restart), then append every new accepted batch.
     let mut handler = RequestHandler::with_cache(engine, labels, max_batch, cache_capacity);
-    if coalesce_window > 0 {
-        handler = handler.with_coalescing(CoalesceOptions {
-            window: std::time::Duration::from_micros(coalesce_window),
-            cap: coalesce_max,
-        });
-    }
     if trace_sample_rate > 0.0 {
         handler = handler.with_tracing(trace_sample_rate, slow_log);
     }
@@ -248,15 +222,10 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     println!(
         "serving {path} on {bound}: {num_vertices} vertices, {num_arcs} arcs \
          (source = {source}, epoch = {replayed}, workers = {workers}, queue = {queue_depth}, max batch = {max_batch}, \
-         cache = {}, coalesce = {}, trace = {}, metrics = {}, \
+         cache = {}, trace = {}, metrics = {}, \
          sampler = {}, N = {}, n = {}, seed = {})",
         if cache_capacity > 0 {
             format!("{cache_capacity} entries")
-        } else {
-            "off".to_string()
-        },
-        if coalesce_window > 0 {
-            format!("{coalesce_window}us/cap {coalesce_max}")
         } else {
             "off".to_string()
         },
@@ -324,8 +293,6 @@ mod tests {
         assert!(err.to_string().contains("--workers"), "{err}");
         let err = run(&tokens(&[g, "--max-batch", "0"])).unwrap_err();
         assert!(err.to_string().contains("--max-batch"), "{err}");
-        let err = run(&tokens(&[g, "--coalesce-max", "0"])).unwrap_err();
-        assert!(err.to_string().contains("--coalesce-max"), "{err}");
         let err = run(&tokens(&[g, "--addr", "999.999.999.999:1"])).unwrap_err();
         assert!(err.to_string().contains("cannot bind"), "{err}");
         std::fs::remove_file(&graph_path).unwrap();
@@ -612,65 +579,6 @@ mod tests {
             !metrics_port_file.exists(),
             "metrics port file must be removed"
         );
-        std::fs::remove_file(&graph_path).unwrap();
-    }
-
-    #[test]
-    fn coalesced_serve_round_trips_and_reports_batches() {
-        use std::io::{BufRead, BufReader, Write};
-
-        let graph_path = temp("coalesce.tsv");
-        std::fs::write(&graph_path, "0 2 0.8\n1 2 0.9\n2 0 0.7\n").unwrap();
-        let port_file = temp("coalesce.port");
-        let port_file_str = port_file.to_str().unwrap().to_string();
-        let graph_str = graph_path.to_str().unwrap().to_string();
-        let runner = std::thread::spawn(move || {
-            run(&tokens(&[
-                &graph_str,
-                "--addr",
-                "127.0.0.1:0",
-                "--port-file",
-                &port_file_str,
-                "--max-connections",
-                "1",
-                "--coalesce-window",
-                "300",
-                "--coalesce-max",
-                "4",
-                "--samples",
-                "50",
-            ]))
-        });
-        let addr = loop {
-            if let Ok(text) = std::fs::read_to_string(&port_file) {
-                if text.trim().contains(':') {
-                    break text.trim().to_string();
-                }
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        };
-        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        let mut ask = |frame: &str| {
-            writeln!(conn, "{frame}").unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            line
-        };
-        // Coalesced answers remain byte-identical across repeats, and the
-        // stats frame shows the coalescer at work plus the latency section.
-        let first = ask(r#"{"type":"batch","pairs":[[0,1],[1,2]]}"#);
-        let second = ask(r#"{"type":"batch","pairs":[[0,1],[1,2]]}"#);
-        assert_eq!(first, second);
-        let stats = ask(r#"{"type":"stats"}"#);
-        assert!(
-            stats.contains("\"coalescer\":{\"enabled\":true,\"window_us\":300,\"cap\":4"),
-            "{stats}"
-        );
-        assert!(stats.contains("\"batches\":2"), "{stats}");
-        assert!(stats.contains("\"latency\":{\"count\":2"), "{stats}");
-        drop((conn, reader));
-        runner.join().unwrap().unwrap();
         std::fs::remove_file(&graph_path).unwrap();
     }
 }

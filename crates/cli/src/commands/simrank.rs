@@ -270,15 +270,12 @@ fn run_batch(
     }
     if let Some(stats) = engine.cache_stats() {
         output.push_str(&format!(
-            "cache: capacity {}, {} hits, {} misses, {} stale, {} evictions, \
-             {} survived, {} killed\n",
+            "cache: capacity {}, {} hits, {} misses, {} stale, {} evictions\n",
             engine.cache_capacity(),
             stats.hits,
             stats.misses,
             stats.stale,
             stats.evictions,
-            stats.survived,
-            stats.killed,
         ));
     }
     output.push('\n');

@@ -9,7 +9,7 @@
 //! file.  The server mode connects to a running `usim serve` instance,
 //! drives one `stats` + `slow_queries` frame round-trip over the wire
 //! protocol, and renders the counters as text: serving totals, latency
-//! quantiles, cache/coalescer counters, per-stage trace histograms and the
+//! quantiles, cache counters, per-stage trace histograms and the
 //! slow-query log (the latter two populated when the server runs with
 //! `--trace-sample-rate`).  `--watch SECS` repeats the round-trip every
 //! SECS seconds — forever, or `--iterations N` times.
@@ -216,15 +216,6 @@ fn render_server_view(addr: &str, stats: &Value, slow: &Value) -> String {
             uint_at(stats, &["cache", "misses"]),
             uint_at(stats, &["cache", "stale"]),
             uint_at(stats, &["cache", "evictions"]),
-        ));
-    }
-    if bool_at(stats, &["coalescer", "enabled"]) {
-        out.push_str(&format!(
-            "coalescer: {} requests in {} batches ({} window / {} cap flushes)\n",
-            uint_at(stats, &["coalescer", "requests"]),
-            uint_at(stats, &["coalescer", "batches"]),
-            uint_at(stats, &["coalescer", "window_flushes"]),
-            uint_at(stats, &["coalescer", "cap_flushes"]),
         ));
     }
 

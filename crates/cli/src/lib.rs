@@ -180,11 +180,6 @@ pub fn usage() -> String {
         "                       instead of a graph file: no parsing, no per-edge work\n",
         "    --update-log PATH  durable update log: replay logged rounds at boot, then\n",
         "                       append (and sync) every accepted update batch\n",
-        "    --coalesce-window µS  batch concurrent query frames arriving within µS\n",
-        "                       microseconds into one engine dispatch (answers stay\n",
-        "                       byte-identical); 0 = off                    [default 0]\n",
-        "    --coalesce-max N   flush a coalesced batch at N pending requests\n",
-        "                       even before the window closes              [default 16]\n",
         "    --trace-sample-rate R  trace every ~1/R-th request: per-stage timings,\n",
         "                       stage histograms in `stats`, slow-query log\n",
         "                       (answers stay byte-identical); 0 = off     [default 0]\n",
@@ -196,7 +191,7 @@ pub fn usage() -> String {
         "\n",
         "SERVER STATS VIEW (stats --server):\n",
         "    --server HOST:PORT render a running server's counters (latency,\n",
-        "                       cache, coalescer, stage traces, slow queries)\n",
+        "                       cache, stage traces, slow queries)\n",
         "    --watch SECS       repeat every SECS seconds\n",
         "    --iterations N     stop after N views; 0 = forever with --watch [default 1]\n",
         "\n",

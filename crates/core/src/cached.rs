@@ -32,23 +32,6 @@
 //! Every query goes through [`CachedQueryEngine::serve_batch_with_trace`];
 //! the per-request methods are one-slot calls of it.
 //!
-//! # Footprint-based survival
-//!
-//! The epoch bump alone would throw away every entry on every update round,
-//! even rounds that cannot have changed the entry's answer.  Each cached
-//! answer therefore carries the [`ugraph::VertexFootprint`] of its walks
-//! (recorded by [`QueryEngine::batch_similarities_traced`] /
-//! [`QueryEngine::profile_traced`] at zero RNG cost), and
-//! [`CachedQueryEngine::apply_updates`] runs
-//! [`usim_cache::ResultCache::revalidate`] inside the write lock: entries
-//! whose footprint is disjoint from the round's touched-vertex set
-//! ([`ugraph::footprint::touched_vertices`] — both endpoints of every
-//! update) are **re-stamped** to the new epoch and keep hitting; the rest
-//! go stale exactly as before.  Safety is one-sided: an answer depends only
-//! on the adjacency rows of vertices its walks visited, the footprint is a
-//! superset of those, and bloom false positives only kill entries — never
-//! let one survive a round that touched it.
-//!
 //! With the cache disabled (capacity 0) every slot goes straight to the
 //! engine's own entry points — which already deduplicate repeated pairs
 //! within one batch.
@@ -91,15 +74,14 @@ pub enum CachedAnswer {
     Profile(MeetingProfile),
 }
 
-/// One logical query inside an engine batch — the unit a request
-/// coalescer collects from concurrent connections and hands to
+/// One logical query inside a served batch — the unit the server hands to
 /// [`CachedQueryEngine::serve_batch_with_trace`] as one slot.
 ///
 /// The variants mirror the server's query request types (`similarity`,
 /// `profile`, `top_k`, `batch`); updates and metadata requests are never
 /// batched.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CoalescedQuery {
+pub enum ServeQuery {
     /// One pair score — [`CachedQueryEngine::similarity`].
     Similarity(VertexId, VertexId),
     /// One pair meeting-probability profile (see [`QueryEngine::profile`]).
@@ -119,17 +101,17 @@ pub enum CoalescedQuery {
     Scores(Vec<(VertexId, VertexId)>),
 }
 
-/// The answer to one [`CoalescedQuery`] slot, carrying exactly what the
+/// The answer to one [`ServeQuery`] slot, carrying exactly what the
 /// matching [`QueryEngine`] entry point would have returned.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CoalescedAnswer {
-    /// Answer to [`CoalescedQuery::Similarity`].
+pub enum ServeAnswer {
+    /// Answer to [`ServeQuery::Similarity`].
     Similarity(f64),
-    /// Answer to [`CoalescedQuery::Profile`].
+    /// Answer to [`ServeQuery::Profile`].
     Profile(MeetingProfile),
-    /// Answer to [`CoalescedQuery::TopK`].
+    /// Answer to [`ServeQuery::TopK`].
     TopK(Vec<ScoredVertex>),
-    /// Answer to [`CoalescedQuery::Scores`].
+    /// Answer to [`ServeQuery::Scores`].
     Scores(Vec<f64>),
 }
 
@@ -297,8 +279,8 @@ impl CachedQueryEngine {
 
     /// `(epoch, score)` of one pair (see [`QueryEngine::try_similarity`]).
     pub fn similarity(&self, u: VertexId, v: VertexId) -> Result<(u64, f64), QueryError> {
-        match self.serve_one(CoalescedQuery::Similarity(u, v))? {
-            (epoch, CoalescedAnswer::Similarity(score)) => Ok((epoch, score)),
+        match self.serve_one(ServeQuery::Similarity(u, v))? {
+            (epoch, ServeAnswer::Similarity(score)) => Ok((epoch, score)),
             _ => unreachable!("a similarity slot answers with a score"),
         }
     }
@@ -311,8 +293,8 @@ impl CachedQueryEngine {
         &self,
         pairs: &[(VertexId, VertexId)],
     ) -> Result<(u64, Vec<f64>), QueryError> {
-        match self.serve_one(CoalescedQuery::Scores(pairs.to_vec()))? {
-            (epoch, CoalescedAnswer::Scores(scores)) => Ok((epoch, scores)),
+        match self.serve_one(ServeQuery::Scores(pairs.to_vec()))? {
+            (epoch, ServeAnswer::Scores(scores)) => Ok((epoch, scores)),
             _ => unreachable!("a scores slot answers with scores"),
         }
     }
@@ -326,32 +308,31 @@ impl CachedQueryEngine {
         candidates: &[VertexId],
         k: usize,
     ) -> Result<(u64, Vec<ScoredVertex>), QueryError> {
-        let slot = CoalescedQuery::TopK {
+        let slot = ServeQuery::TopK {
             query,
             candidates: candidates.to_vec(),
             k,
         };
         match self.serve_one(slot)? {
-            (epoch, CoalescedAnswer::TopK(ranked)) => Ok((epoch, ranked)),
+            (epoch, ServeAnswer::TopK(ranked)) => Ok((epoch, ranked)),
             _ => unreachable!("a top-k slot answers with a ranking"),
         }
     }
 
     /// One slot through [`CachedQueryEngine::serve_batch_with_trace`].
-    fn serve_one(&self, query: CoalescedQuery) -> Result<(u64, CoalescedAnswer), QueryError> {
+    fn serve_one(&self, query: ServeQuery) -> Result<(u64, ServeAnswer), QueryError> {
         let (epoch, answers) = self.serve_batch_with_trace(std::slice::from_ref(&query), None);
         let answer = answers.into_iter().next().expect("one answer per slot")?;
         Ok((epoch, answer))
     }
 
     /// Answers a batch of heterogeneous queries — the one entry point the
-    /// server answers every query frame through, coalesced or not.  Every
-    /// slot is served under **one** read-lock acquisition, so all answers
-    /// share one epoch, and all the pair scores the batch needs (similarity
+    /// server answers every query frame through.  Every slot is served
+    /// under **one** read-lock acquisition, so all answers share one
+    /// epoch, and all the pair scores the batch needs (similarity
     /// pairs, `batch` pairs, and each top-k's candidate pairs) are gathered
-    /// into **one** cached engine batch, which dedups repeated pairs across
-    /// slots — concurrent clients asking overlapping questions pay for each
-    /// distinct pair once.
+    /// into **one** cached engine batch, which computes each distinct pair
+    /// once.
     ///
     /// Answers are bit-identical to calling the matching [`QueryEngine`]
     /// entry points one at a time: the scores come off the same pair-keyed
@@ -364,9 +345,9 @@ impl CachedQueryEngine {
     /// walks toward `walk_sample`, and top-k ranking toward `merge`.
     pub fn serve_batch_with_trace(
         &self,
-        queries: &[CoalescedQuery],
+        queries: &[ServeQuery],
         trace: Option<&StageTrace>,
-    ) -> (u64, Vec<Result<CoalescedAnswer, QueryError>>) {
+    ) -> (u64, Vec<Result<ServeAnswer, QueryError>>) {
         self.with_read(|e| {
             let epoch = e.update_epoch();
             // Pass 1: validate each slot (same id order as the per-request
@@ -378,12 +359,12 @@ impl CachedQueryEngine {
                 .map(|query| {
                     let start = wanted.len();
                     match query {
-                        CoalescedQuery::Similarity(u, v) => {
+                        ServeQuery::Similarity(u, v) => {
                             e.validate_vertices([*u, *v])?;
                             wanted.push((*u, *v));
                         }
-                        CoalescedQuery::Profile(u, v) => e.validate_vertices([*u, *v])?,
-                        CoalescedQuery::TopK {
+                        ServeQuery::Profile(u, v) => e.validate_vertices([*u, *v])?,
+                        ServeQuery::TopK {
                             query,
                             candidates,
                             k,
@@ -397,7 +378,7 @@ impl CachedQueryEngine {
                                 wanted.extend(crate::engine::candidate_pairs(*query, candidates));
                             }
                         }
-                        CoalescedQuery::Scores(pairs) => {
+                        ServeQuery::Scores(pairs) => {
                             e.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
                             wanted.extend_from_slice(pairs);
                         }
@@ -419,13 +400,11 @@ impl CachedQueryEngine {
                     let range = range?;
                     let scores = &scores.as_ref().map_err(|error| *error)?[range.clone()];
                     match query {
-                        CoalescedQuery::Similarity(..) => {
-                            Ok(CoalescedAnswer::Similarity(scores[0]))
-                        }
-                        CoalescedQuery::Profile(u, v) => Ok(CoalescedAnswer::Profile(
+                        ServeQuery::Similarity(..) => Ok(ServeAnswer::Similarity(scores[0])),
+                        ServeQuery::Profile(u, v) => Ok(ServeAnswer::Profile(
                             self.profile_at(e, epoch, *u, *v, trace),
                         )),
-                        CoalescedQuery::TopK {
+                        ServeQuery::TopK {
                             query,
                             candidates,
                             k,
@@ -435,8 +414,8 @@ impl CachedQueryEngine {
                                 Ok(scores.to_vec())
                             })
                         })
-                        .map(CoalescedAnswer::TopK),
-                        CoalescedQuery::Scores(_) => Ok(CoalescedAnswer::Scores(scores.to_vec())),
+                        .map(ServeAnswer::TopK),
+                        ServeQuery::Scores(_) => Ok(ServeAnswer::Scores(scores.to_vec())),
                     }
                 })
                 .collect();
@@ -447,25 +426,15 @@ impl CachedQueryEngine {
     /// Applies an update batch and returns `(summary, new epoch)` captured
     /// under one write-lock acquisition, while no query is in flight (see
     /// [`QueryEngine::apply_updates`]; a rejected batch leaves the engine
-    /// untouched).  The epoch bump invalidates every cached entry by
-    /// default; immediately after it (still inside the write lock, so no
-    /// reader can race the sweep) the cache is revalidated against the
-    /// round's touched-vertex set — entries whose walk footprint is
-    /// disjoint from every updated endpoint are re-stamped to the new epoch
-    /// and keep serving hits.
+    /// untouched).  The epoch bump invalidates every cached entry: each
+    /// one reads as `stale` from then on and is recomputed on its next ask.
     pub fn apply_updates(
         &self,
         updates: &[GraphUpdate],
     ) -> Result<(UpdateSummary, u64), UpdateError> {
         let mut e = self.engine.write();
-        let from_epoch = e.update_epoch();
         let summary = e.apply_updates(updates)?;
-        let to_epoch = e.update_epoch();
-        if let Some(cache) = &self.cache {
-            let touched = ugraph::footprint::touched_vertices(updates);
-            cache.revalidate(&touched, from_epoch, to_epoch);
-        }
-        Ok((summary, to_epoch))
+        Ok((summary, e.update_epoch()))
     }
 
     /// The profile of one validated pair at `epoch`, served from the cache
@@ -486,13 +455,8 @@ impl CachedQueryEngine {
         if let Some(CachedAnswer::Profile(profile)) = hit {
             return profile;
         }
-        let (profile, footprint) = time_stage(trace, Stage::WalkSample, || e.profile_traced(u, v));
-        cache.insert_with_footprint(
-            key,
-            CachedAnswer::Profile(profile.clone()),
-            epoch,
-            footprint,
-        );
+        let profile = time_stage(trace, Stage::WalkSample, || e.profile(u, v));
+        cache.insert(key, CachedAnswer::Profile(profile.clone()), epoch);
         profile
     }
 
@@ -537,18 +501,16 @@ impl CachedQueryEngine {
             // inserted once; one engine batch covers them all, sharded
             // across workers.
             let (distinct, distinct_of) = crate::engine::dedup_pairs(&misses);
-            let computed = time_stage(trace, Stage::WalkSample, || {
-                e.batch_similarities_traced(&distinct)
-            })?;
+            let computed =
+                time_stage(trace, Stage::WalkSample, || e.batch_similarities(&distinct))?;
             for (&slot, &index) in miss_slots.iter().zip(distinct_of.iter()) {
-                scores[slot] = computed[index].0;
+                scores[slot] = computed[index];
             }
-            for (&(u, v), &(score, footprint)) in distinct.iter().zip(computed.iter()) {
-                cache.insert_with_footprint(
+            for (&(u, v), &score) in distinct.iter().zip(computed.iter()) {
+                cache.insert(
                     PairKey::score(u, v, self.fingerprint),
                     CachedAnswer::Score(score),
                     epoch,
-                    footprint,
                 );
             }
         }
@@ -594,10 +556,9 @@ mod tests {
         u: VertexId,
         v: VertexId,
     ) -> Result<(u64, MeetingProfile), QueryError> {
-        let (epoch, answers) =
-            cached.serve_batch_with_trace(&[CoalescedQuery::Profile(u, v)], None);
+        let (epoch, answers) = cached.serve_batch_with_trace(&[ServeQuery::Profile(u, v)], None);
         match answers.into_iter().next().unwrap()? {
-            CoalescedAnswer::Profile(profile) => Ok((epoch, profile)),
+            ServeAnswer::Profile(profile) => Ok((epoch, profile)),
             other => panic!("a profile slot answered {other:?}"),
         }
     }
@@ -667,7 +628,8 @@ mod tests {
     }
 
     /// Two disconnected components: queries in one, updates in the other.
-    /// Walks can never cross, so footprints and touched sets are disjoint.
+    /// Walks can never cross, so an update in one component cannot change
+    /// an answer in the other.
     fn two_component_graph() -> ugraph::UncertainGraph {
         UncertainGraphBuilder::new(6)
             // Component A: vertices 0..3.
@@ -682,15 +644,16 @@ mod tests {
     }
 
     #[test]
-    fn entries_survive_updates_disjoint_from_their_footprint() {
+    fn any_update_invalidates_every_entry_even_in_another_component() {
         let g = two_component_graph();
         let config = SimRankConfig::default().with_samples(150).with_seed(7);
         let cached = CachedQueryEngine::new(QueryEngine::new(&g, config), 256);
         let pairs: Vec<(VertexId, VertexId)> = vec![(0, 1), (0, 2), (1, 2)];
-        let (_, before) = cached.batch_similarities(&pairs).unwrap();
+        cached.batch_similarities(&pairs).unwrap();
+        profile(&cached, 0, 1).unwrap();
 
-        // The round only touches component B: every component-A entry's
-        // footprint is disjoint from {3, 5} and must survive.
+        // The round only touches component B, yet the epoch bump drops the
+        // whole cache: every component-A entry reads as stale, none hits.
         let updates = [GraphUpdate::SetProbability {
             source: 5,
             target: 3,
@@ -698,80 +661,23 @@ mod tests {
         }];
         let (_, epoch) = cached.apply_updates(&updates).unwrap();
         assert_eq!(epoch, 1);
-        let stats = cached.cache_stats().unwrap();
-        assert_eq!(
-            (stats.survived, stats.killed),
-            (pairs.len() as u64, 0),
-            "disjoint round must re-stamp everything: {stats:?}"
-        );
-
-        // The repeat ask is served entirely from the cache…
-        let misses_before = stats.misses;
+        let before = cached.cache_stats().unwrap();
         let (epoch, after) = cached.batch_similarities(&pairs).unwrap();
+        let (_, after_profile) = profile(&cached, 0, 1).unwrap();
         assert_eq!(epoch, 1);
         let stats = cached.cache_stats().unwrap();
-        assert_eq!(stats.misses, misses_before, "no recompute after survival");
-        assert_eq!(after, before, "component A is untouched by the update");
+        assert_eq!(
+            (stats.stale - before.stale, stats.hits - before.hits),
+            (pairs.len() as u64 + 1, 0),
+            "every cached pair recomputes after an update: {stats:?}"
+        );
 
-        // …and the survivors are bit-identical to a fresh engine built on
-        // the updated graph (the ground truth for "survival was sound").
+        // The recomputed answers are bit-identical to a fresh engine built
+        // on the updated graph.
         let mut reference = QueryEngine::new(&g, config);
         reference.apply_updates(&updates).unwrap();
         assert_eq!(after, reference.batch_similarities(&pairs).unwrap());
-    }
-
-    #[test]
-    fn entries_touching_the_updated_region_still_die() {
-        let g = two_component_graph();
-        let config = SimRankConfig::default().with_samples(150).with_seed(7);
-        let cached = CachedQueryEngine::new(QueryEngine::new(&g, config), 256);
-        cached.batch_similarities(&[(0, 1), (3, 4)]).unwrap();
-
-        // Touches component A (vertex 0 is in (0, 1)'s footprint — both
-        // walks start there or reach it); (3, 4) lives in B and survives.
-        let updates = [GraphUpdate::SetProbability {
-            source: 1,
-            target: 0,
-            probability: 0.2,
-        }];
-        cached.apply_updates(&updates).unwrap();
-        let stats = cached.cache_stats().unwrap();
-        assert_eq!(
-            (stats.survived, stats.killed),
-            (1, 1),
-            "A-side entry dies, B-side survives: {stats:?}"
-        );
-
-        // The dead pair recomputes against the live graph.
-        let mut reference = QueryEngine::new(&g, config);
-        reference.apply_updates(&updates).unwrap();
-        let (_, scores) = cached.batch_similarities(&[(0, 1), (3, 4)]).unwrap();
-        assert_eq!(
-            scores,
-            reference.batch_similarities(&[(0, 1), (3, 4)]).unwrap()
-        );
-    }
-
-    #[test]
-    fn profile_entries_survive_disjoint_rounds_too() {
-        let g = two_component_graph();
-        let config = SimRankConfig::default().with_samples(150).with_seed(7);
-        let cached = CachedQueryEngine::new(QueryEngine::new(&g, config), 256);
-        let (_, before) = profile(&cached, 0, 1).unwrap();
-        cached
-            .apply_updates(&[GraphUpdate::InsertArc {
-                source: 4,
-                target: 3,
-                probability: 0.5,
-            }])
-            .unwrap();
-        let stats = cached.cache_stats().unwrap();
-        assert_eq!((stats.survived, stats.killed), (1, 0), "{stats:?}");
-        let hits_before = stats.hits;
-        let (epoch, after) = profile(&cached, 0, 1).unwrap();
-        assert_eq!(epoch, 1);
-        assert_eq!(after, before);
-        assert_eq!(cached.cache_stats().unwrap().hits, hits_before + 1);
+        assert_eq!(after_profile, reference.profile(0, 1));
     }
 
     #[test]
@@ -822,18 +728,18 @@ mod tests {
     ) {
         let candidates: Vec<VertexId> = (0..5).collect();
         let queries = vec![
-            CoalescedQuery::Similarity(1, 3),
-            CoalescedQuery::Scores(all_pairs()),
-            CoalescedQuery::Profile(2, 4),
-            CoalescedQuery::TopK {
+            ServeQuery::Similarity(1, 3),
+            ServeQuery::Scores(all_pairs()),
+            ServeQuery::Profile(2, 4),
+            ServeQuery::TopK {
                 query: 0,
                 candidates: candidates.clone(),
                 k: 3,
             },
             // Duplicates across slots: the shared engine batch dedups them.
-            CoalescedQuery::Similarity(1, 3),
-            CoalescedQuery::Scores(vec![(1, 3), (3, 1), (0, 0)]),
-            CoalescedQuery::TopK {
+            ServeQuery::Similarity(1, 3),
+            ServeQuery::Scores(vec![(1, 3), (3, 1), (0, 0)]),
+            ServeQuery::TopK {
                 query: 0,
                 candidates,
                 k: 0,
@@ -844,23 +750,21 @@ mod tests {
         assert_eq!(answers.len(), queries.len());
         for (query, answer) in queries.iter().zip(&answers) {
             let expected = match query {
-                CoalescedQuery::Similarity(u, v) => {
-                    CoalescedAnswer::Similarity(reference.similarity(*u, *v))
+                ServeQuery::Similarity(u, v) => {
+                    ServeAnswer::Similarity(reference.similarity(*u, *v))
                 }
-                CoalescedQuery::Profile(u, v) => {
-                    CoalescedAnswer::Profile(reference.profile(*u, *v))
-                }
-                CoalescedQuery::TopK {
+                ServeQuery::Profile(u, v) => ServeAnswer::Profile(reference.profile(*u, *v)),
+                ServeQuery::TopK {
                     query,
                     candidates,
                     k,
-                } => CoalescedAnswer::TopK(
+                } => ServeAnswer::TopK(
                     reference
                         .batch_top_k_similar_to(*query, candidates, *k)
                         .unwrap(),
                 ),
-                CoalescedQuery::Scores(pairs) => {
-                    CoalescedAnswer::Scores(reference.batch_similarities(pairs).unwrap())
+                ServeQuery::Scores(pairs) => {
+                    ServeAnswer::Scores(reference.batch_similarities(pairs).unwrap())
                 }
             };
             assert_eq!(answer.as_ref().unwrap(), &expected, "{query:?}");
@@ -881,15 +785,15 @@ mod tests {
     fn serve_batch_isolates_invalid_slots_and_tracks_the_epoch() {
         let (cached, mut reference) = engines(64);
         let queries = vec![
-            CoalescedQuery::Similarity(0, 99), // invalid
-            CoalescedQuery::Similarity(0, 1),
-            CoalescedQuery::Scores(vec![(1, 2), (99, 0)]), // invalid
-            CoalescedQuery::TopK {
+            ServeQuery::Similarity(0, 99), // invalid
+            ServeQuery::Similarity(0, 1),
+            ServeQuery::Scores(vec![(1, 2), (99, 0)]), // invalid
+            ServeQuery::TopK {
                 query: 99, // invalid
                 candidates: vec![0, 1],
                 k: 2,
             },
-            CoalescedQuery::Profile(2, 3),
+            ServeQuery::Profile(2, 3),
         ];
         let (epoch, answers) = cached.serve_batch_with_trace(&queries, None);
         assert_eq!(epoch, 0);
@@ -900,13 +804,13 @@ mod tests {
         assert_eq!(answers[0], Err(expected_err));
         assert_eq!(
             answers[1],
-            Ok(CoalescedAnswer::Similarity(reference.similarity(0, 1)))
+            Ok(ServeAnswer::Similarity(reference.similarity(0, 1)))
         );
         assert_eq!(answers[2], Err(expected_err));
         assert_eq!(answers[3], Err(expected_err));
         assert_eq!(
             answers[4],
-            Ok(CoalescedAnswer::Profile(reference.profile(2, 3)))
+            Ok(ServeAnswer::Profile(reference.profile(2, 3)))
         );
 
         // After an update round, serve_batch reports the new epoch and the
@@ -918,12 +822,11 @@ mod tests {
         }];
         cached.apply_updates(&updates).unwrap();
         reference.apply_updates(&updates).unwrap();
-        let (epoch, answers) =
-            cached.serve_batch_with_trace(&[CoalescedQuery::Similarity(0, 1)], None);
+        let (epoch, answers) = cached.serve_batch_with_trace(&[ServeQuery::Similarity(0, 1)], None);
         assert_eq!(epoch, 1);
         assert_eq!(
             answers[0],
-            Ok(CoalescedAnswer::Similarity(reference.similarity(0, 1)))
+            Ok(ServeAnswer::Similarity(reference.similarity(0, 1)))
         );
 
         let (epoch, answers) = cached.serve_batch_with_trace(&[], None);
@@ -964,7 +867,7 @@ mod tests {
             let readers: Vec<_> = (0..4)
                 .map(|_| {
                     let cached = std::sync::Arc::clone(&cached);
-                    let slot = [CoalescedQuery::Scores(pairs.clone())];
+                    let slot = [ServeQuery::Scores(pairs.clone())];
                     std::thread::spawn(move || {
                         (0..20)
                             .map(|_| {
@@ -990,7 +893,7 @@ mod tests {
                 for (epoch, answer) in reader.join().unwrap() {
                     assert_eq!(
                         answer,
-                        CoalescedAnswer::Scores(reference[epoch as usize].clone()),
+                        ServeAnswer::Scores(reference[epoch as usize].clone()),
                         "capacity {capacity}: epoch {epoch} diverged from a fresh engine"
                     );
                 }

@@ -45,7 +45,7 @@ use rwalk::arena::{AliasSampler, CsrSampler, WalkArena, DEAD};
 use std::fmt;
 use ugraph::{
     CompactionPolicy, CsrGraph, DeltaOverlay, GraphUpdate, OverlayAliasView, OverlayView,
-    UncertainGraph, UpdateError, UpdateSummary, VertexFootprint, VertexId,
+    UncertainGraph, UpdateError, UpdateSummary, VertexId,
 };
 
 /// Derives the deterministic RNG seed of a pair `(u, v)` from the engine
@@ -410,22 +410,7 @@ impl QueryEngine {
     /// ```
     pub fn profile(&self, u: VertexId, v: VertexId) -> MeetingProfile {
         let mut scratch = self.scratch.checkout();
-        self.profile_with(scratch.get_mut(), u, v, None)
-    }
-
-    /// [`QueryEngine::profile`] plus the walk footprint: a
-    /// [`VertexFootprint`] covering every vertex either walk visited across
-    /// all samples.  The profile is **bit-identical** to the untraced call —
-    /// footprint capture reads the sampler's positions buffers after each
-    /// walk returns and never touches the RNG stream.  The footprint is
-    /// what the caching layer stores alongside the answer so
-    /// [`usim_cache::ResultCache::revalidate`] can re-stamp the entry across
-    /// update rounds that touch none of these vertices.
-    pub fn profile_traced(&self, u: VertexId, v: VertexId) -> (MeetingProfile, VertexFootprint) {
-        let mut scratch = self.scratch.checkout();
-        let mut footprint = VertexFootprint::new();
-        let profile = self.profile_with(scratch.get_mut(), u, v, Some(&mut footprint));
-        (profile, footprint)
+        self.profile_with(scratch.get_mut(), u, v)
     }
 
     /// Fallible [`QueryEngine::profile`]: out-of-range ids are a typed
@@ -452,19 +437,8 @@ impl QueryEngine {
         Ok(self.try_profile(u, v)?.score())
     }
 
-    /// The walk loop shared by every query path.  When `trace` is provided,
-    /// the positions buffers of both walks are folded into it after each
-    /// `sample_walk_into` returns — capture reads state the sampler already
-    /// wrote and consumes **zero** RNG draws, so traced and untraced calls
-    /// are bit-identical (pinned by the sampler tests in
-    /// `rwalk::footprint`).
-    fn profile_with(
-        &self,
-        scratch: &mut Scratch,
-        u: VertexId,
-        v: VertexId,
-        mut trace: Option<&mut VertexFootprint>,
-    ) -> MeetingProfile {
+    /// The walk loop shared by every query path.
+    fn profile_with(&self, scratch: &mut Scratch, u: VertexId, v: VertexId) -> MeetingProfile {
         let num_vertices = self.num_vertices();
         assert!(
             (u as usize) < num_vertices && (v as usize) < num_vertices,
@@ -476,7 +450,7 @@ impl QueryEngine {
         let mut meeting = vec![0.0f64; n + 1];
         meeting[0] = if u == v { 1.0 } else { 0.0 };
         // Walk metrics are derived from the positions buffers the samplers
-        // already wrote — like footprint capture, the tally consumes zero
+        // already wrote — the tally consumes zero
         // RNG draws and never branches on sampled values, so metered and
         // unmetered calls are bit-identical.  One relaxed load per query
         // when metering is off.
@@ -500,10 +474,6 @@ impl QueryEngine {
                         &mut rng,
                         &mut scratch.walk_v,
                     );
-                    if let Some(fp) = trace.as_deref_mut() {
-                        rwalk::footprint::record_walk(fp, &scratch.walk_u);
-                        rwalk::footprint::record_walk(fp, &scratch.walk_v);
-                    }
                     if metered {
                         tally_pair_walks(
                             &mut tally,
@@ -521,10 +491,6 @@ impl QueryEngine {
                 for _ in 0..num_samples {
                     sampler.sample_walk_into(u, n, &mut rng, &mut scratch.walk_u);
                     sampler.sample_walk_into(v, n, &mut rng, &mut scratch.walk_v);
-                    if let Some(fp) = trace.as_deref_mut() {
-                        rwalk::footprint::record_walk(fp, &scratch.walk_u);
-                        rwalk::footprint::record_walk(fp, &scratch.walk_v);
-                    }
                     if metered {
                         tally_pair_walks(
                             &mut tally,
@@ -600,9 +566,7 @@ impl QueryEngine {
         pairs: &[(VertexId, VertexId)],
     ) -> Result<Vec<MeetingProfile>, QueryError> {
         self.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
-        Ok(self.par_map_distinct(pairs, |scratch, u, v| {
-            self.profile_with(scratch, u, v, None)
-        }))
+        Ok(self.par_map_distinct(pairs, |scratch, u, v| self.profile_with(scratch, u, v)))
     }
 
     /// SimRank scores for a batch of pairs, in input order.  Bit-identical
@@ -641,28 +605,7 @@ impl QueryEngine {
     ) -> Result<Vec<f64>, QueryError> {
         self.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
         Ok(self.par_map_distinct(pairs, |scratch, u, v| {
-            self.profile_with(scratch, u, v, None).score()
-        }))
-    }
-
-    /// [`QueryEngine::batch_similarities`] plus one walk footprint per pair.
-    /// Scores are bit-identical to the untraced batch (and hence to
-    /// sequential [`QueryEngine::similarity`] calls) at any thread count;
-    /// repeated pairs share one computation and replicate both score and
-    /// footprint.  This is the miss path of the caching layer: each
-    /// `(score, footprint)` is inserted via
-    /// [`usim_cache::ResultCache::insert_with_footprint`].
-    pub fn batch_similarities_traced(
-        &self,
-        pairs: &[(VertexId, VertexId)],
-    ) -> Result<Vec<(f64, VertexFootprint)>, QueryError> {
-        self.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
-        Ok(self.par_map_distinct(pairs, |scratch, u, v| {
-            let mut footprint = VertexFootprint::new();
-            let score = self
-                .profile_with(scratch, u, v, Some(&mut footprint))
-                .score();
-            (score, footprint)
+            self.profile_with(scratch, u, v).score()
         }))
     }
 
@@ -904,32 +847,6 @@ mod tests {
         let profiles = engine.batch_profile(&pairs).unwrap();
         for (profile, &(u, v)) in profiles.iter().zip(&pairs) {
             assert_eq!(profile, &engine.profile(u, v));
-        }
-    }
-
-    #[test]
-    fn traced_queries_are_bit_identical_to_untraced_on_both_samplers() {
-        let g = fig1_graph();
-        for sampler in [SamplerKind::Legacy, SamplerKind::Alias] {
-            let config = SimRankConfig::default()
-                .with_samples(300)
-                .with_seed(7)
-                .with_sampler(sampler);
-            let engine = QueryEngine::new(&g, config);
-            let pairs = all_ordered_pairs(5);
-            let traced = engine.batch_similarities_traced(&pairs).unwrap();
-            let plain = engine.batch_similarities(&pairs).unwrap();
-            for ((score, footprint), (&expected, &(u, v))) in
-                traced.iter().zip(plain.iter().zip(&pairs))
-            {
-                assert_eq!(*score, expected, "({u},{v}) under {sampler:?}");
-                // Both start vertices are always visited (step 0).
-                assert!(footprint.may_contain(u) && footprint.may_contain(v));
-            }
-            let (profile, footprint) = engine.profile_traced(0, 1);
-            assert_eq!(profile, engine.profile(0, 1));
-            assert!(footprint.may_contain(0) && footprint.may_contain(1));
-            assert!(!footprint.is_empty());
         }
     }
 

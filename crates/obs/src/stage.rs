@@ -25,9 +25,6 @@ use std::time::{Duration, Instant};
 pub enum Stage {
     /// JSON line → request value (transport read excluded).
     Parse,
-    /// Waiting in the coalescer for a leader's window or cap flush
-    /// (follower wait, or the leader's own collection wait).
-    CoalesceWait,
     /// Waiting between connection accept and a worker picking it up
     /// (recorded on the connection's first frame).
     QueueWait,
@@ -42,13 +39,12 @@ pub enum Stage {
 }
 
 /// Number of stages ([`Stage::ALL`] length).
-pub const NUM_STAGES: usize = 7;
+pub const NUM_STAGES: usize = 6;
 
 impl Stage {
     /// Every stage, in wire order.
     pub const ALL: [Stage; NUM_STAGES] = [
         Stage::Parse,
-        Stage::CoalesceWait,
         Stage::QueueWait,
         Stage::CacheLookup,
         Stage::WalkSample,
@@ -60,7 +56,6 @@ impl Stage {
     pub fn as_str(self) -> &'static str {
         match self {
             Stage::Parse => "parse",
-            Stage::CoalesceWait => "coalesce_wait",
             Stage::QueueWait => "queue_wait",
             Stage::CacheLookup => "cache_lookup",
             Stage::WalkSample => "walk_sample",
@@ -73,12 +68,11 @@ impl Stage {
     fn index(self) -> usize {
         match self {
             Stage::Parse => 0,
-            Stage::CoalesceWait => 1,
-            Stage::QueueWait => 2,
-            Stage::CacheLookup => 3,
-            Stage::WalkSample => 4,
-            Stage::Merge => 5,
-            Stage::Serialize => 6,
+            Stage::QueueWait => 1,
+            Stage::CacheLookup => 2,
+            Stage::WalkSample => 3,
+            Stage::Merge => 4,
+            Stage::Serialize => 5,
         }
     }
 }
@@ -86,9 +80,7 @@ impl Stage {
 /// One sampled request's stage timings, nanosecond resolution.
 ///
 /// Stack-allocated by the transport and threaded down the handler chain by
-/// shared reference; atomics (not `Cell`s) because the coalescer's leader
-/// records engine stages while followers concurrently record their own
-/// wait.
+/// shared reference; atomics (not `Cell`s) keep it `Sync`.
 #[derive(Debug)]
 pub struct StageTrace {
     id: u64,

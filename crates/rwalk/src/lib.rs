@@ -22,11 +22,7 @@
 //!   Sampling algorithm (Fig. 4, lines 1–18);
 //! * [`arena`] — the allocation-free CSR fast path of the same sampler: a
 //!   reusable per-worker [`WalkArena`] plus [`CsrSampler`], which walks a
-//!   [`ugraph::CsrView`] with bit-identical RNG consumption;
-//! * [`footprint`] — walk-footprint capture: folding a sampled walk's
-//!   visited vertices into a [`ugraph::VertexFootprint`] *after* the
-//!   sampler returns, so capture consumes zero RNG draws and the caching
-//!   layer can re-stamp entries across disjoint update rounds.
+//!   [`ugraph::CsrView`] with bit-identical RNG consumption.
 //!
 //! The central fact motivating all of this (Section IV of the paper) is that
 //! on an uncertain graph `W(k) ≠ (W(1))^k`: when a walk revisits a vertex,
@@ -40,7 +36,6 @@
 
 pub mod arena;
 pub mod expected;
-pub mod footprint;
 pub mod girth;
 pub mod sampler;
 pub mod transpr;
@@ -49,7 +44,6 @@ pub mod walkpr;
 
 pub use arena::{instantiate_row, AliasSampler, CsrSampler, WalkArena, DEAD};
 pub use expected::expected_one_step_matrix;
-pub use footprint::record_walk;
 pub use girth::{directed_girth, girth_at_least};
 pub use sampler::{SampledWalk, WalkSampler};
 pub use transpr::{transition_matrices, transition_rows_from, TransPrOptions, TransitionMatrices};

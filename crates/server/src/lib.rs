@@ -19,11 +19,8 @@
 //! * [`server`] — `std::net` + `std::thread` transport: one accept loop
 //!   feeding N workers through a bounded job queue.
 //!
-//! Two hot-path subsystems ride on top: the [`coalesce`] module batches
-//! concurrent requests from different connections into single engine calls
-//! (answers stay bit-identical — see its docs for why), and the [`metrics`]
-//! module keeps a lock-free latency histogram plus per-request-type and
-//! coalescer counters, surfaced through the `stats` frame.
+//! The [`metrics`] module keeps a lock-free latency histogram plus
+//! per-request-type counters, surfaced through the `stats` frame.
 //!
 //! Observability rides on `usim_obs`: sampled per-request stage tracing
 //! ([`RequestHandler::with_tracing`] — stage timings, a slow-query log
@@ -43,16 +40,12 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod coalesce;
 pub mod exporter;
 pub mod metrics;
 pub mod protocol;
 pub mod server;
 
-pub use coalesce::{CoalesceError, CoalesceOptions, Coalescer};
 pub use exporter::{ExporterHandle, MetricsExporter};
-pub use metrics::{
-    CoalescerCounters, CoalescerSnapshot, LatencyHistogram, RequestKind, ServeMetrics,
-};
+pub use metrics::{LatencyHistogram, RequestKind, ServeMetrics};
 pub use protocol::{ErrorCode, Frame, RequestHandler, ResponseMeta, DEFAULT_MAX_BATCH};
 pub use server::{Server, ServerHandle, ServerOptions, ServerStats};

@@ -1,5 +1,5 @@
-//! Lock-free serving metrics: the shared latency histogram, per
-//! request-type counters, and the coalescer's batching counters.
+//! Lock-free serving metrics: the shared latency histogram and per
+//! request-type counters.
 //!
 //! Everything here is plain relaxed atomics — recording sits on the serving
 //! hot path (one histogram increment per response frame), so there are no
@@ -86,44 +86,13 @@ impl RequestKind {
     }
 }
 
-/// Counters the request coalescer maintains (all zero when coalescing is
-/// off).
-#[derive(Debug, Default)]
-pub struct CoalescerCounters {
-    /// Requests that went through the coalescer.
-    pub requests: AtomicU64,
-    /// Engine batches formed (each serves one or more requests).
-    pub batches: AtomicU64,
-    /// Batches flushed because the collection window expired.
-    pub window_flushes: AtomicU64,
-    /// Batches flushed because the size cap was reached.
-    pub cap_flushes: AtomicU64,
-}
-
-/// A point-in-time view of [`CoalescerCounters`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoalescerSnapshot {
-    /// Requests that went through the coalescer.
-    pub requests: u64,
-    /// Engine batches formed.
-    pub batches: u64,
-    /// Window-expiry flushes.
-    pub window_flushes: u64,
-    /// Size-cap flushes.
-    pub cap_flushes: u64,
-    /// `requests / batches` (0 when no batch has formed yet).
-    pub mean_occupancy: f64,
-}
-
 /// The serving metrics one server (transport + handler) shares: the latency
-/// histogram fed by the transport at read→serialize boundaries, the per
-/// request-type counters fed by the protocol layer, and the coalescer's
-/// batching counters.
+/// histogram fed by the transport at read→serialize boundaries and the per
+/// request-type counters fed by the protocol layer.
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
     latency: LatencyHistogram,
     kinds: [AtomicU64; 9],
-    coalescer: CoalescerCounters,
 }
 
 impl ServeMetrics {
@@ -146,28 +115,6 @@ impl ServeMetrics {
     /// How many requests of `kind` have been counted.
     pub fn requests_of(&self, kind: RequestKind) -> u64 {
         self.kinds[kind.index()].load(Ordering::Relaxed)
-    }
-
-    /// The coalescer's counters (written by [`crate::coalesce::Coalescer`]).
-    pub fn coalescer(&self) -> &CoalescerCounters {
-        &self.coalescer
-    }
-
-    /// A consistent-enough snapshot of the coalescer counters.
-    pub fn coalescer_snapshot(&self) -> CoalescerSnapshot {
-        let requests = self.coalescer.requests.load(Ordering::Relaxed);
-        let batches = self.coalescer.batches.load(Ordering::Relaxed);
-        CoalescerSnapshot {
-            requests,
-            batches,
-            window_flushes: self.coalescer.window_flushes.load(Ordering::Relaxed),
-            cap_flushes: self.coalescer.cap_flushes.load(Ordering::Relaxed),
-            mean_occupancy: if batches == 0 {
-                0.0
-            } else {
-                requests as f64 / batches as f64
-            },
-        }
     }
 }
 
@@ -215,18 +162,5 @@ mod tests {
         assert_eq!(m.requests_of(RequestKind::Batch), 2);
         assert_eq!(m.requests_of(RequestKind::Stats), 1);
         assert_eq!(m.requests_of(RequestKind::Invalid), 0);
-    }
-
-    #[test]
-    fn coalescer_snapshot_computes_mean_occupancy() {
-        let m = ServeMetrics::new();
-        assert_eq!(m.coalescer_snapshot().mean_occupancy, 0.0);
-        m.coalescer().requests.fetch_add(6, Ordering::Relaxed);
-        m.coalescer().batches.fetch_add(2, Ordering::Relaxed);
-        m.coalescer().window_flushes.fetch_add(1, Ordering::Relaxed);
-        m.coalescer().cap_flushes.fetch_add(1, Ordering::Relaxed);
-        let snap = m.coalescer_snapshot();
-        assert_eq!(snap.mean_occupancy, 3.0);
-        assert_eq!(snap.window_flushes + snap.cap_flushes, snap.batches);
     }
 }

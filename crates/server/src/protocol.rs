@@ -29,7 +29,7 @@
 //! layer in [`crate::server`] only adds framing and threads.
 //!
 //! All query traffic flows through one [`usim_core::CachedQueryEngine`]:
-//! each query frame becomes one [`usim_core::CoalescedQuery`] slot answered
+//! each query frame becomes one [`usim_core::ServeQuery`] slot answered
 //! by [`usim_core::CachedQueryEngine::serve_batch_with_trace`].  With
 //! [`RequestHandler::with_cache`] the server reuses epoch-validated answers
 //! for hot pairs (bit-identical to recomputation — the cache can change
@@ -42,16 +42,10 @@
 //! before the response frame goes out), so a restarted server can replay
 //! back to the exact epoch its clients last observed.
 //!
-//! With [`RequestHandler::with_coalescing`] attached, concurrent
-//! `similarity` / `profile` / `top_k` / `batch` requests are collected into
-//! single engine batches by the [`crate::coalesce::Coalescer`] — answers
-//! stay byte-identical (the engine's batch determinism contract), only
-//! throughput changes.  The handler also counts requests per type and
-//! surfaces those counters — together with the transport's latency
-//! histogram and the coalescer's batching counters — in the `stats`
-//! frame's `latency` and `coalescer` objects.
+//! The handler also counts requests per type and surfaces those counters —
+//! together with the transport's latency histogram — in the `stats`
+//! frame's `requests` and `latency` objects.
 
-use crate::coalesce::{CoalesceError, CoalesceOptions, Coalescer};
 use crate::metrics::{RequestKind, ServeMetrics};
 use bytes::{BufMut, BytesMut};
 use parking_lot::Mutex;
@@ -60,7 +54,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ugraph::{GraphUpdate, UpdateError, UpdateLog, VertexId};
-use usim_core::{CachedQueryEngine, CoalescedAnswer, CoalescedQuery, QueryEngine, QueryError};
+use usim_core::{CachedQueryEngine, QueryEngine, QueryError, ServeAnswer, ServeQuery};
 use usim_obs::{time_stage, walk_metrics, PromWriter, Stage, StageTrace, Tracer};
 
 /// Default cap on `batch` pairs, `top_k` candidates and `update` batches —
@@ -194,13 +188,9 @@ pub struct RequestHandler {
     /// the epoch its clients last saw.  The mutex is held across
     /// apply + append: log order always equals epoch order.
     update_log: Option<Mutex<UpdateLog>>,
-    /// Per-request-type counters, the coalescer's batching counters, and
-    /// the latency histogram the transport records into.
+    /// Per-request-type counters and the latency histogram the transport
+    /// records into.
     metrics: Arc<ServeMetrics>,
-    /// When present, query traffic is batched across connections (updates
-    /// and stats always bypass it — updates need the write gate, stats is
-    /// metadata).
-    coalescer: Option<Coalescer>,
     /// When present, a deterministic fraction of requests carries a
     /// [`StageTrace`] through the serving stack; finished traces feed the
     /// per-stage histograms and the slow-query log.  Answers are
@@ -254,7 +244,6 @@ impl RequestHandler {
             max_batch,
             update_log: None,
             metrics: Arc::new(ServeMetrics::new()),
-            coalescer: None,
             tracer: None,
         }
     }
@@ -269,21 +258,10 @@ impl RequestHandler {
         self
     }
 
-    /// Enables request coalescing: concurrent `similarity` / `profile` /
-    /// `top_k` / `batch` requests are collected (up to `options.window`, or
-    /// until `options.cap` are pending) and dispatched as **one** engine
-    /// batch through the intra-batch-dedup path.  Answers are byte-identical
-    /// to the uncoalesced handler — see [`crate::coalesce`] for why — and
-    /// every response still carries the epoch its batch was computed under.
-    pub fn with_coalescing(mut self, options: CoalesceOptions) -> Self {
-        self.coalescer = Some(Coalescer::new(options, Arc::clone(&self.metrics)));
-        self
-    }
-
     /// Enables sampled per-query stage tracing: every `round(1/sample_rate)`-th
-    /// request carries a [`StageTrace`] through parse, coalescer,
-    /// cache, sampling, merge and serialisation; finished
-    /// traces feed per-stage latency histograms (the `stats` frame's
+    /// request carries a [`StageTrace`] through parse, cache, sampling,
+    /// merge and serialisation; finished traces feed per-stage latency
+    /// histograms (the `stats` frame's
     /// `tracing.stages` section) and a slow-query log keeping the
     /// `slow_log_capacity` slowest traced requests (the `slow_queries`
     /// frame).  A rate ≤ 0 builds the tracer disabled.
@@ -311,11 +289,6 @@ impl RequestHandler {
     /// story).
     pub fn metrics(&self) -> &Arc<ServeMetrics> {
         &self.metrics
-    }
-
-    /// The coalescer, when [`RequestHandler::with_coalescing`] enabled one.
-    pub fn coalescer(&self) -> Option<&Coalescer> {
-        self.coalescer.as_ref()
     }
 
     /// The stage tracer, when [`RequestHandler::with_tracing`] attached one.
@@ -507,14 +480,10 @@ impl RequestHandler {
         let u = self.resolve(require_label(entries, "source")?)?;
         let v = self.resolve(require_label(entries, "target")?)?;
         let (epoch, score) =
-            self.serve(
-                CoalescedQuery::Similarity(u, v),
-                trace,
-                |answer| match answer {
-                    CoalescedAnswer::Similarity(score) => Some(score),
-                    _ => None,
-                },
-            )?;
+            self.serve(ServeQuery::Similarity(u, v), trace, |answer| match answer {
+                ServeAnswer::Similarity(score) => Some(score),
+                _ => None,
+            })?;
         Ok(ok_value(
             "similarity",
             epoch,
@@ -527,14 +496,10 @@ impl RequestHandler {
         let u = self.resolve(require_label(entries, "source")?)?;
         let v = self.resolve(require_label(entries, "target")?)?;
         let (epoch, profile) =
-            self.serve(
-                CoalescedQuery::Profile(u, v),
-                trace,
-                |answer| match answer {
-                    CoalescedAnswer::Profile(profile) => Some(profile),
-                    _ => None,
-                },
-            )?;
+            self.serve(ServeQuery::Profile(u, v), trace, |answer| match answer {
+                ServeAnswer::Profile(profile) => Some(profile),
+                _ => None,
+            })?;
         Ok(ok_value(
             "profile",
             epoch,
@@ -571,13 +536,13 @@ impl RequestHandler {
                     .collect::<Result<_, _>>()?
             }
         };
-        let query = CoalescedQuery::TopK {
+        let query = ServeQuery::TopK {
             query: source,
             candidates,
             k,
         };
         let (epoch, ranked) = self.serve(query, trace, |answer| match answer {
-            CoalescedAnswer::TopK(ranked) => Some(ranked),
+            ServeAnswer::TopK(ranked) => Some(ranked),
             _ => None,
         })?;
         let results = ranked
@@ -622,14 +587,10 @@ impl RequestHandler {
             ));
         }
         let (epoch, scores) =
-            self.serve(
-                CoalescedQuery::Scores(pairs),
-                trace,
-                |answer| match answer {
-                    CoalescedAnswer::Scores(scores) => Some(scores),
-                    _ => None,
-                },
-            )?;
+            self.serve(ServeQuery::Scores(pairs), trace, |answer| match answer {
+                ServeAnswer::Scores(scores) => Some(scores),
+                _ => None,
+            })?;
         Ok(ok_value(
             "batch",
             epoch,
@@ -721,13 +682,10 @@ impl RequestHandler {
                 ("stale".to_string(), Value::Uint(stats.stale)),
                 ("evictions".to_string(), Value::Uint(stats.evictions)),
                 ("insertions".to_string(), Value::Uint(stats.insertions)),
-                ("survived".to_string(), Value::Uint(stats.survived)),
-                ("killed".to_string(), Value::Uint(stats.killed)),
             ]);
         }
-        // Latency and coalescer sections: lock-free counter snapshots, like
-        // the cache section above.  Fields are always present (zeroed when
-        // the feature is off) so dashboards need no schema branching.
+        // Latency section: lock-free counter snapshots, like the cache
+        // section above.
         let histogram = self.metrics.latency();
         let requests = RequestKind::ALL
             .iter()
@@ -754,39 +712,9 @@ impl RequestHandler {
             ),
             ("requests".to_string(), Value::Map(requests)),
         ];
-        let coalescer_options = self.coalescer.as_ref().map(Coalescer::options);
-        let snapshot = self.metrics.coalescer_snapshot();
-        let coalescer = vec![
-            (
-                "enabled".to_string(),
-                Value::Bool(coalescer_options.is_some()),
-            ),
-            (
-                "window_us".to_string(),
-                Value::Uint(
-                    coalescer_options
-                        .map(|o| u64::try_from(o.window.as_micros()).unwrap_or(u64::MAX))
-                        .unwrap_or(0),
-                ),
-            ),
-            (
-                "cap".to_string(),
-                Value::Uint(coalescer_options.map(|o| o.cap as u64).unwrap_or(0)),
-            ),
-            ("requests".to_string(), Value::Uint(snapshot.requests)),
-            ("batches".to_string(), Value::Uint(snapshot.batches)),
-            (
-                "mean_occupancy".to_string(),
-                Value::Float(snapshot.mean_occupancy),
-            ),
-            (
-                "window_flushes".to_string(),
-                Value::Uint(snapshot.window_flushes),
-            ),
-            ("cap_flushes".to_string(), Value::Uint(snapshot.cap_flushes)),
-        ];
-        // Tracing and walk-counter sections: like `latency` and `coalescer`,
-        // every field is always present (zeroed when the feature is off).
+        // Tracing and walk-counter sections: every field is always present
+        // (zeroed when the feature is off) so dashboards need no schema
+        // branching.
         let tracer = self.tracer.as_ref();
         let stages = match tracer {
             Some(tracer) => tracer
@@ -877,7 +805,6 @@ impl RequestHandler {
                 ("max_batch".into(), Value::Uint(self.max_batch as u64)),
                 ("cache".into(), Value::Map(cache)),
                 ("latency".into(), Value::Map(latency)),
-                ("coalescer".into(), Value::Map(coalescer)),
                 ("tracing".into(), Value::Map(tracing)),
                 ("walks".into(), Value::Map(walks)),
                 ("config".into(), config),
@@ -939,7 +866,7 @@ impl RequestHandler {
 
     /// Renders every serving counter as a Prometheus text exposition
     /// (format 0.0.4): request counters, the end-to-end latency histogram,
-    /// coalescer and result-cache counters, the walk/engine counters, and —
+    /// result-cache counters, the walk/engine counters, and —
     /// when tracing is enabled — one histogram series per pipeline stage.
     /// Served by the `metrics` frame and `usim serve --metrics-port`.
     pub fn prometheus_exposition(&self) -> String {
@@ -974,21 +901,6 @@ impl RequestHandler {
             None,
             self.metrics.latency(),
         );
-        let coalescer = self.metrics.coalescer_snapshot();
-        w.counter(
-            "usim_coalescer_requests_total",
-            "Requests served through the coalescer.",
-            coalescer.requests,
-        );
-        w.counter_family(
-            "usim_coalescer_batches_total",
-            "Coalesced engine batches, by flush reason.",
-            "reason",
-            &[
-                ("window", coalescer.window_flushes),
-                ("cap", coalescer.cap_flushes),
-            ],
-        );
         if let Some(stats) = self.engine.cache_stats() {
             w.gauge(
                 "usim_cache_entries",
@@ -1005,8 +917,6 @@ impl RequestHandler {
                     ("stale", stats.stale),
                     ("eviction", stats.evictions),
                     ("insertion", stats.insertions),
-                    ("survived", stats.survived),
-                    ("killed", stats.killed),
                 ],
             );
         }
@@ -1074,31 +984,21 @@ impl RequestHandler {
         w.finish()
     }
 
-    /// Answers one query — through the coalescer when one is attached,
-    /// otherwise as a one-slot engine batch — and narrows the answer back
-    /// to the expected variant.
+    /// Answers one query as a one-slot engine batch and narrows the answer
+    /// back to the expected variant.
     fn serve<T>(
         &self,
-        query: CoalescedQuery,
+        query: ServeQuery,
         trace: Option<&StageTrace>,
-        narrow: impl FnOnce(CoalescedAnswer) -> Option<T>,
+        narrow: impl FnOnce(ServeAnswer) -> Option<T>,
     ) -> Result<(u64, T), Reject> {
-        let (epoch, answer) = match &self.coalescer {
-            Some(coalescer) => match coalescer.submit(&self.engine, query, trace) {
-                Ok(answer) => answer,
-                Err(CoalesceError::Query(error)) => return Err(query_rejected(error)),
-                Err(delivery @ CoalesceError::Delivery) => {
-                    return Err(Reject::new(ErrorCode::QueryRejected, delivery.to_string()))
-                }
-            },
-            None => {
-                let (epoch, mut answers) = self
-                    .engine
-                    .serve_batch_with_trace(std::slice::from_ref(&query), trace);
-                let answer = answers.pop().expect("one answer per slot");
-                (epoch, answer.map_err(query_rejected)?)
-            }
-        };
+        let (epoch, mut answers) = self
+            .engine
+            .serve_batch_with_trace(std::slice::from_ref(&query), trace);
+        let answer = answers
+            .pop()
+            .expect("one answer per slot")
+            .map_err(query_rejected)?;
         // The engine pairs every slot with its own answer variant, so a
         // mismatch cannot happen; reject rather than panic regardless — a
         // server bug must never take the process down.
@@ -1695,19 +1595,13 @@ mod tests {
         assert_eq!(get(cache, "stale"), &Value::Uint(stats.stale));
         assert!(matches!(get(cache, "misses"), Value::Uint(_)));
         assert!(matches!(get(cache, "evictions"), Value::Uint(_)));
-        assert_eq!(get(cache, "survived"), &Value::Uint(stats.survived));
-        assert_eq!(get(cache, "killed"), &Value::Uint(stats.killed));
-        assert!(
-            stats.killed > 0,
-            "the update touched cached footprints: {stats:?}"
-        );
     }
 
     #[test]
-    fn cached_entries_survive_disjoint_updates_on_the_wire() {
+    fn disjoint_updates_leave_cached_entries_stale_on_the_wire() {
         // In fig1 vertex 4 (label 14) has no out-arcs, so reverse walks
-        // never *reach* it — a self-loop insert there is disjoint from
-        // every cached footprint that doesn't start at 14.
+        // never *reach* it — a self-loop insert there cannot change any
+        // cached answer, yet the epoch bump still drops all of them.
         let config = SimRankConfig::default().with_samples(150).with_seed(7);
         let cached = RequestHandler::with_cache(
             QueryEngine::new(&fig1_graph(), config),
@@ -1722,18 +1616,16 @@ mod tests {
                 r#"{"type":"update","updates":[{"op":"insert","source":14,"target":14,"probability":0.5}]}"#,
             )
             .unwrap();
+        // The repeat ask recomputes every pair; the scores are unchanged
+        // (the frame differs only in its epoch stamp).
         let stats = cached.cached_engine().cache_stats().unwrap();
-        assert_eq!(
-            (stats.survived, stats.killed),
-            (3, 0),
-            "every entry is disjoint from vertex 4: {stats:?}"
-        );
-        // The repeat ask hits the survivors; the scores are unchanged (the
-        // frame differs only in its epoch stamp).
-        let misses_before = stats.misses;
         let after = cached.handle_line(ask).unwrap();
-        let stats = cached.cached_engine().cache_stats().unwrap();
-        assert_eq!(stats.misses, misses_before, "no recompute: {stats:?}");
+        let now = cached.cached_engine().cache_stats().unwrap();
+        assert_eq!(
+            (now.stale - stats.stale, now.hits - stats.hits),
+            (3, 0),
+            "every entry reads as stale after an update: {now:?}"
+        );
         let scores_of = |frame: &Frame| {
             parse(frame)
                 .iter()
@@ -1742,12 +1634,12 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(scores_of(&after), scores_of(&before));
-        // And the wire stats frame reports the survival.
+        // And the wire stats frame reports the stale lookups.
         let frame = cached.handle_line(r#"{"type":"stats"}"#).unwrap();
         let entries = parse(&frame);
         let cache = get(&entries, "cache").as_map().unwrap();
-        assert_eq!(get(cache, "survived"), &Value::Uint(3));
-        assert_eq!(get(cache, "killed"), &Value::Uint(0));
+        assert_eq!(get(cache, "stale"), &Value::Uint(3));
+        assert_eq!(get(cache, "hits"), &Value::Uint(0));
     }
 
     fn fig1_graph() -> ugraph::UncertainGraph {
@@ -2000,76 +1892,24 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_handler_is_byte_identical_on_the_wire() {
-        let (plain, _) = fig1_handler(DEFAULT_MAX_BATCH);
-        let config = SimRankConfig::default().with_samples(150).with_seed(7);
-        // cap = 1: every submission flushes immediately, so a
-        // single-threaded test never waits out a window.
-        let coalesced = RequestHandler::new(
-            QueryEngine::new(&fig1_graph(), config),
-            (10..15).collect(),
-            DEFAULT_MAX_BATCH,
-        )
-        .with_coalescing(CoalesceOptions {
-            window: std::time::Duration::from_millis(50),
-            cap: 1,
-        });
-        let frames = [
-            r#"{"type":"similarity","source":10,"target":11}"#,
-            r#"{"type":"profile","source":12,"target":13}"#,
-            r#"{"type":"batch","pairs":[[10,14],[11,12],[10,14]]}"#,
-            r#"{"type":"top_k","source":11,"k":3}"#,
-            r#"{"type":"top_k","source":11,"k":0}"#,
-            r#"{"type":"update","updates":[{"op":"set","source":10,"target":12,"probability":0.05}]}"#,
-            r#"{"type":"similarity","source":10,"target":11}"#,
-            r#"{"type":"similarity","source":10,"target":99}"#,
-        ];
-        for frame in frames {
-            assert_eq!(
-                coalesced.handle_line(frame).unwrap(),
-                plain.handle_line(frame).unwrap(),
-                "{frame}"
-            );
-        }
-        // The coalescer actually ran (updates and the unknown-vertex
-        // rejection bypass it): 6 coalescable requests, every one its own
-        // immediate cap-flush batch.
-        let snapshot = coalesced.metrics().coalescer_snapshot();
-        assert_eq!(snapshot.requests, 6);
-        assert_eq!(snapshot.batches, 6);
-        assert_eq!(snapshot.cap_flushes, 6);
-        assert_eq!(snapshot.mean_occupancy, 1.0);
-    }
-
-    #[test]
-    fn concurrent_coalesced_requests_share_batches_and_stay_identical() {
-        let config = SimRankConfig::default().with_samples(150).with_seed(7);
-        let coalesced = RequestHandler::new(
-            QueryEngine::new(&fig1_graph(), config),
-            (10..15).collect(),
-            DEFAULT_MAX_BATCH,
-        )
-        .with_coalescing(CoalesceOptions {
-            window: std::time::Duration::from_millis(20),
-            cap: 3,
-        });
+    fn concurrent_requests_answer_like_a_sequential_handler() {
+        let (shared, _) = fig1_handler(DEFAULT_MAX_BATCH);
         let (plain, _) = fig1_handler(DEFAULT_MAX_BATCH);
         let lines = [
             r#"{"type":"similarity","source":10,"target":11}"#,
             r#"{"type":"batch","pairs":[[10,11],[12,13]]}"#,
             r#"{"type":"similarity","source":12,"target":13}"#,
         ];
-        // Three threads ask concurrently, several rounds: whichever thread
-        // ends up leading whichever batch, every answer must equal the
-        // uncoalesced handler's.
+        // Three threads ask one handler concurrently, several rounds: every
+        // answer must equal a handler that saw each line alone.
         std::thread::scope(|scope| {
             let handles: Vec<_> = lines
                 .iter()
                 .map(|line| {
-                    let coalesced = &coalesced;
+                    let shared = &shared;
                     scope.spawn(move || {
                         (0..8)
-                            .map(|_| coalesced.handle_line(line).unwrap())
+                            .map(|_| shared.handle_line(line).unwrap())
                             .collect::<Vec<Frame>>()
                     })
                 })
@@ -2081,18 +1921,12 @@ mod tests {
                 }
             }
         });
-        let snapshot = coalesced.metrics().coalescer_snapshot();
-        assert_eq!(snapshot.requests, 24);
-        assert!(snapshot.batches <= 24, "{snapshot:?}");
-        assert_eq!(
-            snapshot.window_flushes + snapshot.cap_flushes,
-            snapshot.batches,
-            "{snapshot:?}"
-        );
+        assert_eq!(shared.metrics().requests_of(RequestKind::Similarity), 16);
+        assert_eq!(shared.metrics().requests_of(RequestKind::Batch), 8);
     }
 
     #[test]
-    fn stats_reports_latency_and_coalescer_sections() {
+    fn stats_reports_the_latency_section() {
         let (handler, _) = fig1_handler(DEFAULT_MAX_BATCH);
         handler
             .handle_line(r#"{"type":"similarity","source":10,"target":11}"#)
@@ -2117,32 +1951,6 @@ mod tests {
         // The stats frame counts itself (dispatch-time counting).
         assert_eq!(get(requests, "stats"), &Value::Uint(1));
         assert_eq!(get(requests, "update"), &Value::Uint(0));
-        let coalescer = get(&entries, "coalescer").as_map().unwrap();
-        assert_eq!(get(coalescer, "enabled"), &Value::Bool(false));
-        assert_eq!(get(coalescer, "window_us"), &Value::Uint(0));
-        assert_eq!(get(coalescer, "batches"), &Value::Uint(0));
-
-        // With coalescing on, the section reflects the configuration.
-        let config = SimRankConfig::default().with_samples(150).with_seed(7);
-        let coalesced = RequestHandler::new(
-            QueryEngine::new(&fig1_graph(), config),
-            (10..15).collect(),
-            DEFAULT_MAX_BATCH,
-        )
-        .with_coalescing(CoalesceOptions {
-            window: std::time::Duration::from_micros(800),
-            cap: 4,
-        });
-        coalesced
-            .handle_line(r#"{"type":"similarity","source":10,"target":11}"#)
-            .unwrap();
-        let entries = parse(&coalesced.handle_line(r#"{"type":"stats"}"#).unwrap());
-        let section = get(&entries, "coalescer").as_map().unwrap();
-        assert_eq!(get(section, "enabled"), &Value::Bool(true));
-        assert_eq!(get(section, "window_us"), &Value::Uint(800));
-        assert_eq!(get(section, "cap"), &Value::Uint(4));
-        assert_eq!(get(section, "requests"), &Value::Uint(1));
-        assert_eq!(get(section, "batches"), &Value::Uint(1));
     }
 
     #[test]

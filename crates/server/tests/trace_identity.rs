@@ -3,8 +3,8 @@
 //! Two [`RequestHandler`]s over the same graph, config and deployment shape
 //! — one bare, one with stage tracing at sample rate 1.0 (every request
 //! traced, the strongest case) plus walk metrics — must answer every frame
-//! sequence byte-identically, across samplers (legacy/alias), result
-//! caching and request coalescing.  This is the contract that lets
+//! sequence byte-identically, across samplers (legacy/alias) and result
+//! caching.  This is the contract that lets
 //! operators flip tracing on in production without re-validating answers:
 //! instrumentation reads clocks and bumps relaxed counters, and must never
 //! consume an RNG draw or branch on a sampled value.
@@ -14,10 +14,9 @@
 //! time, so their sum can never exceed the request's end-to-end total.
 
 use proptest::prelude::*;
-use std::time::Duration;
 use ugraph::UncertainGraphBuilder;
 use usim_core::{QueryEngine, SamplerKind, SimRankConfig};
-use usim_server::{CoalesceOptions, RequestHandler, DEFAULT_MAX_BATCH};
+use usim_server::{RequestHandler, DEFAULT_MAX_BATCH};
 
 fn fig1_graph() -> ugraph::UncertainGraph {
     UncertainGraphBuilder::new(5)
@@ -38,7 +37,6 @@ fn fig1_graph() -> ugraph::UncertainGraph {
 struct Case {
     alias: bool,
     cached: bool,
-    coalesced: bool,
     frames: Vec<String>,
 }
 
@@ -46,10 +44,9 @@ fn cases() -> impl Strategy<Value = Case> {
     (
         any::<bool>(),
         any::<bool>(),
-        any::<bool>(),
         proptest::collection::vec((0u32..5, 10u64..15, 10u64..15, 1u64..5), 4..16),
     )
-        .prop_map(|(alias, cached, coalesced, picks)| {
+        .prop_map(|(alias, cached, picks)| {
             let frames = picks
                 .into_iter()
                 .map(|(kind, u, v, k)| match kind {
@@ -67,7 +64,6 @@ fn cases() -> impl Strategy<Value = Case> {
             Case {
                 alias,
                 cached,
-                coalesced,
                 frames,
             }
         })
@@ -84,12 +80,6 @@ fn build_handler(case: &Case, traced: bool) -> RequestHandler {
         DEFAULT_MAX_BATCH,
         if case.cached { 64 } else { 0 },
     );
-    if case.coalesced {
-        handler = handler.with_coalescing(CoalesceOptions {
-            window: Duration::from_micros(50),
-            cap: 4,
-        });
-    }
     if traced {
         handler = handler.with_tracing(1.0, 16).with_walk_metrics();
     }
@@ -109,11 +99,10 @@ proptest! {
             prop_assert_eq!(
                 &observed.json,
                 &expected.json,
-                "tracing changed bytes for {} (alias {}, cached {}, coalesced {})",
+                "tracing changed bytes for {} (alias {}, cached {})",
                 frame,
                 case.alias,
-                case.cached,
-                case.coalesced
+                case.cached
             );
             prop_assert_eq!(observed.is_error, expected.is_error);
         }

@@ -32,10 +32,6 @@
 //!   top of a snapshot to reach the exact epoch it died at.
 //! * [`stats`] — degree and probability statistics used when calibrating the
 //!   synthetic datasets against Table II of the paper.
-//! * [`footprint`] — compact bloom-filter summaries of vertex sets
-//!   ([`VertexFootprint`]): walk footprints recorded per cached answer and
-//!   the touched-vertex sets of update batches, the two sides of the
-//!   caching layer's fine-grained invalidation.
 //!
 //! # Example
 //!
@@ -67,7 +63,6 @@ pub mod binfmt;
 mod builder;
 pub mod csr;
 mod error;
-pub mod footprint;
 mod graph;
 pub mod io;
 pub mod overlay;
@@ -82,7 +77,6 @@ pub use alias::{alias_draw, AliasSlot, AliasTable, AliasView, CsrAliasView};
 pub use builder::{DiGraphBuilder, DuplicatePolicy, UncertainGraphBuilder};
 pub use csr::{CsrGraph, CsrView, GraphView};
 pub use error::GraphError;
-pub use footprint::VertexFootprint;
 pub use graph::{ArcIter, DiGraph};
 pub use overlay::{
     CompactionPolicy, DeltaOverlay, GraphUpdate, OverlayAliasView, OverlayView, UpdateError,

@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-DEFAULT_GATES=(batch_smoke update_churn cache_throughput cache_churn cold_start alias_speedup obs_overhead)
+DEFAULT_GATES=(batch_smoke update_churn cache_throughput cold_start alias_speedup obs_overhead)
 GATES=("${@:-${DEFAULT_GATES[@]}}")
 
 FAILED=()
@@ -24,7 +24,7 @@ for gate in "${GATES[@]}"; do
     case "$gate" in
         batch_smoke) bin=bench_smoke ;;
         alias_speedup) bin=csr_vs_alias ;;
-        update_churn | cache_throughput | cache_churn | cold_start | serve_throughput | obs_overhead) bin=$gate ;;
+        update_churn | cache_throughput | cold_start | serve_throughput | obs_overhead) bin=$gate ;;
         *) echo "bench-gates: unknown gate '$gate'" >&2; exit 2 ;;
     esac
     echo "=== gate: $gate (bin: $bin) ==="

@@ -10,11 +10,10 @@
 #
 # Knobs (all optional — defaults reproduce the classic run):
 #   USIM_SMOKE_SOURCE           main-round boot source: text|snapshot [text]
-#   USIM_SMOKE_COALESCE_WINDOW  coalescing window in µs; 0 = off    [0]
 #   USIM_SMOKE_SAMPLER          walk backend: legacy|alias          [legacy]
 # CI runs the script three times: once with the defaults, once with
-# --snapshot + coalescing, and once with --sampler alias --snapshot, so the
-# snapshot-booted, coalesced and alias-table serving paths are all
+# --snapshot, and once with --sampler alias --snapshot, so the
+# snapshot-booted and alias-table serving paths are both
 # exercised on the shipped binary.  The sampler kind
 # applies to every round (including the CLI ground truth), so the whole
 # pipeline is asserted end to end under the selected backend.
@@ -24,7 +23,6 @@ cd "$(dirname "$0")/.."
 SAMPLES=200
 SEED=7
 SMOKE_SOURCE=${USIM_SMOKE_SOURCE:-text}
-SMOKE_COALESCE_WINDOW=${USIM_SMOKE_COALESCE_WINDOW:-0}
 SMOKE_SAMPLER=${USIM_SMOKE_SAMPLER:-legacy}
 TMP=$(mktemp -d)
 SERVER_PID=""
@@ -84,12 +82,8 @@ ask() {
     printf '%s\n' "$response"
 }
 
-# Main-round server configuration from the knobs: boot source, sampler,
-# and (optionally) request coalescing.
+# Main-round server configuration from the knobs: boot source and sampler.
 SERVE_EXTRA=(--sampler "$SMOKE_SAMPLER")
-if [ "$SMOKE_COALESCE_WINDOW" -gt 0 ]; then
-    SERVE_EXTRA+=(--coalesce-window "$SMOKE_COALESCE_WINDOW" --coalesce-max 8)
-fi
 case "$SMOKE_SOURCE" in
     text) SERVE_SOURCE=("$TMP/graph.tsv") ;;
     snapshot)
@@ -114,18 +108,11 @@ done
 ADDR=$(cat "$TMP/port")
 HOST=${ADDR%:*}
 PORT=${ADDR##*:}
-echo "--- server up on $ADDR (source = $SMOKE_SOURCE, sampler = $SMOKE_SAMPLER, coalesce window = ${SMOKE_COALESCE_WINDOW}us) ---"
+echo "--- server up on $ADDR (source = $SMOKE_SOURCE, sampler = $SMOKE_SAMPLER) ---"
 grep -q "source = $SMOKE_SOURCE, epoch = 0," "$TMP/server1.log" || {
     echo "FAIL: banner misses source/epoch:"; cat "$TMP/server1.log"; exit 1; }
 grep -q "sampler = $SMOKE_SAMPLER" "$TMP/server1.log" || {
     echo "FAIL: banner misses 'sampler = $SMOKE_SAMPLER':"; cat "$TMP/server1.log"; exit 1; }
-if [ "$SMOKE_COALESCE_WINDOW" -gt 0 ]; then
-    grep -q "coalesce = ${SMOKE_COALESCE_WINDOW}us/cap 8" "$TMP/server1.log" || {
-        echo "FAIL: banner misses the coalesce settings:"; cat "$TMP/server1.log"; exit 1; }
-else
-    grep -q 'coalesce = off' "$TMP/server1.log" || {
-        echo "FAIL: banner misses 'coalesce = off':"; cat "$TMP/server1.log"; exit 1; }
-fi
 
 # One connection, one frame of every request type, responses in order.
 connect3 "$HOST" "$PORT"
@@ -168,20 +155,9 @@ esac
 # Observability sections must always be present; the stats frame was the
 # connection's first, so zero earlier frames have been timed yet.
 case "$R_STATS" in
-    *'"latency":{"count":0,'*'"p99_us":'*'"coalescer":{"enabled":'*) ;;
-    *) echo "FAIL: stats frame misses latency/coalescer sections: $R_STATS"; exit 1 ;;
+    *'"latency":{"count":0,'*'"p99_us":'*'"tracing":{"enabled":'*) ;;
+    *) echo "FAIL: stats frame misses latency/tracing sections: $R_STATS"; exit 1 ;;
 esac
-if [ "$SMOKE_COALESCE_WINDOW" -gt 0 ]; then
-    case "$R_STATS" in
-        *'"coalescer":{"enabled":true,"window_us":'"$SMOKE_COALESCE_WINDOW"',"cap":8,'*) ;;
-        *) echo "FAIL: coalescer not reported enabled in stats: $R_STATS"; exit 1 ;;
-    esac
-else
-    case "$R_STATS" in
-        *'"coalescer":{"enabled":false,'*) ;;
-        *) echo "FAIL: coalescer reported enabled without the flag: $R_STATS"; exit 1 ;;
-    esac
-fi
 case "$R_UPDATE" in
     *'"epoch":1'*'"deleted":1'*'"reweighted":1'*) ;;
     *) echo "FAIL: bad update summary: $R_UPDATE"; exit 1 ;;
@@ -221,10 +197,10 @@ CLI_AFTER=$(table_column 2 "$CLI_CHURN")
 # Same graph and seed, --cache-capacity on: the same batch asked twice must
 # come back byte-identical (the repeat is served from the cache), match the
 # CLI scores, and the stats frame must report the hits.  Then an update
-# that is *disjoint* from every cached walk footprint (a self-loop on
-# label 50, which no reverse walk from the queried pairs ever reaches) is
-# applied: the entries must survive revalidation and keep serving the same
-# scores at the new epoch without recomputing.
+# that cannot change any cached answer (a self-loop on label 50, which no
+# reverse walk from the queried pairs ever reaches) is applied: its epoch
+# bump still invalidates the whole cache, so the repeated batch reads 3
+# stale entries, recomputes them, and must still match the CLI scores.
 "$USIM" serve "$TMP/graph.tsv" --addr 127.0.0.1:0 --port-file "$TMP/port" \
     --workers 2 --max-connections 1 --cache-capacity 1024 \
     --samples "$SAMPLES" --seed "$SEED" --sampler "$SMOKE_SAMPLER" &
@@ -261,35 +237,29 @@ C_SERVED=$(extract_scores "$C_BATCH1")
 case "$C_UPDATE" in
     *'"error"'*) echo "FAIL: disjoint update frame errored: $C_UPDATE"; exit 1 ;;
 esac
-# The update touched only label 50, which none of the cached footprints
-# contain: all 3 entries must survive and answer batch 3 from the cache —
-# same scores, new epoch, 6 total hits (3 from the repeat, 3 from the
-# survivors), zero killed.
+# The update moved the epoch, so all 3 entries read as stale and batch 3
+# is recomputed: 3 hits in total (all from the repeat), 3 stale lookups,
+# and scores still equal to the CLI ground truth.
 C_SERVED3=$(extract_scores "$C_BATCH3")
-C_SERVED1=$(extract_scores "$C_BATCH1")
-[ "$C_SERVED3" = "$C_SERVED1" ] || {
-    echo "FAIL: survivors changed their scores after a disjoint update"
-    echo "before: $C_SERVED1"; echo "after: $C_SERVED3"; exit 1; }
+[ "$C_SERVED3" = "$CLI_BEFORE" ] || {
+    echo "FAIL: recomputed batch after a disjoint update != CLI batch"
+    echo "served: $C_SERVED3"; echo "cli: $CLI_BEFORE"; exit 1; }
 case "$C_STATS" in
-    *'"cache":{"enabled":true,"capacity":1024'*'"hits":6'*) echo "$C_STATS" ;;
+    *'"cache":{"enabled":true,"capacity":1024'*'"hits":3'*) echo "$C_STATS" ;;
     *) echo "FAIL: cached stats frame misses the cache counters: $C_STATS"; exit 1 ;;
 esac
 case "$C_STATS" in
-    *'"survived":3'*) ;;
-    *) echo "FAIL: stats frame does not report 3 survivors: $C_STATS"; exit 1 ;;
+    *'"stale":3'*) ;;
+    *) echo "FAIL: the update did not leave 3 stale entries: $C_STATS"; exit 1 ;;
 esac
-case "$C_STATS" in
-    *'"killed":0'*) ;;
-    *) echo "FAIL: disjoint update killed cache entries: $C_STATS"; exit 1 ;;
-esac
-# Four frames (two batches, the update, the survivor batch) were answered
+# Four frames (two batches, the update, the recomputed batch) were answered
 # before the stats frame was built, and each frame's sample lands before its
 # reply is written, so the histogram must have timed exactly those four.
 case "$C_STATS" in
     *'"latency":{"count":4,'*) ;;
     *) echo "FAIL: latency histogram did not count the served frames: $C_STATS"; exit 1 ;;
 esac
-echo "--- cached server: repeat batch bit-identical, 3 entries survived a disjoint update ---"
+echo "--- cached server: repeat batch bit-identical, an update left 3 stale entries ---"
 
 # --- snapshot-backed server round ---------------------------------------
 # Compile the graph into a CSR snapshot, serve it with a durable update

@@ -76,7 +76,7 @@ pub mod prelude {
         GraphUpdate, GraphView, UncertainGraph, UncertainGraphBuilder, UpdateError, VertexId,
     };
     pub use crate::random_walk::{AliasSampler, CsrSampler, WalkArena};
-    pub use crate::server::{CoalesceOptions, RequestHandler, Server, ServerOptions};
+    pub use crate::server::{RequestHandler, Server, ServerOptions};
     pub use crate::simrank::{
         BaselineEstimator, CachedQueryEngine, QueryEngine, SamplerKind, SamplingEstimator,
         SimRankConfig, SimRankEstimator, SingleSourceEstimator, SourceMode, SpeedupEstimator,

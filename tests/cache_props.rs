@@ -1,16 +1,20 @@
 //! Property-based tests for the caching layer: a [`CachedQueryEngine`] fed
 //! an arbitrary interleaving of queries and valid update rounds must return
 //! answers **bit-identical** to an uncached engine walking the same
-//! interleaving — at 1 and N worker threads, under capacity pressure small
-//! enough to force evictions mid-run, and with repeat-asks that are served
-//! from the cache rather than recomputed.
+//! interleaving — at 1 and N worker threads, on both sampler backends, under
+//! capacity pressure small enough to force evictions mid-run, and with
+//! repeat-asks that are served from the cache rather than recomputed.
+//!
+//! Every answer is also checked against the strongest oracle available: a
+//! **fresh engine** built from scratch on the current graph state, which
+//! shares no cache, overlay or arena state with the engine under test.
 
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 use std::collections::BTreeMap;
 use uncertain_simrank::graph::{DuplicatePolicy, GraphUpdate, UncertainGraph, VertexId};
 use uncertain_simrank::prelude::*;
-use uncertain_simrank::simrank::{CoalescedAnswer, CoalescedQuery, MeetingProfile, QueryError};
+use uncertain_simrank::simrank::{MeetingProfile, QueryError, ServeAnswer, ServeQuery};
 
 /// Strategy: a small uncertain graph (duplicates keep the max probability).
 fn small_uncertain_graph(
@@ -71,6 +75,18 @@ fn realize_round(
     updates
 }
 
+/// Rebuilds the model's arc set as a standalone graph: the ground truth a
+/// fresh engine is built on.
+fn graph_of_model(
+    num_vertices: usize,
+    model: &BTreeMap<(VertexId, VertexId), f64>,
+) -> UncertainGraph {
+    UncertainGraphBuilder::new(num_vertices)
+        .arcs(model.iter().map(|(&(u, v), &p)| (u, v, p)))
+        .build()
+        .expect("model arcs are valid by construction")
+}
+
 /// The profile of one pair through a one-slot served batch (the path a
 /// `profile` frame takes).
 fn served_profile(
@@ -78,9 +94,9 @@ fn served_profile(
     u: VertexId,
     v: VertexId,
 ) -> Result<MeetingProfile, QueryError> {
-    let (_, answers) = cached.serve_batch_with_trace(&[CoalescedQuery::Profile(u, v)], None);
+    let (_, answers) = cached.serve_batch_with_trace(&[ServeQuery::Profile(u, v)], None);
     match answers.into_iter().next().expect("one answer per slot")? {
-        CoalescedAnswer::Profile(profile) => Ok(profile),
+        ServeAnswer::Profile(profile) => Ok(profile),
         other => panic!("a profile slot answered {other:?}"),
     }
 }
@@ -111,18 +127,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The heart of the subsystem: across an arbitrary interleaving of
-    /// query batches and update rounds, every answer of the cached engine
-    /// (asked twice — fill, then hit) equals the uncached engine bit for
-    /// bit, and the final cache counters prove the cache actually served
-    /// hits rather than silently recomputing.
+    /// query batches and update rounds, on either sampler, every answer of
+    /// the cached engine (asked twice — fill, then hit) equals the uncached
+    /// engine and a fresh engine rebuilt from the model graph bit for bit,
+    /// and the final cache counters prove the cache actually served hits
+    /// rather than silently recomputing.
     #[test]
     fn cached_equals_uncached_across_query_update_interleavings(
         input in graph_and_interleaving(8, 20, 5),
         seed in 0u64..1000,
         capacity in 1usize..48,
+        alias in any::<bool>(),
     ) {
         let (graph, rounds) = input;
-        let config = SimRankConfig::default().with_samples(25).with_seed(seed);
+        let sampler = if alias { SamplerKind::Alias } else { SamplerKind::Legacy };
+        let config = SimRankConfig::default()
+            .with_samples(25)
+            .with_seed(seed)
+            .with_sampler(sampler);
         let cached = CachedQueryEngine::new(QueryEngine::new(&graph, config), capacity);
         let uncached = QueryEngine::new(&graph, config);
         let mut uncached = uncached; // apply_updates needs &mut
@@ -142,6 +164,13 @@ proptest! {
             prop_assert_eq!(epoch_a, epoch_b);
             prop_assert_eq!(&got_a, &expected, "cached fill == uncached");
             prop_assert_eq!(&got_b, &expected, "cached hit == uncached");
+            let fresh = QueryEngine::new(&graph_of_model(n as usize, &model), config);
+            prop_assert_eq!(
+                &got_b,
+                &fresh.batch_similarities(pairs).unwrap(),
+                "cached == fresh engine under {:?}",
+                sampler
+            );
 
             // Single-pair and profile paths share the same contract.
             let &(u, v) = pairs.first().unwrap();
@@ -166,6 +195,8 @@ proptest! {
         let pairs: Vec<(VertexId, VertexId)> = (0..n).map(|v| (0, v)).collect();
         let (_, after) = cached.batch_similarities(&pairs).unwrap();
         prop_assert_eq!(&after, &uncached.batch_similarities(&pairs).unwrap());
+        let fresh = QueryEngine::new(&graph_of_model(n as usize, &model), config);
+        prop_assert_eq!(&after, &fresh.batch_similarities(&pairs).unwrap());
 
         let stats = cached.cache_stats().unwrap();
         prop_assert!(stats.hits > 0, "repeat-asks must be served from the cache: {:?}", stats);

@@ -1,14 +1,14 @@
-//! Property-based tests for footprint-based cache survival: across random
-//! update rounds, every answer a [`CachedQueryEngine`] serves — including
-//! hits from entries that *survived* a round via disjoint-footprint
-//! revalidation — must be bit-identical to recomputation on a **fresh
-//! engine** built from scratch on the final graph state.  Checked at 1 and
-//! 4 worker threads, on both the legacy and the alias sampler backend.
+//! Property-based tests for cache invalidation across update rounds: after
+//! random update rounds, every answer a [`CachedQueryEngine`] serves must be
+//! bit-identical to recomputation on a **fresh engine** built from scratch on
+//! the final graph state.  Every update batch bumps the engine epoch, so no
+//! entry cached before the last round may be served after it: the final ask
+//! must recompute every pair.  Checked at 1 and 4 worker threads, on both
+//! the legacy and the alias sampler backend.
 //!
 //! The fresh-engine comparison is the strongest possible oracle: it cannot
-//! share any state with the cached engine, so a survivor whose answer
-//! secretly depended on an updated vertex would be caught as a bit
-//! mismatch.
+//! share any state with the cached engine, so an entry served from an older
+//! graph state would be caught as a bit mismatch.
 
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -88,11 +88,11 @@ fn graph_of_model(
 }
 
 /// Drives `rounds` of (query batch, update round) through a cached engine,
-/// then checks every queried pair — whatever mix of survivors, re-stamped
-/// hits and recomputes is in the cache by then — against a fresh engine
-/// built on the final graph.  Runs the query side inside `pool`.
+/// then checks every queried pair against a fresh engine built on the final
+/// graph, and that none of them was served from an entry cached before the
+/// last update round.  Runs the query side inside `pool`.
 #[allow(clippy::type_complexity)]
-fn check_survivors_against_fresh_engine(
+fn check_against_fresh_engine(
     graph: &UncertainGraph,
     rounds: &[(Vec<(u32, u32)>, Vec<AbstractOp>)],
     config: SimRankConfig,
@@ -120,13 +120,15 @@ fn check_survivors_against_fresh_engine(
         cached.apply_updates(&updates).unwrap();
     }
 
-    // Every pair ever queried, asked at the final epoch: survivors of the
-    // last round(s) answer from the cache, everything else recomputes.
+    // Every pair ever queried, asked at the final epoch: the last update
+    // round left every resident entry stale, so everything recomputes.
     all_pairs.sort_unstable();
     all_pairs.dedup();
+    let before = cached.cache_stats().unwrap();
     let (_, got) = pool
         .install(|| cached.batch_similarities(&all_pairs))
         .unwrap();
+    let after = cached.cache_stats().unwrap();
 
     // The oracle shares nothing with the cached engine: a fresh graph from
     // the model, a fresh engine, no updates ever applied.
@@ -135,23 +137,31 @@ fn check_survivors_against_fresh_engine(
     prop_assert_eq!(
         &got,
         &expected,
-        "cached answers (incl. survivors) diverge from a fresh engine at {} threads / {:?}",
+        "cached answers diverge from a fresh engine at {} threads / {:?}",
         threads,
         config.sampler
     );
-    let stats = cached.cache_stats().unwrap();
-    prop_assert!(
-        stats.survived + stats.killed > 0,
-        "update rounds must have revalidated something: {:?}",
-        stats
+    prop_assert_eq!(
+        after.hits,
+        before.hits,
+        "an entry cached before the last update round was served: {:?} -> {:?}",
+        before,
+        after
+    );
+    prop_assert_eq!(
+        (after.misses + after.stale) - (before.misses + before.stale),
+        all_pairs.len() as u64,
+        "every pair must be looked up once and recomputed: {:?} -> {:?}",
+        before,
+        after
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Tentpole property, legacy sampler: survivors of arbitrary update
-    /// churn are bit-identical to fresh recomputation, at 1 and 4 threads.
+    /// Legacy sampler: after arbitrary update churn, cached answers are
+    /// bit-identical to fresh recomputation, at 1 and 4 threads.
     #[test]
     fn survivors_match_fresh_engine_legacy_sampler(
         input in small_uncertain_graph(8, 20).prop_flat_map(|g| {
@@ -177,12 +187,12 @@ proptest! {
             .with_seed(seed)
             .with_sampler(SamplerKind::Legacy);
         for threads in [1usize, 4] {
-            check_survivors_against_fresh_engine(&graph, &rounds, config, capacity, threads);
+            check_against_fresh_engine(&graph, &rounds, config, capacity, threads);
         }
     }
 
-    /// The same property on the alias-table backend: footprint capture and
-    /// revalidation are sampler-agnostic.
+    /// The same property on the alias-table backend: invalidation is
+    /// sampler-agnostic.
     #[test]
     fn survivors_match_fresh_engine_alias_sampler(
         input in small_uncertain_graph(8, 20).prop_flat_map(|g| {
@@ -208,69 +218,7 @@ proptest! {
             .with_seed(seed)
             .with_sampler(SamplerKind::Alias);
         for threads in [1usize, 4] {
-            check_survivors_against_fresh_engine(&graph, &rounds, config, capacity, threads);
-        }
-    }
-}
-
-/// Deterministic companion: on a two-component graph with updates confined
-/// to one component, entries in the other *must* survive (survived > 0,
-/// killed == 0) and their hits must equal fresh recomputation — on both
-/// samplers, at 1 and 4 threads.
-#[test]
-fn disjoint_updates_yield_guaranteed_survivors_on_both_samplers() {
-    let graph = UncertainGraphBuilder::new(6)
-        .arc(2, 0, 0.9)
-        .arc(2, 1, 0.8)
-        .arc(1, 0, 0.7)
-        .arc(5, 3, 0.9)
-        .arc(5, 4, 0.8)
-        .build()
-        .unwrap();
-    let pairs = [(0u32, 1u32), (0, 2), (1, 2)];
-    let updates = [GraphUpdate::SetProbability {
-        source: 5,
-        target: 3,
-        probability: 0.2,
-    }];
-    for sampler in [SamplerKind::Legacy, SamplerKind::Alias] {
-        let config = SimRankConfig::default()
-            .with_samples(100)
-            .with_seed(13)
-            .with_sampler(sampler);
-        for threads in [1usize, 4] {
-            let pool = ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let cached = CachedQueryEngine::new(QueryEngine::new(&graph, config), 64);
-            let (_, before) = pool.install(|| cached.batch_similarities(&pairs)).unwrap();
-            cached.apply_updates(&updates).unwrap();
-            let stats = cached.cache_stats().unwrap();
-            assert_eq!(
-                (stats.survived, stats.killed),
-                (pairs.len() as u64, 0),
-                "{sampler:?} at {threads} threads: {stats:?}"
-            );
-            let misses_before = stats.misses;
-            let (_, after) = pool.install(|| cached.batch_similarities(&pairs)).unwrap();
-            assert_eq!(after, before, "{sampler:?} at {threads} threads");
-            assert_eq!(
-                cached.cache_stats().unwrap().misses,
-                misses_before,
-                "survivors must serve the repeat ask without recomputing"
-            );
-            // Fresh-engine oracle on the updated graph.
-            let updated = UncertainGraphBuilder::new(6)
-                .arc(2, 0, 0.9)
-                .arc(2, 1, 0.8)
-                .arc(1, 0, 0.7)
-                .arc(5, 3, 0.2)
-                .arc(5, 4, 0.8)
-                .build()
-                .unwrap();
-            let fresh = QueryEngine::new(&updated, config);
-            assert_eq!(after, fresh.batch_similarities(&pairs).unwrap());
+            check_against_fresh_engine(&graph, &rounds, config, capacity, threads);
         }
     }
 }

@@ -1,11 +1,9 @@
-//! Property-based tests for the coalesced serving hot path: a
-//! [`RequestHandler`] with request coalescing enabled, fed an arbitrary
-//! interleaving of query frames from several threads, must answer every
-//! frame **byte-identical** to an uncoalesced handler walking the same
-//! frames sequentially — across random window/cap settings and update
-//! rounds — and the serving metrics (latency histogram, per-kind request
-//! counters, coalescer batching counters) must stay coherent with the
-//! frames actually served.
+//! Property-based tests for the serving hot path: one [`RequestHandler`]
+//! fed an arbitrary interleaving of query frames from several threads must
+//! answer every frame **byte-identical** to a second handler walking the
+//! same frames sequentially — across update rounds — and the serving
+//! metrics (latency histogram, per-kind request counters) must stay
+//! coherent with the frames actually served.
 //!
 //! Both handlers answer through the same engine batch path, so the scores
 //! they agree on are also checked against an independent oracle: a plain
@@ -16,7 +14,6 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
 use uncertain_simrank::graph::{DuplicatePolicy, GraphUpdate, UncertainGraph, VertexId};
 use uncertain_simrank::prelude::*;
 use uncertain_simrank::server::{Frame, RequestKind, DEFAULT_MAX_BATCH};
@@ -42,7 +39,7 @@ fn small_uncertain_graph(
 
 /// Abstract query frame `(u, v, selector)`: the selector picks the request
 /// type, the vertices are taken modulo the graph size so every frame is a
-/// valid, coalescable request.
+/// valid query.
 type AbstractFrame = (u32, u32, u8);
 
 fn render_frame(n: u32, &(u, v, sel): &AbstractFrame) -> String {
@@ -128,27 +125,14 @@ fn config(seed: u64) -> SimRankConfig {
     SimRankConfig::default().with_samples(25).with_seed(seed)
 }
 
-/// Two handlers over the *same* graph, seed and identity label table: one
-/// plain, one coalescing with the given window/cap.
-fn handler_pair(
-    graph: &UncertainGraph,
-    seed: u64,
-    window_us: u64,
-    cap: usize,
-) -> (RequestHandler, RequestHandler) {
-    let config = config(seed);
+/// A handler over `graph` under [`config`], with the identity label table.
+fn handler(graph: &UncertainGraph, seed: u64) -> RequestHandler {
     let labels: Vec<u64> = (0..graph.num_vertices() as u64).collect();
-    let plain = RequestHandler::new(
-        QueryEngine::new(graph, config),
-        labels.clone(),
+    RequestHandler::new(
+        QueryEngine::new(graph, config(seed)),
+        labels,
         DEFAULT_MAX_BATCH,
-    );
-    let coalesced = RequestHandler::new(QueryEngine::new(graph, config), labels, DEFAULT_MAX_BATCH)
-        .with_coalescing(CoalesceOptions {
-            window: Duration::from_micros(window_us),
-            cap,
-        });
-    (plain, coalesced)
+    )
 }
 
 /// Extracts the integer right after `"key":` in `section` (the stats frame
@@ -225,13 +209,11 @@ fn assert_matches_oracle(oracle: &QueryEngine, n: u32, frame: &AbstractFrame, js
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The heart of the tentpole: whatever the window/cap settings and
-    /// however the threads interleave, every coalesced answer equals the
-    /// sequential uncoalesced answer byte for byte — before and after an
-    /// update round — and the coalescer's counters account for exactly the
-    /// coalescable frames that were submitted.
+    /// However the threads interleave, every answer of the shared handler
+    /// equals the sequential handler's byte for byte — before and after an
+    /// update round — and the per-kind counters account for every frame.
     #[test]
-    fn coalesced_interleavings_are_byte_identical_to_sequential(
+    fn concurrent_interleavings_are_byte_identical_to_sequential(
         graph in small_uncertain_graph(8, 20),
         rounds in proptest::collection::vec(
             (
@@ -241,23 +223,21 @@ proptest! {
             1..=3,
         ),
         seed in 0u64..1000,
-        window_us in 50u64..1500,
-        cap in 1usize..6,
     ) {
         let n = graph.num_vertices() as u32;
-        let (plain, coalesced) = handler_pair(&graph, seed, window_us, cap);
+        let (plain, shared) = (handler(&graph, seed), handler(&graph, seed));
         let mut oracle = QueryEngine::new(&graph, config(seed));
         let mut model: BTreeMap<(VertexId, VertexId), f64> = graph
             .arcs()
             .map(|a| ((a.source, a.target), a.probability))
             .collect();
 
-        let mut coalescable = 0u64;
+        let mut queries = 0u64;
         let mut update_frames = 0u64;
         for (abstract_frames, ops) in &rounds {
             let frames: Vec<String> =
                 abstract_frames.iter().map(|f| render_frame(n, f)).collect();
-            coalescable += frames.len() as u64;
+            queries += frames.len() as u64;
             let expected: Vec<Frame> = frames
                 .iter()
                 .map(|frame| plain.handle_line(frame).unwrap())
@@ -267,18 +247,18 @@ proptest! {
             }
 
             // Up to three threads submit disjoint slices of the round
-            // concurrently; whichever thread leads whichever batch, every
-            // answer must equal the sequential reference bit for bit.
+            // concurrently; every answer must equal the sequential
+            // reference bit for bit.
             let chunk = frames.len().div_ceil(3);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = frames
                     .chunks(chunk)
                     .map(|slice| {
-                        let coalesced = &coalesced;
+                        let shared = &shared;
                         scope.spawn(move || {
                             slice
                                 .iter()
-                                .map(|frame| coalesced.handle_line(frame).unwrap())
+                                .map(|frame| shared.handle_line(frame).unwrap())
                                 .collect::<Vec<Frame>>()
                         })
                     })
@@ -288,19 +268,19 @@ proptest! {
                     .flat_map(|handle| handle.join().unwrap())
                     .collect();
                 for ((frame, want), have) in frames.iter().zip(&expected).zip(&got) {
-                    assert_eq!(have, want, "coalesced != sequential for {frame}");
+                    assert_eq!(have, want, "concurrent != sequential for {frame}");
                 }
             });
 
             // One wire update frame advances both handlers in lockstep
-            // (updates bypass the coalescer but must stay byte-identical
-            // too, and every later answer reflects the new epoch).
+            // (byte-identical too, and every later answer reflects the new
+            // epoch).
             let updates = realize_round(n, &mut model, ops);
             if !updates.is_empty() {
                 let update_frame = render_update(&updates);
                 update_frames += 1;
                 prop_assert_eq!(
-                    coalesced.handle_line(&update_frame).unwrap(),
+                    shared.handle_line(&update_frame).unwrap(),
                     plain.handle_line(&update_frame).unwrap(),
                     "update frame diverged: {}",
                     update_frame
@@ -309,44 +289,31 @@ proptest! {
             }
         }
 
-        // Counter coherence: the coalescer saw exactly the coalescable
-        // frames, every flush was either a window or a cap flush, and the
-        // per-kind counters account for every frame the handler dispatched.
-        let snapshot = coalesced.metrics().coalescer_snapshot();
-        prop_assert_eq!(snapshot.requests, coalescable);
-        prop_assert_eq!(
-            snapshot.window_flushes + snapshot.cap_flushes,
-            snapshot.batches
-        );
-        // A leader drains *everything* pending when it wakes, so a batch
-        // may exceed `cap` under a race — only the 1..=requests bound and
-        // the flush accounting are invariants.
-        prop_assert!(snapshot.batches >= 1 && snapshot.batches <= coalescable);
+        // Counter coherence: the per-kind counters account for every frame
+        // the handler dispatched.
         let dispatched: u64 = RequestKind::ALL
             .iter()
-            .map(|&kind| coalesced.metrics().requests_of(kind))
+            .map(|&kind| shared.metrics().requests_of(kind))
             .sum();
-        prop_assert_eq!(dispatched, coalescable + update_frames);
+        prop_assert_eq!(dispatched, queries + update_frames);
     }
 
-    /// Metrics coherence over real TCP: a coalesced server asked an
-    /// arbitrary mix of valid, malformed and unknown-vertex frames reports
-    /// a latency histogram that counted exactly the served frames, and a
-    /// `stats` frame whose latency/coalescer sections agree with it.
+    /// Metrics coherence over real TCP: a server asked an arbitrary mix of
+    /// valid, malformed and unknown-vertex frames reports a latency
+    /// histogram that counted exactly the served frames, and a `stats`
+    /// frame whose latency and request sections agree with it.
     #[test]
-    fn latency_and_coalescer_counters_cohere_over_tcp(
+    fn latency_and_request_counters_cohere_over_tcp(
         graph in small_uncertain_graph(8, 20),
         abstract_frames in proptest::collection::vec((0u32..1000, 0u32..1000, 0u8..6), 1..=14),
         seed in 0u64..1000,
-        window_us in 50u64..1500,
-        cap in 1usize..6,
     ) {
         let n = graph.num_vertices() as u32;
-        let (_, coalesced) = handler_pair(&graph, seed, window_us, cap);
-        let metrics = Arc::clone(coalesced.metrics());
+        let handler = handler(&graph, seed);
+        let metrics = Arc::clone(handler.metrics());
         let server = Server::bind(
             "127.0.0.1:0",
-            coalesced,
+            handler,
             ServerOptions {
                 workers: 2,
                 queue_depth: 4,
@@ -369,16 +336,11 @@ proptest! {
             response.trim_end().to_string()
         };
 
-        // Selectors 0..4 render valid coalescable frames; 4 is malformed
-        // JSON, 5 an unknown vertex — both answered with typed errors that
-        // never enter the coalescer.
-        let mut coalescable = 0u64;
+        // Selectors 0..4 render valid query frames; 4 is malformed JSON,
+        // 5 an unknown vertex — both answered with typed errors.
         for frame in &abstract_frames {
             let line = match frame.2 {
-                0..=3 => {
-                    coalescable += 1;
-                    render_frame(n, frame)
-                }
+                0..=3 => render_frame(n, frame),
                 4 => "{oops".to_string(),
                 _ => format!(r#"{{"type":"similarity","source":9999,"target":{}}}"#, frame.0 % n),
             };
@@ -399,14 +361,6 @@ proptest! {
         // sample, so the section reports exactly one sample fewer.
         let latency = &stats_line[stats_line.find("\"latency\":").unwrap()..];
         prop_assert_eq!(field_u64(latency, "count"), sent - 1);
-        let coalescer = &stats_line[stats_line.find("\"coalescer\":").unwrap()..];
-        prop_assert_eq!(field_u64(coalescer, "window_us"), window_us);
-        prop_assert_eq!(field_u64(coalescer, "cap"), cap as u64);
-        prop_assert_eq!(field_u64(coalescer, "requests"), coalescable);
-        prop_assert_eq!(
-            field_u64(coalescer, "window_flushes") + field_u64(coalescer, "cap_flushes"),
-            field_u64(coalescer, "batches")
-        );
         // The per-kind counters in the section sum to every dispatched
         // frame (the stats frame counts itself before rendering).
         let requests = &stats_line[stats_line.find("\"requests\":").unwrap()..];
