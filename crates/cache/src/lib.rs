@@ -17,20 +17,17 @@
 //!   batch invalidates the *whole* cache logically in O(1) — no scan, no
 //!   flush; stale entries are refreshed in place on the next insert and
 //!   evicted preferentially under capacity pressure.
-//! * **Config fingerprinting.**  Keys carry a [`ConfigFingerprint`] of the
-//!   SimRank configuration (decay, horizon, samples, seed, direction), so
-//!   a cache can never serve an answer computed under different estimator
-//!   parameters, even if callers share one cache between engines.
 //! * **Observability.**  Hit / miss / stale / eviction / insertion
 //!   counters are lock-free atomics, snapshotted by [`ResultCache::stats`]
 //!   — the `usim serve` `stats` frame surfaces them on the wire.
 //!
 //! The cache is generic over key and value so the map layer stays free of
 //! engine types; the domain key for pair queries is [`PairKey`]
-//! (query kind + vertex pair + config fingerprint).  The engine-facing
-//! integration — `CachedQueryEngine`, which guarantees cached answers are
-//! *bit-identical* to uncached ones at any thread count and across update
-//! epochs — lives in `usim_core::cached`.
+//! (query kind + ordered vertex pair).  The engine-facing integration —
+//! `CachedQueryEngine`, which guarantees cached answers are *bit-identical*
+//! to uncached ones at any thread count and across update epochs — lives
+//! in `usim_core::cached`.  Each cache there belongs to one engine and so
+//! to one fixed SimRank configuration, which is why keys carry no config.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -46,49 +43,6 @@ use ugraph::VertexId;
 /// its own lock, so this bounds reader contention, not capacity).
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// A 64-bit fingerprint of a SimRank configuration, carried inside every
-/// cache key so entries computed under different estimator parameters can
-/// never collide.
-///
-/// Built with [`ConfigFingerprint::from_words`] over the configuration's
-/// field bits (FNV-1a, stable across runs and platforms).
-///
-/// # Example
-///
-/// ```
-/// use usim_cache::ConfigFingerprint;
-///
-/// let a = ConfigFingerprint::from_words(&[0.6f64.to_bits(), 5, 1000]);
-/// let b = ConfigFingerprint::from_words(&[0.6f64.to_bits(), 5, 2000]);
-/// assert_ne!(a, b, "different sample counts fingerprint differently");
-/// assert_eq!(a, ConfigFingerprint::from_words(&[0.6f64.to_bits(), 5, 1000]));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ConfigFingerprint(u64);
-
-impl ConfigFingerprint {
-    /// Fingerprints a sequence of 64-bit words (FNV-1a).  Word order is
-    /// significant; callers fingerprint every field that can change an
-    /// answer.
-    pub fn from_words(words: &[u64]) -> Self {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut state = OFFSET;
-        for &word in words {
-            for byte in word.to_le_bytes() {
-                state ^= byte as u64;
-                state = state.wrapping_mul(PRIME);
-            }
-        }
-        ConfigFingerprint(state)
-    }
-
-    /// The raw fingerprint value.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
 /// What kind of answer a [`PairKey`] names.  `Score` and `Profile` entries
 /// for the same pair are distinct: a profile is the per-step meeting vector,
 /// a score is its Eq. 12 combination.
@@ -100,10 +54,10 @@ pub enum QueryKind {
     Profile,
 }
 
-/// The domain cache key for pair queries: query kind, the *ordered* vertex
-/// pair, and the configuration fingerprint.  The pair is ordered because the
-/// engine's RNG streams are keyed on `(seed, u, v)` — `s(u, v)` and
-/// `s(v, u)` estimate the same quantity but are distinct bit patterns.
+/// The domain cache key for pair queries: query kind and the *ordered*
+/// vertex pair.  The pair is ordered because the engine's RNG streams are
+/// keyed on `(seed, u, v)` — `s(u, v)` and `s(v, u)` estimate the same
+/// quantity but are distinct bit patterns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PairKey {
     /// What kind of answer this key names.
@@ -112,28 +66,24 @@ pub struct PairKey {
     pub u: VertexId,
     /// Second vertex of the ordered pair.
     pub v: VertexId,
-    /// Fingerprint of the configuration the answer was computed under.
-    pub fingerprint: ConfigFingerprint,
 }
 
 impl PairKey {
     /// Key of the cached score of ordered pair `(u, v)`.
-    pub fn score(u: VertexId, v: VertexId, fingerprint: ConfigFingerprint) -> Self {
+    pub fn score(u: VertexId, v: VertexId) -> Self {
         PairKey {
             kind: QueryKind::Score,
             u,
             v,
-            fingerprint,
         }
     }
 
     /// Key of the cached meeting profile of ordered pair `(u, v)`.
-    pub fn profile(u: VertexId, v: VertexId, fingerprint: ConfigFingerprint) -> Self {
+    pub fn profile(u: VertexId, v: VertexId) -> Self {
         PairKey {
             kind: QueryKind::Profile,
             u,
             v,
-            fingerprint,
         }
     }
 }
@@ -158,19 +108,6 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries currently resident across all shards.
     pub entries: usize,
-}
-
-impl CacheStats {
-    /// Hit rate over all lookups (`hits / (hits + misses + stale)`), or 0.0
-    /// when nothing has been looked up yet.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.stale;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -327,11 +264,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ResultCache<K, V> {
         self.capacity
     }
 
-    /// The number of shards (each independently locked).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Entries currently resident across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().map.len()).sum()
@@ -408,15 +340,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ResultCache<K, V> {
         self.counters.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Drops every entry (counters are kept; they are cumulative).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            shard.map.clear();
-            shard.clock.clear();
-        }
-    }
-
     /// Snapshots the counters and the current entry count.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -434,14 +357,10 @@ impl<K: Hash + Eq + Clone, V: Clone> ResultCache<K, V> {
 mod tests {
     use super::*;
 
-    fn fp(x: u64) -> ConfigFingerprint {
-        ConfigFingerprint::from_words(&[x])
-    }
-
     #[test]
     fn get_insert_round_trip_at_matching_epoch() {
         let cache: ResultCache<PairKey, f64> = ResultCache::new(64);
-        let key = PairKey::score(1, 2, fp(7));
+        let key = PairKey::score(1, 2);
         assert_eq!(cache.get(&key, 0), None);
         cache.insert(key, 0.5, 0);
         assert_eq!(cache.get(&key, 0), Some(0.5));
@@ -451,7 +370,7 @@ mod tests {
     #[test]
     fn epoch_mismatch_is_a_stale_lookup_not_a_hit() {
         let cache: ResultCache<PairKey, f64> = ResultCache::new(64);
-        let key = PairKey::score(1, 2, fp(7));
+        let key = PairKey::score(1, 2);
         cache.insert(key, 0.5, 3);
         assert_eq!(cache.get(&key, 4), None, "newer epoch never hits");
         let stats = cache.stats();
@@ -466,37 +385,16 @@ mod tests {
     #[test]
     fn score_and_profile_keys_are_distinct() {
         let cache: ResultCache<PairKey, f64> = ResultCache::new(64);
-        cache.insert(PairKey::score(1, 2, fp(1)), 0.25, 0);
-        assert_eq!(cache.get(&PairKey::profile(1, 2, fp(1)), 0), None);
-        assert_eq!(
-            cache.get(&PairKey::score(2, 1, fp(1)), 0),
-            None,
-            "ordered pair"
-        );
-        assert_eq!(
-            cache.get(&PairKey::score(1, 2, fp(2)), 0),
-            None,
-            "fingerprint"
-        );
-        assert_eq!(cache.get(&PairKey::score(1, 2, fp(1)), 0), Some(0.25));
-    }
-
-    #[test]
-    fn fingerprints_are_stable_and_order_sensitive() {
-        assert_eq!(
-            ConfigFingerprint::from_words(&[]).as_u64(),
-            0xcbf2_9ce4_8422_2325
-        );
-        assert_ne!(
-            ConfigFingerprint::from_words(&[1, 2]),
-            ConfigFingerprint::from_words(&[2, 1])
-        );
+        cache.insert(PairKey::score(1, 2), 0.25, 0);
+        assert_eq!(cache.get(&PairKey::profile(1, 2), 0), None);
+        assert_eq!(cache.get(&PairKey::score(2, 1), 0), None, "ordered pair");
+        assert_eq!(cache.get(&PairKey::score(1, 2), 0), Some(0.25));
     }
 
     #[test]
     fn reinsert_refreshes_value_and_epoch_in_place() {
         let cache: ResultCache<PairKey, f64> = ResultCache::new(8);
-        let key = PairKey::score(0, 1, fp(0));
+        let key = PairKey::score(0, 1);
         cache.insert(key, 0.1, 0);
         cache.insert(key, 0.2, 1);
         assert_eq!(cache.len(), 1);

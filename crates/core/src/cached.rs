@@ -7,10 +7,11 @@
 //! concurrent readers.  [`CachedQueryEngine`] owns the engine behind a
 //! reader/writer lock — every query takes the read lock, every update
 //! batch the write lock — and pairs it with an optional
-//! [`usim_cache::ResultCache`] keyed on `(query kind, ordered vertex pair,
-//! config fingerprint)` and tagged with the update epoch each answer was
-//! computed under.  The contract is the project's signature invariant,
-//! extended to the cache:
+//! [`usim_cache::ResultCache`] keyed on `(query kind, ordered vertex pair)`
+//! and tagged with the update epoch each answer was computed under.  The
+//! cache is private to its engine, whose config never changes, so the
+//! config needs no place in the key.  The contract is the project's
+//! signature invariant, extended to the cache:
 //!
 //! > **Cached answers are bit-identical to uncached ones**, at any worker
 //! > count, before and after arbitrary update rounds.
@@ -24,26 +25,26 @@
 //!   acquisition**, so the epoch used to validate entries is exactly the
 //!   epoch of the graph the misses are computed on — a concurrent
 //!   [`CachedQueryEngine::apply_updates`] (write lock) can never interleave
-//!   half-way through a batch;
+//!   half-way through a query;
 //! * an update bumps the engine epoch, which logically invalidates every
 //!   cache entry in O(1): entries from older epochs never hit (counted as
 //!   `stale`), so no scan or flush runs inside the write lock.
 //!
-//! Every query goes through [`CachedQueryEngine::serve_batch_with_trace`];
-//! the per-request methods are one-slot calls of it.
+//! Each query frame is one typed call: [`CachedQueryEngine::scores`]
+//! (similarity and batch frames), [`CachedQueryEngine::profile`] or
+//! [`CachedQueryEngine::top_k`].  Each takes an optional [`StageTrace`];
+//! the per-request methods without one are one-line calls of them.
 //!
-//! With the cache disabled (capacity 0) every slot goes straight to the
+//! With the cache disabled (capacity 0) every call goes straight to the
 //! engine's own entry points — which already deduplicate repeated pairs
 //! within one batch.
 
-use crate::config::{SamplerKind, SimRankConfig, WalkDirection};
-use crate::engine::{QueryEngine, QueryError};
+use crate::engine::{candidate_pairs, dedup_pairs, rank, QueryEngine, QueryError};
 use crate::meeting::MeetingProfile;
 use crate::top_k::ScoredVertex;
 use parking_lot::RwLock;
-use std::ops::Range;
 use ugraph::{GraphUpdate, UpdateError, UpdateSummary, VertexId};
-use usim_cache::{CacheStats, ConfigFingerprint, PairKey, ResultCache};
+use usim_cache::{CacheStats, PairKey, ResultCache};
 use usim_obs::{time_stage, Stage, StageTrace};
 
 // The audit serving relies on, checked at compile time: the engine (CSR
@@ -55,98 +56,17 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<QueryEngine>();
     assert_send_sync::<CachedQueryEngine>();
-    assert_send_sync::<SimRankConfig>();
+    assert_send_sync::<crate::SimRankConfig>();
     assert_send_sync::<QueryError>();
 };
-
-/// The concrete cache type the engine integration uses: pair keys to
-/// cached answers.
-pub type QueryCache = ResultCache<PairKey, CachedAnswer>;
 
 /// A memoised answer: the score of a pair or its full meeting profile
 /// (distinguished by the key's [`usim_cache::QueryKind`], mirrored here so
 /// a corrupted pairing degrades to a recompute, never a wrong answer).
 #[derive(Debug, Clone)]
-pub enum CachedAnswer {
-    /// A single SimRank score.
+enum CachedAnswer {
     Score(f64),
-    /// A per-step meeting-probability profile.
     Profile(MeetingProfile),
-}
-
-/// One logical query inside a served batch — the unit the server hands to
-/// [`CachedQueryEngine::serve_batch_with_trace`] as one slot.
-///
-/// The variants mirror the server's query request types (`similarity`,
-/// `profile`, `top_k`, `batch`); updates and metadata requests are never
-/// batched.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServeQuery {
-    /// One pair score — [`CachedQueryEngine::similarity`].
-    Similarity(VertexId, VertexId),
-    /// One pair meeting-probability profile (see [`QueryEngine::profile`]).
-    Profile(VertexId, VertexId),
-    /// Ranked candidates for one query vertex —
-    /// [`CachedQueryEngine::batch_top_k_similar_to`].
-    TopK {
-        /// The query vertex.
-        query: VertexId,
-        /// The candidate vertices to rank.
-        candidates: Vec<VertexId>,
-        /// How many ranked results to keep.
-        k: usize,
-    },
-    /// Scores of a pair batch in input order —
-    /// [`CachedQueryEngine::batch_similarities`].
-    Scores(Vec<(VertexId, VertexId)>),
-}
-
-/// The answer to one [`ServeQuery`] slot, carrying exactly what the
-/// matching [`QueryEngine`] entry point would have returned.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServeAnswer {
-    /// Answer to [`ServeQuery::Similarity`].
-    Similarity(f64),
-    /// Answer to [`ServeQuery::Profile`].
-    Profile(MeetingProfile),
-    /// Answer to [`ServeQuery::TopK`].
-    TopK(Vec<ScoredVertex>),
-    /// Answer to [`ServeQuery::Scores`].
-    Scores(Vec<f64>),
-}
-
-/// Fingerprints a [`SimRankConfig`] for cache keys: every field that can
-/// change an answer (decay, horizon, samples, phase switch, seed,
-/// direction, sampler backend) contributes its bit pattern.
-///
-/// The config is *destructured* rather than read field-by-field, so adding
-/// a field to [`SimRankConfig`] without deciding how it feeds the
-/// fingerprint is a compile error, not a silent cache-collision bug.
-pub fn config_fingerprint(config: &SimRankConfig) -> ConfigFingerprint {
-    let SimRankConfig {
-        decay,
-        horizon,
-        num_samples,
-        phase_switch,
-        seed,
-        direction,
-        sampler,
-    } = *config;
-    ConfigFingerprint::from_words(&[
-        decay.to_bits(),
-        horizon as u64,
-        num_samples as u64,
-        phase_switch as u64,
-        seed,
-        match direction {
-            WalkDirection::InNeighbors => 0,
-            WalkDirection::OutNeighbors => 1,
-        },
-        match sampler {
-            SamplerKind::Legacy => 0,
-            SamplerKind::Alias => 1,
-        },
-    ])
 }
 
 /// A reader/writer-locked [`QueryEngine`] with an optional epoch-validated
@@ -196,8 +116,7 @@ pub fn config_fingerprint(config: &SimRankConfig) -> ConfigFingerprint {
 #[derive(Debug)]
 pub struct CachedQueryEngine {
     engine: RwLock<QueryEngine>,
-    cache: Option<QueryCache>,
-    fingerprint: ConfigFingerprint,
+    cache: Option<ResultCache<PairKey, CachedAnswer>>,
 }
 
 impl CachedQueryEngine {
@@ -205,11 +124,9 @@ impl CachedQueryEngine {
     /// result cache bounded to `capacity` entries in front of it;
     /// `capacity == 0` disables caching entirely (no map is allocated).
     pub fn new(engine: QueryEngine, capacity: usize) -> Self {
-        let fingerprint = config_fingerprint(engine.config());
         CachedQueryEngine {
             engine: RwLock::new(engine),
-            cache: (capacity > 0).then(|| QueryCache::new(capacity)),
-            fingerprint,
+            cache: (capacity > 0).then(|| ResultCache::new(capacity)),
         }
     }
 
@@ -279,147 +196,96 @@ impl CachedQueryEngine {
 
     /// `(epoch, score)` of one pair (see [`QueryEngine::try_similarity`]).
     pub fn similarity(&self, u: VertexId, v: VertexId) -> Result<(u64, f64), QueryError> {
-        match self.serve_one(ServeQuery::Similarity(u, v))? {
-            (epoch, ServeAnswer::Similarity(score)) => Ok((epoch, score)),
-            _ => unreachable!("a similarity slot answers with a score"),
-        }
+        self.scores(&[(u, v)], None)
+            .map(|(epoch, scores)| (epoch, scores[0]))
     }
 
-    /// `(epoch, scores)` of a batch in input order (see
-    /// [`QueryEngine::batch_similarities`]).  Cached pairs are served from
-    /// the cache, the misses are computed as one engine batch (each
-    /// distinct pair sampled once) and inserted for the next ask.
+    /// [`CachedQueryEngine::scores`] without a trace.
     pub fn batch_similarities(
         &self,
         pairs: &[(VertexId, VertexId)],
     ) -> Result<(u64, Vec<f64>), QueryError> {
-        match self.serve_one(ServeQuery::Scores(pairs.to_vec()))? {
-            (epoch, ServeAnswer::Scores(scores)) => Ok((epoch, scores)),
-            _ => unreachable!("a scores slot answers with scores"),
-        }
+        self.scores(pairs, None)
     }
 
-    /// `(epoch, ranked candidates)` (see
-    /// [`QueryEngine::batch_top_k_similar_to`]); the per-pair scores behind
-    /// the ranking go through the cache.
+    /// [`CachedQueryEngine::top_k`] without a trace.
     pub fn batch_top_k_similar_to(
         &self,
         query: VertexId,
         candidates: &[VertexId],
         k: usize,
     ) -> Result<(u64, Vec<ScoredVertex>), QueryError> {
-        let slot = ServeQuery::TopK {
-            query,
-            candidates: candidates.to_vec(),
-            k,
-        };
-        match self.serve_one(slot)? {
-            (epoch, ServeAnswer::TopK(ranked)) => Ok((epoch, ranked)),
-            _ => unreachable!("a top-k slot answers with a ranking"),
-        }
+        self.top_k(query, candidates, k, None)
     }
 
-    /// One slot through [`CachedQueryEngine::serve_batch_with_trace`].
-    fn serve_one(&self, query: ServeQuery) -> Result<(u64, ServeAnswer), QueryError> {
-        let (epoch, answers) = self.serve_batch_with_trace(std::slice::from_ref(&query), None);
-        let answer = answers.into_iter().next().expect("one answer per slot")?;
-        Ok((epoch, answer))
-    }
-
-    /// Answers a batch of heterogeneous queries — the one entry point the
-    /// server answers every query frame through.  Every slot is served
-    /// under **one** read-lock acquisition, so all answers share one
-    /// epoch, and all the pair scores the batch needs (similarity
-    /// pairs, `batch` pairs, and each top-k's candidate pairs) are gathered
-    /// into **one** cached engine batch, which computes each distinct pair
-    /// once.
-    ///
-    /// Answers are bit-identical to calling the matching [`QueryEngine`]
-    /// entry points one at a time: the scores come off the same pair-keyed
-    /// RNG streams regardless of batch shape, and ranking goes through the
-    /// same `rank_candidates` helper.
-    /// Validation stays per-slot — an invalid query turns into its own
-    /// `Err` and never poisons the rest of the batch.
-    ///
-    /// With a trace attached, cache probes count toward `cache_lookup`,
-    /// walks toward `walk_sample`, and top-k ranking toward `merge`.
-    pub fn serve_batch_with_trace(
+    /// `(epoch, scores)` of a pair batch in input order (see
+    /// [`QueryEngine::batch_similarities`]), under one read lock.  Cached
+    /// pairs are served from the cache; the misses are computed as one
+    /// engine batch (each distinct pair sampled once) and inserted for the
+    /// next ask.  With a trace, cache probes count toward `cache_lookup`
+    /// and walks toward `walk_sample`.
+    pub fn scores(
         &self,
-        queries: &[ServeQuery],
+        pairs: &[(VertexId, VertexId)],
         trace: Option<&StageTrace>,
-    ) -> (u64, Vec<Result<ServeAnswer, QueryError>>) {
+    ) -> Result<(u64, Vec<f64>), QueryError> {
         self.with_read(|e| {
+            e.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
             let epoch = e.update_epoch();
-            // Pass 1: validate each slot (same id order as the per-request
-            // entry points, so error values match exactly) and lay out the
-            // pair scores it needs as one contiguous range of `wanted`.
-            let mut wanted: Vec<(VertexId, VertexId)> = Vec::new();
-            let ranges: Vec<Result<Range<usize>, QueryError>> = queries
-                .iter()
-                .map(|query| {
-                    let start = wanted.len();
-                    match query {
-                        ServeQuery::Similarity(u, v) => {
-                            e.validate_vertices([*u, *v])?;
-                            wanted.push((*u, *v));
-                        }
-                        ServeQuery::Profile(u, v) => e.validate_vertices([*u, *v])?,
-                        ServeQuery::TopK {
-                            query,
-                            candidates,
-                            k,
-                        } => {
-                            e.validate_vertices(
-                                std::iter::once(*query).chain(candidates.iter().copied()),
-                            )?;
-                            // Exactly the pairs `rank_candidates` asks for
-                            // (none when k == 0: it returns before scoring).
-                            if *k > 0 {
-                                wanted.extend(crate::engine::candidate_pairs(*query, candidates));
-                            }
-                        }
-                        ServeQuery::Scores(pairs) => {
-                            e.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
-                            wanted.extend_from_slice(pairs);
-                        }
-                    }
-                    Ok(start..wanted.len())
-                })
-                .collect();
+            Ok((epoch, self.scores_for(e, epoch, pairs, trace)?))
+        })
+    }
 
-            // One cached engine batch for every slot.  Validation above
-            // excluded every out-of-range id, so this cannot fail; if it
-            // somehow does, every valid slot reports it.
-            let scores = self.scores_for(e, epoch, &wanted, trace);
+    /// `(epoch, meeting profile)` of one pair (see
+    /// [`QueryEngine::try_profile`]), under one read lock, served from the
+    /// cache when present and inserted on a miss.
+    pub fn profile(
+        &self,
+        u: VertexId,
+        v: VertexId,
+        trace: Option<&StageTrace>,
+    ) -> Result<(u64, MeetingProfile), QueryError> {
+        self.with_read(|e| {
+            e.validate_vertices([u, v])?;
+            let epoch = e.update_epoch();
+            let Some(cache) = &self.cache else {
+                return Ok((
+                    epoch,
+                    time_stage(trace, Stage::WalkSample, || e.profile(u, v)),
+                ));
+            };
+            let key = PairKey::profile(u, v);
+            let hit = time_stage(trace, Stage::CacheLookup, || cache.get(&key, epoch));
+            if let Some(CachedAnswer::Profile(profile)) = hit {
+                return Ok((epoch, profile));
+            }
+            let profile = time_stage(trace, Stage::WalkSample, || e.profile(u, v));
+            cache.insert(key, CachedAnswer::Profile(profile.clone()), epoch);
+            Ok((epoch, profile))
+        })
+    }
 
-            // Pass 2: assemble per-slot answers from the slot's range.
-            let answers = queries
-                .iter()
-                .zip(ranges)
-                .map(|(query, range)| {
-                    let range = range?;
-                    let scores = &scores.as_ref().map_err(|error| *error)?[range.clone()];
-                    match query {
-                        ServeQuery::Similarity(..) => Ok(ServeAnswer::Similarity(scores[0])),
-                        ServeQuery::Profile(u, v) => Ok(ServeAnswer::Profile(
-                            self.profile_at(e, epoch, *u, *v, trace),
-                        )),
-                        ServeQuery::TopK {
-                            query,
-                            candidates,
-                            k,
-                        } => time_stage(trace, Stage::Merge, || {
-                            crate::engine::rank_candidates(*query, candidates, *k, |pairs| {
-                                debug_assert_eq!(pairs, &wanted[range]);
-                                Ok(scores.to_vec())
-                            })
-                        })
-                        .map(ServeAnswer::TopK),
-                        ServeQuery::Scores(_) => Ok(ServeAnswer::Scores(scores.to_vec())),
-                    }
-                })
-                .collect();
-            (epoch, answers)
+    /// `(epoch, ranked candidates)` (see
+    /// [`QueryEngine::batch_top_k_similar_to`]), under one read lock.  The
+    /// candidate pair scores go through the cache like
+    /// [`CachedQueryEngine::scores`]; with a trace, ranking counts toward
+    /// `merge`.
+    pub fn top_k(
+        &self,
+        query: VertexId,
+        candidates: &[VertexId],
+        k: usize,
+        trace: Option<&StageTrace>,
+    ) -> Result<(u64, Vec<ScoredVertex>), QueryError> {
+        self.with_read(|e| {
+            e.validate_vertices(std::iter::once(query).chain(candidates.iter().copied()))?;
+            let epoch = e.update_epoch();
+            let pairs = candidate_pairs(query, candidates, k);
+            let scores = self.scores_for(e, epoch, &pairs, trace)?;
+            Ok((
+                epoch,
+                time_stage(trace, Stage::Merge, || rank(&pairs, &scores, k)),
+            ))
         })
     }
 
@@ -435,29 +301,6 @@ impl CachedQueryEngine {
         let mut e = self.engine.write();
         let summary = e.apply_updates(updates)?;
         Ok((summary, e.update_epoch()))
-    }
-
-    /// The profile of one validated pair at `epoch`, served from the cache
-    /// when present and inserted on a miss (the caller holds the read lock).
-    fn profile_at(
-        &self,
-        e: &QueryEngine,
-        epoch: u64,
-        u: VertexId,
-        v: VertexId,
-        trace: Option<&StageTrace>,
-    ) -> MeetingProfile {
-        let Some(cache) = &self.cache else {
-            return time_stage(trace, Stage::WalkSample, || e.profile(u, v));
-        };
-        let key = PairKey::profile(u, v, self.fingerprint);
-        let hit = time_stage(trace, Stage::CacheLookup, || cache.get(&key, epoch));
-        if let Some(CachedAnswer::Profile(profile)) = hit {
-            return profile;
-        }
-        let profile = time_stage(trace, Stage::WalkSample, || e.profile(u, v));
-        cache.insert(key, CachedAnswer::Profile(profile.clone()), epoch);
-        profile
     }
 
     /// Scores for `pairs` in input order at `epoch`, serving hits from the
@@ -484,7 +327,7 @@ impl CachedQueryEngine {
         let mut misses: Vec<(VertexId, VertexId)> = Vec::new();
         time_stage(trace, Stage::CacheLookup, || {
             for (slot, &(u, v)) in pairs.iter().enumerate() {
-                match cache.get(&PairKey::score(u, v, self.fingerprint), epoch) {
+                match cache.get(&PairKey::score(u, v), epoch) {
                     Some(CachedAnswer::Score(score)) => scores[slot] = score,
                     // A profile under a score key cannot happen (the kind is
                     // in the key); recompute rather than trust a corrupt
@@ -500,18 +343,14 @@ impl CachedQueryEngine {
             // Deduplicate the misses so each distinct pair is computed and
             // inserted once; one engine batch covers them all, sharded
             // across workers.
-            let (distinct, distinct_of) = crate::engine::dedup_pairs(&misses);
+            let (distinct, distinct_of) = dedup_pairs(&misses);
             let computed =
                 time_stage(trace, Stage::WalkSample, || e.batch_similarities(&distinct))?;
             for (&slot, &index) in miss_slots.iter().zip(distinct_of.iter()) {
                 scores[slot] = computed[index];
             }
             for (&(u, v), &score) in distinct.iter().zip(computed.iter()) {
-                cache.insert(
-                    PairKey::score(u, v, self.fingerprint),
-                    CachedAnswer::Score(score),
-                    epoch,
-                );
+                cache.insert(PairKey::score(u, v), CachedAnswer::Score(score), epoch);
             }
         }
         Ok(scores)
@@ -521,6 +360,7 @@ impl CachedQueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimRankConfig;
     use ugraph::UncertainGraphBuilder;
 
     fn fig1_graph() -> ugraph::UncertainGraph {
@@ -550,19 +390,6 @@ mod tests {
         (0..5).flat_map(|u| (0..5).map(move |v| (u, v))).collect()
     }
 
-    /// `(epoch, profile)` of one pair through a one-slot served batch.
-    fn profile(
-        cached: &CachedQueryEngine,
-        u: VertexId,
-        v: VertexId,
-    ) -> Result<(u64, MeetingProfile), QueryError> {
-        let (epoch, answers) = cached.serve_batch_with_trace(&[ServeQuery::Profile(u, v)], None);
-        match answers.into_iter().next().unwrap()? {
-            ServeAnswer::Profile(profile) => Ok((epoch, profile)),
-            other => panic!("a profile slot answered {other:?}"),
-        }
-    }
-
     #[test]
     fn cached_answers_are_bit_identical_to_the_engine() {
         let (cached, reference) = engines(256);
@@ -574,7 +401,7 @@ mod tests {
             assert_eq!(scores, reference.batch_similarities(&pairs).unwrap());
             let (_, score) = cached.similarity(1, 2).unwrap();
             assert_eq!(score, reference.similarity(1, 2));
-            let (_, profile) = profile(&cached, 2, 3).unwrap();
+            let (_, profile) = cached.profile(2, 3, None).unwrap();
             assert_eq!(profile, reference.profile(2, 3));
             let (_, ranked) = cached.batch_top_k_similar_to(0, &[1, 2, 3, 4], 2).unwrap();
             assert_eq!(
@@ -650,7 +477,7 @@ mod tests {
         let cached = CachedQueryEngine::new(QueryEngine::new(&g, config), 256);
         let pairs: Vec<(VertexId, VertexId)> = vec![(0, 1), (0, 2), (1, 2)];
         cached.batch_similarities(&pairs).unwrap();
-        profile(&cached, 0, 1).unwrap();
+        cached.profile(0, 1, None).unwrap();
 
         // The round only touches component B, yet the epoch bump drops the
         // whole cache: every component-A entry reads as stale, none hits.
@@ -663,7 +490,7 @@ mod tests {
         assert_eq!(epoch, 1);
         let before = cached.cache_stats().unwrap();
         let (epoch, after) = cached.batch_similarities(&pairs).unwrap();
-        let (_, after_profile) = profile(&cached, 0, 1).unwrap();
+        let (_, after_profile) = cached.profile(0, 1, None).unwrap();
         assert_eq!(epoch, 1);
         let stats = cached.cache_stats().unwrap();
         assert_eq!(
@@ -706,7 +533,7 @@ mod tests {
             expected
         );
         assert_eq!(cached.similarity(0, 99).unwrap_err(), expected);
-        assert_eq!(profile(&cached, 99, 0).unwrap_err(), expected);
+        assert_eq!(cached.profile(99, 0, None).unwrap_err(), expected);
         // Ids are validated even when k == 0 skips scoring, exactly like
         // the engine.
         assert_eq!(
@@ -719,102 +546,20 @@ mod tests {
         );
     }
 
-    /// The served batch against a plain [`QueryEngine`] on the same graph
-    /// and config, one entry point per slot — not against the wrapper's own
-    /// per-request methods, which are one-slot calls of the same path.
-    fn assert_serve_batch_matches_per_request_calls(
-        cached: &CachedQueryEngine,
-        reference: &QueryEngine,
-    ) {
-        let candidates: Vec<VertexId> = (0..5).collect();
-        let queries = vec![
-            ServeQuery::Similarity(1, 3),
-            ServeQuery::Scores(all_pairs()),
-            ServeQuery::Profile(2, 4),
-            ServeQuery::TopK {
-                query: 0,
-                candidates: candidates.clone(),
-                k: 3,
-            },
-            // Duplicates across slots: the shared engine batch dedups them.
-            ServeQuery::Similarity(1, 3),
-            ServeQuery::Scores(vec![(1, 3), (3, 1), (0, 0)]),
-            ServeQuery::TopK {
-                query: 0,
-                candidates,
-                k: 0,
-            },
-        ];
-        let (epoch, answers) = cached.serve_batch_with_trace(&queries, None);
-        assert_eq!(epoch, reference.update_epoch());
-        assert_eq!(answers.len(), queries.len());
-        for (query, answer) in queries.iter().zip(&answers) {
-            let expected = match query {
-                ServeQuery::Similarity(u, v) => {
-                    ServeAnswer::Similarity(reference.similarity(*u, *v))
-                }
-                ServeQuery::Profile(u, v) => ServeAnswer::Profile(reference.profile(*u, *v)),
-                ServeQuery::TopK {
-                    query,
-                    candidates,
-                    k,
-                } => ServeAnswer::TopK(
-                    reference
-                        .batch_top_k_similar_to(*query, candidates, *k)
-                        .unwrap(),
-                ),
-                ServeQuery::Scores(pairs) => {
-                    ServeAnswer::Scores(reference.batch_similarities(pairs).unwrap())
-                }
-            };
-            assert_eq!(answer.as_ref().unwrap(), &expected, "{query:?}");
-        }
-    }
-
     #[test]
-    fn serve_batch_is_bit_identical_to_per_request_calls() {
-        for capacity in [0, 256] {
-            let (cached, reference) = engines(capacity);
-            // Twice with the cache on: the second batch is served from it.
-            assert_serve_batch_matches_per_request_calls(&cached, &reference);
-            assert_serve_batch_matches_per_request_calls(&cached, &reference);
-        }
-    }
-
-    #[test]
-    fn serve_batch_isolates_invalid_slots_and_tracks_the_epoch() {
+    fn typed_calls_answer_like_the_engine_and_track_the_epoch() {
         let (cached, mut reference) = engines(64);
-        let queries = vec![
-            ServeQuery::Similarity(0, 99), // invalid
-            ServeQuery::Similarity(0, 1),
-            ServeQuery::Scores(vec![(1, 2), (99, 0)]), // invalid
-            ServeQuery::TopK {
-                query: 99, // invalid
-                candidates: vec![0, 1],
-                k: 2,
-            },
-            ServeQuery::Profile(2, 3),
-        ];
-        let (epoch, answers) = cached.serve_batch_with_trace(&queries, None);
-        assert_eq!(epoch, 0);
         let expected_err = QueryError::VertexOutOfRange {
             vertex: 99,
             num_vertices: 5,
         };
-        assert_eq!(answers[0], Err(expected_err));
-        assert_eq!(
-            answers[1],
-            Ok(ServeAnswer::Similarity(reference.similarity(0, 1)))
-        );
-        assert_eq!(answers[2], Err(expected_err));
-        assert_eq!(answers[3], Err(expected_err));
-        assert_eq!(
-            answers[4],
-            Ok(ServeAnswer::Profile(reference.profile(2, 3)))
-        );
+        assert_eq!(cached.scores(&[(1, 2), (99, 0)], None), Err(expected_err));
+        assert_eq!(cached.profile(0, 99, None), Err(expected_err));
+        assert_eq!(cached.top_k(99, &[0, 1], 2, None), Err(expected_err));
+        assert_eq!(cached.profile(2, 3, None), Ok((0, reference.profile(2, 3))));
 
-        // After an update round, serve_batch reports the new epoch and the
-        // post-update scores.
+        // After an update round, every call reports the new epoch and the
+        // post-update answers.
         let updates = [GraphUpdate::SetProbability {
             source: 0,
             target: 2,
@@ -822,15 +567,20 @@ mod tests {
         }];
         cached.apply_updates(&updates).unwrap();
         reference.apply_updates(&updates).unwrap();
-        let (epoch, answers) = cached.serve_batch_with_trace(&[ServeQuery::Similarity(0, 1)], None);
-        assert_eq!(epoch, 1);
         assert_eq!(
-            answers[0],
-            Ok(ServeAnswer::Similarity(reference.similarity(0, 1)))
+            cached.scores(&[(0, 1)], None),
+            Ok((1, vec![reference.similarity(0, 1)]))
         );
-
-        let (epoch, answers) = cached.serve_batch_with_trace(&[], None);
-        assert_eq!((epoch, answers.len()), (1, 0));
+        let candidates: Vec<VertexId> = (0..5).collect();
+        assert_eq!(
+            cached.top_k(0, &candidates, 3, None),
+            Ok((
+                1,
+                reference.batch_top_k_similar_to(0, &candidates, 3).unwrap()
+            ))
+        );
+        assert_eq!(cached.top_k(0, &candidates, 0, None), Ok((1, Vec::new())));
+        assert_eq!(cached.scores(&[], None), Ok((1, Vec::new())));
     }
 
     #[test]
@@ -867,14 +617,10 @@ mod tests {
             let readers: Vec<_> = (0..4)
                 .map(|_| {
                     let cached = std::sync::Arc::clone(&cached);
-                    let slot = [ServeQuery::Scores(pairs.clone())];
+                    let pairs = pairs.clone();
                     std::thread::spawn(move || {
                         (0..20)
-                            .map(|_| {
-                                let (epoch, mut answers) =
-                                    cached.serve_batch_with_trace(&slot, None);
-                                (epoch, answers.pop().unwrap().unwrap())
-                            })
+                            .map(|_| cached.batch_similarities(&pairs).unwrap())
                             .collect::<Vec<_>>()
                     })
                 })
@@ -892,8 +638,7 @@ mod tests {
             for reader in readers {
                 for (epoch, answer) in reader.join().unwrap() {
                     assert_eq!(
-                        answer,
-                        ServeAnswer::Scores(reference[epoch as usize].clone()),
+                        answer, reference[epoch as usize],
                         "capacity {capacity}: epoch {epoch} diverged from a fresh engine"
                     );
                 }
@@ -924,52 +669,6 @@ mod tests {
                 num_vertices: 5
             }
         );
-        assert!(profile(&cached, 99, 0).is_err());
-    }
-
-    #[test]
-    fn fingerprint_separates_configs() {
-        let base = SimRankConfig::default();
-        assert_eq!(config_fingerprint(&base), config_fingerprint(&base));
-        for other in [
-            base.with_decay(0.7),
-            base.with_horizon(6),
-            base.with_samples(999),
-            base.with_phase_switch(2),
-            base.with_seed(123),
-            base.with_direction(WalkDirection::OutNeighbors),
-            base.with_sampler(SamplerKind::Alias),
-        ] {
-            assert_ne!(
-                config_fingerprint(&base),
-                config_fingerprint(&other),
-                "{other:?} must fingerprint differently"
-            );
-        }
-    }
-
-    #[test]
-    fn every_config_field_feeds_the_fingerprint() {
-        // Exhaustiveness guard: destructure the config with no `..` rest
-        // pattern.  Adding a field to `SimRankConfig` breaks this test (and
-        // `config_fingerprint` itself, which destructures the same way) at
-        // compile time, forcing the author to decide how the new field
-        // contributes to cache keys.
-        let SimRankConfig {
-            decay,
-            horizon,
-            num_samples,
-            phase_switch,
-            seed,
-            direction,
-            sampler,
-        } = SimRankConfig::default();
-        assert_eq!(decay, 0.6);
-        assert_eq!(horizon, 5);
-        assert_eq!(num_samples, 1000);
-        assert_eq!(phase_switch, 1);
-        assert_eq!(seed, 0x5eed_cafe);
-        assert_eq!(direction, WalkDirection::InNeighbors);
-        assert_eq!(sampler, SamplerKind::Legacy);
+        assert!(cached.profile(99, 0, None).is_err());
     }
 }

@@ -19,9 +19,9 @@ pub enum WalkDirection {
 ///
 /// The two backends are *versioned, pluggable samplers*, not interchangeable
 /// implementations of one distribution: answers from different kinds are
-/// never comparable bit-for-bit, so the kind participates in the result
-/// cache's `ConfigFingerprint` and is surfaced by the serve banner and the
-/// `stats` frame.
+/// never comparable bit-for-bit, so the kind is fixed per engine (and so
+/// per result cache, which belongs to one engine) and is surfaced by the
+/// serve banner and the `stats` frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum SamplerKind {
     /// The lazily-instantiated arena sampler (Fig. 4 of the paper): one

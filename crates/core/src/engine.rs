@@ -35,7 +35,7 @@
 
 use crate::config::{SamplerKind, SimRankConfig, WalkDirection};
 use crate::meeting::MeetingProfile;
-use crate::top_k::{ScoredPair, ScoredVertex};
+use crate::top_k::ScoredVertex;
 use crate::SimRankEstimator;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -609,73 +609,13 @@ impl QueryEngine {
         }))
     }
 
-    /// The `k` highest-scoring pairs among `pairs`: self-pairs are skipped,
-    /// each unordered pair is evaluated once, ties break by pair id.
-    /// Deterministic at any thread count (unlike
-    /// [`crate::par_top_k_pairs`] with randomised estimators).
+    /// The `k` candidates most similar to `query` (the query vertex itself
+    /// and duplicate candidates are skipped), evaluated as one batch, in
+    /// descending score order with ties broken by vertex id.
     ///
     /// `k` semantics are explicit: `k == 0` returns an empty vector without
-    /// evaluating anything, and `k` larger than the number of distinct
-    /// non-self pairs returns all of them, sorted.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use ugraph::UncertainGraphBuilder;
-    /// use usim_core::{QueryEngine, SimRankConfig};
-    ///
-    /// let g = UncertainGraphBuilder::new(4)
-    ///     .arc(2, 0, 0.9)
-    ///     .arc(2, 1, 0.8)
-    ///     .arc(3, 2, 0.7)
-    ///     .build()
-    ///     .unwrap();
-    /// let engine = QueryEngine::new(&g, SimRankConfig::default().with_samples(300));
-    /// // Self-pairs are skipped, (u, v) and (v, u) are the same candidate.
-    /// let top = engine
-    ///     .batch_top_k(&[(0, 1), (1, 0), (2, 3), (3, 3)], 10)
-    ///     .unwrap();
-    /// assert_eq!(top.len(), 2);
-    /// assert!(top[0].score >= top[1].score);
-    /// assert!(engine.batch_top_k(&[(0, 1)], 0).unwrap().is_empty());
-    /// ```
-    pub fn batch_top_k(
-        &self,
-        pairs: &[(VertexId, VertexId)],
-        k: usize,
-    ) -> Result<Vec<ScoredPair>, QueryError> {
-        self.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        let mut unique: Vec<(VertexId, VertexId)> = pairs
-            .iter()
-            .filter(|(a, b)| a != b)
-            .map(|&(a, b)| (a.min(b), a.max(b)))
-            .collect();
-        unique.sort_unstable();
-        unique.dedup();
-        let scores = self.batch_similarities(&unique)?;
-        let mut scored: Vec<ScoredPair> = unique
-            .into_iter()
-            .zip(scores)
-            .map(|(pair, score)| ScoredPair { pair, score })
-            .collect();
-        crate::top_k::sort_descending_by_score(
-            &mut scored,
-            |s| s.score,
-            |s| (s.pair.0 as u64) << 32 | s.pair.1 as u64,
-        );
-        scored.truncate(k);
-        Ok(scored)
-    }
-
-    /// The `k` candidates most similar to `query` (the query vertex itself
-    /// and duplicate candidates are skipped), evaluated as one batch.
-    ///
-    /// `k` follows the same explicit semantics as
-    /// [`QueryEngine::batch_top_k`]: `0` is empty, larger than the distinct
-    /// candidate count is clamped.
+    /// evaluating anything, and `k` larger than the distinct candidate
+    /// count returns all of them, sorted.
     pub fn batch_top_k_similar_to(
         &self,
         query: VertexId,
@@ -683,7 +623,9 @@ impl QueryEngine {
         k: usize,
     ) -> Result<Vec<ScoredVertex>, QueryError> {
         self.validate_vertices(std::iter::once(query).chain(candidates.iter().copied()))?;
-        rank_candidates(query, candidates, k, |pairs| self.batch_similarities(pairs))
+        let pairs = candidate_pairs(query, candidates, k);
+        let scores = self.batch_similarities(&pairs)?;
+        Ok(rank(&pairs, &scores, k))
     }
 }
 
@@ -761,41 +703,36 @@ pub(crate) fn dedup_pairs(
     (distinct, slots)
 }
 
-/// The pairs [`rank_candidates`] scores: `(query, v)` for every distinct
-/// candidate `v != query`, in ascending `v` order.
+/// The pairs a top-`k` ranking for `query` scores: none when `k == 0`,
+/// else `(query, v)` for every distinct candidate `v != query`, in
+/// ascending `v` order.
 pub(crate) fn candidate_pairs(
     query: VertexId,
     candidates: &[VertexId],
+    k: usize,
 ) -> Vec<(VertexId, VertexId)> {
+    if k == 0 {
+        return Vec::new();
+    }
     let mut unique: Vec<VertexId> = candidates.iter().copied().filter(|&v| v != query).collect();
     unique.sort_unstable();
     unique.dedup();
     unique.into_iter().map(|v| (query, v)).collect()
 }
 
-/// The ranking half of [`QueryEngine::batch_top_k_similar_to`],
-/// parameterised over the score provider so the caching layer ranks
-/// through the exact same dedup / tie-break / truncation logic (callers
-/// validate ids first).
-pub(crate) fn rank_candidates(
-    query: VertexId,
-    candidates: &[VertexId],
-    k: usize,
-    score_of: impl FnOnce(&[(VertexId, VertexId)]) -> Result<Vec<f64>, QueryError>,
-) -> Result<Vec<ScoredVertex>, QueryError> {
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    let pairs = candidate_pairs(query, candidates);
-    let scores = score_of(&pairs)?;
+/// The `k` best of [`candidate_pairs`] given their `scores`: descending
+/// score, ties broken by vertex id.  Shared by
+/// [`QueryEngine::batch_top_k_similar_to`] and the caching layer, so both
+/// rank identically.
+pub(crate) fn rank(pairs: &[(VertexId, VertexId)], scores: &[f64], k: usize) -> Vec<ScoredVertex> {
     let mut scored: Vec<ScoredVertex> = pairs
-        .into_iter()
+        .iter()
         .zip(scores)
-        .map(|((_, vertex), score)| ScoredVertex { vertex, score })
+        .map(|(&(_, vertex), &score)| ScoredVertex { vertex, score })
         .collect();
     crate::top_k::sort_descending_by_score(&mut scored, |s| s.score, |s| s.vertex as u64);
     scored.truncate(k);
-    Ok(scored)
+    scored
 }
 
 impl SimRankEstimator for QueryEngine {
@@ -950,9 +887,10 @@ mod tests {
     #[test]
     fn top_k_pairs_dedupes_ranks_and_truncates() {
         let g = fig1_graph();
-        let engine = QueryEngine::new(&g, SimRankConfig::default().with_samples(400).with_seed(11));
+        let mut engine =
+            QueryEngine::new(&g, SimRankConfig::default().with_samples(400).with_seed(11));
         let pairs = vec![(0u32, 1u32), (1, 0), (2, 3), (0, 2), (4, 4), (3, 2)];
-        let top = engine.batch_top_k(&pairs, 2).unwrap();
+        let top = crate::top_k_pairs(&mut engine, pairs, 2);
         assert_eq!(top.len(), 2);
         assert!(top[0].score >= top[1].score);
         for scored in &top {
@@ -963,12 +901,12 @@ mod tests {
     #[test]
     fn top_k_zero_is_empty_and_large_k_is_clamped() {
         let g = fig1_graph();
-        let engine = QueryEngine::new(&g, SimRankConfig::default().with_samples(50).with_seed(2));
+        let mut engine =
+            QueryEngine::new(&g, SimRankConfig::default().with_samples(50).with_seed(2));
         let pairs = vec![(0u32, 1u32), (1, 0), (2, 3), (4, 4)];
-        // k == 0: empty, nothing evaluated.
-        assert!(engine.batch_top_k(&pairs, 0).unwrap().is_empty());
+        assert!(crate::top_k_pairs(&mut engine, pairs.clone(), 0).is_empty());
         // k beyond the distinct non-self pairs {(0,1), (2,3)}: clamped.
-        let all = engine.batch_top_k(&pairs, 100).unwrap();
+        let all = crate::top_k_pairs(&mut engine, pairs, 100);
         assert_eq!(all.len(), 2);
         assert!(all[0].score >= all[1].score);
         // Same two semantics for the vertex-ranking variant.
@@ -1013,7 +951,7 @@ mod tests {
         let engine = QueryEngine::new(&g, SimRankConfig::default().with_samples(10));
         assert!(engine.batch_similarities(&[]).unwrap().is_empty());
         assert!(engine.batch_profile(&[]).unwrap().is_empty());
-        assert!(engine.batch_top_k(&[], 5).unwrap().is_empty());
+        assert!(engine.batch_top_k_similar_to(0, &[], 5).unwrap().is_empty());
     }
 
     #[test]
@@ -1037,7 +975,6 @@ mod tests {
             expected
         );
         assert_eq!(engine.batch_profile(&[(99, 0)]).unwrap_err(), expected);
-        assert_eq!(engine.batch_top_k(&[(0, 99)], 3).unwrap_err(), expected);
         assert_eq!(
             engine.batch_top_k_similar_to(99, &[0, 1], 2).unwrap_err(),
             expected

@@ -84,9 +84,7 @@ pub use baseline::{BaselineEstimator, ExternalBaseline};
 pub use bounds::{
     corollary1_error_bound, required_samples, theorem2_error_bound, theorem4_error_bound,
 };
-pub use cached::{
-    config_fingerprint, CachedAnswer, CachedQueryEngine, QueryCache, ServeAnswer, ServeQuery,
-};
+pub use cached::CachedQueryEngine;
 pub use config::{SamplerKind, SimRankConfig, WalkDirection};
 pub use deterministic::{simrank_all_pairs, simrank_single_pair, DeterministicSimRank};
 pub use du_et_al::DuEtAlEstimator;

@@ -20,17 +20,20 @@
 //! the answer was computed under — captured under one engine read lock, so
 //! clients can detect staleness across interleaved `update` frames.  Every
 //! failure is a typed `"ok": false` frame with a stable `code` and a
-//! field-precise `message`; malformed input never panics the server or
-//! drops the connection.  The full frame-by-frame reference with
-//! copy-pasteable examples lives in `docs/PROTOCOL.md`.
+//! field-precise `message`; malformed input (a line that is not UTF-8
+//! included) never panics the server or drops the connection.  The full
+//! frame-by-frame reference with copy-pasteable examples lives in
+//! `docs/PROTOCOL.md`.
 //!
 //! [`RequestHandler`] is transport-free (a `&str` line in, a JSON line
 //! out), so the whole protocol is unit-testable without sockets; the TCP
 //! layer in [`crate::server`] only adds framing and threads.
 //!
 //! All query traffic flows through one [`usim_core::CachedQueryEngine`]:
-//! each query frame becomes one [`usim_core::ServeQuery`] slot answered
-//! by [`usim_core::CachedQueryEngine::serve_batch_with_trace`].  With
+//! each query frame is one typed call on it —
+//! [`usim_core::CachedQueryEngine::scores`] for `similarity` and `batch`,
+//! [`usim_core::CachedQueryEngine::profile`] and
+//! [`usim_core::CachedQueryEngine::top_k`] — carrying the frame's trace.  With
 //! [`RequestHandler::with_cache`] the server reuses epoch-validated answers
 //! for hot pairs (bit-identical to recomputation — the cache can change
 //! latency, never a score), and the `stats` frame reports the cache's
@@ -51,10 +54,11 @@ use bytes::{BufMut, BytesMut};
 use parking_lot::Mutex;
 use serde::Value;
 use std::collections::HashMap;
+use std::str::Utf8Error;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ugraph::{GraphUpdate, UpdateError, UpdateLog, VertexId};
-use usim_core::{CachedQueryEngine, QueryEngine, QueryError, ServeAnswer, ServeQuery};
+use usim_core::{CachedQueryEngine, QueryEngine, QueryError};
 use usim_obs::{time_stage, walk_metrics, PromWriter, Stage, StageTrace, Tracer};
 
 /// Default cap on `batch` pairs, `top_k` candidates and `update` batches —
@@ -328,23 +332,24 @@ impl RequestHandler {
     /// blank lines (keep-alives are free; nothing is written); otherwise
     /// writes exactly one response frame.
     pub fn handle_line_into(&self, line: &str, out: &mut BytesMut) -> Option<ResponseMeta> {
-        self.handle_line_into_traced(line, out, None)
+        self.handle_line_into_traced(line.as_bytes(), out, None)
     }
 
-    /// Like [`RequestHandler::handle_line_into`], additionally crediting
-    /// `queue_wait` (the transport's accept-to-worker-pickup delay, which
-    /// only the transport can measure) to this frame's trace when the
-    /// frame is sampled.  The wait also extends the trace's total, so the
-    /// per-request stage sum stays within the end-to-end latency sample
-    /// the transport records for the same frame.
+    /// Like [`RequestHandler::handle_line_into`] on the raw bytes the
+    /// transport read, additionally crediting `queue_wait` (the transport's
+    /// accept-to-worker-pickup delay, which only the transport can measure)
+    /// to this frame's trace when the frame is sampled.  The wait also
+    /// extends the trace's total, so the per-request stage sum stays within
+    /// the end-to-end latency sample the transport records for the same
+    /// frame.  A line that is not valid UTF-8 is a `malformed_frame`.
     pub fn handle_line_into_traced(
         &self,
-        line: &str,
+        line: &[u8],
         out: &mut BytesMut,
         queue_wait: Option<Duration>,
     ) -> Option<ResponseMeta> {
-        let line = line.trim();
-        if line.is_empty() {
+        let line = std::str::from_utf8(line).map(str::trim);
+        if line == Ok("") {
             return None;
         }
         let trace = self.tracer.as_ref().and_then(Tracer::begin);
@@ -385,7 +390,7 @@ impl RequestHandler {
     /// log) as soon as it is known.
     fn dispatch(
         &self,
-        line: &str,
+        line: Result<&str, Utf8Error>,
         trace: Option<&StageTrace>,
         kind_out: &mut &'static str,
     ) -> (Value, bool) {
@@ -408,10 +413,13 @@ impl RequestHandler {
 
     fn handle(
         &self,
-        line: &str,
+        line: Result<&str, Utf8Error>,
         trace: Option<&StageTrace>,
         kind_out: &mut &'static str,
     ) -> Result<Value, Reject> {
+        let line = line.map_err(|_| {
+            Reject::new(ErrorCode::MalformedFrame, "request line is not valid UTF-8")
+        })?;
         let value: Value = time_stage(trace, Stage::Parse, || serde_json::from_str(line))
             .map_err(|e| Reject::new(ErrorCode::MalformedFrame, format!("invalid JSON: {e}")))?;
         let entries = value.as_map().ok_or_else(|| {
@@ -479,11 +487,11 @@ impl RequestHandler {
         reject_unknown_fields(entries, "similarity", &["source", "target"])?;
         let u = self.resolve(require_label(entries, "source")?)?;
         let v = self.resolve(require_label(entries, "target")?)?;
-        let (epoch, score) =
-            self.serve(ServeQuery::Similarity(u, v), trace, |answer| match answer {
-                ServeAnswer::Similarity(score) => Some(score),
-                _ => None,
-            })?;
+        let (epoch, scores) = self
+            .engine
+            .scores(&[(u, v)], trace)
+            .map_err(query_rejected)?;
+        let score = scores[0];
         Ok(ok_value(
             "similarity",
             epoch,
@@ -495,11 +503,7 @@ impl RequestHandler {
         reject_unknown_fields(entries, "profile", &["source", "target"])?;
         let u = self.resolve(require_label(entries, "source")?)?;
         let v = self.resolve(require_label(entries, "target")?)?;
-        let (epoch, profile) =
-            self.serve(ServeQuery::Profile(u, v), trace, |answer| match answer {
-                ServeAnswer::Profile(profile) => Some(profile),
-                _ => None,
-            })?;
+        let (epoch, profile) = self.engine.profile(u, v, trace).map_err(query_rejected)?;
         Ok(ok_value(
             "profile",
             epoch,
@@ -536,15 +540,10 @@ impl RequestHandler {
                     .collect::<Result<_, _>>()?
             }
         };
-        let query = ServeQuery::TopK {
-            query: source,
-            candidates,
-            k,
-        };
-        let (epoch, ranked) = self.serve(query, trace, |answer| match answer {
-            ServeAnswer::TopK(ranked) => Some(ranked),
-            _ => None,
-        })?;
+        let (epoch, ranked) = self
+            .engine
+            .top_k(source, &candidates, k, trace)
+            .map_err(query_rejected)?;
         let results = ranked
             .into_iter()
             .map(|scored| {
@@ -586,11 +585,7 @@ impl RequestHandler {
                 self.resolve(expect_label(b, &format!("pairs[{i}][1]"))?)?,
             ));
         }
-        let (epoch, scores) =
-            self.serve(ServeQuery::Scores(pairs), trace, |answer| match answer {
-                ServeAnswer::Scores(scores) => Some(scores),
-                _ => None,
-            })?;
+        let (epoch, scores) = self.engine.scores(&pairs, trace).map_err(query_rejected)?;
         Ok(ok_value(
             "batch",
             epoch,
@@ -982,32 +977,6 @@ impl RequestHandler {
             }
         }
         w.finish()
-    }
-
-    /// Answers one query as a one-slot engine batch and narrows the answer
-    /// back to the expected variant.
-    fn serve<T>(
-        &self,
-        query: ServeQuery,
-        trace: Option<&StageTrace>,
-        narrow: impl FnOnce(ServeAnswer) -> Option<T>,
-    ) -> Result<(u64, T), Reject> {
-        let (epoch, mut answers) = self
-            .engine
-            .serve_batch_with_trace(std::slice::from_ref(&query), trace);
-        let answer = answers
-            .pop()
-            .expect("one answer per slot")
-            .map_err(query_rejected)?;
-        // The engine pairs every slot with its own answer variant, so a
-        // mismatch cannot happen; reject rather than panic regardless — a
-        // server bug must never take the process down.
-        narrow(answer).map(|value| (epoch, value)).ok_or_else(|| {
-            Reject::new(
-                ErrorCode::QueryRejected,
-                "internal error: answer kind mismatch",
-            )
-        })
     }
 
     // -- helpers -----------------------------------------------------------
@@ -1640,6 +1609,62 @@ mod tests {
         let cache = get(&entries, "cache").as_map().unwrap();
         assert_eq!(get(cache, "stale"), &Value::Uint(3));
         assert_eq!(get(cache, "hits"), &Value::Uint(0));
+    }
+
+    #[test]
+    fn cache_traffic_per_frame_is_pinned() {
+        // The exact cache probes each query frame makes, as
+        // (hits, misses, stale, insertions) deltas: every kind twice (fill,
+        // then hit), an update, then every kind once more (stale, except
+        // pairs an earlier frame has already refreshed).
+        // The batch repeats a pair inside the frame and shares one with the
+        // similarity frame; top_k's candidate pairs overlap the batch's.
+        let config = SimRankConfig::default().with_samples(150).with_seed(7);
+        let cached = RequestHandler::with_cache(
+            QueryEngine::new(&fig1_graph(), config),
+            (10..15).collect(),
+            DEFAULT_MAX_BATCH,
+            512,
+        );
+        let queries = [
+            r#"{"type":"similarity","source":10,"target":11}"#,
+            r#"{"type":"profile","source":12,"target":13}"#,
+            r#"{"type":"batch","pairs":[[10,11],[11,12],[10,11]]}"#,
+            r#"{"type":"top_k","source":11,"k":3}"#,
+        ];
+        let update = r#"{"type":"update","updates":[{"op":"set","source":10,"target":12,"probability":0.05}]}"#;
+        let sent: Vec<&str> = queries
+            .iter()
+            .flat_map(|&q| [q, q])
+            .chain([update])
+            .chain(queries)
+            .collect();
+        let counters = || {
+            let s = cached.cached_engine().cache_stats().unwrap();
+            [s.hits, s.misses, s.stale, s.insertions]
+        };
+        let deltas: Vec<[u64; 4]> = sent
+            .iter()
+            .map(|frame| {
+                let before = counters();
+                assert!(!cached.handle_line(frame).unwrap().is_error, "{frame}");
+                let after = counters();
+                std::array::from_fn(|i| after[i] - before[i])
+            })
+            .collect();
+        #[rustfmt::skip]
+        let expected: Vec<[u64; 4]> = vec![
+            [0, 1, 0, 1], [1, 0, 0, 0], // similarity: fill, hit
+            [0, 1, 0, 1], [1, 0, 0, 0], // profile: fill, hit
+            [2, 1, 0, 1], [3, 0, 0, 0], // batch: (10,11) hits twice, one insert
+            [1, 3, 0, 3], [4, 0, 0, 0], // top_k: (11,12) hits from the batch
+            [0, 0, 0, 0],               // update: no cache traffic
+            [0, 0, 1, 1],               // similarity: stale, refreshed
+            [0, 0, 1, 1],               // profile: stale, refreshed
+            [2, 0, 1, 1],               // batch: (10,11) refreshed just above
+            [1, 0, 3, 3],               // top_k: (11,12) refreshed just above
+        ];
+        assert_eq!(deltas, expected);
     }
 
     fn fig1_graph() -> ugraph::UncertainGraph {

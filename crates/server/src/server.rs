@@ -280,11 +280,14 @@ fn serve_connection(
     let mut queue_wait = Some(accepted.elapsed());
     let mut writer = stream;
     let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
+    // Raw bytes, not a `String`: a line that is not UTF-8 must come back
+    // as an error frame, not end the connection the way `read_line`'s
+    // `InvalidData` would.
+    let mut line = Vec::new();
     let mut out = bytes::BytesMut::with_capacity(512);
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match reader.read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => break, // EOF or a torn connection
             Ok(_) => {}
         }

@@ -313,3 +313,28 @@ fn pipelined_requests_answer_in_order() {
     drop((conn, reader));
     handle.shutdown().unwrap();
 }
+
+#[test]
+fn a_non_utf8_line_is_an_error_frame_not_a_disconnect() {
+    let handle = spawn(1);
+    let mut conn = TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+
+    conn.write_all(b"{\"type\":\"stats\xff\"}\n").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"ok\":false")
+            && line.contains("malformed_frame")
+            && line.contains("not valid UTF-8"),
+        "{line:?}"
+    );
+
+    // The same connection still answers, and the bad line counted as
+    // `invalid`.
+    let response = ask(&mut conn, &mut reader, r#"{"type":"stats"}"#);
+    assert!(response.contains("\"ok\":true"), "{response}");
+    assert!(response.contains("\"invalid\":1"), "{response}");
+    drop((conn, reader));
+    handle.shutdown().unwrap();
+}

@@ -23,8 +23,9 @@
 //! from `k = 3` on) for raw speed.  On certain graphs (all probabilities 1)
 //! the marginal is the uniform skeleton walk and the two backends agree in
 //! distribution at every horizon.  Which backend produced an answer is part
-//! of the engine configuration — see `SamplerKind` in `usim_core` — and is
-//! folded into the result-cache fingerprint so answers never mix.
+//! of the engine configuration — see `SamplerKind` in `usim_core`.  A
+//! result cache belongs to one engine and so to one backend, so answers of
+//! the two never mix.
 //!
 //! # Table layout
 //!

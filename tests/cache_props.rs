@@ -14,7 +14,7 @@ use rayon::ThreadPoolBuilder;
 use std::collections::BTreeMap;
 use uncertain_simrank::graph::{DuplicatePolicy, GraphUpdate, UncertainGraph, VertexId};
 use uncertain_simrank::prelude::*;
-use uncertain_simrank::simrank::{MeetingProfile, QueryError, ServeAnswer, ServeQuery};
+use uncertain_simrank::simrank::{MeetingProfile, QueryError};
 
 /// Strategy: a small uncertain graph (duplicates keep the max probability).
 fn small_uncertain_graph(
@@ -87,18 +87,13 @@ fn graph_of_model(
         .expect("model arcs are valid by construction")
 }
 
-/// The profile of one pair through a one-slot served batch (the path a
-/// `profile` frame takes).
+/// The profile of one pair through the call a `profile` frame makes.
 fn served_profile(
     cached: &CachedQueryEngine,
     u: VertexId,
     v: VertexId,
 ) -> Result<MeetingProfile, QueryError> {
-    let (_, answers) = cached.serve_batch_with_trace(&[ServeQuery::Profile(u, v)], None);
-    match answers.into_iter().next().expect("one answer per slot")? {
-        ServeAnswer::Profile(profile) => Ok(profile),
-        other => panic!("a profile slot answered {other:?}"),
-    }
+    cached.profile(u, v, None).map(|(_, profile)| profile)
 }
 
 /// Strategy: a graph plus interleaved rounds, each one a query batch (with

@@ -237,7 +237,6 @@ proptest! {
             expected
         );
         prop_assert_eq!(engine.batch_profile(&[(0, bad)]).unwrap_err(), expected);
-        prop_assert_eq!(engine.batch_top_k(&[(bad, 1)], 2).unwrap_err(), expected);
         prop_assert_eq!(
             engine.batch_top_k_similar_to(0, &[1 % n as u32, bad], 2).unwrap_err(),
             expected
