@@ -146,8 +146,8 @@ fn main() {
     let graph = RmatGenerator::small(0xd13a).generate();
     let pairs = random_pairs(&graph, pairs_count, 0x5eed);
     let config = SimRankConfig::default().with_samples(samples).with_seed(42);
-    // Every client gets its own worker, so no connection waits in the
-    // accept queue.
+    // Every client gets its own slot, so no connection waits in the
+    // accept backlog.
     let workers = rayon::current_num_threads().max(clients).max(2);
 
     // Direct throughput: the same batch on a local engine (warm arenas).
@@ -175,7 +175,6 @@ fn main() {
         handler,
         ServerOptions {
             workers,
-            queue_depth: clients,
             max_connections: None,
         },
     )

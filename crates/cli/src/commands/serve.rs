@@ -1,8 +1,8 @@
 //! `usim serve` — a long-lived query server over one graph.
 //!
 //! ```text
-//! usim serve GRAPH [--addr 127.0.0.1:7878] [--workers 4] [--queue 64]
-//!            [--max-batch 65536] [--max-connections 0] [--port-file PATH]
+//! usim serve GRAPH [--addr 127.0.0.1:7878] [--workers 4] [--max-batch 65536]
+//!            [--max-connections 0] [--port-file PATH]
 //!            [--cache-capacity 0] [--format text|binary]
 //!            [--update-log PATH]
 //!            [--trace-sample-rate 0] [--slow-log 32]
@@ -38,6 +38,12 @@
 //! scripts and tests rendezvous without racing on a fixed port — the file
 //! is removed again on clean shutdown, so a lingering port file always
 //! points at a live (or crashed) server, never a finished one.
+//! `--workers N` serves up to N connections at once, one thread each;
+//! further connections wait in the kernel's accept backlog until one
+//! closes.  `--max-batch N` caps the pairs, candidates or updates of one
+//! request, and with them the request line: a line longer than
+//! `N × 256 + 4096` bytes is discarded unbuffered and answered
+//! `oversized_frame`.
 //! `--max-connections N` stops after serving N connections (`0`, the
 //! default, serves forever) — the scripted-shutdown hook used by the
 //! serve-smoke CI job.
@@ -82,7 +88,6 @@ use usim_server::{MetricsExporter, RequestHandler, Server, ServerOptions, DEFAUL
 const BASE_OPTIONS: &[&str] = &[
     "addr",
     "workers",
-    "queue",
     "max-batch",
     "max-connections",
     "port-file",
@@ -115,7 +120,6 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     let config = config_from_args(&args)?;
     let addr: String = args.option("addr").unwrap_or("127.0.0.1:7878").to_string();
     let workers: usize = args.parse_option("workers", 4usize)?;
-    let queue_depth: usize = args.parse_option("queue", 64usize)?;
     let max_batch: usize = args.parse_option("max-batch", DEFAULT_MAX_BATCH)?;
     let max_connections: usize = args.parse_option("max-connections", 0usize)?;
     let cache_capacity: usize = args.parse_option("cache-capacity", 0usize)?;
@@ -191,7 +195,6 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
         .with_read(|e| (e.num_vertices(), e.num_arcs()));
     let options = ServerOptions {
         workers,
-        queue_depth,
         max_connections: (max_connections > 0).then_some(max_connections),
     };
     let server = Server::bind(&addr, handler, options)
@@ -221,7 +224,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     }
     println!(
         "serving {path} on {bound}: {num_vertices} vertices, {num_arcs} arcs \
-         (source = {source}, epoch = {replayed}, workers = {workers}, queue = {queue_depth}, max batch = {max_batch}, \
+         (source = {source}, epoch = {replayed}, workers = {workers}, max batch = {max_batch}, \
          cache = {}, trace = {}, metrics = {}, \
          sampler = {}, N = {}, n = {}, seed = {})",
         if cache_capacity > 0 {
@@ -269,6 +272,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader};
 
     fn temp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
@@ -283,6 +287,32 @@ mod tests {
         raw.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Waits until the server behind `path` (a port file) has bound, and
+    /// returns its `host:port`.
+    fn wait_for_addr(path: &std::path::Path) -> String {
+        loop {
+            if let Ok(text) = std::fs::read_to_string(path) {
+                if text.trim().contains(':') {
+                    return text.trim().to_string();
+                }
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+    }
+
+    /// Connects to `addr` and returns a closure that sends one frame and
+    /// reads its reply; dropping it closes the connection.
+    fn client(addr: &str) -> impl FnMut(&str) -> String {
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        move |frame| {
+            writeln!(conn, "{frame}").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line
+        }
+    }
+
     #[test]
     fn rejects_bad_options_before_binding() {
         let graph_path = temp("g.tsv");
@@ -293,6 +323,8 @@ mod tests {
         assert!(err.to_string().contains("--workers"), "{err}");
         let err = run(&tokens(&[g, "--max-batch", "0"])).unwrap_err();
         assert!(err.to_string().contains("--max-batch"), "{err}");
+        let err = run(&tokens(&[g, "--queue", "8"])).unwrap_err();
+        assert!(err.to_string().contains("--queue"), "{err}");
         let err = run(&tokens(&[g, "--addr", "999.999.999.999:1"])).unwrap_err();
         assert!(err.to_string().contains("cannot bind"), "{err}");
         std::fs::remove_file(&graph_path).unwrap();
@@ -300,8 +332,6 @@ mod tests {
 
     #[test]
     fn serves_until_the_connection_budget_is_spent() {
-        use std::io::{BufRead, BufReader, Write};
-
         let graph_path = temp("budget.tsv");
         std::fs::write(&graph_path, "0 2 0.8\n1 2 0.9\n2 0 0.7\n").unwrap();
         let port_file = temp("budget.port");
@@ -323,21 +353,8 @@ mod tests {
             ]))
         });
         // Rendezvous through the port file.
-        let addr = loop {
-            if let Ok(text) = std::fs::read_to_string(&port_file) {
-                if text.trim().contains(':') {
-                    break text.trim().to_string();
-                }
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        };
-        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        writeln!(conn, r#"{{"type":"stats"}}"#).unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
+        let line = client(&wait_for_addr(&port_file))(r#"{"type":"stats"}"#);
         assert!(line.contains("\"vertices\":3"), "{line}");
-        drop((conn, reader));
 
         let summary = runner.join().unwrap().unwrap();
         assert!(summary.contains("served 1 connections"), "{summary}");
@@ -350,8 +367,6 @@ mod tests {
 
     #[test]
     fn snapshot_boot_with_replay_serves_identical_answers() {
-        use std::io::{BufRead, BufReader, Write};
-
         // Text graph -> snapshot; serve the snapshot with an update log,
         // apply an update, "crash", restart, and check the
         // restarted server replays to the same epoch and serves the same
@@ -394,22 +409,7 @@ mod tests {
                     "60",
                 ]))
             });
-            let addr = loop {
-                if let Ok(text) = std::fs::read_to_string(&port_file) {
-                    if text.trim().contains(':') {
-                        break text.trim().to_string();
-                    }
-                }
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            };
-            let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-            let mut reader = BufReader::new(conn.try_clone().unwrap());
-            let mut ask = |frame: &str| {
-                writeln!(conn, "{frame}").unwrap();
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                line
-            };
+            let mut ask = client(&wait_for_addr(&port_file));
             let mut answers = Vec::new();
             if tag == "first" {
                 // Round 1: one accepted update batch, logged durably.
@@ -422,7 +422,7 @@ mod tests {
             answers.push(ask(r#"{"type":"batch","pairs":[[10,40],[20,30],[30,10]]}"#));
             answers.push(ask(r#"{"type":"top_k","source":20,"k":3}"#));
             let stats = ask(r#"{"type":"stats"}"#);
-            drop((conn, reader));
+            drop(ask);
             runner.join().unwrap().unwrap();
             (stats, answers)
         };
@@ -444,8 +444,6 @@ mod tests {
 
     #[test]
     fn cached_serve_round_trips_hot_pairs() {
-        use std::io::{BufRead, BufReader, Write};
-
         let graph_path = temp("cached.tsv");
         std::fs::write(&graph_path, "0 2 0.8\n1 2 0.9\n2 0 0.7\n").unwrap();
         let port_file = temp("cached.port");
@@ -466,22 +464,7 @@ mod tests {
                 "50",
             ]))
         });
-        let addr = loop {
-            if let Ok(text) = std::fs::read_to_string(&port_file) {
-                if text.trim().contains(':') {
-                    break text.trim().to_string();
-                }
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        };
-        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        let mut ask = |frame: &str| {
-            writeln!(conn, "{frame}").unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            line
-        };
+        let mut ask = client(&wait_for_addr(&port_file));
         // Same batch twice: the repeat is served from the cache and must be
         // byte-identical on the wire.
         let first = ask(r#"{"type":"batch","pairs":[[0,1],[1,2]]}"#);
@@ -490,14 +473,14 @@ mod tests {
         let stats = ask(r#"{"type":"stats"}"#);
         assert!(stats.contains("\"enabled\":true"), "{stats}");
         assert!(stats.contains("\"hits\":2"), "{stats}");
-        drop((conn, reader));
+        drop(ask);
         runner.join().unwrap().unwrap();
         std::fs::remove_file(&graph_path).unwrap();
     }
 
     #[test]
     fn traced_serve_exposes_stages_exporter_and_stats_view() {
-        use std::io::{BufRead, BufReader, Read, Write};
+        use std::io::Read;
 
         let graph_path = temp("traced.tsv");
         std::fs::write(&graph_path, "0 2 0.8\n1 2 0.9\n2 0 0.7\n").unwrap();
@@ -527,30 +510,15 @@ mod tests {
                 "50",
             ]))
         });
-        let wait_for = |path: &std::path::Path| loop {
-            if let Ok(text) = std::fs::read_to_string(path) {
-                if text.trim().contains(':') {
-                    break text.trim().to_string();
-                }
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        };
-        let addr = wait_for(&port_file);
-        let metrics_addr = wait_for(&metrics_port_file);
+        let addr = wait_for_addr(&port_file);
+        let metrics_addr = wait_for_addr(&metrics_port_file);
 
         // Connection 1: traced query traffic.
-        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        let mut ask = |frame: &str| {
-            writeln!(conn, "{frame}").unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            line
-        };
+        let mut ask = client(&addr);
         let first = ask(r#"{"type":"similarity","source":0,"target":1}"#);
         let _ = ask(r#"{"type":"batch","pairs":[[0,1],[1,2]]}"#);
         assert!(first.contains("\"score\""), "{first}");
-        drop((conn, reader));
+        drop(ask);
 
         // The exporter answers plain HTTP scrapes with the exposition.
         let mut scrape = std::net::TcpStream::connect(&metrics_addr).unwrap();

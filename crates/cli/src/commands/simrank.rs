@@ -18,12 +18,6 @@
 //! into rounds at `---` separators, and the whole pair batch is answered
 //! before any update and again after each round — one engine, mutated in
 //! place through [`usim_core::QueryEngine::apply_updates`], never rebuilt.
-//!
-//! `--cache-capacity N` (batch mode only) puts the same epoch-validated
-//! result cache in front of the engine that `usim serve` uses: repeated
-//! pairs within a round are served from the cache, update rounds invalidate
-//! it by epoch, the score table is bit-identical either way, and a summary
-//! line reports the hit/miss/stale/eviction counters.
 
 use crate::args::{ArgSpec, Arguments};
 use crate::estimators::{config_from_args, AlgorithmKind, CONFIG_OPTIONS};
@@ -33,7 +27,7 @@ use crate::updates::read_update_rounds;
 use crate::CliError;
 use std::time::Instant;
 use ugraph::VertexId;
-use usim_core::{CachedQueryEngine, QueryEngine};
+use usim_core::QueryEngine;
 
 const BASE_OPTIONS: &[&str] = &[
     "source",
@@ -43,7 +37,6 @@ const BASE_OPTIONS: &[&str] = &[
     "batch",
     "threads",
     "updates",
-    "cache-capacity",
 ];
 
 fn spec() -> ArgSpec<'static> {
@@ -81,12 +74,6 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
         return Err(CliError::new(
             "--updates requires --batch (churn mode interleaves update rounds \
              with batch queries); use `usim update` to mutate a graph file",
-        ));
-    }
-    if args.option("cache-capacity").is_some() {
-        return Err(CliError::new(
-            "--cache-capacity requires --batch (the result cache fronts the \
-             batch engine; single-pair queries sample once regardless)",
         ));
     }
 
@@ -186,7 +173,6 @@ fn run_batch(
 ) -> Result<String, CliError> {
     let (labels, pairs) = read_pairs_file(batch_path, loaded)?;
     let threads: usize = args.parse_option("threads", 0usize)?;
-    let cache_capacity: usize = args.parse_option("cache-capacity", 0usize)?;
     let rounds = match args.option("updates") {
         Some(updates_path) => read_update_rounds(updates_path, loaded)?,
         None => Vec::new(),
@@ -195,9 +181,7 @@ fn run_batch(
     let pool = crate::exec::build_thread_pool(threads)?;
 
     let start = Instant::now();
-    // The same caching wrapper `usim serve` uses; capacity 0 (the default)
-    // is a pass-through to the raw engine.
-    let engine = CachedQueryEngine::new(QueryEngine::new(&loaded.graph, config), cache_capacity);
+    let mut engine = QueryEngine::new(&loaded.graph, config);
     let build_time = start.elapsed();
 
     // Round 0 answers the pristine graph; each update round appends one
@@ -207,19 +191,18 @@ fn run_batch(
     let mut query_time = std::time::Duration::ZERO;
     let mut score_columns: Vec<Vec<f64>> = Vec::with_capacity(rounds.len() + 1);
     let mut round_notes: Vec<String> = Vec::new();
-    let answer_batch = |engine: &CachedQueryEngine,
+    let answer_batch = |engine: &QueryEngine,
                         query_time: &mut std::time::Duration|
      -> Result<Vec<f64>, CliError> {
         let start = Instant::now();
-        let (_, scores) =
-            crate::exec::install_in(pool.as_ref(), || engine.batch_similarities(&pairs))
-                .map_err(|e| CliError::new(format!("{batch_path}: {e}")))?;
+        let scores = crate::exec::install_in(pool.as_ref(), || engine.batch_similarities(&pairs))
+            .map_err(|e| CliError::new(format!("{batch_path}: {e}")))?;
         *query_time += start.elapsed();
         Ok(scores)
     };
     score_columns.push(answer_batch(&engine, &mut query_time)?);
     for (index, round) in rounds.iter().enumerate() {
-        let (summary, _) = engine.apply_updates(round).map_err(|e| {
+        let summary = engine.apply_updates(round).map_err(|e| {
             CliError::new(format!(
                 "update round {}: {}",
                 index + 1,
@@ -267,16 +250,6 @@ fn run_batch(
     for note in &round_notes {
         output.push_str(note);
         output.push('\n');
-    }
-    if let Some(stats) = engine.cache_stats() {
-        output.push_str(&format!(
-            "cache: capacity {}, {} hits, {} misses, {} stale, {} evictions\n",
-            engine.cache_capacity(),
-            stats.hits,
-            stats.misses,
-            stats.stale,
-            stats.evictions,
-        ));
     }
     output.push('\n');
     output.push_str(&table.render());
@@ -398,7 +371,9 @@ mod tests {
             "usim_cli_simrank_churnpairs_{}",
             std::process::id()
         ));
-        std::fs::write(&pairs_path, "0 1\n2 3\n").unwrap();
+        // A repeated pair on purpose: the engine deduplicates it, and both
+        // rows must carry the same scores.
+        std::fs::write(&pairs_path, "0 1\n2 3\n0 1\n").unwrap();
         let updates_path =
             std::env::temp_dir().join(format!("usim_cli_simrank_churnupd_{}", std::process::id()));
         std::fs::write(&updates_path, "= 0 2 0.05\n- 0 3\n---\n+ 4 0 0.9\n").unwrap();
@@ -426,6 +401,12 @@ mod tests {
             output.contains("round 2: +1 -0 =0 arcs -> 8 live"),
             "{output}"
         );
+        let rows: Vec<&str> = output
+            .lines()
+            .filter(|l| l.trim_start().starts_with("0 "))
+            .collect();
+        assert_eq!(rows.len(), 2, "{output}");
+        assert_eq!(rows[0], rows[1], "{output}");
 
         // A round referencing a missing arc is a clean, located error.
         std::fs::write(&updates_path, "- 0 4\n").unwrap();
@@ -451,62 +432,6 @@ mod tests {
             "1",
             "--updates",
             updates_path.to_str().unwrap(),
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("requires --batch"), "{err}");
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&pairs_path).unwrap();
-        std::fs::remove_file(&updates_path).unwrap();
-    }
-
-    #[test]
-    fn cached_churn_mode_is_bit_identical_and_reports_counters() {
-        let path = fig1_file("cachedchurn.tsv");
-        let pairs_path = std::env::temp_dir().join(format!(
-            "usim_cli_simrank_cachepairs_{}",
-            std::process::id()
-        ));
-        // Duplicates on purpose: the cache (and the engine's own dedup)
-        // must not change a single table cell.
-        std::fs::write(&pairs_path, "0 1\n2 3\n0 1\n").unwrap();
-        let updates_path =
-            std::env::temp_dir().join(format!("usim_cli_simrank_cacheupd_{}", std::process::id()));
-        std::fs::write(&updates_path, "= 0 2 0.05\n---\n+ 4 0 0.9\n").unwrap();
-        let base = vec![
-            path.to_str().unwrap().to_string(),
-            "--batch".to_string(),
-            pairs_path.to_str().unwrap().to_string(),
-            "--updates".to_string(),
-            updates_path.to_str().unwrap().to_string(),
-            "--samples".to_string(),
-            "120".to_string(),
-            "--seed".to_string(),
-            "6".to_string(),
-        ];
-        let mut cached = base.clone();
-        cached.extend(["--cache-capacity".to_string(), "64".to_string()]);
-        let plain_out = run(&base).unwrap();
-        let cached_out = run(&cached).unwrap();
-        assert!(cached_out.contains("cache: capacity 64"), "{cached_out}");
-        assert!(!plain_out.contains("cache:"), "{plain_out}");
-        // The score tables (everything from the header row on) are equal.
-        let table = |s: &str| {
-            s.lines()
-                .skip_while(|l| !l.contains("source"))
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(table(&plain_out), table(&cached_out));
-
-        // --cache-capacity without --batch is rejected.
-        let err = run(&tokens(&[
-            path.to_str().unwrap(),
-            "--source",
-            "0",
-            "--target",
-            "1",
-            "--cache-capacity",
-            "64",
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("requires --batch"), "{err}");

@@ -162,15 +162,10 @@ pub fn usage() -> String {
         "                       With `simrank --batch` the pair batch is re-answered\n",
         "                       after every round (churn mode); `update` applies the\n",
         "                       rounds and writes the mutated graph via --out\n",
-        "    --cache-capacity N epoch-validated result cache in front of the batch\n",
-        "                       engine (simrank --batch and serve): repeated pairs\n",
-        "                       are served without re-sampling, answers stay\n",
-        "                       bit-identical; 0 = off                     [default 0]\n",
         "\n",
         "SERVER OPTIONS (serve):\n",
         "    --addr HOST:PORT   listen address (port 0 picks a free port) [127.0.0.1:7878]\n",
-        "    --workers N        serving threads                            [default 4]\n",
-        "    --queue N          bounded connection-queue depth             [default 64]\n",
+        "    --workers N        connections served at once, one thread each [default 4]\n",
         "    --max-batch N      per-request pairs/candidates/updates cap   [default 65536]\n",
         "    --max-connections N  stop after N connections; 0 = run forever [default 0]\n",
         "    --port-file PATH   write the bound address to PATH after binding\n",

@@ -161,7 +161,6 @@ fn server_answers_are_bit_identical_to_the_cli_at_any_worker_count() {
             handler,
             ServerOptions {
                 workers,
-                queue_depth: 8,
                 max_connections: None,
             },
         )
@@ -250,7 +249,6 @@ fn wire_floats_survive_the_round_trip_exactly() {
         handler,
         ServerOptions {
             workers: 2,
-            queue_depth: 2,
             max_connections: None,
         },
     )

@@ -25,8 +25,9 @@ use std::time::{Duration, Instant};
 pub enum Stage {
     /// JSON line → request value (transport read excluded).
     Parse,
-    /// Waiting between connection accept and a worker picking it up
-    /// (recorded on the connection's first frame).
+    /// Waiting between connection accept and the start of its serving
+    /// thread, including any wait for a free slot (recorded on the
+    /// connection's first frame).
     QueueWait,
     /// Result-cache probes (hits and miss bookkeeping).
     CacheLookup,

@@ -17,7 +17,7 @@
 //!   it was computed under, and every failure is a typed error frame —
 //!   malformed input never panics or drops a connection.
 //! * [`server`] — `std::net` + `std::thread` transport: one accept loop
-//!   feeding N workers through a bounded job queue.
+//!   and one thread per connection, at most N connections at once.
 //!
 //! The [`metrics`] module keeps a lock-free latency histogram plus
 //! per-request-type counters, surfaced through the `stats` frame.

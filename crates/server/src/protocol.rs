@@ -54,7 +54,6 @@ use bytes::{BufMut, BytesMut};
 use parking_lot::Mutex;
 use serde::Value;
 use std::collections::HashMap;
-use std::str::Utf8Error;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ugraph::{GraphUpdate, UpdateError, UpdateLog, VertexId};
@@ -94,6 +93,10 @@ pub enum ErrorCode {
     /// not.  Clients should treat the server as needing operator
     /// attention.
     LogFailed,
+    /// The request line is longer than
+    /// [`RequestHandler::max_line_bytes`]; the transport read it to its
+    /// newline without buffering it, and the connection stays up.
+    OversizedFrame,
 }
 
 impl ErrorCode {
@@ -108,6 +111,7 @@ impl ErrorCode {
             ErrorCode::UpdateRejected => "update_rejected",
             ErrorCode::QueryRejected => "query_rejected",
             ErrorCode::LogFailed => "log_failed",
+            ErrorCode::OversizedFrame => "oversized_frame",
         }
     }
 }
@@ -306,9 +310,12 @@ impl RequestHandler {
         &self.engine
     }
 
-    /// The configured batch-size cap.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
+    /// The longest request line the transport buffers, newline included:
+    /// `max_batch × 256 + 4096` bytes.  256 bytes is over twice the
+    /// longest compact batch item (an update with two u64 labels and a
+    /// 17-digit probability, ~110 bytes); 4096 covers the rest of a frame.
+    pub fn max_line_bytes(&self) -> usize {
+        self.max_batch.saturating_mul(256).saturating_add(4096)
     }
 
     /// Handles one wire line.  Returns `None` for blank lines (keep-alives
@@ -337,7 +344,7 @@ impl RequestHandler {
 
     /// Like [`RequestHandler::handle_line_into`] on the raw bytes the
     /// transport read, additionally crediting `queue_wait` (the transport's
-    /// accept-to-worker-pickup delay, which only the transport can measure)
+    /// accept-to-thread-start delay, which only the transport can measure)
     /// to this frame's trace when the frame is sampled.  The wait also
     /// extends the trace's total, so the per-request stage sum stays within
     /// the end-to-end latency sample the transport records for the same
@@ -352,6 +359,32 @@ impl RequestHandler {
         if line == Ok("") {
             return None;
         }
+        let line = line
+            .map_err(|_| Reject::new(ErrorCode::MalformedFrame, "request line is not valid UTF-8"));
+        Some(self.respond(line, out, queue_wait))
+    }
+
+    /// Answers a request line the transport read but did not buffer
+    /// because it is longer than [`RequestHandler::max_line_bytes`]: one
+    /// `oversized_frame` error frame, counted under the `invalid` kind.
+    pub fn handle_oversized_line_into(
+        &self,
+        out: &mut BytesMut,
+        queue_wait: Option<Duration>,
+    ) -> ResponseMeta {
+        let message = format!("request line longer than {} bytes", self.max_line_bytes());
+        let reject = Reject::new(ErrorCode::OversizedFrame, message);
+        self.respond(Err(reject), out, queue_wait)
+    }
+
+    /// Writes the response to one non-blank line (or the transport's
+    /// reason for refusing it) into `out`.
+    fn respond(
+        &self,
+        line: Result<&str, Reject>,
+        out: &mut BytesMut,
+        queue_wait: Option<Duration>,
+    ) -> ResponseMeta {
         let trace = self.tracer.as_ref().and_then(Tracer::begin);
         let started = trace.as_ref().map(|_| Instant::now());
         let mut kind = "invalid";
@@ -361,7 +394,7 @@ impl RequestHandler {
             out.put_slice(b"\n");
         });
         self.finish_trace(trace, kind, started, queue_wait);
-        Some(ResponseMeta { is_error })
+        ResponseMeta { is_error }
     }
 
     /// Folds a finished trace into the tracer (no-op for un-sampled
@@ -390,7 +423,7 @@ impl RequestHandler {
     /// log) as soon as it is known.
     fn dispatch(
         &self,
-        line: Result<&str, Utf8Error>,
+        line: Result<&str, Reject>,
         trace: Option<&StageTrace>,
         kind_out: &mut &'static str,
     ) -> (Value, bool) {
@@ -402,7 +435,9 @@ impl RequestHandler {
                 // type were already counted under that type at dispatch.
                 if matches!(
                     reject.code,
-                    ErrorCode::MalformedFrame | ErrorCode::UnknownRequestType
+                    ErrorCode::MalformedFrame
+                        | ErrorCode::UnknownRequestType
+                        | ErrorCode::OversizedFrame
                 ) {
                     self.metrics.count_request(RequestKind::Invalid);
                 }
@@ -413,13 +448,11 @@ impl RequestHandler {
 
     fn handle(
         &self,
-        line: Result<&str, Utf8Error>,
+        line: Result<&str, Reject>,
         trace: Option<&StageTrace>,
         kind_out: &mut &'static str,
     ) -> Result<Value, Reject> {
-        let line = line.map_err(|_| {
-            Reject::new(ErrorCode::MalformedFrame, "request line is not valid UTF-8")
-        })?;
+        let line = line?;
         let value: Value = time_stage(trace, Stage::Parse, || serde_json::from_str(line))
             .map_err(|e| Reject::new(ErrorCode::MalformedFrame, format!("invalid JSON: {e}")))?;
         let entries = value.as_map().ok_or_else(|| {

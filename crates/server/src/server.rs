@@ -1,42 +1,42 @@
-//! The threaded TCP transport: accept loop, bounded job queue, workers.
+//! The threaded TCP transport: an accept loop and one thread per
+//! connection, at most `workers` connections served at once.
 //!
 //! The topology is deliberately boring `std::net` + `std::thread`:
 //!
 //! ```text
-//! accept loop ──sync_channel(queue_depth)──▶ worker 0 ─┐
-//!   (listener)                              worker 1 ──┼──▶ RequestHandler
-//!                                           …          │    (CachedQueryEngine)
-//!                                           worker N-1 ┘
+//! accept loop ──wait for a free slot──▶ connection thread ─┐
+//!   (listener)                          connection thread ─┼──▶ RequestHandler
+//!                                       …  (≤ workers)     ┘    (CachedQueryEngine)
 //! ```
 //!
-//! The accept loop pushes whole connections into a **bounded** queue
-//! ([`std::sync::mpsc::sync_channel`]); when every worker is busy and the
-//! queue is full, `send` blocks the accept loop — backpressure lands on the
-//! TCP accept backlog instead of growing an unbounded buffer.  Each worker
-//! serves its connection line by line until the client disconnects:
-//! queries take the engine's read lock (any number run concurrently, across
-//! workers), `update` frames take the write lock and bump the epoch, so a
-//! client interleaving updates and queries on one connection observes its
-//! own writes, and other connections observe the epoch change.
+//! The accept loop takes one connection, waits until fewer than `workers`
+//! connections are being served, and only then spawns the connection's
+//! thread; while it waits, further connections queue in the kernel's TCP
+//! accept backlog instead of an unbounded buffer.  Each thread serves its
+//! connection line by line until the client disconnects: queries take the
+//! engine's read lock (any number run concurrently, across connections),
+//! `update` frames take the write lock and bump the epoch, so a client
+//! interleaving updates and queries on one connection observes its own
+//! writes, and other connections observe the epoch change.
 //!
 //! Nothing here panics on client input: every malformed frame becomes a
 //! typed error line (see [`crate::protocol`]) and the connection stays up.
+//! A request line longer than [`RequestHandler::max_line_bytes`] is read
+//! to its newline without being buffered and answered `oversized_frame`.
 
 use crate::protocol::RequestHandler;
-use parking_lot::Mutex;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Transport tuning of one [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerOptions {
-    /// Worker threads serving connections.
+    /// Connections served at once, one thread each; further connections
+    /// wait in the kernel's accept backlog.
     pub workers: usize,
-    /// Bounded job-queue depth between the accept loop and the workers.
-    pub queue_depth: usize,
     /// Stop after accepting this many connections (`None`: serve forever;
     /// `Some(0)`: accept nothing and return immediately).  This is how
     /// tests and smoke scripts get a clean, joinable shutdown.
@@ -47,7 +47,6 @@ impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             workers: 4,
-            queue_depth: 64,
             max_connections: None,
         }
     }
@@ -140,67 +139,55 @@ impl Server {
         Arc::clone(&self.handler)
     }
 
-    /// Serves on the calling thread: spawns the workers, runs the accept
-    /// loop, and returns the final counters once the connection budget is
-    /// exhausted (or a [`ServerHandle::shutdown`] woke the loop).  Workers
-    /// finish serving their in-flight connections before this returns.
+    /// Serves on the calling thread: runs the accept loop, spawning one
+    /// thread per connection (at most `workers` at once), and returns the
+    /// final counters once the connection budget is exhausted (or a
+    /// [`ServerHandle::shutdown`] woke the loop).  In-flight connections
+    /// are served to the end before this returns.  A panic in a connection
+    /// thread ends only that connection and frees its slot; it is raised
+    /// again here once every connection has ended.
     pub fn run(self) -> std::io::Result<ServerStats> {
         // A zero connection budget means "serve nothing", not "serve
         // forever" (the loop below checks the budget only after accepting).
         if self.options.max_connections == Some(0) {
             return Ok(ServerStats::default());
         }
-        let workers = self.options.workers.max(1);
-        let queue_depth = self.options.queue_depth.max(1);
-        // Connections are stamped at accept so the worker that picks one up
-        // can credit the queue wait to the first frame's stage trace.
-        let (sender, receiver) = mpsc::sync_channel::<(TcpStream, Instant)>(queue_depth);
-        let receiver = Arc::new(Mutex::new(receiver));
-        let frames = Arc::new(AtomicU64::new(0));
-        let errors = Arc::new(AtomicU64::new(0));
-
-        let mut joins = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let receiver = Arc::clone(&receiver);
-            let handler = Arc::clone(&self.handler);
-            let frames = Arc::clone(&frames);
-            let errors = Arc::clone(&errors);
-            joins.push(std::thread::spawn(move || loop {
-                // Hold the receiver lock only for the pop, not while
-                // serving: other workers keep draining the queue.
-                let next = receiver.lock().recv();
-                match next {
-                    Ok((stream, accepted)) => {
-                        serve_connection(stream, accepted, &handler, &frames, &errors)
-                    }
-                    Err(_) => break, // accept loop dropped the sender
-                }
-            }));
-        }
+        let slots = Slots {
+            free: Mutex::new(self.options.workers.max(1)),
+            freed: Condvar::new(),
+        };
+        let (frames, errors) = (&AtomicU64::new(0), &AtomicU64::new(0));
+        let handler: &RequestHandler = &self.handler;
 
         let mut connections = 0usize;
-        for stream in self.listener.incoming() {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break; // the waker connection is dropped unserved
+        std::thread::scope(|scope| {
+            for stream in self.listener.incoming() {
+                if self.shutdown.load(Ordering::SeqCst) {
+                    break; // the waker connection is dropped unserved
+                }
+                // Stamped at accept, so the connection's first frame is
+                // charged the wait for a free slot.
+                let accepted = Instant::now();
+                let spawned = stream.and_then(|stream| {
+                    let slot = slots.acquire();
+                    std::thread::Builder::new().spawn_scoped(scope, move || {
+                        let _slot = slot; // given back however this thread ends
+                        serve_connection(stream, accepted, handler, frames, errors)
+                    })
+                });
+                if spawned.is_err() {
+                    // Accept errors (EMFILE under fd exhaustion,
+                    // ECONNABORTED) and failed spawns can persist; back off
+                    // briefly instead of spinning hot.
+                    std::thread::sleep(Duration::from_millis(10));
+                    continue;
+                }
+                connections += 1;
+                if Some(connections) == self.options.max_connections {
+                    break;
+                }
             }
-            let Ok(stream) = stream else {
-                // Accept errors (EMFILE under fd exhaustion, ECONNABORTED)
-                // can persist; back off briefly instead of spinning hot.
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                continue;
-            };
-            connections += 1;
-            if sender.send((stream, Instant::now())).is_err() {
-                break;
-            }
-            if Some(connections) == self.options.max_connections {
-                break;
-            }
-        }
-        drop(sender);
-        for join in joins {
-            let _ = join.join();
-        }
+        });
         Ok(ServerStats {
             connections,
             frames: frames.load(Ordering::SeqCst),
@@ -250,8 +237,68 @@ impl ServerHandle {
     }
 }
 
+/// The connection slots of one [`Server::run`]: how many are free, and
+/// the signal that one was given back.
+struct Slots {
+    free: Mutex<usize>,
+    freed: Condvar,
+}
+
+/// One taken slot, given back on drop — also when its connection thread
+/// panics or fails to spawn.
+struct Slot<'a>(&'a Slots);
+
+impl Slots {
+    /// Blocks until a slot is free and takes it.  The lock only guards
+    /// arithmetic that cannot panic, so it is never poisoned.
+    fn acquire(&self) -> Slot<'_> {
+        let free = self.free.lock().unwrap();
+        *self.freed.wait_while(free, |free| *free == 0).unwrap() -= 1;
+        Slot(self)
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        *self.0.free.lock().unwrap() += 1;
+        self.0.freed.notify_one();
+    }
+}
+
+/// What [`read_request_line`] found.
+enum LineRead {
+    Eof,
+    Line,
+    TooLong,
+}
+
+/// Reads one `\n`-terminated request line into `line`, buffering at most
+/// `cap` bytes (newline included).  A longer line is read to its newline
+/// `cap` bytes at a time and dropped, so the connection stays in frame and
+/// server memory stays bounded whatever a client sends.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    cap: usize,
+) -> std::io::Result<LineRead> {
+    let mut too_long = false;
+    loop {
+        line.clear();
+        let read = reader.by_ref().take(cap as u64).read_until(b'\n', line)?;
+        // A short read without a newline ends at EOF.
+        if read < cap || line.ends_with(b"\n") {
+            return Ok(match (too_long, read) {
+                (true, _) => LineRead::TooLong,
+                (false, 0) => LineRead::Eof,
+                (false, _) => LineRead::Line,
+            });
+        }
+        too_long = true;
+    }
+}
+
 /// Serves one connection line by line until EOF or an I/O error.  Client
-/// input can only produce error *frames*; it never tears the worker down.
+/// input can only produce error *frames*; it never tears the thread down.
 ///
 /// Responses are serialised straight into a per-connection scratch buffer
 /// ([`RequestHandler::handle_line_into`]) that is cleared — not freed —
@@ -273,31 +320,35 @@ fn serve_connection(
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    // Accept-to-pickup queueing is charged to the connection's *first*
-    // frame — both its latency sample and (when sampled) its stage trace —
-    // so a saturated worker pool shows up in the histograms rather than
-    // vanishing between clocks.
+    // Accept-to-thread-start queueing is charged to the connection's
+    // *first* frame — both its latency sample and (when sampled) its stage
+    // trace — so a wait for a free slot shows up in the histograms rather
+    // than vanishing between clocks.
     let mut queue_wait = Some(accepted.elapsed());
     let mut writer = stream;
     let mut reader = BufReader::new(read_half);
+    let cap = handler.max_line_bytes();
     // Raw bytes, not a `String`: a line that is not UTF-8 must come back
-    // as an error frame, not end the connection the way `read_line`'s
-    // `InvalidData` would.
+    // as an error frame, not end the connection.
     let mut line = Vec::new();
     let mut out = bytes::BytesMut::with_capacity(512);
     loop {
-        line.clear();
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) | Err(_) => break, // EOF or a torn connection
-            Ok(_) => {}
-        }
+        let too_long = match read_request_line(&mut reader, &mut line, cap) {
+            Ok(LineRead::Eof) | Err(_) => break, // EOF or a torn connection
+            Ok(read) => matches!(read, LineRead::TooLong),
+        };
         // The latency clock starts when the request line is in hand and
         // stops once the response is serialised — transport queueing on
         // *this* request counts, idle time between requests does not.
         let started = Instant::now();
         out.clear();
-        let Some(meta) = handler.handle_line_into_traced(&line, &mut out, queue_wait) else {
-            continue; // a blank keep-alive; the queue wait stays pending
+        let meta = if too_long {
+            handler.handle_oversized_line_into(&mut out, queue_wait)
+        } else {
+            match handler.handle_line_into_traced(&line, &mut out, queue_wait) {
+                Some(meta) => meta,
+                None => continue, // a blank keep-alive; the queue wait stays pending
+            }
         };
         let waited = queue_wait.take().unwrap_or_default();
         // Every counter lands before the reply leaves, so a client that has
@@ -346,6 +397,14 @@ mod tests {
         RequestHandler::new(QueryEngine::new(&g, config), (0..5).collect(), 1024)
     }
 
+    fn bind(handler: RequestHandler, workers: usize, max_connections: Option<usize>) -> Server {
+        let options = ServerOptions {
+            workers,
+            max_connections,
+        };
+        Server::bind("127.0.0.1:0", handler, options).unwrap()
+    }
+
     fn ask(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, frame: &str) -> String {
         writeln!(conn, "{frame}").unwrap();
         let mut line = String::new();
@@ -361,16 +420,7 @@ mod tests {
 
     #[test]
     fn serves_concurrent_connections_and_counts_frames() {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            handler(),
-            ServerOptions {
-                workers: 3,
-                queue_depth: 2,
-                max_connections: None,
-            },
-        )
-        .unwrap();
+        let server = bind(handler(), 3, None);
         let addr = server.local_addr();
         let handle = server.spawn();
 
@@ -399,17 +449,34 @@ mod tests {
     }
 
     #[test]
+    fn workers_caps_the_connections_served_at_once() {
+        let server = bind(handler(), 1, None);
+        let addr = server.local_addr();
+        let handle = server.spawn();
+        let similarity = r#"{"type":"similarity","source":0,"target":1}"#;
+
+        let (mut a, mut a_reader) = connect(addr);
+        let answer = ask(&mut a, &mut a_reader, similarity);
+        assert!(answer.contains("\"ok\":true"), "{answer}");
+        // B's frame cannot be served while A holds the only slot.
+        let (mut b, mut b_reader) = connect(addr);
+        writeln!(b, "{similarity}").unwrap();
+        let stats = ask(&mut a, &mut a_reader, r#"{"type":"stats"}"#);
+        assert!(stats.contains("\"similarity\":1"), "{stats}");
+        // A's disconnect frees the slot, and B is answered.
+        drop((a, a_reader));
+        let mut late = String::new();
+        b_reader.read_line(&mut late).unwrap();
+        assert_eq!(late, answer);
+        drop((b, b_reader));
+
+        let stats = handle.shutdown().unwrap();
+        assert_eq!(stats.frames, 3);
+    }
+
+    #[test]
     fn max_connections_gives_a_clean_exit() {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            handler(),
-            ServerOptions {
-                workers: 1,
-                queue_depth: 1,
-                max_connections: Some(2),
-            },
-        )
-        .unwrap();
+        let server = bind(handler(), 1, Some(2));
         let addr = server.local_addr();
         let runner = std::thread::spawn(move || server.run().unwrap());
 
@@ -425,16 +492,7 @@ mod tests {
 
     #[test]
     fn zero_connection_budget_serves_nothing() {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            handler(),
-            ServerOptions {
-                workers: 1,
-                queue_depth: 1,
-                max_connections: Some(0),
-            },
-        )
-        .unwrap();
+        let server = bind(handler(), 1, Some(0));
         let stats = server.run().unwrap();
         assert_eq!(stats, ServerStats::default());
     }
@@ -443,16 +501,7 @@ mod tests {
     fn latency_histogram_counts_every_served_frame() {
         let handler = handler();
         let metrics = Arc::clone(handler.metrics());
-        let server = Server::bind(
-            "127.0.0.1:0",
-            handler,
-            ServerOptions {
-                workers: 1,
-                queue_depth: 1,
-                max_connections: Some(1),
-            },
-        )
-        .unwrap();
+        let server = bind(handler, 1, Some(1));
         let addr = server.local_addr();
         let runner = std::thread::spawn(move || server.run().unwrap());
 
@@ -477,16 +526,7 @@ mod tests {
 
     #[test]
     fn malformed_frames_do_not_drop_the_connection() {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            handler(),
-            ServerOptions {
-                workers: 1,
-                queue_depth: 1,
-                max_connections: Some(1),
-            },
-        )
-        .unwrap();
+        let server = bind(handler(), 1, Some(1));
         let addr = server.local_addr();
         let runner = std::thread::spawn(move || server.run().unwrap());
 

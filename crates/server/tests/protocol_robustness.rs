@@ -27,7 +27,8 @@ fn config() -> SimRankConfig {
     SimRankConfig::default().with_samples(120).with_seed(13)
 }
 
-/// Spawns a server with a small batch cap and `workers` worker threads.
+/// Spawns a server with a small batch cap, serving at most `workers`
+/// connections at once.
 fn spawn(workers: usize) -> usim_server::ServerHandle {
     let handler = RequestHandler::new(
         QueryEngine::new(&fig1_graph(), config()),
@@ -39,7 +40,6 @@ fn spawn(workers: usize) -> usim_server::ServerHandle {
         handler,
         ServerOptions {
             workers,
-            queue_depth: 4,
             max_connections: None,
         },
     )
@@ -337,4 +337,42 @@ fn a_non_utf8_line_is_an_error_frame_not_a_disconnect() {
     assert!(response.contains("\"invalid\":1"), "{response}");
     drop((conn, reader));
     handle.shutdown().unwrap();
+}
+
+#[test]
+fn an_oversized_line_is_discarded_unbuffered_and_answered() {
+    // Cap 8 => lines longer than 8 × 256 + 4096 = 6,144 bytes are refused.
+    let handle = spawn(1);
+    let mut conn = TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+
+    // A line of exactly 6,144 bytes, newline included, is still served.
+    let frame = r#"{"type":"similarity","source":0,"target":1}"#;
+    let response = ask(&mut conn, &mut reader, &format!("{frame:<6143}"));
+    assert!(response.contains("\"ok\":true"), "{response}");
+
+    let mut line = String::from(r#"{"type":"batch","pairs":[[0,1]"#);
+    while line.len() < 10 << 20 {
+        line.push_str(",[0,1]");
+    }
+    line.push_str("]}\n");
+    conn.write_all(line.as_bytes()).unwrap();
+    let mut response = String::new();
+    reader.read_line(&mut response).unwrap();
+    assert!(
+        response.contains("\"ok\":false")
+            && response.contains("oversized_frame")
+            && response.contains("6144 bytes"),
+        "{response}"
+    );
+
+    // The connection is still in frame: the next line is answered, and
+    // the refused line counted as one `invalid` frame.
+    let response = ask(&mut conn, &mut reader, frame);
+    assert!(response.contains("\"ok\":true"), "{response}");
+    let response = ask(&mut conn, &mut reader, r#"{"type":"stats"}"#);
+    assert!(response.contains("\"invalid\":1"), "{response}");
+    drop((conn, reader));
+    let stats = handle.shutdown().unwrap();
+    assert_eq!((stats.frames, stats.errors), (4, 1));
 }

@@ -316,7 +316,6 @@ proptest! {
             handler,
             ServerOptions {
                 workers: 2,
-                queue_depth: 4,
                 max_connections: Some(1),
             },
         )
