@@ -87,7 +87,7 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("temp dir is creatable");
     let text_path = dir.join("graph.tsv");
     let snapshot_path = dir.join("graph.csr");
-    write_edge_list_file(&graph, &text_path).expect("text graph writes");
+    write_edge_list_file(&graph, &[], &text_path).expect("text graph writes");
     // Text loading compacts away isolated vertices; stage the snapshot from
     // the *parsed* graph so both boot paths land in the same vertex space —
     // exactly what `usim snapshot write GRAPH OUT` produces.

@@ -1,11 +1,19 @@
-//! `usim convert` — convert a graph between the text and binary formats.
+//! `usim convert` — rewrite a graph file as a text edge list or a snapshot.
+//!
+//! ```text
+//! usim convert IN OUT
+//! ```
+//!
+//! `IN` is read like every other command reads a graph (snapshot by magic,
+//! text otherwise); `OUT` is a snapshot when it ends in `.usim` or `.bin`
+//! and text otherwise.  Both keep the input file's vertex labels.
 
 use crate::args::{ArgSpec, Arguments};
 use crate::graphio::{load_graph, save_graph};
 use crate::CliError;
 
 const SPEC: ArgSpec<'_> = ArgSpec {
-    options: &["in-format", "out-format"],
+    options: &[],
     switches: &[],
 };
 
@@ -14,11 +22,10 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     let args = Arguments::parse(tokens, &SPEC)?;
     let input = args.require_positional(0, "the input graph file")?;
     let output = args.require_positional(1, "the output graph file")?;
-    let loaded = load_graph(input, args.option("in-format"))?;
-    let format = save_graph(&loaded.graph, output, args.option("out-format"))?;
+    let loaded = load_graph(input)?;
+    let format = save_graph(&loaded.graph, loaded.labels(), output)?;
     Ok(format!(
-        "converted {input} -> {output} ({:?}, {} vertices, {} arcs)\n",
-        format,
+        "converted {input} -> {output} ({format}, {} vertices, {} arcs)\n",
         loaded.graph.num_vertices(),
         loaded.graph.num_arcs(),
     ))
@@ -48,15 +55,15 @@ mod tests {
             binary.to_str().unwrap(),
         ]))
         .unwrap();
-        assert!(summary.contains("Binary"));
+        assert!(summary.contains("(snapshot,"), "{summary}");
         run(&tokens(&[
             binary.to_str().unwrap(),
             text_out.to_str().unwrap(),
         ]))
         .unwrap();
 
-        let original = load_graph(text_in.to_str().unwrap(), None).unwrap();
-        let roundtripped = load_graph(text_out.to_str().unwrap(), None).unwrap();
+        let original = load_graph(text_in.to_str().unwrap()).unwrap();
+        let roundtripped = load_graph(text_out.to_str().unwrap()).unwrap();
         assert_eq!(original.graph.num_arcs(), roundtripped.graph.num_arcs());
         for path in [&text_in, &binary, &text_out] {
             std::fs::remove_file(path).unwrap();

@@ -4,7 +4,8 @@
 //! Two sources are supported: a named dataset from the Table II registry
 //! (`--dataset Net --scale ci|paper`) or a custom R-MAT graph
 //! (`--rmat-scale 13 --edges 50000`), matching the generators used by the
-//! paper's scalability experiment.
+//! paper's scalability experiment.  `--out` ending in `.usim` or `.bin`
+//! writes a snapshot (isolated vertices included), anything else text.
 
 use crate::args::{ArgSpec, Arguments};
 use crate::graphio::save_graph;
@@ -15,15 +16,7 @@ use usim_datasets::registry::find_spec;
 use usim_datasets::{ci_registry, paper_registry, RmatGenerator};
 
 const SPEC: ArgSpec<'_> = ArgSpec {
-    options: &[
-        "dataset",
-        "scale",
-        "rmat-scale",
-        "edges",
-        "seed",
-        "out",
-        "format",
-    ],
+    options: &["dataset", "scale", "rmat-scale", "edges", "seed", "out"],
     switches: &[],
 };
 
@@ -80,10 +73,10 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     let args = Arguments::parse(tokens, &SPEC)?;
     let out: String = args.require_option("out")?;
     let (graph, description) = generate_graph(&args)?;
-    let format = save_graph(&graph, &out, args.option("format"))?;
+    let format = save_graph(&graph, &[], &out)?;
     let stats = uncertain_graph_stats(&graph);
     Ok(format!(
-        "generated {description}: {} vertices, {} arcs (mean probability {:.3}) -> {} ({:?})\n",
+        "generated {description}: {} vertices, {} arcs (mean probability {:.3}) -> {} ({})\n",
         graph.num_vertices(),
         graph.num_arcs(),
         stats.mean_probability,
@@ -116,7 +109,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("dataset Net"));
-        let loaded = load_graph(path.to_str().unwrap(), None).unwrap();
+        let loaded = load_graph(path.to_str().unwrap()).unwrap();
         assert!(loaded.graph.num_vertices() > 100);
         std::fs::remove_file(&path).unwrap();
     }
@@ -136,7 +129,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("R-MAT"));
-        let loaded = load_graph(path.to_str().unwrap(), None).unwrap();
+        let loaded = load_graph(path.to_str().unwrap()).unwrap();
         assert_eq!(loaded.graph.num_vertices(), 256);
         assert!(loaded.graph.num_arcs() > 500);
         std::fs::remove_file(&path).unwrap();

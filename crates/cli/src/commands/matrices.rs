@@ -15,15 +15,7 @@ use rwalk::transpr::{transition_matrices, transition_rows_from, TransPrOptions};
 use umatrix::ColumnStore;
 
 const SPEC: ArgSpec<'_> = ArgSpec {
-    options: &[
-        "steps",
-        "source",
-        "out",
-        "block-size",
-        "max-walks",
-        "prune",
-        "format",
-    ],
+    options: &["steps", "source", "out", "block-size", "max-walks", "prune"],
     switches: &["no-shortcut"],
 };
 
@@ -45,7 +37,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
         return Err(CliError::new("--steps must be at least 1"));
     }
     let options = options_from_args(&args)?;
-    let loaded = load_graph(path, args.option("format"))?;
+    let loaded = load_graph(path)?;
     let graph = &loaded.graph;
 
     if let Some(source_raw) = args.option("source") {

@@ -16,7 +16,7 @@ use std::time::Instant;
 use ugraph::VertexId;
 use usim_core::par_top_k_pairs;
 
-const BASE_OPTIONS: &[&str] = &["k", "pairs", "algorithm", "exhaustive-below", "format"];
+const BASE_OPTIONS: &[&str] = &["k", "pairs", "algorithm", "exhaustive-below"];
 
 fn spec() -> ArgSpec<'static> {
     static ALL: std::sync::OnceLock<Vec<&'static str>> = std::sync::OnceLock::new();
@@ -66,7 +66,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     let kind = AlgorithmKind::parse(args.option("algorithm").unwrap_or("two-phase"))?;
     let config = config_from_args(&args)?;
 
-    let loaded = load_graph(path, args.option("format"))?;
+    let loaded = load_graph(path)?;
     let pairs = candidate_pairs(
         loaded.graph.num_vertices(),
         exhaustive_below,

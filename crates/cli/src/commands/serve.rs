@@ -3,8 +3,7 @@
 //! ```text
 //! usim serve GRAPH [--addr 127.0.0.1:7878] [--workers 4] [--max-batch 65536]
 //!            [--max-connections 0] [--port-file PATH]
-//!            [--cache-capacity 0] [--format text|binary]
-//!            [--update-log PATH]
+//!            [--cache-capacity 0] [--update-log PATH]
 //!            [--trace-sample-rate 0] [--slow-log 32]
 //!            [--metrics-port P] [--metrics-port-file PATH]
 //!            [SimRank options]
@@ -20,11 +19,15 @@
 //! batch-engine CLI invocations (`usim simrank --batch`, `usim topk
 //! --engine batch`) on the same graph and seed, at any worker count.
 //!
-//! `--snapshot PATH` boots from a compiled CSR snapshot (`usim snapshot
-//! write`) instead of a graph file: the checksummed arrays are loaded
-//! as-is — no parsing, sorting or per-edge validation — so restart latency
-//! is O(bytes read), not O(edges processed).  The snapshot carries the
-//! label table, so clients keep speaking the original file's labels.
+//! The graph is given as the positional path or as `--snapshot PATH` (the
+//! same thing under the name deploy scripts use).  A file that starts with
+//! the CSR snapshot magic (`usim snapshot write`, or any `.usim` / `.bin`
+//! output) boots as-is — the checksummed arrays are loaded without
+//! parsing, sorting or per-edge validation, so restart latency is O(bytes
+//! read), not O(edges processed) — and the banner reports `source =
+//! snapshot`.  Any other file is parsed as a text edge list (`source =
+//! text`).  The snapshot carries the label table, so clients keep speaking
+//! the original file's labels.
 //!
 //! `--update-log PATH` makes `update` frames durable: every accepted batch
 //! is appended (and synced) to the log before its response goes out, and at
@@ -77,7 +80,7 @@
 
 use crate::args::{ArgSpec, Arguments};
 use crate::estimators::{config_from_args, CONFIG_OPTIONS};
-use crate::graphio::load_graph;
+use crate::graphio::{is_snapshot, load_graph};
 use crate::CliError;
 use std::io::Write;
 use ugraph::snapshot::read_snapshot_file;
@@ -92,7 +95,6 @@ const BASE_OPTIONS: &[&str] = &[
     "max-connections",
     "port-file",
     "cache-capacity",
-    "format",
     "snapshot",
     "update-log",
     "trace-sample-rate",
@@ -143,28 +145,27 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     }
 
     // Graph source: a compiled snapshot (O(bytes) boot, labels included) or
-    // a graph file parsed and CSR-compiled here (O(edges) boot).
-    let (source, path, engine, labels) = match args.option("snapshot") {
-        Some(snapshot_path) => {
-            if args.positional(0).is_some() {
-                return Err(CliError::new(
-                    "give either a graph file or --snapshot, not both",
-                ));
-            }
-            let snapshot = read_snapshot_file(snapshot_path)
-                .map_err(|e| CliError::new(format!("{snapshot_path}: {e}")))?;
-            let labels = snapshot.labels_or_identity();
-            let engine = QueryEngine::from_csr(snapshot.graph, config);
-            ("snapshot", snapshot_path.to_string(), engine, labels)
+    // a text file parsed and CSR-compiled here (O(edges) boot).
+    let path = match (args.positional(0), args.option("snapshot")) {
+        (Some(_), Some(_)) => {
+            return Err(CliError::new(
+                "give either a graph file or --snapshot, not both",
+            ))
         }
-        None => {
-            let path = args.require_positional(0, "the graph file (or --snapshot)")?;
-            let loaded = load_graph(path, args.option("format"))?;
-            let csr = CsrGraph::from_uncertain(&loaded.graph);
-            let engine = QueryEngine::from_csr(csr, config);
-            ("text", path.to_string(), engine, loaded.labels)
-        }
+        (Some(path), None) | (None, Some(path)) => path,
+        (None, None) => args.require_positional(0, "the graph file (or --snapshot)")?,
     };
+    let (source, csr, labels) = if is_snapshot(path)? {
+        let snapshot =
+            read_snapshot_file(path).map_err(|e| CliError::new(format!("{path}: {e}")))?;
+        let labels = snapshot.labels_or_identity();
+        ("snapshot", snapshot.graph, labels)
+    } else {
+        let loaded = load_graph(path)?;
+        let labels = loaded.labels().to_vec();
+        ("text", CsrGraph::from_uncertain(&loaded.graph), labels)
+    };
+    let engine = QueryEngine::from_csr(csr, config);
 
     // Durable update log: replay whatever is already there (epoch catch-up
     // after a crash or restart), then append every new accepted batch.

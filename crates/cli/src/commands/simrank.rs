@@ -33,7 +33,6 @@ const BASE_OPTIONS: &[&str] = &[
     "source",
     "target",
     "algorithm",
-    "format",
     "batch",
     "threads",
     "updates",
@@ -67,7 +66,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
                  --algorithm {algorithm:?} cannot be combined with it"
             )));
         }
-        let loaded = load_graph(path, args.option("format"))?;
+        let loaded = load_graph(path)?;
         return run_batch(&args, path, batch_path, &loaded, config);
     }
     if args.option("updates").is_some() {
@@ -79,7 +78,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
 
     let source_label: u64 = args.require_option("source")?;
     let target_label: u64 = args.require_option("target")?;
-    let loaded = load_graph(path, args.option("format"))?;
+    let loaded = load_graph(path)?;
     let u = loaded.vertex_for_label(source_label)?;
     let v = loaded.vertex_for_label(target_label)?;
 

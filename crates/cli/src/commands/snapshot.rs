@@ -1,17 +1,18 @@
 //! `usim snapshot` — write and verify compiled CSR snapshots.
 //!
 //! ```text
-//! usim snapshot write GRAPH OUT [--format text|binary]
+//! usim snapshot write GRAPH OUT
 //! usim snapshot verify PATH
 //! ```
 //!
-//! `write` loads a graph (text or binary, like every other subcommand),
-//! compiles it into the CSR form the query engine runs on, and serialises
-//! the result — **with** the file's label table — in the checksummed
-//! `USIMCSR1` format of [`ugraph::snapshot`].  `usim serve --snapshot`
+//! `write` loads a graph (like every other subcommand), compiles it into
+//! the CSR form the query engine runs on, and serialises the result —
+//! **with** the file's label table — in the checksummed `USIMCSR1` format
+//! of [`ugraph::snapshot`], whatever `OUT`'s extension.  `usim serve`
 //! boots from that file without re-parsing, re-sorting or re-validating a
 //! single edge, which is what makes restart latency independent of graph
-//! text size (the `cold_start` bench gates the speedup).
+//! text size (the `cold_start` bench gates the speedup); every other
+//! command reads it like the text file it came from.
 //!
 //! `verify` reads a snapshot back, re-checking the header arithmetic, the
 //! offset monotonicity and the trailing checksum, and reports its shape —
@@ -25,7 +26,7 @@ use ugraph::CsrGraph;
 
 fn spec() -> ArgSpec<'static> {
     ArgSpec {
-        options: &["format"],
+        options: &[],
         switches: &[],
     }
 }
@@ -45,15 +46,15 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
 fn write(args: &Arguments) -> Result<String, CliError> {
     let input = args.require_positional(1, "the graph file")?;
     let output = args.require_positional(2, "the snapshot output path")?;
-    let loaded = load_graph(input, args.option("format"))?;
+    let loaded = load_graph(input)?;
     let csr = CsrGraph::from_uncertain(&loaded.graph);
-    write_snapshot_file(&csr, &loaded.labels, output)
+    write_snapshot_file(&csr, loaded.labels(), output)
         .map_err(|e| CliError::new(format!("{output}: {e}")))?;
     Ok(format!(
         "wrote snapshot {output}: {} vertices, {} arcs, {} labels\n",
         csr.num_vertices(),
         csr.num_arcs(),
-        loaded.labels.len(),
+        loaded.labels().len(),
     ))
 }
 

@@ -1,7 +1,7 @@
 //! `usim stats` — graph-file statistics, or a live view of a running server.
 //!
 //! ```text
-//! usim stats GRAPH [--format text|binary]
+//! usim stats GRAPH
 //! usim stats --server HOST:PORT [--watch SECS] [--iterations N]
 //! ```
 //!
@@ -23,7 +23,7 @@ use std::io::{BufRead, BufReader, Write};
 use ugraph::stats::uncertain_graph_stats;
 
 const SPEC: ArgSpec<'_> = ArgSpec {
-    options: &["format", "server", "watch", "iterations"],
+    options: &["server", "watch", "iterations"],
     switches: &[],
 };
 
@@ -44,7 +44,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
         return Err(CliError::new("--watch/--iterations require --server"));
     }
     let path = args.require_positional(0, "the graph file (or --server)")?;
-    let loaded = load_graph(path, args.option("format"))?;
+    let loaded = load_graph(path)?;
     let stats = uncertain_graph_stats(&loaded.graph);
 
     let mut table = TextTable::new(&["statistic", "value"]);

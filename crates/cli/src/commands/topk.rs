@@ -20,7 +20,7 @@ use std::time::Instant;
 use ugraph::VertexId;
 use usim_core::{QueryEngine, ScoredVertex, SingleSourceEstimator, SourceMode};
 
-const BASE_OPTIONS: &[&str] = &["source", "k", "format", "engine", "threads"];
+const BASE_OPTIONS: &[&str] = &["source", "k", "engine", "threads"];
 
 fn spec() -> ArgSpec<'static> {
     static ALL: std::sync::OnceLock<Vec<&'static str>> = std::sync::OnceLock::new();
@@ -43,7 +43,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     let k: usize = args.parse_option("k", 10usize)?;
     let config = config_from_args(&args)?;
 
-    let loaded = load_graph(path, args.option("format"))?;
+    let loaded = load_graph(path)?;
     let source = loaded.vertex_for_label(source_label)?;
 
     let engine_kind = args.option("engine").unwrap_or("single-source");

@@ -2,7 +2,7 @@
 //! [`ugraph::DeltaOverlay`] and write the mutated graph back out.
 //!
 //! ```text
-//! usim update GRAPH --updates FILE --out OUT [--format text|binary]
+//! usim update GRAPH --updates FILE --out OUT
 //! ```
 //!
 //! The update file format is documented in [`crate::updates`]: `+ u v p`
@@ -11,19 +11,18 @@
 //! batches in order — a rejected round (duplicate insert, missing arc,
 //! invalid probability, …) aborts the command and nothing is written.
 //!
-//! Text output preserves the input file's original vertex labels; the
-//! binary format stores compact ids (labels `0..n`), exactly like
-//! `usim convert`.
+//! `OUT` is written like `usim convert` writes (a snapshot for `.usim` /
+//! `.bin`, text otherwise), in the input file's original vertex labels.
 
 use crate::args::{ArgSpec, Arguments};
-use crate::graphio::{load_graph, save_graph, GraphFormat, LoadedGraph};
+use crate::graphio::{load_graph, save_graph};
 use crate::updates::read_update_rounds;
 use crate::CliError;
 use ugraph::DeltaOverlay;
 
 fn spec() -> ArgSpec<'static> {
     ArgSpec {
-        options: &["updates", "out", "format"],
+        options: &["updates", "out"],
         switches: &[],
     }
 }
@@ -35,7 +34,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     let updates_path = args.require_option::<String>("updates")?;
     let out_path = args.require_option::<String>("out")?;
 
-    let loaded = load_graph(path, args.option("format"))?;
+    let loaded = load_graph(path)?;
     let rounds = read_update_rounds(&updates_path, &loaded)?;
 
     let mut overlay = DeltaOverlay::from_graph(&loaded.graph);
@@ -61,7 +60,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     // to_uncertain reads through the merged overlay views, so no final
     // compaction is needed to serialise the live graph.
     let mutated = overlay.to_uncertain();
-    let format = write_with_labels(&mutated, &loaded, &out_path, args.option("format"))?;
+    let format = save_graph(&mutated, loaded.labels(), &out_path)?;
     output.push_str(&format!(
         "applied {} updates in {} rounds to {path} ({arcs_before} -> {} arcs, \
          {inserted} inserted, {deleted} deleted, {reweighted} reweighted, \
@@ -70,41 +69,8 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
         rounds.len(),
         mutated.num_arcs(),
     ));
-    output.push_str(&format!(
-        "wrote {out_path} ({})\n",
-        match format {
-            GraphFormat::Text => "text, original labels",
-            GraphFormat::Binary => "binary, compact ids",
-        }
-    ));
+    output.push_str(&format!("wrote {out_path} ({format}, original labels)\n"));
     Ok(output)
-}
-
-/// Writes the mutated graph: text output maps compact ids back to the input
-/// file's original labels, binary output goes through the standard writer.
-fn write_with_labels(
-    graph: &ugraph::UncertainGraph,
-    loaded: &LoadedGraph,
-    out_path: &str,
-    explicit_format: Option<&str>,
-) -> Result<GraphFormat, CliError> {
-    match GraphFormat::detect(out_path, explicit_format)? {
-        GraphFormat::Binary => save_graph(graph, out_path, Some("binary")),
-        GraphFormat::Text => {
-            let mut text = String::new();
-            for arc in graph.arcs() {
-                text.push_str(&format!(
-                    "{} {} {}\n",
-                    loaded.label_of(arc.source),
-                    loaded.label_of(arc.target),
-                    arc.probability,
-                ));
-            }
-            std::fs::write(out_path, text)
-                .map_err(|e| CliError::new(format!("{out_path}: {e}")))?;
-            Ok(GraphFormat::Text)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +114,7 @@ mod tests {
         assert!(text.contains("10 30 0.4"), "{text}");
         assert!(text.contains("10 20 0.6"), "{text}");
         assert!(!text.contains("20 30"), "{text}");
-        let reloaded = load_graph(out_path.to_str().unwrap(), None).unwrap();
+        let reloaded = load_graph(out_path.to_str().unwrap()).unwrap();
         assert_eq!(reloaded.graph.num_arcs(), 3);
         let (u, v) = (
             reloaded.vertex_for_label(10).unwrap(),

@@ -15,7 +15,7 @@
 //! usim update    GRAPH --updates F --out OUT   apply arc updates to a graph
 //! usim serve     GRAPH --addr HOST:PORT        serve queries/updates over TCP (JSON lines)
 //! usim snapshot  write GRAPH OUT               compile a graph into a CSR snapshot
-//! usim convert   IN OUT                        convert between text and binary formats
+//! usim convert   IN OUT                        rewrite a graph as text or a snapshot
 //! usim er        --records 300                 entity-resolution case study
 //! ```
 
@@ -23,6 +23,8 @@
 #![deny(unsafe_code)]
 
 pub mod args;
+#[cfg(test)]
+mod binfmt;
 pub mod commands;
 pub mod estimators;
 pub mod exec;
@@ -126,18 +128,22 @@ pub fn usage() -> String {
         "                 frames (similarity/profile/top_k/batch/update/stats), answers\n",
         "                 bit-identical to the batch-engine commands; see docs/PROTOCOL.md\n",
         "    snapshot     `snapshot write GRAPH OUT` compiles a graph into a checksummed\n",
-        "                 CSR snapshot (loadable with `serve --snapshot` without re-parsing\n",
-        "                 or re-validating edges); `snapshot verify PATH` checks one\n",
-        "    convert      Convert a graph between the text and binary formats\n",
+        "                 CSR snapshot (`serve` boots it without re-parsing or\n",
+        "                 re-validating edges); `snapshot verify PATH` checks one\n",
+        "    convert      Rewrite a graph file as text, or as a snapshot when OUT ends\n",
+        "                 in .usim or .bin (labels kept either way)\n",
         "    er           Entity-resolution case study on a synthetic record graph\n",
         "    help         Show this message\n",
         "    version      Show the version\n",
         "\n",
         "GRAPH FILES:\n",
         "    Text edge lists have one `source target probability` triple per line\n",
-        "    (probability optional, defaults to 1.0; `#` starts a comment).  Files\n",
-        "    ending in .bin or .usim use the binary format; --format text|binary\n",
-        "    overrides the extension-based detection.\n",
+        "    (probability optional, defaults to 1.0; `#` starts a comment).  The one\n",
+        "    binary format is the checksummed CSR snapshot: every command reads a\n",
+        "    file starting with its magic as a snapshot, labels included, and any\n",
+        "    other file as text.  Commands that write a graph (generate, update\n",
+        "    --out, convert) write a snapshot when the path ends in .usim or .bin\n",
+        "    and text otherwise, always in the original labels.\n",
         "\n",
         "SIMRANK OPTIONS (shared by simrank, topk, topk-pairs, er):\n",
         "    --decay C          decay factor c in (0,1)        [default 0.6]\n",
@@ -171,8 +177,8 @@ pub fn usage() -> String {
         "    --port-file PATH   write the bound address to PATH after binding\n",
         "                       (removed again on clean shutdown)\n",
         "    --cache-capacity N result-cache entries; 0 = off              [default 0]\n",
-        "    --snapshot PATH    boot from a compiled CSR snapshot (`usim snapshot write`)\n",
-        "                       instead of a graph file: no parsing, no per-edge work\n",
+        "    --snapshot PATH    the graph to serve, in place of the positional path;\n",
+        "                       a snapshot boots with no parsing and no per-edge work\n",
         "    --update-log PATH  durable update log: replay logged rounds at boot, then\n",
         "                       append (and sync) every accepted update batch\n",
         "    --trace-sample-rate R  trace every ~1/R-th request: per-stage timings,\n",

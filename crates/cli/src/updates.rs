@@ -186,7 +186,7 @@ mod tests {
         ));
         // Non-compact labels on purpose: 10, 20, 30.
         std::fs::write(&path, "10 20 0.5\n20 30 0.9\n").unwrap();
-        let loaded = load_graph(path.to_str().unwrap(), None).unwrap();
+        let loaded = load_graph(path.to_str().unwrap()).unwrap();
         (path, loaded)
     }
 

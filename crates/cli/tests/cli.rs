@@ -145,11 +145,11 @@ fn generate_stats_convert_pipeline() {
 
     let convert = usim(&["convert", text.to_str().unwrap(), binary.to_str().unwrap()]);
     assert!(convert.status.success());
-    assert!(stdout(&convert).contains("Binary"));
+    assert!(stdout(&convert).contains("(snapshot,"));
 
     let stats_binary = usim(&["stats", binary.to_str().unwrap()]);
     assert!(stats_binary.status.success());
-    // The binary file describes the same graph, so the arc count lines match.
+    // The snapshot describes the same graph, so the arc count lines match.
     let arcs_line = |s: &str| {
         s.lines()
             .find(|l| l.trim_start().starts_with("arcs"))
@@ -163,6 +163,106 @@ fn generate_stats_convert_pipeline() {
 
     std::fs::remove_file(&text).unwrap();
     std::fs::remove_file(&binary).unwrap();
+}
+
+/// The score part of a `simrank` line, without its wall-clock suffix.
+fn score_of(output: &Output) -> String {
+    let text = stdout(output);
+    text.split(" [").next().unwrap().to_string()
+}
+
+#[test]
+fn snapshots_written_by_convert_and_update_keep_the_file_labels() {
+    let text = temp("lab.tsv");
+    let converted = temp("lab.bin");
+    let updates = temp("lab_updates.txt");
+    let updated_text = temp("lab_out.tsv");
+    let updated_snapshot = temp("lab_out.usim");
+    std::fs::write(&text, "5 1 0.5\n1 7 0.9\n5 7 0.8\n").unwrap();
+    std::fs::write(&updates, "= 5 1 0.3\n+ 7 5 0.6\n").unwrap();
+    let path = |p: &PathBuf| p.to_str().unwrap().to_string();
+    let simrank = |graph: &str, u: &str, v: &str| {
+        let output = usim(&["simrank", graph, "--source", u, "--target", v]);
+        assert!(output.status.success(), "stderr: {}", stderr(&output));
+        score_of(&output)
+    };
+
+    let convert = usim(&["convert", &path(&text), &path(&converted)]);
+    assert!(convert.status.success(), "stderr: {}", stderr(&convert));
+    let on_text = simrank(&path(&text), "1", "7");
+    assert!(on_text.starts_with("s(1, 7) = "), "{on_text}");
+    assert_eq!(simrank(&path(&converted), "1", "7"), on_text);
+
+    for out in [&updated_text, &updated_snapshot] {
+        let update = usim(&[
+            "update",
+            &path(&text),
+            "--updates",
+            &path(&updates),
+            "--out",
+            &path(out),
+        ]);
+        assert!(update.status.success(), "stderr: {}", stderr(&update));
+    }
+    for (u, v) in [("5", "1"), ("1", "7"), ("7", "5")] {
+        assert_eq!(
+            simrank(&path(&updated_snapshot), u, v),
+            simrank(&path(&updated_text), u, v),
+            "pair ({u}, {v})"
+        );
+    }
+    let verify = usim(&["snapshot", "verify", &path(&updated_snapshot)]);
+    assert!(
+        stdout(&verify).contains("labels 3 stored"),
+        "{}",
+        stdout(&verify)
+    );
+
+    for p in [
+        &text,
+        &converted,
+        &updates,
+        &updated_text,
+        &updated_snapshot,
+    ] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
+#[test]
+fn generated_snapshots_keep_isolated_vertices() {
+    let graph = temp("rmat10.usim");
+    let generate = usim(&[
+        "generate",
+        "--rmat-scale",
+        "10",
+        "--out",
+        graph.to_str().unwrap(),
+    ]);
+    assert!(generate.status.success(), "stderr: {}", stderr(&generate));
+    assert!(
+        stdout(&generate).contains(": 1024 vertices"),
+        "{}",
+        stdout(&generate)
+    );
+    let stats = usim(&["stats", graph.to_str().unwrap()]);
+    assert!(stats.status.success(), "stderr: {}", stderr(&stats));
+    let vertices = stdout(&stats)
+        .lines()
+        .find(|l| l.trim_start().starts_with("vertices"))
+        .map(|l| l.split_whitespace().last().unwrap().to_string());
+    assert_eq!(vertices.as_deref(), Some("1024"), "{}", stdout(&stats));
+    std::fs::remove_file(&graph).unwrap();
+}
+
+#[test]
+fn the_format_option_is_gone() {
+    let graph = temp("no_format.tsv");
+    write_fig1(&graph);
+    let output = usim(&["stats", graph.to_str().unwrap(), "--format", "text"]);
+    assert!(!output.status.success());
+    assert!(stderr(&output).contains("--format"), "{}", stderr(&output));
+    std::fs::remove_file(&graph).unwrap();
 }
 
 #[test]

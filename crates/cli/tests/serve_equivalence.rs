@@ -147,13 +147,13 @@ fn server_answers_are_bit_identical_to_the_cli_at_any_worker_count() {
 
     // -- the same questions over the wire, at 1 and at 4 workers -----------
     for workers in [1usize, 4] {
-        let loaded = usim_cli::graphio::load_graph(graph, None).unwrap();
+        let loaded = usim_cli::graphio::load_graph(graph).unwrap();
         let config = usim_core::SimRankConfig::default()
             .with_samples(SAMPLES.parse().unwrap())
             .with_seed(SEED.parse().unwrap());
         let handler = usim_server::RequestHandler::new(
             usim_core::QueryEngine::new(&loaded.graph, config),
-            loaded.labels,
+            loaded.labels().to_vec(),
             usim_server::DEFAULT_MAX_BATCH,
         );
         let handle = usim_server::Server::bind(
@@ -225,7 +225,7 @@ fn wire_floats_survive_the_round_trip_exactly() {
     // single bit.  Ask the same server twice and a fresh engine once.
     let graph_path = temp("bits.tsv");
     std::fs::write(&graph_path, GRAPH).unwrap();
-    let loaded = usim_cli::graphio::load_graph(graph_path.to_str().unwrap(), None).unwrap();
+    let loaded = usim_cli::graphio::load_graph(graph_path.to_str().unwrap()).unwrap();
     let config = usim_core::SimRankConfig::default()
         .with_samples(170)
         .with_seed(99);
@@ -241,7 +241,7 @@ fn wire_floats_survive_the_round_trip_exactly() {
 
     let handler = usim_server::RequestHandler::new(
         usim_core::QueryEngine::new(&loaded.graph, config),
-        loaded.labels,
+        loaded.labels().to_vec(),
         usim_server::DEFAULT_MAX_BATCH,
     );
     let handle = usim_server::Server::bind(

@@ -13,7 +13,8 @@
 //! the `stats` frame performs, so scrapes never contend with serving.
 
 use crate::protocol::RequestHandler;
-use std::io::{BufRead, BufReader, Write};
+use crate::server::{read_request_line, LineRead};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -88,19 +89,23 @@ impl ExporterHandle {
     }
 }
 
+/// The most bytes of one request-head line the exporter buffers; a longer
+/// line is read to its newline and dropped.
+const HEADER_LINE_CAP: usize = 8 * 1024;
+
 /// Answers one scrape: drain the request head, write one full response.
 fn serve_scrape(stream: TcpStream, handler: &RequestHandler) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     // Drain header lines until the blank separator (or EOF) so the client
     // never sees a reset while still sending; the request itself (path,
-    // method) is irrelevant — every scrape gets the full exposition.
-    let mut line = String::new();
+    // method) is irrelevant — every scrape gets the full exposition.  Each
+    // line is capped, so no header can grow the exporter's memory.
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => break,
+        match read_request_line(&mut reader, &mut line, HEADER_LINE_CAP) {
+            Ok(LineRead::Eof) | Err(_) => break,
+            Ok(LineRead::Line) if line == b"\r\n" || line == b"\n" => break,
             Ok(_) => {}
         }
     }
@@ -132,6 +137,15 @@ mod tests {
         Arc::new(RequestHandler::new(engine, (0..3).collect(), 1024).with_tracing(1.0, 8))
     }
 
+    /// Sends one request head and reads the whole response.
+    fn scrape(addr: SocketAddr, head: &[u8]) -> String {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.write_all(head).unwrap();
+        let mut response = String::new();
+        std::io::Read::read_to_string(&mut conn, &mut response).unwrap();
+        response
+    }
+
     #[test]
     fn scrapes_return_the_exposition_over_http() {
         let handler = handler();
@@ -142,13 +156,7 @@ mod tests {
         let exporter = MetricsExporter::bind("127.0.0.1:0", Arc::clone(&handler)).unwrap();
         let addr = exporter.local_addr();
         let running = exporter.spawn();
-
-        let mut conn = TcpStream::connect(addr).unwrap();
-        conn.write_all(b"GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n")
-            .unwrap();
-        let mut response = String::new();
-        std::io::Read::read_to_string(&mut conn, &mut response).unwrap();
-        drop(conn);
+        let response = scrape(addr, b"GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n");
         running.shutdown();
 
         assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
@@ -169,5 +177,28 @@ mod tests {
             .parse()
             .unwrap();
         assert_eq!(length, body.len());
+    }
+
+    #[test]
+    fn an_over_long_header_line_is_drained_and_still_answered() {
+        let handler = handler();
+        let exporter = MetricsExporter::bind("127.0.0.1:0", Arc::clone(&handler)).unwrap();
+        let addr = exporter.local_addr();
+        let running = exporter.spawn();
+
+        // A 10 MB header line, far past the 8 KiB cap: read to its newline
+        // without being buffered, then answered like any scrape.
+        let mut head = b"GET /metrics HTTP/1.0\r\nX-Padding: ".to_vec();
+        head.resize(head.len() + 10 * 1024 * 1024, b'a');
+        head.extend_from_slice(b"\r\n\r\n");
+        let long = scrape(addr, &head);
+        let normal = scrape(addr, b"GET /metrics HTTP/1.0\r\n\r\n");
+        running.shutdown();
+
+        let expected = handler.prometheus_exposition();
+        for response in [&long, &normal] {
+            assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
+            assert_eq!(response.split("\r\n\r\n").nth(1), Some(expected.as_str()));
+        }
     }
 }

@@ -266,7 +266,7 @@ impl Drop for Slot<'_> {
 }
 
 /// What [`read_request_line`] found.
-enum LineRead {
+pub(crate) enum LineRead {
     Eof,
     Line,
     TooLong,
@@ -276,7 +276,7 @@ enum LineRead {
 /// `cap` bytes (newline included).  A longer line is read to its newline
 /// `cap` bytes at a time and dropped, so the connection stays in frame and
 /// server memory stays bounded whatever a client sends.
-fn read_request_line(
+pub(crate) fn read_request_line(
     reader: &mut impl BufRead,
     line: &mut Vec<u8>,
     cap: usize,

@@ -42,8 +42,8 @@ pub enum GraphError {
         /// Human-readable description of the problem.
         message: String,
     },
-    /// A binary graph file was malformed (bad magic, truncation, checksum
-    /// mismatch, trailing bytes).
+    /// A binary file (CSR snapshot or update log) was malformed: bad magic,
+    /// truncation, checksum mismatch, trailing bytes.
     Format {
         /// Human-readable description of the problem.
         message: String,
@@ -90,6 +90,13 @@ impl fmt::Display for GraphError {
 }
 
 impl std::error::Error for GraphError {}
+
+/// Shorthand for a [`GraphError::Format`] carrying `message`.
+pub(crate) fn format_error(message: impl Into<String>) -> GraphError {
+    GraphError::Format {
+        message: message.into(),
+    }
+}
 
 impl From<std::io::Error> for GraphError {
     fn from(e: std::io::Error) -> Self {

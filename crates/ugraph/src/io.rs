@@ -138,8 +138,25 @@ pub fn read_edge_list_file<P: AsRef<Path>>(
     read_edge_list(file, options)
 }
 
-/// Writes an uncertain graph to any writer in edge-list format.
-pub fn write_edge_list<W: Write>(graph: &UncertainGraph, mut writer: W) -> Result<(), GraphError> {
+/// Writes an uncertain graph to any writer in edge-list format, naming
+/// vertex `v` as `labels[v]` (an empty slice writes the compact ids, like
+/// [`crate::snapshot::write_snapshot`]).
+///
+/// # Panics
+///
+/// If `labels` is neither empty nor one label per vertex.
+pub fn write_edge_list<W: Write>(
+    graph: &UncertainGraph,
+    labels: &[u64],
+    mut writer: W,
+) -> Result<(), GraphError> {
+    assert!(
+        labels.is_empty() || labels.len() == graph.num_vertices(),
+        "{} labels for {} vertices",
+        labels.len(),
+        graph.num_vertices()
+    );
+    let label = |v: VertexId| labels.get(v as usize).copied().unwrap_or(u64::from(v));
     writeln!(
         writer,
         "# uncertain graph: {} vertices, {} arcs",
@@ -147,18 +164,21 @@ pub fn write_edge_list<W: Write>(graph: &UncertainGraph, mut writer: W) -> Resul
         graph.num_arcs()
     )?;
     for arc in graph.arcs() {
-        writeln!(writer, "{} {} {}", arc.source, arc.target, arc.probability)?;
+        let (u, v) = (label(arc.source), label(arc.target));
+        writeln!(writer, "{u} {v} {}", arc.probability)?;
     }
+    writer.flush()?;
     Ok(())
 }
 
-/// Writes an uncertain graph to a file path.
+/// Writes an uncertain graph to a file path (see [`write_edge_list`]).
 pub fn write_edge_list_file<P: AsRef<Path>>(
     graph: &UncertainGraph,
+    labels: &[u64],
     path: P,
 ) -> Result<(), GraphError> {
     let file = std::fs::File::create(path)?;
-    write_edge_list(graph, std::io::BufWriter::new(file))
+    write_edge_list(graph, labels, std::io::BufWriter::new(file))
 }
 
 #[cfg(test)]
@@ -242,7 +262,7 @@ mod tests {
     fn write_then_read_roundtrip() {
         let g = UncertainGraph::from_arcs(3, [(0, 1, 0.5), (1, 2, 0.25), (2, 0, 1.0)]).unwrap();
         let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
+        write_edge_list(&g, &[], &mut buf).unwrap();
         let opts = ReadOptions {
             assume_compact: true,
             ..Default::default()
@@ -261,9 +281,10 @@ mod tests {
         let dir = std::env::temp_dir().join("ugraph_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.edges");
-        write_edge_list_file(&g, &path).unwrap();
+        write_edge_list_file(&g, &[70, 30], &path).unwrap();
         let back = read_edge_list_file(&path, &ReadOptions::default()).unwrap();
         assert_eq!(back.graph.num_arcs(), 1);
+        assert_eq!(back.labels, vec![70, 30]);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -25,9 +25,11 @@
 //!   in the tests) and i.i.d. sampling are provided.
 //! * [`io`] — a small weighted-edge-list format (`u v p` per line) used by the
 //!   examples and the experiment harness.
-//! * [`snapshot`] — a versioned, checksummed on-disk image of a [`CsrGraph`]
-//!   (both directions plus an optional label table) read back into place
-//!   without re-sorting or re-validating per edge, and [`updatelog`] — an
+//! * [`snapshot`] — the one binary graph format: a versioned, checksummed
+//!   on-disk image of a [`CsrGraph`] (both directions plus an optional
+//!   label table) read back into place without re-sorting or re-validating
+//!   per edge, and converted to an [`UncertainGraph`] with every arc
+//!   re-validated on demand; and [`updatelog`] — an
 //!   append-only log of [`GraphUpdate`] rounds a restarted server replays on
 //!   top of a snapshot to reach the exact epoch it died at.
 //! * [`stats`] — degree and probability statistics used when calibrating the
@@ -59,7 +61,6 @@
 #![deny(unsafe_code)]
 
 pub mod alias;
-pub mod binfmt;
 mod builder;
 pub mod csr;
 mod error;

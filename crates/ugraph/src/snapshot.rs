@@ -1,13 +1,14 @@
-//! A versioned, checksummed on-disk CSR snapshot.
+//! A versioned, checksummed on-disk CSR snapshot: the one binary graph
+//! format of the workspace.
 //!
-//! [`crate::binfmt`] stores an *edge list*: reading it re-validates every arc
-//! and rebuilds both CSR directions (two sorts over all arcs).  That is the
-//! right trust model for interchange, but it makes boot time proportional to
-//! that rebuild — the exact cost the serve path pays on every restart.  A
-//! **snapshot** instead persists the compiled [`CsrGraph`] itself: the
-//! `offsets` / `targets` / `probs` arrays of both directions are written as
-//! 8-byte-aligned little-endian sections behind a `USIMCSR1` header and read
-//! straight back into place, without re-sorting or re-validating per edge.
+//! A **snapshot** persists the compiled [`CsrGraph`] itself, plus the
+//! vertex label table: the `offsets` / `targets` / `probs` arrays of both
+//! directions are written as 8-byte-aligned little-endian sections behind a
+//! `USIMCSR1` header and read straight back into place, without re-sorting
+//! or re-validating per edge, so boot time is O(bytes read) rather than the
+//! O(edges) parse, sort and validation of a text edge list.  Callers that
+//! want an [`UncertainGraph`] instead convert with
+//! [`CsrSnapshot::to_uncertain`], which re-validates every arc.
 //!
 //! ```text
 //! offset  size       field
@@ -52,13 +53,15 @@
 //! reported as typed [`GraphError::Format`], never a panic or a silently
 //! wrong graph.
 //!
-//! The optional label table carries the wire labels the serving stack maps
-//! to compact vertex ids, making a snapshot a self-contained boot artifact
-//! for `usim serve --snapshot` (together with the [`crate::updatelog`]).
+//! The optional label table carries the labels every consumer maps to
+//! compact vertex ids, making a snapshot a self-contained artifact: `usim
+//! serve` boots from it (together with the [`crate::updatelog`]) and every
+//! other `usim` command reads it with the same labels as the text file it
+//! was written from.
 
 use crate::alias::{AliasSlot, AliasTable};
-use crate::binfmt::format_error;
-use crate::{CsrGraph, GraphError, Probability, VertexId};
+use crate::error::format_error;
+use crate::{CsrGraph, GraphError, Probability, UncertainGraph, VertexId};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -100,6 +103,21 @@ impl CsrSnapshot {
             self.labels.clone()
         }
     }
+
+    /// Rebuilds the [`UncertainGraph`] from the forward rows through
+    /// [`UncertainGraph::from_arcs`], so every vertex id and probability
+    /// the reader trusted to the checksum is validated here.
+    pub fn to_uncertain(&self) -> Result<UncertainGraph, GraphError> {
+        let forward = self.graph.forward();
+        let arcs = (0..self.graph.num_vertices() as VertexId).flat_map(|u| {
+            forward
+                .neighbors(u)
+                .iter()
+                .zip(forward.probabilities(u))
+                .map(move |(&v, &p)| (u, v, p))
+        });
+        UncertainGraph::from_arcs(self.graph.num_vertices(), arcs)
+    }
 }
 
 /// Rejects a label table naming one label twice: the serving stack maps
@@ -122,14 +140,14 @@ fn pad8(len: usize) -> usize {
 
 /// Streaming word-wise FNV checksum over the snapshot bytes.
 ///
-/// Same constants as the byte-wise FNV-1a in [`crate::binfmt`], but folding
+/// Same constants as the byte-wise FNV-1a of [`crate::updatelog`], but folding
 /// one little-endian u64 *word* per multiply instead of one byte — an 8x
 /// cheaper pass that keeps snapshot reads array-copy fast instead of being
 /// dominated by the integrity check.  Any single bit flip still changes the
 /// digest (xor and odd-prime multiplication are both bijective mod 2^64),
 /// and mixing the total byte length into the final state catches
-/// truncation or extension by zero bytes.  Snapshot-format only: the edge
-/// list and update log keep the byte-wise variant.
+/// truncation or extension by zero bytes.  Snapshot-format only: the update
+/// log keeps the byte-wise variant.
 struct WordFnv {
     state: u64,
     buf: [u8; 8],
@@ -826,6 +844,85 @@ mod tests {
         reseal(&mut bytes);
         let err = read_snapshot(bytes.as_slice()).unwrap_err();
         assert!(err.to_string().contains("outside"), "{err}");
+    }
+
+    #[test]
+    fn to_uncertain_preserves_every_arc_and_probability() {
+        let arcless = UncertainGraphBuilder::new(3).build().unwrap();
+        for original in [fig1_graph(), arcless] {
+            let csr = CsrGraph::from_uncertain(&original);
+            let snapshot = read_snapshot(encode(&csr, &[]).as_slice()).unwrap();
+            let restored = snapshot.to_uncertain().unwrap();
+            assert_eq!(restored.num_vertices(), original.num_vertices());
+            assert_eq!(restored.num_arcs(), original.num_arcs());
+            for arc in original.arcs() {
+                let p = restored.arc_probability(arc.source, arc.target);
+                assert_eq!(
+                    p,
+                    Some(arc.probability),
+                    "arc ({}, {})",
+                    arc.source,
+                    arc.target
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn text_and_snapshot_formats_agree() {
+        let graph = fig1_graph();
+        let mut text = Vec::new();
+        crate::io::write_edge_list(&graph, &[], &mut text).unwrap();
+        // `assume_compact` keeps the original vertex ids so arcs can be
+        // compared positionally with the snapshot round trip.
+        let options = crate::io::ReadOptions {
+            assume_compact: true,
+            ..Default::default()
+        };
+        let from_text = crate::io::read_edge_list(text.as_slice(), &options)
+            .unwrap()
+            .graph;
+        let csr = CsrGraph::from_uncertain(&graph);
+        let from_snapshot = read_snapshot(encode(&csr, &[]).as_slice())
+            .unwrap()
+            .to_uncertain()
+            .unwrap();
+        assert_eq!(from_text.num_vertices(), from_snapshot.num_vertices());
+        assert_eq!(from_text.num_arcs(), from_snapshot.num_arcs());
+        for arc in from_snapshot.arcs() {
+            let p = from_text.arc_probability(arc.source, arc.target).unwrap();
+            assert!((p - arc.probability).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn resealed_invalid_arcs_are_typed_errors_on_conversion() {
+        let csr = CsrGraph::from_uncertain(&fig1_graph());
+        let (n, m) = (csr.num_vertices(), csr.num_arcs());
+        let first_target = HEADER_LEN + (n + 1) * 8;
+        let first_prob = first_target + m * 4 + pad8(m * 4);
+        // The reader trusts per-arc values to the checksum, so a resealed
+        // edit loads; the conversion must still refuse it.
+        let mut bytes = encode(&csr, &[]);
+        bytes[first_prob..first_prob + 8].copy_from_slice(&1.5f64.to_le_bytes());
+        reseal(&mut bytes);
+        let err = read_snapshot(bytes.as_slice())
+            .unwrap()
+            .to_uncertain()
+            .unwrap_err();
+        assert!(
+            matches!(err, GraphError::InvalidProbability { probability, .. } if probability == 1.5),
+            "{err}"
+        );
+
+        let mut bytes = encode(&csr, &[]);
+        bytes[first_target..first_target + 4].copy_from_slice(&(n as u32 + 3).to_le_bytes());
+        reseal(&mut bytes);
+        let err = read_snapshot(bytes.as_slice())
+            .unwrap()
+            .to_uncertain()
+            .unwrap_err();
+        assert!(matches!(err, GraphError::VertexOutOfRange { .. }), "{err}");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!
 //! [`QueryEngine::update_epoch`]: https://docs.rs/usim_core (crates/core)
 
-use crate::binfmt::{format_error, Fnv1a};
+use crate::error::format_error;
 use crate::{GraphError, GraphUpdate, Probability, VertexId};
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Write};
@@ -36,6 +36,31 @@ use std::path::Path;
 pub const MAGIC: &[u8; 8] = b"USIMLOG1";
 
 const RECORD_LEN: usize = 1 + 4 + 4 + 8;
+
+/// Incrementally computed byte-wise FNV-1a hash: the checksum of every
+/// log frame.
+#[derive(Debug, Clone)]
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn new() -> Self {
+        Fnv1a(Self::OFFSET_BASIS)
+    }
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 const OP_INSERT: u8 = 0;
 const OP_DELETE: u8 = 1;

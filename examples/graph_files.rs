@@ -1,14 +1,15 @@
 //! Generating, saving, loading and inspecting uncertain-graph files.
 //!
-//! Shows the two on-disk formats (text edge list and the checksummed binary
-//! format), the dataset registry that mirrors Table II of the paper, and the
-//! graph statistics used to calibrate the synthetic stand-ins.
+//! Shows the two on-disk formats (text edge list and the checksummed CSR
+//! snapshot), the dataset registry that mirrors Table II of the paper, and
+//! the graph statistics used to calibrate the synthetic stand-ins.
 //!
 //! Run with `cargo run --release --example graph_files`.
 
 use uncertain_simrank::datasets::{ci_registry, RmatGenerator};
+use uncertain_simrank::graph::io;
+use uncertain_simrank::graph::snapshot::{read_snapshot, read_snapshot_file, write_snapshot_file};
 use uncertain_simrank::graph::stats::uncertain_graph_stats;
-use uncertain_simrank::graph::{binfmt, io};
 use uncertain_simrank::prelude::*;
 
 fn main() {
@@ -39,29 +40,31 @@ fn main() {
         stats.mean_probability
     );
 
-    // Save it in both formats and read it back.
+    // Save it in both formats and read the snapshot back.  A snapshot holds
+    // the compiled CSR of both directions (plus an optional label table), so
+    // it is larger than the edge list but loads without parsing or sorting.
     let dir = std::env::temp_dir();
     let text_path = dir.join("usim_example_graph.tsv");
-    let binary_path = dir.join("usim_example_graph.bin");
-    io::write_edge_list_file(&graph, &text_path).expect("write text edge list");
-    binfmt::write_binary_file(&graph, &binary_path).expect("write binary graph");
+    let snapshot_path = dir.join("usim_example_graph.usim");
+    io::write_edge_list_file(&graph, &[], &text_path).expect("write text edge list");
+    write_snapshot_file(&CsrGraph::from_uncertain(&graph), &[], &snapshot_path)
+        .expect("write snapshot");
     let text_size = std::fs::metadata(&text_path).unwrap().len();
-    let binary_size = std::fs::metadata(&binary_path).unwrap().len();
-    println!(
-        "saved as text ({text_size} bytes) and binary ({binary_size} bytes): {:.1}x size ratio",
-        text_size as f64 / binary_size as f64
-    );
+    let snapshot_size = std::fs::metadata(&snapshot_path).unwrap().len();
+    println!("saved as text ({text_size} bytes) and as a snapshot ({snapshot_size} bytes)");
 
-    let reread = binfmt::read_binary_file(&binary_path).expect("read binary graph");
+    let reread = read_snapshot_file(&snapshot_path)
+        .and_then(|snapshot| snapshot.to_uncertain())
+        .expect("read snapshot");
     assert_eq!(reread.num_arcs(), graph.num_arcs());
 
-    // Corrupting the binary file is detected by its checksum.
-    let mut bytes = std::fs::read(&binary_path).unwrap();
+    // Corrupting the snapshot is detected by its checksum.
+    let mut bytes = std::fs::read(&snapshot_path).unwrap();
     let middle = bytes.len() / 2;
     bytes[middle] ^= 0xff;
-    match binfmt::read_binary(bytes.as_slice()) {
+    match read_snapshot(bytes.as_slice()) {
         Err(error) => println!("corrupted copy rejected as expected: {error}"),
-        Ok(_) => println!("warning: corruption was not detected (flipped a padding byte?)"),
+        Ok(_) => panic!("a flipped byte went undetected"),
     }
 
     // A quick similarity query on the re-read graph proves the round trip is
@@ -75,5 +78,5 @@ fn main() {
     );
 
     std::fs::remove_file(&text_path).ok();
-    std::fs::remove_file(&binary_path).ok();
+    std::fs::remove_file(&snapshot_path).ok();
 }

@@ -14,7 +14,9 @@
 # CI runs the script three times: once with the defaults, once with
 # --snapshot, and once with --sampler alias --snapshot, so the
 # snapshot-booted and alias-table serving paths are both
-# exercised on the shipped binary.  The sampler kind
+# exercised on the shipped binary.  The snapshot variants also compute the
+# CLI ground truth from the snapshot file and assert it equals the text
+# file's: the CLI and the server read one artifact with the same labels.  The sampler kind
 # applies to every round (including the CLI ground truth), so the whole
 # pipeline is asserted end to end under the selected backend.
 set -euo pipefail
@@ -58,6 +60,9 @@ CLI_CHURN=$("$USIM" simrank "$TMP/graph.tsv" --batch "$TMP/pairs.txt" \
 echo "--- CLI ground truth ---"
 echo "$CLI_BATCH"
 echo "$CLI_CHURN"
+score_rows() { # table text -> its `source target score...` rows only
+    printf '%s\n' "$1" | awk 'NF >= 3 && $1 ~ /^[0-9]+$/ && $2 ~ /^[0-9]+$/'
+}
 
 # Opens fd 3 to $1:$2 with a bounded retry loop.  Between the port file
 # appearing and the accept loop picking the connection up there is a real
@@ -89,6 +94,20 @@ case "$SMOKE_SOURCE" in
     snapshot)
         "$USIM" snapshot write "$TMP/graph.tsv" "$TMP/graph_main.csr"
         SERVE_SOURCE=(--snapshot "$TMP/graph_main.csr")
+        # The CLI reads the very file the server boots from, in the same
+        # labels: its ground truth must equal the text file's.
+        SNAP_CLI_BATCH=$("$USIM" simrank "$TMP/graph_main.csr" --batch "$TMP/pairs.txt" \
+            --samples "$SAMPLES" --seed "$SEED" --sampler "$SMOKE_SAMPLER")
+        SNAP_CLI_CHURN=$("$USIM" simrank "$TMP/graph_main.csr" --batch "$TMP/pairs.txt" \
+            --updates "$TMP/updates.txt" --samples "$SAMPLES" --seed "$SEED" \
+            --sampler "$SMOKE_SAMPLER")
+        [ "$(score_rows "$SNAP_CLI_BATCH")" = "$(score_rows "$CLI_BATCH")" ] || {
+            echo "FAIL: CLI batch on the snapshot != CLI batch on the text file"
+            echo "$SNAP_CLI_BATCH"; exit 1; }
+        [ "$(score_rows "$SNAP_CLI_CHURN")" = "$(score_rows "$CLI_CHURN")" ] || {
+            echo "FAIL: CLI churn on the snapshot != CLI churn on the text file"
+            echo "$SNAP_CLI_CHURN"; exit 1; }
+        echo "--- CLI ground truth on the snapshot equals the text file's ---"
         ;;
     *) echo "FAIL: USIM_SMOKE_SOURCE must be text or snapshot, got $SMOKE_SOURCE"; exit 1 ;;
 esac
@@ -175,8 +194,7 @@ extract_scores() { # json-line -> one 6-decimal score per line
     }'
 }
 table_column() { # table text, 1-based score column among trailing fields
-    printf '%s\n' "$2" | awk -v col="$1" \
-        'NF >= 3 && $1 ~ /^[0-9]+$/ && $2 ~ /^[0-9]+$/ { print $(2 + col) }'
+    score_rows "$2" | awk -v col="$1" '{ print $(2 + col) }'
 }
 SERVED_BEFORE=$(extract_scores "$R_BATCH")
 SERVED_AFTER=$(extract_scores "$R_BATCH2")

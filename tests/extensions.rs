@@ -1,10 +1,10 @@
 //! Integration tests for the library extensions that go beyond the paper's
 //! four single-pair estimators: single-source queries, parallel batch
-//! helpers, and the binary graph format — exercised together across crates on
+//! helpers, and the CSR snapshot format — exercised together across crates on
 //! generated datasets, the way a downstream application would use them.
 
 use uncertain_simrank::datasets::{CoauthorGenerator, PpiGenerator};
-use uncertain_simrank::graph::binfmt;
+use uncertain_simrank::graph::snapshot::write_snapshot_file;
 use uncertain_simrank::prelude::*;
 use uncertain_simrank::simrank::{
     par_mean_similarity, par_similarities, par_top_k_pairs, top_k_similar_to, SourceMode,
@@ -160,10 +160,15 @@ fn parallel_top_k_pairs_finds_the_planted_complex_pairs() {
 #[test]
 fn binary_format_round_trips_generated_datasets_and_preserves_similarities() {
     let graph = CoauthorGenerator::small(23).generate();
-    let path = std::env::temp_dir().join(format!("usim_extensions_{}.bin", std::process::id()));
-    binfmt::write_binary_file(&graph, &path).unwrap();
-    let restored = binfmt::read_binary_file(&path).unwrap();
+    let path = std::env::temp_dir().join(format!("usim_extensions_{}.usim", std::process::id()));
+    write_snapshot_file(&CsrGraph::from_uncertain(&graph), &[], &path).unwrap();
+    let loaded = usim_cli::graphio::load_graph(path.to_str().unwrap()).unwrap();
     std::fs::remove_file(&path).unwrap();
+    assert_eq!(
+        loaded.labels(),
+        (0..graph.num_vertices() as u64).collect::<Vec<_>>()
+    );
+    let restored = loaded.graph;
 
     assert_eq!(graph.num_vertices(), restored.num_vertices());
     assert_eq!(graph.num_arcs(), restored.num_arcs());

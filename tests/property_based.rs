@@ -195,7 +195,7 @@ proptest! {
     #[test]
     fn edge_list_round_trip(graph in small_uncertain_graph(8, 16)) {
         let mut buffer = Vec::new();
-        uncertain_simrank::graph::io::write_edge_list(&graph, &mut buffer).unwrap();
+        uncertain_simrank::graph::io::write_edge_list(&graph, &[], &mut buffer).unwrap();
         let options = uncertain_simrank::graph::io::ReadOptions {
             assume_compact: true,
             ..Default::default()

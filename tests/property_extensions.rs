@@ -1,9 +1,10 @@
-//! Property-based tests for the library extensions: the binary graph format
+//! Property-based tests for the library extensions: the CSR snapshot format
 //! and the single-source estimator, driven by randomly generated uncertain
 //! graphs.
 
 use proptest::prelude::*;
-use uncertain_simrank::graph::{binfmt, UncertainGraph};
+use uncertain_simrank::graph::snapshot::{read_snapshot, write_snapshot};
+use uncertain_simrank::graph::{CsrGraph, GraphError, UncertainGraph};
 use uncertain_simrank::prelude::*;
 use uncertain_simrank::simrank::SingleSourceEstimator;
 
@@ -35,14 +36,30 @@ fn arbitrary_graph(max_vertices: usize) -> impl Strategy<Value = UncertainGraph>
         })
 }
 
+/// Snapshot bytes of `graph` with non-compact labels `3v + 1`.
+fn snapshot_bytes(graph: &UncertainGraph) -> Vec<u8> {
+    let labels: Vec<u64> = (0..graph.num_vertices() as u64)
+        .map(|v| 3 * v + 1)
+        .collect();
+    let mut buffer = Vec::new();
+    write_snapshot(&CsrGraph::from_uncertain(graph), &labels, &mut buffer).unwrap();
+    buffer
+}
+
+/// Reads snapshot bytes back the way every command loads a snapshot.
+fn load_snapshot(bytes: &[u8]) -> Result<(UncertainGraph, Vec<u64>), GraphError> {
+    let snapshot = read_snapshot(bytes)?;
+    Ok((snapshot.to_uncertain()?, snapshot.labels_or_identity()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn binary_roundtrip_preserves_arbitrary_graphs(graph in arbitrary_graph(12)) {
-        let mut buffer = Vec::new();
-        binfmt::write_binary(&graph, &mut buffer).unwrap();
-        let restored = binfmt::read_binary(buffer.as_slice()).unwrap();
+        let (restored, labels) = load_snapshot(&snapshot_bytes(&graph)).unwrap();
+        let expected: Vec<u64> = (0..graph.num_vertices() as u64).map(|v| 3 * v + 1).collect();
+        prop_assert_eq!(labels, expected);
         prop_assert_eq!(restored.num_vertices(), graph.num_vertices());
         prop_assert_eq!(restored.num_arcs(), graph.num_arcs());
         for arc in graph.arcs() {
@@ -54,20 +71,18 @@ proptest! {
     #[test]
     fn binary_reader_never_panics_on_corrupted_input(
         graph in arbitrary_graph(8),
-        flip_position in 0usize..200,
+        flip_position in 0usize..4096,
         flip_mask in 1u8..=255,
     ) {
-        // Any single-byte corruption must be reported as an error (or, if it
-        // lands beyond the buffer, leave the read untouched) — never a panic
-        // and never a silently different graph.
-        let mut buffer = Vec::new();
-        binfmt::write_binary(&graph, &mut buffer).unwrap();
+        // Any single-byte corruption must be reported as an error — never a
+        // panic and never a silently different graph.
+        let buffer = snapshot_bytes(&graph);
         let position = flip_position % buffer.len();
         let mut corrupted = buffer.clone();
         corrupted[position] ^= flip_mask;
-        match binfmt::read_binary(corrupted.as_slice()) {
+        match load_snapshot(&corrupted) {
             Err(_) => {}
-            Ok(restored) => {
+            Ok((restored, _)) => {
                 // The flip may hit a probability byte and still produce a valid
                 // graph; the checksum makes this impossible, so reaching here
                 // means the corrupted buffer equals the original.
