@@ -10,7 +10,6 @@ use rand::SeedableRng;
 use rwalk::arena::{CsrSampler, WalkArena};
 use rwalk::sampler::WalkSampler;
 use std::time::Duration;
-use ugraph::CsrGraph;
 use usim_bench::{dataset, random_pairs, Scale};
 
 const HORIZON: usize = 5;
@@ -23,10 +22,8 @@ fn bench_csr_vs_adjlist(c: &mut Criterion) {
         .flat_map(|(u, v)| [u, v])
         .collect();
     // Both samplers walk in-neighbors (the SimRank direction): the legacy
-    // path materialises the transpose, the CSR path just picks the reverse
-    // view.
+    // path walks the transpose, the CSR path just picks the reverse view.
     let transposed = graph.transpose();
-    let csr = CsrGraph::from_uncertain(&graph);
 
     let mut group = c.benchmark_group("csr_vs_adjlist");
     group.sample_size(20);
@@ -47,7 +44,7 @@ fn bench_csr_vs_adjlist(c: &mut Criterion) {
     });
 
     group.bench_function("csr_arena_sampler", |b| {
-        let sampler = CsrSampler::new(csr.reverse());
+        let sampler = CsrSampler::new(graph.reverse());
         let mut arena = WalkArena::with_capacity(graph.num_vertices());
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(1);

@@ -4,7 +4,7 @@
 //! both boot paths the server supports:
 //!
 //! * **text boot** — parse the text edge list, compact labels, validate
-//!   every edge and compile the CSR (`usim serve GRAPH`);
+//!   every edge and sort it into the CSR arrays (`usim serve GRAPH`);
 //! * **snapshot boot** — read the checksummed `USIMCSR1` arrays and hand
 //!   them straight to the engine (`usim serve --snapshot`), no per-edge
 //!   work at all.
@@ -33,7 +33,6 @@
 use std::time::Instant;
 use ugraph::io::{read_edge_list_file, write_edge_list_file, ReadOptions};
 use ugraph::snapshot::{read_snapshot_file, write_snapshot_file};
-use ugraph::CsrGraph;
 use usim_bench::random_pairs;
 use usim_core::{QueryEngine, SimRankConfig};
 use usim_datasets::RmatGenerator;
@@ -90,11 +89,10 @@ fn main() {
     write_edge_list_file(&graph, &[], &text_path).expect("text graph writes");
     // Text loading compacts away isolated vertices; stage the snapshot from
     // the *parsed* graph so both boot paths land in the same vertex space —
-    // exactly what `usim snapshot write GRAPH OUT` produces.
+    // exactly what `usim convert GRAPH OUT.usim` produces.
     let staged =
         read_edge_list_file(&text_path, &ReadOptions::default()).expect("staged graph parses");
-    let csr = CsrGraph::from_uncertain(&staged.graph);
-    write_snapshot_file(&csr, &staged.labels, &snapshot_path).expect("snapshot writes");
+    write_snapshot_file(&staged.graph, &staged.labels, &snapshot_path).expect("snapshot writes");
     let text_bytes = std::fs::metadata(&text_path).expect("text metadata").len();
     let snapshot_bytes = std::fs::metadata(&snapshot_path)
         .expect("snapshot metadata")
@@ -103,14 +101,15 @@ fn main() {
     let config = SimRankConfig::default().with_samples(10).with_seed(42);
     let pairs = random_pairs(&staged.graph, 64, 0x5eed);
 
-    // Text boot: parse + label-compact + validate + CSR-compile.
+    // Text boot: parse + label-compact + validate + CSR sort, as `usim
+    // serve GRAPH` does; the engine takes the parsed graph without a copy.
     let mut text_boot_secs = f64::INFINITY;
     let mut text_engine = None;
     for _ in 0..reps {
         let start = Instant::now();
         let parsed = read_edge_list_file(&text_path, &ReadOptions::default())
             .expect("staged text graph parses");
-        let engine = QueryEngine::new(&parsed.graph, config);
+        let engine = QueryEngine::from_csr(parsed.graph, config);
         text_boot_secs = text_boot_secs.min(start.elapsed().as_secs_f64());
         text_engine = Some(engine);
     }

@@ -1,13 +1,13 @@
 //! `csr_vs_alias` — the CI gate for the alias sampler backend.
 //!
 //! Times the per-step transition draw of both walk backends on the same
-//! compiled CSR graph:
+//! CSR graph:
 //!
 //! * **legacy** — the lazily-instantiated arena sampler
 //!   (`rwalk::CsrSampler` + `WalkArena`): one uniform draw per possible arc
 //!   on first visit, memoized within the walk;
 //! * **alias** — the precomputed Walker alias tables
-//!   (`rwalk::AliasSampler` over the tables `CsrGraph` builds): exactly one
+//!   (`rwalk::AliasSampler` over the tables `UncertainGraph` builds): exactly one
 //!   `f64` draw and one 16-byte slot read per step, degree-independent.
 //!
 //! The run writes a `BENCH_alias_speedup.json` artifact and exits non-zero
@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rwalk::{AliasSampler, CsrSampler, WalkArena, DEAD};
 use std::time::Instant;
-use ugraph::{CsrGraph, VertexId};
+use ugraph::VertexId;
 use usim_datasets::RmatGenerator;
 
 /// The measurements the artifact records and the baseline pins.
@@ -86,7 +86,7 @@ fn main() {
         ..Default::default()
     }
     .generate();
-    let mut csr = CsrGraph::from_uncertain(&graph);
+    let mut csr = graph;
     csr.build_alias_tables();
     let num_vertices = csr.num_vertices() as VertexId;
     // Walks follow the reverse adjacency, like the SimRank engines do.

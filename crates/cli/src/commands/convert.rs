@@ -71,6 +71,28 @@ mod tests {
     }
 
     #[test]
+    fn convert_to_usim_writes_a_snapshot_that_keeps_the_labels() {
+        let graph_path = temp("labels.tsv");
+        std::fs::write(&graph_path, "10 20 0.5\n20 30 0.75\n30 10 1.0\n").unwrap();
+        let snap_path = temp("labels.usim");
+        let out = run(&tokens(&[
+            graph_path.to_str().unwrap(),
+            snap_path.to_str().unwrap(),
+        ]))
+        .unwrap();
+        assert!(out.contains("(snapshot, 3 vertices, 3 arcs)"), "{out}");
+        let stats = crate::commands::stats::run(&tokens(&[snap_path.to_str().unwrap()])).unwrap();
+        assert!(stats.contains("arcs"), "{stats}");
+
+        // The stored snapshot carries the original wire labels.
+        let snapshot = ugraph::snapshot::read_snapshot_file(&snap_path).unwrap();
+        assert_eq!(snapshot.labels, vec![10, 20, 30]);
+
+        std::fs::remove_file(&graph_path).unwrap();
+        std::fs::remove_file(&snap_path).unwrap();
+    }
+
+    #[test]
     fn missing_arguments_are_errors() {
         assert!(run(&[]).is_err());
         assert!(run(&tokens(&["only_one_file.tsv"])).is_err());

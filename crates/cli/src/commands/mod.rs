@@ -12,7 +12,6 @@ pub mod matrices;
 pub mod pairs;
 pub mod serve;
 pub mod simrank;
-pub mod snapshot;
 pub mod stats;
 pub mod topk;
 pub mod update;

@@ -10,7 +10,7 @@
 //! usim serve --snapshot PATH [same options]
 //! ```
 //!
-//! The graph is loaded and compiled into the CSR engine **once**; clients
+//! The graph is loaded into the query engine **once**; clients
 //! then speak the line-delimited JSON protocol of [`usim_server`] (one
 //! request per line — `similarity`, `profile`, `top_k`, `batch`, `update`,
 //! `stats` — one response per line; full reference in `docs/PROTOCOL.md`).
@@ -21,8 +21,8 @@
 //!
 //! The graph is given as the positional path or as `--snapshot PATH` (the
 //! same thing under the name deploy scripts use).  A file that starts with
-//! the CSR snapshot magic (`usim snapshot write`, or any `.usim` / `.bin`
-//! output) boots as-is — the checksummed arrays are loaded without
+//! the CSR snapshot magic (`usim convert GRAPH OUT.usim`, or any `.usim` /
+//! `.bin` output) boots as-is — the checksummed arrays are loaded without
 //! parsing, sorting or per-edge validation, so restart latency is O(bytes
 //! read), not O(edges processed) — and the banner reports `source =
 //! snapshot`.  Any other file is parsed as a text edge list (`source =
@@ -84,7 +84,7 @@ use crate::graphio::{is_snapshot, load_graph};
 use crate::CliError;
 use std::io::Write;
 use ugraph::snapshot::read_snapshot_file;
-use ugraph::{CsrGraph, UpdateLog};
+use ugraph::UpdateLog;
 use usim_core::QueryEngine;
 use usim_server::{MetricsExporter, RequestHandler, Server, ServerOptions, DEFAULT_MAX_BATCH};
 
@@ -144,8 +144,9 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
         return Err(CliError::new("--max-batch must be at least 1"));
     }
 
-    // Graph source: a compiled snapshot (O(bytes) boot, labels included) or
-    // a text file parsed and CSR-compiled here (O(edges) boot).
+    // Graph source: a snapshot (O(bytes) boot, labels included, per-arc
+    // invariants trusted to its checksum) or a text file parsed here
+    // (O(edges) boot).
     let path = match (args.positional(0), args.option("snapshot")) {
         (Some(_), Some(_)) => {
             return Err(CliError::new(
@@ -155,7 +156,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
         (Some(path), None) | (None, Some(path)) => path,
         (None, None) => args.require_positional(0, "the graph file (or --snapshot)")?,
     };
-    let (source, csr, labels) = if is_snapshot(path)? {
+    let (source, graph, labels) = if is_snapshot(path)? {
         let snapshot =
             read_snapshot_file(path).map_err(|e| CliError::new(format!("{path}: {e}")))?;
         let labels = snapshot.labels_or_identity();
@@ -163,9 +164,9 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     } else {
         let loaded = load_graph(path)?;
         let labels = loaded.labels().to_vec();
-        ("text", CsrGraph::from_uncertain(&loaded.graph), labels)
+        ("text", loaded.graph, labels)
     };
-    let engine = QueryEngine::from_csr(csr, config);
+    let engine = QueryEngine::from_csr(graph, config);
 
     // Durable update log: replay whatever is already there (epoch catch-up
     // after a crash or restart), then append every new accepted batch.
@@ -378,12 +379,11 @@ mod tests {
             "10 20 0.8\n10 30 0.5\n20 10 0.8\n20 30 0.9\n30 10 0.7\n30 40 0.6\n40 20 0.8\n",
         )
         .unwrap();
-        let snap_path = temp("snap.csr");
+        let snap_path = temp("snap.usim");
         let log_path = temp("snap.ulog");
         let _ = std::fs::remove_file(&log_path);
         crate::run(&tokens(&[
-            "snapshot",
-            "write",
+            "convert",
             graph_path.to_str().unwrap(),
             snap_path.to_str().unwrap(),
         ]))

@@ -305,6 +305,25 @@ mod tests {
     }
 
     #[test]
+    fn stats_rejects_a_corrupted_snapshot_with_a_clean_error() {
+        let graph_path = temp_file("c.tsv");
+        std::fs::write(&graph_path, "0 1 0.5\n1 2 0.9\n").unwrap();
+        let snap_path = temp_file("c.usim");
+        let snap = snap_path.to_str().unwrap();
+        crate::commands::convert::run(&[graph_path.to_str().unwrap().to_string(), snap.into()])
+            .unwrap();
+        assert!(run(&[snap.to_string()]).is_ok());
+        let mut bytes = std::fs::read(&snap_path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&snap_path, &bytes).unwrap();
+        let err = run(&[snap.to_string()]).unwrap_err();
+        assert!(err.to_string().contains(snap), "{err}");
+        std::fs::remove_file(&graph_path).unwrap();
+        std::fs::remove_file(&snap_path).unwrap();
+    }
+
+    #[test]
     fn missing_file_argument_is_an_error() {
         let err = run(&[]).unwrap_err();
         assert!(err.to_string().contains("graph file"));

@@ -37,7 +37,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     let loaded = load_graph(path)?;
     let rounds = read_update_rounds(&updates_path, &loaded)?;
 
-    let mut overlay = DeltaOverlay::from_graph(&loaded.graph);
+    let mut overlay = DeltaOverlay::new(loaded.graph.clone());
     let arcs_before = overlay.num_arcs();
     let mut output = String::new();
     let (mut inserted, mut deleted, mut reweighted, mut compactions) = (0usize, 0usize, 0usize, 0);
@@ -57,9 +57,9 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
         output.push('\n');
     }
 
-    // to_uncertain reads through the merged overlay views, so no final
+    // to_graph reads through the merged overlay views, so no final
     // compaction is needed to serialise the live graph.
-    let mutated = overlay.to_uncertain();
+    let mutated = overlay.to_graph();
     let format = save_graph(&mutated, loaded.labels(), &out_path)?;
     output.push_str(&format!(
         "applied {} updates in {} rounds to {path} ({arcs_before} -> {} arcs, \

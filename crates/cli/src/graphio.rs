@@ -1,7 +1,8 @@
 //! Loading and saving uncertain graphs in the formats the CLI understands.
 //!
 //! A file that starts with the CSR snapshot magic is read as a snapshot
-//! ([`ugraph::snapshot`]), label table included; any other file is parsed
+//! ([`ugraph::snapshot`]), label table included, and every arc of it is
+//! re-validated ([`ugraph::CsrSnapshot::validate`]); any other file is parsed
 //! as a whitespace-separated text edge list ([`ugraph::io`], `source target
 //! probability` per line).  Writing picks the format by extension: `.usim`
 //! and `.bin` write a snapshot, everything else writes text.
@@ -16,7 +17,7 @@ use std::collections::HashMap;
 use std::io::Read;
 use ugraph::io::{read_edge_list_file, write_edge_list_file, ReadOptions};
 use ugraph::snapshot::{read_snapshot_file, write_snapshot_file, MAGIC};
-use ugraph::{CsrGraph, UncertainGraph, VertexId};
+use ugraph::{UncertainGraph, VertexId};
 
 /// A graph loaded by the CLI, together with the original vertex labels of the
 /// input file.
@@ -69,13 +70,17 @@ pub fn is_snapshot(path: &str) -> Result<bool, CliError> {
 }
 
 /// Loads a graph from `path`: a snapshot if the file starts with its
-/// magic, a text edge list otherwise.
+/// magic, a text edge list otherwise.  A snapshot's arcs are re-validated
+/// (ids in range, rows sorted, probabilities in `(0, 1]`, reverse =
+/// transpose of forward), so a resealed checksum cannot smuggle in a graph
+/// the text parser would refuse.
 pub fn load_graph(path: &str) -> Result<LoadedGraph, CliError> {
     let fail = |e: ugraph::GraphError| CliError::new(format!("{path}: {e}"));
     if is_snapshot(path)? {
         let snapshot = read_snapshot_file(path).map_err(fail)?;
-        let graph = snapshot.to_uncertain().map_err(fail)?;
-        Ok(LoadedGraph::new(graph, snapshot.labels_or_identity()))
+        snapshot.validate().map_err(fail)?;
+        let labels = snapshot.labels_or_identity();
+        Ok(LoadedGraph::new(snapshot.graph, labels))
     } else {
         let result = read_edge_list_file(path, &ReadOptions::default()).map_err(fail)?;
         Ok(LoadedGraph::new(result.graph, result.labels))
@@ -93,8 +98,7 @@ pub fn save_graph(
 ) -> Result<&'static str, CliError> {
     let lower = path.to_ascii_lowercase();
     let (format, written) = if lower.ends_with(".usim") || lower.ends_with(".bin") {
-        let csr = CsrGraph::from_uncertain(graph);
-        ("snapshot", write_snapshot_file(&csr, labels, path))
+        ("snapshot", write_snapshot_file(graph, labels, path))
     } else {
         ("text", write_edge_list_file(graph, labels, path))
     };
@@ -208,6 +212,66 @@ mod tests {
         assert!(read_snapshot_file(path_str).is_ok(), "the checksum holds");
         let err = load_graph(path_str).unwrap_err().to_string();
         assert!(err.contains("invalid existence probability 1.5"), "{err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Byte offset of the first forward (`reverse == false`) or reverse
+    /// probability in a snapshot of a 3-vertex, 3-arc graph: each direction
+    /// is 4 offsets, 12 target bytes padded to 16, then 3 probabilities.
+    fn first_prob_of_three_arcs(reverse: bool) -> usize {
+        let direction = 4 * 8 + 16 + 3 * 8;
+        ugraph::snapshot::HEADER_LEN + usize::from(reverse) * direction + 4 * 8 + 16
+    }
+
+    #[test]
+    fn resealed_snapshot_whose_reverse_is_not_the_transpose_is_an_error() {
+        let path = temp_path("not_transpose.usim");
+        let path_str = path.to_str().unwrap();
+        save_graph(&sample_graph(), &[0, 1, 2], path_str).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Vertex 0's reverse row holds the arc (2, 0) with probability 1.0;
+        // give it another valid probability than the forward row does.
+        let at = first_prob_of_three_arcs(true);
+        assert_eq!(&bytes[at..at + 8], &1.0f64.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&0.75f64.to_le_bytes());
+        reseal(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        // The checksum holds, and a server booting the file would walk the
+        // stored reverse row.
+        let snapshot = read_snapshot_file(path_str).unwrap();
+        assert_eq!(snapshot.graph.reverse().probabilities(0), [0.75]);
+        let err = load_graph(path_str).unwrap_err().to_string();
+        assert!(err.contains("not the transpose"), "{err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resealed_snapshot_with_an_unsorted_row_is_an_error() {
+        let path = temp_path("unsorted.usim");
+        let path_str = path.to_str().unwrap();
+        let graph = UncertainGraphBuilder::new(3)
+            .arc(0, 1, 0.5)
+            .arc(0, 2, 0.25)
+            .arc(1, 2, 1.0)
+            .build()
+            .unwrap();
+        save_graph(&graph, &[0, 1, 2], path_str).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Swap vertex 0's two forward arcs: the same arcs, out of order.
+        let targets = ugraph::snapshot::HEADER_LEN + 4 * 8;
+        assert_eq!(&bytes[targets..targets + 8], &[1, 0, 0, 0, 2, 0, 0, 0]);
+        bytes[targets..targets + 8].copy_from_slice(&[2, 0, 0, 0, 1, 0, 0, 0]);
+        let probs = first_prob_of_three_arcs(false);
+        let swapped: Vec<u8> = [0.25f64, 0.5]
+            .iter()
+            .flat_map(|p| p.to_le_bytes())
+            .collect();
+        bytes[probs..probs + 16].copy_from_slice(&swapped);
+        reseal(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(read_snapshot_file(path_str).is_ok(), "the checksum holds");
+        let err = load_graph(path_str).unwrap_err().to_string();
+        assert!(err.contains("not strictly sorted"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -14,7 +14,6 @@
 //! usim matrices  GRAPH --steps 3               k-step transition probability matrices
 //! usim update    GRAPH --updates F --out OUT   apply arc updates to a graph
 //! usim serve     GRAPH --addr HOST:PORT        serve queries/updates over TCP (JSON lines)
-//! usim snapshot  write GRAPH OUT               compile a graph into a CSR snapshot
 //! usim convert   IN OUT                        rewrite a graph as text or a snapshot
 //! usim er        --records 300                 entity-resolution case study
 //! ```
@@ -94,7 +93,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "matrices" => commands::matrices::run(rest),
         "update" => commands::update::run(rest),
         "serve" => commands::serve::run(rest),
-        "snapshot" => commands::snapshot::run(rest),
         "convert" => commands::convert::run(rest),
         "er" => commands::er::run(rest),
         other => Err(CliError::new(format!(
@@ -127,11 +125,9 @@ pub fn usage() -> String {
         "    serve        Serve queries and live updates over TCP: line-delimited JSON\n",
         "                 frames (similarity/profile/top_k/batch/update/stats), answers\n",
         "                 bit-identical to the batch-engine commands; see docs/PROTOCOL.md\n",
-        "    snapshot     `snapshot write GRAPH OUT` compiles a graph into a checksummed\n",
-        "                 CSR snapshot (`serve` boots it without re-parsing or\n",
-        "                 re-validating edges); `snapshot verify PATH` checks one\n",
         "    convert      Rewrite a graph file as text, or as a snapshot when OUT ends\n",
-        "                 in .usim or .bin (labels kept either way)\n",
+        "                 in .usim or .bin (labels kept either way; `serve` boots a\n",
+        "                 snapshot without re-parsing or re-validating edges)\n",
         "    er           Entity-resolution case study on a synthetic record graph\n",
         "    help         Show this message\n",
         "    version      Show the version\n",
@@ -140,7 +136,8 @@ pub fn usage() -> String {
         "    Text edge lists have one `source target probability` triple per line\n",
         "    (probability optional, defaults to 1.0; `#` starts a comment).  The one\n",
         "    binary format is the checksummed CSR snapshot: every command reads a\n",
-        "    file starting with its magic as a snapshot, labels included, and any\n",
+        "    file starting with its magic as a snapshot, labels included, every arc\n",
+        "    re-validated (`stats OUT.usim` checks one before a deploy), and any\n",
         "    other file as text.  Commands that write a graph (generate, update\n",
         "    --out, convert) write a snapshot when the path ends in .usim or .bin\n",
         "    and text otherwise, always in the original labels.\n",

@@ -211,12 +211,12 @@ fn snapshots_written_by_convert_and_update_keep_the_file_labels() {
             "pair ({u}, {v})"
         );
     }
-    let verify = usim(&["snapshot", "verify", &path(&updated_snapshot)]);
-    assert!(
-        stdout(&verify).contains("labels 3 stored"),
-        "{}",
-        stdout(&verify)
-    );
+    let stats = usim(&["stats", &path(&updated_snapshot)]);
+    assert!(stats.status.success(), "stderr: {}", stderr(&stats));
+    let stored = ugraph::snapshot::read_snapshot_file(&updated_snapshot).unwrap();
+    let mut labels = stored.labels.clone();
+    labels.sort_unstable();
+    assert_eq!(labels, [1, 5, 7], "the snapshot stores the file's labels");
 
     for p in [
         &text,
@@ -262,6 +262,27 @@ fn the_format_option_is_gone() {
     let output = usim(&["stats", graph.to_str().unwrap(), "--format", "text"]);
     assert!(!output.status.success());
     assert!(stderr(&output).contains("--format"), "{}", stderr(&output));
+    std::fs::remove_file(&graph).unwrap();
+}
+
+#[test]
+fn the_snapshot_command_is_gone() {
+    let graph = temp("no_snapshot.tsv");
+    let out = temp("no_snapshot.usim");
+    write_fig1(&graph);
+    let output = usim(&[
+        "snapshot",
+        "write",
+        graph.to_str().unwrap(),
+        out.to_str().unwrap(),
+    ]);
+    assert!(!output.status.success());
+    assert!(
+        stderr(&output).contains("unknown command \"snapshot\""),
+        "{}",
+        stderr(&output)
+    );
+    assert!(!out.exists());
     std::fs::remove_file(&graph).unwrap();
 }
 

@@ -5,11 +5,11 @@
 //! issues *batches* of queries against one graph.  [`QueryEngine`] is the
 //! subsystem built for that workload:
 //!
-//! * the graph is converted **once** into a [`CsrGraph`] base wrapped in a
-//!   [`DeltaOverlay`], so no estimator ever materialises a transposed graph
-//!   copy again, and [`QueryEngine::apply_updates`] mutates the live graph
-//!   (arc insertions, deletions, probability changes) without rebuilding the
-//!   engine — the overlay compacts itself back into a fresh CSR once churn
+//! * the graph is the base of a [`DeltaOverlay`]: walks read its forward
+//!   or reverse CSR arrays in place, so no estimator ever materialises a
+//!   transposed graph copy, and [`QueryEngine::apply_updates`] mutates the
+//!   live graph (arc insertions, deletions, probability changes) without
+//!   rebuilding the engine — the overlay compacts itself back into a fresh CSR once churn
 //!   crosses its [`CompactionPolicy`] threshold;
 //! * every worker draws its scratch (a [`WalkArena`] plus walk buffers) from
 //!   a pool owned by the engine, so sampling is allocation-free in steady
@@ -44,8 +44,8 @@ use rayon::prelude::*;
 use rwalk::arena::{AliasSampler, CsrSampler, WalkArena, DEAD};
 use std::fmt;
 use ugraph::{
-    CompactionPolicy, CsrGraph, DeltaOverlay, GraphUpdate, OverlayAliasView, OverlayView,
-    UncertainGraph, UpdateError, UpdateSummary, VertexId,
+    CompactionPolicy, DeltaOverlay, GraphUpdate, OverlayAliasView, OverlayView, UncertainGraph,
+    UpdateError, UpdateSummary, VertexId,
 };
 
 /// Derives the deterministic RNG seed of a pair `(u, v)` from the engine
@@ -189,29 +189,27 @@ pub struct QueryEngine {
 }
 
 impl QueryEngine {
-    /// Builds the engine for `graph` under `config`.  The CSR representation
-    /// (both directions) is materialised here, once; queries never touch the
-    /// original graph again.
+    /// Builds the engine for a copy of `graph` under `config`; queries
+    /// never touch the original again.
     pub fn new(graph: &UncertainGraph, config: SimRankConfig) -> Self {
-        Self::from_overlay(DeltaOverlay::from_graph(graph), config)
+        Self::from_csr(graph.clone(), config)
     }
 
-    /// Builds the engine directly on an already-compiled [`CsrGraph`] — the
-    /// snapshot boot path: no per-edge validation, sorting or CSR rebuild
-    /// happens here, so booting from a [`ugraph::snapshot`] is O(read) while
-    /// [`QueryEngine::new`] is O(parse + compile).
+    /// Builds the engine on `graph` itself, without a copy — the snapshot
+    /// boot path: no per-edge validation, sorting or CSR rebuild happens
+    /// here, so booting from a [`ugraph::snapshot`] is O(read).
     ///
     /// Answers are bit-identical to an engine built with
-    /// [`QueryEngine::new`] on the graph the CSR was compiled from: walks
-    /// only ever see the CSR arrays, and the RNG streams are keyed on
-    /// `(seed, u, v)`, not on how the arrays came to be in memory.
+    /// [`QueryEngine::new`] on the same graph: walks only ever see the CSR
+    /// arrays, and the RNG streams are keyed on `(seed, u, v)`, not on how
+    /// the arrays came to be in memory.
     ///
-    /// Under [`SamplerKind::Alias`] a CSR that already carries alias tables
-    /// (loaded from a snapshot with the alias sections) boots without any
-    /// table construction; one without them gets its tables rebuilt here, so
-    /// older snapshots keep working.
-    pub fn from_csr(csr: CsrGraph, config: SimRankConfig) -> Self {
-        Self::from_overlay(DeltaOverlay::new(csr), config)
+    /// Under [`SamplerKind::Alias`] a graph that already carries alias
+    /// tables (loaded from a snapshot with the alias sections) boots without
+    /// any table construction; one without them gets its tables built here,
+    /// so older snapshots keep working.
+    pub fn from_csr(graph: UncertainGraph, config: SimRankConfig) -> Self {
+        Self::from_overlay(DeltaOverlay::new(graph), config)
     }
 
     fn from_overlay(mut graph: DeltaOverlay, config: SimRankConfig) -> Self {
@@ -238,14 +236,6 @@ impl QueryEngine {
         &self.graph
     }
 
-    /// The compacted CSR base the engine walks.  After
-    /// [`QueryEngine::apply_updates`] and before the next compaction this
-    /// does **not** include pending deltas; use [`QueryEngine::graph`] for
-    /// the live adjacency.
-    pub fn csr(&self) -> &CsrGraph {
-        self.graph.base()
-    }
-
     /// Number of vertices of the underlying graph.
     pub fn num_vertices(&self) -> usize {
         self.graph.num_vertices()
@@ -269,7 +259,7 @@ impl QueryEngine {
 
     /// Materialises the live graph as an [`UncertainGraph`] snapshot.
     pub fn snapshot(&self) -> UncertainGraph {
-        self.graph.to_uncertain()
+        self.graph.to_graph()
     }
 
     /// Applies a batch of graph updates atomically: the batch is validated
@@ -941,7 +931,7 @@ mod tests {
         assert_eq!(engine.name(), "QueryEngine");
         assert_eq!(engine.num_vertices(), 5);
         assert_eq!(engine.num_arcs(), 8);
-        assert_eq!(engine.csr().num_arcs(), 8);
+        assert_eq!(engine.graph().base().num_arcs(), 8);
         assert_eq!(engine.config().num_samples, 100);
     }
 
@@ -1074,7 +1064,7 @@ mod tests {
                 .with_seed(7)
                 .with_sampler(SamplerKind::Alias),
         );
-        assert!(engine.csr().has_alias_tables());
+        assert!(engine.graph().base().has_alias_tables());
         let pairs = all_ordered_pairs(5);
         let batch = engine.batch_similarities(&pairs).unwrap();
         let sequential: Vec<f64> = pairs
@@ -1181,7 +1171,10 @@ mod tests {
         engine.set_compaction_policy(CompactionPolicy::eager());
         engine.apply_updates(&[]).unwrap();
         assert_eq!(engine.graph().patched_vertices(), 0, "compacted");
-        assert!(engine.csr().has_alias_tables(), "tables survive compaction");
+        assert!(
+            engine.graph().base().has_alias_tables(),
+            "tables survive compaction"
+        );
         assert_eq!(after, engine.batch_similarities(&pairs).unwrap());
     }
 

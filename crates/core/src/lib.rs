@@ -24,9 +24,9 @@
 //!   assumption `W(k) = (W(1))^k` the paper refutes (SimRank-III).
 //!
 //! For batched traffic, [`QueryEngine`] serves many pairs against one
-//! CSR-compiled graph with per-worker walk arenas and pair-keyed RNG
-//! streams, making batch output bit-identical to sequential queries at any
-//! thread count.  The engine's graph is *live*: [`QueryEngine::apply_updates`]
+//! graph, walking its CSR arrays with per-worker walk arenas and pair-keyed
+//! RNG streams, making batch output bit-identical to sequential queries at
+//! any thread count.  The engine's graph is *live*: [`QueryEngine::apply_updates`]
 //! applies [`ugraph::GraphUpdate`] batches through a [`ugraph::DeltaOverlay`]
 //! (threshold-compacted back into a fresh CSR), so a long-running service
 //! interleaves updates and queries without ever rebuilding the engine.

@@ -7,10 +7,10 @@
 //! Lemma 4 / Theorem 4 give the Chernoff-style error bound, exposed in
 //! [`crate::bounds`].
 //!
-//! The walks run on the [`CsrGraph`] fast path: the graph is compiled once
-//! into flat CSR arrays (both directions, so no transposed copy is ever
-//! materialised) and sampled through a persistent [`WalkArena`], making the
-//! per-query hot loop allocation-free.  The RNG draw order is identical to
+//! The walks run on the CSR fast path: the graph's flat arrays hold both
+//! directions, so no transposed copy is ever materialised, and are sampled
+//! through a persistent [`WalkArena`], making the per-query hot loop
+//! allocation-free.  The RNG draw order is identical to
 //! the original `WalkSampler` implementation, so estimates for a given seed
 //! are unchanged by the migration.
 
@@ -20,13 +20,13 @@ use crate::SimRankEstimator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rwalk::arena::{CsrSampler, WalkArena, DEAD};
-use ugraph::{CsrGraph, CsrView, UncertainGraph, VertexId};
+use ugraph::{CsrView, UncertainGraph, VertexId};
 
 /// Monte-Carlo single-pair SimRank on an uncertain graph (the paper's
 /// Sampling algorithm).
 #[derive(Debug)]
 pub struct SamplingEstimator {
-    csr: CsrGraph,
+    graph: UncertainGraph,
     config: SimRankConfig,
     rng: StdRng,
     arena: WalkArena,
@@ -39,7 +39,7 @@ impl SamplingEstimator {
     pub fn new(graph: &UncertainGraph, config: SimRankConfig) -> Self {
         config.validate();
         SamplingEstimator {
-            csr: CsrGraph::from_uncertain(graph),
+            graph: graph.clone(),
             config,
             rng: StdRng::seed_from_u64(config.seed),
             arena: WalkArena::with_capacity(graph.num_vertices()),
@@ -59,11 +59,11 @@ impl SamplingEstimator {
         let num_samples = self.config.num_samples;
         let mut meeting = vec![0.0; n + 1];
         meeting[0] = if u == v { 1.0 } else { 0.0 };
-        // Field-level borrow of `csr` only, so the arena and RNG below can
+        // Field-level borrow of `graph` only, so the arena and RNG below can
         // be borrowed mutably alongside the sampler's view.
         let view: CsrView<'_> = match self.config.direction {
-            WalkDirection::InNeighbors => self.csr.reverse(),
-            WalkDirection::OutNeighbors => self.csr.forward(),
+            WalkDirection::InNeighbors => self.graph.reverse(),
+            WalkDirection::OutNeighbors => self.graph.forward(),
         };
         let sampler = CsrSampler::new(view);
         for _ in 0..num_samples {

@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rwalk::arena::{instantiate_row, CsrSampler, WalkArena};
 use rwalk::transpr::{transition_rows_from, TransPrError, TransPrOptions};
-use ugraph::{CsrGraph, CsrView, UncertainGraph, VertexId};
+use ugraph::{CsrView, UncertainGraph, VertexId};
 
 /// How the source-side walk distribution is obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -118,13 +118,12 @@ impl SingleSourceResult {
 /// Single-source SimRank estimator (`s(u, v)` for all `v` at once).
 ///
 /// The per-sample functional instantiation and the source-side walks both
-/// run on the [`CsrGraph`] compiled from the working graph (flat arrays, a
-/// persistent [`WalkArena`]); the working [`UncertainGraph`] is kept for the
-/// exact `TransPr` rows of [`SourceMode::Exact`].
+/// run on the working graph's forward CSR arrays (flat arrays, a persistent
+/// [`WalkArena`]); the same graph feeds the exact `TransPr` rows of
+/// [`SourceMode::Exact`].
 #[derive(Debug)]
 pub struct SingleSourceEstimator {
     graph: UncertainGraph,
-    csr: CsrGraph,
     config: SimRankConfig,
     options: TransPrOptions,
     source_mode: SourceMode,
@@ -137,11 +136,8 @@ impl SingleSourceEstimator {
     /// Creates a single-source estimator for `graph` under `config`.
     pub fn new(graph: &UncertainGraph, config: SimRankConfig) -> Self {
         config.validate();
-        let working = working_graph(graph, config.direction);
-        let csr = CsrGraph::from_uncertain(&working);
         SingleSourceEstimator {
-            graph: working,
-            csr,
+            graph: working_graph(graph, config.direction),
             config,
             options: TransPrOptions::default(),
             source_mode: SourceMode::Sampled,
@@ -220,7 +216,7 @@ impl SingleSourceEstimator {
         let mut positions: Vec<Option<VertexId>> = vec![None; num_vertices];
         let mut choices: Vec<VertexId> = Vec::new();
 
-        let sampler = CsrSampler::new(self.csr.forward());
+        let sampler = CsrSampler::new(self.graph.forward());
         for _ in 0..num_samples {
             // Source side: one independent walk (only needed in Sampled
             // mode), sampled allocation-free through the walk arena.
@@ -237,7 +233,12 @@ impl SingleSourceEstimator {
 
             // Target side: one shared functional instantiation drives the
             // walks of all vertices simultaneously.
-            Self::sample_functional_map(self.csr.forward(), &mut self.rng, &mut next, &mut choices);
+            Self::sample_functional_map(
+                self.graph.forward(),
+                &mut self.rng,
+                &mut next,
+                &mut choices,
+            );
             for (v, slot) in positions.iter_mut().enumerate() {
                 *slot = Some(v as VertexId);
             }

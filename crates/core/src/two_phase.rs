@@ -15,18 +15,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rwalk::arena::{CsrSampler, WalkArena, DEAD};
 use rwalk::transpr::{transition_rows_from, TransPrOptions};
-use ugraph::{CsrGraph, UncertainGraph, VertexId};
+use ugraph::{UncertainGraph, VertexId};
 
 /// The two-phase single-pair SimRank estimator (the paper's SR-TS).
 ///
 /// The exact phase runs `TransPr` on the direction-resolved working graph;
-/// the sampling phase walks the [`CsrGraph`] compiled from it through a
+/// the sampling phase walks the same graph's forward CSR arrays through a
 /// persistent [`WalkArena`] (allocation-free hot loop, RNG-stream-compatible
 /// with the original `WalkSampler` implementation).
 #[derive(Debug)]
 pub struct TwoPhaseEstimator {
     graph: UncertainGraph,
-    csr: CsrGraph,
     config: SimRankConfig,
     options: TransPrOptions,
     rng: StdRng,
@@ -39,11 +38,8 @@ impl TwoPhaseEstimator {
     /// Creates a two-phase estimator for `graph` under `config`.
     pub fn new(graph: &UncertainGraph, config: SimRankConfig) -> Self {
         config.validate();
-        let working = working_graph(graph, config.direction);
-        let csr = CsrGraph::from_uncertain(&working);
         TwoPhaseEstimator {
-            graph: working,
-            csr,
+            graph: working_graph(graph, config.direction),
             config,
             options: TransPrOptions::default(),
             rng: StdRng::seed_from_u64(config.seed),
@@ -91,7 +87,7 @@ impl TwoPhaseEstimator {
         // Phase 2: sampled meeting probabilities for l < k <= n, walked on
         // the CSR fast path (the working graph's forward view).
         if l < n {
-            let sampler = CsrSampler::new(self.csr.forward());
+            let sampler = CsrSampler::new(self.graph.forward());
             for _ in 0..num_samples {
                 sampler.sample_walk_into(&mut self.arena, u, n, &mut self.rng, &mut self.walk_u);
                 sampler.sample_walk_into(&mut self.arena, v, n, &mut self.rng, &mut self.walk_v);

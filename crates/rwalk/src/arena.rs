@@ -364,7 +364,7 @@ mod tests {
     use crate::sampler::WalkSampler;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use ugraph::{CsrGraph, UncertainGraph, UncertainGraphBuilder};
+    use ugraph::{UncertainGraph, UncertainGraphBuilder};
 
     fn fig1_graph() -> UncertainGraph {
         UncertainGraphBuilder::new(5)
@@ -386,8 +386,7 @@ mod tests {
         // WalkSampler, so from equal RNG states the walks must be equal —
         // this is what lets the estimators migrate without changing results.
         let g = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&g);
-        let sampler = CsrSampler::new(csr.forward());
+        let sampler = CsrSampler::new(g.forward());
         let mut arena = WalkArena::new();
         let mut positions = Vec::new();
 
@@ -442,12 +441,11 @@ mod tests {
         // Degree ≤ 2 fixtures cannot catch a draw-order slip on long rows;
         // here every first visit to a hub draws hundreds of coins.
         let g = hub_graph();
-        let csr = CsrGraph::from_uncertain(&g);
         let transposed = g.transpose();
-        assert!(csr.forward().neighbors(0).len() >= 300);
-        assert!(csr.reverse().neighbors(0).len() >= 300);
-        assert!(csr.reverse().neighbors(301).len() >= 300);
-        for (view, reference_graph) in [(csr.forward(), &g), (csr.reverse(), &transposed)] {
+        assert!(g.forward().neighbors(0).len() >= 300);
+        assert!(g.reverse().neighbors(0).len() >= 300);
+        assert!(g.reverse().neighbors(301).len() >= 300);
+        for (view, reference_graph) in [(g.forward(), &g), (g.reverse(), &transposed)] {
             let sampler = CsrSampler::new(view);
             let mut legacy = WalkSampler::new(reference_graph);
             let mut arena = WalkArena::new();
@@ -476,10 +474,9 @@ mod tests {
     #[test]
     fn reverse_view_walks_match_walking_the_transpose() {
         let g = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&g);
         let transposed = g.transpose();
         let mut legacy = WalkSampler::new(&transposed);
-        let sampler = CsrSampler::new(csr.reverse());
+        let sampler = CsrSampler::new(g.reverse());
         let mut arena = WalkArena::new();
         let mut positions = Vec::new();
         let mut rng_a = StdRng::seed_from_u64(7);
@@ -505,8 +502,7 @@ mod tests {
             .arc(1, 0, 0.5)
             .build()
             .unwrap();
-        let csr = CsrGraph::from_uncertain(&g);
-        let sampler = CsrSampler::new(csr.forward());
+        let sampler = CsrSampler::new(g.forward());
         let mut arena = WalkArena::new();
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(5);
@@ -530,8 +526,7 @@ mod tests {
     #[test]
     fn stay_in_place_policy_keeps_the_walk_at_dead_ends() {
         let g = fig1_graph(); // vertex 4 has no out-arcs
-        let csr = CsrGraph::from_uncertain(&g);
-        let sampler = CsrSampler::with_policy(csr.forward(), DeadEndPolicy::StayInPlace);
+        let sampler = CsrSampler::with_policy(g.forward(), DeadEndPolicy::StayInPlace);
         assert_eq!(sampler.dead_end_policy(), DeadEndPolicy::StayInPlace);
         let mut arena = WalkArena::new();
         let mut positions = Vec::new();
@@ -539,7 +534,7 @@ mod tests {
         sampler.sample_walk_into(&mut arena, 4, 3, &mut rng, &mut positions);
         assert_eq!(positions, vec![4, 4, 4, 4]);
 
-        let terminating = CsrSampler::new(csr.forward());
+        let terminating = CsrSampler::new(g.forward());
         terminating.sample_walk_into(&mut arena, 4, 3, &mut rng, &mut positions);
         assert_eq!(positions, vec![4, DEAD, DEAD, DEAD]);
     }
@@ -547,8 +542,7 @@ mod tests {
     #[test]
     fn buffers_are_reused_without_reallocation() {
         let g = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&g);
-        let sampler = CsrSampler::new(csr.forward());
+        let sampler = CsrSampler::new(g.forward());
         let mut arena = WalkArena::with_capacity(g.num_vertices());
         let mut positions = Vec::with_capacity(8);
         let mut rng = StdRng::seed_from_u64(11);
@@ -569,8 +563,7 @@ mod tests {
     #[test]
     fn zero_length_walk_is_just_the_start() {
         let g = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&g);
-        let sampler = CsrSampler::new(csr.forward());
+        let sampler = CsrSampler::new(g.forward());
         let mut arena = WalkArena::new();
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(2);
@@ -585,9 +578,8 @@ mod tests {
         // dynamic engine relies on.
         use ugraph::DeltaOverlay;
         let g = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&g);
-        let overlay = DeltaOverlay::from_graph(&g);
-        let csr_sampler = CsrSampler::new(csr.forward());
+        let overlay = DeltaOverlay::new(g.clone());
+        let csr_sampler = CsrSampler::new(g.forward());
         let overlay_sampler = CsrSampler::new(overlay.forward());
         let mut arena_a = WalkArena::new();
         let mut arena_b = WalkArena::new();
@@ -618,8 +610,7 @@ mod tests {
             .arc(3, 2, 0.5)
             .build()
             .unwrap();
-        let csr = CsrGraph::from_uncertain(&g);
-        let mut overlay = DeltaOverlay::from_graph(&g);
+        let mut overlay = DeltaOverlay::new(g.clone());
         overlay
             .apply_all(&[
                 GraphUpdate::DeleteArc {
@@ -638,7 +629,7 @@ mod tests {
                 },
             ])
             .unwrap();
-        let static_sampler = CsrSampler::new(csr.forward());
+        let static_sampler = CsrSampler::new(g.forward());
         let live_sampler = CsrSampler::new(overlay.forward());
         let mut arena_a = WalkArena::new();
         let mut arena_b = WalkArena::new();
@@ -665,8 +656,8 @@ mod tests {
         }
     }
 
-    fn alias_csr(g: &UncertainGraph) -> CsrGraph {
-        let mut csr = CsrGraph::from_uncertain(g);
+    fn alias_csr(g: &UncertainGraph) -> UncertainGraph {
+        let mut csr = g.clone();
         csr.build_alias_tables();
         csr
     }
@@ -822,8 +813,7 @@ mod tests {
     #[test]
     fn invalidate_discards_memos_without_reallocating() {
         let g = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&g);
-        let sampler = CsrSampler::new(csr.forward());
+        let sampler = CsrSampler::new(g.forward());
         let mut arena = WalkArena::with_capacity(5);
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(21);
@@ -855,8 +845,7 @@ mod tests {
     #[test]
     fn epoch_wrap_resets_stamps() {
         let g = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&g);
-        let sampler = CsrSampler::new(csr.forward());
+        let sampler = CsrSampler::new(g.forward());
         let mut arena = WalkArena::with_capacity(5);
         arena.epoch = u32::MAX - 1;
         let mut positions = Vec::new();

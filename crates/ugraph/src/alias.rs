@@ -347,7 +347,7 @@ fn remove_bernoulli_into(r: &[f64], p: Probability, out: &mut Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CsrGraph, UncertainGraph};
+    use crate::UncertainGraph;
 
     fn fig1_graph() -> UncertainGraph {
         UncertainGraph::from_arcs(
@@ -383,8 +383,7 @@ mod tests {
     #[test]
     fn row_encodes_exact_one_step_marginals() {
         let g = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&g);
-        let view = csr.forward();
+        let view = g.forward();
         // Vertex 0: arcs to 2 (0.8) and 3 (0.5).
         // Pr(0→2) = 0.8·(E[1/(1+X)]) with X ~ Bernoulli(0.5): 0.8·(0.5·1 + 0.5·½) = 0.6
         // Pr(0→3) = 0.5·(0.2·1 + 0.8·½) = 0.3; death = 0.2·0.5 = 0.1.
@@ -399,9 +398,8 @@ mod tests {
     #[test]
     fn certain_graph_rows_are_uniform_with_no_death_mass() {
         let g = fig1_graph().certain();
-        let csr = CsrGraph::from_uncertain(&g);
-        let view = csr.forward();
-        for v in 0..csr.num_vertices() as VertexId {
+        let view = g.forward();
+        for v in 0..g.num_vertices() as VertexId {
             let nbrs = view.neighbors(v);
             if nbrs.is_empty() {
                 continue;
@@ -429,12 +427,11 @@ mod tests {
     #[test]
     fn whole_table_layout_is_dense_and_aligned_with_csr() {
         let g = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&g);
-        for view in [csr.forward(), csr.reverse()] {
+        for view in [g.forward(), g.reverse()] {
             let table = AliasTable::from_view(view);
-            assert_eq!(table.num_vertices(), csr.num_vertices());
-            assert_eq!(table.num_slots(), csr.num_arcs() + csr.num_vertices());
-            for v in 0..csr.num_vertices() as VertexId {
+            assert_eq!(table.num_vertices(), g.num_vertices());
+            assert_eq!(table.num_slots(), g.num_arcs() + g.num_vertices());
+            for v in 0..g.num_vertices() as VertexId {
                 assert_eq!(table.slots_of(v).len(), view.degree(v) + 1);
                 // The per-vertex build is the same function the table build
                 // ran, so rows must be bit-identical.
@@ -449,8 +446,7 @@ mod tests {
     #[test]
     fn draw_covers_every_outcome_and_respects_frequencies() {
         let g = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&g);
-        let row = build_alias_row(csr.forward().neighbors(0), csr.forward().probabilities(0));
+        let row = build_alias_row(g.forward().neighbors(0), g.forward().probabilities(0));
         // Deterministic stratified sweep of the unit interval stands in for
         // an RNG: empirical frequencies must converge on the marginals.
         let trials = 1_000_000;
@@ -480,8 +476,7 @@ mod tests {
             [(0, 1, 1.0), (0, 2, 0.999_999), (0, 3, 1e-9), (0, 4, 0.5)],
         )
         .unwrap();
-        let csr = CsrGraph::from_uncertain(&g);
-        let row = build_alias_row(csr.forward().neighbors(0), csr.forward().probabilities(0));
+        let row = build_alias_row(g.forward().neighbors(0), g.forward().probabilities(0));
         let dist = table_distribution(&row);
         let total: f64 = dist.values().sum();
         assert!((total - 1.0).abs() < 1e-9, "{dist:?}");

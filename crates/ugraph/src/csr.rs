@@ -1,18 +1,15 @@
-//! A compact, walk-oriented compressed-sparse-row view of a graph.
+//! Walk-oriented, direction-fixed views of an uncertain graph's CSR arrays.
 //!
-//! [`DiGraph`] and [`UncertainGraph`] already store their adjacency in CSR
-//! form, but the SimRank estimators need more than raw adjacency: the
-//! random-walk interpretation of SimRank follows arcs *backwards*, so every
-//! estimator used to materialise a full transposed copy of the input
-//! (`UncertainGraph::transpose`, a sort + rebuild of all arcs) before it could
-//! walk anything.  [`CsrGraph`] removes that step: it is built **once** from a
-//! graph and exposes *both* directions as flat `offsets` / `targets` / `probs`
-//! arrays through [`CsrView`], so a sampler picks the forward or the reverse
-//! (transpose) view at query time with zero copying.
+//! The random-walk interpretation of SimRank follows arcs *backwards*, so a
+//! sampler needs the reverse adjacency as readily as the forward one.
+//! [`UncertainGraph`] stores both directions as flat `offsets` / `targets` /
+//! `probs` arrays; [`UncertainGraph::forward`] and
+//! [`UncertainGraph::reverse`] borrow one direction as a [`CsrView`], so a
+//! sampler picks the forward or the reverse (transpose) view at query time
+//! with zero copying.
 //!
-//! Neighbor slices are sorted by vertex id (inherited from the [`DiGraph`]
-//! build), which keeps arc lookups a binary search and iteration
-//! deterministic.
+//! Neighbor slices are sorted by vertex id, which keeps arc lookups a
+//! binary search and iteration deterministic.
 //!
 //! # Layout
 //!
@@ -27,8 +24,7 @@
 //! `neighbors(v)` and `probabilities(v)` are the sub-slices
 //! `targets[offsets[v]..offsets[v+1]]` and `probs[offsets[v]..offsets[v+1]]`.
 
-use crate::alias::{AliasTable, CsrAliasView};
-use crate::graph::DiGraph;
+#[cfg(doc)]
 use crate::uncertain::UncertainGraph;
 use crate::{Probability, VertexId};
 
@@ -57,231 +53,7 @@ pub trait GraphView {
     }
 }
 
-/// One direction of a [`CsrGraph`]: flat offsets / targets / probabilities.
-#[derive(Debug, Clone, PartialEq)]
-struct CsrDirection {
-    offsets: Vec<usize>,
-    targets: Vec<VertexId>,
-    probs: Vec<Probability>,
-}
-
-/// A compact CSR representation of an uncertain (or deterministic) graph with
-/// both the forward adjacency and its transpose materialised as flat arrays.
-///
-/// Built once (see [`CsrGraph::from_uncertain`] / [`CsrGraph::from_digraph`]);
-/// all samplers and the batch [`QueryEngine`] walk [`CsrView`]s of this
-/// structure instead of re-deriving adjacency per query.
-///
-/// [`QueryEngine`]: https://docs.rs/usim_core (crates/core)
-///
-/// # Alias tables
-///
-/// The graph optionally carries precomputed Walker alias tables for both
-/// directions (see [`crate::alias`]), built on demand by
-/// [`CsrGraph::build_alias_tables`] — only engines configured for the alias
-/// sampler backend pay the `O(Σ d²)` build.  The tables are *derived* data
-/// (a pure function of the CSR arrays), so [`PartialEq`] deliberately
-/// ignores them: a graph with tables equals the same graph without.
-#[derive(Debug, Clone)]
-pub struct CsrGraph {
-    num_vertices: usize,
-    forward: CsrDirection,
-    reverse: CsrDirection,
-    /// `(forward, reverse)` alias tables, present only when built or loaded
-    /// from a snapshot that persisted them.
-    alias: Option<Box<(AliasTable, AliasTable)>>,
-}
-
-impl PartialEq for CsrGraph {
-    /// Structural equality of the CSR arrays only — the optional alias
-    /// tables are derived data and do not participate.
-    fn eq(&self, other: &Self) -> bool {
-        self.num_vertices == other.num_vertices
-            && self.forward == other.forward
-            && self.reverse == other.reverse
-    }
-}
-
-impl CsrGraph {
-    /// Builds the CSR representation of an uncertain graph.
-    ///
-    /// The forward view reproduces `graph.out_arcs`, the reverse view
-    /// reproduces `graph.in_arcs` (equivalently: the forward view of
-    /// `graph.transpose()`, without building the transpose).
-    pub fn from_uncertain(graph: &UncertainGraph) -> Self {
-        let n = graph.num_vertices();
-        let m = graph.num_arcs();
-        let mut forward = CsrDirection {
-            offsets: Vec::with_capacity(n + 1),
-            targets: Vec::with_capacity(m),
-            probs: Vec::with_capacity(m),
-        };
-        let mut reverse = CsrDirection {
-            offsets: Vec::with_capacity(n + 1),
-            targets: Vec::with_capacity(m),
-            probs: Vec::with_capacity(m),
-        };
-        forward.offsets.push(0);
-        reverse.offsets.push(0);
-        for v in 0..n as VertexId {
-            let (out_nbrs, out_probs) = graph.out_arcs(v);
-            forward.targets.extend_from_slice(out_nbrs);
-            forward.probs.extend_from_slice(out_probs);
-            forward.offsets.push(forward.targets.len());
-            let (in_nbrs, in_probs) = graph.in_arcs(v);
-            reverse.targets.extend_from_slice(in_nbrs);
-            reverse.probs.extend_from_slice(in_probs);
-            reverse.offsets.push(reverse.targets.len());
-        }
-        CsrGraph {
-            num_vertices: n,
-            forward,
-            reverse,
-            alias: None,
-        }
-    }
-
-    /// Builds the CSR representation of a deterministic graph; every arc gets
-    /// probability 1, so walks on it are ordinary uniform random walks.
-    pub fn from_digraph(graph: &DiGraph) -> Self {
-        let n = graph.num_vertices();
-        let m = graph.num_arcs();
-        let mut forward = CsrDirection {
-            offsets: Vec::with_capacity(n + 1),
-            targets: Vec::with_capacity(m),
-            probs: vec![1.0; m],
-        };
-        let mut reverse = CsrDirection {
-            offsets: Vec::with_capacity(n + 1),
-            targets: Vec::with_capacity(m),
-            probs: vec![1.0; m],
-        };
-        forward.offsets.push(0);
-        reverse.offsets.push(0);
-        for v in 0..n as VertexId {
-            forward.targets.extend_from_slice(graph.out_neighbors(v));
-            forward.offsets.push(forward.targets.len());
-            reverse.targets.extend_from_slice(graph.in_neighbors(v));
-            reverse.offsets.push(reverse.targets.len());
-        }
-        CsrGraph {
-            num_vertices: n,
-            forward,
-            reverse,
-            alias: None,
-        }
-    }
-
-    /// Builds a CSR graph directly from pre-merged flat arrays, one
-    /// `(offsets, targets, probs)` triple per direction.  Used by
-    /// [`crate::DeltaOverlay`] compaction, which already holds both
-    /// directions in merged, sorted form.
-    pub(crate) fn from_raw_directions(
-        num_vertices: usize,
-        forward: (Vec<usize>, Vec<VertexId>, Vec<Probability>),
-        reverse: (Vec<usize>, Vec<VertexId>, Vec<Probability>),
-    ) -> Self {
-        let build = |(offsets, targets, probs): (Vec<usize>, Vec<VertexId>, Vec<Probability>)| {
-            debug_assert_eq!(offsets.len(), num_vertices + 1);
-            debug_assert_eq!(offsets.first().copied(), Some(0));
-            debug_assert_eq!(offsets.last().copied(), Some(targets.len()));
-            debug_assert_eq!(targets.len(), probs.len());
-            CsrDirection {
-                offsets,
-                targets,
-                probs,
-            }
-        };
-        let forward = build(forward);
-        let reverse = build(reverse);
-        debug_assert_eq!(forward.targets.len(), reverse.targets.len());
-        CsrGraph {
-            num_vertices,
-            forward,
-            reverse,
-            alias: None,
-        }
-    }
-
-    /// Number of vertices `|V|`.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    /// Number of arcs `|E|`.
-    #[inline]
-    pub fn num_arcs(&self) -> usize {
-        self.forward.targets.len()
-    }
-
-    /// The forward view: `neighbors(v)` are the out-neighbors of `v`.
-    #[inline]
-    pub fn forward(&self) -> CsrView<'_> {
-        CsrView {
-            num_vertices: self.num_vertices,
-            offsets: &self.forward.offsets,
-            targets: &self.forward.targets,
-            probs: &self.forward.probs,
-        }
-    }
-
-    /// The reverse (transpose) view: `neighbors(v)` are the in-neighbors of
-    /// `v`.  Walking this view is identical to walking the forward view of
-    /// the transposed graph — the direction SimRank's walks use.
-    #[inline]
-    pub fn reverse(&self) -> CsrView<'_> {
-        CsrView {
-            num_vertices: self.num_vertices,
-            offsets: &self.reverse.offsets,
-            targets: &self.reverse.targets,
-            probs: &self.reverse.probs,
-        }
-    }
-
-    /// Whether alias tables have been built (or loaded) for this graph.
-    #[inline]
-    pub fn has_alias_tables(&self) -> bool {
-        self.alias.is_some()
-    }
-
-    /// Builds the Walker alias tables for both directions (`O(Σ d²)`); a
-    /// no-op when tables are already present.
-    pub fn build_alias_tables(&mut self) {
-        if self.alias.is_none() {
-            let forward = AliasTable::from_view(self.forward());
-            let reverse = AliasTable::from_view(self.reverse());
-            self.alias = Some(Box::new((forward, reverse)));
-        }
-    }
-
-    /// Installs pre-built alias tables (the snapshot reader and overlay
-    /// compaction, which construct tables out of band).
-    pub(crate) fn set_alias_tables(&mut self, forward: AliasTable, reverse: AliasTable) {
-        debug_assert_eq!(forward.num_slots(), self.num_arcs() + self.num_vertices);
-        debug_assert_eq!(reverse.num_slots(), self.num_arcs() + self.num_vertices);
-        self.alias = Some(Box::new((forward, reverse)));
-    }
-
-    /// The `(forward, reverse)` alias tables, when built.
-    pub(crate) fn alias_tables(&self) -> Option<(&AliasTable, &AliasTable)> {
-        self.alias.as_deref().map(|t| (&t.0, &t.1))
-    }
-
-    /// The forward-direction alias view, when tables are built.
-    #[inline]
-    pub fn forward_alias(&self) -> Option<CsrAliasView<'_>> {
-        self.alias.as_deref().map(|t| t.0.view())
-    }
-
-    /// The reverse-direction alias view, when tables are built.
-    #[inline]
-    pub fn reverse_alias(&self) -> Option<CsrAliasView<'_>> {
-        self.alias.as_deref().map(|t| t.1.view())
-    }
-}
-
-/// A borrowed, direction-fixed view of a [`CsrGraph`]: the three flat arrays
+/// A borrowed, direction-fixed view of an [`UncertainGraph`]: the three flat arrays
 /// of one direction.  `Copy`, pointer-sized ×4 — hand it to workers freely.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrView<'a> {
@@ -292,6 +64,22 @@ pub struct CsrView<'a> {
 }
 
 impl<'a> CsrView<'a> {
+    /// Borrows one direction's arrays.
+    #[inline]
+    pub(crate) fn new(
+        num_vertices: usize,
+        offsets: &'a [usize],
+        targets: &'a [VertexId],
+        probs: &'a [Probability],
+    ) -> Self {
+        CsrView {
+            num_vertices,
+            offsets,
+            targets,
+            probs,
+        }
+    }
+
     /// Number of vertices `|V|`.
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -415,6 +203,7 @@ impl GraphView for CsrView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DiGraph, UncertainGraph};
 
     fn fig1_graph() -> UncertainGraph {
         UncertainGraph::from_arcs(
@@ -436,10 +225,9 @@ mod tests {
     #[test]
     fn forward_view_matches_out_arcs() {
         let g = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&g);
-        assert_eq!(csr.num_vertices(), 5);
-        assert_eq!(csr.num_arcs(), 8);
-        let fwd = csr.forward();
+        assert_eq!(g.num_vertices(), 5);
+        assert_eq!(g.num_arcs(), 8);
+        let fwd = g.forward();
         for v in g.vertices() {
             let (nbrs, probs) = g.out_arcs(v);
             assert_eq!(fwd.neighbors(v), nbrs);
@@ -451,15 +239,17 @@ mod tests {
     #[test]
     fn reverse_view_matches_in_arcs_and_the_transpose() {
         let g = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&g);
-        let rev = csr.reverse();
+        let rev = g.reverse();
         for v in g.vertices() {
             let (nbrs, probs) = g.in_arcs(v);
             assert_eq!(rev.neighbors(v), nbrs);
             assert_eq!(rev.probabilities(v), probs);
         }
-        // The reverse view IS the forward view of the transpose.
-        let transposed = CsrGraph::from_uncertain(&g.transpose());
+        // The reverse view IS the forward view of the transpose, built here
+        // by sorting the reversed arcs from scratch.
+        let transposed =
+            UncertainGraph::from_arcs(5, g.arcs().map(|a| (a.target, a.source, a.probability)))
+                .unwrap();
         let tf = transposed.forward();
         for v in g.vertices() {
             assert_eq!(rev.neighbors(v), tf.neighbors(v));
@@ -470,9 +260,8 @@ mod tests {
     #[test]
     fn neighbor_slices_are_sorted_for_binary_search() {
         let g = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&g);
-        for view in [csr.forward(), csr.reverse()] {
-            for v in 0..csr.num_vertices() as VertexId {
+        for view in [g.forward(), g.reverse()] {
+            for v in 0..g.num_vertices() as VertexId {
                 let nbrs = view.neighbors(v);
                 assert!(nbrs.windows(2).all(|w| w[0] < w[1]), "unsorted at {v}");
             }
@@ -482,9 +271,8 @@ mod tests {
     #[test]
     fn arc_lookups_use_both_directions() {
         let g = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&g);
-        let fwd = csr.forward();
-        let rev = csr.reverse();
+        let fwd = g.forward();
+        let rev = g.reverse();
         assert!(fwd.has_arc(0, 2));
         assert!(!fwd.has_arc(2, 1));
         assert!(rev.has_arc(2, 0), "reverse direction flips the arc");
@@ -499,21 +287,20 @@ mod tests {
     #[test]
     fn digraph_build_gets_unit_probabilities() {
         let d = DiGraph::from_arcs(4, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)]).unwrap();
-        let csr = CsrGraph::from_digraph(&d);
-        assert_eq!(csr.num_arcs(), 5);
-        let fwd = csr.forward();
+        let g = UncertainGraph::from_digraph_with_probability(&d, 1.0).unwrap();
+        assert_eq!(g.num_arcs(), 5);
+        let fwd = g.forward();
         for v in d.vertices() {
             assert_eq!(fwd.neighbors(v), d.out_neighbors(v));
             assert!(fwd.probabilities(v).iter().all(|&p| p == 1.0));
-            assert_eq!(csr.reverse().neighbors(v), d.in_neighbors(v));
+            assert_eq!(g.reverse().neighbors(v), d.in_neighbors(v));
         }
     }
 
     #[test]
     fn flat_arrays_are_consistent_with_offsets() {
         let g = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&g);
-        let fwd = csr.forward();
+        let fwd = g.forward();
         assert_eq!(fwd.offsets().len(), 6);
         assert_eq!(*fwd.offsets().last().unwrap(), fwd.targets_flat().len());
         assert_eq!(fwd.targets_flat().len(), fwd.probs_flat().len());
@@ -524,11 +311,10 @@ mod tests {
     #[test]
     fn empty_and_isolated_vertices() {
         let g = UncertainGraph::from_arcs(3, [(0, 1, 0.5)]).unwrap();
-        let csr = CsrGraph::from_uncertain(&g);
-        assert_eq!(csr.forward().degree(2), 0);
-        assert_eq!(csr.forward().neighbors(2), &[] as &[VertexId]);
-        assert_eq!(csr.reverse().degree(0), 0);
-        let empty = CsrGraph::from_uncertain(&UncertainGraph::from_arcs(0, []).unwrap());
+        assert_eq!(g.forward().degree(2), 0);
+        assert_eq!(g.forward().neighbors(2), &[] as &[VertexId]);
+        assert_eq!(g.reverse().degree(0), 0);
+        let empty = UncertainGraph::from_arcs(0, []).unwrap();
         assert_eq!(empty.num_vertices(), 0);
         assert_eq!(empty.num_arcs(), 0);
     }

@@ -14,11 +14,11 @@ use crate::{GraphError, VertexId};
 /// (`has_arc`) a binary search and makes iteration deterministic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiGraph {
-    num_vertices: usize,
-    out_offsets: Vec<usize>,
-    out_targets: Vec<VertexId>,
-    in_offsets: Vec<usize>,
-    in_sources: Vec<VertexId>,
+    pub(crate) num_vertices: usize,
+    pub(crate) out_offsets: Vec<usize>,
+    pub(crate) out_targets: Vec<VertexId>,
+    pub(crate) in_offsets: Vec<usize>,
+    pub(crate) in_sources: Vec<VertexId>,
 }
 
 impl DiGraph {
@@ -57,6 +57,18 @@ impl DiGraph {
         num_vertices: usize,
         pairs: &[(VertexId, VertexId)],
     ) -> Self {
+        Self::from_sorted_unique_arcs_with(num_vertices, pairs, |_, _| {})
+    }
+
+    /// [`DiGraph::from_sorted_unique_arcs`], calling `place(i, slot)` as the
+    /// counting sort puts arc `pairs[i]` at `slot` of the reverse arrays, so
+    /// a caller can lay out per-arc data of the reverse direction in the
+    /// same pass.
+    pub(crate) fn from_sorted_unique_arcs_with(
+        num_vertices: usize,
+        pairs: &[(VertexId, VertexId)],
+        mut place: impl FnMut(usize, usize),
+    ) -> Self {
         let m = pairs.len();
         let mut out_offsets = vec![0usize; num_vertices + 1];
         for &(u, _) in pairs {
@@ -77,9 +89,10 @@ impl DiGraph {
         }
         let mut cursor = in_offsets.clone();
         let mut in_sources = vec![0 as VertexId; m];
-        for &(u, v) in pairs {
+        for (i, &(u, v)) in pairs.iter().enumerate() {
             let slot = cursor[v as usize];
             in_sources[slot] = u;
+            place(i, slot);
             cursor[v as usize] += 1;
         }
         // Within each in-neighbor list the sources are already sorted because
@@ -137,22 +150,6 @@ impl DiGraph {
         self.out_neighbors(u).binary_search(&v).is_ok()
     }
 
-    /// Range of indices of `v`'s out-arcs within the forward CSR arrays.
-    /// Used by [`crate::UncertainGraph`] to keep its probability arrays
-    /// aligned with the adjacency arrays.
-    #[inline]
-    pub(crate) fn out_range(&self, v: VertexId) -> (usize, usize) {
-        let v = v as usize;
-        (self.out_offsets[v], self.out_offsets[v + 1])
-    }
-
-    /// Range of indices of `v`'s in-arcs within the reverse CSR arrays.
-    #[inline]
-    pub(crate) fn in_range(&self, v: VertexId) -> (usize, usize) {
-        let v = v as usize;
-        (self.in_offsets[v], self.in_offsets[v + 1])
-    }
-
     /// Iterator over all arcs `(u, v)` in sorted order.
     pub fn arcs(&self) -> ArcIter<'_> {
         ArcIter {
@@ -180,12 +177,16 @@ impl DiGraph {
     ///
     /// SimRank's random-walk interpretation follows *in*-edges (two walks
     /// step to uniformly chosen in-neighbors), which is the same as walking
-    /// forward on the transposed graph; the SimRank estimators transpose the
-    /// input once and reuse the forward-walk machinery.
+    /// forward on the transposed graph.  Both directions are stored sorted,
+    /// so the transpose swaps them: no arc is re-sorted.
     pub fn transpose(&self) -> DiGraph {
-        let mut arcs: Vec<(VertexId, VertexId)> = self.arcs().map(|(u, v)| (v, u)).collect();
-        arcs.sort_unstable();
-        DiGraph::from_sorted_unique_arcs(self.num_vertices, &arcs)
+        DiGraph {
+            num_vertices: self.num_vertices,
+            out_offsets: self.in_offsets.clone(),
+            out_targets: self.in_sources.clone(),
+            in_offsets: self.out_offsets.clone(),
+            in_sources: self.out_targets.clone(),
+        }
     }
 
     /// One-step transition probability `Pr(u →₁ v)` of the uniform random walk

@@ -9,15 +9,15 @@
 //!   (in-neighbor) adjacency.
 //! * [`UncertainGraph`] — a directed graph whose arcs carry independent
 //!   existence probabilities in `(0, 1]`, i.e. the tuple `(V, E, P)` of the
-//!   paper (Section II).
-//! * [`CsrGraph`] — a compact, walk-oriented CSR view (flat
-//!   `offsets`/`targets`/`probs` arrays for both the forward adjacency and
-//!   its transpose) built once and shared by all samplers, so estimators no
-//!   longer materialise transposed graph copies per query.
+//!   paper (Section II).  It is the one in-memory uncertain graph: its
+//!   forward and reverse CSR arrays are what every sampler and the batch
+//!   engine walk, borrowed as [`CsrView`]s, so no estimator copies or
+//!   transposes the graph per query.
 //! * [`DeltaOverlay`] — dynamic graphs: arc insertions, deletions and
 //!   probability updates recorded as sorted per-vertex patched rows over an
-//!   immutable CSR base, merged on read through [`OverlayView`] and
-//!   compacted back into a fresh [`CsrGraph`] under a [`CompactionPolicy`].
+//!   immutable [`UncertainGraph`] base, merged on read through
+//!   [`OverlayView`] and compacted back into a fresh base under a
+//!   [`CompactionPolicy`].
 //! * [`possible_world`] — the possible-world semantics: a possible world of an
 //!   uncertain graph `G` is a deterministic graph on the same vertex set whose
 //!   arc set is a subset of `E(G)`; its probability is the product in
@@ -26,10 +26,10 @@
 //! * [`io`] — a small weighted-edge-list format (`u v p` per line) used by the
 //!   examples and the experiment harness.
 //! * [`snapshot`] — the one binary graph format: a versioned, checksummed
-//!   on-disk image of a [`CsrGraph`] (both directions plus an optional
-//!   label table) read back into place without re-sorting or re-validating
-//!   per edge, and converted to an [`UncertainGraph`] with every arc
-//!   re-validated on demand; and [`updatelog`] — an
+//!   on-disk image of an [`UncertainGraph`] (both directions plus an
+//!   optional label table) read back into place without re-sorting or
+//!   re-validating per edge, with every arc re-validated on demand by
+//!   [`CsrSnapshot::validate`]; and [`updatelog`] — an
 //!   append-only log of [`GraphUpdate`] rounds a restarted server replays on
 //!   top of a snapshot to reach the exact epoch it died at.
 //! * [`stats`] — degree and probability statistics used when calibrating the
@@ -76,7 +76,7 @@ pub mod updatelog;
 
 pub use alias::{alias_draw, AliasSlot, AliasTable, AliasView, CsrAliasView};
 pub use builder::{DiGraphBuilder, DuplicatePolicy, UncertainGraphBuilder};
-pub use csr::{CsrGraph, CsrView, GraphView};
+pub use csr::{CsrView, GraphView};
 pub use error::GraphError;
 pub use graph::{ArcIter, DiGraph};
 pub use overlay::{
@@ -86,6 +86,11 @@ pub use overlay::{
 pub use snapshot::CsrSnapshot;
 pub use uncertain::{ProbArc, UncertainGraph};
 pub use updatelog::UpdateLog;
+
+/// The walk-oriented CSR graph, which is [`UncertainGraph`] itself.  Kept
+/// only for the benchmark harness, which names it; deleted at the next
+/// change to the benchmark.
+pub type CsrGraph = UncertainGraph;
 
 /// Identifier of a vertex.  Vertices of a graph with `n` vertices are the
 /// integers `0..n`.

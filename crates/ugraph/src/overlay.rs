@@ -1,11 +1,11 @@
 //! Dynamic uncertain graphs: a mutable delta overlay on an immutable
-//! [`CsrGraph`].
+//! [`UncertainGraph`].
 //!
 //! The paper models uncertain graphs whose arc probabilities come from real,
-//! evolving data (entity-resolution links, noisy crawls), but a [`CsrGraph`]
-//! is frozen at build time: any churn used to force a full rebuild of the
-//! flat arrays and of everything referencing them.  [`DeltaOverlay`] makes
-//! the CSR engine long-lived instead:
+//! evolving data (entity-resolution links, noisy crawls), but an
+//! [`UncertainGraph`]'s CSR arrays are frozen at build time: any churn used
+//! to force a full rebuild of the flat arrays and of everything referencing
+//! them.  [`DeltaOverlay`] makes the CSR engine long-lived instead:
 //!
 //! * **updates** ([`GraphUpdate`]: arc insertion, deletion, probability
 //!   change) are validated as a batch and recorded as sorted per-vertex
@@ -18,14 +18,14 @@
 //!   keeps the RNG draw order of random walks over them bit-identical to the
 //!   static graph — the property the batch engine's determinism tests pin;
 //! * **compaction** folds the patched rows back into a fresh contiguous
-//!   [`CsrGraph`] once the recorded churn crosses a [`CompactionPolicy`]
+//!   [`UncertainGraph`] once the recorded churn crosses a [`CompactionPolicy`]
 //!   threshold, bounding both the per-read hash lookup cost and the overlay
 //!   memory.
 //!
 //! Both directions (forward adjacency and its transpose) are patched in
 //! lockstep, so the overlay maintains the same invariant as
-//! [`CsrGraph::from_uncertain`]: the reverse view is exactly the forward
-//! view of the transposed graph.
+//! [`UncertainGraph`]: the reverse view is exactly the forward view of the
+//! transposed graph.
 //!
 //! # Example
 //!
@@ -33,7 +33,7 @@
 //! use ugraph::{DeltaOverlay, GraphUpdate, UncertainGraph};
 //!
 //! let g = UncertainGraph::from_arcs(3, [(0, 1, 0.5), (1, 2, 0.9)]).unwrap();
-//! let mut overlay = DeltaOverlay::from_graph(&g);
+//! let mut overlay = DeltaOverlay::new(g);
 //! overlay
 //!     .apply_all(&[
 //!         GraphUpdate::InsertArc { source: 2, target: 0, probability: 0.4 },
@@ -49,8 +49,8 @@
 //! ```
 
 use crate::alias::{build_alias_row, AliasSlot, AliasTable, AliasView, CsrAliasView};
-use crate::csr::{CsrGraph, CsrView, GraphView};
-use crate::uncertain::UncertainGraph;
+use crate::csr::{CsrView, GraphView};
+use crate::uncertain::{RawDirection, UncertainGraph};
 use crate::{Probability, VertexId};
 use std::collections::HashMap;
 use std::fmt;
@@ -306,14 +306,14 @@ impl DirOverlay {
     }
 }
 
-/// A mutable uncertain graph: an immutable [`CsrGraph`] base plus sorted
-/// per-vertex patched rows, compacted back into a fresh CSR when the churn
-/// crosses the [`CompactionPolicy`] threshold.
+/// A mutable uncertain graph: an immutable [`UncertainGraph`] base plus
+/// sorted per-vertex patched rows, compacted back into a fresh base when the
+/// churn crosses the [`CompactionPolicy`] threshold.
 ///
 /// See the [module documentation](self) for the design.
 #[derive(Debug, Clone)]
 pub struct DeltaOverlay {
-    base: CsrGraph,
+    base: UncertainGraph,
     forward: DirOverlay,
     reverse: DirOverlay,
     live_arcs: usize,
@@ -323,14 +323,14 @@ pub struct DeltaOverlay {
 }
 
 impl DeltaOverlay {
-    /// Wraps an existing CSR base with an empty overlay and the default
+    /// Wraps an existing graph with an empty overlay and the default
     /// [`CompactionPolicy`].
-    pub fn new(base: CsrGraph) -> Self {
+    pub fn new(base: UncertainGraph) -> Self {
         Self::with_policy(base, CompactionPolicy::default())
     }
 
-    /// Wraps an existing CSR base with an explicit compaction policy.
-    pub fn with_policy(base: CsrGraph, policy: CompactionPolicy) -> Self {
+    /// Wraps an existing graph with an explicit compaction policy.
+    pub fn with_policy(base: UncertainGraph, policy: CompactionPolicy) -> Self {
         let live_arcs = base.num_arcs();
         DeltaOverlay {
             base,
@@ -341,11 +341,6 @@ impl DeltaOverlay {
             version: 0,
             policy,
         }
-    }
-
-    /// Builds the CSR base from an [`UncertainGraph`] and wraps it.
-    pub fn from_graph(graph: &UncertainGraph) -> Self {
-        Self::new(CsrGraph::from_uncertain(graph))
     }
 
     /// Number of vertices `|V|` (fixed for the lifetime of the overlay).
@@ -360,12 +355,12 @@ impl DeltaOverlay {
         self.live_arcs
     }
 
-    /// The immutable CSR base.  After updates and before the next
+    /// The immutable base graph.  After updates and before the next
     /// compaction this does **not** include the pending deltas; read through
-    /// [`DeltaOverlay::forward`] / [`DeltaOverlay::reverse`] for the live
-    /// graph.
+    /// [`DeltaOverlay::forward`] / [`DeltaOverlay::reverse`] (or
+    /// [`DeltaOverlay::to_graph`]) for the live graph.
     #[inline]
-    pub fn base(&self) -> &CsrGraph {
+    pub fn base(&self) -> &UncertainGraph {
         &self.base
     }
 
@@ -581,26 +576,22 @@ impl DeltaOverlay {
         }
     }
 
-    /// Folds every patched row back into a fresh contiguous [`CsrGraph`]
-    /// base and clears the overlay.  Reads through the views before and
-    /// after compaction observe the identical adjacency.
+    /// Folds every patched row back into a fresh contiguous base graph and
+    /// clears the overlay.  Reads through the views before and after
+    /// compaction observe the identical adjacency.
     pub fn compact(&mut self) {
         let n = self.num_vertices();
-        let forward = merge_direction(n, self.live_arcs, self.base.forward(), &self.forward.rows);
-        let reverse = merge_direction(n, self.live_arcs, self.base.reverse(), &self.reverse.rows);
+        let mut base = self.to_graph();
         // Alias tables ride along: unpatched vertices keep their base slots
         // bit-for-bit, patched vertices contribute the row rebuilt at apply
         // time — no vertex is rebuilt twice, none is rebuilt needlessly.
-        let alias = self.base.alias_tables().map(|(fwd, rev)| {
-            (
+        if let Some((fwd, rev)) = self.base.alias_tables() {
+            base.set_alias_tables(
                 merge_alias_direction(n, self.live_arcs, fwd, &self.forward.rows),
                 merge_alias_direction(n, self.live_arcs, rev, &self.reverse.rows),
-            )
-        });
-        self.base = CsrGraph::from_raw_directions(n, forward, reverse);
-        if let Some((fwd, rev)) = alias {
-            self.base.set_alias_tables(fwd, rev);
+            );
         }
+        self.base = base;
         self.forward.rows.clear();
         self.reverse.rows.clear();
         self.ops_since_compaction = 0;
@@ -646,18 +637,17 @@ impl DeltaOverlay {
         })
     }
 
-    /// Materialises the live graph as an [`UncertainGraph`] (for persisting
-    /// a mutated graph or cross-checking against a from-scratch rebuild).
-    pub fn to_uncertain(&self) -> UncertainGraph {
-        let view = self.forward();
-        let mut triples: Vec<(VertexId, VertexId, Probability)> =
-            Vec::with_capacity(self.live_arcs);
-        for v in 0..self.num_vertices() as VertexId {
-            for (&w, &p) in view.neighbors(v).iter().zip(view.probabilities(v)) {
-                triples.push((v, w, p));
-            }
-        }
-        UncertainGraph::from_sorted_unique_arcs(self.num_vertices(), &triples)
+    /// The live graph as a fresh [`UncertainGraph`] (for persisting a
+    /// mutated graph or cross-checking against a from-scratch rebuild):
+    /// both directions' live rows concatenated, as compaction does, without
+    /// alias tables.
+    pub fn to_graph(&self) -> UncertainGraph {
+        let n = self.num_vertices();
+        UncertainGraph::from_raw_directions(
+            n,
+            merge_direction(n, self.live_arcs, self.base.forward(), &self.forward.rows),
+            merge_direction(n, self.live_arcs, self.base.reverse(), &self.reverse.rows),
+        )
     }
 }
 
@@ -668,7 +658,7 @@ fn merge_direction(
     num_arcs: usize,
     base: CsrView<'_>,
     rows: &HashMap<VertexId, Row>,
-) -> (Vec<usize>, Vec<VertexId>, Vec<Probability>) {
+) -> RawDirection {
     let mut offsets = Vec::with_capacity(num_vertices + 1);
     let mut targets = Vec::with_capacity(num_arcs);
     let mut probs = Vec::with_capacity(num_arcs);
@@ -854,27 +844,26 @@ mod tests {
     }
 
     fn assert_views_match(overlay: &DeltaOverlay, expected: &UncertainGraph) {
-        let csr = CsrGraph::from_uncertain(expected);
         assert_eq!(overlay.num_arcs(), expected.num_arcs());
         for v in 0..expected.num_vertices() as VertexId {
             assert_eq!(
                 overlay.forward().neighbors(v),
-                csr.forward().neighbors(v),
+                expected.forward().neighbors(v),
                 "forward neighbors of {v}"
             );
             assert_eq!(
                 overlay.forward().probabilities(v),
-                csr.forward().probabilities(v),
+                expected.forward().probabilities(v),
                 "forward probabilities of {v}"
             );
             assert_eq!(
                 overlay.reverse().neighbors(v),
-                csr.reverse().neighbors(v),
+                expected.reverse().neighbors(v),
                 "reverse neighbors of {v}"
             );
             assert_eq!(
                 overlay.reverse().probabilities(v),
-                csr.reverse().probabilities(v),
+                expected.reverse().probabilities(v),
                 "reverse probabilities of {v}"
             );
         }
@@ -883,7 +872,7 @@ mod tests {
     #[test]
     fn untouched_overlay_serves_the_base_slices() {
         let g = fig1_graph();
-        let overlay = DeltaOverlay::from_graph(&g);
+        let overlay = DeltaOverlay::new(g.clone());
         assert_views_match(&overlay, &g);
         assert_eq!(overlay.version(), 0);
         assert_eq!(overlay.patched_vertices(), 0);
@@ -898,8 +887,7 @@ mod tests {
     #[test]
     fn inserts_deletes_and_reweights_patch_both_directions() {
         let g = fig1_graph();
-        let mut overlay =
-            DeltaOverlay::with_policy(CsrGraph::from_uncertain(&g), CompactionPolicy::never());
+        let mut overlay = DeltaOverlay::with_policy(g.clone(), CompactionPolicy::never());
         let summary = overlay
             .apply_all(&[
                 GraphUpdate::InsertArc {
@@ -938,7 +926,7 @@ mod tests {
         )
         .unwrap();
         assert_views_match(&overlay, &expected);
-        assert_eq!(overlay.to_uncertain(), expected);
+        assert_eq!(overlay.to_graph(), expected);
         assert_eq!(overlay.version(), 1);
         assert!(overlay.patched_vertices() > 0);
         // Untouched vertex 1's forward row still is the base slice.
@@ -948,8 +936,7 @@ mod tests {
     #[test]
     fn compaction_folds_the_rows_into_a_fresh_csr() {
         let g = fig1_graph();
-        let mut overlay =
-            DeltaOverlay::with_policy(CsrGraph::from_uncertain(&g), CompactionPolicy::never());
+        let mut overlay = DeltaOverlay::with_policy(g.clone(), CompactionPolicy::never());
         overlay
             .apply_all(&[
                 GraphUpdate::DeleteArc {
@@ -963,20 +950,22 @@ mod tests {
                 },
             ])
             .unwrap();
-        let expected = overlay.to_uncertain();
+        // The live arcs, with the reverse direction rebuilt by sorting.
+        let live = overlay.to_graph();
+        let arcs = live.arcs().map(|a| (a.source, a.target, a.probability));
+        let expected = UncertainGraph::from_arcs(5, arcs).unwrap();
         assert!(overlay.ops_since_compaction() > 0);
         overlay.compact();
         assert_eq!(overlay.ops_since_compaction(), 0);
         assert_eq!(overlay.patched_vertices(), 0);
-        assert_eq!(overlay.base(), &CsrGraph::from_uncertain(&expected));
+        assert_eq!(overlay.base(), &expected);
         assert_views_match(&overlay, &expected);
     }
 
     #[test]
     fn eager_policy_compacts_after_every_batch() {
         let g = fig1_graph();
-        let mut overlay =
-            DeltaOverlay::with_policy(CsrGraph::from_uncertain(&g), CompactionPolicy::eager());
+        let mut overlay = DeltaOverlay::with_policy(g.clone(), CompactionPolicy::eager());
         let summary = overlay
             .apply_all(&[GraphUpdate::DeleteArc {
                 source: 0,
@@ -991,7 +980,7 @@ mod tests {
     #[test]
     fn rejected_batches_leave_the_overlay_untouched() {
         let g = fig1_graph();
-        let mut overlay = DeltaOverlay::from_graph(&g);
+        let mut overlay = DeltaOverlay::new(g.clone());
         let bad_batches: Vec<(Vec<GraphUpdate>, UpdateError)> = vec![
             (
                 vec![GraphUpdate::InsertArc {
@@ -1079,7 +1068,7 @@ mod tests {
     #[test]
     fn batch_internal_dependencies_validate_in_order() {
         let g = fig1_graph();
-        let mut overlay = DeltaOverlay::from_graph(&g);
+        let mut overlay = DeltaOverlay::new(g.clone());
         // Insert then re-weight then delete the same arc in one batch.
         overlay
             .apply_all(&[
@@ -1134,7 +1123,7 @@ mod tests {
     /// build over the live adjacency — the invariant the partial rebuild
     /// maintains.
     fn assert_alias_matches_fresh_build(overlay: &DeltaOverlay) {
-        let mut fresh = CsrGraph::from_uncertain(&overlay.to_uncertain());
+        let mut fresh = overlay.to_graph();
         fresh.build_alias_tables();
         let pairs = [
             (
@@ -1155,7 +1144,7 @@ mod tests {
 
     #[test]
     fn updates_rebuild_alias_rows_only_for_touched_vertices() {
-        let mut base = CsrGraph::from_uncertain(&fig1_graph());
+        let mut base = fig1_graph();
         base.build_alias_tables();
         let mut overlay = DeltaOverlay::with_policy(base, CompactionPolicy::never());
         overlay
@@ -1187,7 +1176,7 @@ mod tests {
 
     #[test]
     fn compaction_carries_alias_tables_into_the_new_base() {
-        let mut base = CsrGraph::from_uncertain(&fig1_graph());
+        let mut base = fig1_graph();
         base.build_alias_tables();
         let mut overlay = DeltaOverlay::with_policy(base, CompactionPolicy::never());
         overlay
@@ -1209,7 +1198,7 @@ mod tests {
         assert_alias_matches_fresh_build(&overlay);
         // The compacted tables are bit-identical to a from-scratch build of
         // the same graph (copy-vs-rebuild indistinguishability).
-        let mut fresh = CsrGraph::from_uncertain(&overlay.to_uncertain());
+        let mut fresh = overlay.to_graph();
         fresh.build_alias_tables();
         let (fwd, rev) = overlay.base().alias_tables().unwrap();
         let (fresh_fwd, fresh_rev) = fresh.alias_tables().unwrap();
@@ -1219,10 +1208,7 @@ mod tests {
 
     #[test]
     fn alias_tables_can_be_built_mid_flight_over_patched_rows() {
-        let mut overlay = DeltaOverlay::with_policy(
-            CsrGraph::from_uncertain(&fig1_graph()),
-            CompactionPolicy::never(),
-        );
+        let mut overlay = DeltaOverlay::with_policy(fig1_graph(), CompactionPolicy::never());
         assert!(overlay.forward_alias().is_none());
         overlay
             .apply_all(&[GraphUpdate::InsertArc {
@@ -1238,7 +1224,7 @@ mod tests {
 
     #[test]
     fn overlay_without_tables_never_maintains_alias_rows() {
-        let mut overlay = DeltaOverlay::from_graph(&fig1_graph());
+        let mut overlay = DeltaOverlay::new(fig1_graph());
         overlay
             .apply_all(&[GraphUpdate::DeleteArc {
                 source: 0,
@@ -1252,7 +1238,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op_but_bumps_the_version() {
         let g = fig1_graph();
-        let mut overlay = DeltaOverlay::from_graph(&g);
+        let mut overlay = DeltaOverlay::new(g.clone());
         let summary = overlay.apply_all(&[]).unwrap();
         assert_eq!(
             summary,

@@ -1,14 +1,14 @@
 //! A versioned, checksummed on-disk CSR snapshot: the one binary graph
 //! format of the workspace.
 //!
-//! A **snapshot** persists the compiled [`CsrGraph`] itself, plus the
-//! vertex label table: the `offsets` / `targets` / `probs` arrays of both
-//! directions are written as 8-byte-aligned little-endian sections behind a
-//! `USIMCSR1` header and read straight back into place, without re-sorting
-//! or re-validating per edge, so boot time is O(bytes read) rather than the
-//! O(edges) parse, sort and validation of a text edge list.  Callers that
-//! want an [`UncertainGraph`] instead convert with
-//! [`CsrSnapshot::to_uncertain`], which re-validates every arc.
+//! A **snapshot** persists an [`UncertainGraph`]'s CSR arrays themselves,
+//! plus the vertex label table: the `offsets` / `targets` / `probs` arrays
+//! of both directions are written as 8-byte-aligned little-endian sections
+//! behind a `USIMCSR1` header and read straight back into place, without
+//! re-sorting or re-validating per edge, so boot time is O(bytes read)
+//! rather than the O(edges) parse, sort and validation of a text edge list.
+//! Callers that do not trust the file that far re-check every arc with
+//! [`CsrSnapshot::validate`].
 //!
 //! ```text
 //! offset  size       field
@@ -47,11 +47,17 @@
 //! arithmetic (section sizes, label count, vertex-id range) and the
 //! monotonicity of both offset arrays — an O(n) scan that guarantees every
 //! later slice access is in bounds.  It does **not** re-check per-arc
-//! invariants (sorted neighbor slices, probabilities in `(0, 1]`): those
-//! held when the writer serialised a live [`CsrGraph`], and any bit that
-//! changed since is caught by the checksum.  Truncations and bit-flips are
-//! reported as typed [`GraphError::Format`], never a panic or a silently
-//! wrong graph.
+//! invariants (sorted neighbor slices, probabilities in `(0, 1]`, reverse =
+//! transpose of forward): those held when the writer serialised a live
+//! [`UncertainGraph`], and any bit that changed since is caught by the
+//! checksum.  `usim serve` boots on exactly this.  Truncations and
+//! bit-flips are reported as typed [`GraphError::Format`], never a panic or
+//! a silently wrong graph.
+//!
+//! [`CsrSnapshot::validate`] re-checks those per-arc invariants in one pass
+//! over each direction, without rebuilding anything; every other `usim`
+//! command runs it on the snapshots it loads, so a file whose checksum was
+//! resealed over an invalid arc is refused with a typed error.
 //!
 //! The optional label table carries the labels every consumer maps to
 //! compact vertex ids, making a snapshot a self-contained artifact: `usim
@@ -61,7 +67,8 @@
 
 use crate::alias::{AliasSlot, AliasTable};
 use crate::error::format_error;
-use crate::{CsrGraph, GraphError, Probability, UncertainGraph, VertexId};
+use crate::uncertain::RawDirection;
+use crate::{GraphError, Probability, UncertainGraph, VertexId};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -82,12 +89,12 @@ const KNOWN_FLAGS: u32 = FLAG_ALIAS_TABLES;
 /// Header length in bytes: magic, version, reserved word, three u64 counts.
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8 + 8;
 
-/// A deserialised snapshot: the compiled CSR graph plus the (possibly
-/// empty) vertex label table that was stored with it.
+/// A deserialised snapshot: the graph plus the (possibly empty) vertex
+/// label table that was stored with it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrSnapshot {
-    /// The CSR graph, both directions, exactly as serialised.
-    pub graph: CsrGraph,
+    /// The graph, both directions, exactly as serialised.
+    pub graph: UncertainGraph,
     /// Wire labels, one per vertex in id order; empty when the writer
     /// stored no label table (ids are their own labels).
     pub labels: Vec<u64>,
@@ -104,19 +111,59 @@ impl CsrSnapshot {
         }
     }
 
-    /// Rebuilds the [`UncertainGraph`] from the forward rows through
-    /// [`UncertainGraph::from_arcs`], so every vertex id and probability
-    /// the reader trusted to the checksum is validated here.
-    pub fn to_uncertain(&self) -> Result<UncertainGraph, GraphError> {
+    /// Re-checks the per-arc invariants the reader trusts to the checksum
+    /// (see the module docs): every target is a vertex of the graph, every
+    /// forward row is strictly sorted, every probability lies in `(0, 1]`,
+    /// and the reverse arrays are exactly the transpose of the forward ones.
+    /// One pass over each direction; nothing is rebuilt.
+    pub fn validate(&self) -> Result<(), GraphError> {
+        let n = self.graph.num_vertices();
         let forward = self.graph.forward();
-        let arcs = (0..self.graph.num_vertices() as VertexId).flat_map(|u| {
-            forward
-                .neighbors(u)
-                .iter()
-                .zip(forward.probabilities(u))
-                .map(move |(&v, &p)| (u, v, p))
-        });
-        UncertainGraph::from_arcs(self.graph.num_vertices(), arcs)
+        let reverse = self.graph.reverse();
+        let not_transpose = |v: VertexId| {
+            format_error(format!(
+                "the reverse row of vertex {v} is not the transpose of the forward rows"
+            ))
+        };
+        // Walking the forward rows in source order visits each reverse row's
+        // sources in sorted order, so arc (u, v) must sit in the next unread
+        // slot of v's reverse row.  The m forward arcs then fill m distinct
+        // slots, and the reader checked that the reverse rows hold exactly m:
+        // every reverse slot is matched.
+        let mut cursor: Vec<usize> = reverse.offsets()[..n].to_vec();
+        for u in 0..n as VertexId {
+            let mut previous = None;
+            for (&v, &p) in forward.neighbors(u).iter().zip(forward.probabilities(u)) {
+                if v as usize >= n {
+                    return Err(GraphError::VertexOutOfRange {
+                        vertex: v as u64,
+                        num_vertices: n,
+                    });
+                }
+                if previous >= Some(v) {
+                    return Err(format_error(format!(
+                        "the forward row of vertex {u} is not strictly sorted at target {v}"
+                    )));
+                }
+                previous = Some(v);
+                if !crate::is_valid_probability(p) {
+                    return Err(GraphError::InvalidProbability {
+                        source: u,
+                        target: v,
+                        probability: p,
+                    });
+                }
+                let slot = cursor[v as usize];
+                if slot == reverse.offsets()[v as usize + 1]
+                    || reverse.targets_flat()[slot] != u
+                    || reverse.probs_flat()[slot] != p
+                {
+                    return Err(not_transpose(v));
+                }
+                cursor[v as usize] += 1;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -213,7 +260,7 @@ impl WordFnv {
 /// Writes `graph` (and an optional label table — empty slice for none) to
 /// `writer` in the snapshot format.
 pub fn write_snapshot<W: Write>(
-    graph: &CsrGraph,
+    graph: &UncertainGraph,
     labels: &[u64],
     writer: W,
 ) -> Result<(), GraphError> {
@@ -279,7 +326,7 @@ pub fn write_snapshot<W: Write>(
 
 /// Writes a snapshot to a file (see [`write_snapshot`]).
 pub fn write_snapshot_file<P: AsRef<Path>>(
-    graph: &CsrGraph,
+    graph: &UncertainGraph,
     labels: &[u64],
     path: P,
 ) -> Result<(), GraphError> {
@@ -375,7 +422,6 @@ pub fn read_snapshot<R: Read>(reader: R) -> Result<CsrSnapshot, GraphError> {
     let targets_pad = pad8(targets_len);
     let probs_len = section_len(m, 8, "the probabilities")?;
 
-    type RawDirection = (Vec<usize>, Vec<VertexId>, Vec<Probability>);
     let read_direction = |reader: &mut BufReader<R>,
                           checksum: &mut WordFnv,
                           name: &str|
@@ -519,7 +565,7 @@ pub fn read_snapshot<R: Read>(reader: R) -> Result<CsrSnapshot, GraphError> {
     }
     check_unique_labels(&labels)?;
 
-    let mut graph = CsrGraph::from_raw_directions(n, forward, reverse);
+    let mut graph = UncertainGraph::from_raw_directions(n, forward, reverse);
     if let Some((forward_table, reverse_table)) = alias {
         graph.set_alias_tables(forward_table, reverse_table);
     }
@@ -551,7 +597,7 @@ mod tests {
             .unwrap()
     }
 
-    fn encode(graph: &CsrGraph, labels: &[u64]) -> Vec<u8> {
+    fn encode(graph: &UncertainGraph, labels: &[u64]) -> Vec<u8> {
         let mut buffer = Vec::new();
         write_snapshot(graph, labels, &mut buffer).unwrap();
         buffer
@@ -559,7 +605,7 @@ mod tests {
 
     /// Byte offsets of every section boundary of a snapshot of `graph`,
     /// computed from the format spec (not from the writer).
-    fn section_boundaries(graph: &CsrGraph, num_labels: usize) -> Vec<usize> {
+    fn section_boundaries(graph: &UncertainGraph, num_labels: usize) -> Vec<usize> {
         let n = graph.num_vertices();
         let m = graph.num_arcs();
         let direction = [(n + 1) * 8, m * 4 + pad8(m * 4), m * 8];
@@ -581,7 +627,7 @@ mod tests {
     #[test]
     fn roundtrip_restores_the_identical_csr() {
         let graph = fig1_graph();
-        let csr = CsrGraph::from_uncertain(&graph);
+        let csr = graph.clone();
         let labels: Vec<u64> = vec![10, 20, 30, 40, 50];
         let snapshot = read_snapshot(encode(&csr, &labels).as_slice()).unwrap();
         assert_eq!(snapshot.graph, csr);
@@ -590,7 +636,7 @@ mod tests {
 
     #[test]
     fn roundtrip_without_labels_and_identity_synthesis() {
-        let csr = CsrGraph::from_uncertain(&fig1_graph());
+        let csr = fig1_graph();
         let snapshot = read_snapshot(encode(&csr, &[]).as_slice()).unwrap();
         assert_eq!(snapshot.graph, csr);
         assert!(snapshot.labels.is_empty());
@@ -605,11 +651,11 @@ mod tests {
             vec![(0, 1, 0.5), (1, 2, 0.25), (2, 0, 1.0)],
         ] {
             let graph = UncertainGraph::from_arcs(3, arcs).unwrap();
-            let csr = CsrGraph::from_uncertain(&graph);
+            let csr = graph.clone();
             let snapshot = read_snapshot(encode(&csr, &[]).as_slice()).unwrap();
             assert_eq!(snapshot.graph, csr, "graph with {} arcs", csr.num_arcs());
         }
-        let empty = CsrGraph::from_uncertain(&UncertainGraph::from_arcs(0, []).unwrap());
+        let empty = UncertainGraph::from_arcs(0, []).unwrap();
         let snapshot = read_snapshot(encode(&empty, &[]).as_slice()).unwrap();
         assert_eq!(snapshot.graph.num_vertices(), 0);
     }
@@ -617,7 +663,7 @@ mod tests {
     #[test]
     fn file_helpers_roundtrip() {
         let path = std::env::temp_dir().join(format!("usim_snapshot_{}.csr", std::process::id()));
-        let csr = CsrGraph::from_uncertain(&fig1_graph());
+        let csr = fig1_graph();
         write_snapshot_file(&csr, &[9, 8, 7, 6, 5], &path).unwrap();
         let snapshot = read_snapshot_file(&path).unwrap();
         assert_eq!(snapshot.graph, csr);
@@ -627,7 +673,7 @@ mod tests {
 
     #[test]
     fn mismatched_label_table_is_rejected_at_write_time() {
-        let csr = CsrGraph::from_uncertain(&fig1_graph());
+        let csr = fig1_graph();
         let mut buffer = Vec::new();
         let err = write_snapshot(&csr, &[1, 2], &mut buffer).unwrap_err();
         assert!(matches!(err, GraphError::Format { .. }), "{err}");
@@ -635,7 +681,7 @@ mod tests {
 
     #[test]
     fn duplicate_labels_are_rejected_at_write_time() {
-        let csr = CsrGraph::from_uncertain(&fig1_graph());
+        let csr = fig1_graph();
         let err = write_snapshot(&csr, &[10, 20, 30, 20, 50], Vec::new()).unwrap_err();
         assert!(matches!(err, GraphError::Format { .. }), "{err}");
         assert!(err.to_string().contains("label 20"), "{err}");
@@ -643,7 +689,7 @@ mod tests {
 
     #[test]
     fn duplicate_labels_in_a_checksummed_snapshot_are_rejected() {
-        let csr = CsrGraph::from_uncertain(&fig1_graph());
+        let csr = fig1_graph();
         let mut bytes = encode(&csr, &[10, 20, 30, 40, 50]);
         // The label table is the last section before the checksum: make
         // vertex 3's label repeat vertex 1's and re-seal, so only the
@@ -658,7 +704,7 @@ mod tests {
 
     #[test]
     fn truncation_at_every_section_boundary_is_a_typed_error() {
-        let csr = CsrGraph::from_uncertain(&fig1_graph());
+        let csr = fig1_graph();
         let labels: Vec<u64> = vec![10, 20, 30, 40, 50];
         let bytes = encode(&csr, &labels);
         let boundaries = section_boundaries(&csr, labels.len());
@@ -678,7 +724,7 @@ mod tests {
 
     #[test]
     fn a_bit_flip_in_every_header_field_is_a_typed_error() {
-        let csr = CsrGraph::from_uncertain(&fig1_graph());
+        let csr = fig1_graph();
         let labels: Vec<u64> = vec![10, 20, 30, 40, 50];
         let clean = encode(&csr, &labels);
         // Every byte of every header field: magic, version, reserved,
@@ -702,7 +748,7 @@ mod tests {
 
     #[test]
     fn body_bit_flips_are_caught_by_the_checksum() {
-        let csr = CsrGraph::from_uncertain(&fig1_graph());
+        let csr = fig1_graph();
         let clean = encode(&csr, &[]);
         for offset in [
             HEADER_LEN + 3,         // inside the forward offsets
@@ -721,7 +767,7 @@ mod tests {
 
     #[test]
     fn corrupted_checksum_and_trailing_bytes_are_rejected() {
-        let csr = CsrGraph::from_uncertain(&fig1_graph());
+        let csr = fig1_graph();
         let clean = encode(&csr, &[]);
         let mut corrupted = clean.clone();
         let last = corrupted.len() - 1;
@@ -746,7 +792,7 @@ mod tests {
 
     #[test]
     fn alias_tables_roundtrip_bit_for_bit() {
-        let mut csr = CsrGraph::from_uncertain(&fig1_graph());
+        let mut csr = fig1_graph();
         csr.build_alias_tables();
         let labels: Vec<u64> = vec![10, 20, 30, 40, 50];
         let bytes = encode(&csr, &labels);
@@ -757,7 +803,7 @@ mod tests {
         );
         // … and they are exactly (m + n) 16-byte slots per direction larger
         // than the same snapshot without tables.
-        let plain = encode(&CsrGraph::from_uncertain(&fig1_graph()), &labels);
+        let plain = encode(&UncertainGraph::from_uncertain(&fig1_graph()), &labels);
         let per_direction = (csr.num_arcs() + csr.num_vertices()) * 16;
         assert_eq!(bytes.len(), plain.len() + 2 * per_direction);
 
@@ -776,7 +822,7 @@ mod tests {
         // Byte-for-byte the pre-flags format: flags word 0, nothing after
         // the labels.  This is every snapshot written before (or without)
         // the alias backend.
-        let csr = CsrGraph::from_uncertain(&fig1_graph());
+        let csr = fig1_graph();
         let bytes = encode(&csr, &[]);
         assert_eq!(u32::from_le_bytes(bytes[12..16].try_into().unwrap()), 0);
         let snapshot = read_snapshot(bytes.as_slice()).unwrap();
@@ -786,7 +832,7 @@ mod tests {
 
     #[test]
     fn unknown_flag_bits_are_rejected() {
-        let csr = CsrGraph::from_uncertain(&fig1_graph());
+        let csr = fig1_graph();
         let mut bytes = encode(&csr, &[]);
         bytes[13] = 0x04; // an undefined flag bit
         reseal(&mut bytes);
@@ -796,7 +842,7 @@ mod tests {
 
     #[test]
     fn truncated_alias_sections_are_a_typed_error() {
-        let mut csr = CsrGraph::from_uncertain(&fig1_graph());
+        let mut csr = fig1_graph();
         csr.build_alias_tables();
         let bytes = encode(&csr, &[]);
         let per_direction = (csr.num_arcs() + csr.num_vertices()) * 16;
@@ -818,7 +864,7 @@ mod tests {
 
     #[test]
     fn alias_bit_flips_are_caught_by_the_checksum() {
-        let mut csr = CsrGraph::from_uncertain(&fig1_graph());
+        let mut csr = fig1_graph();
         csr.build_alias_tables();
         let clean = encode(&csr, &[]);
         let per_direction = (csr.num_arcs() + csr.num_vertices()) * 16;
@@ -833,7 +879,7 @@ mod tests {
 
     #[test]
     fn out_of_range_alias_outcomes_are_rejected_even_with_a_valid_checksum() {
-        let mut csr = CsrGraph::from_uncertain(&fig1_graph());
+        let mut csr = fig1_graph();
         csr.build_alias_tables();
         let mut bytes = encode(&csr, &[]);
         let per_direction = (csr.num_arcs() + csr.num_vertices()) * 16;
@@ -847,12 +893,12 @@ mod tests {
     }
 
     #[test]
-    fn to_uncertain_preserves_every_arc_and_probability() {
+    fn snapshot_graph_preserves_every_arc_and_probability() {
         let arcless = UncertainGraphBuilder::new(3).build().unwrap();
         for original in [fig1_graph(), arcless] {
-            let csr = CsrGraph::from_uncertain(&original);
-            let snapshot = read_snapshot(encode(&csr, &[]).as_slice()).unwrap();
-            let restored = snapshot.to_uncertain().unwrap();
+            let snapshot = read_snapshot(encode(&original, &[]).as_slice()).unwrap();
+            snapshot.validate().unwrap();
+            let restored = snapshot.graph;
             assert_eq!(restored.num_vertices(), original.num_vertices());
             assert_eq!(restored.num_arcs(), original.num_arcs());
             for arc in original.arcs() {
@@ -882,52 +928,67 @@ mod tests {
         let from_text = crate::io::read_edge_list(text.as_slice(), &options)
             .unwrap()
             .graph;
-        let csr = CsrGraph::from_uncertain(&graph);
-        let from_snapshot = read_snapshot(encode(&csr, &[]).as_slice())
-            .unwrap()
-            .to_uncertain()
-            .unwrap();
-        assert_eq!(from_text.num_vertices(), from_snapshot.num_vertices());
-        assert_eq!(from_text.num_arcs(), from_snapshot.num_arcs());
-        for arc in from_snapshot.arcs() {
-            let p = from_text.arc_probability(arc.source, arc.target).unwrap();
-            assert!((p - arc.probability).abs() < 1e-9);
-        }
+        let from_snapshot = read_snapshot(encode(&graph, &[]).as_slice()).unwrap().graph;
+        assert_eq!(from_text, from_snapshot);
+    }
+
+    /// Byte offsets of the forward targets, the forward probabilities and
+    /// the reverse probabilities of a label-less snapshot of `graph`.
+    fn arc_sections(graph: &UncertainGraph) -> (usize, usize, usize) {
+        let boundaries = section_boundaries(graph, 0);
+        (boundaries[2], boundaries[3], boundaries[6])
     }
 
     #[test]
     fn resealed_invalid_arcs_are_typed_errors_on_conversion() {
-        let csr = CsrGraph::from_uncertain(&fig1_graph());
-        let (n, m) = (csr.num_vertices(), csr.num_arcs());
-        let first_target = HEADER_LEN + (n + 1) * 8;
-        let first_prob = first_target + m * 4 + pad8(m * 4);
+        let graph = fig1_graph();
+        let n = graph.num_vertices();
+        let (first_target, first_prob, reverse_prob) = arc_sections(&graph);
         // The reader trusts per-arc values to the checksum, so a resealed
-        // edit loads; the conversion must still refuse it.
-        let mut bytes = encode(&csr, &[]);
-        bytes[first_prob..first_prob + 8].copy_from_slice(&1.5f64.to_le_bytes());
-        reseal(&mut bytes);
-        let err = read_snapshot(bytes.as_slice())
-            .unwrap()
-            .to_uncertain()
-            .unwrap_err();
+        // edit loads; the validation every `usim` command runs when it
+        // turns a snapshot file into a loaded graph must still refuse it.
+        let rejection = |edits: &[(usize, Vec<u8>)]| {
+            let mut bytes = encode(&graph, &[]);
+            for (at, new) in edits {
+                bytes[*at..*at + new.len()].copy_from_slice(new);
+            }
+            reseal(&mut bytes);
+            read_snapshot(bytes.as_slice())
+                .unwrap()
+                .validate()
+                .unwrap_err()
+        };
+        let le =
+            |values: &[f64]| -> Vec<u8> { values.iter().flat_map(|p| p.to_le_bytes()).collect() };
+
+        let err = rejection(&[(first_prob, le(&[1.5]))]);
         assert!(
             matches!(err, GraphError::InvalidProbability { probability, .. } if probability == 1.5),
             "{err}"
         );
 
-        let mut bytes = encode(&csr, &[]);
-        bytes[first_target..first_target + 4].copy_from_slice(&(n as u32 + 3).to_le_bytes());
-        reseal(&mut bytes);
-        let err = read_snapshot(bytes.as_slice())
-            .unwrap()
-            .to_uncertain()
-            .unwrap_err();
+        let err = rejection(&[(first_target, (n as u32 + 3).to_le_bytes().to_vec())]);
         assert!(matches!(err, GraphError::VertexOutOfRange { .. }), "{err}");
+
+        // Vertex 0's row is [2, 3] with probabilities [0.8, 0.5]: swap both
+        // arcs, so the row holds the same arcs out of order.
+        let err = rejection(&[
+            (first_target, vec![3, 0, 0, 0, 2, 0, 0, 0]),
+            (first_prob, le(&[0.5, 0.8])),
+        ]);
+        assert!(matches!(err, GraphError::Format { .. }), "{err}");
+        assert!(err.to_string().contains("not strictly sorted"), "{err}");
+
+        // A valid probability on the reverse arc (1, 0), but not the one
+        // the forward rows give it.
+        let err = rejection(&[(reverse_prob, le(&[0.25]))]);
+        assert!(matches!(err, GraphError::Format { .. }), "{err}");
+        assert!(err.to_string().contains("not the transpose"), "{err}");
     }
 
     #[test]
     fn future_versions_are_rejected() {
-        let csr = CsrGraph::from_uncertain(&fig1_graph());
+        let csr = fig1_graph();
         let mut bytes = encode(&csr, &[]);
         bytes[8] = 2; // version field
         let err = read_snapshot(bytes.as_slice()).unwrap_err();

@@ -1,6 +1,8 @@
 //! Uncertain directed graphs: every arc carries an independent existence
 //! probability in `(0, 1]` (the tuple `(V, E, P)` of Section II of the paper).
 
+use crate::alias::{AliasTable, CsrAliasView};
+use crate::csr::CsrView;
 use crate::graph::DiGraph;
 use crate::{GraphError, Probability, VertexId};
 
@@ -20,8 +22,20 @@ pub struct ProbArc {
 /// The topology is stored exactly like [`DiGraph`] (forward + reverse CSR)
 /// with a parallel array of arc probabilities for each direction, so that
 /// `out_arcs(v)` yields the out-neighbors of `v` together with the
-/// probabilities of the corresponding arcs without any indirection.
-#[derive(Debug, Clone, PartialEq)]
+/// probabilities of the corresponding arcs without any indirection.  These
+/// arrays are also what every random walk reads: [`UncertainGraph::forward`]
+/// and [`UncertainGraph::reverse`] borrow them as [`CsrView`]s, so samplers
+/// and the batch engine walk the graph itself, not a copy.
+///
+/// # Alias tables
+///
+/// The graph optionally carries precomputed Walker alias tables for both
+/// directions (see [`crate::alias`]), built on demand by
+/// [`UncertainGraph::build_alias_tables`] — only engines configured for the
+/// alias sampler backend pay the `O(Σ d²)` build.  The tables are *derived*
+/// data (a pure function of the CSR arrays), so [`PartialEq`] deliberately
+/// ignores them: a graph with tables equals the same graph without.
+#[derive(Debug, Clone)]
 pub struct UncertainGraph {
     skeleton: DiGraph,
     /// Probability of the arc `(v, out_targets[i])`, aligned with the forward
@@ -30,7 +44,23 @@ pub struct UncertainGraph {
     /// Probability of the arc `(in_sources[i], v)`, aligned with the reverse
     /// CSR of `skeleton`.
     in_probabilities: Vec<Probability>,
+    /// `(forward, reverse)` alias tables, present only when built or loaded
+    /// from a snapshot that persisted them.
+    alias: Option<Box<(AliasTable, AliasTable)>>,
 }
+
+impl PartialEq for UncertainGraph {
+    /// Structural equality of the CSR arrays only — the optional alias
+    /// tables are derived data and do not participate.
+    fn eq(&self, other: &Self) -> bool {
+        self.skeleton == other.skeleton
+            && self.out_probabilities == other.out_probabilities
+            && self.in_probabilities == other.in_probabilities
+    }
+}
+
+/// One direction's flat `(offsets, targets, probabilities)` arrays.
+pub(crate) type RawDirection = (Vec<usize>, Vec<VertexId>, Vec<Probability>);
 
 impl UncertainGraph {
     /// Builds an uncertain graph from a list of probabilistic arcs.
@@ -74,28 +104,50 @@ impl UncertainGraph {
         triples: &[(VertexId, VertexId, Probability)],
     ) -> Self {
         let pairs: Vec<(VertexId, VertexId)> = triples.iter().map(|&(u, v, _)| (u, v)).collect();
-        let skeleton = DiGraph::from_sorted_unique_arcs(num_vertices, &pairs);
         let out_probabilities: Vec<Probability> = triples.iter().map(|&(_, _, p)| p).collect();
-
-        // The reverse CSR of `skeleton` orders arcs by (target, source).  Walk
-        // the reverse adjacency and look up each arc's probability.
-        let mut in_probabilities = Vec::with_capacity(triples.len());
-        for v in 0..num_vertices as VertexId {
-            for &u in skeleton.in_neighbors(v) {
-                // Binary search over u's (sorted) out-neighbors.
-                let nbrs = skeleton.out_neighbors(u);
-                let idx = nbrs
-                    .binary_search(&v)
-                    .expect("reverse arc must exist in forward adjacency");
-                let base = out_offset(&skeleton, u);
-                in_probabilities.push(out_probabilities[base + idx]);
-            }
-        }
-
+        // The counting sort that lays out the reverse CSR places each arc's
+        // probability next to it.
+        let mut in_probabilities = vec![0.0; triples.len()];
+        let skeleton = DiGraph::from_sorted_unique_arcs_with(num_vertices, &pairs, |i, slot| {
+            in_probabilities[slot] = out_probabilities[i];
+        });
         UncertainGraph {
             skeleton,
             out_probabilities,
             in_probabilities,
+            alias: None,
+        }
+    }
+
+    /// Builds the graph from flat arrays that already hold both directions,
+    /// one `(offsets, targets, probabilities)` triple each: the snapshot
+    /// reader and [`crate::DeltaOverlay`] compaction, which hold both in
+    /// sorted form.  The caller guarantees the CSR invariants.
+    pub(crate) fn from_raw_directions(
+        num_vertices: usize,
+        forward: RawDirection,
+        reverse: RawDirection,
+    ) -> Self {
+        let (out_offsets, out_targets, out_probabilities) = forward;
+        let (in_offsets, in_sources, in_probabilities) = reverse;
+        debug_assert_eq!(out_offsets.len(), num_vertices + 1);
+        debug_assert_eq!(in_offsets.len(), num_vertices + 1);
+        debug_assert_eq!(out_offsets.last().copied(), Some(out_targets.len()));
+        debug_assert_eq!(in_offsets.last().copied(), Some(in_sources.len()));
+        debug_assert_eq!(out_targets.len(), out_probabilities.len());
+        debug_assert_eq!(in_sources.len(), in_probabilities.len());
+        debug_assert_eq!(out_targets.len(), in_sources.len());
+        UncertainGraph {
+            skeleton: DiGraph {
+                num_vertices,
+                out_offsets,
+                out_targets,
+                in_offsets,
+                in_sources,
+            },
+            out_probabilities,
+            in_probabilities,
+            alias: None,
         }
     }
 
@@ -124,6 +176,30 @@ impl UncertainGraph {
     /// Consumes the uncertain graph and returns its deterministic skeleton.
     pub fn into_skeleton(self) -> DiGraph {
         self.skeleton
+    }
+
+    /// The forward view: `neighbors(v)` are the out-neighbors of `v`.
+    #[inline]
+    pub fn forward(&self) -> CsrView<'_> {
+        CsrView::new(
+            self.skeleton.num_vertices,
+            &self.skeleton.out_offsets,
+            &self.skeleton.out_targets,
+            &self.out_probabilities,
+        )
+    }
+
+    /// The reverse (transpose) view: `neighbors(v)` are the in-neighbors of
+    /// `v`.  Walking this view is identical to walking the forward view of
+    /// the transposed graph — the direction SimRank's walks use.
+    #[inline]
+    pub fn reverse(&self) -> CsrView<'_> {
+        CsrView::new(
+            self.skeleton.num_vertices,
+            &self.skeleton.in_offsets,
+            &self.skeleton.in_sources,
+            &self.in_probabilities,
+        )
     }
 
     /// Out-neighbors `O_G(v)`, sorted by vertex id.
@@ -160,31 +236,22 @@ impl UncertainGraph {
     /// leaving `v`, as parallel slices.
     #[inline]
     pub fn out_arcs(&self, v: VertexId) -> (&[VertexId], &[Probability]) {
-        let (start, end) = out_range(&self.skeleton, v);
-        (
-            self.skeleton.out_neighbors(v),
-            &self.out_probabilities[start..end],
-        )
+        let forward = self.forward();
+        (forward.neighbors(v), forward.probabilities(v))
     }
 
     /// In-neighbors of `v` together with the probabilities of the arcs
     /// entering `v`, as parallel slices.
     #[inline]
     pub fn in_arcs(&self, v: VertexId) -> (&[VertexId], &[Probability]) {
-        let (start, end) = in_range(&self.skeleton, v);
-        (
-            self.skeleton.in_neighbors(v),
-            &self.in_probabilities[start..end],
-        )
+        let reverse = self.reverse();
+        (reverse.neighbors(v), reverse.probabilities(v))
     }
 
     /// Existence probability of the arc `(u, v)`, or `None` if `(u, v)` is not
     /// an arc of the uncertain graph.
     pub fn arc_probability(&self, u: VertexId, v: VertexId) -> Option<Probability> {
-        let nbrs = self.skeleton.out_neighbors(u);
-        let idx = nbrs.binary_search(&v).ok()?;
-        let base = out_offset(&self.skeleton, u);
-        Some(self.out_probabilities[base + idx])
+        self.forward().arc_probability(u, v)
     }
 
     /// Iterator over all probabilistic arcs in `(source, target)` order.
@@ -222,20 +289,25 @@ impl UncertainGraph {
             skeleton: self.skeleton.clone(),
             out_probabilities: vec![1.0; self.out_probabilities.len()],
             in_probabilities: vec![1.0; self.in_probabilities.len()],
+            alias: None,
         }
     }
 
     /// Returns the transposed uncertain graph (every arc reversed, keeping
     /// its probability).
     ///
-    /// Used by the SimRank estimators, whose random walks follow in-edges.
+    /// Both directions are stored sorted, so the transpose swaps them (alias
+    /// tables included) without re-sorting a single arc.
     pub fn transpose(&self) -> UncertainGraph {
-        let mut triples: Vec<(VertexId, VertexId, Probability)> = self
-            .arcs()
-            .map(|a| (a.target, a.source, a.probability))
-            .collect();
-        triples.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        UncertainGraph::from_sorted_unique_arcs(self.num_vertices(), &triples)
+        UncertainGraph {
+            skeleton: self.skeleton.transpose(),
+            out_probabilities: self.in_probabilities.clone(),
+            in_probabilities: self.out_probabilities.clone(),
+            alias: self
+                .alias
+                .as_deref()
+                .map(|(forward, reverse)| Box::new((reverse.clone(), forward.clone()))),
+        }
     }
 
     /// Wraps a deterministic graph as an uncertain graph whose arcs all have
@@ -249,21 +321,54 @@ impl UncertainGraph {
             graph.arcs().map(|(u, v)| (u, v, probability)),
         )
     }
-}
 
-#[inline]
-fn out_offset(g: &DiGraph, v: VertexId) -> usize {
-    out_range(g, v).0
-}
+    /// A copy of `graph`.  Kept only for the benchmark harness, which calls
+    /// `CsrGraph::from_uncertain`; deleted at the next change to the
+    /// benchmark.
+    pub fn from_uncertain(graph: &UncertainGraph) -> Self {
+        graph.clone()
+    }
 
-#[inline]
-fn out_range(g: &DiGraph, v: VertexId) -> (usize, usize) {
-    g.out_range(v)
-}
+    /// Whether alias tables have been built (or loaded) for this graph.
+    #[inline]
+    pub fn has_alias_tables(&self) -> bool {
+        self.alias.is_some()
+    }
 
-#[inline]
-fn in_range(g: &DiGraph, v: VertexId) -> (usize, usize) {
-    g.in_range(v)
+    /// Builds the Walker alias tables for both directions (`O(Σ d²)`); a
+    /// no-op when tables are already present.
+    pub fn build_alias_tables(&mut self) {
+        if self.alias.is_none() {
+            let forward = AliasTable::from_view(self.forward());
+            let reverse = AliasTable::from_view(self.reverse());
+            self.alias = Some(Box::new((forward, reverse)));
+        }
+    }
+
+    /// Installs pre-built alias tables (the snapshot reader and overlay
+    /// compaction, which construct tables out of band).
+    pub(crate) fn set_alias_tables(&mut self, forward: AliasTable, reverse: AliasTable) {
+        debug_assert_eq!(forward.num_slots(), self.num_arcs() + self.num_vertices());
+        debug_assert_eq!(reverse.num_slots(), self.num_arcs() + self.num_vertices());
+        self.alias = Some(Box::new((forward, reverse)));
+    }
+
+    /// The `(forward, reverse)` alias tables, when built.
+    pub(crate) fn alias_tables(&self) -> Option<(&AliasTable, &AliasTable)> {
+        self.alias.as_deref().map(|t| (&t.0, &t.1))
+    }
+
+    /// The forward-direction alias view, when tables are built.
+    #[inline]
+    pub fn forward_alias(&self) -> Option<CsrAliasView<'_>> {
+        self.alias.as_deref().map(|t| t.0.view())
+    }
+
+    /// The reverse-direction alias view, when tables are built.
+    #[inline]
+    pub fn reverse_alias(&self) -> Option<CsrAliasView<'_>> {
+        self.alias.as_deref().map(|t| t.1.view())
+    }
 }
 
 #[cfg(test)]

@@ -41,22 +41,22 @@ fn main() {
     );
 
     // Save it in both formats and read the snapshot back.  A snapshot holds
-    // the compiled CSR of both directions (plus an optional label table), so
-    // it is larger than the edge list but loads without parsing or sorting.
+    // the CSR arrays of both directions (plus an optional label table), so
+    // it is larger than the edge list but loads without parsing or sorting;
+    // `validate` re-checks every arc of a file from an untrusted source.
     let dir = std::env::temp_dir();
     let text_path = dir.join("usim_example_graph.tsv");
     let snapshot_path = dir.join("usim_example_graph.usim");
     io::write_edge_list_file(&graph, &[], &text_path).expect("write text edge list");
-    write_snapshot_file(&CsrGraph::from_uncertain(&graph), &[], &snapshot_path)
-        .expect("write snapshot");
+    write_snapshot_file(&graph, &[], &snapshot_path).expect("write snapshot");
     let text_size = std::fs::metadata(&text_path).unwrap().len();
     let snapshot_size = std::fs::metadata(&snapshot_path).unwrap().len();
     println!("saved as text ({text_size} bytes) and as a snapshot ({snapshot_size} bytes)");
 
-    let reread = read_snapshot_file(&snapshot_path)
-        .and_then(|snapshot| snapshot.to_uncertain())
-        .expect("read snapshot");
-    assert_eq!(reread.num_arcs(), graph.num_arcs());
+    let snapshot = read_snapshot_file(&snapshot_path).expect("read snapshot");
+    snapshot.validate().expect("every arc is valid");
+    let reread = snapshot.graph;
+    assert_eq!(reread, graph);
 
     // Corrupting the snapshot is detected by its checksum.
     let mut bytes = std::fs::read(&snapshot_path).unwrap();

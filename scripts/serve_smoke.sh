@@ -92,13 +92,13 @@ SERVE_EXTRA=(--sampler "$SMOKE_SAMPLER")
 case "$SMOKE_SOURCE" in
     text) SERVE_SOURCE=("$TMP/graph.tsv") ;;
     snapshot)
-        "$USIM" snapshot write "$TMP/graph.tsv" "$TMP/graph_main.csr"
-        SERVE_SOURCE=(--snapshot "$TMP/graph_main.csr")
+        "$USIM" convert "$TMP/graph.tsv" "$TMP/graph_main.usim"
+        SERVE_SOURCE=(--snapshot "$TMP/graph_main.usim")
         # The CLI reads the very file the server boots from, in the same
         # labels: its ground truth must equal the text file's.
-        SNAP_CLI_BATCH=$("$USIM" simrank "$TMP/graph_main.csr" --batch "$TMP/pairs.txt" \
+        SNAP_CLI_BATCH=$("$USIM" simrank "$TMP/graph_main.usim" --batch "$TMP/pairs.txt" \
             --samples "$SAMPLES" --seed "$SEED" --sampler "$SMOKE_SAMPLER")
-        SNAP_CLI_CHURN=$("$USIM" simrank "$TMP/graph_main.csr" --batch "$TMP/pairs.txt" \
+        SNAP_CLI_CHURN=$("$USIM" simrank "$TMP/graph_main.usim" --batch "$TMP/pairs.txt" \
             --updates "$TMP/updates.txt" --samples "$SAMPLES" --seed "$SEED" \
             --sampler "$SMOKE_SAMPLER")
         [ "$(score_rows "$SNAP_CLI_BATCH")" = "$(score_rows "$CLI_BATCH")" ] || {
@@ -280,14 +280,15 @@ esac
 echo "--- cached server: repeat batch bit-identical, an update left 3 stale entries ---"
 
 # --- snapshot-backed server round ---------------------------------------
-# Compile the graph into a CSR snapshot, serve it with a durable update
+# Convert the graph into a CSR snapshot, serve it with a durable update
 # log, apply an update, let the server die, restart it on the same
 # snapshot + log: the replayed server must report the exact epoch it died
 # at and answer the same batch byte-identically.
-"$USIM" snapshot write "$TMP/graph.tsv" "$TMP/graph.csr"
-"$USIM" snapshot verify "$TMP/graph.csr"
+"$USIM" convert "$TMP/graph.tsv" "$TMP/graph.usim"
+# Preflight: stats re-validates every arc of the snapshot.
+"$USIM" stats "$TMP/graph.usim"
 
-"$USIM" serve --snapshot "$TMP/graph.csr" --update-log "$TMP/updates.log" \
+"$USIM" serve --snapshot "$TMP/graph.usim" --update-log "$TMP/updates.log" \
     --addr 127.0.0.1:0 --port-file "$TMP/port" --workers 2 \
     --max-connections 1 --samples "$SAMPLES" --seed "$SEED" \
     --sampler "$SMOKE_SAMPLER" > "$TMP/server_snap1.log" &
@@ -317,7 +318,7 @@ case "$S_UPDATE" in
 esac
 
 # Second life: same snapshot, same log.  Boot must replay the logged round.
-"$USIM" serve --snapshot "$TMP/graph.csr" --update-log "$TMP/updates.log" \
+"$USIM" serve --snapshot "$TMP/graph.usim" --update-log "$TMP/updates.log" \
     --addr 127.0.0.1:0 --port-file "$TMP/port" --workers 2 \
     --max-connections 1 --samples "$SAMPLES" --seed "$SEED" \
     --sampler "$SMOKE_SAMPLER" > "$TMP/server_snap2.log" &

@@ -72,8 +72,8 @@ pub mod prelude {
     pub use crate::cache::ResultCache;
     pub use crate::datasets::{CoauthorGenerator, ErGenerator, PpiGenerator, RmatGenerator};
     pub use crate::graph::{
-        CompactionPolicy, CsrGraph, CsrView, DeltaOverlay, DiGraph, DiGraphBuilder, GraphError,
-        GraphUpdate, GraphView, UncertainGraph, UncertainGraphBuilder, UpdateError, VertexId,
+        CompactionPolicy, CsrView, DeltaOverlay, DiGraph, DiGraphBuilder, GraphError, GraphUpdate,
+        GraphView, UncertainGraph, UncertainGraphBuilder, UpdateError, VertexId,
     };
     pub use crate::random_walk::{AliasSampler, CsrSampler, WalkArena};
     pub use crate::server::{RequestHandler, Server, ServerOptions};

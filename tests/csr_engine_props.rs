@@ -1,12 +1,14 @@
 //! Property-based tests for the CSR fast path and the batch query engine:
-//! [`CsrGraph`] must round-trip arbitrary graphs exactly (degrees, neighbor
-//! slices, transpose view), and [`QueryEngine`] batch results must equal the
+//! an [`UncertainGraph`]'s forward and reverse views must reproduce
+//! arbitrary graphs exactly (degrees, neighbor slices, probabilities), its
+//! swap-based transpose must equal the transpose rebuilt by sorting the
+//! reversed arcs, and [`QueryEngine`] batch results must equal the
 //! sequential per-pair estimates bit-for-bit under a fixed seed, at any
 //! thread count.
 
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
-use uncertain_simrank::graph::{CsrGraph, DiGraph, DuplicatePolicy, VertexId};
+use uncertain_simrank::graph::{DiGraph, DuplicatePolicy, VertexId};
 use uncertain_simrank::prelude::*;
 use uncertain_simrank::simrank::QueryEngine;
 
@@ -52,12 +54,13 @@ fn pairs_over(n: u32, max_pairs: usize) -> impl Strategy<Value = Vec<(VertexId, 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// CsrGraph round-trips an arbitrary DiGraph: per-vertex degrees and
-    /// sorted neighbor slices in both directions, and the reverse view is
-    /// exactly the forward view of the transposed graph.
+    /// The views of an arbitrary DiGraph at probability 1 reproduce it:
+    /// per-vertex degrees and sorted neighbor slices in both directions,
+    /// and the reverse view is exactly the forward view of the transposed
+    /// graph.
     #[test]
     fn csr_roundtrips_arbitrary_digraphs(graph in small_digraph(12, 40)) {
-        let csr = CsrGraph::from_digraph(&graph);
+        let csr = UncertainGraph::from_digraph_with_probability(&graph, 1.0).unwrap();
         prop_assert_eq!(csr.num_vertices(), graph.num_vertices());
         prop_assert_eq!(csr.num_arcs(), graph.num_arcs());
         let forward = csr.forward();
@@ -69,6 +72,7 @@ proptest! {
             prop_assert_eq!(reverse.degree(v), graph.in_degree(v));
             prop_assert!(forward.neighbors(v).windows(2).all(|w| w[0] < w[1]));
             prop_assert!(reverse.neighbors(v).windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(forward.probabilities(v).iter().all(|&p| p == 1.0));
         }
         // Arc membership agrees with the graph's binary-search lookup, in
         // both directions.
@@ -79,20 +83,31 @@ proptest! {
             }
         }
         // The reverse view is the transpose's forward view.
-        let transposed = CsrGraph::from_digraph(&graph.transpose());
+        let transposed = DiGraph::from_arcs(graph.num_vertices(), graph.arcs().map(|(u, v)| (v, u)))
+            .unwrap();
         for v in graph.vertices() {
-            prop_assert_eq!(reverse.neighbors(v), transposed.forward().neighbors(v));
+            prop_assert_eq!(reverse.neighbors(v), transposed.out_neighbors(v));
         }
     }
 
-    /// CsrGraph round-trips an arbitrary UncertainGraph including the
-    /// probability arrays, and both views stay aligned with their targets.
+    /// The forward and reverse views of an arbitrary UncertainGraph are its
+    /// `out_arcs` / `in_arcs` rows, and match the arc list grouped by source
+    /// and by target, probabilities included.
     #[test]
     fn csr_roundtrips_arbitrary_uncertain_graphs(graph in small_uncertain_graph(10, 30)) {
-        let csr = CsrGraph::from_uncertain(&graph);
-        prop_assert_eq!(csr.num_arcs(), graph.num_arcs());
-        let forward = csr.forward();
-        let reverse = csr.reverse();
+        let forward = graph.forward();
+        let reverse = graph.reverse();
+        prop_assert_eq!(forward.num_arcs(), graph.num_arcs());
+        prop_assert_eq!(reverse.num_arcs(), graph.num_arcs());
+        let n = graph.num_vertices();
+        let mut out_rows = vec![(Vec::new(), Vec::new()); n];
+        let mut in_rows = vec![(Vec::new(), Vec::new()); n];
+        for arc in graph.arcs() {
+            out_rows[arc.source as usize].0.push(arc.target);
+            out_rows[arc.source as usize].1.push(arc.probability);
+            in_rows[arc.target as usize].0.push(arc.source);
+            in_rows[arc.target as usize].1.push(arc.probability);
+        }
         for v in graph.vertices() {
             let (out_nbrs, out_probs) = graph.out_arcs(v);
             prop_assert_eq!(forward.neighbors(v), out_nbrs);
@@ -100,10 +115,47 @@ proptest! {
             let (in_nbrs, in_probs) = graph.in_arcs(v);
             prop_assert_eq!(reverse.neighbors(v), in_nbrs);
             prop_assert_eq!(reverse.probabilities(v), in_probs);
+            let (out_model, in_model) = (&out_rows[v as usize], &in_rows[v as usize]);
+            prop_assert_eq!(forward.neighbors(v), out_model.0.as_slice());
+            prop_assert_eq!(forward.probabilities(v), out_model.1.as_slice());
+            prop_assert_eq!(reverse.neighbors(v), in_model.0.as_slice());
+            prop_assert_eq!(reverse.probabilities(v), in_model.1.as_slice());
         }
         for arc in graph.arcs() {
             prop_assert_eq!(forward.arc_probability(arc.source, arc.target), Some(arc.probability));
             prop_assert_eq!(reverse.arc_probability(arc.target, arc.source), Some(arc.probability));
+        }
+    }
+
+    /// The transpose swaps the two directions without re-sorting, and the
+    /// result equals the transpose built the old way — every arc reversed
+    /// and sorted from scratch by `from_arcs`.  Twice is the identity, and
+    /// alias tables swap along with the arrays.
+    #[test]
+    fn transpose_matches_the_sorted_rebuild(graph in small_uncertain_graph(10, 30)) {
+        let transposed = graph.transpose();
+        let rebuilt = UncertainGraph::from_arcs(
+            graph.num_vertices(),
+            graph.arcs().map(|a| (a.target, a.source, a.probability)),
+        )
+        .unwrap();
+        prop_assert_eq!(&transposed, &rebuilt);
+        prop_assert_eq!(&transposed.transpose(), &graph);
+
+        let mut with_tables = graph.clone();
+        with_tables.build_alias_tables();
+        let mut rebuilt_tables = rebuilt;
+        rebuilt_tables.build_alias_tables();
+        let swapped = with_tables.transpose();
+        for v in graph.vertices() {
+            prop_assert_eq!(
+                swapped.forward_alias().unwrap().slots_of(v),
+                rebuilt_tables.forward_alias().unwrap().slots_of(v)
+            );
+            prop_assert_eq!(
+                swapped.reverse_alias().unwrap().slots_of(v),
+                rebuilt_tables.reverse_alias().unwrap().slots_of(v)
+            );
         }
     }
 

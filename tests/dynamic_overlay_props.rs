@@ -1,7 +1,7 @@
 //! Property-based tests for the dynamic-graph subsystem: a [`DeltaOverlay`]
 //! fed an arbitrary valid update stream must be vertex-for-vertex identical
 //! (both directions, neighbors and probabilities, before *and* after
-//! compaction) to a [`CsrGraph`] rebuilt from scratch on the mutated graph;
+//! compaction) to an [`UncertainGraph`] rebuilt from scratch on the mutated graph;
 //! and the batch [`QueryEngine`] must keep its determinism contract after
 //! updates — batch == sequential bit-for-bit, 1 thread == 5 threads, and a
 //! mutated engine == a fresh engine on the mutated graph.
@@ -10,8 +10,7 @@ use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 use std::collections::BTreeMap;
 use uncertain_simrank::graph::{
-    CompactionPolicy, CsrGraph, DeltaOverlay, DuplicatePolicy, GraphUpdate, UncertainGraph,
-    VertexId,
+    CompactionPolicy, DeltaOverlay, DuplicatePolicy, GraphUpdate, UncertainGraph, VertexId,
 };
 use uncertain_simrank::prelude::*;
 use uncertain_simrank::simrank::{QueryEngine, QueryError};
@@ -110,7 +109,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// DeltaOverlay under an arbitrary valid update stream is
-    /// vertex-for-vertex identical to a CsrGraph rebuilt from the mutated
+    /// vertex-for-vertex identical to an UncertainGraph rebuilt from the mutated
     /// graph — both directions, neighbors and probabilities — and stays so
     /// after compaction folds the deltas into a fresh CSR.
     #[test]
@@ -120,10 +119,10 @@ proptest! {
         let (graph, ops) = input;
         let (updates, model) = realize_updates(&graph, &ops);
         let expected = model_graph(graph.num_vertices(), &model);
-        let rebuilt = CsrGraph::from_uncertain(&expected);
+        let rebuilt = &expected;
 
         let mut overlay = DeltaOverlay::with_policy(
-            CsrGraph::from_uncertain(&graph),
+            graph.clone(),
             CompactionPolicy::never(),
         );
         overlay.apply_all(&updates).expect("realized updates are valid");
@@ -142,12 +141,12 @@ proptest! {
                 rebuilt.reverse().probabilities(v)
             );
         }
-        prop_assert_eq!(overlay.to_uncertain(), expected.clone());
+        prop_assert_eq!(overlay.to_graph(), expected.clone());
 
         // After compaction: the fresh CSR base *is* the rebuild.
         overlay.compact();
         prop_assert_eq!(overlay.patched_vertices(), 0);
-        prop_assert_eq!(overlay.base(), &rebuilt);
+        prop_assert_eq!(overlay.base(), rebuilt);
     }
 
     /// One update stream applied in arbitrary batch splits (including
@@ -164,20 +163,20 @@ proptest! {
         let expected = model_graph(graph.num_vertices(), &model);
 
         let mut one_shot = DeltaOverlay::with_policy(
-            CsrGraph::from_uncertain(&graph),
+            graph.clone(),
             CompactionPolicy::never(),
         );
         one_shot.apply_all(&updates).expect("valid");
 
         let mut chunked = DeltaOverlay::with_policy(
-            CsrGraph::from_uncertain(&graph),
+            graph.clone(),
             CompactionPolicy { min_ops, ops_fraction: 0.0 },
         );
         for chunk in updates.chunks(split) {
             chunked.apply_all(chunk).expect("valid");
         }
-        prop_assert_eq!(one_shot.to_uncertain(), expected.clone());
-        prop_assert_eq!(chunked.to_uncertain(), expected);
+        prop_assert_eq!(one_shot.to_graph(), expected.clone());
+        prop_assert_eq!(chunked.to_graph(), expected);
     }
 
     /// After updates the engine keeps every determinism contract: batch ==

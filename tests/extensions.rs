@@ -161,7 +161,7 @@ fn parallel_top_k_pairs_finds_the_planted_complex_pairs() {
 fn binary_format_round_trips_generated_datasets_and_preserves_similarities() {
     let graph = CoauthorGenerator::small(23).generate();
     let path = std::env::temp_dir().join(format!("usim_extensions_{}.usim", std::process::id()));
-    write_snapshot_file(&CsrGraph::from_uncertain(&graph), &[], &path).unwrap();
+    write_snapshot_file(&graph, &[], &path).unwrap();
     let loaded = usim_cli::graphio::load_graph(path.to_str().unwrap()).unwrap();
     std::fs::remove_file(&path).unwrap();
     assert_eq!(

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use uncertain_simrank::graph::snapshot::{read_snapshot, write_snapshot};
-use uncertain_simrank::graph::{CsrGraph, GraphError, UncertainGraph};
+use uncertain_simrank::graph::{GraphError, UncertainGraph};
 use uncertain_simrank::prelude::*;
 use uncertain_simrank::simrank::SingleSourceEstimator;
 
@@ -42,14 +42,16 @@ fn snapshot_bytes(graph: &UncertainGraph) -> Vec<u8> {
         .map(|v| 3 * v + 1)
         .collect();
     let mut buffer = Vec::new();
-    write_snapshot(&CsrGraph::from_uncertain(graph), &labels, &mut buffer).unwrap();
+    write_snapshot(graph, &labels, &mut buffer).unwrap();
     buffer
 }
 
 /// Reads snapshot bytes back the way every command loads a snapshot.
 fn load_snapshot(bytes: &[u8]) -> Result<(UncertainGraph, Vec<u64>), GraphError> {
     let snapshot = read_snapshot(bytes)?;
-    Ok((snapshot.to_uncertain()?, snapshot.labels_or_identity()))
+    snapshot.validate()?;
+    let labels = snapshot.labels_or_identity();
+    Ok((snapshot.graph, labels))
 }
 
 proptest! {
