@@ -427,8 +427,33 @@ impl QueryEngine {
         Ok(self.try_profile(u, v)?.score())
     }
 
-    /// The walk loop shared by every query path.
+    /// The walk loop shared by every query path, metered when walk metrics
+    /// are on.
+    ///
+    /// Walk metrics are derived from the positions buffers the samplers
+    /// already wrote — the tally consumes zero RNG draws and never branches
+    /// on sampled values, so metered and unmetered calls are bit-identical.
+    /// One relaxed load per query when metering is off.
     fn profile_with(&self, scratch: &mut Scratch, u: VertexId, v: VertexId) -> MeetingProfile {
+        if !usim_obs::walk_metrics().enabled() {
+            return self.sample_profile(scratch, u, v, None);
+        }
+        let mut tally = usim_obs::WalkTally::default();
+        let profile = self.sample_profile(scratch, u, v, Some(&mut tally));
+        usim_obs::walk_metrics().flush(&tally);
+        profile
+    }
+
+    /// [`QueryEngine::profile_with`]'s walks, folded into `tally` when one
+    /// is given.  The tally is an argument, not the process-global switch,
+    /// so a test can meter one call while other tests query concurrently.
+    fn sample_profile(
+        &self,
+        scratch: &mut Scratch,
+        u: VertexId,
+        v: VertexId,
+        mut tally: Option<&mut usim_obs::WalkTally>,
+    ) -> MeetingProfile {
         let num_vertices = self.num_vertices();
         assert!(
             (u as usize) < num_vertices && (v as usize) < num_vertices,
@@ -436,19 +461,22 @@ impl QueryEngine {
         );
         let n = self.config.horizon;
         let num_samples = self.config.num_samples;
+        // Both samplers below terminate at dead ends (`new` takes the
+        // default `DeadEndPolicy::Terminate`), so a walk from a vertex with
+        // no arc in the walk direction is dead from step 1 on and meets
+        // nothing: for u ≠ v every m(k) is exactly 0, the profile the
+        // walks would count.  Streams are pair-keyed, so skipping this
+        // pair's walks changes no other pair.
+        let view = self.view();
+        if u != v && (view.degree(u) == 0 || view.degree(v) == 0) {
+            return MeetingProfile::new(vec![0.0; n + 1], self.config.decay);
+        }
         let mut rng = StdRng::seed_from_u64(pair_seed(self.config.seed, u, v));
         let mut meeting = vec![0.0f64; n + 1];
         meeting[0] = if u == v { 1.0 } else { 0.0 };
-        // Walk metrics are derived from the positions buffers the samplers
-        // already wrote — the tally consumes zero
-        // RNG draws and never branches on sampled values, so metered and
-        // unmetered calls are bit-identical.  One relaxed load per query
-        // when metering is off.
-        let metered = usim_obs::walk_metrics().enabled();
-        let mut tally = usim_obs::WalkTally::default();
         match self.config.sampler {
             SamplerKind::Legacy => {
-                let sampler = CsrSampler::new(self.view());
+                let sampler = CsrSampler::new(view);
                 for _ in 0..num_samples {
                     sampler.sample_walk_into(
                         &mut scratch.arena,
@@ -464,12 +492,12 @@ impl QueryEngine {
                         &mut rng,
                         &mut scratch.walk_v,
                     );
-                    if metered {
+                    if let Some(tally) = tally.as_deref_mut() {
                         tally_pair_walks(
-                            &mut tally,
+                            tally,
                             &scratch.walk_u,
                             &scratch.walk_v,
-                            &self.view(),
+                            &view,
                             self.config.sampler,
                         );
                     }
@@ -481,21 +509,18 @@ impl QueryEngine {
                 for _ in 0..num_samples {
                     sampler.sample_walk_into(u, n, &mut rng, &mut scratch.walk_u);
                     sampler.sample_walk_into(v, n, &mut rng, &mut scratch.walk_v);
-                    if metered {
+                    if let Some(tally) = tally.as_deref_mut() {
                         tally_pair_walks(
-                            &mut tally,
+                            tally,
                             &scratch.walk_u,
                             &scratch.walk_v,
-                            &self.view(),
+                            &view,
                             self.config.sampler,
                         );
                     }
                     count_meetings(&mut meeting, &scratch.walk_u, &scratch.walk_v);
                 }
             }
-        }
-        if metered {
-            usim_obs::walk_metrics().flush(&tally);
         }
         for slot in meeting.iter_mut().skip(1) {
             *slot /= num_samples as f64;
@@ -620,11 +645,11 @@ impl QueryEngine {
 }
 
 /// Folds one sample pair's walks into a [`usim_obs::WalkTally`]: walk and
-/// step counts per backend, deaths, meetings, and patched- vs base-row
+/// step counts per backend, deaths, meetings, patched- vs base-row
 /// attribution of every sampled transition (the overlay serves the same
-/// patched rows to both backends, so one [`OverlayView`] answers for both).
-/// Runs only when metering is on; reads the positions buffers the samplers
-/// already wrote.
+/// patched rows to both backends, so one [`OverlayView`] answers for both)
+/// and the legacy sampler's instantiated rows.  Runs only when metering is
+/// on; reads the positions buffers the samplers already wrote.
 fn tally_pair_walks(
     tally: &mut usim_obs::WalkTally,
     walk_u: &[VertexId],
@@ -646,12 +671,24 @@ fn tally_pair_walks(
         if first_dead.is_some() {
             tally.deaths += 1;
         }
-        for &position in &walk[..steps as usize] {
+        let sampled = &walk[..steps as usize];
+        for &position in sampled {
             if view.is_patched(position) {
                 tally.rows_patched += 1;
             } else {
                 tally.rows_base += 1;
             }
+        }
+        if sampler == SamplerKind::Legacy {
+            // The arena instantiates a row on the first visit to each
+            // vertex a transition leaves from, so the rows are the distinct
+            // positions before the last transition (at most n of them).
+            let first_visits = sampled
+                .iter()
+                .enumerate()
+                .filter(|&(k, p)| !sampled[..k].contains(p))
+                .count();
+            tally.rows_instantiated += first_visits as u64;
         }
     }
     for (&a, &b) in walk_u.iter().zip(walk_v.iter()).skip(1) {
@@ -1201,6 +1238,102 @@ mod tests {
             assert!(
                 (exact - estimate).abs() < 0.03,
                 "pair ({u},{v}): exact {exact}, engine {estimate}"
+            );
+        }
+    }
+
+    /// Fig. 1 plus vertex 5, whose one arc leaves it (5 → 0): under
+    /// in-neighbour walks it has degree 0, so every walk from it dies at
+    /// step 1.  Vertex 4 has no out-arcs, the same for out-neighbour walks.
+    fn fig1_with_a_source_vertex() -> UncertainGraph {
+        let mut arcs: Vec<_> = fig1_graph()
+            .arcs()
+            .map(|a| (a.source, a.target, a.probability))
+            .collect();
+        arcs.push((5, 0, 0.9));
+        UncertainGraph::from_arcs(6, arcs).unwrap()
+    }
+
+    const SAMPLER_KINDS: [SamplerKind; 2] = [SamplerKind::Legacy, SamplerKind::Alias];
+
+    fn assert_zero_profile(engine: &QueryEngine, u: VertexId, v: VertexId) {
+        // Exactly what counting the walks gives: m(0) = 0 for u ≠ v, no
+        // meeting at any k ≥ 1, every entry +0.0.
+        let profile = engine.profile(u, v);
+        assert_eq!(profile.meeting.len(), engine.config().horizon + 1);
+        for (k, m) in profile.meeting.iter().enumerate() {
+            assert_eq!(m.to_bits(), 0.0f64.to_bits(), "({u}, {v}) m({k}) = {m}");
+        }
+        assert_eq!(profile.score().to_bits(), 0.0f64.to_bits());
+        let batch = engine.batch_similarities(&[(u, v), (v, u)]).unwrap();
+        assert!(batch.iter().all(|s| s.to_bits() == 0.0f64.to_bits()));
+    }
+
+    #[test]
+    fn pairs_with_a_dead_endpoint_have_the_all_zero_profile() {
+        let g = fig1_with_a_source_vertex();
+        for sampler in SAMPLER_KINDS {
+            let config = SimRankConfig::default()
+                .with_samples(300)
+                .with_seed(31)
+                .with_sampler(sampler);
+            let engine = QueryEngine::new(&g, config);
+            for other in [0, 1, 3] {
+                assert_zero_profile(&engine, 5, other);
+            }
+            let out_walks =
+                QueryEngine::new(&g, config.with_direction(WalkDirection::OutNeighbors));
+            for other in [0, 3, 5] {
+                assert_zero_profile(&out_walks, 4, other);
+            }
+        }
+    }
+
+    #[test]
+    fn pairs_with_a_dead_endpoint_sample_no_walks_until_an_update_revives_it() {
+        let g = fig1_with_a_source_vertex();
+        for sampler in SAMPLER_KINDS {
+            let config = SimRankConfig::default()
+                .with_samples(300)
+                .with_seed(37)
+                .with_sampler(sampler);
+            let mut engine = QueryEngine::new(&g, config);
+            let mut scratch = Scratch::default();
+            let walks = |engine: &QueryEngine, scratch: &mut Scratch, u, v| {
+                let mut tally = usim_obs::WalkTally::default();
+                let profile = engine.sample_profile(scratch, u, v, Some(&mut tally));
+                assert_eq!(profile, engine.profile(u, v), "metering changes nothing");
+                (profile, tally.walks)
+            };
+            assert_eq!(walks(&engine, &mut scratch, 5, 0).1, 0);
+            assert_eq!(walks(&engine, &mut scratch, 0, 5).1, 0);
+            assert_eq!(walks(&engine, &mut scratch, 2, 0).1, 600);
+
+            // (u, u) on the dead vertex is still sampled and unchanged:
+            // m(0) = 1, and the walks die at step 1.
+            let (own, own_walks) = walks(&engine, &mut scratch, 5, 5);
+            assert_eq!(own_walks, 600);
+            let mut expected = vec![0.0; config.horizon + 1];
+            expected[0] = 1.0;
+            assert_eq!(own.meeting, expected);
+
+            // An in-arc revives vertex 5: the pair is sampled again and
+            // equals a fresh engine on the updated graph.
+            engine
+                .apply_updates(&[GraphUpdate::InsertArc {
+                    source: 2,
+                    target: 5,
+                    probability: 0.9,
+                }])
+                .unwrap();
+            let (revived, revived_walks) = walks(&engine, &mut scratch, 5, 0);
+            assert_eq!(revived_walks, 600);
+            assert!(revived.score() > 0.0, "5 and 0 share the in-neighbour 2");
+            let fresh = QueryEngine::new(&engine.snapshot(), config);
+            assert_eq!(revived, fresh.profile(5, 0));
+            assert_eq!(
+                engine.batch_similarities(&[(5, 0), (0, 5)]).unwrap(),
+                fresh.batch_similarities(&[(5, 0), (0, 5)]).unwrap()
             );
         }
     }

@@ -184,7 +184,7 @@ impl SingleSourceEstimator {
             choices.clear();
             let kept = instantiate_row(
                 view.neighbors(w as VertexId),
-                view.probabilities(w as VertexId),
+                view.coin_thresholds(w as VertexId),
                 rng,
                 choices,
             );

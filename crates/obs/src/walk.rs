@@ -38,6 +38,8 @@ pub struct WalkTally {
     pub rows_patched: u64,
     /// Adjacency-row reads served by the immutable CSR base.
     pub rows_base: u64,
+    /// Possible-world rows the legacy walks instantiated (first visits).
+    pub rows_instantiated: u64,
 }
 
 /// The global relaxed-atomic counters (see module docs); read them through
@@ -74,7 +76,7 @@ pub struct WalkSnapshot {
     pub rows_patched: u64,
     /// Row reads served by the CSR base.
     pub rows_base: u64,
-    /// Possible-world rows lazily instantiated by the legacy sampler.
+    /// Possible-world rows the engine's legacy walks instantiated.
     pub rows_instantiated: u64,
     /// Walk-arena invalidations (update epochs crossing pooled scratch).
     pub arena_invalidations: u64,
@@ -111,14 +113,8 @@ impl WalkMetrics {
         self.rows_patched
             .fetch_add(tally.rows_patched, Ordering::Relaxed);
         self.rows_base.fetch_add(tally.rows_base, Ordering::Relaxed);
-    }
-
-    /// Counts `n` lazily instantiated possible-world rows (legacy sampler's
-    /// arena, once per instantiation — already a slow operation).
-    pub fn count_rows_instantiated(&self, n: u64) {
-        if self.enabled() {
-            self.rows_instantiated.fetch_add(n, Ordering::Relaxed);
-        }
+        self.rows_instantiated
+            .fetch_add(tally.rows_instantiated, Ordering::Relaxed);
     }
 
     /// Counts one walk-arena invalidation.
@@ -187,13 +183,13 @@ mod tests {
             meetings: 2,
             rows_patched: 3,
             rows_base: 9,
+            rows_instantiated: 5,
         });
         metrics.flush(&WalkTally {
             walks: 2,
             steps_alias: 8,
             ..Default::default()
         });
-        metrics.count_rows_instantiated(5);
         metrics.count_arena_invalidation();
         metrics.count_compaction();
         let snap = metrics.snapshot();

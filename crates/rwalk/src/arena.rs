@@ -17,7 +17,9 @@
 //! * a **bump-allocated instantiation pool** — the surviving out-neighbors of
 //!   every first-visited vertex are appended to one shared `Vec`, truncated
 //!   (capacity kept) at walk start, by the branch-free [`instantiate_row`]
-//!   kernel;
+//!   kernel, which compares each coin's integer bits against the view's
+//!   precomputed [`GraphView::coin_thresholds`] and keeps the generator in
+//!   a local for the whole row;
 //! * caller-provided **position buffers** (`Vec<VertexId>` with
 //!   [`DEAD`] as the tombstone), reused across samples.
 //!
@@ -35,11 +37,13 @@
 //! draws one coin per arc in neighbor order whatever the outcomes, and each
 //! surviving target lands in the next free slot of the row, so the kept
 //! prefix and its order — hence the final `gen_range` pick — are exactly
-//! the survivor list the reference loop builds.
+//! the survivor list the reference loop builds.  Its integer compare
+//! `(x >> 11) < T(p)` keeps exactly the arcs the reference's
+//! `rng.gen::<f64>() < p` keeps (see [`ugraph::coin_threshold`]).
 
 use crate::sampler::DeadEndPolicy;
 use rand::Rng;
-use ugraph::{alias_draw, AliasView, GraphView, Probability, VertexId};
+use ugraph::{alias_draw, AliasView, GraphView, VertexId};
 
 /// Tombstone marking a dead walk position (the walk terminated earlier).
 /// Real vertex ids are `< num_vertices`, far below `u32::MAX` in practice.
@@ -112,20 +116,13 @@ impl WalkArena {
     /// across updates.
     pub fn invalidate(&mut self) {
         usim_obs::walk_metrics().count_arena_invalidation();
-        self.pool.clear();
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(next) => next,
-            None => {
-                self.stamp.fill(0);
-                1
-            }
-        };
+        self.begin_walk();
     }
 
     /// Returns `(pool_start, len)` of the instantiated out-arcs of `v` for
     /// the current walk, instantiating them on first visit (one uniform draw
     /// per possible arc, in neighbor order — the `WalkSampler` draw order).
-    fn instantiate<V: GraphView, R: Rng + ?Sized>(
+    fn instantiate<V: GraphView, R: Rng + Clone>(
         &mut self,
         view: &V,
         v: VertexId,
@@ -134,13 +131,10 @@ impl WalkArena {
         if self.stamp[v as usize] == self.epoch {
             return self.slots[v as usize];
         }
-        // First visit in this walk: the row is materialised below, which is
-        // already O(degree) in RNG draws — one gated counter bump is noise.
-        usim_obs::walk_metrics().count_rows_instantiated(1);
         let start = self.pool.len() as u32;
         let kept = instantiate_row(
             view.neighbors(v),
-            view.probabilities(v),
+            view.coin_thresholds(v),
             rng,
             &mut self.pool,
         );
@@ -152,33 +146,40 @@ impl WalkArena {
 }
 
 /// Instantiates one row of possible arcs: flips one coin per arc, in
-/// neighbor order (`rng.gen::<f64>() < p` keeps the arc), appends the targets
-/// of the surviving arcs to `out` in neighbor order and returns their count.
+/// neighbor order, appends the targets of the surviving arcs to `out` in
+/// neighbor order and returns their count.  `thresholds` are the row's
+/// [`GraphView::coin_thresholds`]: the arc with threshold `T(p)` survives
+/// when the top 53 bits of its RNG word are below `T(p)`, which is exactly
+/// when `rng.gen::<f64>() < p` (see [`ugraph::coin_threshold`]).
 ///
 /// This is the per-arc kernel of every legacy walk and of the single-source
-/// functional instantiation, and it makes exactly the draws of
-/// [`crate::sampler::WalkSampler`]'s reference loop.  It is written without
-/// a data-dependent branch: `out` grows by the row's degree once, every
-/// neighbor is written at the `kept` cursor, the coin's `bool` is added to
-/// the cursor (a lost coin's target is overwritten by the next write) and
-/// the tail is truncated.  The coin flips mispredict about half the time as
-/// branches, and a `push` that may reallocate keeps the RNG state out of
-/// registers; the compaction avoids both.
-pub fn instantiate_row<R: Rng + ?Sized>(
+/// functional instantiation, and it makes exactly the draws, with exactly
+/// the outcomes, of [`crate::sampler::WalkSampler`]'s reference loop.  It is
+/// written without a data-dependent branch: `out` grows by the row's degree
+/// once, every neighbor is written at the `kept` cursor, the coin's `bool`
+/// is added to the cursor (a lost coin's target is overwritten by the next
+/// write) and the tail is truncated.  The coin flips mispredict about half
+/// the time as branches; the compaction avoids that.  The generator is
+/// copied into a local for the row and written back once: through `&mut R`
+/// the compiler cannot prove that the row store leaves the generator
+/// untouched, and would store its state to memory on every coin.
+pub fn instantiate_row<R: Rng + Clone>(
     neighbors: &[VertexId],
-    probabilities: &[Probability],
+    thresholds: &[u64],
     rng: &mut R,
     out: &mut Vec<VertexId>,
 ) -> usize {
-    debug_assert_eq!(neighbors.len(), probabilities.len());
+    debug_assert_eq!(neighbors.len(), thresholds.len());
     let base = out.len();
     out.resize(base + neighbors.len(), 0);
     let row = &mut out[base..];
+    let mut local = rng.clone();
     let mut kept = 0;
-    for (&w, &p) in neighbors.iter().zip(probabilities) {
+    for (&w, &t) in neighbors.iter().zip(thresholds) {
         row[kept] = w;
-        kept += usize::from(rng.gen::<f64>() < p);
+        kept += usize::from((local.next_u64() >> 11) < t);
     }
+    *rng = local;
     out.truncate(base + kept);
     kept
 }
@@ -189,11 +190,11 @@ pub fn instantiate_row<R: Rng + ?Sized>(
 /// caller-provided buffers through a [`WalkArena`].
 ///
 /// The sampler consumes the RNG purely through the slices the view returns
-/// (one uniform draw per possible arc of each first-visited vertex, then one
-/// `gen_range` over the survivors).  An overlay view returns the identical
-/// base slices for untouched vertices, so walks that only visit untouched
-/// vertices are bit-identical to walks over the plain CSR view — pinned by
-/// this module's tests.
+/// (one coin per possible arc of each first-visited vertex, compared with
+/// its coin threshold, then one `gen_range` over the survivors).  An
+/// overlay view returns the identical base slices for untouched vertices,
+/// so walks that only visit untouched vertices are bit-identical to walks
+/// over the plain CSR view — pinned by this module's tests.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrSampler<V> {
     view: V,
@@ -233,7 +234,7 @@ impl<V: GraphView + Copy> CsrSampler<V> {
     /// Each call is one independent walk: arc instantiations are shared
     /// *within* the call across revisits (Fig. 4 of the paper) and discarded
     /// between calls.
-    pub fn sample_walk_into<R: Rng + ?Sized>(
+    pub fn sample_walk_into<R: Rng + Clone>(
         &self,
         arena: &mut WalkArena,
         start: VertexId,

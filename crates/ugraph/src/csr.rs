@@ -23,10 +23,50 @@
 //!
 //! `neighbors(v)` and `probabilities(v)` are the sub-slices
 //! `targets[offsets[v]..offsets[v+1]]` and `probs[offsets[v]..offsets[v+1]]`.
+//!
+//! # Coin thresholds
+//!
+//! A walk keeps an arc when its coin `(x >> 11) as f64 · 2⁻⁵³` (the uniform
+//! `f64` drawn from one 64-bit word `x`) is below the arc's probability `p`.
+//! Both sides of that compare are exact, so it equals the integer compare
+//! `(x >> 11) < T(p)` with `T(p) = ⌈p · 2⁵³⌉` ([`coin_threshold`]).  Each
+//! direction keeps a fourth array, `thresholds`, aligned with `probs`: built
+//! from `probs` on first use by a sampler (8 bytes per arc), never stored in
+//! a snapshot and never compared by [`PartialEq`].
 
 #[cfg(doc)]
 use crate::uncertain::UncertainGraph;
 use crate::{Probability, VertexId};
+use std::sync::OnceLock;
+
+/// `2⁵³`: the number of distinct uniform `f64` coins one 64-bit word yields.
+const COIN_SCALE: f64 = (1u64 << 53) as f64;
+
+/// The integer coin threshold `T(p) = ⌈p · 2⁵³⌉` of an arc probability.
+///
+/// For every 53-bit coin `y` (the top 53 bits of one RNG word),
+/// `y < T(p)` holds exactly when `(y as f64) · 2⁻⁵³ < p`: `y · 2⁻⁵³` and
+/// `p · 2⁵³` are both exact (scaling by a power of two), and for an integer
+/// `y`, `y < q ⇔ y < ⌈q⌉`.  That holds for every `f64` `p` — `p ≥ 1` gives
+/// `2⁵³` (every coin keeps the arc), subnormals give 1 — while NaN and
+/// `p ≤ 0` give 0, which never keeps the arc, as the float compare does.
+#[inline]
+pub fn coin_threshold(p: Probability) -> u64 {
+    if p >= 1.0 {
+        return 1 << 53;
+    }
+    // The ceiling by truncation: `f64::ceil` is a libm call on baseline
+    // x86-64, four times slower over a whole direction.  `q` is exact and
+    // below 2⁵³, so `t` is too; `as` gives 0 for NaN and negative `q`.
+    let q = p * COIN_SCALE;
+    let t = q as u64;
+    t + u64::from((t as f64) < q)
+}
+
+/// [`coin_threshold`] of every probability, in order.
+pub(crate) fn coin_thresholds_of(probs: &[Probability]) -> Vec<u64> {
+    probs.iter().map(|&p| coin_threshold(p)).collect()
+}
 
 /// Read-only, direction-fixed adjacency: the interface walk samplers need.
 ///
@@ -44,8 +84,12 @@ pub trait GraphView {
     /// Neighbors of `v` in this direction, sorted by vertex id.
     fn neighbors(&self, v: VertexId) -> &[VertexId];
 
-    /// Probabilities of `v`'s arcs, aligned with [`GraphView::neighbors`].
-    fn probabilities(&self, v: VertexId) -> &[Probability];
+    /// Integer coin thresholds of `v`'s arcs ([`coin_threshold`] of each
+    /// arc's probability), aligned with [`GraphView::neighbors`]: the walk
+    /// kernel keeps an arc when the top 53 bits of its RNG word are below
+    /// the threshold, the same outcome as the `f64` compare against the
+    /// probability.
+    fn coin_thresholds(&self, v: VertexId) -> &[u64];
 
     /// Degree of `v` in this direction.
     fn degree(&self, v: VertexId) -> usize {
@@ -53,30 +97,35 @@ pub trait GraphView {
     }
 }
 
-/// A borrowed, direction-fixed view of an [`UncertainGraph`]: the three flat arrays
-/// of one direction.  `Copy`, pointer-sized ×4 — hand it to workers freely.
+/// A borrowed, direction-fixed view of an [`UncertainGraph`]: the flat
+/// arrays of one direction plus the lazily built coin thresholds.  `Copy`,
+/// eight words (three slices, a count and the threshold cell's address) —
+/// hand it to workers freely.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrView<'a> {
     num_vertices: usize,
     offsets: &'a [usize],
     targets: &'a [VertexId],
     probs: &'a [Probability],
+    thresholds: &'a OnceLock<Vec<u64>>,
 }
 
 impl<'a> CsrView<'a> {
-    /// Borrows one direction's arrays.
+    /// Borrows one direction's arrays and its threshold cell.
     #[inline]
     pub(crate) fn new(
         num_vertices: usize,
         offsets: &'a [usize],
         targets: &'a [VertexId],
         probs: &'a [Probability],
+        thresholds: &'a OnceLock<Vec<u64>>,
     ) -> Self {
         CsrView {
             num_vertices,
             offsets,
             targets,
             probs,
+            thresholds,
         }
     }
 
@@ -121,6 +170,16 @@ impl<'a> CsrView<'a> {
     pub fn probabilities(&self, v: VertexId) -> &'a [Probability] {
         let (start, end) = self.arc_range(v);
         &self.probs[start..end]
+    }
+
+    /// Coin thresholds of `v`'s arcs, aligned with [`Self::neighbors`].
+    /// The first call on a direction builds the whole direction's table
+    /// (one pass over its probabilities); later calls only slice it.
+    #[inline]
+    pub fn coin_thresholds(&self, v: VertexId) -> &'a [u64] {
+        let (start, end) = self.arc_range(v);
+        let probs = self.probs;
+        &self.thresholds.get_or_init(|| coin_thresholds_of(probs))[start..end]
     }
 
     /// Degree of `v` in this direction.
@@ -190,8 +249,8 @@ impl GraphView for CsrView<'_> {
     }
 
     #[inline]
-    fn probabilities(&self, v: VertexId) -> &[Probability] {
-        CsrView::probabilities(self, v)
+    fn coin_thresholds(&self, v: VertexId) -> &[u64] {
+        CsrView::coin_thresholds(self, v)
     }
 
     #[inline]
@@ -204,6 +263,8 @@ impl GraphView for CsrView<'_> {
 mod tests {
     use super::*;
     use crate::{DiGraph, UncertainGraph};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn fig1_graph() -> UncertainGraph {
         UncertainGraph::from_arcs(
@@ -306,6 +367,57 @@ mod tests {
         assert_eq!(fwd.targets_flat().len(), fwd.probs_flat().len());
         let (start, end) = fwd.arc_range(1);
         assert_eq!(&fwd.targets_flat()[start..end], fwd.neighbors(1));
+    }
+
+    #[test]
+    fn coin_thresholds_decide_exactly_like_the_float_coin() {
+        // The walk kernel keeps an arc when `y < T(p)`, the sampler it must
+        // reproduce when `y · 2⁻⁵³ < p`, for the 53-bit coin `y`.
+        let unit = 1.0 / (1u64 << 53) as f64;
+        let max_coin = (1u64 << 53) - 1;
+        let half = 0.5f64.to_bits();
+        let mut probabilities = vec![
+            1.0,
+            0.5,
+            0.75,
+            1.0 - unit,
+            unit,
+            unit / 2.0,
+            1e-300,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::from_bits(half - 1),
+            f64::from_bits(half + 1),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for i in 0..10_000 {
+            let word: u64 = rng.gen();
+            probabilities.push(if i % 2 == 0 {
+                // Uniform on the 53-bit grid, like the arcs of real graphs.
+                (word >> 11) as f64 * unit + unit
+            } else {
+                // Uniform over bit patterns below 1.0: every exponent.
+                f64::from_bits(word % 1.0f64.to_bits())
+            });
+        }
+        for p in probabilities {
+            let t = coin_threshold(p);
+            let mut coins = vec![0, t.saturating_sub(1), t, t + 1, max_coin];
+            coins.extend((0..16).map(|_| rng.gen::<u64>() >> 11));
+            for y in coins.into_iter().filter(|&y| y <= max_coin) {
+                assert_eq!(
+                    y < t,
+                    (y as f64) * unit < p,
+                    "p = {p:e} (bits {:#x}), T = {t}, y = {y}",
+                    p.to_bits()
+                );
+            }
+        }
+        assert_eq!(coin_threshold(1.0), 1u64 << 53);
+        assert_eq!(coin_threshold(5e-324), 1);
+        for never in [0.0, -0.0, -0.5, f64::NAN] {
+            assert_eq!(coin_threshold(never), 0, "{never} never keeps an arc");
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub mod updatelog;
 
 pub use alias::{alias_draw, AliasSlot, AliasTable, AliasView, CsrAliasView};
 pub use builder::{DiGraphBuilder, DuplicatePolicy, UncertainGraphBuilder};
-pub use csr::{CsrView, GraphView};
+pub use csr::{coin_threshold, CsrView, GraphView};
 pub use error::GraphError;
 pub use graph::{ArcIter, DiGraph};
 pub use overlay::{

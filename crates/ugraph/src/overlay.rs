@@ -49,7 +49,7 @@
 //! ```
 
 use crate::alias::{build_alias_row, AliasSlot, AliasTable, AliasView, CsrAliasView};
-use crate::csr::{CsrView, GraphView};
+use crate::csr::{coin_threshold, coin_thresholds_of, CsrView, GraphView};
 use crate::uncertain::{RawDirection, UncertainGraph};
 use crate::{Probability, VertexId};
 use std::collections::HashMap;
@@ -253,6 +253,8 @@ pub struct UpdateSummary {
 struct Row {
     targets: Vec<VertexId>,
     probs: Vec<Probability>,
+    /// Coin thresholds aligned with `probs`, edited in lockstep with them.
+    thresholds: Vec<u64>,
     /// The vertex's rebuilt alias row, maintained only when the base carries
     /// alias tables (refreshed after every applied batch that touches the
     /// vertex, so reads never see a stale table).
@@ -267,6 +269,7 @@ impl Row {
             .expect_err("validated insert of an arc that already exists");
         self.targets.insert(idx, w);
         self.probs.insert(idx, p);
+        self.thresholds.insert(idx, coin_threshold(p));
     }
 
     fn remove(&mut self, w: VertexId) {
@@ -276,6 +279,7 @@ impl Row {
             .expect("validated delete of an arc that does not exist");
         self.targets.remove(idx);
         self.probs.remove(idx);
+        self.thresholds.remove(idx);
     }
 
     fn set(&mut self, w: VertexId, p: Probability) {
@@ -284,6 +288,7 @@ impl Row {
             .binary_search(&w)
             .expect("validated re-weight of an arc that does not exist");
         self.probs[idx] = p;
+        self.thresholds[idx] = coin_threshold(p);
     }
 }
 
@@ -296,12 +301,18 @@ struct DirOverlay {
 impl DirOverlay {
     /// The patched row of `v`, seeding it from the base slice on first touch
     /// (this is the sorted-slice merge: the base view's slices are copied
-    /// once, then edited in place in sorted order).
+    /// once, then edited in place in sorted order).  The row's thresholds
+    /// are computed from its probabilities, so an update never builds the
+    /// base's threshold table for a direction no sampler walks.
     fn row_mut(&mut self, base: CsrView<'_>, v: VertexId) -> &mut Row {
-        self.rows.entry(v).or_insert_with(|| Row {
-            targets: base.neighbors(v).to_vec(),
-            probs: base.probabilities(v).to_vec(),
-            alias: None,
+        self.rows.entry(v).or_insert_with(|| {
+            let probs = base.probabilities(v).to_vec();
+            Row {
+                targets: base.neighbors(v).to_vec(),
+                thresholds: coin_thresholds_of(&probs),
+                probs,
+                alias: None,
+            }
         })
     }
 }
@@ -750,6 +761,17 @@ impl<'a> OverlayView<'a> {
         }
     }
 
+    /// Live coin thresholds of `v`'s arcs, aligned with
+    /// [`OverlayView::neighbors`]: the patched row's own, computed when the
+    /// patch was applied, or the base view's.
+    #[inline]
+    pub fn coin_thresholds(&self, v: VertexId) -> &'a [u64] {
+        match self.rows.get(&v) {
+            Some(row) => &row.thresholds,
+            None => self.base.coin_thresholds(v),
+        }
+    }
+
     /// Live degree of `v` in this direction.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
@@ -812,8 +834,8 @@ impl GraphView for OverlayView<'_> {
     }
 
     #[inline]
-    fn probabilities(&self, v: VertexId) -> &[Probability] {
-        OverlayView::probabilities(self, v)
+    fn coin_thresholds(&self, v: VertexId) -> &[u64] {
+        OverlayView::coin_thresholds(self, v)
     }
 
     #[inline]
@@ -865,6 +887,16 @@ mod tests {
                 overlay.reverse().probabilities(v),
                 expected.reverse().probabilities(v),
                 "reverse probabilities of {v}"
+            );
+            assert_eq!(
+                overlay.forward().coin_thresholds(v),
+                expected.forward().coin_thresholds(v),
+                "forward coin thresholds of {v}"
+            );
+            assert_eq!(
+                overlay.reverse().coin_thresholds(v),
+                expected.reverse().coin_thresholds(v),
+                "reverse coin thresholds of {v}"
             );
         }
     }

@@ -5,6 +5,7 @@ use crate::alias::{AliasTable, CsrAliasView};
 use crate::csr::CsrView;
 use crate::graph::DiGraph;
 use crate::{GraphError, Probability, VertexId};
+use std::sync::OnceLock;
 
 /// An arc of an uncertain graph together with its existence probability.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -35,6 +36,14 @@ pub struct ProbArc {
 /// alias sampler backend pay the `O(Σ d²)` build.  The tables are *derived*
 /// data (a pure function of the CSR arrays), so [`PartialEq`] deliberately
 /// ignores them: a graph with tables equals the same graph without.
+///
+/// # Coin thresholds
+///
+/// Each direction's integer coin thresholds (see [`crate::csr`]) are
+/// derived data too: built from that direction's probabilities on the
+/// first [`CsrView::coin_thresholds`] call, so an engine walking one
+/// direction pays for that direction only, and ignored by [`PartialEq`]
+/// and the snapshot writer.
 #[derive(Debug, Clone)]
 pub struct UncertainGraph {
     skeleton: DiGraph,
@@ -44,6 +53,10 @@ pub struct UncertainGraph {
     /// Probability of the arc `(in_sources[i], v)`, aligned with the reverse
     /// CSR of `skeleton`.
     in_probabilities: Vec<Probability>,
+    /// Coin thresholds aligned with `out_probabilities`, built on first use.
+    out_thresholds: OnceLock<Vec<u64>>,
+    /// Coin thresholds aligned with `in_probabilities`, built on first use.
+    in_thresholds: OnceLock<Vec<u64>>,
     /// `(forward, reverse)` alias tables, present only when built or loaded
     /// from a snapshot that persisted them.
     alias: Option<Box<(AliasTable, AliasTable)>>,
@@ -51,7 +64,8 @@ pub struct UncertainGraph {
 
 impl PartialEq for UncertainGraph {
     /// Structural equality of the CSR arrays only — the optional alias
-    /// tables are derived data and do not participate.
+    /// tables and the coin thresholds are derived data and do not
+    /// participate.
     fn eq(&self, other: &Self) -> bool {
         self.skeleton == other.skeleton
             && self.out_probabilities == other.out_probabilities
@@ -115,6 +129,8 @@ impl UncertainGraph {
             skeleton,
             out_probabilities,
             in_probabilities,
+            out_thresholds: OnceLock::new(),
+            in_thresholds: OnceLock::new(),
             alias: None,
         }
     }
@@ -147,6 +163,8 @@ impl UncertainGraph {
             },
             out_probabilities,
             in_probabilities,
+            out_thresholds: OnceLock::new(),
+            in_thresholds: OnceLock::new(),
             alias: None,
         }
     }
@@ -186,6 +204,7 @@ impl UncertainGraph {
             &self.skeleton.out_offsets,
             &self.skeleton.out_targets,
             &self.out_probabilities,
+            &self.out_thresholds,
         )
     }
 
@@ -199,6 +218,7 @@ impl UncertainGraph {
             &self.skeleton.in_offsets,
             &self.skeleton.in_sources,
             &self.in_probabilities,
+            &self.in_thresholds,
         )
     }
 
@@ -289,6 +309,8 @@ impl UncertainGraph {
             skeleton: self.skeleton.clone(),
             out_probabilities: vec![1.0; self.out_probabilities.len()],
             in_probabilities: vec![1.0; self.in_probabilities.len()],
+            out_thresholds: OnceLock::new(),
+            in_thresholds: OnceLock::new(),
             alias: None,
         }
     }
@@ -297,12 +319,14 @@ impl UncertainGraph {
     /// its probability).
     ///
     /// Both directions are stored sorted, so the transpose swaps them (alias
-    /// tables included) without re-sorting a single arc.
+    /// tables and coin thresholds included) without re-sorting a single arc.
     pub fn transpose(&self) -> UncertainGraph {
         UncertainGraph {
             skeleton: self.skeleton.transpose(),
             out_probabilities: self.in_probabilities.clone(),
             in_probabilities: self.out_probabilities.clone(),
+            out_thresholds: self.in_thresholds.clone(),
+            in_thresholds: self.out_thresholds.clone(),
             alias: self
                 .alias
                 .as_deref()
@@ -502,6 +526,31 @@ mod tests {
             assert!((p - arc.probability).abs() < 1e-12);
         }
         assert_eq!(t.transpose(), g);
+    }
+
+    #[test]
+    fn coin_thresholds_are_built_per_direction_on_first_use() {
+        let g = fig1_graph();
+        assert!(g.out_thresholds.get().is_none() && g.in_thresholds.get().is_none());
+        let reverse = g.reverse();
+        for v in g.vertices() {
+            let expected: Vec<u64> = reverse
+                .probabilities(v)
+                .iter()
+                .map(|&p| crate::coin_threshold(p))
+                .collect();
+            assert_eq!(reverse.coin_thresholds(v), expected.as_slice());
+        }
+        assert!(
+            g.in_thresholds.get().is_some(),
+            "the walked direction is built"
+        );
+        assert!(g.out_thresholds.get().is_none(), "the other one is not");
+        assert_eq!(g, fig1_graph(), "thresholds do not take part in equality");
+        // The transpose swaps the built table along with its direction.
+        let t = g.transpose();
+        assert_eq!(t.out_thresholds.get(), g.in_thresholds.get());
+        assert!(t.in_thresholds.get().is_none());
     }
 
     #[test]
