@@ -37,7 +37,8 @@ fn main() {
     for name in ["PPI2", "Condmat", "PPI3", "DBLP"] {
         let graph = dataset(name, scale);
         let pairs = random_pairs(&graph, num_pairs, 0xf10);
-        let config = SimRankConfig::default().with_seed(0xf10);
+        // Section VII-A's setting, N = 1000 (the default is the served N).
+        let config = SimRankConfig::default().with_samples(1000).with_seed(0xf10);
         let baseline =
             BaselineEstimator::new(&graph, config).with_transpr_options(TransPrOptions {
                 max_walks: 200_000,

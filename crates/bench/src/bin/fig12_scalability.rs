@@ -44,7 +44,9 @@ fn main() {
             generation_time.as_secs_f64()
         );
         let pairs = random_pairs(&graph, num_pairs, 0xf12);
+        // Section VII-A's setting, N = 1000 (the default is the served N).
         let config = SimRankConfig::default()
+            .with_samples(1000)
             .with_phase_switch(1)
             .with_seed(0xf12);
 

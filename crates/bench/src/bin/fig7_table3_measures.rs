@@ -47,7 +47,8 @@ fn run_dataset(name: &str, graph: &UncertainGraph, num_pairs: usize) {
         graph.num_vertices(),
         graph.num_arcs()
     );
-    let config = SimRankConfig::default();
+    // Section VII-A's setting, N = 1000 (the default is the served N).
+    let config = SimRankConfig::default().with_samples(1000);
     let baseline = BaselineEstimator::new(graph, config);
     let mut du = DuEtAlEstimator::new(graph, config);
     let skeleton = graph.skeleton().clone();

@@ -46,7 +46,8 @@ fn main() {
             generation_time.as_secs_f64()
         );
         let pairs = random_pairs(&graph, num_pairs, 0xf19);
-        let config = SimRankConfig::default().with_seed(0xf19);
+        // Section VII-A's setting, N = 1000 (the default is the served N).
+        let config = SimRankConfig::default().with_samples(1000).with_seed(0xf19);
 
         // Baseline (exact), with a bounded walk budget.
         let baseline =

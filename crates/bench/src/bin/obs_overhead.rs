@@ -9,10 +9,14 @@
 //! `handle_line_into` alone, so the ratio isolates exactly what the
 //! instrumentation adds to the serving hot path.
 //!
-//! Rounds alternate bare/traced (best-of-rounds on both sides) so CPU
-//! warm-up and frequency drift cancel instead of biasing one mode; the
-//! global walk-metrics flag is toggled per round so the bare side never
-//! pays for counter flushes.
+//! Each round times adjacent bare/traced pass pairs (B T B T …, starting
+//! with T on odd rounds) and reads one ratio: the round's traced
+//! throughput over its bare throughput.  The gated ratio is the **median**
+//! of the per-round ratios.  Host drift on a shared 2-vCPU VM moved the
+//! same round's bare time between 96 and 157 ms within one run, so the two
+//! sides are compared only where they ran milliseconds apart, and one
+//! disturbed round cannot move the median.  The global walk-metrics flag is
+//! toggled per pass so the bare side never pays for counter flushes.
 //!
 //! The gate is a **hard floor**, not a baseline ratio: traced throughput
 //! must stay at ≥ 0.9× bare throughput.  The checked-in baseline records
@@ -33,8 +37,8 @@
 //! * `USIM_BENCH_PAIRS`    — query pairs per batch frame (default 96)
 //! * `USIM_BENCH_SAMPLES`  — walk samples per query (default 20)
 //! * `USIM_BENCH_POINT`    — similarity frames per pass (default 64)
-//! * `USIM_BENCH_PASSES`   — passes per round (default 3)
-//! * `USIM_BENCH_ROUNDS`   — alternating rounds (default 3)
+//! * `USIM_BENCH_PASSES`   — bare/traced pass pairs per round (default 8)
+//! * `USIM_BENCH_ROUNDS`   — rounds, one ratio each (default 21)
 //! * `USIM_BENCH_OUT`      — artifact path (default `BENCH_obs_overhead.json`)
 //! * `USIM_BENCH_BASELINE` — baseline path (default
 //!   `crates/bench/baselines/obs_overhead.json`)
@@ -56,15 +60,16 @@ struct ObsReport {
     samples: usize,
     /// Similarity frames per pass.
     point_frames: usize,
-    /// Passes per round.
+    /// Adjacent bare/traced pass pairs per round.
     passes: usize,
-    /// Alternating bare/traced rounds.
+    /// Rounds, one ratio each.
     rounds: usize,
-    /// Best bare-handler throughput, frames per second.
+    /// Median bare-handler throughput over the rounds, frames per second.
     bare_frames_per_sec: f64,
-    /// Best traced-handler throughput, frames per second.
+    /// Median traced-handler throughput over the rounds, frames per second.
     traced_frames_per_sec: f64,
-    /// `traced / bare` — the gated ratio (hard floor 0.9).
+    /// Median of the per-round `traced / bare` ratios — the gated ratio
+    /// (hard floor 0.9).
     overhead_ratio: f64,
 }
 
@@ -73,6 +78,17 @@ fn env_usize(name: &str, default: usize) -> usize {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(default)
+}
+
+/// The median of `values` (the mean of the middle two for an even count).
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        (values[mid - 1] + values[mid]) / 2.0
+    }
 }
 
 /// One pass of the workload; returns (elapsed seconds, concatenated output).
@@ -89,8 +105,8 @@ fn main() {
     let pairs_count = env_usize("USIM_BENCH_PAIRS", 96);
     let samples = env_usize("USIM_BENCH_SAMPLES", 20);
     let point_frames = env_usize("USIM_BENCH_POINT", 64);
-    let passes = env_usize("USIM_BENCH_PASSES", 3).max(1);
-    let rounds = env_usize("USIM_BENCH_ROUNDS", 3).max(1);
+    let passes = env_usize("USIM_BENCH_PASSES", 8).max(1);
+    let rounds = env_usize("USIM_BENCH_ROUNDS", 21).max(1);
     let out_path =
         std::env::var("USIM_BENCH_OUT").unwrap_or_else(|_| "BENCH_obs_overhead.json".to_string());
     let baseline_path = std::env::var("USIM_BENCH_BASELINE")
@@ -142,28 +158,38 @@ fn main() {
         "tracing must never change response bytes"
     );
 
-    let mut bare_best = 0.0f64;
-    let mut traced_best = 0.0f64;
-    for _ in 0..rounds {
-        walk_metrics().set_enabled(false);
-        let mut bare_secs = f64::INFINITY;
+    let timed_pass = |traced_side: bool| {
+        walk_metrics().set_enabled(traced_side);
+        let handler = if traced_side { &traced } else { &bare };
+        let (secs, out) = run_pass(handler, &frames);
+        std::hint::black_box(out.len());
+        secs
+    };
+    let frames_per_round = (frames.len() * passes) as f64;
+    let (mut bare_rates, mut traced_rates, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for round in 0..rounds {
+        let (mut bare_secs, mut traced_secs) = (0.0, 0.0);
         for _ in 0..passes {
-            let (secs, out) = run_pass(&bare, &frames);
-            std::hint::black_box(out.len());
-            bare_secs = bare_secs.min(secs);
+            // Adjacent passes; which side goes first alternates by round.
+            for traced_side in [round % 2 == 1, round % 2 == 0] {
+                let secs = timed_pass(traced_side);
+                if traced_side {
+                    traced_secs += secs;
+                } else {
+                    bare_secs += secs;
+                }
+            }
         }
-        bare_best = bare_best.max(frames.len() as f64 / bare_secs);
-
-        walk_metrics().set_enabled(true);
-        let mut traced_secs = f64::INFINITY;
-        for _ in 0..passes {
-            let (secs, out) = run_pass(&traced, &frames);
-            std::hint::black_box(out.len());
-            traced_secs = traced_secs.min(secs);
-        }
-        traced_best = traced_best.max(frames.len() as f64 / traced_secs);
+        bare_rates.push(frames_per_round / bare_secs);
+        traced_rates.push(frames_per_round / traced_secs);
+        ratios.push(bare_secs / traced_secs);
     }
     walk_metrics().set_enabled(false);
+    println!(
+        "obs_overhead: per-round traced/bare ratios {:.3} .. {:.3}",
+        ratios.iter().copied().fold(f64::INFINITY, f64::min),
+        ratios.iter().copied().fold(0.0, f64::max)
+    );
 
     // Stage-sum coherence on everything the slow log kept: disjoint stage
     // slices can never sum past the request's own wall-clock total.
@@ -192,9 +218,9 @@ fn main() {
         point_frames,
         passes,
         rounds,
-        bare_frames_per_sec: bare_best,
-        traced_frames_per_sec: traced_best,
-        overhead_ratio: traced_best / bare_best,
+        bare_frames_per_sec: median(&mut bare_rates),
+        traced_frames_per_sec: median(&mut traced_rates),
+        overhead_ratio: median(&mut ratios),
     };
     let json = serde_json::to_string(&report).expect("report serialises");
     std::fs::write(&out_path, &json).expect("artifact is writable");

@@ -62,8 +62,8 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     if let Some(batch_path) = args.option("batch") {
         if let Some(algorithm) = args.option("algorithm") {
             return Err(CliError::new(format!(
-                "--batch always uses the CSR batch engine (sampling algorithm); \
-                 --algorithm {algorithm:?} cannot be combined with it"
+                "--batch always uses the CSR batch engine (SR-TS with all-pairs \
+                 walk meetings); --algorithm {algorithm:?} cannot be combined with it"
             )));
         }
         let loaded = load_graph(path)?;
@@ -488,7 +488,7 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("no pairs"), "{err}");
-        // --algorithm conflicts with --batch (the engine is sampling-only).
+        // --algorithm conflicts with --batch (the engine has one estimator).
         let err = run(&tokens(&[
             path.to_str().unwrap(),
             "--batch",

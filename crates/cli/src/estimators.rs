@@ -20,8 +20,10 @@ pub const CONFIG_OPTIONS: &[&str] = &[
     "sampler",
 ];
 
-/// Builds a [`SimRankConfig`] from the shared CLI options, starting from the
-/// paper's defaults (`c = 0.6`, `n = 5`, `N = 1000`, `l = 1`).
+/// Builds a [`SimRankConfig`] from the shared CLI options, starting from
+/// [`SimRankConfig::default`]: the paper's `c = 0.6`, `n = 5`, `l = 1`, and
+/// the served engine's `N = 250` (`--samples 1000` is the paper's
+/// setting).
 pub fn config_from_args(args: &Arguments) -> Result<SimRankConfig, CliError> {
     let defaults = SimRankConfig::default();
     let decay: f64 = args.parse_option("decay", defaults.decay)?;

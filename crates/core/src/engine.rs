@@ -29,9 +29,15 @@
 //! [`QueryError`] instead of panicking deep inside the CSR arrays — ids
 //! arriving from pair files or network requests are input, not invariants.
 //!
-//! The engine implements the paper's Sampling algorithm (Section VI-B,
-//! Fig. 4) per pair; the exact and two-phase algorithms keep their dedicated
-//! estimators, which share the same CSR fast path for their sampling phases.
+//! Per pair, the engine serves the paper's two-phase SR-TS with `l = 1`
+//! (Section VI-C): `m(1)` is exact, computed from the two live rows with
+//! zero RNG draws, and `m(k)` for `k ≥ 2` is estimated from **every** pair
+//! of sampled walks, `Σ_w cᵤᵏ(w)·cᵥᵏ(w) / N²`, rather than Eq. 13's `N`
+//! index-matched pairs.  Both cut the variance, so the default `N` is 250
+//! where Eq. 13 needs the paper's 1000 for a larger error.  The engine takes
+//! `l = 1` whatever [`SimRankConfig::phase_switch`] says; the paper's
+//! estimators (`SamplingEstimator`, `TwoPhaseEstimator`, `SpeedupEstimator`)
+//! keep Eq. 13 and honour it.
 
 use crate::config::{SamplerKind, SimRankConfig, WalkDirection};
 use crate::meeting::MeetingProfile;
@@ -44,8 +50,8 @@ use rayon::prelude::*;
 use rwalk::arena::{AliasSampler, CsrSampler, WalkArena, DEAD};
 use std::fmt;
 use ugraph::{
-    CompactionPolicy, DeltaOverlay, GraphUpdate, OverlayAliasView, OverlayView, UncertainGraph,
-    UpdateError, UpdateSummary, VertexId,
+    one_step_marginals, CompactionPolicy, DeltaOverlay, GraphUpdate, MarginalScratch,
+    OverlayAliasView, OverlayView, UncertainGraph, UpdateError, UpdateSummary, VertexId,
 };
 
 /// Derives the deterministic RNG seed of a pair `(u, v)` from the engine
@@ -89,15 +95,78 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Per-worker scratch: one arena plus the two walk-position buffers.
-/// Checked out of the engine's [`ScratchPool`] for the duration of one query
-/// (or one worker's chunk of a batch) and returned afterwards, so buffers
-/// are reused across batches, not just within one.
+/// Per-worker scratch: one arena, the walk-position buffers and the
+/// estimator's tables.  Checked out of the engine's [`ScratchPool`] for the
+/// duration of one query (or one worker's chunk of a batch) and returned
+/// afterwards, so buffers are reused across batches, not just within one.
 #[derive(Debug, Default)]
 struct Scratch {
     arena: WalkArena,
     walk_u: Vec<VertexId>,
     walk_v: Vec<VertexId>,
+    /// All `N` walks of the pair's `u` (and `v`), walk-major: walk `i`
+    /// occupies `i·(n + 1)..(i + 1)·(n + 1)`.
+    walks_u: Vec<VertexId>,
+    walks_v: Vec<VertexId>,
+    positions: PositionCounts,
+    step_one: StepOneScratch,
+}
+
+/// How many of `u`'s walks sit at each vertex after one step `k`, for the
+/// all-pairs estimate.  Entries are epoch-stamped, so starting the next step
+/// costs O(1) instead of clearing `|V|` counters.
+#[derive(Debug, Default)]
+struct PositionCounts {
+    /// `(stamp, count)` per vertex; a count is live only under the current
+    /// epoch's stamp.
+    slots: Vec<(u32, u32)>,
+    epoch: u32,
+}
+
+impl PositionCounts {
+    /// Empties the table, sized for `num_vertices`.
+    fn begin(&mut self, num_vertices: usize) {
+        if self.slots.len() < num_vertices {
+            self.slots.resize(num_vertices, (0, 0));
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stale stamps could alias the new epoch.
+            self.slots.fill((0, 0));
+            self.epoch = 1;
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, w: VertexId) {
+        let slot = &mut self.slots[w as usize];
+        if slot.0 == self.epoch {
+            slot.1 += 1;
+        } else {
+            *slot = (self.epoch, 1);
+        }
+    }
+
+    #[inline]
+    fn count(&self, w: VertexId) -> u32 {
+        let slot = self.slots[w as usize];
+        if slot.0 == self.epoch {
+            slot.1
+        } else {
+            0
+        }
+    }
+}
+
+/// Buffers of [`exact_step_one`]: the shared arcs' indices in each row and
+/// their one-step marginals.
+#[derive(Debug, Default)]
+struct StepOneScratch {
+    dp: MarginalScratch,
+    shared_u: Vec<usize>,
+    shared_v: Vec<usize>,
+    marginals_u: Vec<f64>,
+    marginals_v: Vec<f64>,
 }
 
 /// A lock-protected free list of [`Scratch`] instances.  Checkout pops (or
@@ -146,8 +215,8 @@ impl Drop for PooledScratch<'_> {
     }
 }
 
-/// CSR-backed batch SimRank query engine (sampling estimator semantics) over
-/// a live, updatable graph.
+/// CSR-backed batch SimRank query engine (SR-TS with exact `m(1)` and the
+/// all-pairs walk estimate) over a live, updatable graph.
 ///
 /// Build it once per graph and issue any number of single-pair or batch
 /// queries (`&self`, freely shared across threads); apply
@@ -444,9 +513,25 @@ impl QueryEngine {
         profile
     }
 
-    /// [`QueryEngine::profile_with`]'s walks, folded into `tally` when one
-    /// is given.  The tally is an argument, not the process-global switch,
-    /// so a test can meter one call while other tests query concurrently.
+    /// [`QueryEngine::profile_with`]'s estimate, its walks folded into
+    /// `tally` when one is given.  The tally is an argument, not the
+    /// process-global switch, so a test can meter one call while other
+    /// tests query concurrently.
+    ///
+    /// The estimator is SR-TS with `l = 1` (Section VI-C) plus the
+    /// all-pairs meeting estimate:
+    ///
+    /// * `m(1)` is exact ([`exact_step_one`]), with zero RNG draws;
+    /// * `m(k)` for `k ≥ 2` is `Σ_w cᵤᵏ(w)·cᵥᵏ(w) / N²`, where `cᵤᵏ(w)`
+    ///   counts `u`'s walks at `w` after `k` steps.  Every walk starts a
+    ///   fresh possible world, so `u`'s walks are independent of `v`'s and
+    ///   all `N²` walk pairs are unbiased samples of Eq. 12's product of
+    ///   marginals.  The sum is an integer and is divided once, so the
+    ///   estimate is deterministic.
+    ///
+    /// The walks are Eq. 13's: `N` of `u`'s and `N` of `v`'s, interleaved
+    /// on the pair-keyed stream, so the walks at `N` are a prefix of the
+    /// walks at any larger `N`.
     fn sample_profile(
         &self,
         scratch: &mut Scratch,
@@ -465,15 +550,18 @@ impl QueryEngine {
         // default `DeadEndPolicy::Terminate`), so a walk from a vertex with
         // no arc in the walk direction is dead from step 1 on and meets
         // nothing: for u ≠ v every m(k) is exactly 0, the profile the
-        // walks would count.  Streams are pair-keyed, so skipping this
+        // estimate would give.  Streams are pair-keyed, so skipping this
         // pair's walks changes no other pair.
         let view = self.view();
         if u != v && (view.degree(u) == 0 || view.degree(v) == 0) {
             return MeetingProfile::new(vec![0.0; n + 1], self.config.decay);
         }
-        let mut rng = StdRng::seed_from_u64(pair_seed(self.config.seed, u, v));
         let mut meeting = vec![0.0f64; n + 1];
         meeting[0] = if u == v { 1.0 } else { 0.0 };
+        meeting[1] = exact_step_one(&view, u, v, &mut scratch.step_one);
+        let mut rng = StdRng::seed_from_u64(pair_seed(self.config.seed, u, v));
+        scratch.walks_u.clear();
+        scratch.walks_v.clear();
         match self.config.sampler {
             SamplerKind::Legacy => {
                 let sampler = CsrSampler::new(view);
@@ -492,16 +580,7 @@ impl QueryEngine {
                         &mut rng,
                         &mut scratch.walk_v,
                     );
-                    if let Some(tally) = tally.as_deref_mut() {
-                        tally_pair_walks(
-                            tally,
-                            &scratch.walk_u,
-                            &scratch.walk_v,
-                            &view,
-                            self.config.sampler,
-                        );
-                    }
-                    count_meetings(&mut meeting, &scratch.walk_u, &scratch.walk_v);
+                    scratch.keep_pair_walks(tally.as_deref_mut(), &view, self.config.sampler);
                 }
             }
             SamplerKind::Alias => {
@@ -509,22 +588,18 @@ impl QueryEngine {
                 for _ in 0..num_samples {
                     sampler.sample_walk_into(u, n, &mut rng, &mut scratch.walk_u);
                     sampler.sample_walk_into(v, n, &mut rng, &mut scratch.walk_v);
-                    if let Some(tally) = tally.as_deref_mut() {
-                        tally_pair_walks(
-                            tally,
-                            &scratch.walk_u,
-                            &scratch.walk_v,
-                            &view,
-                            self.config.sampler,
-                        );
-                    }
-                    count_meetings(&mut meeting, &scratch.walk_u, &scratch.walk_v);
+                    scratch.keep_pair_walks(tally.as_deref_mut(), &view, self.config.sampler);
                 }
             }
         }
-        for slot in meeting.iter_mut().skip(1) {
-            *slot /= num_samples as f64;
-        }
+        count_all_pair_meetings(
+            &mut meeting,
+            &scratch.walks_u,
+            &scratch.walks_v,
+            num_samples,
+            num_vertices,
+            &mut scratch.positions,
+        );
         MeetingProfile::new(meeting, self.config.decay)
     }
 
@@ -698,15 +773,113 @@ fn tally_pair_walks(
     }
 }
 
-/// Accumulates the per-step meetings of one walk pair into `meeting`
-/// (step 0 is handled by the caller; a dead slot never meets).
-#[inline]
-fn count_meetings(meeting: &mut [f64], walk_u: &[VertexId], walk_v: &[VertexId]) {
-    for (k, slot) in meeting.iter_mut().enumerate().skip(1) {
-        let a = walk_u[k];
-        if a != DEAD && a == walk_v[k] {
-            *slot += 1.0;
+impl Scratch {
+    /// Appends the sample pair just drawn into `walk_u` / `walk_v` to the
+    /// pair's walks, folding it into `tally` when metering.
+    #[inline]
+    fn keep_pair_walks(
+        &mut self,
+        tally: Option<&mut usim_obs::WalkTally>,
+        view: &OverlayView<'_>,
+        sampler: SamplerKind,
+    ) {
+        if let Some(tally) = tally {
+            tally_pair_walks(tally, &self.walk_u, &self.walk_v, view, sampler);
         }
+        self.walks_u.extend_from_slice(&self.walk_u);
+        self.walks_v.extend_from_slice(&self.walk_v);
+    }
+}
+
+/// Exact `m(1)(u, v) = Σ_w Pr(u →₁ w)·Pr(v →₁ w)` on the live rows of the
+/// walk direction (SR-TS's exact phase for `l = 1`), with zero RNG draws.
+///
+/// A merge-join of the two sorted rows finds the shared neighbours; with
+/// none, `m(1) = 0`.  Otherwise each row runs one presence-count DP and one
+/// leave-one-out deconvolution per shared arc
+/// ([`ugraph::one_step_marginals`]).  Patched overlay rows feed the same
+/// function, so an engine that applied updates gives the bits of a fresh
+/// engine on its snapshot.
+fn exact_step_one(view: &OverlayView<'_>, u: VertexId, v: VertexId, s: &mut StepOneScratch) -> f64 {
+    let (row_u, row_v) = (view.neighbors(u), view.neighbors(v));
+    s.shared_u.clear();
+    s.shared_v.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < row_u.len() && j < row_v.len() {
+        match row_u[i].cmp(&row_v[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                s.shared_u.push(i);
+                s.shared_v.push(j);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    if s.shared_u.is_empty() {
+        return 0.0;
+    }
+    let probs_u = view.probabilities(u);
+    one_step_marginals(
+        probs_u,
+        s.shared_u.iter().copied(),
+        &mut s.dp,
+        &mut s.marginals_u,
+    );
+    let marginals_v = if u == v {
+        &s.marginals_u
+    } else {
+        let probs_v = view.probabilities(v);
+        one_step_marginals(
+            probs_v,
+            s.shared_v.iter().copied(),
+            &mut s.dp,
+            &mut s.marginals_v,
+        );
+        &s.marginals_v
+    };
+    s.marginals_u
+        .iter()
+        .zip(marginals_v)
+        .map(|(a, b)| a * b)
+        .sum()
+}
+
+/// Writes the all-pairs estimate `m̂(k) = Σ_w cᵤᵏ(w)·cᵥᵏ(w) / N²` into
+/// `meeting[k]` for every `k ≥ 2`, from the `N` walks of each endpoint
+/// (walk-major, `meeting.len()` positions per walk).
+///
+/// Per step, `u`'s positions are counted into `positions` and `v`'s walks
+/// sum their lookups: `O(N)` per step instead of the `O(N²)` double loop,
+/// with the same integer count.  A dead slot never meets.
+fn count_all_pair_meetings(
+    meeting: &mut [f64],
+    walks_u: &[VertexId],
+    walks_v: &[VertexId],
+    num_samples: usize,
+    num_vertices: usize,
+    positions: &mut PositionCounts,
+) {
+    let stride = meeting.len();
+    debug_assert_eq!(walks_u.len(), num_samples * stride);
+    debug_assert_eq!(walks_v.len(), num_samples * stride);
+    let walk_pairs = (num_samples as f64) * (num_samples as f64);
+    for (k, slot) in meeting.iter_mut().enumerate().skip(2) {
+        positions.begin(num_vertices);
+        for &w in walks_u.iter().skip(k).step_by(stride) {
+            if w != DEAD {
+                positions.add(w);
+            }
+        }
+        let met: u64 = walks_v
+            .iter()
+            .skip(k)
+            .step_by(stride)
+            .filter(|&&w| w != DEAD)
+            .map(|&w| u64::from(positions.count(w)))
+            .sum();
+        *slot = met as f64 / walk_pairs;
     }
 }
 
@@ -1287,6 +1460,83 @@ mod tests {
                 assert_zero_profile(&out_walks, 4, other);
             }
         }
+    }
+
+    /// `m̂(k)` by the definition: every (u-walk, v-walk) pair compared.
+    fn brute_force_meetings(scratch: &Scratch, stride: usize, k: usize) -> f64 {
+        let at_k = |walks: &[VertexId]| -> Vec<VertexId> {
+            walks.iter().skip(k).step_by(stride).copied().collect()
+        };
+        let (from_u, from_v) = (at_k(&scratch.walks_u), at_k(&scratch.walks_v));
+        let mut met = 0u64;
+        for &a in &from_u {
+            for &b in &from_v {
+                met += u64::from(a != DEAD && a == b);
+            }
+        }
+        met as f64 / (from_u.len() * from_v.len()) as f64
+    }
+
+    #[test]
+    fn all_pair_meetings_equal_the_brute_force_double_loop_bit_for_bit() {
+        let g = fig1_with_a_source_vertex();
+        for sampler in SAMPLER_KINDS {
+            let config = SimRankConfig::default()
+                .with_samples(64)
+                .with_seed(41)
+                .with_sampler(sampler);
+            let engine = QueryEngine::new(&g, config);
+            let stride = config.horizon + 1;
+            let mut scratch = Scratch::default();
+            let mut nonzero = 0;
+            for (u, v) in all_ordered_pairs(5) {
+                let profile = engine.sample_profile(&mut scratch, u, v, None);
+                assert_eq!(scratch.walks_u.len(), 64 * stride);
+                for k in 2..stride {
+                    let expected = brute_force_meetings(&scratch, stride, k);
+                    assert_eq!(
+                        profile.meeting[k].to_bits(),
+                        expected.to_bits(),
+                        "{sampler}: m({k})({u}, {v})"
+                    );
+                    nonzero += usize::from(expected > 0.0);
+                }
+            }
+            assert!(nonzero > 40, "{sampler}: only {nonzero} non-zero m(k)");
+        }
+    }
+
+    #[test]
+    fn the_walks_at_n_are_a_prefix_of_the_walks_at_a_larger_n() {
+        let g = fig1_graph();
+        for sampler in SAMPLER_KINDS {
+            let config = SimRankConfig::default().with_seed(43).with_sampler(sampler);
+            let small = QueryEngine::new(&g, config.with_samples(40));
+            let large = QueryEngine::new(&g, config.with_samples(100));
+            let (mut a, mut b) = (Scratch::default(), Scratch::default());
+            for (u, v) in [(0, 1), (2, 3), (4, 4)] {
+                small.sample_profile(&mut a, u, v, None);
+                large.sample_profile(&mut b, u, v, None);
+                let prefix = a.walks_u.len();
+                assert_eq!(a.walks_u[..], b.walks_u[..prefix], "{sampler}: ({u}, {v})");
+                assert_eq!(a.walks_v[..], b.walks_v[..prefix], "{sampler}: ({u}, {v})");
+            }
+        }
+    }
+
+    #[test]
+    fn position_counts_survive_an_epoch_wrap() {
+        let mut counts = PositionCounts::default();
+        counts.begin(4);
+        counts.add(2);
+        counts.epoch = u32::MAX;
+        counts.slots[3] = (1, 7); // would alias epoch 1 after the wrap
+        counts.begin(4);
+        assert_eq!(counts.epoch, 1);
+        assert_eq!((counts.count(2), counts.count(3)), (0, 0));
+        counts.add(3);
+        counts.add(3);
+        assert_eq!(counts.count(3), 2);
     }
 
     #[test]

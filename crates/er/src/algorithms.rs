@@ -32,7 +32,8 @@ pub struct ErAlgorithm {
     /// Edges below this weight are discarded by the deterministic baselines
     /// (EIF / DISTINCT).
     pub edge_threshold: f64,
-    /// SimRank configuration used by SimER / SimDER.
+    /// SimRank configuration used by SimER / SimDER; by default the
+    /// paper's, `N = 1000` included.
     pub simrank: SimRankConfig,
 }
 
@@ -55,7 +56,7 @@ impl ErAlgorithm {
             kind,
             aggregation_threshold,
             edge_threshold: 0.3,
-            simrank: SimRankConfig::default(),
+            simrank: SimRankConfig::default().with_samples(1000),
         }
     }
 

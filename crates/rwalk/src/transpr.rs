@@ -21,7 +21,7 @@
 
 use crate::expected::expected_one_step_row;
 use crate::walkpr::alpha;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use ugraph::{UncertainGraph, VertexId};
 use umatrix::{DenseMatrix, SparseVector};
 
@@ -164,11 +164,13 @@ impl ActiveWalk {
 
 /// Extends every walk of the frontier by one arc and returns the new
 /// frontier.  `one_step_rows[u]` caches the expected one-step probabilities
-/// aligned with `g.out_arcs(u)`.
+/// aligned with `g.out_arcs(u)`; a row is computed the first time a walk
+/// leaves its vertex, so a single-source query pays only for the vertices
+/// its frontier reaches, not for all of `V`.
 fn extend_frontier(
     g: &UncertainGraph,
     frontier: Vec<ActiveWalk>,
-    one_step_rows: &[Vec<f64>],
+    one_step_rows: &mut HashMap<VertexId, Vec<f64>>,
     options: &TransPrOptions,
     step: usize,
 ) -> Result<Vec<ActiveWalk>, TransPrError> {
@@ -197,12 +199,17 @@ fn extend_frontier(
         } else {
             alpha(g, walk.end, end_out, end_count)
         };
+        let one_step_row = (fresh_end && options.use_shortcut).then(|| {
+            &*one_step_rows
+                .entry(walk.end)
+                .or_insert_with(|| expected_one_step_row(g, walk.end))
+        });
         for (idx, &w) in neighbors.iter().enumerate() {
-            let factor = if fresh_end && options.use_shortcut {
+            let factor = if let Some(row) = one_step_row {
                 // Lemma 3 style shortcut: the end vertex has never been left
                 // before, so the update factor is the expected one-step
                 // probability of this arc.
-                one_step_rows[walk.end as usize][idx]
+                row[idx]
             } else {
                 // Lemma 2: ratio of the new and old alpha of the end vertex.
                 let mut new_out = end_out.to_vec();
@@ -249,11 +256,11 @@ pub fn transition_matrices(
     options: &TransPrOptions,
 ) -> Result<TransitionMatrices, TransPrError> {
     let n = g.num_vertices();
-    let one_step_rows: Vec<Vec<f64>> = g.vertices().map(|u| expected_one_step_row(g, u)).collect();
+    let mut one_step_rows = HashMap::new();
     let mut frontier: Vec<ActiveWalk> = g.vertices().map(ActiveWalk::new).collect();
     let mut matrices = Vec::with_capacity(k_max);
     for step in 1..=k_max {
-        frontier = extend_frontier(g, frontier, &one_step_rows, options, step)?;
+        frontier = extend_frontier(g, frontier, &mut one_step_rows, options, step)?;
         let mut matrix = DenseMatrix::zeros(n, n);
         for walk in &frontier {
             matrix[(walk.start as usize, walk.end as usize)] += walk.probability;
@@ -278,12 +285,12 @@ pub fn transition_rows_from(
     k_max: usize,
     options: &TransPrOptions,
 ) -> Result<Vec<SparseVector>, TransPrError> {
-    let one_step_rows: Vec<Vec<f64>> = g.vertices().map(|u| expected_one_step_row(g, u)).collect();
+    let mut one_step_rows = HashMap::new();
     let mut rows = Vec::with_capacity(k_max + 1);
     rows.push(SparseVector::unit(source, 1.0));
     let mut frontier = vec![ActiveWalk::new(source)];
     for step in 1..=k_max {
-        frontier = extend_frontier(g, frontier, &one_step_rows, options, step)?;
+        frontier = extend_frontier(g, frontier, &mut one_step_rows, options, step)?;
         let row = SparseVector::from_pairs(frontier.iter().map(|w| (w.end, w.probability)));
         rows.push(row);
     }

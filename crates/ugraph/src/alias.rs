@@ -188,13 +188,54 @@ pub fn alias_draw(slots: &[AliasSlot], unit: f64) -> VertexId {
     }
 }
 
-/// Scratch buffers reused across per-vertex row builds.
-#[derive(Default)]
-struct RowScratch {
-    /// Presence-count distribution of all arcs of the vertex.
+/// Reusable buffers of [`one_step_marginals`]: the presence-count
+/// distribution of a row and its leave-one-out deconvolution.
+#[derive(Debug, Default, Clone)]
+pub struct MarginalScratch {
+    /// Presence-count distribution of all arcs of the row.
     full: Vec<f64>,
     /// Deconvolved distribution with one arc removed.
     others: Vec<f64>,
+}
+
+/// Expected one-step marginals `Pr(u →₁ vⱼ) = P(u, vⱼ) · E[1/(1 + X₋ⱼ)]`
+/// of one row with arc probabilities `probs`, for the arc indices `arcs`
+/// in the order given, written to `out` (cleared first).
+///
+/// One presence-count DP over the row, `O(d²)`, plus one leave-one-out
+/// deconvolution per listed arc, `O(d)` each.  The alias build asks for
+/// every arc; the query engine's exact `m(1)` asks only for the arcs two
+/// rows share.  Both go through this one function, so an arc's marginal is
+/// the same bits whoever asks for it.
+pub fn one_step_marginals(
+    probs: &[Probability],
+    arcs: impl IntoIterator<Item = usize>,
+    scratch: &mut MarginalScratch,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    if probs.is_empty() {
+        return;
+    }
+    presence_count_distribution_into(probs, &mut scratch.full);
+    for j in arcs {
+        let p = probs[j];
+        remove_bernoulli_into(&scratch.full, p, &mut scratch.others);
+        let expectation: f64 = scratch
+            .others
+            .iter()
+            .enumerate()
+            .map(|(x, &rx)| rx / (x + 1) as f64)
+            .sum();
+        out.push((p * expectation).max(0.0));
+    }
+}
+
+/// Scratch buffers reused across per-vertex row builds.
+#[derive(Default)]
+struct RowScratch {
+    /// The DP buffers of [`one_step_marginals`].
+    marginal: MarginalScratch,
     /// Outcome weights: one per neighbor plus the death mass.
     weights: Vec<f64>,
     /// Vose worklists of slot indices.
@@ -231,23 +272,12 @@ fn build_alias_row_into(neighbors: &[VertexId], probs: &[Probability], s: &mut R
     }
 
     // Expected one-step marginals: weight_j = P(u, v_j) · E[1/(1 + X₋ⱼ)],
-    // computed for all j in O(d²) via one presence-count DP plus one
-    // deconvolution per arc (the same recurrences as rwalk::expected, kept
-    // self-contained here because rwalk depends on this crate).
-    presence_count_distribution_into(probs, &mut s.full);
-    s.weights.clear();
+    // computed for all j in O(d²) (the same recurrences as rwalk::expected,
+    // kept self-contained here because rwalk depends on this crate).
+    one_step_marginals(probs, 0..d, &mut s.marginal, &mut s.weights);
     let mut survival = 0.0; // Σⱼ weight_j = Pr(at least one arc exists)
-    for &p in probs {
-        remove_bernoulli_into(&s.full, p, &mut s.others);
-        let expectation: f64 = s
-            .others
-            .iter()
-            .enumerate()
-            .map(|(x, &rx)| rx / (x + 1) as f64)
-            .sum();
-        let w = (p * expectation).max(0.0);
+    for &w in &s.weights {
         survival += w;
-        s.weights.push(w);
     }
     // Death carries the leftover mass; clamp the f64 cancellation noise.
     s.weights.push((1.0 - survival).max(0.0));
@@ -393,6 +423,24 @@ mod tests {
         assert!((dist[&2] - 0.6).abs() < 1e-12, "{dist:?}");
         assert!((dist[&3] - 0.3).abs() < 1e-12, "{dist:?}");
         assert!((dist[&DEAD] - 0.1).abs() < 1e-12, "{dist:?}");
+    }
+
+    #[test]
+    fn marginals_of_chosen_arcs_are_the_bits_of_the_whole_row() {
+        let probs = [0.8, 0.05, 1.0, 0.5, 0.999_999, 0.3, 1e-9];
+        let mut scratch = MarginalScratch::default();
+        let mut whole = Vec::new();
+        one_step_marginals(&probs, 0..probs.len(), &mut scratch, &mut whole);
+        // Pr(at least one arc) = 1 here: one arc is certain.
+        assert!((whole.iter().sum::<f64>() - 1.0).abs() < 1e-12, "{whole:?}");
+        let mut chosen = Vec::new();
+        one_step_marginals(&probs, [5, 0, 5], &mut scratch, &mut chosen);
+        assert_eq!(
+            chosen.iter().map(|m| m.to_bits()).collect::<Vec<_>>(),
+            [whole[5], whole[0], whole[5]].map(f64::to_bits)
+        );
+        one_step_marginals(&[], [], &mut scratch, &mut chosen);
+        assert!(chosen.is_empty());
     }
 
     #[test]

@@ -74,7 +74,9 @@ pub mod stats;
 mod uncertain;
 pub mod updatelog;
 
-pub use alias::{alias_draw, AliasSlot, AliasTable, AliasView, CsrAliasView};
+pub use alias::{
+    alias_draw, one_step_marginals, AliasSlot, AliasTable, AliasView, CsrAliasView, MarginalScratch,
+};
 pub use builder::{DiGraphBuilder, DuplicatePolicy, UncertainGraphBuilder};
 pub use csr::{coin_threshold, CsrView, GraphView};
 pub use error::GraphError;

@@ -1,0 +1,226 @@
+//! Accuracy of the served estimator against the exact Baseline.
+//!
+//! Determinism is pinned elsewhere (`golden_scores`, batch == sequential,
+//! updated == fresh).  This file pins *error*: the query engine at the
+//! shipped default config must be at least as close to the exact
+//! `BaselineEstimator` as the paper's Sampling estimator (Eq. 13) at the
+//! paper's `N = 1000`, which is what the engine served before it computed
+//! `m(1)` exactly and compared every walk pair.  Every graph, pair and seed
+//! is fixed, so the comparison is a fixed computation, not a flaky one.
+//!
+//! The same graphs pin the exact phase: the engine's `m(1)` must equal
+//! Baseline's, for both samplers, before and after live updates.
+
+use uncertain_simrank::graph::{GraphUpdate, UncertainGraph, VertexId};
+use uncertain_simrank::simrank::{
+    BaselineEstimator, QueryEngine, SamplerKind, SamplingEstimator, SimRankConfig, SimRankEstimator,
+};
+
+/// The uncertain graph of the paper's Fig. 1.
+fn fig1_graph() -> UncertainGraph {
+    UncertainGraph::from_arcs(
+        5,
+        [
+            (0, 2, 0.8),
+            (0, 3, 0.5),
+            (1, 0, 0.8),
+            (1, 2, 0.9),
+            (2, 0, 0.7),
+            (2, 3, 0.6),
+            (3, 4, 0.6),
+            (3, 1, 0.8),
+        ],
+    )
+    .unwrap()
+}
+
+/// SplitMix64: a self-contained, fixed stream for the graph generator.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A random 10-vertex, 28-arc cyclic uncertain graph: the cycle
+/// 0 → 1 → … → 9 → 0 plus 18 distinct random arcs, probabilities in
+/// [0.1, 1).  Walks on it re-enter vertices, the case where a walk's
+/// possible world matters (`W(k) ≠ W(1)ᵏ` from `k = 3`).
+fn cyclic_graph(seed: u64) -> UncertainGraph {
+    const N: u64 = 10;
+    let mut state = seed;
+    let probability =
+        |state: &mut u64| 0.1 + 0.9 * (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64;
+    let mut arcs: Vec<(VertexId, VertexId, f64)> = (0..N)
+        .map(|u| {
+            (
+                u as VertexId,
+                ((u + 1) % N) as VertexId,
+                probability(&mut state),
+            )
+        })
+        .collect();
+    while arcs.len() < 28 {
+        let u = (splitmix(&mut state) % N) as VertexId;
+        let v = (splitmix(&mut state) % N) as VertexId;
+        if u != v && !arcs.iter().any(|&(a, b, _)| (a, b) == (u, v)) {
+            arcs.push((u, v, probability(&mut state)));
+        }
+    }
+    UncertainGraph::from_arcs(N as usize, arcs).unwrap()
+}
+
+/// The Fig. 1 graph and six cyclic graphs.
+fn graphs() -> Vec<(String, UncertainGraph)> {
+    let mut graphs = vec![("fig1".to_string(), fig1_graph())];
+    graphs.extend((1..=6u64).map(|seed| (format!("cyclic{seed}"), cyclic_graph(seed))));
+    graphs
+}
+
+/// Every unordered pair, self-pairs included.
+fn pairs(graph: &UncertainGraph) -> Vec<(VertexId, VertexId)> {
+    let n = graph.num_vertices() as VertexId;
+    (0..n).flat_map(|u| (u..n).map(move |v| (u, v))).collect()
+}
+
+const SEEDS: [u64; 12] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233];
+
+/// The squared errors of `estimate` against `exact`, summed.
+fn squared_error(estimate: &[f64], exact: &[f64]) -> f64 {
+    estimate
+        .iter()
+        .zip(exact)
+        .map(|(a, b)| (a - b) * (a - b))
+        .sum()
+}
+
+#[test]
+fn served_default_is_at_least_as_accurate_as_eq13_at_the_papers_n() {
+    let served = SimRankConfig::default();
+    let paper = SimRankConfig::default().with_samples(1000);
+    let (mut engine_sq, mut sampling_sq, mut count) = (0.0, 0.0, 0usize);
+    for (name, graph) in graphs() {
+        let pairs = pairs(&graph);
+        let baseline = BaselineEstimator::new(&graph, served);
+        let exact: Vec<f64> = pairs
+            .iter()
+            .map(|&(u, v)| baseline.try_similarity(u, v).unwrap())
+            .collect();
+        let (mut graph_engine_sq, mut graph_sampling_sq) = (0.0, 0.0);
+        for seed in SEEDS {
+            let engine = QueryEngine::new(&graph, served.with_seed(seed));
+            let scores = engine.batch_similarities(&pairs).unwrap();
+            graph_engine_sq += squared_error(&scores, &exact);
+
+            let mut sampling = SamplingEstimator::new(&graph, paper.with_seed(seed));
+            let scores: Vec<f64> = pairs
+                .iter()
+                .map(|&(u, v)| sampling.similarity(u, v))
+                .collect();
+            graph_sampling_sq += squared_error(&scores, &exact);
+        }
+        let graph_count = pairs.len() * SEEDS.len();
+        let (graph_engine, graph_sampling) = (
+            (graph_engine_sq / graph_count as f64).sqrt(),
+            (graph_sampling_sq / graph_count as f64).sqrt(),
+        );
+        println!(
+            "{name}: RMSE engine (N = {}) {graph_engine:.5}, Eq. 13 (N = 1000) {graph_sampling:.5}",
+            served.num_samples
+        );
+        assert!(
+            graph_engine <= graph_sampling,
+            "{name}: the served engine (RMSE {graph_engine:.5}) is less accurate than Eq. 13 \
+             at N = 1000 (RMSE {graph_sampling:.5})"
+        );
+        engine_sq += graph_engine_sq;
+        sampling_sq += graph_sampling_sq;
+        count += graph_count;
+    }
+    let engine_rmse = (engine_sq / count as f64).sqrt();
+    let sampling_rmse = (sampling_sq / count as f64).sqrt();
+    println!("all: RMSE engine {engine_rmse:.5}, Eq. 13 (N = 1000) {sampling_rmse:.5}");
+    assert!(
+        engine_rmse <= sampling_rmse,
+        "the served engine (RMSE {engine_rmse:.5}) is less accurate than Eq. 13 at N = 1000 \
+         (RMSE {sampling_rmse:.5})"
+    );
+}
+
+/// Exact `m(1)` of every ordered pair, self-pairs included.
+fn assert_step_one_is_exact(engine: &QueryEngine, graph: &UncertainGraph, what: &str) {
+    let baseline = BaselineEstimator::new(graph, *engine.config());
+    let n = graph.num_vertices() as VertexId;
+    let mut shared = 0;
+    for u in 0..n {
+        for v in 0..n {
+            let exact = baseline.profile(u, v).meeting[1];
+            let served = engine.profile(u, v).meeting[1];
+            assert!(
+                (exact - served).abs() <= 1e-12,
+                "{what}: m(1)({u}, {v}) is {served}, Baseline says {exact}"
+            );
+            shared += usize::from(exact > 0.0);
+        }
+    }
+    assert!(
+        shared > n as usize,
+        "{what}: too few pairs share a neighbour"
+    );
+}
+
+#[test]
+fn step_one_is_exact_for_both_samplers_before_and_after_updates() {
+    for (name, graph) in graphs() {
+        for sampler in [SamplerKind::Legacy, SamplerKind::Alias] {
+            let config = SimRankConfig::default()
+                .with_sampler(sampler)
+                .with_samples(20);
+            let mut engine = QueryEngine::new(&graph, config);
+            assert_step_one_is_exact(&engine, &graph, &format!("{name}/{sampler}"));
+
+            // Re-weight one arc, insert 4 → 0 and delete 1 → 2 where they
+            // are absent / present: in-neighbour rows 0 and 2 get patched.
+            let arc = graph.arcs().next().unwrap();
+            let updates = [
+                GraphUpdate::SetProbability {
+                    source: arc.source,
+                    target: arc.target,
+                    probability: 0.35,
+                },
+                GraphUpdate::InsertArc {
+                    source: 4,
+                    target: 0,
+                    probability: 0.45,
+                },
+                GraphUpdate::DeleteArc {
+                    source: 1,
+                    target: 2,
+                },
+            ];
+            let updates: Vec<GraphUpdate> = updates
+                .into_iter()
+                .filter(|update| match *update {
+                    GraphUpdate::InsertArc { source, target, .. } => !graph.has_arc(source, target),
+                    GraphUpdate::DeleteArc { source, target } => graph.has_arc(source, target),
+                    _ => true,
+                })
+                .collect();
+            engine.apply_updates(&updates).unwrap();
+            let snapshot = engine.snapshot();
+            let what = format!("{name}/{sampler} after updates");
+            assert_step_one_is_exact(&engine, &snapshot, &what);
+            let fresh = QueryEngine::new(&snapshot, config);
+            let all: Vec<(VertexId, VertexId)> = pairs(&snapshot)
+                .into_iter()
+                .flat_map(|(u, v)| [(u, v), (v, u)])
+                .collect();
+            assert_eq!(
+                engine.batch_profile(&all).unwrap(),
+                fresh.batch_profile(&all).unwrap(),
+                "{what}: a patched engine must give a fresh engine's bits"
+            );
+        }
+    }
+}
