@@ -7,7 +7,8 @@
 //!   (`rwalk::CsrSampler` + `WalkArena`): one uniform draw per possible arc
 //!   on first visit, memoized within the walk;
 //! * **alias** — the precomputed Walker alias tables
-//!   (`rwalk::AliasSampler` over the tables `UncertainGraph` builds): exactly one
+//!   (`rwalk::AliasSampler` over the table `UncertainGraph` builds for the
+//!   walked direction on first use): exactly one
 //!   `f64` draw and one 16-byte slot read per step, degree-independent.
 //!
 //! The run writes a `BENCH_alias_speedup.json` artifact and exits non-zero
@@ -86,12 +87,11 @@ fn main() {
         ..Default::default()
     }
     .generate();
-    let mut csr = graph;
-    csr.build_alias_tables();
-    let num_vertices = csr.num_vertices() as VertexId;
-    // Walks follow the reverse adjacency, like the SimRank engines do.
-    let view = csr.reverse();
-    let alias_view = csr.reverse_alias().expect("tables were just built");
+    let num_vertices = graph.num_vertices() as VertexId;
+    // Walks follow the reverse adjacency, like the SimRank engines do; only
+    // that direction's alias table is built.
+    let view = graph.reverse();
+    let alias_view = graph.reverse_alias();
 
     // Both backends walk the same start schedule from identically seeded
     // RNGs; what differs is purely the per-step draw.
@@ -144,8 +144,8 @@ fn main() {
     );
 
     let report = AliasSpeedupReport {
-        vertices: csr.num_vertices(),
-        arcs: csr.num_arcs(),
+        vertices: graph.num_vertices(),
+        arcs: graph.num_arcs(),
         walks,
         walk_len,
         reps,

@@ -151,8 +151,9 @@ pub fn usage() -> String {
         "    --direction in|out walk direction                  [default in]\n",
         "    --sampler legacy|alias\n",
         "                       per-step walk backend: legacy draws each arc\n",
-        "                       lazily; alias precomputes Walker alias tables\n",
-        "                       at build time (O(1) per step)     [default legacy]\n",
+        "                       lazily; alias precomputes the walked direction's\n",
+        "                       Walker alias table at startup (O(1) per step)\n",
+        "                                                       [default legacy]\n",
         "\n",
         "BATCH / DYNAMIC-UPDATE OPTIONS:\n",
         "    --batch FILE       answer a pairs file (`source target` per line) with\n",

@@ -273,26 +273,21 @@ impl QueryEngine {
     /// arrays, and the RNG streams are keyed on `(seed, u, v)`, not on how
     /// the arrays came to be in memory.
     ///
-    /// Under [`SamplerKind::Alias`] a graph that already carries alias
-    /// tables (loaded from a snapshot with the alias sections) boots without
-    /// any table construction; one without them gets its tables built here,
-    /// so older snapshots keep working.
+    /// Under [`SamplerKind::Alias`] the alias table of the walked direction
+    /// is built here, so no query pays for it; the other direction's is
+    /// never built.
     pub fn from_csr(graph: UncertainGraph, config: SimRankConfig) -> Self {
-        Self::from_overlay(DeltaOverlay::new(graph), config)
-    }
-
-    fn from_overlay(mut graph: DeltaOverlay, config: SimRankConfig) -> Self {
         config.validate();
-        if config.sampler == SamplerKind::Alias {
-            // No-op when the base already carries tables (snapshot boot).
-            graph.build_alias_tables();
-        }
-        QueryEngine {
-            graph,
+        let engine = QueryEngine {
+            graph: DeltaOverlay::new(graph),
             config,
             epoch: 0,
             scratch: ScratchPool::default(),
+        };
+        if config.sampler == SamplerKind::Alias {
+            engine.alias_view();
         }
+        engine
     }
 
     /// The configuration in use.
@@ -403,16 +398,15 @@ impl QueryEngine {
         }
     }
 
-    /// The direction-resolved alias-table view of the live graph; only
-    /// meaningful under [`SamplerKind::Alias`], whose constructors build the
-    /// tables up front.
+    /// The direction-resolved alias-table view of the live graph, building
+    /// the base table on first use (construction does, under
+    /// [`SamplerKind::Alias`]).
     #[inline]
     fn alias_view(&self) -> OverlayAliasView<'_> {
         match self.config.direction {
             WalkDirection::InNeighbors => self.graph.reverse_alias(),
             WalkDirection::OutNeighbors => self.graph.forward_alias(),
         }
-        .expect("alias tables are built at engine construction under SamplerKind::Alias")
     }
 
     /// Validates every id of a batch against the graph, so the hot path can
@@ -592,7 +586,7 @@ impl QueryEngine {
                 }
             }
         }
-        count_all_pair_meetings(
+        let met = count_all_pair_meetings(
             &mut meeting,
             &scratch.walks_u,
             &scratch.walks_v,
@@ -600,6 +594,9 @@ impl QueryEngine {
             num_vertices,
             &mut scratch.positions,
         );
+        if let Some(tally) = tally {
+            tally.meetings += met;
+        }
         MeetingProfile::new(meeting, self.config.decay)
     }
 
@@ -720,7 +717,7 @@ impl QueryEngine {
 }
 
 /// Folds one sample pair's walks into a [`usim_obs::WalkTally`]: walk and
-/// step counts per backend, deaths, meetings, patched- vs base-row
+/// step counts per backend, deaths, patched- vs base-row
 /// attribution of every sampled transition (the overlay serves the same
 /// patched rows to both backends, so one [`OverlayView`] answers for both)
 /// and the legacy sampler's instantiated rows.  Runs only when metering is
@@ -764,11 +761,6 @@ fn tally_pair_walks(
                 .filter(|&(k, p)| !sampled[..k].contains(p))
                 .count();
             tally.rows_instantiated += first_visits as u64;
-        }
-    }
-    for (&a, &b) in walk_u.iter().zip(walk_v.iter()).skip(1) {
-        if a != DEAD && a == b {
-            tally.meetings += 1;
         }
     }
 }
@@ -852,7 +844,8 @@ fn exact_step_one(view: &OverlayView<'_>, u: VertexId, v: VertexId, s: &mut Step
 ///
 /// Per step, `u`'s positions are counted into `positions` and `v`'s walks
 /// sum their lookups: `O(N)` per step instead of the `O(N²)` double loop,
-/// with the same integer count.  A dead slot never meets.
+/// with the same integer count.  A dead slot never meets.  Returns the
+/// meeting walk pairs summed over every `k ≥ 2` (the walk metrics' count).
 fn count_all_pair_meetings(
     meeting: &mut [f64],
     walks_u: &[VertexId],
@@ -860,11 +853,12 @@ fn count_all_pair_meetings(
     num_samples: usize,
     num_vertices: usize,
     positions: &mut PositionCounts,
-) {
+) -> u64 {
     let stride = meeting.len();
     debug_assert_eq!(walks_u.len(), num_samples * stride);
     debug_assert_eq!(walks_v.len(), num_samples * stride);
     let walk_pairs = (num_samples as f64) * (num_samples as f64);
+    let mut total = 0;
     for (k, slot) in meeting.iter_mut().enumerate().skip(2) {
         positions.begin(num_vertices);
         for &w in walks_u.iter().skip(k).step_by(stride) {
@@ -880,7 +874,9 @@ fn count_all_pair_meetings(
             .map(|&w| u64::from(positions.count(w)))
             .sum();
         *slot = met as f64 / walk_pairs;
+        total += met;
     }
+    total
 }
 
 /// Splits `pairs` into the distinct pairs (first-occurrence order) and a
@@ -1274,7 +1270,6 @@ mod tests {
                 .with_seed(7)
                 .with_sampler(SamplerKind::Alias),
         );
-        assert!(engine.graph().base().has_alias_tables());
         let pairs = all_ordered_pairs(5);
         let batch = engine.batch_similarities(&pairs).unwrap();
         let sequential: Vec<f64> = pairs
@@ -1381,10 +1376,6 @@ mod tests {
         engine.set_compaction_policy(CompactionPolicy::eager());
         engine.apply_updates(&[]).unwrap();
         assert_eq!(engine.graph().patched_vertices(), 0, "compacted");
-        assert!(
-            engine.graph().base().has_alias_tables(),
-            "tables survive compaction"
-        );
         assert_eq!(after, engine.batch_similarities(&pairs).unwrap());
     }
 
@@ -1462,8 +1453,9 @@ mod tests {
         }
     }
 
-    /// `m̂(k)` by the definition: every (u-walk, v-walk) pair compared.
-    fn brute_force_meetings(scratch: &Scratch, stride: usize, k: usize) -> f64 {
+    /// The meeting walk pairs at step `k` by the definition: every
+    /// (u-walk, v-walk) pair compared.
+    fn brute_force_meetings(scratch: &Scratch, stride: usize, k: usize) -> u64 {
         let at_k = |walks: &[VertexId]| -> Vec<VertexId> {
             walks.iter().skip(k).step_by(stride).copied().collect()
         };
@@ -1474,7 +1466,7 @@ mod tests {
                 met += u64::from(a != DEAD && a == b);
             }
         }
-        met as f64 / (from_u.len() * from_v.len()) as f64
+        met
     }
 
     #[test]
@@ -1490,17 +1482,25 @@ mod tests {
             let mut scratch = Scratch::default();
             let mut nonzero = 0;
             for (u, v) in all_ordered_pairs(5) {
-                let profile = engine.sample_profile(&mut scratch, u, v, None);
+                let mut tally = usim_obs::WalkTally::default();
+                let profile = engine.sample_profile(&mut scratch, u, v, Some(&mut tally));
                 assert_eq!(scratch.walks_u.len(), 64 * stride);
+                let mut met = 0;
                 for k in 2..stride {
-                    let expected = brute_force_meetings(&scratch, stride, k);
+                    let count = brute_force_meetings(&scratch, stride, k);
+                    let expected = count as f64 / (64.0 * 64.0);
                     assert_eq!(
                         profile.meeting[k].to_bits(),
                         expected.to_bits(),
                         "{sampler}: m({k})({u}, {v})"
                     );
-                    nonzero += usize::from(expected > 0.0);
+                    nonzero += usize::from(count > 0);
+                    met += count;
                 }
+                assert_eq!(
+                    tally.meetings, met,
+                    "{sampler}: metered meetings ({u}, {v})"
+                );
             }
             assert!(nonzero > 40, "{sampler}: only {nonzero} non-zero m(k)");
         }

@@ -32,7 +32,8 @@ pub struct WalkTally {
     /// Walks that died before the horizon (reached a vertex whose
     /// instantiated row was empty).
     pub deaths: u64,
-    /// First-meeting events between paired walks.
+    /// Meeting walk pairs of the all-pairs estimate: (u-walk, v-walk)
+    /// pairs at the same vertex after `k ≥ 2` steps, summed over `k`.
     pub meetings: u64,
     /// Adjacency-row reads served by the overlay's patched rows.
     pub rows_patched: u64,
@@ -70,7 +71,7 @@ pub struct WalkSnapshot {
     pub steps_alias: u64,
     /// Walks that died before the horizon.
     pub deaths: u64,
-    /// First-meeting events.
+    /// Meeting walk pairs, summed over steps `k ≥ 2`.
     pub meetings: u64,
     /// Row reads served by patched overlay rows.
     pub rows_patched: u64,

@@ -657,17 +657,10 @@ mod tests {
         }
     }
 
-    fn alias_csr(g: &UncertainGraph) -> UncertainGraph {
-        let mut csr = g.clone();
-        csr.build_alias_tables();
-        csr
-    }
-
     #[test]
     fn alias_walks_are_valid_walks_on_the_graph() {
         let g = fig1_graph();
-        let csr = alias_csr(&g);
-        let sampler = AliasSampler::new(csr.forward_alias().unwrap());
+        let sampler = AliasSampler::new(g.forward_alias());
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(13);
         for start in [0u32, 1, 2, 3, 4] {
@@ -691,8 +684,7 @@ mod tests {
         // Vertex 0 of Fig. 1: Pr(0→2) = 0.6, Pr(0→3) = 0.3, death 0.1 (the
         // exact expected one-step row, see ugraph::alias).
         let g = fig1_graph();
-        let csr = alias_csr(&g);
-        let sampler = AliasSampler::new(csr.forward_alias().unwrap());
+        let sampler = AliasSampler::new(g.forward_alias());
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(99);
         let trials = 40_000;
@@ -719,8 +711,7 @@ mod tests {
         // transition, so the alias walk is an ordinary random walk and never
         // dies except at true dead ends.
         let g = fig1_graph().certain();
-        let csr = alias_csr(&g);
-        let sampler = AliasSampler::new(csr.forward_alias().unwrap());
+        let sampler = AliasSampler::new(g.forward_alias());
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..500 {
@@ -739,8 +730,7 @@ mod tests {
     #[test]
     fn alias_sampler_is_deterministic_per_seed() {
         let g = fig1_graph();
-        let csr = alias_csr(&g);
-        let sampler = AliasSampler::new(csr.forward_alias().unwrap());
+        let sampler = AliasSampler::new(g.forward_alias());
         let (mut pos_a, mut pos_b) = (Vec::new(), Vec::new());
         let mut rng_a = StdRng::seed_from_u64(1234);
         let mut rng_b = StdRng::seed_from_u64(1234);
@@ -757,8 +747,7 @@ mod tests {
     #[test]
     fn alias_stay_in_place_policy_keeps_the_walk_at_dead_ends() {
         let g = fig1_graph(); // vertex 4 has no out-arcs
-        let csr = alias_csr(&g);
-        let view = csr.forward_alias().unwrap();
+        let view = g.forward_alias();
         let stay = AliasSampler::with_policy(view, DeadEndPolicy::StayInPlace);
         assert_eq!(stay.dead_end_policy(), DeadEndPolicy::StayInPlace);
         let mut positions = Vec::new();
@@ -787,8 +776,7 @@ mod tests {
             .arc(3, 2, 0.5)
             .build()
             .unwrap();
-        let csr = alias_csr(&g);
-        let mut overlay = DeltaOverlay::with_policy(csr.clone(), CompactionPolicy::never());
+        let mut overlay = DeltaOverlay::with_policy(g.clone(), CompactionPolicy::never());
         overlay
             .apply_all(&[GraphUpdate::SetProbability {
                 source: 2,
@@ -796,8 +784,8 @@ mod tests {
                 probability: 0.05,
             }])
             .unwrap();
-        let static_sampler = AliasSampler::new(csr.forward_alias().unwrap());
-        let live_sampler = AliasSampler::new(overlay.forward_alias().unwrap());
+        let static_sampler = AliasSampler::new(g.forward_alias());
+        let live_sampler = AliasSampler::new(overlay.forward_alias());
         let (mut pos_a, mut pos_b) = (Vec::new(), Vec::new());
         let mut rng_a = StdRng::seed_from_u64(55);
         let mut rng_b = StdRng::seed_from_u64(55);

@@ -20,63 +20,23 @@
 //!   comparison baseline.
 
 use crate::walkpr::{inv, presence_count_distribution};
-use ugraph::{Probability, UncertainGraph, VertexId};
+use ugraph::{one_step_marginals, MarginalScratch, Probability, UncertainGraph, VertexId};
 use umatrix::SparseMatrix;
 
-/// Removes one Bernoulli variable with success probability `p` from a
-/// Poisson-binomial presence-count distribution `r` (the deconvolution step
-/// used to compute all `E[1/(1+X_{-v})]` of a vertex in `O(d²)` instead of
-/// `O(d³)`).
-///
-/// The recurrence is run from whichever end is numerically stable: from the
-/// bottom when `p ≤ 0.5` (divide by `1 − p`), from the top when `p > 0.5`
-/// (divide by `p`).
-fn remove_bernoulli(r: &[f64], p: Probability) -> Vec<f64> {
-    let n = r.len() - 1; // number of variables in r
-    debug_assert!(n >= 1);
-    let mut out = vec![0.0; n];
-    if p <= 0.5 {
-        // r(x) = (1-p) * out(x) + p * out(x-1)
-        out[0] = r[0] / (1.0 - p);
-        for x in 1..n {
-            out[x] = (r[x] - p * out[x - 1]) / (1.0 - p);
-        }
-    } else {
-        // r(x) = (1-p) * out(x) + p * out(x-1)  =>  out(x-1) = (r(x) - (1-p) out(x)) / p
-        out[n - 1] = r[n] / p;
-        for x in (1..n).rev() {
-            out[x - 1] = (r[x] - (1.0 - p) * out[x]) / p;
-        }
-    }
-    // Clamp tiny negative values produced by floating-point cancellation.
-    for v in &mut out {
-        if *v < 0.0 && *v > -1e-12 {
-            *v = 0.0;
-        }
-    }
-    out
-}
-
 /// Expected one-step transition probabilities out of a single vertex `u`,
-/// aligned with `g.out_arcs(u)`.
+/// aligned with `g.out_arcs(u)`: one presence-count DP over the row and one
+/// leave-one-out deconvolution per arc ([`ugraph::one_step_marginals`],
+/// the function the alias tables are built with), `O(d²)` in all.
 pub fn expected_one_step_row(g: &UncertainGraph, u: VertexId) -> Vec<f64> {
     let (_, probs) = g.out_arcs(u);
-    if probs.is_empty() {
-        return Vec::new();
-    }
-    let full = presence_count_distribution(probs);
-    probs
-        .iter()
-        .map(|&p| {
-            let others = remove_bernoulli(&full, p);
-            let expectation: f64 = others
-                .iter()
-                .enumerate()
-                .map(|(x, &rx)| rx * inv(x + 1))
-                .sum();
-            p * expectation
-        })
-        .collect()
+    let mut row = Vec::with_capacity(probs.len());
+    one_step_marginals(
+        probs,
+        0..probs.len(),
+        &mut MarginalScratch::default(),
+        &mut row,
+    );
+    row
 }
 
 /// Expected one-step transition probabilities out of `u` computed directly
@@ -219,27 +179,5 @@ mod tests {
         assert!(expected_one_step_row(&g, 4).is_empty());
         let w1 = expected_one_step_matrix(&g);
         assert_eq!(w1.row_iter(4).count(), 0);
-    }
-
-    #[test]
-    fn remove_bernoulli_roundtrip() {
-        let probs = [0.3, 0.7, 0.95, 0.05];
-        let full = presence_count_distribution(&probs);
-        for (j, &p) in probs.iter().enumerate() {
-            let others: Vec<f64> = probs
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != j)
-                .map(|(_, &q)| q)
-                .collect();
-            let expected = presence_count_distribution(&others);
-            let removed = remove_bernoulli(&full, p);
-            for (a, b) in removed.iter().zip(&expected) {
-                assert!(
-                    (a - b).abs() < 1e-10,
-                    "removing p={p}: {removed:?} vs {expected:?}"
-                );
-            }
-        }
     }
 }

@@ -36,20 +36,10 @@ pub fn inv(x: usize) -> f64 {
 /// Distribution of the number of *present* arcs among independent arcs with
 /// the given existence probabilities: returns `r` where `r[x]` is the
 /// probability that exactly `x` arcs exist (the `r(n, ·)` table of Fig. 2,
-/// lines 3–9).
+/// lines 3–9), by [`ugraph::presence_count_distribution_into`].
 pub fn presence_count_distribution(probabilities: &[Probability]) -> Vec<f64> {
-    let mut r = vec![0.0; probabilities.len() + 1];
-    r[0] = 1.0;
-    for (i, &p) in probabilities.iter().enumerate() {
-        // Process arcs one at a time, updating counts high-to-low so each
-        // arc is counted once.
-        let upper = i + 1;
-        r[upper] = r[upper - 1] * p;
-        for j in (1..upper).rev() {
-            r[j] = r[j - 1] * p + r[j] * (1.0 - p);
-        }
-        r[0] *= 1.0 - p;
-    }
+    let mut r = Vec::new();
+    ugraph::presence_count_distribution_into(probabilities, &mut r);
     r
 }
 

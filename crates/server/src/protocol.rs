@@ -967,7 +967,7 @@ impl RequestHandler {
         );
         w.counter(
             "usim_walk_meetings_total",
-            "First-meeting events between paired walks.",
+            "Walk pairs (any u-walk, any v-walk) at the same vertex after k >= 2 steps, summed over k.",
             walk.meetings,
         );
         w.counter_family(

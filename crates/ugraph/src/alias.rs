@@ -84,8 +84,8 @@ impl AliasTable {
         AliasTable { offsets, slots }
     }
 
-    /// Reassembles a table from its parts (the snapshot reader, which has
-    /// already validated the offsets against the CSR arrays).
+    /// Reassembles a table from its parts (overlay compaction, which
+    /// concatenates live rows in vertex order).
     pub(crate) fn from_raw(offsets: Vec<usize>, slots: Vec<AliasSlot>) -> Self {
         debug_assert_eq!(offsets.first().copied(), Some(0));
         debug_assert_eq!(offsets.last().copied(), Some(slots.len()));
@@ -109,12 +109,6 @@ impl AliasTable {
     pub fn slots_of(&self, v: VertexId) -> &[AliasSlot] {
         let v = v as usize;
         &self.slots[self.offsets[v]..self.offsets[v + 1]]
-    }
-
-    /// The entire flat slot array (all vertices concatenated).
-    #[inline]
-    pub fn slots_flat(&self) -> &[AliasSlot] {
-        &self.slots
     }
 
     /// A borrowed, `Copy` view of the whole table.
@@ -247,10 +241,10 @@ struct RowScratch {
 
 /// Builds the alias row of a single vertex from its sorted adjacency.
 ///
-/// Public (crate-wide) entry point shared by the whole-graph build and the
-/// overlay's per-vertex patch path, so both produce bit-identical rows for
-/// identical adjacency — the property that lets compaction copy unpatched
-/// rows instead of rebuilding them.
+/// Crate-wide entry point shared by the whole-table build and the overlay's
+/// patched rows, so both produce bit-identical rows for identical
+/// adjacency — the property that lets compaction copy unpatched rows
+/// instead of rebuilding them.
 pub(crate) fn build_alias_row(neighbors: &[VertexId], probs: &[Probability]) -> Vec<AliasSlot> {
     let mut scratch = RowScratch::default();
     build_alias_row_into(neighbors, probs, &mut scratch);
@@ -272,8 +266,7 @@ fn build_alias_row_into(neighbors: &[VertexId], probs: &[Probability], s: &mut R
     }
 
     // Expected one-step marginals: weight_j = P(u, v_j) · E[1/(1 + X₋ⱼ)],
-    // computed for all j in O(d²) (the same recurrences as rwalk::expected,
-    // kept self-contained here because rwalk depends on this crate).
+    // computed for all j in O(d²).
     one_step_marginals(probs, 0..d, &mut s.marginal, &mut s.weights);
     let mut survival = 0.0; // Σⱼ weight_j = Pr(at least one arc exists)
     for &w in &s.weights {
@@ -333,8 +326,10 @@ fn build_alias_row_into(neighbors: &[VertexId], probs: &[Probability], s: &mut R
     }
 }
 
-/// `out[x] = Pr(exactly x of the arcs exist)`, `out.len() == probs.len() + 1`.
-fn presence_count_distribution_into(probs: &[Probability], out: &mut Vec<f64>) {
+/// The presence-count distribution of independent arcs (the `r(n, ·)`
+/// table of the paper's Fig. 2): `out[x] = Pr(exactly x of the arcs
+/// exist)`, `out.len() == probs.len() + 1`.  `O(d²)`.
+pub fn presence_count_distribution_into(probs: &[Probability], out: &mut Vec<f64>) {
     out.clear();
     out.resize(probs.len() + 1, 0.0);
     out[0] = 1.0;
@@ -441,6 +436,29 @@ mod tests {
         );
         one_step_marginals(&[], [], &mut scratch, &mut chosen);
         assert!(chosen.is_empty());
+    }
+
+    #[test]
+    fn remove_bernoulli_roundtrip() {
+        let probs = [0.3, 0.7, 0.95, 0.05];
+        let (mut full, mut expected, mut removed) = (Vec::new(), Vec::new(), Vec::new());
+        presence_count_distribution_into(&probs, &mut full);
+        for (j, &p) in probs.iter().enumerate() {
+            let others: Vec<f64> = probs
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != j)
+                .map(|(_, &q)| q)
+                .collect();
+            presence_count_distribution_into(&others, &mut expected);
+            remove_bernoulli_into(&full, p, &mut removed);
+            for (a, b) in removed.iter().zip(&expected) {
+                assert!(
+                    (a - b).abs() < 1e-10,
+                    "removing p={p}: {removed:?} vs {expected:?}"
+                );
+            }
+        }
     }
 
     #[test]

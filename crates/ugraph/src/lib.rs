@@ -75,7 +75,8 @@ mod uncertain;
 pub mod updatelog;
 
 pub use alias::{
-    alias_draw, one_step_marginals, AliasSlot, AliasTable, AliasView, CsrAliasView, MarginalScratch,
+    alias_draw, one_step_marginals, presence_count_distribution_into, AliasSlot, AliasTable,
+    AliasView, CsrAliasView, MarginalScratch,
 };
 pub use builder::{DiGraphBuilder, DuplicatePolicy, UncertainGraphBuilder};
 pub use csr::{coin_threshold, CsrView, GraphView};

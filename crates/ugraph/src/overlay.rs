@@ -54,6 +54,7 @@ use crate::uncertain::{RawDirection, UncertainGraph};
 use crate::{Probability, VertexId};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// One mutation of a live uncertain graph.
 ///
@@ -255,13 +256,19 @@ struct Row {
     probs: Vec<Probability>,
     /// Coin thresholds aligned with `probs`, edited in lockstep with them.
     thresholds: Vec<u64>,
-    /// The vertex's rebuilt alias row, maintained only when the base carries
-    /// alias tables (refreshed after every applied batch that touches the
-    /// vertex, so reads never see a stale table).
-    alias: Option<Vec<AliasSlot>>,
+    /// The row's alias slots, built on the first alias read and reset by
+    /// every edit, so a read never sees a stale row.
+    alias: OnceLock<Vec<AliasSlot>>,
 }
 
 impl Row {
+    /// The row's alias slots: the same [`build_alias_row`] a base table
+    /// runs, over the live adjacency, built on first use.
+    fn alias_slots(&self) -> &[AliasSlot] {
+        self.alias
+            .get_or_init(|| build_alias_row(&self.targets, &self.probs))
+    }
+
     fn insert(&mut self, w: VertexId, p: Probability) {
         let idx = self
             .targets
@@ -270,6 +277,7 @@ impl Row {
         self.targets.insert(idx, w);
         self.probs.insert(idx, p);
         self.thresholds.insert(idx, coin_threshold(p));
+        self.alias = OnceLock::new();
     }
 
     fn remove(&mut self, w: VertexId) {
@@ -280,6 +288,7 @@ impl Row {
         self.targets.remove(idx);
         self.probs.remove(idx);
         self.thresholds.remove(idx);
+        self.alias = OnceLock::new();
     }
 
     fn set(&mut self, w: VertexId, p: Probability) {
@@ -289,6 +298,7 @@ impl Row {
             .expect("validated re-weight of an arc that does not exist");
         self.probs[idx] = p;
         self.thresholds[idx] = coin_threshold(p);
+        self.alias = OnceLock::new();
     }
 }
 
@@ -311,7 +321,7 @@ impl DirOverlay {
                 targets: base.neighbors(v).to_vec(),
                 thresholds: coin_thresholds_of(&probs),
                 probs,
-                alias: None,
+                alias: OnceLock::new(),
             }
         })
     }
@@ -547,28 +557,6 @@ impl DeltaOverlay {
                 }
             }
         }
-        // Partial alias rebuild: only the vertices this batch actually
-        // touched (sources in the forward direction, targets in the
-        // reverse) pay the O(d²) row rebuild; every other row keeps its
-        // table bit-for-bit.
-        if self.base.has_alias_tables() {
-            let mut sources: Vec<VertexId> = updates.iter().map(|u| u.endpoints().0).collect();
-            let mut targets: Vec<VertexId> = updates.iter().map(|u| u.endpoints().1).collect();
-            for (dirty, overlay) in [
-                (&mut sources, &mut self.forward),
-                (&mut targets, &mut self.reverse),
-            ] {
-                dirty.sort_unstable();
-                dirty.dedup();
-                for &v in dirty.iter() {
-                    let row = overlay
-                        .rows
-                        .get_mut(&v)
-                        .expect("every update endpoint has a patched row");
-                    row.alias = Some(build_alias_row(&row.targets, &row.probs));
-                }
-            }
-        }
         self.ops_since_compaction += updates.len();
         self.version += 1;
         summary.compacted = self.maybe_compact();
@@ -592,15 +580,23 @@ impl DeltaOverlay {
     /// compaction observe the identical adjacency.
     pub fn compact(&mut self) {
         let n = self.num_vertices();
-        let mut base = self.to_graph();
-        // Alias tables ride along: unpatched vertices keep their base slots
-        // bit-for-bit, patched vertices contribute the row rebuilt at apply
-        // time — no vertex is rebuilt twice, none is rebuilt needlessly.
-        if let Some((fwd, rev)) = self.base.alias_tables() {
-            base.set_alias_tables(
-                merge_alias_direction(n, self.live_arcs, fwd, &self.forward.rows),
-                merge_alias_direction(n, self.live_arcs, rev, &self.reverse.rows),
-            );
+        let base = self.to_graph();
+        // A direction whose alias table was built rides along: unpatched
+        // vertices keep their base slots bit-for-bit and patched vertices
+        // contribute their live row, so the walked direction never pays a
+        // whole-table rebuild.  An unbuilt direction stays unbuilt.
+        let rows = [&self.forward.rows, &self.reverse.rows];
+        for ((old, new), rows) in self
+            .base
+            .alias_cells()
+            .into_iter()
+            .zip(base.alias_cells())
+            .zip(rows)
+        {
+            if let Some(table) = old.get() {
+                let merged = merge_alias_direction(n, self.live_arcs, table, rows);
+                new.set(merged).expect("a fresh base has no alias table");
+            }
         }
         self.base = base;
         self.forward.rows.clear();
@@ -608,50 +604,30 @@ impl DeltaOverlay {
         self.ops_since_compaction = 0;
     }
 
-    /// Whether the base (and therefore the live views) carry alias tables.
+    /// The live forward alias view.  The base table is built on the first
+    /// call; a patched row builds its own slots on its first read.
     #[inline]
-    pub fn has_alias_tables(&self) -> bool {
-        self.base.has_alias_tables()
-    }
-
-    /// Builds alias tables for the base and a rebuilt alias row for every
-    /// already-patched vertex, so the live alias views become available
-    /// mid-flight; a no-op when tables are already maintained.
-    pub fn build_alias_tables(&mut self) {
-        if !self.base.has_alias_tables() {
-            self.base.build_alias_tables();
-        }
-        for overlay in [&mut self.forward, &mut self.reverse] {
-            for row in overlay.rows.values_mut() {
-                if row.alias.is_none() {
-                    row.alias = Some(build_alias_row(&row.targets, &row.probs));
-                }
-            }
-        }
-    }
-
-    /// The live forward alias view, when the base carries tables.
-    #[inline]
-    pub fn forward_alias(&self) -> Option<OverlayAliasView<'_>> {
-        self.base.forward_alias().map(|base| OverlayAliasView {
-            base,
+    pub fn forward_alias(&self) -> OverlayAliasView<'_> {
+        OverlayAliasView {
+            base: self.base.forward_alias(),
             rows: &self.forward.rows,
-        })
+        }
     }
 
-    /// The live reverse alias view, when the base carries tables.
+    /// The live reverse alias view, built like
+    /// [`DeltaOverlay::forward_alias`].
     #[inline]
-    pub fn reverse_alias(&self) -> Option<OverlayAliasView<'_>> {
-        self.base.reverse_alias().map(|base| OverlayAliasView {
-            base,
+    pub fn reverse_alias(&self) -> OverlayAliasView<'_> {
+        OverlayAliasView {
+            base: self.base.reverse_alias(),
             rows: &self.reverse.rows,
-        })
+        }
     }
 
     /// The live graph as a fresh [`UncertainGraph`] (for persisting a
     /// mutated graph or cross-checking against a from-scratch rebuild):
-    /// both directions' live rows concatenated, as compaction does, without
-    /// alias tables.
+    /// both directions' live rows concatenated, as compaction does, with no
+    /// derived table built.
     pub fn to_graph(&self) -> UncertainGraph {
         let n = self.num_vertices();
         UncertainGraph::from_raw_directions(
@@ -690,9 +666,9 @@ fn merge_direction(
     (offsets, targets, probs)
 }
 
-/// Concatenates one direction's live alias rows (the row rebuilt at apply
-/// time where the vertex is patched, the base table's slots otherwise) into
-/// a fresh contiguous [`AliasTable`].
+/// Concatenates one direction's live alias rows (the patched row's slots
+/// where the vertex is patched, the base table's slots otherwise) into a
+/// fresh contiguous [`AliasTable`].
 fn merge_alias_direction(
     num_vertices: usize,
     num_arcs: usize,
@@ -704,11 +680,7 @@ fn merge_alias_direction(
     offsets.push(0);
     for v in 0..num_vertices as VertexId {
         match rows.get(&v) {
-            Some(row) => slots.extend_from_slice(
-                row.alias
-                    .as_deref()
-                    .expect("patched rows carry alias rows while the base has tables"),
-            ),
+            Some(row) => slots.extend_from_slice(row.alias_slots()),
             None => slots.extend_from_slice(base.slots_of(v)),
         }
         offsets.push(slots.len());
@@ -794,10 +766,10 @@ impl<'a> OverlayView<'a> {
 }
 
 /// A borrowed, direction-fixed alias view of a [`DeltaOverlay`]: the base
-/// [`CsrAliasView`] plus the patched rows of that direction.  Serves the
-/// rebuilt alias row for a patched vertex and the base table's slots —
-/// pointer-identical — otherwise, mirroring [`OverlayView`]'s contract for
-/// adjacency slices.
+/// [`CsrAliasView`] plus the patched rows of that direction.  Serves a
+/// patched vertex's own alias row, built on its first read, and the base
+/// table's slots — pointer-identical — otherwise, mirroring
+/// [`OverlayView`]'s contract for adjacency slices.
 #[derive(Debug, Clone, Copy)]
 pub struct OverlayAliasView<'a> {
     base: CsrAliasView<'a>,
@@ -813,10 +785,7 @@ impl AliasView for OverlayAliasView<'_> {
     #[inline]
     fn slots(&self, v: VertexId) -> &[AliasSlot] {
         match self.rows.get(&v) {
-            Some(row) => row
-                .alias
-                .as_deref()
-                .expect("patched rows carry alias rows while the base has tables"),
+            Some(row) => row.alias_slots(),
             None => self.base.slots_of(v),
         }
     }
@@ -1152,20 +1121,12 @@ mod tests {
     }
 
     /// Every vertex's live alias slots must equal a from-scratch table
-    /// build over the live adjacency — the invariant the partial rebuild
-    /// maintains.
+    /// build over the live adjacency.
     fn assert_alias_matches_fresh_build(overlay: &DeltaOverlay) {
-        let mut fresh = overlay.to_graph();
-        fresh.build_alias_tables();
+        let fresh = overlay.to_graph();
         let pairs = [
-            (
-                overlay.forward_alias().unwrap(),
-                fresh.forward_alias().unwrap(),
-            ),
-            (
-                overlay.reverse_alias().unwrap(),
-                fresh.reverse_alias().unwrap(),
-            ),
+            (overlay.forward_alias(), fresh.forward_alias()),
+            (overlay.reverse_alias(), fresh.reverse_alias()),
         ];
         for (live, expected) in pairs {
             for v in 0..overlay.num_vertices() as VertexId {
@@ -1174,11 +1135,22 @@ mod tests {
         }
     }
 
+    /// Whether any alias table or patched alias row has been built.
+    fn any_alias_built(overlay: &DeltaOverlay) -> bool {
+        overlay
+            .base
+            .alias_cells()
+            .iter()
+            .any(|cell| cell.get().is_some())
+            || [&overlay.forward, &overlay.reverse]
+                .iter()
+                .any(|dir| dir.rows.values().any(|row| row.alias.get().is_some()))
+    }
+
     #[test]
     fn updates_rebuild_alias_rows_only_for_touched_vertices() {
-        let mut base = fig1_graph();
-        base.build_alias_tables();
-        let mut overlay = DeltaOverlay::with_policy(base, CompactionPolicy::never());
+        let mut overlay = DeltaOverlay::with_policy(fig1_graph(), CompactionPolicy::never());
+        overlay.forward_alias();
         overlay
             .apply_all(&[
                 GraphUpdate::InsertArc {
@@ -1196,21 +1168,45 @@ mod tests {
         assert_alias_matches_fresh_build(&overlay);
         // An untouched vertex serves the base table's slots pointer-
         // identically — the "only patched vertices rebuilt" contract.
-        let live = overlay.forward_alias().unwrap();
-        let base_table = overlay.base().forward_alias().unwrap();
+        let live = overlay.forward_alias();
+        let base_table = overlay.base().forward_alias();
         assert!(std::ptr::eq(
             live.slots(1).as_ptr(),
             base_table.slots_of(1).as_ptr()
         ));
         // Touched vertices serve rebuilt rows, not the stale base slots.
         assert_ne!(live.slots(2), base_table.slots_of(2));
+        // Editing a row that was already read resets its slots.
+        overlay
+            .apply_all(&[GraphUpdate::DeleteArc {
+                source: 2,
+                target: 3,
+            }])
+            .unwrap();
+        assert!(overlay.forward.rows[&2].alias.get().is_none());
+        assert_alias_matches_fresh_build(&overlay);
+    }
+
+    #[test]
+    fn alias_tables_can_be_built_mid_flight_over_patched_rows() {
+        let mut overlay = DeltaOverlay::with_policy(fig1_graph(), CompactionPolicy::never());
+        overlay
+            .apply_all(&[GraphUpdate::InsertArc {
+                source: 4,
+                target: 0,
+                probability: 0.3,
+            }])
+            .unwrap();
+        // Rows patched before the first alias read need no build call: the
+        // first read builds them.
+        assert!(!any_alias_built(&overlay));
+        assert_alias_matches_fresh_build(&overlay);
     }
 
     #[test]
     fn compaction_carries_alias_tables_into_the_new_base() {
-        let mut base = fig1_graph();
-        base.build_alias_tables();
-        let mut overlay = DeltaOverlay::with_policy(base, CompactionPolicy::never());
+        let mut overlay = DeltaOverlay::with_policy(fig1_graph(), CompactionPolicy::never());
+        overlay.reverse_alias();
         overlay
             .apply_all(&[
                 GraphUpdate::DeleteArc {
@@ -1225,46 +1221,30 @@ mod tests {
             ])
             .unwrap();
         overlay.compact();
-        assert!(overlay.base().has_alias_tables());
         assert_eq!(overlay.patched_vertices(), 0);
-        assert_alias_matches_fresh_build(&overlay);
-        // The compacted tables are bit-identical to a from-scratch build of
+        // Only the direction that was built rides along.
+        let [forward, reverse] = overlay.base().alias_cells();
+        assert!(forward.get().is_none());
+        // The compacted table is bit-identical to a from-scratch build of
         // the same graph (copy-vs-rebuild indistinguishability).
-        let mut fresh = overlay.to_graph();
-        fresh.build_alias_tables();
-        let (fwd, rev) = overlay.base().alias_tables().unwrap();
-        let (fresh_fwd, fresh_rev) = fresh.alias_tables().unwrap();
-        assert_eq!(fwd, fresh_fwd);
-        assert_eq!(rev, fresh_rev);
-    }
-
-    #[test]
-    fn alias_tables_can_be_built_mid_flight_over_patched_rows() {
-        let mut overlay = DeltaOverlay::with_policy(fig1_graph(), CompactionPolicy::never());
-        assert!(overlay.forward_alias().is_none());
-        overlay
-            .apply_all(&[GraphUpdate::InsertArc {
-                source: 4,
-                target: 0,
-                probability: 0.3,
-            }])
-            .unwrap();
-        overlay.build_alias_tables();
-        assert!(overlay.has_alias_tables());
+        let fresh = overlay.to_graph();
+        fresh.reverse_alias();
+        assert_eq!(reverse.get(), fresh.alias_cells()[1].get());
         assert_alias_matches_fresh_build(&overlay);
     }
 
     #[test]
     fn overlay_without_tables_never_maintains_alias_rows() {
-        let mut overlay = DeltaOverlay::new(fig1_graph());
+        let mut overlay = DeltaOverlay::with_policy(fig1_graph(), CompactionPolicy::never());
         overlay
             .apply_all(&[GraphUpdate::DeleteArc {
                 source: 0,
                 target: 2,
             }])
             .unwrap();
-        assert!(overlay.forward_alias().is_none());
-        assert!(overlay.reverse_alias().is_none());
+        assert!(!any_alias_built(&overlay));
+        overlay.compact();
+        assert!(!any_alias_built(&overlay));
     }
 
     #[test]

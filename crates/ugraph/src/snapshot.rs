@@ -14,7 +14,7 @@
 //! offset  size       field
 //! 0       8          magic  b"USIMCSR1"
 //! 8       4          format version (u32, little endian) = 1
-//! 12      4          section flags (u32; 0 when no optional section present)
+//! 12      4          section flags (u32; no bit is defined, so always 0)
 //! 16      8          number of vertices  n  (u64)
 //! 24      8          number of arcs      m  (u64)
 //! 32      8          number of labels    L  (u64; 0 or n)
@@ -25,21 +25,13 @@
 //! …       m·4 [+pad] reverse targets
 //! …       m·8        reverse probabilities
 //! …       L·8        vertex labels (u64 each)
-//! …       (m+n)·16   forward alias slots (iff flags bit 0; prob f64, first u32, second u32)
-//! …       (m+n)·16   reverse alias slots (iff flags bit 0)
 //! end     8          word-wise FNV checksum of every byte before it (u64)
 //! ```
 //!
-//! The flags word was the always-zero reserved word until the alias sections
-//! were introduced, so every pre-existing snapshot reads as flags 0 — no
-//! optional sections — and loads unchanged.  Bit 0 ([`FLAG_ALIAS_TABLES`])
-//! announces one Walker alias-slot section per direction after the label
-//! table: `d(v) + 1` 16-byte slots per vertex in vertex order (see
-//! [`crate::alias`]), covered by the same trailing checksum.  Slot offsets
-//! are derived from the direction's CSR offsets (`csr_offsets[v] + v`), so
-//! no extra offset array is stored.  Unknown flag bits are rejected: a
-//! reader that does not understand a section cannot skip what it cannot
-//! size.
+//! The flags word is reserved for optional sections.  None is defined, so
+//! any set bit is rejected: a reader that does not understand a section
+//! cannot skip what it cannot size.  Derived walk tables (coin thresholds,
+//! alias tables) are not persisted; a graph builds each on its first read.
 //!
 //! # Trust model
 //!
@@ -65,7 +57,6 @@
 //! other `usim` command reads it with the same labels as the text file it
 //! was written from.
 
-use crate::alias::{AliasSlot, AliasTable};
 use crate::error::format_error;
 use crate::uncertain::RawDirection;
 use crate::{GraphError, Probability, UncertainGraph, VertexId};
@@ -79,12 +70,8 @@ pub const MAGIC: &[u8; 8] = b"USIMCSR1";
 /// Current (and only) snapshot format version.
 pub const VERSION: u32 = 1;
 
-/// Flags bit 0: the snapshot carries one alias-slot section per direction
-/// after the label table.
-pub const FLAG_ALIAS_TABLES: u32 = 1;
-
 /// All flag bits this build understands; anything else is rejected.
-const KNOWN_FLAGS: u32 = FLAG_ALIAS_TABLES;
+const KNOWN_FLAGS: u32 = 0;
 
 /// Header length in bytes: magic, version, reserved word, three u64 counts.
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8 + 8;
@@ -279,14 +266,9 @@ pub fn write_snapshot<W: Write>(
         writer.write_all(bytes).map_err(GraphError::from)
     };
 
-    let flags = if graph.has_alias_tables() {
-        FLAG_ALIAS_TABLES
-    } else {
-        0
-    };
     emit(&mut writer, MAGIC)?;
     emit(&mut writer, &VERSION.to_le_bytes())?;
-    emit(&mut writer, &flags.to_le_bytes())?;
+    emit(&mut writer, &0u32.to_le_bytes())?; // flags: no optional section
     emit(&mut writer, &(graph.num_vertices() as u64).to_le_bytes())?;
     emit(&mut writer, &(graph.num_arcs() as u64).to_le_bytes())?;
     emit(&mut writer, &(labels.len() as u64).to_le_bytes())?;
@@ -307,15 +289,6 @@ pub fn write_snapshot<W: Write>(
     }
     for &label in labels {
         emit(&mut writer, &label.to_le_bytes())?;
-    }
-    if let Some((forward, reverse)) = graph.alias_tables() {
-        for table in [forward, reverse] {
-            for slot in table.slots_flat() {
-                emit(&mut writer, &slot.prob.to_le_bytes())?;
-                emit(&mut writer, &slot.first.to_le_bytes())?;
-                emit(&mut writer, &slot.second.to_le_bytes())?;
-            }
-        }
     }
 
     let digest = checksum.finish();
@@ -498,54 +471,6 @@ pub fn read_snapshot<R: Read>(reader: R) -> Result<CsrSnapshot, GraphError> {
     )?;
     let labels = decode_u64s(&labels_bytes);
 
-    let mut alias = None;
-    if flags & FLAG_ALIAS_TABLES != 0 {
-        let slots_len = section_len(m + n, 16, "the alias slots")?;
-        let mut read_table = |csr_offsets: &[usize],
-                              name: &str|
-         -> Result<AliasTable, GraphError> {
-            let bytes = read_section(
-                &mut reader,
-                &mut checksum,
-                slots_len,
-                &format!("the {name} alias slots"),
-            )?;
-            let mut slots = Vec::with_capacity(m + n);
-            for (index, chunk) in bytes.chunks_exact(16).enumerate() {
-                let first = VertexId::from_le_bytes(chunk[8..12].try_into().expect("4 bytes"));
-                let second = VertexId::from_le_bytes(chunk[12..16].try_into().expect("4 bytes"));
-                // Outcomes feed straight back into arc_range on the next
-                // step, so out-of-range ids are the one corruption the walk
-                // hot path cannot survive — same structural bar as the
-                // offsets monotonicity check above.
-                for id in [first, second] {
-                    if id != crate::alias::DEAD && (id as u64) >= num_vertices {
-                        return Err(format_error(format!(
-                            "{name} alias slot {index} names vertex {id} outside the \
-                             {num_vertices}-vertex graph"
-                        )));
-                    }
-                }
-                slots.push(AliasSlot {
-                    prob: f64::from_le_bytes(chunk[0..8].try_into().expect("8 bytes")),
-                    first,
-                    second,
-                });
-            }
-            // d(v) + 1 slots per vertex: offsets are the CSR offsets shifted
-            // by the vertex index, no separate array on disk.
-            let offsets: Vec<usize> = csr_offsets
-                .iter()
-                .enumerate()
-                .map(|(v, &o)| o + v)
-                .collect();
-            Ok(AliasTable::from_raw(offsets, slots))
-        };
-        let forward_table = read_table(&forward.0, "forward")?;
-        let reverse_table = read_table(&reverse.0, "reverse")?;
-        alias = Some((forward_table, reverse_table));
-    }
-
     let expected = checksum.finish();
     let mut stored = [0u8; 8];
     reader.read_exact(&mut stored).map_err(|e| {
@@ -565,10 +490,7 @@ pub fn read_snapshot<R: Read>(reader: R) -> Result<CsrSnapshot, GraphError> {
     }
     check_unique_labels(&labels)?;
 
-    let mut graph = UncertainGraph::from_raw_directions(n, forward, reverse);
-    if let Some((forward_table, reverse_table)) = alias {
-        graph.set_alias_tables(forward_table, reverse_table);
-    }
+    let graph = UncertainGraph::from_raw_directions(n, forward, reverse);
     Ok(CsrSnapshot { graph, labels })
 }
 
@@ -791,105 +713,30 @@ mod tests {
     }
 
     #[test]
-    fn alias_tables_roundtrip_bit_for_bit() {
-        let mut csr = fig1_graph();
-        csr.build_alias_tables();
-        let labels: Vec<u64> = vec![10, 20, 30, 40, 50];
-        let bytes = encode(&csr, &labels);
-        // The flags word announces the sections …
-        assert_eq!(
-            u32::from_le_bytes(bytes[12..16].try_into().unwrap()),
-            FLAG_ALIAS_TABLES
-        );
-        // … and they are exactly (m + n) 16-byte slots per direction larger
-        // than the same snapshot without tables.
-        let plain = encode(&UncertainGraph::from_uncertain(&fig1_graph()), &labels);
-        let per_direction = (csr.num_arcs() + csr.num_vertices()) * 16;
-        assert_eq!(bytes.len(), plain.len() + 2 * per_direction);
-
-        let snapshot = read_snapshot(bytes.as_slice()).unwrap();
-        assert_eq!(snapshot.graph, csr);
-        assert_eq!(snapshot.labels, labels);
-        assert!(snapshot.graph.has_alias_tables());
-        let (read_fwd, read_rev) = snapshot.graph.alias_tables().unwrap();
-        let (orig_fwd, orig_rev) = csr.alias_tables().unwrap();
-        assert_eq!(read_fwd, orig_fwd);
-        assert_eq!(read_rev, orig_rev);
-    }
-
-    #[test]
     fn snapshots_without_alias_sections_still_load() {
-        // Byte-for-byte the pre-flags format: flags word 0, nothing after
-        // the labels.  This is every snapshot written before (or without)
-        // the alias backend.
+        // Every snapshot, whenever written, has flags word 0 and nothing
+        // after the labels; reading one builds no derived table.
         let csr = fig1_graph();
         let bytes = encode(&csr, &[]);
         assert_eq!(u32::from_le_bytes(bytes[12..16].try_into().unwrap()), 0);
         let snapshot = read_snapshot(bytes.as_slice()).unwrap();
         assert_eq!(snapshot.graph, csr);
-        assert!(!snapshot.graph.has_alias_tables());
+        let [forward, reverse] = snapshot.graph.alias_cells();
+        assert!(forward.get().is_none() && reverse.get().is_none());
     }
 
     #[test]
     fn unknown_flag_bits_are_rejected() {
         let csr = fig1_graph();
-        let mut bytes = encode(&csr, &[]);
-        bytes[13] = 0x04; // an undefined flag bit
-        reseal(&mut bytes);
-        let err = read_snapshot(bytes.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("flags"), "{err}");
-    }
-
-    #[test]
-    fn truncated_alias_sections_are_a_typed_error() {
-        let mut csr = fig1_graph();
-        csr.build_alias_tables();
-        let bytes = encode(&csr, &[]);
-        let per_direction = (csr.num_arcs() + csr.num_vertices()) * 16;
-        let alias_start = bytes.len() - 8 - 2 * per_direction;
-        for cut in [
-            alias_start + 1,                 // inside the forward slots
-            alias_start + per_direction,     // boundary between directions
-            alias_start + per_direction + 7, // inside the reverse slots
-            bytes.len() - 9,                 // everything but the checksum
-        ] {
-            let err = read_snapshot(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(err, GraphError::Format { .. }),
-                "cut at {cut}: {err}"
-            );
-            assert!(err.to_string().contains("truncated"), "cut at {cut}: {err}");
-        }
-    }
-
-    #[test]
-    fn alias_bit_flips_are_caught_by_the_checksum() {
-        let mut csr = fig1_graph();
-        csr.build_alias_tables();
         let clean = encode(&csr, &[]);
-        let per_direction = (csr.num_arcs() + csr.num_vertices()) * 16;
-        let alias_start = clean.len() - 8 - 2 * per_direction;
-        for offset in [alias_start, alias_start + per_direction + 5] {
-            let mut corrupted = clean.clone();
-            corrupted[offset] ^= 0x20;
-            let err = read_snapshot(corrupted.as_slice()).unwrap_err();
-            assert!(err.to_string().contains("checksum"), "{err}");
+        // Bit 0 once announced alias sections; no bit is defined now.
+        for (index, bit) in [(12, 0x01), (13, 0x04)] {
+            let mut bytes = clean.clone();
+            bytes[index] |= bit;
+            reseal(&mut bytes);
+            let err = read_snapshot(bytes.as_slice()).unwrap_err();
+            assert!(err.to_string().contains("flags"), "{err}");
         }
-    }
-
-    #[test]
-    fn out_of_range_alias_outcomes_are_rejected_even_with_a_valid_checksum() {
-        let mut csr = fig1_graph();
-        csr.build_alias_tables();
-        let mut bytes = encode(&csr, &[]);
-        let per_direction = (csr.num_arcs() + csr.num_vertices()) * 16;
-        let alias_start = bytes.len() - 8 - 2 * per_direction;
-        // `first` of the first forward slot -> a vertex id past the graph.
-        bytes[alias_start + 8..alias_start + 12]
-            .copy_from_slice(&(csr.num_vertices() as u32 + 7).to_le_bytes());
-        reseal(&mut bytes);
-        let err = read_snapshot(bytes.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("outside"), "{err}");
     }
 
     #[test]

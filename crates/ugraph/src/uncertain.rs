@@ -28,22 +28,16 @@ pub struct ProbArc {
 /// and [`UncertainGraph::reverse`] borrow them as [`CsrView`]s, so samplers
 /// and the batch engine walk the graph itself, not a copy.
 ///
-/// # Alias tables
+/// # Derived walk tables
 ///
-/// The graph optionally carries precomputed Walker alias tables for both
-/// directions (see [`crate::alias`]), built on demand by
-/// [`UncertainGraph::build_alias_tables`] — only engines configured for the
-/// alias sampler backend pay the `O(Σ d²)` build.  The tables are *derived*
-/// data (a pure function of the CSR arrays), so [`PartialEq`] deliberately
-/// ignores them: a graph with tables equals the same graph without.
-///
-/// # Coin thresholds
-///
-/// Each direction's integer coin thresholds (see [`crate::csr`]) are
-/// derived data too: built from that direction's probabilities on the
-/// first [`CsrView::coin_thresholds`] call, so an engine walking one
-/// direction pays for that direction only, and ignored by [`PartialEq`]
-/// and the snapshot writer.
+/// Each direction's integer coin thresholds (see [`crate::csr`]) and Walker
+/// alias table (see [`crate::alias`]) are *derived* data, a pure function
+/// of that direction's CSR arrays.  Each is built on its first read
+/// ([`CsrView::coin_thresholds`], [`UncertainGraph::forward_alias`],
+/// [`UncertainGraph::reverse_alias`]), so an engine walking one direction
+/// pays for that direction only, and only the alias sampler backend pays
+/// the alias table's `O(Σ d²)` build.  [`PartialEq`] and the snapshot
+/// writer ignore them.
 #[derive(Debug, Clone)]
 pub struct UncertainGraph {
     skeleton: DiGraph,
@@ -57,15 +51,15 @@ pub struct UncertainGraph {
     out_thresholds: OnceLock<Vec<u64>>,
     /// Coin thresholds aligned with `in_probabilities`, built on first use.
     in_thresholds: OnceLock<Vec<u64>>,
-    /// `(forward, reverse)` alias tables, present only when built or loaded
-    /// from a snapshot that persisted them.
-    alias: Option<Box<(AliasTable, AliasTable)>>,
+    /// Alias table of the forward direction, built on first use.
+    out_alias: OnceLock<AliasTable>,
+    /// Alias table of the reverse direction, built on first use.
+    in_alias: OnceLock<AliasTable>,
 }
 
 impl PartialEq for UncertainGraph {
-    /// Structural equality of the CSR arrays only — the optional alias
-    /// tables and the coin thresholds are derived data and do not
-    /// participate.
+    /// Structural equality of the CSR arrays only — the alias tables and
+    /// the coin thresholds are derived data and do not participate.
     fn eq(&self, other: &Self) -> bool {
         self.skeleton == other.skeleton
             && self.out_probabilities == other.out_probabilities
@@ -131,7 +125,8 @@ impl UncertainGraph {
             in_probabilities,
             out_thresholds: OnceLock::new(),
             in_thresholds: OnceLock::new(),
-            alias: None,
+            out_alias: OnceLock::new(),
+            in_alias: OnceLock::new(),
         }
     }
 
@@ -165,7 +160,8 @@ impl UncertainGraph {
             in_probabilities,
             out_thresholds: OnceLock::new(),
             in_thresholds: OnceLock::new(),
-            alias: None,
+            out_alias: OnceLock::new(),
+            in_alias: OnceLock::new(),
         }
     }
 
@@ -311,15 +307,17 @@ impl UncertainGraph {
             in_probabilities: vec![1.0; self.in_probabilities.len()],
             out_thresholds: OnceLock::new(),
             in_thresholds: OnceLock::new(),
-            alias: None,
+            out_alias: OnceLock::new(),
+            in_alias: OnceLock::new(),
         }
     }
 
     /// Returns the transposed uncertain graph (every arc reversed, keeping
     /// its probability).
     ///
-    /// Both directions are stored sorted, so the transpose swaps them (alias
-    /// tables and coin thresholds included) without re-sorting a single arc.
+    /// Both directions are stored sorted, so the transpose swaps them (built
+    /// coin thresholds and alias tables included) without re-sorting a
+    /// single arc.
     pub fn transpose(&self) -> UncertainGraph {
         UncertainGraph {
             skeleton: self.skeleton.transpose(),
@@ -327,10 +325,8 @@ impl UncertainGraph {
             in_probabilities: self.out_probabilities.clone(),
             out_thresholds: self.in_thresholds.clone(),
             in_thresholds: self.out_thresholds.clone(),
-            alias: self
-                .alias
-                .as_deref()
-                .map(|(forward, reverse)| Box::new((reverse.clone(), forward.clone()))),
+            out_alias: self.in_alias.clone(),
+            in_alias: self.out_alias.clone(),
         }
     }
 
@@ -353,45 +349,28 @@ impl UncertainGraph {
         graph.clone()
     }
 
-    /// Whether alias tables have been built (or loaded) for this graph.
+    /// The forward direction's alias view, building its table on the first
+    /// call (`O(Σ d²)`); the reverse table is left alone.
     #[inline]
-    pub fn has_alias_tables(&self) -> bool {
-        self.alias.is_some()
+    pub fn forward_alias(&self) -> CsrAliasView<'_> {
+        self.out_alias
+            .get_or_init(|| AliasTable::from_view(self.forward()))
+            .view()
     }
 
-    /// Builds the Walker alias tables for both directions (`O(Σ d²)`); a
-    /// no-op when tables are already present.
-    pub fn build_alias_tables(&mut self) {
-        if self.alias.is_none() {
-            let forward = AliasTable::from_view(self.forward());
-            let reverse = AliasTable::from_view(self.reverse());
-            self.alias = Some(Box::new((forward, reverse)));
-        }
-    }
-
-    /// Installs pre-built alias tables (the snapshot reader and overlay
-    /// compaction, which construct tables out of band).
-    pub(crate) fn set_alias_tables(&mut self, forward: AliasTable, reverse: AliasTable) {
-        debug_assert_eq!(forward.num_slots(), self.num_arcs() + self.num_vertices());
-        debug_assert_eq!(reverse.num_slots(), self.num_arcs() + self.num_vertices());
-        self.alias = Some(Box::new((forward, reverse)));
-    }
-
-    /// The `(forward, reverse)` alias tables, when built.
-    pub(crate) fn alias_tables(&self) -> Option<(&AliasTable, &AliasTable)> {
-        self.alias.as_deref().map(|t| (&t.0, &t.1))
-    }
-
-    /// The forward-direction alias view, when tables are built.
+    /// The reverse direction's alias view, building its table on the first
+    /// call (`O(Σ d²)`); the forward table is left alone.
     #[inline]
-    pub fn forward_alias(&self) -> Option<CsrAliasView<'_>> {
-        self.alias.as_deref().map(|t| t.0.view())
+    pub fn reverse_alias(&self) -> CsrAliasView<'_> {
+        self.in_alias
+            .get_or_init(|| AliasTable::from_view(self.reverse()))
+            .view()
     }
 
-    /// The reverse-direction alias view, when tables are built.
-    #[inline]
-    pub fn reverse_alias(&self) -> Option<CsrAliasView<'_>> {
-        self.alias.as_deref().map(|t| t.1.view())
+    /// The `(forward, reverse)` alias cells, built or not: overlay
+    /// compaction carries a built direction into the new base.
+    pub(crate) fn alias_cells(&self) -> [&OnceLock<AliasTable>; 2] {
+        [&self.out_alias, &self.in_alias]
     }
 }
 
@@ -551,6 +530,23 @@ mod tests {
         let t = g.transpose();
         assert_eq!(t.out_thresholds.get(), g.in_thresholds.get());
         assert!(t.in_thresholds.get().is_none());
+    }
+
+    #[test]
+    fn alias_tables_are_built_per_direction_on_first_use() {
+        let g = fig1_graph();
+        let reverse = g.reverse_alias();
+        let fresh = AliasTable::from_view(g.reverse());
+        for v in g.vertices() {
+            assert_eq!(reverse.slots_of(v), fresh.slots_of(v));
+        }
+        assert!(g.in_alias.get().is_some(), "the walked direction is built");
+        assert!(g.out_alias.get().is_none(), "the other one is not");
+        assert_eq!(g, fig1_graph(), "alias tables do not take part in equality");
+        // The transpose swaps the built table along with its direction.
+        let t = g.transpose();
+        assert_eq!(t.out_alias.get(), g.in_alias.get());
+        assert!(t.in_alias.get().is_none());
     }
 
     #[test]
