@@ -34,7 +34,7 @@ pub enum SamplerKind {
     /// Precomputed Walker alias tables over the exact expected one-step
     /// marginals (death mass included): one draw and one 16-byte slot read
     /// per step, independent of degree.  The engine builds the walked
-    /// direction's table at construction (`O(Σ d²)`, about 0.5 s at R-MAT
+    /// direction's table at construction (`O(Σ d²)`, about 0.15 s at R-MAT
     /// 16) and never the other one's.  Trades the within-walk
     /// possible-world correlation of `Legacy` for raw walk speed; exact for
     /// horizons ≤ 2 and on certain graphs.

@@ -50,8 +50,8 @@ use rayon::prelude::*;
 use rwalk::arena::{AliasSampler, CsrSampler, WalkArena, DEAD};
 use std::fmt;
 use ugraph::{
-    one_step_marginals, CompactionPolicy, DeltaOverlay, GraphUpdate, MarginalScratch,
-    OverlayAliasView, OverlayView, UncertainGraph, UpdateError, UpdateSummary, VertexId,
+    CompactionPolicy, DeltaOverlay, GraphUpdate, OverlayAliasView, OverlayView, UncertainGraph,
+    UpdateError, UpdateSummary, VertexId,
 };
 
 /// Derives the deterministic RNG seed of a pair `(u, v)` from the engine
@@ -109,7 +109,6 @@ struct Scratch {
     walks_u: Vec<VertexId>,
     walks_v: Vec<VertexId>,
     positions: PositionCounts,
-    step_one: StepOneScratch,
 }
 
 /// How many of `u`'s walks sit at each vertex after one step `k`, for the
@@ -156,17 +155,6 @@ impl PositionCounts {
             0
         }
     }
-}
-
-/// Buffers of [`exact_step_one`]: the shared arcs' indices in each row and
-/// their one-step marginals.
-#[derive(Debug, Default)]
-struct StepOneScratch {
-    dp: MarginalScratch,
-    shared_u: Vec<usize>,
-    shared_v: Vec<usize>,
-    marginals_u: Vec<f64>,
-    marginals_v: Vec<f64>,
 }
 
 /// A lock-protected free list of [`Scratch`] instances.  Checkout pops (or
@@ -552,7 +540,7 @@ impl QueryEngine {
         }
         let mut meeting = vec![0.0f64; n + 1];
         meeting[0] = if u == v { 1.0 } else { 0.0 };
-        meeting[1] = exact_step_one(&view, u, v, &mut scratch.step_one);
+        meeting[1] = exact_step_one(&view, u, v);
         let mut rng = StdRng::seed_from_u64(pair_seed(self.config.seed, u, v));
         scratch.walks_u.clear();
         scratch.walks_v.clear();
@@ -787,55 +775,42 @@ impl Scratch {
 /// walk direction (SR-TS's exact phase for `l = 1`), with zero RNG draws.
 ///
 /// A merge-join of the two sorted rows finds the shared neighbours; with
-/// none, `m(1) = 0`.  Otherwise each row runs one presence-count DP and one
-/// leave-one-out deconvolution per shared arc
-/// ([`ugraph::one_step_marginals`]).  Patched overlay rows feed the same
-/// function, so an engine that applied updates gives the bits of a fresh
-/// engine on its snapshot.
-fn exact_step_one(view: &OverlayView<'_>, u: VertexId, v: VertexId, s: &mut StepOneScratch) -> f64 {
-    let (row_u, row_v) = (view.neighbors(u), view.neighbors(v));
-    s.shared_u.clear();
-    s.shared_v.clear();
-    let (mut i, mut j) = (0, 0);
-    while i < row_u.len() && j < row_v.len() {
-        match row_u[i].cmp(&row_v[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                s.shared_u.push(i);
-                s.shared_v.push(j);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    if s.shared_u.is_empty() {
+/// none, `m(1) = 0` and neither row's marginals are read.  Otherwise it sums
+/// the products of the two rows' cached one-step marginals
+/// ([`OverlayView::one_step_marginals`], each row computed once, on its
+/// first read) over the shared arcs, in row order.  A patched overlay row
+/// caches its own marginals, reset by every edit, so an engine that applied
+/// updates gives the bits of a fresh engine on its snapshot.
+fn exact_step_one(view: &OverlayView<'_>, u: VertexId, v: VertexId) -> f64 {
+    let mut shared = shared_arcs(view.neighbors(u), view.neighbors(v)).peekable();
+    if shared.peek().is_none() {
         return 0.0;
     }
-    let probs_u = view.probabilities(u);
-    one_step_marginals(
-        probs_u,
-        s.shared_u.iter().copied(),
-        &mut s.dp,
-        &mut s.marginals_u,
-    );
-    let marginals_v = if u == v {
-        &s.marginals_u
-    } else {
-        let probs_v = view.probabilities(v);
-        one_step_marginals(
-            probs_v,
-            s.shared_v.iter().copied(),
-            &mut s.dp,
-            &mut s.marginals_v,
-        );
-        &s.marginals_v
-    };
-    s.marginals_u
-        .iter()
-        .zip(marginals_v)
-        .map(|(a, b)| a * b)
-        .sum()
+    let (marginals_u, marginals_v) = (view.one_step_marginals(u), view.one_step_marginals(v));
+    shared.map(|(i, j)| marginals_u[i] * marginals_v[j]).sum()
+}
+
+/// The index pairs `(i, j)` with `a[i] == b[j]` of two sorted rows, in
+/// ascending order (a merge-join).
+fn shared_arcs<'r>(
+    a: &'r [VertexId],
+    b: &'r [VertexId],
+) -> impl Iterator<Item = (usize, usize)> + 'r {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                    return Some((i - 1, j - 1));
+                }
+            }
+        }
+        None
+    })
 }
 
 /// Writes the all-pairs estimate `m̂(k) = Σ_w cᵤᵏ(w)·cᵥᵏ(w) / N²` into
@@ -1503,6 +1478,107 @@ mod tests {
                 );
             }
             assert!(nonzero > 40, "{sampler}: only {nonzero} non-zero m(k)");
+        }
+    }
+
+    /// Vertices `0..20` point at `20` (the hub) and at a few of `21..40`,
+    /// so in in-neighbour walks every `(20, x)` pair shares part of the
+    /// hub's 20-arc row.
+    fn hub_graph() -> UncertainGraph {
+        let mut builder = UncertainGraphBuilder::new(40);
+        for s in 0..20u32 {
+            builder = builder.arc(s, 20, 0.05 + 0.045 * s as f64);
+            for t in 21..40u32 {
+                if (s * 7 + t * 3) % 5 == 0 {
+                    builder = builder.arc(s, t, 0.1 + 0.04 * ((s + t) % 20) as f64);
+                }
+            }
+        }
+        builder.build().unwrap()
+    }
+
+    fn profile_bits(profile: &MeetingProfile) -> Vec<u64> {
+        profile.meeting.iter().map(|m| m.to_bits()).collect()
+    }
+
+    #[test]
+    fn cached_hub_marginals_follow_every_edit_of_their_row() {
+        let hub_pair = (20, 23);
+        let edits = [
+            GraphUpdate::SetProbability {
+                source: 3,
+                target: 20,
+                probability: 0.97,
+            },
+            GraphUpdate::InsertArc {
+                source: 30,
+                target: 20,
+                probability: 0.4,
+            },
+            GraphUpdate::DeleteArc {
+                source: 5,
+                target: 20,
+            },
+        ];
+        for sampler in SAMPLER_KINDS {
+            for policy in [CompactionPolicy::never(), CompactionPolicy::eager()] {
+                let config = SimRankConfig::default()
+                    .with_samples(60)
+                    .with_seed(47)
+                    .with_sampler(sampler);
+                let mut engine = QueryEngine::new(&hub_graph(), config);
+                engine.set_compaction_policy(policy);
+                let mut previous = engine.profile(hub_pair.0, hub_pair.1);
+                assert!(previous.meeting[1] > 0.0, "the pair shares arcs");
+                for edit in edits {
+                    engine.apply_updates(&[edit]).unwrap();
+                    let live = engine.profile(hub_pair.0, hub_pair.1);
+                    let fresh = QueryEngine::new(&engine.snapshot(), config);
+                    assert_eq!(
+                        profile_bits(&live),
+                        profile_bits(&fresh.profile(hub_pair.0, hub_pair.1)),
+                        "{sampler}, {policy:?}: after {edit:?}"
+                    );
+                    assert_ne!(
+                        live.meeting[1].to_bits(),
+                        previous.meeting[1].to_bits(),
+                        "{sampler}, {policy:?}: m(1) must see {edit:?}"
+                    );
+                    previous = live;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_sharing_one_hub_row_is_thread_count_invariant() {
+        let g = hub_graph();
+        let pairs: Vec<(VertexId, VertexId)> = (21..40).map(|x| (20, x)).collect();
+        for sampler in SAMPLER_KINDS {
+            let config = SimRankConfig::default()
+                .with_samples(40)
+                .with_seed(53)
+                .with_sampler(sampler);
+            let sequential: Vec<Vec<u64>> = {
+                let engine = QueryEngine::new(&g, config);
+                pairs
+                    .iter()
+                    .map(|&(u, v)| profile_bits(&engine.profile(u, v)))
+                    .collect()
+            };
+            assert!(sequential.iter().filter(|bits| bits[1] != 0).count() > 10);
+            for threads in [1, 5] {
+                // A fresh engine each time, so the batch's workers fill the
+                // shared rows themselves.
+                let engine = QueryEngine::new(&g, config);
+                let pool = ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let batch = pool.install(|| engine.batch_profile(&pairs).unwrap());
+                let batch: Vec<Vec<u64>> = batch.iter().map(profile_bits).collect();
+                assert_eq!(batch, sequential, "{sampler}, {threads} threads");
+            }
         }
     }
 

@@ -30,12 +30,7 @@ use umatrix::SparseMatrix;
 pub fn expected_one_step_row(g: &UncertainGraph, u: VertexId) -> Vec<f64> {
     let (_, probs) = g.out_arcs(u);
     let mut row = Vec::with_capacity(probs.len());
-    one_step_marginals(
-        probs,
-        0..probs.len(),
-        &mut MarginalScratch::default(),
-        &mut row,
-    );
+    one_step_marginals(probs, &mut MarginalScratch::default(), &mut row);
     row
 }
 

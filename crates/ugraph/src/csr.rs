@@ -33,7 +33,18 @@
 //! direction keeps a fourth array, `thresholds`, aligned with `probs`: built
 //! from `probs` on first use by a sampler (8 bytes per arc), never stored in
 //! a snapshot and never compared by [`PartialEq`].
+//!
+//! # One-step marginals
+//!
+//! The exact one-step marginals `Pr(v →₁ w)` of a row
+//! ([`crate::one_step_marginals`], `O(d²)`) are derived data with the same
+//! lifecycle, kept per row rather than per direction: the first
+//! [`CsrView::one_step_marginals`] call on a direction allocates one empty
+//! cell per vertex (24 bytes each), and each row fills its cell on its own
+//! first read (8 bytes per arc), so only rows something asks for are ever
+//! computed.
 
+use crate::alias::one_step_marginals_row;
 #[cfg(doc)]
 use crate::uncertain::UncertainGraph;
 use crate::{Probability, VertexId};
@@ -62,6 +73,11 @@ pub fn coin_threshold(p: Probability) -> u64 {
     let t = q as u64;
     t + u64::from((t as f64) < q)
 }
+
+/// One direction's lazily filled one-step marginal rows: one cell per
+/// vertex, allocated on the direction's first read, each filled on its
+/// row's first read.
+pub(crate) type MarginalCells = OnceLock<Box<[OnceLock<Box<[f64]>>]>>;
 
 /// [`coin_threshold`] of every probability, in order.
 pub(crate) fn coin_thresholds_of(probs: &[Probability]) -> Vec<u64> {
@@ -98,9 +114,9 @@ pub trait GraphView {
 }
 
 /// A borrowed, direction-fixed view of an [`UncertainGraph`]: the flat
-/// arrays of one direction plus the lazily built coin thresholds.  `Copy`,
-/// eight words (three slices, a count and the threshold cell's address) —
-/// hand it to workers freely.
+/// arrays of one direction plus its lazily built coin thresholds and
+/// one-step marginals.  `Copy`, nine words (three slices, a count and the
+/// two cells' addresses) — hand it to workers freely.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrView<'a> {
     num_vertices: usize,
@@ -108,10 +124,11 @@ pub struct CsrView<'a> {
     targets: &'a [VertexId],
     probs: &'a [Probability],
     thresholds: &'a OnceLock<Vec<u64>>,
+    marginals: &'a MarginalCells,
 }
 
 impl<'a> CsrView<'a> {
-    /// Borrows one direction's arrays and its threshold cell.
+    /// Borrows one direction's arrays and its derived-data cells.
     #[inline]
     pub(crate) fn new(
         num_vertices: usize,
@@ -119,6 +136,7 @@ impl<'a> CsrView<'a> {
         targets: &'a [VertexId],
         probs: &'a [Probability],
         thresholds: &'a OnceLock<Vec<u64>>,
+        marginals: &'a MarginalCells,
     ) -> Self {
         CsrView {
             num_vertices,
@@ -126,6 +144,7 @@ impl<'a> CsrView<'a> {
             targets,
             probs,
             thresholds,
+            marginals,
         }
     }
 
@@ -180,6 +199,18 @@ impl<'a> CsrView<'a> {
         let (start, end) = self.arc_range(v);
         let probs = self.probs;
         &self.thresholds.get_or_init(|| coin_thresholds_of(probs))[start..end]
+    }
+
+    /// Exact one-step marginals `Pr(v →₁ w)` of `v`'s arcs
+    /// ([`crate::one_step_marginals`]), aligned with [`Self::neighbors`].
+    /// The row is computed on its first read and served from its cell after
+    /// that, whichever thread asks.
+    #[inline]
+    pub fn one_step_marginals(&self, v: VertexId) -> &'a [f64] {
+        let rows = self
+            .marginals
+            .get_or_init(|| (0..self.num_vertices).map(|_| OnceLock::new()).collect());
+        rows[v as usize].get_or_init(|| one_step_marginals_row(self.probabilities(v)))
     }
 
     /// Degree of `v` in this direction.

@@ -48,7 +48,9 @@
 //! assert_eq!(overlay.reverse().neighbors(0), &[2]);
 //! ```
 
-use crate::alias::{build_alias_row, AliasSlot, AliasTable, AliasView, CsrAliasView};
+use crate::alias::{
+    build_alias_row, one_step_marginals_row, AliasSlot, AliasTable, AliasView, CsrAliasView,
+};
 use crate::csr::{coin_threshold, coin_thresholds_of, CsrView, GraphView};
 use crate::uncertain::{RawDirection, UncertainGraph};
 use crate::{Probability, VertexId};
@@ -259,6 +261,8 @@ struct Row {
     /// The row's alias slots, built on the first alias read and reset by
     /// every edit, so a read never sees a stale row.
     alias: OnceLock<Vec<AliasSlot>>,
+    /// The row's one-step marginals, with the alias slots' lifecycle.
+    marginals: OnceLock<Box<[f64]>>,
 }
 
 impl Row {
@@ -269,6 +273,19 @@ impl Row {
             .get_or_init(|| build_alias_row(&self.targets, &self.probs))
     }
 
+    /// The row's one-step marginals: the same function a base row's cell
+    /// runs, over the live probabilities, computed on first use.
+    fn one_step_marginals(&self) -> &[f64] {
+        self.marginals
+            .get_or_init(|| one_step_marginals_row(&self.probs))
+    }
+
+    /// Drops the derived rows an edit made stale.
+    fn reset_derived(&mut self) {
+        self.alias = OnceLock::new();
+        self.marginals = OnceLock::new();
+    }
+
     fn insert(&mut self, w: VertexId, p: Probability) {
         let idx = self
             .targets
@@ -277,7 +294,7 @@ impl Row {
         self.targets.insert(idx, w);
         self.probs.insert(idx, p);
         self.thresholds.insert(idx, coin_threshold(p));
-        self.alias = OnceLock::new();
+        self.reset_derived();
     }
 
     fn remove(&mut self, w: VertexId) {
@@ -288,7 +305,7 @@ impl Row {
         self.targets.remove(idx);
         self.probs.remove(idx);
         self.thresholds.remove(idx);
-        self.alias = OnceLock::new();
+        self.reset_derived();
     }
 
     fn set(&mut self, w: VertexId, p: Probability) {
@@ -298,7 +315,7 @@ impl Row {
             .expect("validated re-weight of an arc that does not exist");
         self.probs[idx] = p;
         self.thresholds[idx] = coin_threshold(p);
-        self.alias = OnceLock::new();
+        self.reset_derived();
     }
 }
 
@@ -322,6 +339,7 @@ impl DirOverlay {
                 thresholds: coin_thresholds_of(&probs),
                 probs,
                 alias: OnceLock::new(),
+                marginals: OnceLock::new(),
             }
         })
     }
@@ -744,6 +762,17 @@ impl<'a> OverlayView<'a> {
         }
     }
 
+    /// Live one-step marginals `Pr(v →₁ w)` of `v`'s arcs, aligned with
+    /// [`OverlayView::neighbors`]: the patched row's own, computed on its
+    /// first read after its last edit, or the base view's cached row.
+    #[inline]
+    pub fn one_step_marginals(&self, v: VertexId) -> &'a [f64] {
+        match self.rows.get(&v) {
+            Some(row) => row.one_step_marginals(),
+            None => self.base.one_step_marginals(v),
+        }
+    }
+
     /// Live degree of `v` in this direction.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
@@ -867,6 +896,22 @@ mod tests {
                 expected.reverse().coin_thresholds(v),
                 "reverse coin thresholds of {v}"
             );
+        }
+        // Marginal rows, bit for bit, against a fresh build of the live
+        // graph: a row cached before an edit must not survive it.
+        let fresh = overlay.to_graph();
+        for v in 0..expected.num_vertices() as VertexId {
+            for (live, fresh) in [
+                (overlay.forward(), fresh.forward()),
+                (overlay.reverse(), fresh.reverse()),
+            ] {
+                let bits = |row: &[f64]| row.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(live.one_step_marginals(v)),
+                    bits(fresh.one_step_marginals(v)),
+                    "one-step marginals of {v}"
+                );
+            }
         }
     }
 
@@ -1245,6 +1290,45 @@ mod tests {
         assert!(!any_alias_built(&overlay));
         overlay.compact();
         assert!(!any_alias_built(&overlay));
+    }
+
+    #[test]
+    fn edits_reset_the_marginals_of_a_row_that_was_read() {
+        let mut overlay = DeltaOverlay::with_policy(fig1_graph(), CompactionPolicy::never());
+        overlay
+            .apply_all(&[GraphUpdate::InsertArc {
+                source: 4,
+                target: 0,
+                probability: 0.3,
+            }])
+            .unwrap();
+        // Fill both rows an edit touches, then make the edit: a re-weight,
+        // an insert and a delete, each into a row that was read.
+        let edits = [
+            GraphUpdate::SetProbability {
+                source: 4,
+                target: 0,
+                probability: 0.9,
+            },
+            GraphUpdate::InsertArc {
+                source: 4,
+                target: 1,
+                probability: 0.6,
+            },
+            GraphUpdate::DeleteArc {
+                source: 1,
+                target: 0,
+            },
+        ];
+        for edit in edits {
+            let (source, target) = edit.endpoints();
+            overlay.forward().one_step_marginals(source);
+            overlay.reverse().one_step_marginals(target);
+            overlay.apply_all(&[edit]).unwrap();
+            assert!(overlay.forward.rows[&source].marginals.get().is_none());
+            assert!(overlay.reverse.rows[&target].marginals.get().is_none());
+            assert_views_match(&overlay, &overlay.to_graph());
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! probability in `(0, 1]` (the tuple `(V, E, P)` of Section II of the paper).
 
 use crate::alias::{AliasTable, CsrAliasView};
-use crate::csr::CsrView;
+use crate::csr::{CsrView, MarginalCells};
 use crate::graph::DiGraph;
 use crate::{GraphError, Probability, VertexId};
 use std::sync::OnceLock;
@@ -30,14 +30,15 @@ pub struct ProbArc {
 ///
 /// # Derived walk tables
 ///
-/// Each direction's integer coin thresholds (see [`crate::csr`]) and Walker
-/// alias table (see [`crate::alias`]) are *derived* data, a pure function
-/// of that direction's CSR arrays.  Each is built on its first read
-/// ([`CsrView::coin_thresholds`], [`UncertainGraph::forward_alias`],
-/// [`UncertainGraph::reverse_alias`]), so an engine walking one direction
-/// pays for that direction only, and only the alias sampler backend pays
-/// the alias table's `O(Σ d²)` build.  [`PartialEq`] and the snapshot
-/// writer ignore them.
+/// Each direction's integer coin thresholds and one-step marginals (see
+/// [`crate::csr`]) and Walker alias table (see [`crate::alias`]) are
+/// *derived* data, a pure function of that direction's CSR arrays.  Each is
+/// built on its first read ([`CsrView::coin_thresholds`],
+/// [`CsrView::one_step_marginals`] — row by row —,
+/// [`UncertainGraph::forward_alias`], [`UncertainGraph::reverse_alias`]),
+/// so an engine walking one direction pays for that direction only, and
+/// only the alias sampler backend pays the alias table's `O(Σ d²)` build.
+/// [`PartialEq`] and the snapshot writer ignore them.
 #[derive(Debug, Clone)]
 pub struct UncertainGraph {
     skeleton: DiGraph,
@@ -55,11 +56,16 @@ pub struct UncertainGraph {
     out_alias: OnceLock<AliasTable>,
     /// Alias table of the reverse direction, built on first use.
     in_alias: OnceLock<AliasTable>,
+    /// One-step marginals of the forward rows, each filled on first use.
+    out_marginals: MarginalCells,
+    /// One-step marginals of the reverse rows, each filled on first use.
+    in_marginals: MarginalCells,
 }
 
 impl PartialEq for UncertainGraph {
-    /// Structural equality of the CSR arrays only — the alias tables and
-    /// the coin thresholds are derived data and do not participate.
+    /// Structural equality of the CSR arrays only — the alias tables, the
+    /// coin thresholds and the one-step marginals are derived data and do
+    /// not participate.
     fn eq(&self, other: &Self) -> bool {
         self.skeleton == other.skeleton
             && self.out_probabilities == other.out_probabilities
@@ -127,6 +133,8 @@ impl UncertainGraph {
             in_thresholds: OnceLock::new(),
             out_alias: OnceLock::new(),
             in_alias: OnceLock::new(),
+            out_marginals: OnceLock::new(),
+            in_marginals: OnceLock::new(),
         }
     }
 
@@ -162,6 +170,8 @@ impl UncertainGraph {
             in_thresholds: OnceLock::new(),
             out_alias: OnceLock::new(),
             in_alias: OnceLock::new(),
+            out_marginals: OnceLock::new(),
+            in_marginals: OnceLock::new(),
         }
     }
 
@@ -201,6 +211,7 @@ impl UncertainGraph {
             &self.skeleton.out_targets,
             &self.out_probabilities,
             &self.out_thresholds,
+            &self.out_marginals,
         )
     }
 
@@ -215,6 +226,7 @@ impl UncertainGraph {
             &self.skeleton.in_sources,
             &self.in_probabilities,
             &self.in_thresholds,
+            &self.in_marginals,
         )
     }
 
@@ -309,6 +321,8 @@ impl UncertainGraph {
             in_thresholds: OnceLock::new(),
             out_alias: OnceLock::new(),
             in_alias: OnceLock::new(),
+            out_marginals: OnceLock::new(),
+            in_marginals: OnceLock::new(),
         }
     }
 
@@ -316,8 +330,8 @@ impl UncertainGraph {
     /// its probability).
     ///
     /// Both directions are stored sorted, so the transpose swaps them (built
-    /// coin thresholds and alias tables included) without re-sorting a
-    /// single arc.
+    /// coin thresholds, alias tables and marginal rows included) without
+    /// re-sorting a single arc.
     pub fn transpose(&self) -> UncertainGraph {
         UncertainGraph {
             skeleton: self.skeleton.transpose(),
@@ -327,6 +341,8 @@ impl UncertainGraph {
             in_thresholds: self.out_thresholds.clone(),
             out_alias: self.in_alias.clone(),
             in_alias: self.out_alias.clone(),
+            out_marginals: self.in_marginals.clone(),
+            in_marginals: self.out_marginals.clone(),
         }
     }
 
@@ -547,6 +563,44 @@ mod tests {
         let t = g.transpose();
         assert_eq!(t.out_alias.get(), g.in_alias.get());
         assert!(t.in_alias.get().is_none());
+    }
+
+    #[test]
+    fn one_step_marginals_are_built_per_direction_and_row_on_first_use() {
+        let g = fig1_graph();
+        assert!(g.out_marginals.get().is_none() && g.in_marginals.get().is_none());
+        let reverse = g.reverse();
+        // Vertex 3's in-arcs: from 0 (0.5) and from 2 (0.6).
+        let row = reverse.one_step_marginals(3);
+        let mut expected = Vec::new();
+        crate::one_step_marginals(
+            reverse.probabilities(3),
+            &mut crate::MarginalScratch::default(),
+            &mut expected,
+        );
+        assert_eq!(row, expected.as_slice());
+        assert!((row[0] - 0.5 * (0.4 + 0.6 / 2.0)).abs() < 1e-15);
+        let cells = g.in_marginals.get().expect("the read direction is built");
+        assert_eq!(cells.len(), g.num_vertices());
+        let filled: Vec<bool> = cells.iter().map(|cell| cell.get().is_some()).collect();
+        assert_eq!(
+            filled,
+            [false, false, false, true, false],
+            "only the read row"
+        );
+        assert!(
+            g.out_marginals.get().is_none(),
+            "the other direction is not"
+        );
+        // A second read serves the cached row itself.
+        assert!(std::ptr::eq(row, reverse.one_step_marginals(3)));
+        assert_eq!(g, fig1_graph(), "marginals do not take part in equality");
+        // The transpose swaps the cells along with their direction.
+        let t = g.transpose();
+        assert!(t.in_marginals.get().is_none());
+        let swapped = t.out_marginals.get().expect("swapped, not dropped");
+        assert_eq!(swapped[3].get().map(|r| &r[..]), Some(row));
+        assert_eq!(t.forward().one_step_marginals(3), row);
     }
 
     #[test]
