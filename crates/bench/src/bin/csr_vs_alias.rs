@@ -6,16 +6,17 @@
 //! * **legacy** — the lazily-instantiated arena sampler
 //!   (`rwalk::CsrSampler` + `WalkArena`): one uniform draw per possible arc
 //!   on first visit, memoized within the walk;
-//! * **alias** — the precomputed Walker alias tables
-//!   (`rwalk::AliasSampler` over the table `UncertainGraph` builds for the
-//!   walked direction on first use): exactly one
-//!   `f64` draw and one 16-byte slot read per step, degree-independent.
+//! * **alias** — the Walker alias rows (`rwalk::AliasSampler` over the
+//!   same view, whose rows are built on their first read from the row's
+//!   cached one-step marginals): exactly one `f64` draw and one 16-byte
+//!   slot read per step, degree-independent.  The first pass fills the
+//!   rows the walks reach; the fastest pass is the steady state.
 //!
 //! The run writes a `BENCH_alias_speedup.json` artifact and exits non-zero
 //! when either gate fails:
 //!
 //! 1. the **acceptance floor**: alias walks must be at least 2x faster than
-//!    the arena sampler (the whole point of precomputing the tables), and
+//!    the arena sampler (the whole point of the alias rows), and
 //! 2. the **regression gate**: the speedup must not fall below half the
 //!    checked-in baseline (`crates/bench/baselines/alias_speedup.json`) —
 //!    ratio-based like the other gates, so machine speed cancels out.
@@ -52,7 +53,7 @@ struct AliasSpeedupReport {
     reps: usize,
     /// Fastest legacy (arena sampler) pass, seconds.
     legacy_secs: f64,
-    /// Fastest alias-table pass, seconds.
+    /// Fastest alias pass, seconds.
     alias_secs: f64,
     /// `legacy_secs / alias_secs` — the gated number.
     speedup: f64,
@@ -89,9 +90,8 @@ fn main() {
     .generate();
     let num_vertices = graph.num_vertices() as VertexId;
     // Walks follow the reverse adjacency, like the SimRank engines do; only
-    // that direction's alias table is built.
+    // that direction's derived data is built.
     let view = graph.reverse();
-    let alias_view = graph.reverse_alias();
 
     // Both backends walk the same start schedule from identically seeded
     // RNGs; what differs is purely the per-step draw.
@@ -114,7 +114,7 @@ fn main() {
         legacy_live_steps = live;
     }
 
-    let alias = AliasSampler::new(alias_view);
+    let alias = AliasSampler::new(view);
     let mut alias_secs = f64::INFINITY;
     let mut alias_live_steps = 0u64;
     for _ in 0..reps {

@@ -151,8 +151,8 @@ pub fn usage() -> String {
         "    --direction in|out walk direction                  [default in]\n",
         "    --sampler legacy|alias\n",
         "                       per-step walk backend: legacy draws each arc\n",
-        "                       lazily; alias precomputes the walked direction's\n",
-        "                       Walker alias table at startup (O(1) per step)\n",
+        "                       lazily; alias draws each step from the vertex's\n",
+        "                       Walker alias row, built on first use (O(1) per step)\n",
         "                                                       [default legacy]\n",
         "\n",
         "BATCH / DYNAMIC-UPDATE OPTIONS:\n",

@@ -31,13 +31,14 @@ pub enum SamplerKind {
     /// and is the default.
     #[default]
     Legacy,
-    /// Precomputed Walker alias tables over the exact expected one-step
-    /// marginals (death mass included): one draw and one 16-byte slot read
-    /// per step, independent of degree.  The engine builds the walked
-    /// direction's table at construction (`O(Σ d²)`, about 0.15 s at R-MAT
-    /// 16) and never the other one's.  Trades the within-walk
-    /// possible-world correlation of `Legacy` for raw walk speed; exact for
-    /// horizons ≤ 2 and on certain graphs.
+    /// Walker alias rows over the exact expected one-step marginals (death
+    /// mass included): one draw and one 16-byte slot read per step,
+    /// independent of degree.  Nothing is built at construction: each row
+    /// of the walked direction is built on its first read from the row's
+    /// cached marginals (the ones exact `m(1)` reads), and the other
+    /// direction's never are.  Trades the within-walk possible-world
+    /// correlation of `Legacy` for raw walk speed; exact for horizons ≤ 2
+    /// and on certain graphs.
     Alias,
 }
 

@@ -50,8 +50,8 @@ use rayon::prelude::*;
 use rwalk::arena::{AliasSampler, CsrSampler, WalkArena, DEAD};
 use std::fmt;
 use ugraph::{
-    CompactionPolicy, DeltaOverlay, GraphUpdate, OverlayAliasView, OverlayView, UncertainGraph,
-    UpdateError, UpdateSummary, VertexId,
+    CompactionPolicy, DeltaOverlay, GraphUpdate, OverlayView, UncertainGraph, UpdateError,
+    UpdateSummary, VertexId,
 };
 
 /// Derives the deterministic RNG seed of a pair `(u, v)` from the engine
@@ -261,21 +261,18 @@ impl QueryEngine {
     /// arrays, and the RNG streams are keyed on `(seed, u, v)`, not on how
     /// the arrays came to be in memory.
     ///
-    /// Under [`SamplerKind::Alias`] the alias table of the walked direction
-    /// is built here, so no query pays for it; the other direction's is
-    /// never built.
+    /// Nothing derived is built here, under either [`SamplerKind`]: the
+    /// walked direction's coin thresholds, one-step marginals and alias rows
+    /// are built on their first read, the latter two row by row, and the
+    /// other direction's are never built.
     pub fn from_csr(graph: UncertainGraph, config: SimRankConfig) -> Self {
         config.validate();
-        let engine = QueryEngine {
+        QueryEngine {
             graph: DeltaOverlay::new(graph),
             config,
             epoch: 0,
             scratch: ScratchPool::default(),
-        };
-        if config.sampler == SamplerKind::Alias {
-            engine.alias_view();
         }
-        engine
     }
 
     /// The configuration in use.
@@ -383,17 +380,6 @@ impl QueryEngine {
         match self.config.direction {
             WalkDirection::InNeighbors => self.graph.reverse(),
             WalkDirection::OutNeighbors => self.graph.forward(),
-        }
-    }
-
-    /// The direction-resolved alias-table view of the live graph, building
-    /// the base table on first use (construction does, under
-    /// [`SamplerKind::Alias`]).
-    #[inline]
-    fn alias_view(&self) -> OverlayAliasView<'_> {
-        match self.config.direction {
-            WalkDirection::InNeighbors => self.graph.reverse_alias(),
-            WalkDirection::OutNeighbors => self.graph.forward_alias(),
         }
     }
 
@@ -566,7 +552,7 @@ impl QueryEngine {
                 }
             }
             SamplerKind::Alias => {
-                let sampler = AliasSampler::new(self.alias_view());
+                let sampler = AliasSampler::new(view);
                 for _ in 0..num_samples {
                     sampler.sample_walk_into(u, n, &mut rng, &mut scratch.walk_u);
                     sampler.sample_walk_into(v, n, &mut rng, &mut scratch.walk_v);
@@ -1314,9 +1300,9 @@ mod tests {
     #[test]
     fn alias_updates_match_a_fresh_engine_with_and_without_compaction() {
         // The overlay patches alias rows for update endpoints only; answers
-        // must still be bit-identical to a fresh engine that rebuilt every
-        // table from scratch — before and after compaction folds the patched
-        // rows back into the base tables.
+        // must still be bit-identical to a fresh engine whose rows are all
+        // built from scratch — before and after compaction folds the patched
+        // rows back into the base.
         let g = fig1_graph();
         let config = SimRankConfig::default()
             .with_samples(400)

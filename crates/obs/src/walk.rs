@@ -27,7 +27,7 @@ pub struct WalkTally {
     pub walks: u64,
     /// Steps taken by the legacy (lazy-instantiation) sampler.
     pub steps_legacy: u64,
-    /// Steps taken by the alias-table sampler.
+    /// Steps taken by the alias sampler.
     pub steps_alias: u64,
     /// Walks that died before the horizon (reached a vertex whose
     /// instantiated row was empty).

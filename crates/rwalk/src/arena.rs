@@ -43,7 +43,7 @@
 
 use crate::sampler::DeadEndPolicy;
 use rand::Rng;
-use ugraph::{alias_draw, AliasView, GraphView, VertexId};
+use ugraph::{alias_draw, GraphView, VertexId};
 
 /// Tombstone marking a dead walk position (the walk terminated earlier).
 /// Real vertex ids are `< num_vertices`, far below `u32::MAX` in practice.
@@ -270,9 +270,11 @@ impl<V: GraphView + Copy> CsrSampler<V> {
     }
 }
 
-/// The table-driven step path: a sampler of random walks over precomputed
-/// Walker alias tables (an [`AliasView`] — the static
-/// [`ugraph::CsrAliasView`] or the live [`ugraph::OverlayAliasView`]).
+/// The table-driven step path: a sampler of random walks over the Walker
+/// alias rows of any [`GraphView`] (the static [`ugraph::CsrView`] or the
+/// live [`ugraph::OverlayView`]), read through [`GraphView::alias_slots`]:
+/// each row is built on its first read and cached, so the first walks over
+/// a row pay its build and later ones only read it.
 ///
 /// Each step costs exactly **one** `f64` draw and one slot read, independent
 /// of vertex degree: the integer part of the scaled draw picks a slot, the
@@ -295,7 +297,7 @@ pub struct AliasSampler<V> {
     dead_end_policy: DeadEndPolicy,
 }
 
-impl<V: AliasView + Copy> AliasSampler<V> {
+impl<V: GraphView + Copy> AliasSampler<V> {
     /// Creates a sampler over `view` with the default dead-end policy
     /// (terminate).
     pub fn new(view: V) -> Self {
@@ -310,7 +312,7 @@ impl<V: AliasView + Copy> AliasSampler<V> {
         }
     }
 
-    /// The alias view this sampler walks.
+    /// The view this sampler walks.
     pub fn view(&self) -> V {
         self.view
     }
@@ -337,7 +339,7 @@ impl<V: AliasView + Copy> AliasSampler<V> {
         positions.push(start);
         let mut current = start;
         for _ in 0..length {
-            let drawn = alias_draw(self.view.slots(current), rng.gen::<f64>());
+            let drawn = alias_draw(self.view.alias_slots(current), rng.gen::<f64>());
             if drawn == DEAD {
                 match self.dead_end_policy {
                     DeadEndPolicy::Terminate => {
@@ -660,7 +662,7 @@ mod tests {
     #[test]
     fn alias_walks_are_valid_walks_on_the_graph() {
         let g = fig1_graph();
-        let sampler = AliasSampler::new(g.forward_alias());
+        let sampler = AliasSampler::new(g.forward());
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(13);
         for start in [0u32, 1, 2, 3, 4] {
@@ -684,7 +686,7 @@ mod tests {
         // Vertex 0 of Fig. 1: Pr(0→2) = 0.6, Pr(0→3) = 0.3, death 0.1 (the
         // exact expected one-step row, see ugraph::alias).
         let g = fig1_graph();
-        let sampler = AliasSampler::new(g.forward_alias());
+        let sampler = AliasSampler::new(g.forward());
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(99);
         let trials = 40_000;
@@ -711,7 +713,7 @@ mod tests {
         // transition, so the alias walk is an ordinary random walk and never
         // dies except at true dead ends.
         let g = fig1_graph().certain();
-        let sampler = AliasSampler::new(g.forward_alias());
+        let sampler = AliasSampler::new(g.forward());
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..500 {
@@ -730,7 +732,7 @@ mod tests {
     #[test]
     fn alias_sampler_is_deterministic_per_seed() {
         let g = fig1_graph();
-        let sampler = AliasSampler::new(g.forward_alias());
+        let sampler = AliasSampler::new(g.forward());
         let (mut pos_a, mut pos_b) = (Vec::new(), Vec::new());
         let mut rng_a = StdRng::seed_from_u64(1234);
         let mut rng_b = StdRng::seed_from_u64(1234);
@@ -747,7 +749,7 @@ mod tests {
     #[test]
     fn alias_stay_in_place_policy_keeps_the_walk_at_dead_ends() {
         let g = fig1_graph(); // vertex 4 has no out-arcs
-        let view = g.forward_alias();
+        let view = g.forward();
         let stay = AliasSampler::with_policy(view, DeadEndPolicy::StayInPlace);
         assert_eq!(stay.dead_end_policy(), DeadEndPolicy::StayInPlace);
         let mut positions = Vec::new();
@@ -784,8 +786,8 @@ mod tests {
                 probability: 0.05,
             }])
             .unwrap();
-        let static_sampler = AliasSampler::new(g.forward_alias());
-        let live_sampler = AliasSampler::new(overlay.forward_alias());
+        let static_sampler = AliasSampler::new(g.forward());
+        let live_sampler = AliasSampler::new(overlay.forward());
         let (mut pos_a, mut pos_b) = (Vec::new(), Vec::new());
         let mut rng_a = StdRng::seed_from_u64(55);
         let mut rng_b = StdRng::seed_from_u64(55);

@@ -26,7 +26,8 @@ use umatrix::SparseMatrix;
 /// Expected one-step transition probabilities out of a single vertex `u`,
 /// aligned with `g.out_arcs(u)`: one presence-count DP over the row and one
 /// leave-one-out deconvolution per arc ([`ugraph::one_step_marginals`],
-/// the function the alias tables are built with), `O(d²)` in all.
+/// the function whose cached rows the alias rows are built from), `O(d²)`
+/// in all.
 pub fn expected_one_step_row(g: &UncertainGraph, u: VertexId) -> Vec<f64> {
     let (_, probs) = g.out_arcs(u);
     let mut row = Vec::with_capacity(probs.len());

@@ -1,10 +1,10 @@
-//! Walker alias tables for O(1) per-step walk transitions.
+//! Walker alias rows for O(1) per-step walk transitions.
 //!
 //! The legacy sampler instantiates every possible out-arc of a vertex on
 //! first visit (one RNG draw per arc) and then picks uniformly among the
 //! survivors — `O(d)` RNG draws and `O(d)` memory traffic per fresh step.
-//! The alias backend precomputes, per vertex and per CSR direction, a Walker
-//! alias table over the vertex's *expected one-step transition distribution*
+//! The alias backend draws each step from a Walker alias row over the
+//! vertex's *expected one-step transition distribution*
 //!
 //! ```text
 //! Pr(u →₁ v) = P(u, v) · E[ 1 / (1 + X₋ᵥ) ],
@@ -17,7 +17,7 @@
 //! 16-byte slot read, independent of degree.
 //!
 //! The two backends are *different estimators*, not bit-compatible ones: the
-//! alias table draws every step independently from the exact first-visit
+//! alias row draws every step independently from the exact first-visit
 //! marginal, trading the within-walk possible-world correlation that the
 //! lazy sampler memoises (the paper's `W(k) ≠ W(1)ᵏ` observation, material
 //! from `k = 3` on) for raw speed.  On certain graphs (all probabilities 1)
@@ -27,15 +27,15 @@
 //! result cache belongs to one engine and so to one backend, so answers of
 //! the two never mix.
 //!
-//! # Table layout
+//! # Row layout
 //!
 //! Vertex `v` with degree `d(v)` owns `d(v) + 1` slots — its neighbors plus
-//! the death outcome, encoded as the [`DEAD`] sentinel.  Slots of all
-//! vertices are concatenated in vertex order, so the slot offset of `v` in a
-//! direction is `csr_offsets[v] + v` and a whole-direction table is exactly
-//! `num_arcs + num_vertices` slots.
+//! the death outcome, encoded as the [`DEAD`] sentinel.  A row is derived
+//! data with the one-step marginals' lifecycle (see [`crate::csr`]): read
+//! through [`crate::GraphView::alias_slots`], built on its first read from
+//! the row's cached marginals by `build_alias_row`, and never stored in a
+//! snapshot.
 
-use crate::csr::CsrView;
 use crate::{Probability, VertexId};
 
 /// The walk-terminated sentinel: the alias outcome meaning "no arc of this
@@ -55,111 +55,6 @@ pub struct AliasSlot {
     pub first: VertexId,
     /// The overflow (alias) outcome donated by Vose construction.
     pub second: VertexId,
-}
-
-/// Per-vertex alias tables for one CSR direction: the slots of all vertices
-/// concatenated in vertex order, `d(v) + 1` slots per vertex.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AliasTable {
-    /// `num_vertices + 1` entries; slot range of `v` is
-    /// `offsets[v]..offsets[v + 1]`.
-    offsets: Vec<usize>,
-    /// `num_arcs + num_vertices` packed slots.
-    slots: Vec<AliasSlot>,
-}
-
-impl AliasTable {
-    /// Builds the table for every vertex of one CSR direction.
-    pub fn from_view(view: CsrView<'_>) -> Self {
-        let n = view.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut slots = Vec::with_capacity(view.num_arcs() + n);
-        offsets.push(0);
-        let mut scratch = RowScratch::default();
-        for v in 0..n as VertexId {
-            build_alias_row_into(view.neighbors(v), view.probabilities(v), &mut scratch);
-            slots.extend_from_slice(&scratch.slots);
-            offsets.push(slots.len());
-        }
-        AliasTable { offsets, slots }
-    }
-
-    /// Reassembles a table from its parts (overlay compaction, which
-    /// concatenates live rows in vertex order).
-    pub(crate) fn from_raw(offsets: Vec<usize>, slots: Vec<AliasSlot>) -> Self {
-        debug_assert_eq!(offsets.first().copied(), Some(0));
-        debug_assert_eq!(offsets.last().copied(), Some(slots.len()));
-        AliasTable { offsets, slots }
-    }
-
-    /// Number of vertices the table covers.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total number of slots (`num_arcs + num_vertices`).
-    #[inline]
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The slots of vertex `v` (`degree(v) + 1` of them).
-    #[inline]
-    pub fn slots_of(&self, v: VertexId) -> &[AliasSlot] {
-        let v = v as usize;
-        &self.slots[self.offsets[v]..self.offsets[v + 1]]
-    }
-
-    /// A borrowed, `Copy` view of the whole table.
-    #[inline]
-    pub fn view(&self) -> CsrAliasView<'_> {
-        CsrAliasView {
-            offsets: &self.offsets,
-            slots: &self.slots,
-        }
-    }
-}
-
-/// Read-only access to per-vertex alias slots in one direction — the
-/// interface the table-driven walk sampler needs.  Implemented by
-/// [`CsrAliasView`] (static tables) and by `OverlayAliasView` (a base table
-/// patched by a [`crate::DeltaOverlay`]).
-pub trait AliasView {
-    /// Number of vertices `|V|`.
-    fn num_vertices(&self) -> usize;
-
-    /// The alias slots of `v` (`degree(v) + 1` of them, never empty).
-    fn slots(&self, v: VertexId) -> &[AliasSlot];
-}
-
-/// A borrowed, direction-fixed view of an [`AliasTable`].  `Copy`, like
-/// [`CsrView`] — hand it to workers freely.
-#[derive(Debug, Clone, Copy)]
-pub struct CsrAliasView<'a> {
-    pub(crate) offsets: &'a [usize],
-    pub(crate) slots: &'a [AliasSlot],
-}
-
-impl<'a> CsrAliasView<'a> {
-    /// The slots of vertex `v`.
-    #[inline]
-    pub fn slots_of(&self, v: VertexId) -> &'a [AliasSlot] {
-        let v = v as usize;
-        &self.slots[self.offsets[v]..self.offsets[v + 1]]
-    }
-}
-
-impl AliasView for CsrAliasView<'_> {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    #[inline]
-    fn slots(&self, v: VertexId) -> &[AliasSlot] {
-        self.slots_of(v)
-    }
 }
 
 /// Draws one outcome from a vertex's alias slots using a single uniform
@@ -210,9 +105,9 @@ pub struct MarginalScratch {
 /// of eight in lockstep, each lane doing exactly the `f64` operations of the
 /// one-arc recurrence in the same order: the marginals are the bits the
 /// per-arc loop gives, computed about three times faster.  Every caller —
-/// the alias build, the graphs' cached rows, `rwalk`'s `W(1)` — goes
-/// through this one function, so an arc's marginal is the same bits
-/// whoever asks for it.
+/// the graphs' and the overlay's cached rows (which the alias rows are
+/// built from), `rwalk`'s `W(1)` — goes through this one function, so an
+/// arc's marginal is the same bits whoever asks for it.
 pub fn one_step_marginals(
     probs: &[Probability],
     scratch: &mut MarginalScratch,
@@ -332,105 +227,77 @@ fn top_down_lanes(r: &[f64], p: [f64; LANES], lanes: &mut Vec<[f64; LANES]>) -> 
     std::array::from_fn(|lane| (p[lane] * expectation[lane]).max(0.0))
 }
 
-/// Scratch buffers reused across per-vertex row builds.
-#[derive(Default)]
-struct RowScratch {
-    /// The DP buffers of [`one_step_marginals`].
-    marginal: MarginalScratch,
-    /// Outcome weights: one per neighbor plus the death mass.
-    weights: Vec<f64>,
-    /// Vose worklists of slot indices.
-    small: Vec<usize>,
-    large: Vec<usize>,
-    /// The finished row.
-    slots: Vec<AliasSlot>,
-}
-
-/// Builds the alias row of a single vertex from its sorted adjacency.
+/// Builds the alias row of a single vertex from its sorted adjacency and
+/// its row's [`one_step_marginals`]: the death mass, then the Vose pass.
 ///
-/// Crate-wide entry point shared by the whole-table build and the overlay's
-/// patched rows, so both produce bit-identical rows for identical
-/// adjacency — the property that lets compaction copy unpatched rows
-/// instead of rebuilding them.
-pub(crate) fn build_alias_row(neighbors: &[VertexId], probs: &[Probability]) -> Vec<AliasSlot> {
-    let mut scratch = RowScratch::default();
-    build_alias_row_into(neighbors, probs, &mut scratch);
-    scratch.slots
-}
-
-fn build_alias_row_into(neighbors: &[VertexId], probs: &[Probability], s: &mut RowScratch) {
+/// The one build path of every alias row — a graph's cached rows and the
+/// overlay's patched rows alike — so equal adjacency yields bit-identical
+/// slots.
+pub(crate) fn build_alias_row(neighbors: &[VertexId], marginals: &[f64]) -> Box<[AliasSlot]> {
     let d = neighbors.len();
-    debug_assert_eq!(d, probs.len());
-    s.slots.clear();
+    debug_assert_eq!(d, marginals.len());
     if d == 0 {
         // No possible arcs: the walk always dies here.
-        s.slots.push(AliasSlot {
+        return Box::new([AliasSlot {
             prob: 1.0,
             first: DEAD,
             second: DEAD,
-        });
-        return;
+        }]);
     }
 
-    // Expected one-step marginals: weight_j = P(u, v_j) · E[1/(1 + X₋ⱼ)],
-    // computed for all j in O(d²).
-    one_step_marginals(probs, &mut s.marginal, &mut s.weights);
+    // Outcome weights: the marginal of each neighbor, then the death mass.
+    let mut weights = Vec::with_capacity(d + 1);
+    weights.extend_from_slice(marginals);
     let mut survival = 0.0; // Σⱼ weight_j = Pr(at least one arc exists)
-    for &w in &s.weights {
+    for &w in marginals {
         survival += w;
     }
     // Death carries the leftover mass; clamp the f64 cancellation noise.
-    s.weights.push((1.0 - survival).max(0.0));
+    weights.push((1.0 - survival).max(0.0));
 
     // Vose construction over the d + 1 outcomes.  Outcome j < d is neighbor
     // j; outcome d is DEAD.  Deterministic: worklists are filled in index
-    // order and popped LIFO, so identical inputs yield identical tables.
+    // order and popped LIFO, so identical inputs yield identical rows.
     let count = d + 1;
-    let total: f64 = s.weights.iter().sum();
+    let total: f64 = weights.iter().sum();
     debug_assert!(total > 0.0);
     let scale = count as f64 / total;
-    for w in &mut s.weights {
+    for w in &mut weights {
         *w *= scale;
     }
     let outcome = |j: usize| if j < d { neighbors[j] } else { DEAD };
-    s.slots.resize(
-        count,
+    let mut slots = vec![
         AliasSlot {
             prob: 1.0,
             first: DEAD,
             second: DEAD,
-        },
-    );
-    s.small.clear();
-    s.large.clear();
-    for (j, &w) in s.weights.iter().enumerate() {
-        if w < 1.0 {
-            s.small.push(j);
-        } else {
-            s.large.push(j);
-        }
-    }
-    while let (Some(&j), Some(&k)) = (s.small.last(), s.large.last()) {
-        s.small.pop();
-        s.slots[j] = AliasSlot {
-            prob: s.weights[j],
+        };
+        count
+    ];
+    let (mut small, mut large): (Vec<usize>, Vec<usize>) =
+        (0..count).partition(|&j| weights[j] < 1.0);
+    while let (Some(&j), Some(&k)) = (small.last(), large.last()) {
+        small.pop();
+        slots[j] = AliasSlot {
+            prob: weights[j],
             first: outcome(j),
             second: outcome(k),
         };
-        s.weights[k] = (s.weights[k] + s.weights[j]) - 1.0;
-        if s.weights[k] < 1.0 {
-            s.large.pop();
-            s.small.push(k);
+        weights[k] = (weights[k] + weights[j]) - 1.0;
+        if weights[k] < 1.0 {
+            large.pop();
+            small.push(k);
         }
     }
     // Leftovers (all ≈ 1 up to rounding) keep their own outcome entirely.
-    for &j in s.large.iter().chain(s.small.iter()) {
-        s.slots[j] = AliasSlot {
+    for &j in large.iter().chain(small.iter()) {
+        slots[j] = AliasSlot {
             prob: 1.0,
             first: outcome(j),
             second: outcome(j),
         };
     }
+    slots.into_boxed_slice()
 }
 
 /// The presence-count distribution of independent arcs (the `r(n, ·)`
@@ -493,9 +360,9 @@ mod tests {
         // Vertex 0: arcs to 2 (0.8) and 3 (0.5).
         // Pr(0→2) = 0.8·(E[1/(1+X)]) with X ~ Bernoulli(0.5): 0.8·(0.5·1 + 0.5·½) = 0.6
         // Pr(0→3) = 0.5·(0.2·1 + 0.8·½) = 0.3; death = 0.2·0.5 = 0.1.
-        let row = build_alias_row(view.neighbors(0), view.probabilities(0));
+        let row = view.alias_slots(0);
         assert_eq!(row.len(), 3);
-        let dist = table_distribution(&row);
+        let dist = table_distribution(row);
         assert!((dist[&2] - 0.6).abs() < 1e-12, "{dist:?}");
         assert!((dist[&3] - 0.3).abs() < 1e-12, "{dist:?}");
         assert!((dist[&DEAD] - 0.1).abs() < 1e-12, "{dist:?}");
@@ -639,7 +506,7 @@ mod tests {
             if nbrs.is_empty() {
                 continue;
             }
-            let dist = table_distribution(&build_alias_row(nbrs, view.probabilities(v)));
+            let dist = table_distribution(view.alias_slots(v));
             assert!(!dist.contains_key(&DEAD), "vertex {v}: {dist:?}");
             for &u in nbrs {
                 assert!(
@@ -660,20 +527,23 @@ mod tests {
     }
 
     #[test]
-    fn whole_table_layout_is_dense_and_aligned_with_csr() {
+    fn rows_are_aligned_with_csr_and_built_from_the_cached_marginals() {
         let g = fig1_graph();
         for view in [g.forward(), g.reverse()] {
-            let table = AliasTable::from_view(view);
-            assert_eq!(table.num_vertices(), g.num_vertices());
-            assert_eq!(table.num_slots(), g.num_arcs() + g.num_vertices());
             for v in 0..g.num_vertices() as VertexId {
-                assert_eq!(table.slots_of(v).len(), view.degree(v) + 1);
-                // The per-vertex build is the same function the table build
-                // ran, so rows must be bit-identical.
-                assert_eq!(
-                    table.slots_of(v),
-                    build_alias_row(view.neighbors(v), view.probabilities(v)).as_slice()
+                let row = view.alias_slots(v);
+                assert_eq!(row.len(), view.degree(v) + 1);
+                // A fresh build over freshly computed marginals gives the
+                // same bits: the cached row is the one build path's output.
+                let mut marginals = Vec::new();
+                one_step_marginals(
+                    view.probabilities(v),
+                    &mut MarginalScratch::default(),
+                    &mut marginals,
                 );
+                assert_eq!(row, &build_alias_row(view.neighbors(v), &marginals)[..]);
+                // A second read serves the cached row itself.
+                assert!(std::ptr::eq(row, view.alias_slots(v)));
             }
         }
     }
@@ -681,14 +551,14 @@ mod tests {
     #[test]
     fn draw_covers_every_outcome_and_respects_frequencies() {
         let g = fig1_graph();
-        let row = build_alias_row(g.forward().neighbors(0), g.forward().probabilities(0));
+        let row = g.forward().alias_slots(0);
         // Deterministic stratified sweep of the unit interval stands in for
         // an RNG: empirical frequencies must converge on the marginals.
         let trials = 1_000_000;
         let mut counts: std::collections::HashMap<VertexId, usize> = Default::default();
         for i in 0..trials {
             let unit = (i as f64 + 0.5) / trials as f64;
-            *counts.entry(alias_draw(&row, unit)).or_insert(0) += 1;
+            *counts.entry(alias_draw(row, unit)).or_insert(0) += 1;
         }
         let freq = |v: VertexId| counts.get(&v).copied().unwrap_or(0) as f64 / trials as f64;
         assert!((freq(2) - 0.6).abs() < 1e-3);
@@ -711,8 +581,7 @@ mod tests {
             [(0, 1, 1.0), (0, 2, 0.999_999), (0, 3, 1e-9), (0, 4, 0.5)],
         )
         .unwrap();
-        let row = build_alias_row(g.forward().neighbors(0), g.forward().probabilities(0));
-        let dist = table_distribution(&row);
+        let dist = table_distribution(g.forward().alias_slots(0));
         let total: f64 = dist.values().sum();
         assert!((total - 1.0).abs() < 1e-9, "{dist:?}");
         assert!(dist.values().all(|w| w.is_finite() && *w >= 0.0));

@@ -34,17 +34,21 @@
 //! from `probs` on first use by a sampler (8 bytes per arc), never stored in
 //! a snapshot and never compared by [`PartialEq`].
 //!
-//! # One-step marginals
+//! # One-step marginals and alias rows
 //!
 //! The exact one-step marginals `Pr(v →₁ w)` of a row
-//! ([`crate::one_step_marginals`], `O(d²)`) are derived data with the same
-//! lifecycle, kept per row rather than per direction: the first
-//! [`CsrView::one_step_marginals`] call on a direction allocates one empty
-//! cell per vertex (24 bytes each), and each row fills its cell on its own
-//! first read (8 bytes per arc), so only rows something asks for are ever
-//! computed.
+//! ([`crate::one_step_marginals`], `O(d²)`) and the Walker alias slots the
+//! alias sampler draws from them ([`crate::alias`]) are derived data with
+//! the same lifecycle, kept per row rather than per direction: the first
+//! [`CsrView::one_step_marginals`] or [`CsrView::alias_slots`] call on a
+//! direction allocates one empty cell per vertex (24 bytes each), and each
+//! row fills its cell on its own first read (8 bytes per arc for the
+//! marginals, 16 bytes per slot for the `d + 1` alias slots), so only rows
+//! something asks for are ever computed.  An alias row is built from its
+//! row's cached marginals, so a row the alias sampler walks and the exact
+//! `m(1)` reads runs the `O(d²)` deconvolution once.
 
-use crate::alias::one_step_marginals_row;
+use crate::alias::{build_alias_row, one_step_marginals_row, AliasSlot};
 #[cfg(doc)]
 use crate::uncertain::UncertainGraph;
 use crate::{Probability, VertexId};
@@ -74,10 +78,74 @@ pub fn coin_threshold(p: Probability) -> u64 {
     t + u64::from((t as f64) < q)
 }
 
-/// One direction's lazily filled one-step marginal rows: one cell per
-/// vertex, allocated on the direction's first read, each filled on its
-/// row's first read.
-pub(crate) type MarginalCells = OnceLock<Box<[OnceLock<Box<[f64]>>]>>;
+/// One direction's lazily filled per-row derived data: one cell per vertex,
+/// allocated on the direction's first read, each filled on its row's first
+/// read.
+#[derive(Debug, Clone)]
+pub(crate) struct RowCells<T>(OnceLock<Box<[RowCell<T>]>>);
+
+/// One row's cell: empty until the row's first read.
+type RowCell<T> = OnceLock<Box<[T]>>;
+
+impl<T> Default for RowCells<T> {
+    fn default() -> Self {
+        RowCells(OnceLock::new())
+    }
+}
+
+impl<T> RowCells<T> {
+    /// Row `v`, filled by `fill` on its first read; the first read of any
+    /// row allocates the `num_vertices` cells.
+    #[inline]
+    fn get_or_init(
+        &self,
+        num_vertices: usize,
+        v: VertexId,
+        fill: impl FnOnce() -> Box<[T]>,
+    ) -> &[T] {
+        let rows = self
+            .0
+            .get_or_init(|| (0..num_vertices).map(|_| OnceLock::new()).collect());
+        rows[v as usize].get_or_init(fill)
+    }
+
+    /// Which rows are filled, or `None` before the cells are allocated.
+    #[cfg(test)]
+    pub(crate) fn filled(&self) -> Option<Vec<bool>> {
+        let rows = self.0.get()?;
+        Some(rows.iter().map(|row| row.get().is_some()).collect())
+    }
+
+    /// Row `v` if it is filled.
+    #[cfg(test)]
+    pub(crate) fn row(&self, v: VertexId) -> Option<&[T]> {
+        self.0.get()?[v as usize].get().map(|row| &row[..])
+    }
+}
+
+/// One direction's derived walk data, a pure function of its CSR arrays:
+/// the coin thresholds (whole direction, built on the first read) and the
+/// one-step marginal and alias rows (per row, filled on each row's first
+/// read).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DerivedData {
+    /// Coin thresholds aligned with the direction's probabilities.
+    pub(crate) thresholds: OnceLock<Vec<u64>>,
+    /// One-step marginals, aligned with each row's neighbors.
+    pub(crate) marginals: RowCells<f64>,
+    /// Alias slots, `degree + 1` per row, built from the row's marginals.
+    pub(crate) alias: RowCells<AliasSlot>,
+}
+
+impl DerivedData {
+    /// Whether nothing has been built yet.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.thresholds.get().is_none()
+            && self.marginals.filled().is_none()
+            && self.alias.filled().is_none()
+    }
+}
 
 /// [`coin_threshold`] of every probability, in order.
 pub(crate) fn coin_thresholds_of(probs: &[Probability]) -> Vec<u64> {
@@ -107,6 +175,11 @@ pub trait GraphView {
     /// probability.
     fn coin_thresholds(&self, v: VertexId) -> &[u64];
 
+    /// Walker alias slots of `v`'s exact one-step distribution, death
+    /// included (`degree(v) + 1` slots, never empty; see [`crate::alias`]):
+    /// the alias sampler's one draw per step.
+    fn alias_slots(&self, v: VertexId) -> &[AliasSlot];
+
     /// Degree of `v` in this direction.
     fn degree(&self, v: VertexId) -> usize {
         self.neighbors(v).len()
@@ -114,38 +187,41 @@ pub trait GraphView {
 }
 
 /// A borrowed, direction-fixed view of an [`UncertainGraph`]: the flat
-/// arrays of one direction plus its lazily built coin thresholds and
-/// one-step marginals.  `Copy`, nine words (three slices, a count and the
-/// two cells' addresses) — hand it to workers freely.
+/// arrays of one direction plus its lazily built coin thresholds, one-step
+/// marginals and alias rows.  `Copy`, eight words (three slices, a count
+/// and the derived data's address) — hand it to workers freely.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrView<'a> {
     num_vertices: usize,
     offsets: &'a [usize],
     targets: &'a [VertexId],
     probs: &'a [Probability],
-    thresholds: &'a OnceLock<Vec<u64>>,
-    marginals: &'a MarginalCells,
+    derived: &'a DerivedData,
 }
 
 impl<'a> CsrView<'a> {
-    /// Borrows one direction's arrays and its derived-data cells.
+    /// Borrows one direction's arrays and its derived data.
     #[inline]
     pub(crate) fn new(
         num_vertices: usize,
         offsets: &'a [usize],
         targets: &'a [VertexId],
         probs: &'a [Probability],
-        thresholds: &'a OnceLock<Vec<u64>>,
-        marginals: &'a MarginalCells,
+        derived: &'a DerivedData,
     ) -> Self {
         CsrView {
             num_vertices,
             offsets,
             targets,
             probs,
-            thresholds,
-            marginals,
+            derived,
         }
+    }
+
+    /// The direction's derived data.
+    #[cfg(test)]
+    pub(crate) fn derived(&self) -> &'a DerivedData {
+        self.derived
     }
 
     /// Number of vertices `|V|`.
@@ -198,7 +274,10 @@ impl<'a> CsrView<'a> {
     pub fn coin_thresholds(&self, v: VertexId) -> &'a [u64] {
         let (start, end) = self.arc_range(v);
         let probs = self.probs;
-        &self.thresholds.get_or_init(|| coin_thresholds_of(probs))[start..end]
+        &self
+            .derived
+            .thresholds
+            .get_or_init(|| coin_thresholds_of(probs))[start..end]
     }
 
     /// Exact one-step marginals `Pr(v →₁ w)` of `v`'s arcs
@@ -207,10 +286,21 @@ impl<'a> CsrView<'a> {
     /// that, whichever thread asks.
     #[inline]
     pub fn one_step_marginals(&self, v: VertexId) -> &'a [f64] {
-        let rows = self
+        self.derived
             .marginals
-            .get_or_init(|| (0..self.num_vertices).map(|_| OnceLock::new()).collect());
-        rows[v as usize].get_or_init(|| one_step_marginals_row(self.probabilities(v)))
+            .get_or_init(self.num_vertices, v, || {
+                one_step_marginals_row(self.probabilities(v))
+            })
+    }
+
+    /// Walker alias slots of `v` ([`GraphView::alias_slots`]), built on the
+    /// row's first read from its cached [`Self::one_step_marginals`] and
+    /// served from its cell after that.
+    #[inline]
+    pub fn alias_slots(&self, v: VertexId) -> &'a [AliasSlot] {
+        self.derived.alias.get_or_init(self.num_vertices, v, || {
+            build_alias_row(self.neighbors(v), self.one_step_marginals(v))
+        })
     }
 
     /// Degree of `v` in this direction.
@@ -282,6 +372,11 @@ impl GraphView for CsrView<'_> {
     #[inline]
     fn coin_thresholds(&self, v: VertexId) -> &[u64] {
         CsrView::coin_thresholds(self, v)
+    }
+
+    #[inline]
+    fn alias_slots(&self, v: VertexId) -> &[AliasSlot] {
+        CsrView::alias_slots(self, v)
     }
 
     #[inline]

@@ -75,16 +75,14 @@ mod uncertain;
 pub mod updatelog;
 
 pub use alias::{
-    alias_draw, one_step_marginals, presence_count_distribution_into, AliasSlot, AliasTable,
-    AliasView, CsrAliasView, MarginalScratch,
+    alias_draw, one_step_marginals, presence_count_distribution_into, AliasSlot, MarginalScratch,
 };
 pub use builder::{DiGraphBuilder, DuplicatePolicy, UncertainGraphBuilder};
 pub use csr::{coin_threshold, CsrView, GraphView};
 pub use error::GraphError;
 pub use graph::{ArcIter, DiGraph};
 pub use overlay::{
-    CompactionPolicy, DeltaOverlay, GraphUpdate, OverlayAliasView, OverlayView, UpdateError,
-    UpdateSummary,
+    CompactionPolicy, DeltaOverlay, GraphUpdate, OverlayView, UpdateError, UpdateSummary,
 };
 pub use snapshot::CsrSnapshot;
 pub use uncertain::{ProbArc, UncertainGraph};

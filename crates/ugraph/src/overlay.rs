@@ -48,9 +48,7 @@
 //! assert_eq!(overlay.reverse().neighbors(0), &[2]);
 //! ```
 
-use crate::alias::{
-    build_alias_row, one_step_marginals_row, AliasSlot, AliasTable, AliasView, CsrAliasView,
-};
+use crate::alias::{build_alias_row, one_step_marginals_row, AliasSlot};
 use crate::csr::{coin_threshold, coin_thresholds_of, CsrView, GraphView};
 use crate::uncertain::{RawDirection, UncertainGraph};
 use crate::{Probability, VertexId};
@@ -260,17 +258,18 @@ struct Row {
     thresholds: Vec<u64>,
     /// The row's alias slots, built on the first alias read and reset by
     /// every edit, so a read never sees a stale row.
-    alias: OnceLock<Vec<AliasSlot>>,
+    alias: OnceLock<Box<[AliasSlot]>>,
     /// The row's one-step marginals, with the alias slots' lifecycle.
     marginals: OnceLock<Box<[f64]>>,
 }
 
 impl Row {
-    /// The row's alias slots: the same [`build_alias_row`] a base table
-    /// runs, over the live adjacency, built on first use.
+    /// The row's alias slots: the same [`build_alias_row`] a base row's cell
+    /// runs, over the live adjacency and the row's cached marginals, built
+    /// on first use.
     fn alias_slots(&self) -> &[AliasSlot] {
         self.alias
-            .get_or_init(|| build_alias_row(&self.targets, &self.probs))
+            .get_or_init(|| build_alias_row(&self.targets, self.one_step_marginals()))
     }
 
     /// The row's one-step marginals: the same function a base row's cell
@@ -595,51 +594,13 @@ impl DeltaOverlay {
 
     /// Folds every patched row back into a fresh contiguous base graph and
     /// clears the overlay.  Reads through the views before and after
-    /// compaction observe the identical adjacency.
+    /// compaction observe the identical adjacency.  The new base starts
+    /// with no derived data built: each row refills on its next read.
     pub fn compact(&mut self) {
-        let n = self.num_vertices();
-        let base = self.to_graph();
-        // A direction whose alias table was built rides along: unpatched
-        // vertices keep their base slots bit-for-bit and patched vertices
-        // contribute their live row, so the walked direction never pays a
-        // whole-table rebuild.  An unbuilt direction stays unbuilt.
-        let rows = [&self.forward.rows, &self.reverse.rows];
-        for ((old, new), rows) in self
-            .base
-            .alias_cells()
-            .into_iter()
-            .zip(base.alias_cells())
-            .zip(rows)
-        {
-            if let Some(table) = old.get() {
-                let merged = merge_alias_direction(n, self.live_arcs, table, rows);
-                new.set(merged).expect("a fresh base has no alias table");
-            }
-        }
-        self.base = base;
+        self.base = self.to_graph();
         self.forward.rows.clear();
         self.reverse.rows.clear();
         self.ops_since_compaction = 0;
-    }
-
-    /// The live forward alias view.  The base table is built on the first
-    /// call; a patched row builds its own slots on its first read.
-    #[inline]
-    pub fn forward_alias(&self) -> OverlayAliasView<'_> {
-        OverlayAliasView {
-            base: self.base.forward_alias(),
-            rows: &self.forward.rows,
-        }
-    }
-
-    /// The live reverse alias view, built like
-    /// [`DeltaOverlay::forward_alias`].
-    #[inline]
-    pub fn reverse_alias(&self) -> OverlayAliasView<'_> {
-        OverlayAliasView {
-            base: self.base.reverse_alias(),
-            rows: &self.reverse.rows,
-        }
     }
 
     /// The live graph as a fresh [`UncertainGraph`] (for persisting a
@@ -682,28 +643,6 @@ fn merge_direction(
         offsets.push(targets.len());
     }
     (offsets, targets, probs)
-}
-
-/// Concatenates one direction's live alias rows (the patched row's slots
-/// where the vertex is patched, the base table's slots otherwise) into a
-/// fresh contiguous [`AliasTable`].
-fn merge_alias_direction(
-    num_vertices: usize,
-    num_arcs: usize,
-    base: &AliasTable,
-    rows: &HashMap<VertexId, Row>,
-) -> AliasTable {
-    let mut offsets = Vec::with_capacity(num_vertices + 1);
-    let mut slots = Vec::with_capacity(num_arcs + num_vertices);
-    offsets.push(0);
-    for v in 0..num_vertices as VertexId {
-        match rows.get(&v) {
-            Some(row) => slots.extend_from_slice(row.alias_slots()),
-            None => slots.extend_from_slice(base.slots_of(v)),
-        }
-        offsets.push(slots.len());
-    }
-    AliasTable::from_raw(offsets, slots)
 }
 
 /// A borrowed, direction-fixed view of a [`DeltaOverlay`]: the base
@@ -773,6 +712,17 @@ impl<'a> OverlayView<'a> {
         }
     }
 
+    /// Live alias slots of `v` ([`GraphView::alias_slots`]): the patched
+    /// row's own, built on its first read after its last edit, or the base
+    /// view's cached row.
+    #[inline]
+    pub fn alias_slots(&self, v: VertexId) -> &'a [AliasSlot] {
+        match self.rows.get(&v) {
+            Some(row) => row.alias_slots(),
+            None => self.base.alias_slots(v),
+        }
+    }
+
     /// Live degree of `v` in this direction.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
@@ -794,32 +744,6 @@ impl<'a> OverlayView<'a> {
     }
 }
 
-/// A borrowed, direction-fixed alias view of a [`DeltaOverlay`]: the base
-/// [`CsrAliasView`] plus the patched rows of that direction.  Serves a
-/// patched vertex's own alias row, built on its first read, and the base
-/// table's slots — pointer-identical — otherwise, mirroring
-/// [`OverlayView`]'s contract for adjacency slices.
-#[derive(Debug, Clone, Copy)]
-pub struct OverlayAliasView<'a> {
-    base: CsrAliasView<'a>,
-    rows: &'a HashMap<VertexId, Row>,
-}
-
-impl AliasView for OverlayAliasView<'_> {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.base.num_vertices()
-    }
-
-    #[inline]
-    fn slots(&self, v: VertexId) -> &[AliasSlot] {
-        match self.rows.get(&v) {
-            Some(row) => row.alias_slots(),
-            None => self.base.slots_of(v),
-        }
-    }
-}
-
 impl GraphView for OverlayView<'_> {
     #[inline]
     fn num_vertices(&self) -> usize {
@@ -834,6 +758,11 @@ impl GraphView for OverlayView<'_> {
     #[inline]
     fn coin_thresholds(&self, v: VertexId) -> &[u64] {
         OverlayView::coin_thresholds(self, v)
+    }
+
+    #[inline]
+    fn alias_slots(&self, v: VertexId) -> &[AliasSlot] {
+        OverlayView::alias_slots(self, v)
     }
 
     #[inline]
@@ -897,8 +826,8 @@ mod tests {
                 "reverse coin thresholds of {v}"
             );
         }
-        // Marginal rows, bit for bit, against a fresh build of the live
-        // graph: a row cached before an edit must not survive it.
+        // Marginal and alias rows, bit for bit, against a fresh build of the
+        // live graph: a row cached before an edit must not survive it.
         let fresh = overlay.to_graph();
         for v in 0..expected.num_vertices() as VertexId {
             for (live, fresh) in [
@@ -910,6 +839,16 @@ mod tests {
                     bits(live.one_step_marginals(v)),
                     bits(fresh.one_step_marginals(v)),
                     "one-step marginals of {v}"
+                );
+                let slot_bits = |row: &[AliasSlot]| {
+                    row.iter()
+                        .map(|slot| (slot.prob.to_bits(), slot.first, slot.second))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    slot_bits(live.alias_slots(v)),
+                    slot_bits(fresh.alias_slots(v)),
+                    "alias slots of {v}"
                 );
             }
         }
@@ -1165,28 +1104,12 @@ mod tests {
         assert_eq!(CompactionPolicy::default().threshold(0), 4096);
     }
 
-    /// Every vertex's live alias slots must equal a from-scratch table
-    /// build over the live adjacency.
-    fn assert_alias_matches_fresh_build(overlay: &DeltaOverlay) {
-        let fresh = overlay.to_graph();
-        let pairs = [
-            (overlay.forward_alias(), fresh.forward_alias()),
-            (overlay.reverse_alias(), fresh.reverse_alias()),
-        ];
-        for (live, expected) in pairs {
-            for v in 0..overlay.num_vertices() as VertexId {
-                assert_eq!(live.slots(v), expected.slots_of(v), "alias row of {v}");
-            }
-        }
-    }
-
-    /// Whether any alias table or patched alias row has been built.
+    /// Whether any alias row, of the base or patched, has been built.
     fn any_alias_built(overlay: &DeltaOverlay) -> bool {
-        overlay
-            .base
-            .alias_cells()
+        let base = overlay.base();
+        [base.forward(), base.reverse()]
             .iter()
-            .any(|cell| cell.get().is_some())
+            .any(|view| view.derived().alias.filled().is_some())
             || [&overlay.forward, &overlay.reverse]
                 .iter()
                 .any(|dir| dir.rows.values().any(|row| row.alias.get().is_some()))
@@ -1195,7 +1118,9 @@ mod tests {
     #[test]
     fn updates_rebuild_alias_rows_only_for_touched_vertices() {
         let mut overlay = DeltaOverlay::with_policy(fig1_graph(), CompactionPolicy::never());
-        overlay.forward_alias();
+        for v in 0..overlay.num_vertices() as VertexId {
+            overlay.forward().alias_slots(v);
+        }
         overlay
             .apply_all(&[
                 GraphUpdate::InsertArc {
@@ -1210,17 +1135,17 @@ mod tests {
                 },
             ])
             .unwrap();
-        assert_alias_matches_fresh_build(&overlay);
-        // An untouched vertex serves the base table's slots pointer-
+        assert_views_match(&overlay, &overlay.to_graph());
+        // An untouched vertex serves the base row's slots pointer-
         // identically — the "only patched vertices rebuilt" contract.
-        let live = overlay.forward_alias();
-        let base_table = overlay.base().forward_alias();
+        let live = overlay.forward();
+        let base = overlay.base().forward();
         assert!(std::ptr::eq(
-            live.slots(1).as_ptr(),
-            base_table.slots_of(1).as_ptr()
+            live.alias_slots(1).as_ptr(),
+            base.alias_slots(1).as_ptr()
         ));
         // Touched vertices serve rebuilt rows, not the stale base slots.
-        assert_ne!(live.slots(2), base_table.slots_of(2));
+        assert_ne!(live.alias_slots(2), base.alias_slots(2));
         // Editing a row that was already read resets its slots.
         overlay
             .apply_all(&[GraphUpdate::DeleteArc {
@@ -1229,7 +1154,7 @@ mod tests {
             }])
             .unwrap();
         assert!(overlay.forward.rows[&2].alias.get().is_none());
-        assert_alias_matches_fresh_build(&overlay);
+        assert_views_match(&overlay, &overlay.to_graph());
     }
 
     #[test]
@@ -1245,13 +1170,12 @@ mod tests {
         // Rows patched before the first alias read need no build call: the
         // first read builds them.
         assert!(!any_alias_built(&overlay));
-        assert_alias_matches_fresh_build(&overlay);
+        assert_views_match(&overlay, &overlay.to_graph());
     }
 
     #[test]
-    fn compaction_carries_alias_tables_into_the_new_base() {
+    fn compaction_starts_the_new_base_with_empty_cells() {
         let mut overlay = DeltaOverlay::with_policy(fig1_graph(), CompactionPolicy::never());
-        overlay.reverse_alias();
         overlay
             .apply_all(&[
                 GraphUpdate::DeleteArc {
@@ -1265,17 +1189,17 @@ mod tests {
                 },
             ])
             .unwrap();
+        // Read every row of both directions, base and patched alike.
+        assert_views_match(&overlay, &overlay.to_graph());
+        assert!(any_alias_built(&overlay));
         overlay.compact();
         assert_eq!(overlay.patched_vertices(), 0);
-        // Only the direction that was built rides along.
-        let [forward, reverse] = overlay.base().alias_cells();
-        assert!(forward.get().is_none());
-        // The compacted table is bit-identical to a from-scratch build of
-        // the same graph (copy-vs-rebuild indistinguishability).
-        let fresh = overlay.to_graph();
-        fresh.reverse_alias();
-        assert_eq!(reverse.get(), fresh.alias_cells()[1].get());
-        assert_alias_matches_fresh_build(&overlay);
+        // Every cell of the new base is empty, and each row refills on its
+        // next read to the bits of a fresh graph.
+        let base = overlay.base();
+        assert!(base.forward().derived().is_empty());
+        assert!(base.reverse().derived().is_empty());
+        assert_views_match(&overlay, &overlay.to_graph());
     }
 
     #[test]
@@ -1324,9 +1248,13 @@ mod tests {
             let (source, target) = edit.endpoints();
             overlay.forward().one_step_marginals(source);
             overlay.reverse().one_step_marginals(target);
+            overlay.forward().alias_slots(source);
+            overlay.reverse().alias_slots(target);
             overlay.apply_all(&[edit]).unwrap();
             assert!(overlay.forward.rows[&source].marginals.get().is_none());
             assert!(overlay.reverse.rows[&target].marginals.get().is_none());
+            assert!(overlay.forward.rows[&source].alias.get().is_none());
+            assert!(overlay.reverse.rows[&target].alias.get().is_none());
             assert_views_match(&overlay, &overlay.to_graph());
         }
     }

@@ -30,8 +30,9 @@
 //!
 //! The flags word is reserved for optional sections.  None is defined, so
 //! any set bit is rejected: a reader that does not understand a section
-//! cannot skip what it cannot size.  Derived walk tables (coin thresholds,
-//! alias tables) are not persisted; a graph builds each on its first read.
+//! cannot skip what it cannot size.  Derived walk data (coin thresholds,
+//! one-step marginals, alias rows) is not persisted; a graph builds each on
+//! its first read.
 //!
 //! # Trust model
 //!
@@ -721,8 +722,8 @@ mod tests {
         assert_eq!(u32::from_le_bytes(bytes[12..16].try_into().unwrap()), 0);
         let snapshot = read_snapshot(bytes.as_slice()).unwrap();
         assert_eq!(snapshot.graph, csr);
-        let [forward, reverse] = snapshot.graph.alias_cells();
-        assert!(forward.get().is_none() && reverse.get().is_none());
+        assert!(snapshot.graph.forward().derived().is_empty());
+        assert!(snapshot.graph.reverse().derived().is_empty());
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Uncertain directed graphs: every arc carries an independent existence
 //! probability in `(0, 1]` (the tuple `(V, E, P)` of Section II of the paper).
 
-use crate::alias::{AliasTable, CsrAliasView};
-use crate::csr::{CsrView, MarginalCells};
+use crate::csr::{CsrView, DerivedData};
 use crate::graph::DiGraph;
 use crate::{GraphError, Probability, VertexId};
-use std::sync::OnceLock;
 
 /// An arc of an uncertain graph together with its existence probability.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -28,17 +26,17 @@ pub struct ProbArc {
 /// and [`UncertainGraph::reverse`] borrow them as [`CsrView`]s, so samplers
 /// and the batch engine walk the graph itself, not a copy.
 ///
-/// # Derived walk tables
+/// # Derived walk data
 ///
-/// Each direction's integer coin thresholds and one-step marginals (see
-/// [`crate::csr`]) and Walker alias table (see [`crate::alias`]) are
-/// *derived* data, a pure function of that direction's CSR arrays.  Each is
-/// built on its first read ([`CsrView::coin_thresholds`],
-/// [`CsrView::one_step_marginals`] — row by row —,
-/// [`UncertainGraph::forward_alias`], [`UncertainGraph::reverse_alias`]),
-/// so an engine walking one direction pays for that direction only, and
-/// only the alias sampler backend pays the alias table's `O(Σ d²)` build.
-/// [`PartialEq`] and the snapshot writer ignore them.
+/// Each direction's integer coin thresholds, one-step marginals and Walker
+/// alias rows (see [`crate::csr`] and [`crate::alias`]) are *derived* data,
+/// a pure function of that direction's CSR arrays, held in one holder per
+/// direction.  Each is built on its first read ([`CsrView::coin_thresholds`]
+/// for the whole direction, [`CsrView::one_step_marginals`] and
+/// [`CsrView::alias_slots`] row by row), so an engine walking one direction
+/// pays for that direction only, and only for the rows it reads; nothing is
+/// built at construction.  [`PartialEq`] and the snapshot writer ignore
+/// them.
 #[derive(Debug, Clone)]
 pub struct UncertainGraph {
     skeleton: DiGraph,
@@ -48,24 +46,16 @@ pub struct UncertainGraph {
     /// Probability of the arc `(in_sources[i], v)`, aligned with the reverse
     /// CSR of `skeleton`.
     in_probabilities: Vec<Probability>,
-    /// Coin thresholds aligned with `out_probabilities`, built on first use.
-    out_thresholds: OnceLock<Vec<u64>>,
-    /// Coin thresholds aligned with `in_probabilities`, built on first use.
-    in_thresholds: OnceLock<Vec<u64>>,
-    /// Alias table of the forward direction, built on first use.
-    out_alias: OnceLock<AliasTable>,
-    /// Alias table of the reverse direction, built on first use.
-    in_alias: OnceLock<AliasTable>,
-    /// One-step marginals of the forward rows, each filled on first use.
-    out_marginals: MarginalCells,
-    /// One-step marginals of the reverse rows, each filled on first use.
-    in_marginals: MarginalCells,
+    /// Derived data of the forward direction, built on first use.
+    out_derived: DerivedData,
+    /// Derived data of the reverse direction, built on first use.
+    in_derived: DerivedData,
 }
 
 impl PartialEq for UncertainGraph {
-    /// Structural equality of the CSR arrays only — the alias tables, the
-    /// coin thresholds and the one-step marginals are derived data and do
-    /// not participate.
+    /// Structural equality of the CSR arrays only — the coin thresholds,
+    /// the one-step marginals and the alias rows are derived data and do not
+    /// participate.
     fn eq(&self, other: &Self) -> bool {
         self.skeleton == other.skeleton
             && self.out_probabilities == other.out_probabilities
@@ -129,12 +119,8 @@ impl UncertainGraph {
             skeleton,
             out_probabilities,
             in_probabilities,
-            out_thresholds: OnceLock::new(),
-            in_thresholds: OnceLock::new(),
-            out_alias: OnceLock::new(),
-            in_alias: OnceLock::new(),
-            out_marginals: OnceLock::new(),
-            in_marginals: OnceLock::new(),
+            out_derived: DerivedData::default(),
+            in_derived: DerivedData::default(),
         }
     }
 
@@ -166,12 +152,8 @@ impl UncertainGraph {
             },
             out_probabilities,
             in_probabilities,
-            out_thresholds: OnceLock::new(),
-            in_thresholds: OnceLock::new(),
-            out_alias: OnceLock::new(),
-            in_alias: OnceLock::new(),
-            out_marginals: OnceLock::new(),
-            in_marginals: OnceLock::new(),
+            out_derived: DerivedData::default(),
+            in_derived: DerivedData::default(),
         }
     }
 
@@ -210,8 +192,7 @@ impl UncertainGraph {
             &self.skeleton.out_offsets,
             &self.skeleton.out_targets,
             &self.out_probabilities,
-            &self.out_thresholds,
-            &self.out_marginals,
+            &self.out_derived,
         )
     }
 
@@ -225,8 +206,7 @@ impl UncertainGraph {
             &self.skeleton.in_offsets,
             &self.skeleton.in_sources,
             &self.in_probabilities,
-            &self.in_thresholds,
-            &self.in_marginals,
+            &self.in_derived,
         )
     }
 
@@ -317,32 +297,23 @@ impl UncertainGraph {
             skeleton: self.skeleton.clone(),
             out_probabilities: vec![1.0; self.out_probabilities.len()],
             in_probabilities: vec![1.0; self.in_probabilities.len()],
-            out_thresholds: OnceLock::new(),
-            in_thresholds: OnceLock::new(),
-            out_alias: OnceLock::new(),
-            in_alias: OnceLock::new(),
-            out_marginals: OnceLock::new(),
-            in_marginals: OnceLock::new(),
+            out_derived: DerivedData::default(),
+            in_derived: DerivedData::default(),
         }
     }
 
     /// Returns the transposed uncertain graph (every arc reversed, keeping
     /// its probability).
     ///
-    /// Both directions are stored sorted, so the transpose swaps them (built
-    /// coin thresholds, alias tables and marginal rows included) without
-    /// re-sorting a single arc.
+    /// Both directions are stored sorted, so the transpose swaps them (their
+    /// built derived data included) without re-sorting a single arc.
     pub fn transpose(&self) -> UncertainGraph {
         UncertainGraph {
             skeleton: self.skeleton.transpose(),
             out_probabilities: self.in_probabilities.clone(),
             in_probabilities: self.out_probabilities.clone(),
-            out_thresholds: self.in_thresholds.clone(),
-            in_thresholds: self.out_thresholds.clone(),
-            out_alias: self.in_alias.clone(),
-            in_alias: self.out_alias.clone(),
-            out_marginals: self.in_marginals.clone(),
-            in_marginals: self.out_marginals.clone(),
+            out_derived: self.in_derived.clone(),
+            in_derived: self.out_derived.clone(),
         }
     }
 
@@ -363,30 +334,6 @@ impl UncertainGraph {
     /// benchmark.
     pub fn from_uncertain(graph: &UncertainGraph) -> Self {
         graph.clone()
-    }
-
-    /// The forward direction's alias view, building its table on the first
-    /// call (`O(Σ d²)`); the reverse table is left alone.
-    #[inline]
-    pub fn forward_alias(&self) -> CsrAliasView<'_> {
-        self.out_alias
-            .get_or_init(|| AliasTable::from_view(self.forward()))
-            .view()
-    }
-
-    /// The reverse direction's alias view, building its table on the first
-    /// call (`O(Σ d²)`); the forward table is left alone.
-    #[inline]
-    pub fn reverse_alias(&self) -> CsrAliasView<'_> {
-        self.in_alias
-            .get_or_init(|| AliasTable::from_view(self.reverse()))
-            .view()
-    }
-
-    /// The `(forward, reverse)` alias cells, built or not: overlay
-    /// compaction carries a built direction into the new base.
-    pub(crate) fn alias_cells(&self) -> [&OnceLock<AliasTable>; 2] {
-        [&self.out_alias, &self.in_alias]
     }
 }
 
@@ -526,7 +473,7 @@ mod tests {
     #[test]
     fn coin_thresholds_are_built_per_direction_on_first_use() {
         let g = fig1_graph();
-        assert!(g.out_thresholds.get().is_none() && g.in_thresholds.get().is_none());
+        assert!(g.out_derived.is_empty() && g.in_derived.is_empty());
         let reverse = g.reverse();
         for v in g.vertices() {
             let expected: Vec<u64> = reverse
@@ -537,38 +484,72 @@ mod tests {
             assert_eq!(reverse.coin_thresholds(v), expected.as_slice());
         }
         assert!(
-            g.in_thresholds.get().is_some(),
+            g.in_derived.thresholds.get().is_some(),
             "the walked direction is built"
         );
-        assert!(g.out_thresholds.get().is_none(), "the other one is not");
+        assert!(g.out_derived.is_empty(), "the other one is not");
         assert_eq!(g, fig1_graph(), "thresholds do not take part in equality");
         // The transpose swaps the built table along with its direction.
         let t = g.transpose();
-        assert_eq!(t.out_thresholds.get(), g.in_thresholds.get());
-        assert!(t.in_thresholds.get().is_none());
+        assert_eq!(
+            t.out_derived.thresholds.get(),
+            g.in_derived.thresholds.get()
+        );
+        assert!(t.in_derived.thresholds.get().is_none());
     }
 
     #[test]
-    fn alias_tables_are_built_per_direction_on_first_use() {
+    fn alias_rows_are_built_per_direction_and_row_on_first_use() {
         let g = fig1_graph();
-        let reverse = g.reverse_alias();
-        let fresh = AliasTable::from_view(g.reverse());
-        for v in g.vertices() {
-            assert_eq!(reverse.slots_of(v), fresh.slots_of(v));
-        }
-        assert!(g.in_alias.get().is_some(), "the walked direction is built");
-        assert!(g.out_alias.get().is_none(), "the other one is not");
-        assert_eq!(g, fig1_graph(), "alias tables do not take part in equality");
-        // The transpose swaps the built table along with its direction.
+        let reverse = g.reverse();
+        // Vertex 3's in-arcs: from 0 (0.5) and from 2 (0.6).
+        let row = reverse.alias_slots(3);
+        assert_eq!(
+            row,
+            &crate::alias::build_alias_row(reverse.neighbors(3), reverse.one_step_marginals(3))[..]
+        );
+        assert_eq!(row.len(), 3, "two neighbors and the death outcome");
+        assert_eq!(
+            g.in_derived.alias.filled(),
+            Some(vec![false, false, false, true, false]),
+            "only the read row"
+        );
+        assert!(g.out_derived.is_empty(), "the other direction is not");
+        // A second read serves the cached row itself.
+        assert!(std::ptr::eq(row, reverse.alias_slots(3)));
+        assert_eq!(g, fig1_graph(), "alias rows do not take part in equality");
+        // The transpose swaps the cells along with their direction.
         let t = g.transpose();
-        assert_eq!(t.out_alias.get(), g.in_alias.get());
-        assert!(t.in_alias.get().is_none());
+        assert!(t.in_derived.alias.filled().is_none());
+        assert_eq!(t.out_derived.alias.row(3), Some(row));
+        assert_eq!(t.forward().alias_slots(3), row);
+    }
+
+    #[test]
+    fn an_alias_row_is_built_from_the_cached_marginal_row() {
+        let g = fig1_graph();
+        let reverse = g.reverse();
+        assert!(g.in_derived.marginals.filled().is_none());
+        reverse.alias_slots(3);
+        // The alias read filled the row's marginal cell, and the marginal
+        // read serves that very row: its deconvolution ran once.
+        let cached = g
+            .in_derived
+            .marginals
+            .row(3)
+            .expect("filled by the alias read");
+        assert!(std::ptr::eq(cached, reverse.one_step_marginals(3)));
+        assert_eq!(
+            g.in_derived.marginals.filled(),
+            Some(vec![false, false, false, true, false])
+        );
     }
 
     #[test]
     fn one_step_marginals_are_built_per_direction_and_row_on_first_use() {
         let g = fig1_graph();
-        assert!(g.out_marginals.get().is_none() && g.in_marginals.get().is_none());
+        assert!(g.out_derived.marginals.filled().is_none());
+        assert!(g.in_derived.marginals.filled().is_none());
         let reverse = g.reverse();
         // Vertex 3's in-arcs: from 0 (0.5) and from 2 (0.6).
         let row = reverse.one_step_marginals(3);
@@ -580,26 +561,25 @@ mod tests {
         );
         assert_eq!(row, expected.as_slice());
         assert!((row[0] - 0.5 * (0.4 + 0.6 / 2.0)).abs() < 1e-15);
-        let cells = g.in_marginals.get().expect("the read direction is built");
-        assert_eq!(cells.len(), g.num_vertices());
-        let filled: Vec<bool> = cells.iter().map(|cell| cell.get().is_some()).collect();
+        let filled = g
+            .in_derived
+            .marginals
+            .filled()
+            .expect("the read direction is built");
+        assert_eq!(filled.len(), g.num_vertices());
         assert_eq!(
             filled,
             [false, false, false, true, false],
             "only the read row"
         );
-        assert!(
-            g.out_marginals.get().is_none(),
-            "the other direction is not"
-        );
+        assert!(g.out_derived.is_empty(), "the other direction is not");
         // A second read serves the cached row itself.
         assert!(std::ptr::eq(row, reverse.one_step_marginals(3)));
         assert_eq!(g, fig1_graph(), "marginals do not take part in equality");
         // The transpose swaps the cells along with their direction.
         let t = g.transpose();
-        assert!(t.in_marginals.get().is_none());
-        let swapped = t.out_marginals.get().expect("swapped, not dropped");
-        assert_eq!(swapped[3].get().map(|r| &r[..]), Some(row));
+        assert!(t.in_derived.marginals.filled().is_none());
+        assert_eq!(t.out_derived.marginals.row(3), Some(row));
         assert_eq!(t.forward().one_step_marginals(3), row);
     }
 

@@ -1,8 +1,8 @@
 //! Property-based tests for the alias sampler backend under churn: after an
 //! arbitrary valid update stream, an engine running [`SamplerKind::Alias`]
 //! (whose overlay rebuilt alias rows only for the patched vertices) must
-//! answer batch queries bit-identically to a from-scratch engine that built
-//! every alias table fresh on the mutated graph — at 1 and at 4 rayon
+//! answer batch queries bit-identically to a from-scratch engine whose alias
+//! rows are all built fresh on the mutated graph — at 1 and at 4 rayon
 //! threads, with batch == sequential along the way.
 
 use proptest::prelude::*;
@@ -107,8 +107,8 @@ proptest! {
     /// The core churn invariant of the alias backend: batch answers after
     /// `apply_updates` (which rebuilds alias rows only for the update
     /// endpoints) are bit-identical to those of a from-scratch engine whose
-    /// alias tables were all built fresh on the mutated graph, at 1 and at
-    /// 4 threads, with batch == sequential throughout.
+    /// alias rows are all built fresh on the mutated graph, at 1 and at 4
+    /// threads, with batch == sequential throughout.
     #[test]
     fn alias_answers_after_churn_match_a_fresh_rebuild_at_1_and_4_threads(
         input in graph_and_ops(8, 20, 24)
@@ -139,7 +139,8 @@ proptest! {
         prop_assert_eq!(&a, &b, "alias: 1 thread == 4 threads after updates");
         prop_assert_eq!(&a, &batch);
 
-        // Partial table rebuild is indistinguishable from a full one.
+        // Rebuilding only the patched rows is indistinguishable from a
+        // fresh graph.
         let fresh = QueryEngine::new(
             &model_graph(graph.num_vertices(), &model),
             config,

@@ -191,7 +191,7 @@ proptest! {
         }
     }
 
-    /// The same property on the alias-table backend: invalidation is
+    /// The same property on the alias backend: invalidation is
     /// sampler-agnostic.
     #[test]
     fn survivors_match_fresh_engine_alias_sampler(

@@ -130,7 +130,7 @@ proptest! {
     /// The transpose swaps the two directions without re-sorting, and the
     /// result equals the transpose built the old way — every arc reversed
     /// and sorted from scratch by `from_arcs`.  Twice is the identity, and
-    /// alias tables swap along with the arrays.
+    /// built alias rows swap along with the arrays.
     #[test]
     fn transpose_matches_the_sorted_rebuild(graph in small_uncertain_graph(10, 30)) {
         let transposed = graph.transpose();
@@ -142,20 +142,22 @@ proptest! {
         prop_assert_eq!(&transposed, &rebuilt);
         prop_assert_eq!(&transposed.transpose(), &graph);
 
-        // Build both directions' tables, then transpose: the built tables
+        // Build both directions' alias rows, then transpose: the built rows
         // move with their directions.
-        let with_tables = graph.clone();
-        with_tables.forward_alias();
-        with_tables.reverse_alias();
-        let swapped = with_tables.transpose();
+        let with_rows = graph.clone();
+        for v in graph.vertices() {
+            with_rows.forward().alias_slots(v);
+            with_rows.reverse().alias_slots(v);
+        }
+        let swapped = with_rows.transpose();
         for v in graph.vertices() {
             prop_assert_eq!(
-                swapped.forward_alias().slots_of(v),
-                rebuilt.forward_alias().slots_of(v)
+                swapped.forward().alias_slots(v),
+                rebuilt.forward().alias_slots(v)
             );
             prop_assert_eq!(
-                swapped.reverse_alias().slots_of(v),
-                rebuilt.reverse_alias().slots_of(v)
+                swapped.reverse().alias_slots(v),
+                rebuilt.reverse().alias_slots(v)
             );
         }
     }
