@@ -1,5 +1,6 @@
 //! Criterion micro-benchmark of the bit-vector primitives that SR-SP's
-//! counting tables rely on (design-choice ablation from DESIGN.md §6).
+//! counting tables rely on (Eq. 16's masked popcount, see
+//! `usim_core::speedup`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;

@@ -1,13 +1,13 @@
 //! `csr_vs_adjlist` — the walk-sampling hot loop on the legacy
 //! adjacency-walking `WalkSampler` (per-walk `HashMap` memo, per-visit `Vec`
-//! allocations) versus the CSR fast path (`CsrSampler` + `WalkArena`,
+//! allocations) versus the CSR fast path (`WalkArena::sample_walk`,
 //! allocation-free in steady state).  Both sample the same walks from the
 //! same seeds; the difference is pure representation and allocator traffic.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rwalk::arena::{CsrSampler, WalkArena};
+use rwalk::arena::{WalkArena, DEAD};
 use rwalk::sampler::WalkSampler;
 use std::time::Duration;
 use usim_bench::{dataset, random_pairs, Scale};
@@ -44,15 +44,16 @@ fn bench_csr_vs_adjlist(c: &mut Criterion) {
     });
 
     group.bench_function("csr_arena_sampler", |b| {
-        let sampler = CsrSampler::new(graph.reverse());
-        let mut arena = WalkArena::with_capacity(graph.num_vertices());
+        let view = graph.reverse();
+        let mut arena = WalkArena::default();
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(1);
         b.iter(|| {
             let mut met = 0usize;
             for &start in &starts {
-                sampler.sample_walk_into(&mut arena, start, HORIZON, &mut rng, &mut positions);
-                met += (positions[HORIZON] != rwalk::arena::DEAD) as usize;
+                positions.clear();
+                arena.sample_walk(&view, start, HORIZON, &mut rng, &mut positions);
+                met += (positions[HORIZON] != DEAD) as usize;
             }
             black_box(met)
         })

@@ -3,20 +3,24 @@
 //! Times the per-step transition draw of both walk backends on the same
 //! CSR graph:
 //!
-//! * **legacy** — the lazily-instantiated arena sampler
-//!   (`rwalk::CsrSampler` + `WalkArena`): one uniform draw per possible arc
+//! * **legacy** — the lazily-instantiated arena walk
+//!   (`rwalk::WalkArena::sample_walk`): one uniform draw per possible arc
 //!   on first visit, memoized within the walk;
-//! * **alias** — the Walker alias rows (`rwalk::AliasSampler` over the
-//!   same view, whose rows are built on their first read from the row's
-//!   cached one-step marginals): exactly one `f64` draw and one 16-byte
-//!   slot read per step, degree-independent.  The first pass fills the
-//!   rows the walks reach; the fastest pass is the steady state.
+//! * **alias** — the Walker alias rows (`rwalk::alias_walk` over the same
+//!   view, whose rows are built on their first read from the row's cached
+//!   one-step marginals): exactly one `f64` draw and one 16-byte slot read
+//!   per step, degree-independent.
+//!
+//! One untimed pass of each backend runs first: it lets the CPU ramp up and
+//! fills the alias rows the walks reach.  The timed passes then alternate
+//! legacy and alias, so host speed drift hits both backends alike; the
+//! fastest pass of each is its steady state.
 //!
 //! The run writes a `BENCH_alias_speedup.json` artifact and exits non-zero
 //! when either gate fails:
 //!
 //! 1. the **acceptance floor**: alias walks must be at least 2x faster than
-//!    the arena sampler (the whole point of the alias rows), and
+//!    the arena walk (the whole point of the alias rows), and
 //! 2. the **regression gate**: the speedup must not fall below half the
 //!    checked-in baseline (`crates/bench/baselines/alias_speedup.json`) —
 //!    ratio-based like the other gates, so machine speed cancels out.
@@ -33,7 +37,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rwalk::{AliasSampler, CsrSampler, WalkArena, DEAD};
+use rwalk::{alias_walk, WalkArena, DEAD};
 use std::time::Instant;
 use ugraph::VertexId;
 use usim_datasets::RmatGenerator;
@@ -51,7 +55,7 @@ struct AliasSpeedupReport {
     walk_len: usize,
     /// Timed passes (fastest of each backend is kept).
     reps: usize,
-    /// Fastest legacy (arena sampler) pass, seconds.
+    /// Fastest legacy (arena walk) pass, seconds.
     legacy_secs: f64,
     /// Fastest alias pass, seconds.
     alias_secs: f64,
@@ -64,6 +68,24 @@ fn env_usize(name: &str, default: usize) -> usize {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(default)
+}
+
+/// One pass of `walk` over `starts` from the fixed seed: its wall time in
+/// seconds and the live steps it sampled.
+fn pass(
+    starts: &[VertexId],
+    positions: &mut Vec<VertexId>,
+    mut walk: impl FnMut(VertexId, &mut StdRng, &mut Vec<VertexId>),
+) -> (f64, u64) {
+    let mut rng = StdRng::seed_from_u64(0x1e9acc);
+    let mut live = 0u64;
+    let start = Instant::now();
+    for &v in starts {
+        positions.clear();
+        walk(v, &mut rng, positions);
+        live += positions.iter().skip(1).filter(|&&p| p != DEAD).count() as u64;
+    }
+    (start.elapsed().as_secs_f64(), live)
 }
 
 fn main() {
@@ -98,35 +120,20 @@ fn main() {
     let starts: Vec<VertexId> = (0..walks).map(|i| (i as VertexId) % num_vertices).collect();
     let mut positions: Vec<VertexId> = Vec::with_capacity(walk_len + 1);
 
-    let legacy = CsrSampler::new(view);
-    let mut arena = WalkArena::new();
-    let mut legacy_secs = f64::INFINITY;
-    let mut legacy_live_steps = 0u64;
+    let mut arena = WalkArena::default();
+    let mut legacy = |v, rng: &mut StdRng, out: &mut Vec<VertexId>| {
+        arena.sample_walk(&view, v, walk_len, rng, out)
+    };
+    let mut alias =
+        |v, rng: &mut StdRng, out: &mut Vec<VertexId>| alias_walk(&view, v, walk_len, rng, out);
+    // Untimed warm-up of each backend; every pass walks the same seeded
+    // schedule, so these live-step counts are every pass's.
+    let (_, legacy_live_steps) = pass(&starts, &mut positions, &mut legacy);
+    let (_, alias_live_steps) = pass(&starts, &mut positions, &mut alias);
+    let (mut legacy_secs, mut alias_secs) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
-        let mut rng = StdRng::seed_from_u64(0x1e9acc);
-        let mut live = 0u64;
-        let start = Instant::now();
-        for &v in &starts {
-            legacy.sample_walk_into(&mut arena, v, walk_len, &mut rng, &mut positions);
-            live += positions.iter().skip(1).filter(|&&p| p != DEAD).count() as u64;
-        }
-        legacy_secs = legacy_secs.min(start.elapsed().as_secs_f64());
-        legacy_live_steps = live;
-    }
-
-    let alias = AliasSampler::new(view);
-    let mut alias_secs = f64::INFINITY;
-    let mut alias_live_steps = 0u64;
-    for _ in 0..reps {
-        let mut rng = StdRng::seed_from_u64(0x1e9acc);
-        let mut live = 0u64;
-        let start = Instant::now();
-        for &v in &starts {
-            alias.sample_walk_into(v, walk_len, &mut rng, &mut positions);
-            live += positions.iter().skip(1).filter(|&&p| p != DEAD).count() as u64;
-        }
-        alias_secs = alias_secs.min(start.elapsed().as_secs_f64());
-        alias_live_steps = live;
+        legacy_secs = legacy_secs.min(pass(&starts, &mut positions, &mut legacy).0);
+        alias_secs = alias_secs.min(pass(&starts, &mut positions, &mut alias).0);
     }
 
     // Sanity contract: the two backends sample different distributions over
@@ -170,7 +177,7 @@ fn main() {
     if report.speedup < ACCEPTANCE_FLOOR {
         eprintln!(
             "csr_vs_alias: FAIL: alias walks are only {:.2}x faster than the arena \
-             sampler (acceptance floor {ACCEPTANCE_FLOOR}x)",
+             walk (acceptance floor {ACCEPTANCE_FLOOR}x)",
             report.speedup
         );
         std::process::exit(1);

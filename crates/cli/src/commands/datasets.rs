@@ -30,7 +30,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
         ]);
     }
     let mut output = String::from(
-        "Synthetic stand-ins for the datasets of Table II (see DESIGN.md §4 for the substitutions)\n\n",
+        "Synthetic stand-ins for the datasets of Table II (see crates/datasets/src/lib.rs for the substitutions)\n\n",
     );
     output.push_str(&table.render());
     output.push_str("\nUse `usim generate --dataset <name> --scale ci|paper --out <file>` to materialise one.\n");

@@ -47,7 +47,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use rwalk::arena::{AliasSampler, CsrSampler, WalkArena, DEAD};
+use rwalk::arena::{alias_walk, WalkArena, DEAD};
 use std::fmt;
 use ugraph::{
     CompactionPolicy, DeltaOverlay, GraphUpdate, OverlayView, UncertainGraph, UpdateError,
@@ -95,15 +95,13 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Per-worker scratch: one arena, the walk-position buffers and the
-/// estimator's tables.  Checked out of the engine's [`ScratchPool`] for the
+/// Per-worker scratch: one arena, the pair's walks and the estimator's
+/// tables.  Checked out of the engine's [`ScratchPool`] for the
 /// duration of one query (or one worker's chunk of a batch) and returned
 /// afterwards, so buffers are reused across batches, not just within one.
 #[derive(Debug, Default)]
 struct Scratch {
     arena: WalkArena,
-    walk_u: Vec<VertexId>,
-    walk_v: Vec<VertexId>,
     /// All `N` walks of the pair's `u` (and `v`), walk-major: walk `i`
     /// occupies `i·(n + 1)..(i + 1)·(n + 1)`.
     walks_u: Vec<VertexId>,
@@ -514,8 +512,7 @@ impl QueryEngine {
         );
         let n = self.config.horizon;
         let num_samples = self.config.num_samples;
-        // Both samplers below terminate at dead ends (`new` takes the
-        // default `DeadEndPolicy::Terminate`), so a walk from a vertex with
+        // Every walk terminates at a dead end, so a walk from a vertex with
         // no arc in the walk direction is dead from step 1 on and meets
         // nothing: for u ≠ v every m(k) is exactly 0, the profile the
         // estimate would give.  Streams are pair-keyed, so skipping this
@@ -528,45 +525,39 @@ impl QueryEngine {
         meeting[0] = if u == v { 1.0 } else { 0.0 };
         meeting[1] = exact_step_one(&view, u, v);
         let mut rng = StdRng::seed_from_u64(pair_seed(self.config.seed, u, v));
-        scratch.walks_u.clear();
-        scratch.walks_v.clear();
-        match self.config.sampler {
-            SamplerKind::Legacy => {
-                let sampler = CsrSampler::new(view);
-                for _ in 0..num_samples {
-                    sampler.sample_walk_into(
-                        &mut scratch.arena,
-                        u,
-                        n,
-                        &mut rng,
-                        &mut scratch.walk_u,
-                    );
-                    sampler.sample_walk_into(
-                        &mut scratch.arena,
-                        v,
-                        n,
-                        &mut rng,
-                        &mut scratch.walk_v,
-                    );
-                    scratch.keep_pair_walks(tally.as_deref_mut(), &view, self.config.sampler);
+        let Scratch {
+            arena,
+            walks_u,
+            walks_v,
+            positions,
+        } = scratch;
+        walks_u.clear();
+        walks_v.clear();
+        for _ in 0..num_samples {
+            match self.config.sampler {
+                SamplerKind::Legacy => {
+                    arena.sample_walk(&view, u, n, &mut rng, walks_u);
+                    arena.sample_walk(&view, v, n, &mut rng, walks_v);
+                }
+                SamplerKind::Alias => {
+                    alias_walk(&view, u, n, &mut rng, walks_u);
+                    alias_walk(&view, v, n, &mut rng, walks_v);
                 }
             }
-            SamplerKind::Alias => {
-                let sampler = AliasSampler::new(view);
-                for _ in 0..num_samples {
-                    sampler.sample_walk_into(u, n, &mut rng, &mut scratch.walk_u);
-                    sampler.sample_walk_into(v, n, &mut rng, &mut scratch.walk_v);
-                    scratch.keep_pair_walks(tally.as_deref_mut(), &view, self.config.sampler);
-                }
+            if let Some(tally) = tally.as_deref_mut() {
+                // The pair's newest walks are the last n + 1 positions.
+                let walk_u = &walks_u[walks_u.len() - (n + 1)..];
+                let walk_v = &walks_v[walks_v.len() - (n + 1)..];
+                tally_pair_walks(tally, walk_u, walk_v, &view, self.config.sampler);
             }
         }
         let met = count_all_pair_meetings(
             &mut meeting,
-            &scratch.walks_u,
-            &scratch.walks_v,
+            walks_u,
+            walks_v,
             num_samples,
             num_vertices,
-            &mut scratch.positions,
+            positions,
         );
         if let Some(tally) = tally {
             tally.meetings += met;
@@ -695,7 +686,8 @@ impl QueryEngine {
 /// attribution of every sampled transition (the overlay serves the same
 /// patched rows to both backends, so one [`OverlayView`] answers for both)
 /// and the legacy sampler's instantiated rows.  Runs only when metering is
-/// on; reads the positions buffers the samplers already wrote.
+/// on; reads the positions the walks already appended to the pair's
+/// walk-major buffers.
 fn tally_pair_walks(
     tally: &mut usim_obs::WalkTally,
     walk_u: &[VertexId],
@@ -736,24 +728,6 @@ fn tally_pair_walks(
                 .count();
             tally.rows_instantiated += first_visits as u64;
         }
-    }
-}
-
-impl Scratch {
-    /// Appends the sample pair just drawn into `walk_u` / `walk_v` to the
-    /// pair's walks, folding it into `tally` when metering.
-    #[inline]
-    fn keep_pair_walks(
-        &mut self,
-        tally: Option<&mut usim_obs::WalkTally>,
-        view: &OverlayView<'_>,
-        sampler: SamplerKind,
-    ) {
-        if let Some(tally) = tally {
-            tally_pair_walks(tally, &self.walk_u, &self.walk_v, view, sampler);
-        }
-        self.walks_u.extend_from_slice(&self.walk_u);
-        self.walks_v.extend_from_slice(&self.walk_v);
     }
 }
 

@@ -19,7 +19,7 @@ use crate::meeting::MeetingProfile;
 use crate::SimRankEstimator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rwalk::arena::{CsrSampler, WalkArena, DEAD};
+use rwalk::arena::{WalkArena, DEAD};
 use ugraph::{CsrView, UncertainGraph, VertexId};
 
 /// Monte-Carlo single-pair SimRank on an uncertain graph (the paper's
@@ -30,8 +30,8 @@ pub struct SamplingEstimator {
     config: SimRankConfig,
     rng: StdRng,
     arena: WalkArena,
-    walk_u: Vec<VertexId>,
-    walk_v: Vec<VertexId>,
+    /// The current sample's two walks, `u`'s then `v`'s.
+    walks: Vec<VertexId>,
 }
 
 impl SamplingEstimator {
@@ -42,9 +42,8 @@ impl SamplingEstimator {
             graph: graph.clone(),
             config,
             rng: StdRng::seed_from_u64(config.seed),
-            arena: WalkArena::with_capacity(graph.num_vertices()),
-            walk_u: Vec::new(),
-            walk_v: Vec::new(),
+            arena: WalkArena::default(),
+            walks: Vec::new(),
         }
     }
 
@@ -59,19 +58,21 @@ impl SamplingEstimator {
         let num_samples = self.config.num_samples;
         let mut meeting = vec![0.0; n + 1];
         meeting[0] = if u == v { 1.0 } else { 0.0 };
-        // Field-level borrow of `graph` only, so the arena and RNG below can
-        // be borrowed mutably alongside the sampler's view.
+        // Field-level borrow of `graph` only, so the arena, RNG and walk
+        // buffer below can be borrowed mutably alongside the view.
         let view: CsrView<'_> = match self.config.direction {
             WalkDirection::InNeighbors => self.graph.reverse(),
             WalkDirection::OutNeighbors => self.graph.forward(),
         };
-        let sampler = CsrSampler::new(view);
+        let (arena, rng, walks) = (&mut self.arena, &mut self.rng, &mut self.walks);
         for _ in 0..num_samples {
-            sampler.sample_walk_into(&mut self.arena, u, n, &mut self.rng, &mut self.walk_u);
-            sampler.sample_walk_into(&mut self.arena, v, n, &mut self.rng, &mut self.walk_v);
+            walks.clear();
+            arena.sample_walk(&view, u, n, rng, walks);
+            arena.sample_walk(&view, v, n, rng, walks);
+            let (walk_u, walk_v) = walks.split_at(n + 1);
             for (k, slot) in meeting.iter_mut().enumerate().take(n + 1).skip(1) {
-                let a = self.walk_u[k];
-                if a != DEAD && a == self.walk_v[k] {
+                let a = walk_u[k];
+                if a != DEAD && a == walk_v[k] {
                     *slot += 1.0;
                 }
             }

@@ -31,7 +31,7 @@ use crate::top_k::ScoredVertex;
 use crate::SimRankEstimator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rwalk::arena::{instantiate_row, CsrSampler, WalkArena};
+use rwalk::arena::{instantiate_row, WalkArena};
 use rwalk::transpr::{transition_rows_from, TransPrError, TransPrOptions};
 use ugraph::{CsrView, UncertainGraph, VertexId};
 
@@ -142,7 +142,7 @@ impl SingleSourceEstimator {
             options: TransPrOptions::default(),
             source_mode: SourceMode::Sampled,
             rng: StdRng::seed_from_u64(config.seed),
-            arena: WalkArena::with_capacity(graph.num_vertices()),
+            arena: WalkArena::default(),
             source_walk: Vec::new(),
         }
     }
@@ -216,29 +216,21 @@ impl SingleSourceEstimator {
         let mut positions: Vec<Option<VertexId>> = vec![None; num_vertices];
         let mut choices: Vec<VertexId> = Vec::new();
 
-        let sampler = CsrSampler::new(self.graph.forward());
+        let view = self.graph.forward();
         for _ in 0..num_samples {
             // Source side: one independent walk (only needed in Sampled
             // mode), sampled allocation-free through the walk arena.
             let sampled_source = exact_rows.is_none();
             if sampled_source {
-                sampler.sample_walk_into(
-                    &mut self.arena,
-                    source,
-                    n,
-                    &mut self.rng,
-                    &mut self.source_walk,
-                );
+                let walk = &mut self.source_walk;
+                walk.clear();
+                self.arena
+                    .sample_walk(&view, source, n, &mut self.rng, walk);
             }
 
             // Target side: one shared functional instantiation drives the
             // walks of all vertices simultaneously.
-            Self::sample_functional_map(
-                self.graph.forward(),
-                &mut self.rng,
-                &mut next,
-                &mut choices,
-            );
+            Self::sample_functional_map(view, &mut self.rng, &mut next, &mut choices);
             for (v, slot) in positions.iter_mut().enumerate() {
                 *slot = Some(v as VertexId);
             }

@@ -20,9 +20,8 @@
 //! is unchanged, but the two walks of a sample are coupled, which biases the
 //! meeting estimate relative to Eq. (12)'s product of marginals (drastically
 //! so for self-pair queries).  This implementation therefore gives each
-//! propagation side its own filter vectors by default — same asymptotic cost,
-//! unbiased — and keeps the paper's shared construction behind
-//! [`SpeedupEstimator::with_shared_filters`] for the ablation benchmark.
+//! propagation side its own filter vectors — same asymptotic cost, unbiased;
+//! the paper's shared construction is not implemented.
 
 use crate::baseline::working_graph;
 use crate::config::SimRankConfig;
@@ -49,12 +48,10 @@ pub struct SpeedupEstimator {
     graph: UncertainGraph,
     config: SimRankConfig,
     options: TransPrOptions,
-    shared_filters: bool,
-    /// Lazily built filter vectors, one `BitVec` per out-arc of each vertex,
-    /// aligned with `graph.out_arcs(v)`.
+    /// Lazily built source-side filter vectors, one `BitVec` per out-arc of
+    /// each vertex, aligned with `graph.out_arcs(v)`.
     filters: HashMap<VertexId, Vec<BitVec>>,
-    /// Separate cache for the target-side propagation when `shared_filters`
-    /// is disabled.
+    /// The target side's own filter vectors, drawn independently.
     filters_target: HashMap<VertexId, Vec<BitVec>>,
 }
 
@@ -66,7 +63,6 @@ impl SpeedupEstimator {
             graph: working_graph(graph, config.direction),
             config,
             options: TransPrOptions::default(),
-            shared_filters: false,
             filters: HashMap::new(),
             filters_target: HashMap::new(),
         }
@@ -75,21 +71,6 @@ impl SpeedupEstimator {
     /// Overrides the `TransPr` options used by the exact phase.
     pub fn with_transpr_options(mut self, options: TransPrOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Controls whether both propagation passes share the same offline filter
-    /// vectors (the paper's construction) or each side builds its own.
-    ///
-    /// Sharing halves the filter memory and is what Fig. 5 of the paper
-    /// describes, but it couples the two walks of each sample index — most
-    /// visibly for self-pair queries, whose estimate degenerates to the walk
-    /// survival probability — so the *independent* construction is the
-    /// default here; the estimates then match the Sampling algorithm's
-    /// distribution exactly.  The shared variant remains available for the
-    /// ablation benchmark.
-    pub fn with_shared_filters(mut self, shared: bool) -> Self {
-        self.shared_filters = shared;
         self
     }
 
@@ -160,13 +141,7 @@ impl SpeedupEstimator {
     fn filter_side(&self, side: Side) -> &HashMap<VertexId, Vec<BitVec>> {
         match side {
             Side::Source => &self.filters,
-            Side::Target => {
-                if self.shared_filters {
-                    &self.filters
-                } else {
-                    &self.filters_target
-                }
-            }
+            Side::Target => &self.filters_target,
         }
     }
 
@@ -176,11 +151,6 @@ impl SpeedupEstimator {
     fn propagate(&mut self, start: VertexId, side: Side) -> Vec<HashMap<VertexId, BitVec>> {
         let n = self.config.horizon;
         let n_samples = self.config.num_samples;
-        let effective_side = if self.shared_filters {
-            Side::Source
-        } else {
-            side
-        };
         let mut levels: Vec<HashMap<VertexId, BitVec>> = Vec::with_capacity(n + 1);
         let mut first = HashMap::new();
         first.insert(start, BitVec::ones(n_samples));
@@ -190,10 +160,10 @@ impl SpeedupEstimator {
             // propagation loop below can borrow the cache immutably.
             let frontier: Vec<VertexId> = levels[k].keys().copied().collect();
             for &w in &frontier {
-                self.ensure_filters(w, effective_side);
+                self.ensure_filters(w, side);
             }
             let mut next: HashMap<VertexId, BitVec> = HashMap::new();
-            let cache = self.filter_side(effective_side);
+            let cache = self.filter_side(side);
             for (&w, bits) in &levels[k] {
                 let neighbors = self.graph.out_neighbors(w);
                 let vectors = cache.get(&w).expect("filters ensured above");
@@ -302,10 +272,12 @@ mod tests {
 
     #[test]
     fn independent_filters_are_also_close_to_the_baseline() {
+        // Each propagation side draws its own filter vectors; a second seed
+        // checks that this construction tracks the exact baseline too.
         let g = fig1_graph();
         let config = SimRankConfig::default().with_samples(4000).with_seed(37);
         let baseline = BaselineEstimator::new(&g, config);
-        let mut speedup = SpeedupEstimator::new(&g, config).with_shared_filters(false);
+        let mut speedup = SpeedupEstimator::new(&g, config);
         for (u, v) in [(0u32, 1u32), (2, 3)] {
             let exact = baseline.try_similarity(u, v).unwrap();
             let estimate = speedup.similarity(u, v);

@@ -13,7 +13,7 @@ use crate::meeting::MeetingProfile;
 use crate::SimRankEstimator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rwalk::arena::{CsrSampler, WalkArena, DEAD};
+use rwalk::arena::{WalkArena, DEAD};
 use rwalk::transpr::{transition_rows_from, TransPrOptions};
 use ugraph::{UncertainGraph, VertexId};
 
@@ -30,8 +30,8 @@ pub struct TwoPhaseEstimator {
     options: TransPrOptions,
     rng: StdRng,
     arena: WalkArena,
-    walk_u: Vec<VertexId>,
-    walk_v: Vec<VertexId>,
+    /// The current sample's two walks, `u`'s then `v`'s.
+    walks: Vec<VertexId>,
 }
 
 impl TwoPhaseEstimator {
@@ -43,9 +43,8 @@ impl TwoPhaseEstimator {
             config,
             options: TransPrOptions::default(),
             rng: StdRng::seed_from_u64(config.seed),
-            arena: WalkArena::with_capacity(graph.num_vertices()),
-            walk_u: Vec::new(),
-            walk_v: Vec::new(),
+            arena: WalkArena::default(),
+            walks: Vec::new(),
         }
     }
 
@@ -87,13 +86,16 @@ impl TwoPhaseEstimator {
         // Phase 2: sampled meeting probabilities for l < k <= n, walked on
         // the CSR fast path (the working graph's forward view).
         if l < n {
-            let sampler = CsrSampler::new(self.graph.forward());
+            let view = self.graph.forward();
+            let (arena, rng, walks) = (&mut self.arena, &mut self.rng, &mut self.walks);
             for _ in 0..num_samples {
-                sampler.sample_walk_into(&mut self.arena, u, n, &mut self.rng, &mut self.walk_u);
-                sampler.sample_walk_into(&mut self.arena, v, n, &mut self.rng, &mut self.walk_v);
+                walks.clear();
+                arena.sample_walk(&view, u, n, rng, walks);
+                arena.sample_walk(&view, v, n, rng, walks);
+                let (walk_u, walk_v) = walks.split_at(n + 1);
                 for (k, slot) in meeting.iter_mut().enumerate().take(n + 1).skip(l + 1) {
-                    let a = self.walk_u[k];
-                    if a != DEAD && a == self.walk_v[k] {
+                    let a = walk_u[k];
+                    if a != DEAD && a == walk_v[k] {
                         *slot += 1.0;
                     }
                 }

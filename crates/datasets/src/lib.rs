@@ -10,8 +10,9 @@
 //! crate provides generators that reproduce their *relevant characteristics*
 //! — vertex/edge counts, degree structure and probability distributions from
 //! Table II — plus the ground truth each case study needs (planted protein
-//! complexes, planted author identities).  DESIGN.md §4 documents each
-//! substitution and why it preserves the behaviour being measured.
+//! complexes, planted author identities).  Each generator's module docs
+//! describe its substitution and why it preserves the behaviour being
+//! measured.
 //!
 //! * [`ppi`] — planted-complex PPI generator (Fig. 13 / Fig. 14 ground truth);
 //! * [`coauthor`] — preferential-attachment co-authorship generator with the

@@ -1,6 +1,10 @@
 //! Allocation-free walk sampling on [`GraphView`]s (the static
-//! [`ugraph::CsrView`] or the live [`ugraph::OverlayView`]) via a reusable
-//! [`WalkArena`].
+//! [`ugraph::CsrView`] or the live [`ugraph::OverlayView`]): the
+//! lazily-instantiated walk [`WalkArena::sample_walk`] and the alias-step
+//! walk [`alias_walk`].  Both append a walk's positions to a caller-provided
+//! `Vec<VertexId>`, with [`DEAD`] as the tombstone from the step the walk
+//! died on: a walk dies at a dead end, because the exact transition rows
+//! fall short of 1 by exactly the probability of dying.
 //!
 //! [`crate::sampler::WalkSampler`] is correct but allocation-heavy: every
 //! walk clears a `HashMap<VertexId, Vec<VertexId>>` memo and every first
@@ -19,20 +23,18 @@
 //!   (capacity kept) at walk start, by the branch-free [`instantiate_row`]
 //!   kernel, which compares each coin's integer bits against the view's
 //!   precomputed [`GraphView::coin_thresholds`] and keeps the generator in
-//!   a local for the whole row;
-//! * caller-provided **position buffers** (`Vec<VertexId>` with
-//!   [`DEAD`] as the tombstone), reused across samples.
+//!   a local for the whole row.
 //!
-//! In steady state a worker thread owns one arena and samples arbitrarily
-//! many walks without touching the allocator.
+//! In steady state a worker thread owns one arena and one position buffer
+//! and samples arbitrarily many walks without touching the allocator.
 //!
-//! [`CsrSampler`] reproduces the lazily-instantiated walk semantics of
-//! Fig. 4 of the paper **and** the exact RNG draw order of
+//! [`WalkArena::sample_walk`] reproduces the lazily-instantiated walk
+//! semantics of Fig. 4 of the paper **and** the exact RNG draw order of
 //! [`crate::sampler::WalkSampler`] (per first visit: one uniform draw per
 //! possible out-arc in neighbor order, then one `gen_range` over the
 //! survivors), so a walk sampled through the arena from a given RNG state is
 //! bit-identical to one sampled by `WalkSampler` from the same state.  The
-//! estimator migration in `usim_core` relies on this equivalence.  The
+//! estimators in `usim_core` rely on this equivalence.  The
 //! branch-free compaction in [`instantiate_row`] keeps that draw order: it
 //! draws one coin per arc in neighbor order whatever the outcomes, and each
 //! surviving target lands in the next free slot of the row, so the kept
@@ -41,7 +43,6 @@
 //! `(x >> 11) < T(p)` keeps exactly the arcs the reference's
 //! `rng.gen::<f64>() < p` keeps (see [`ugraph::coin_threshold`]).
 
-use crate::sampler::DeadEndPolicy;
 use rand::Rng;
 use ugraph::{alias_draw, GraphView, VertexId};
 
@@ -67,21 +68,6 @@ pub struct WalkArena {
 }
 
 impl WalkArena {
-    /// Creates an empty arena; tables grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an arena pre-sized for graphs with `num_vertices` vertices.
-    pub fn with_capacity(num_vertices: usize) -> Self {
-        WalkArena {
-            epoch: 0,
-            stamp: vec![0; num_vertices],
-            slots: vec![(0, 0); num_vertices],
-            pool: Vec::new(),
-        }
-    }
-
     /// Grows the per-vertex tables to cover `num_vertices` vertices.
     fn ensure_vertices(&mut self, num_vertices: usize) {
         if self.stamp.len() < num_vertices {
@@ -143,6 +129,49 @@ impl WalkArena {
         self.slots[v as usize] = slot;
         slot
     }
+
+    /// Samples one lazily-instantiated walk of horizon `length` from `start`
+    /// over `view` (the static [`ugraph::CsrView`] or the live
+    /// [`ugraph::OverlayView`] of a mutating [`ugraph::DeltaOverlay`]) and
+    /// appends its `length + 1` positions to `out`: step `k` at
+    /// `out[base + k]`, where `base` is `out.len()` on entry, and [`DEAD`]
+    /// from the step the walk died on — a walk dies at the first vertex with
+    /// no surviving out-arc.
+    ///
+    /// Each call is one independent walk: arc instantiations are shared
+    /// *within* the call across revisits (Fig. 4 of the paper) and discarded
+    /// between calls.  The walk consumes the RNG purely through the slices
+    /// the view returns (one coin per possible arc of each first-visited
+    /// vertex, compared with its coin threshold, then one `gen_range` over
+    /// the survivors).  An overlay view returns the identical base slices
+    /// for untouched vertices, so walks that only visit untouched vertices
+    /// are bit-identical to walks over the plain CSR view — pinned by this
+    /// module's tests.
+    pub fn sample_walk<V: GraphView, R: Rng + Clone>(
+        &mut self,
+        view: &V,
+        start: VertexId,
+        length: usize,
+        rng: &mut R,
+        out: &mut Vec<VertexId>,
+    ) {
+        debug_assert!((start as usize) < view.num_vertices());
+        self.ensure_vertices(view.num_vertices());
+        self.begin_walk();
+        let base = out.len();
+        out.reserve(length + 1);
+        out.push(start);
+        let mut current = start;
+        for _ in 0..length {
+            let (pool_start, len) = self.instantiate(view, current, rng);
+            if len == 0 {
+                break;
+            }
+            current = self.pool[pool_start as usize + rng.gen_range(0..len as usize)];
+            out.push(current);
+        }
+        out.resize(base + length + 1, DEAD);
+    }
 }
 
 /// Instantiates one row of possible arcs: flips one coin per arc, in
@@ -184,97 +213,13 @@ pub fn instantiate_row<R: Rng + Clone>(
     kept
 }
 
-/// A sampler of lazily-instantiated random walks over any [`GraphView`]
-/// (the static [`ugraph::CsrView`] or the live [`ugraph::OverlayView`] of a
-/// mutating [`ugraph::DeltaOverlay`]), writing positions into
-/// caller-provided buffers through a [`WalkArena`].
-///
-/// The sampler consumes the RNG purely through the slices the view returns
-/// (one coin per possible arc of each first-visited vertex, compared with
-/// its coin threshold, then one `gen_range` over the survivors).  An
-/// overlay view returns the identical base slices for untouched vertices,
-/// so walks that only visit untouched vertices are bit-identical to walks
-/// over the plain CSR view — pinned by this module's tests.
-#[derive(Debug, Clone, Copy)]
-pub struct CsrSampler<V> {
-    view: V,
-    dead_end_policy: DeadEndPolicy,
-}
-
-impl<V: GraphView + Copy> CsrSampler<V> {
-    /// Creates a sampler over `view` with the default dead-end policy
-    /// (terminate, matching the sub-stochastic exact transition rows).
-    pub fn new(view: V) -> Self {
-        Self::with_policy(view, DeadEndPolicy::default())
-    }
-
-    /// Creates a sampler with an explicit dead-end policy.
-    pub fn with_policy(view: V, dead_end_policy: DeadEndPolicy) -> Self {
-        CsrSampler {
-            view,
-            dead_end_policy,
-        }
-    }
-
-    /// The view this sampler walks.
-    pub fn view(&self) -> V {
-        self.view
-    }
-
-    /// The dead-end policy in use.
-    pub fn dead_end_policy(&self) -> DeadEndPolicy {
-        self.dead_end_policy
-    }
-
-    /// Samples one walk of horizon `length` from `start`, writing the
-    /// `length + 1` positions (step `k` at index `k`; [`DEAD`] once the walk
-    /// terminated) into `positions`, which is cleared first and reused
-    /// without reallocation across calls.
-    ///
-    /// Each call is one independent walk: arc instantiations are shared
-    /// *within* the call across revisits (Fig. 4 of the paper) and discarded
-    /// between calls.
-    pub fn sample_walk_into<R: Rng + Clone>(
-        &self,
-        arena: &mut WalkArena,
-        start: VertexId,
-        length: usize,
-        rng: &mut R,
-        positions: &mut Vec<VertexId>,
-    ) {
-        debug_assert!((start as usize) < self.view.num_vertices());
-        arena.ensure_vertices(self.view.num_vertices());
-        arena.begin_walk();
-        positions.clear();
-        positions.reserve(length + 1);
-        positions.push(start);
-        let mut current = start;
-        for step in 0..length {
-            if current == DEAD {
-                // Already dead: pad the remaining steps in one go.
-                positions.resize(length + 1, DEAD);
-                debug_assert_eq!(positions.len(), step + 1 + (length - step));
-                break;
-            }
-            let (pool_start, len) = arena.instantiate(&self.view, current, rng);
-            current = if len == 0 {
-                match self.dead_end_policy {
-                    DeadEndPolicy::Terminate => DEAD,
-                    DeadEndPolicy::StayInPlace => current,
-                }
-            } else {
-                arena.pool[pool_start as usize + rng.gen_range(0..len as usize)]
-            };
-            positions.push(current);
-        }
-    }
-}
-
-/// The table-driven step path: a sampler of random walks over the Walker
-/// alias rows of any [`GraphView`] (the static [`ugraph::CsrView`] or the
-/// live [`ugraph::OverlayView`]), read through [`GraphView::alias_slots`]:
-/// each row is built on its first read and cached, so the first walks over
-/// a row pay its build and later ones only read it.
+/// Samples one walk of Walker alias steps of horizon `length` from `start`
+/// over `view` (the static [`ugraph::CsrView`] or the live
+/// [`ugraph::OverlayView`]) and appends its `length + 1` positions to `out`:
+/// step `k` at `out[base + k]`, where `base` is `out.len()` on entry, and
+/// [`DEAD`] from the step the walk died on.  Rows are read through
+/// [`GraphView::alias_slots`]: each is built on its first read and cached,
+/// so the first walks over a row pay its build and later ones only read it.
 ///
 /// Each step costs exactly **one** `f64` draw and one slot read, independent
 /// of vertex degree: the integer part of the scaled draw picks a slot, the
@@ -284,81 +229,33 @@ impl<V: GraphView + Copy> CsrSampler<V> {
 /// instantiation memo — and therefore no [`WalkArena`] — is needed.
 ///
 /// This backend is **not** draw-order (or distribution) compatible with
-/// [`CsrSampler`] beyond two steps: it trades the within-walk possible-world
-/// correlation of the lazy sampler for raw speed.  Engines treat the two as
-/// distinct, versioned backends (`SamplerKind` in `usim_core`) and never mix
-/// their answers.  Its own determinism pin is simpler than the legacy one:
-/// every live step consumes exactly one RNG draw, so a walk's RNG
+/// [`WalkArena::sample_walk`] beyond two steps: it trades the within-walk
+/// possible-world correlation of the lazy walk for raw speed.  Engines treat
+/// the two as distinct, versioned backends (`SamplerKind` in `usim_core`) and
+/// never mix their answers.  Its own determinism pin is simpler than the
+/// legacy one: every live step consumes exactly one RNG draw, so a walk's RNG
 /// consumption depends only on where the walk dies — and equal seeds give
 /// bit-identical walks over equal tables.
-#[derive(Debug, Clone, Copy)]
-pub struct AliasSampler<V> {
-    view: V,
-    dead_end_policy: DeadEndPolicy,
-}
-
-impl<V: GraphView + Copy> AliasSampler<V> {
-    /// Creates a sampler over `view` with the default dead-end policy
-    /// (terminate).
-    pub fn new(view: V) -> Self {
-        Self::with_policy(view, DeadEndPolicy::default())
-    }
-
-    /// Creates a sampler with an explicit dead-end policy.
-    pub fn with_policy(view: V, dead_end_policy: DeadEndPolicy) -> Self {
-        AliasSampler {
-            view,
-            dead_end_policy,
+pub fn alias_walk<V: GraphView, R: Rng + ?Sized>(
+    view: &V,
+    start: VertexId,
+    length: usize,
+    rng: &mut R,
+    out: &mut Vec<VertexId>,
+) {
+    debug_assert!((start as usize) < view.num_vertices());
+    let base = out.len();
+    out.reserve(length + 1);
+    out.push(start);
+    let mut current = start;
+    for _ in 0..length {
+        current = alias_draw(view.alias_slots(current), rng.gen::<f64>());
+        if current == DEAD {
+            break;
         }
+        out.push(current);
     }
-
-    /// The view this sampler walks.
-    pub fn view(&self) -> V {
-        self.view
-    }
-
-    /// The dead-end policy in use.
-    pub fn dead_end_policy(&self) -> DeadEndPolicy {
-        self.dead_end_policy
-    }
-
-    /// Samples one walk of horizon `length` from `start`, writing the
-    /// `length + 1` positions (step `k` at index `k`; [`DEAD`] once the walk
-    /// terminated) into `positions`, which is cleared first and reused
-    /// without reallocation across calls.
-    pub fn sample_walk_into<R: Rng + ?Sized>(
-        &self,
-        start: VertexId,
-        length: usize,
-        rng: &mut R,
-        positions: &mut Vec<VertexId>,
-    ) {
-        debug_assert!((start as usize) < self.view.num_vertices());
-        positions.clear();
-        positions.reserve(length + 1);
-        positions.push(start);
-        let mut current = start;
-        for _ in 0..length {
-            let drawn = alias_draw(self.view.alias_slots(current), rng.gen::<f64>());
-            if drawn == DEAD {
-                match self.dead_end_policy {
-                    DeadEndPolicy::Terminate => {
-                        // Dead: pad the remaining steps in one go.
-                        positions.resize(length + 1, DEAD);
-                        break;
-                    }
-                    DeadEndPolicy::StayInPlace => {
-                        // "No arc exists" keeps the walk where it is, the
-                        // alias analogue of an empty survivor set.
-                        positions.push(current);
-                    }
-                }
-            } else {
-                current = drawn;
-                positions.push(current);
-            }
-        }
-    }
+    out.resize(base + length + 1, DEAD);
 }
 
 #[cfg(test)]
@@ -385,12 +282,12 @@ mod tests {
 
     #[test]
     fn walks_are_bit_identical_to_walk_sampler() {
-        // The arena sampler consumes the RNG in exactly the same order as
+        // The arena walk consumes the RNG in exactly the same order as
         // WalkSampler, so from equal RNG states the walks must be equal —
         // this is what lets the estimators migrate without changing results.
         let g = fig1_graph();
-        let sampler = CsrSampler::new(g.forward());
-        let mut arena = WalkArena::new();
+        let view = g.forward();
+        let mut arena = WalkArena::default();
         let mut positions = Vec::new();
 
         let mut legacy = WalkSampler::new(&g);
@@ -399,7 +296,8 @@ mod tests {
         for start in [0u32, 1, 2, 3, 4] {
             for _ in 0..50 {
                 let reference = legacy.sample_walk(start, 6, &mut rng_a);
-                sampler.sample_walk_into(&mut arena, start, 6, &mut rng_b, &mut positions);
+                positions.clear();
+                arena.sample_walk(&view, start, 6, &mut rng_b, &mut positions);
                 assert_eq!(positions.len(), 7);
                 for (k, &position) in positions.iter().enumerate() {
                     let expected = reference.position(k).unwrap_or(DEAD);
@@ -449,9 +347,8 @@ mod tests {
         assert!(g.reverse().neighbors(0).len() >= 300);
         assert!(g.reverse().neighbors(301).len() >= 300);
         for (view, reference_graph) in [(g.forward(), &g), (g.reverse(), &transposed)] {
-            let sampler = CsrSampler::new(view);
             let mut legacy = WalkSampler::new(reference_graph);
-            let mut arena = WalkArena::new();
+            let mut arena = WalkArena::default();
             let mut positions = Vec::new();
             let mut rng_a = StdRng::seed_from_u64(0x4b0b);
             let mut rng_b = StdRng::seed_from_u64(0x4b0b);
@@ -459,7 +356,8 @@ mod tests {
             for start in [0u32, 1, 150, 300, 301] {
                 for _ in 0..40 {
                     let reference = legacy.sample_walk(start, 8, &mut rng_a);
-                    sampler.sample_walk_into(&mut arena, start, 8, &mut rng_b, &mut positions);
+                    positions.clear();
+                    arena.sample_walk(&view, start, 8, &mut rng_b, &mut positions);
                     for (k, &position) in positions.iter().enumerate() {
                         let expected = reference.position(k).unwrap_or(DEAD);
                         assert_eq!(position, expected, "start {start}, step {k}");
@@ -479,15 +377,16 @@ mod tests {
         let g = fig1_graph();
         let transposed = g.transpose();
         let mut legacy = WalkSampler::new(&transposed);
-        let sampler = CsrSampler::new(g.reverse());
-        let mut arena = WalkArena::new();
+        let view = g.reverse();
+        let mut arena = WalkArena::default();
         let mut positions = Vec::new();
         let mut rng_a = StdRng::seed_from_u64(7);
         let mut rng_b = StdRng::seed_from_u64(7);
         for start in [0u32, 2, 4] {
             for _ in 0..30 {
                 let reference = legacy.sample_walk(start, 5, &mut rng_a);
-                sampler.sample_walk_into(&mut arena, start, 5, &mut rng_b, &mut positions);
+                positions.clear();
+                arena.sample_walk(&view, start, 5, &mut rng_b, &mut positions);
                 for (k, &position) in positions.iter().enumerate() {
                     assert_eq!(position, reference.position(k).unwrap_or(DEAD));
                 }
@@ -505,14 +404,15 @@ mod tests {
             .arc(1, 0, 0.5)
             .build()
             .unwrap();
-        let sampler = CsrSampler::new(g.forward());
-        let mut arena = WalkArena::new();
+        let view = g.forward();
+        let mut arena = WalkArena::default();
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(5);
         let mut survived = 0usize;
         let trials = 20_000;
         for _ in 0..trials {
-            sampler.sample_walk_into(&mut arena, 0, 6, &mut rng, &mut positions);
+            positions.clear();
+            arena.sample_walk(&view, 0, 6, &mut rng, &mut positions);
             let steps = positions.iter().take_while(|&&p| p != DEAD).count() - 1;
             assert!(
                 steps == 0 || steps == 1 || steps == 6,
@@ -527,36 +427,72 @@ mod tests {
     }
 
     #[test]
-    fn stay_in_place_policy_keeps_the_walk_at_dead_ends() {
+    fn walks_terminate_at_dead_ends() {
         let g = fig1_graph(); // vertex 4 has no out-arcs
-        let sampler = CsrSampler::with_policy(g.forward(), DeadEndPolicy::StayInPlace);
-        assert_eq!(sampler.dead_end_policy(), DeadEndPolicy::StayInPlace);
-        let mut arena = WalkArena::new();
+        let mut arena = WalkArena::default();
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(3);
-        sampler.sample_walk_into(&mut arena, 4, 3, &mut rng, &mut positions);
-        assert_eq!(positions, vec![4, 4, 4, 4]);
-
-        let terminating = CsrSampler::new(g.forward());
-        terminating.sample_walk_into(&mut arena, 4, 3, &mut rng, &mut positions);
+        arena.sample_walk(&g.forward(), 4, 3, &mut rng, &mut positions);
         assert_eq!(positions, vec![4, DEAD, DEAD, DEAD]);
+    }
+
+    #[test]
+    fn walks_append_to_a_non_empty_out() {
+        // Both walk functions append: the earlier contents of `out` stay
+        // intact, and the appended positions (dead-end padding included) are
+        // the ones an empty `out` receives from the same RNG state.
+        let g = fig1_graph();
+        let view = g.forward();
+        let prefix = [3u32, DEAD, 0, 7];
+        let mut arena = WalkArena::default();
+        let mut padded = 0;
+        for start in [0u32, 1, 2, 3, 4] {
+            for seed in 0..40u64 {
+                for alias in [false, true] {
+                    let mut fresh = Vec::new();
+                    let mut appended = prefix.to_vec();
+                    let mut rng_a = StdRng::seed_from_u64(seed);
+                    let mut rng_b = StdRng::seed_from_u64(seed);
+                    if alias {
+                        alias_walk(&view, start, 5, &mut rng_a, &mut fresh);
+                        alias_walk(&view, start, 5, &mut rng_b, &mut appended);
+                    } else {
+                        arena.sample_walk(&view, start, 5, &mut rng_a, &mut fresh);
+                        arena.sample_walk(&view, start, 5, &mut rng_b, &mut appended);
+                    }
+                    assert_eq!(fresh.len(), 6);
+                    assert_eq!(&appended[..prefix.len()], &prefix);
+                    assert_eq!(&appended[prefix.len()..], &fresh[..]);
+                    assert_eq!(rng_a, rng_b);
+                    if start == 4 {
+                        assert_eq!(fresh, vec![4, DEAD, DEAD, DEAD, DEAD, DEAD]);
+                    }
+                    if fresh.contains(&DEAD) {
+                        padded += 1;
+                    }
+                }
+            }
+        }
+        assert!(padded > 80, "only {padded} walks died");
     }
 
     #[test]
     fn buffers_are_reused_without_reallocation() {
         let g = fig1_graph();
-        let sampler = CsrSampler::new(g.forward());
-        let mut arena = WalkArena::with_capacity(g.num_vertices());
+        let view = g.forward();
+        let mut arena = WalkArena::default();
         let mut positions = Vec::with_capacity(8);
         let mut rng = StdRng::seed_from_u64(11);
         // Warm until every buffer has reached steady-state size.
         for _ in 0..50 {
-            sampler.sample_walk_into(&mut arena, 0, 7, &mut rng, &mut positions);
+            positions.clear();
+            arena.sample_walk(&view, 0, 7, &mut rng, &mut positions);
         }
         let pool_capacity = arena.pool.capacity();
         let positions_capacity = positions.capacity();
         for _ in 0..500 {
-            sampler.sample_walk_into(&mut arena, 0, 7, &mut rng, &mut positions);
+            positions.clear();
+            arena.sample_walk(&view, 0, 7, &mut rng, &mut positions);
         }
         assert_eq!(arena.pool.capacity(), pool_capacity);
         assert_eq!(positions.capacity(), positions_capacity);
@@ -566,33 +502,33 @@ mod tests {
     #[test]
     fn zero_length_walk_is_just_the_start() {
         let g = fig1_graph();
-        let sampler = CsrSampler::new(g.forward());
-        let mut arena = WalkArena::new();
+        let mut arena = WalkArena::default();
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(2);
-        sampler.sample_walk_into(&mut arena, 2, 0, &mut rng, &mut positions);
+        arena.sample_walk(&g.forward(), 2, 0, &mut rng, &mut positions);
         assert_eq!(positions, vec![2]);
     }
 
     #[test]
     fn empty_overlay_walks_are_bit_identical_to_csr_walks() {
         // An overlay with no deltas serves the base slices themselves, so
-        // the sampler must consume the RNG identically — the equivalence the
+        // the walk must consume the RNG identically — the equivalence the
         // dynamic engine relies on.
         use ugraph::DeltaOverlay;
         let g = fig1_graph();
         let overlay = DeltaOverlay::new(g.clone());
-        let csr_sampler = CsrSampler::new(g.forward());
-        let overlay_sampler = CsrSampler::new(overlay.forward());
-        let mut arena_a = WalkArena::new();
-        let mut arena_b = WalkArena::new();
+        let (csr_view, overlay_view) = (g.forward(), overlay.forward());
+        let mut arena_a = WalkArena::default();
+        let mut arena_b = WalkArena::default();
         let (mut pos_a, mut pos_b) = (Vec::new(), Vec::new());
         let mut rng_a = StdRng::seed_from_u64(33);
         let mut rng_b = StdRng::seed_from_u64(33);
         for start in [0u32, 1, 2, 3, 4] {
             for _ in 0..40 {
-                csr_sampler.sample_walk_into(&mut arena_a, start, 6, &mut rng_a, &mut pos_a);
-                overlay_sampler.sample_walk_into(&mut arena_b, start, 6, &mut rng_b, &mut pos_b);
+                pos_a.clear();
+                pos_b.clear();
+                arena_a.sample_walk(&csr_view, start, 6, &mut rng_a, &mut pos_a);
+                arena_b.sample_walk(&overlay_view, start, 6, &mut rng_b, &mut pos_b);
                 assert_eq!(pos_a, pos_b);
             }
         }
@@ -632,17 +568,18 @@ mod tests {
                 },
             ])
             .unwrap();
-        let static_sampler = CsrSampler::new(g.forward());
-        let live_sampler = CsrSampler::new(overlay.forward());
-        let mut arena_a = WalkArena::new();
-        let mut arena_b = WalkArena::new();
+        let (static_view, live_view) = (g.forward(), overlay.forward());
+        let mut arena_a = WalkArena::default();
+        let mut arena_b = WalkArena::default();
         let (mut pos_a, mut pos_b) = (Vec::new(), Vec::new());
         let mut rng_a = StdRng::seed_from_u64(77);
         let mut rng_b = StdRng::seed_from_u64(77);
         for start in [0u32, 1] {
             for _ in 0..100 {
-                static_sampler.sample_walk_into(&mut arena_a, start, 8, &mut rng_a, &mut pos_a);
-                live_sampler.sample_walk_into(&mut arena_b, start, 8, &mut rng_b, &mut pos_b);
+                pos_a.clear();
+                pos_b.clear();
+                arena_a.sample_walk(&static_view, start, 8, &mut rng_a, &mut pos_a);
+                arena_b.sample_walk(&live_view, start, 8, &mut rng_b, &mut pos_b);
                 assert_eq!(pos_a, pos_b);
             }
         }
@@ -651,7 +588,8 @@ mod tests {
         // vertex (vertex 2 now has a self-loop instead of the arc to 3).
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..50 {
-            live_sampler.sample_walk_into(&mut arena_b, 2, 4, &mut rng, &mut pos_b);
+            pos_b.clear();
+            arena_b.sample_walk(&live_view, 2, 4, &mut rng, &mut pos_b);
             assert!(
                 pos_b.iter().all(|&p| p == 2 || p == DEAD),
                 "walk escaped the rewired vertex: {pos_b:?}"
@@ -662,12 +600,13 @@ mod tests {
     #[test]
     fn alias_walks_are_valid_walks_on_the_graph() {
         let g = fig1_graph();
-        let sampler = AliasSampler::new(g.forward());
+        let view = g.forward();
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(13);
         for start in [0u32, 1, 2, 3, 4] {
             for _ in 0..200 {
-                sampler.sample_walk_into(start, 6, &mut rng, &mut positions);
+                positions.clear();
+                alias_walk(&view, start, 6, &mut rng, &mut positions);
                 assert_eq!(positions.len(), 7);
                 assert_eq!(positions[0], start);
                 for window in positions.windows(2) {
@@ -686,7 +625,7 @@ mod tests {
         // Vertex 0 of Fig. 1: Pr(0→2) = 0.6, Pr(0→3) = 0.3, death 0.1 (the
         // exact expected one-step row, see ugraph::alias).
         let g = fig1_graph();
-        let sampler = AliasSampler::new(g.forward());
+        let view = g.forward();
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(99);
         let trials = 40_000;
@@ -694,7 +633,8 @@ mod tests {
         let mut to3 = 0usize;
         let mut died = 0usize;
         for _ in 0..trials {
-            sampler.sample_walk_into(0, 1, &mut rng, &mut positions);
+            positions.clear();
+            alias_walk(&view, 0, 1, &mut rng, &mut positions);
             match positions[1] {
                 2 => to2 += 1,
                 3 => to3 += 1,
@@ -713,11 +653,12 @@ mod tests {
         // transition, so the alias walk is an ordinary random walk and never
         // dies except at true dead ends.
         let g = fig1_graph().certain();
-        let sampler = AliasSampler::new(g.forward());
+        let view = g.forward();
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..500 {
-            sampler.sample_walk_into(0, 8, &mut rng, &mut positions);
+            positions.clear();
+            alias_walk(&view, 0, 8, &mut rng, &mut positions);
             for window in positions.windows(2) {
                 if window[1] == DEAD {
                     // Only vertex 4 (no out-arcs) kills a walk.
@@ -732,14 +673,16 @@ mod tests {
     #[test]
     fn alias_sampler_is_deterministic_per_seed() {
         let g = fig1_graph();
-        let sampler = AliasSampler::new(g.forward());
+        let view = g.forward();
         let (mut pos_a, mut pos_b) = (Vec::new(), Vec::new());
         let mut rng_a = StdRng::seed_from_u64(1234);
         let mut rng_b = StdRng::seed_from_u64(1234);
         for start in [0u32, 1, 2, 3] {
             for _ in 0..50 {
-                sampler.sample_walk_into(start, 7, &mut rng_a, &mut pos_a);
-                sampler.sample_walk_into(start, 7, &mut rng_b, &mut pos_b);
+                pos_a.clear();
+                pos_b.clear();
+                alias_walk(&view, start, 7, &mut rng_a, &mut pos_a);
+                alias_walk(&view, start, 7, &mut rng_b, &mut pos_b);
                 assert_eq!(pos_a, pos_b);
             }
         }
@@ -747,22 +690,17 @@ mod tests {
     }
 
     #[test]
-    fn alias_stay_in_place_policy_keeps_the_walk_at_dead_ends() {
+    fn alias_walks_terminate_at_dead_ends() {
         let g = fig1_graph(); // vertex 4 has no out-arcs
         let view = g.forward();
-        let stay = AliasSampler::with_policy(view, DeadEndPolicy::StayInPlace);
-        assert_eq!(stay.dead_end_policy(), DeadEndPolicy::StayInPlace);
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(3);
-        stay.sample_walk_into(4, 3, &mut rng, &mut positions);
-        assert_eq!(positions, vec![4, 4, 4, 4]);
-
-        let terminating = AliasSampler::new(view);
-        terminating.sample_walk_into(4, 3, &mut rng, &mut positions);
+        alias_walk(&view, 4, 3, &mut rng, &mut positions);
         assert_eq!(positions, vec![4, DEAD, DEAD, DEAD]);
 
-        // Zero-length walks are just the start, either policy.
-        stay.sample_walk_into(2, 0, &mut rng, &mut positions);
+        // Zero-length walks are just the start.
+        positions.clear();
+        alias_walk(&view, 2, 0, &mut rng, &mut positions);
         assert_eq!(positions, vec![2]);
     }
 
@@ -786,15 +724,16 @@ mod tests {
                 probability: 0.05,
             }])
             .unwrap();
-        let static_sampler = AliasSampler::new(g.forward());
-        let live_sampler = AliasSampler::new(overlay.forward());
+        let (static_view, live_view) = (g.forward(), overlay.forward());
         let (mut pos_a, mut pos_b) = (Vec::new(), Vec::new());
         let mut rng_a = StdRng::seed_from_u64(55);
         let mut rng_b = StdRng::seed_from_u64(55);
         for start in [0u32, 1] {
             for _ in 0..100 {
-                static_sampler.sample_walk_into(start, 8, &mut rng_a, &mut pos_a);
-                live_sampler.sample_walk_into(start, 8, &mut rng_b, &mut pos_b);
+                pos_a.clear();
+                pos_b.clear();
+                alias_walk(&static_view, start, 8, &mut rng_a, &mut pos_a);
+                alias_walk(&live_view, start, 8, &mut rng_b, &mut pos_b);
                 assert_eq!(pos_a, pos_b);
             }
         }
@@ -804,12 +743,13 @@ mod tests {
     #[test]
     fn invalidate_discards_memos_without_reallocating() {
         let g = fig1_graph();
-        let sampler = CsrSampler::new(g.forward());
-        let mut arena = WalkArena::with_capacity(5);
+        let view = g.forward();
+        let mut arena = WalkArena::default();
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(21);
         for _ in 0..20 {
-            sampler.sample_walk_into(&mut arena, 0, 6, &mut rng, &mut positions);
+            positions.clear();
+            arena.sample_walk(&view, 0, 6, &mut rng, &mut positions);
         }
         let stamp_capacity = arena.stamp.capacity();
         let epoch_before = arena.epoch;
@@ -819,7 +759,8 @@ mod tests {
         assert_eq!(arena.stamp.capacity(), stamp_capacity);
         // Walks after invalidation are still valid walks.
         for _ in 0..20 {
-            sampler.sample_walk_into(&mut arena, 0, 6, &mut rng, &mut positions);
+            positions.clear();
+            arena.sample_walk(&view, 0, 6, &mut rng, &mut positions);
             for window in positions.windows(2) {
                 if window[0] != DEAD && window[1] != DEAD {
                     assert!(g.has_arc(window[0], window[1]));
@@ -836,14 +777,17 @@ mod tests {
     #[test]
     fn epoch_wrap_resets_stamps() {
         let g = fig1_graph();
-        let sampler = CsrSampler::new(g.forward());
-        let mut arena = WalkArena::with_capacity(5);
-        arena.epoch = u32::MAX - 1;
+        let view = g.forward();
+        let mut arena = WalkArena {
+            epoch: u32::MAX - 1,
+            ..WalkArena::default()
+        };
         let mut positions = Vec::new();
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..4 {
             // Crosses the wrap; walks must stay valid (no stale aliasing).
-            sampler.sample_walk_into(&mut arena, 0, 4, &mut rng, &mut positions);
+            positions.clear();
+            arena.sample_walk(&view, 0, 4, &mut rng, &mut positions);
             for window in positions.windows(2) {
                 if window[0] != DEAD && window[1] != DEAD {
                     assert!(g.has_arc(window[0], window[1]));

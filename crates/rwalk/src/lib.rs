@@ -20,9 +20,10 @@
 //!   al.'s prior work raises to the k-th power;
 //! * [`sampler`] — the lazily-instantiated random-walk sampler of the
 //!   Sampling algorithm (Fig. 4, lines 1–18);
-//! * [`arena`] — the allocation-free CSR fast path of the same sampler: a
-//!   reusable per-worker [`WalkArena`] plus [`CsrSampler`], which walks a
-//!   [`ugraph::CsrView`] with bit-identical RNG consumption.
+//! * [`arena`] — the allocation-free fast path of the same sampler,
+//!   [`WalkArena::sample_walk`], which walks any [`ugraph::GraphView`] with
+//!   bit-identical RNG consumption through a reusable per-worker
+//!   [`WalkArena`], and the alias-step walk [`alias_walk`].
 //!
 //! The central fact motivating all of this (Section IV of the paper) is that
 //! on an uncertain graph `W(k) ≠ (W(1))^k`: when a walk revisits a vertex,
@@ -42,7 +43,7 @@ pub mod transpr;
 pub mod walk;
 pub mod walkpr;
 
-pub use arena::{instantiate_row, AliasSampler, CsrSampler, WalkArena, DEAD};
+pub use arena::{alias_walk, instantiate_row, WalkArena, DEAD};
 pub use expected::expected_one_step_matrix;
 pub use girth::{directed_girth, girth_at_least};
 pub use sampler::{SampledWalk, WalkSampler};

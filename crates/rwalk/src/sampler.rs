@@ -12,25 +12,11 @@
 //! of the current vertex were instantiated (or the vertex has no possible
 //! out-arcs).  We terminate the walk (it can never meet another walk at later
 //! steps), which matches the semantics of the exact transition probabilities,
-//! whose rows sum to less than 1 by exactly the probability of dying.  The
-//! alternative (staying in place) is available behind
-//! [`DeadEndPolicy::StayInPlace`] for the ablation documented in DESIGN.md.
+//! whose rows sum to less than 1 by exactly the probability of dying.
 
 use rand::Rng;
 use std::collections::HashMap;
 use ugraph::{UncertainGraph, VertexId};
-
-/// What a sampled walk does when it reaches a vertex with no instantiated
-/// out-arcs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeadEndPolicy {
-    /// Terminate the walk; later positions are `None` (the default, matching
-    /// the exact sub-stochastic transition probabilities).
-    #[default]
-    Terminate,
-    /// Stay at the current vertex for the remaining steps.
-    StayInPlace,
-}
 
 /// A sampled walk of fixed horizon `n`: `position(k)` is the vertex the walk
 /// occupies at step `k` (`0 ≤ k ≤ n`), or `None` if the walk died earlier.
@@ -69,33 +55,22 @@ impl SampledWalk {
 #[derive(Debug)]
 pub struct WalkSampler<'g> {
     graph: &'g UncertainGraph,
-    dead_end_policy: DeadEndPolicy,
     /// Per-walk memo: vertex -> instantiated out-neighbors.  Cleared between
     /// walks; kept as a field to reuse its allocation.
     instantiated: HashMap<VertexId, Vec<VertexId>>,
 }
 
 impl<'g> WalkSampler<'g> {
-    /// Creates a sampler over `graph` with the default dead-end policy.
+    /// Creates a sampler over `graph`.
     pub fn new(graph: &'g UncertainGraph) -> Self {
-        Self::with_policy(graph, DeadEndPolicy::default())
-    }
-
-    /// Creates a sampler with an explicit dead-end policy.
-    pub fn with_policy(graph: &'g UncertainGraph, dead_end_policy: DeadEndPolicy) -> Self {
         WalkSampler {
             graph,
-            dead_end_policy,
             instantiated: HashMap::new(),
         }
     }
 
-    /// The dead-end policy in use.
-    pub fn dead_end_policy(&self) -> DeadEndPolicy {
-        self.dead_end_policy
-    }
-
-    /// Samples one walk of horizon `length` starting at `start`.
+    /// Samples one walk of horizon `length` starting at `start`; it dies at
+    /// the first vertex with no instantiated out-arc.
     pub fn sample_walk<R: Rng + ?Sized>(
         &mut self,
         start: VertexId,
@@ -112,10 +87,7 @@ impl<'g> WalkSampler<'g> {
                 Some(v) => {
                     let choices = self.instantiate(v, rng);
                     if choices.is_empty() {
-                        match self.dead_end_policy {
-                            DeadEndPolicy::Terminate => None,
-                            DeadEndPolicy::StayInPlace => Some(v),
-                        }
+                        None
                     } else {
                         Some(choices[rng.gen_range(0..choices.len())])
                     }
@@ -124,19 +96,6 @@ impl<'g> WalkSampler<'g> {
             positions.push(current);
         }
         SampledWalk { positions }
-    }
-
-    /// Samples `count` independent walks of horizon `length` from `start`.
-    pub fn sample_walks<R: Rng + ?Sized>(
-        &mut self,
-        start: VertexId,
-        length: usize,
-        count: usize,
-        rng: &mut R,
-    ) -> Vec<SampledWalk> {
-        (0..count)
-            .map(|_| self.sample_walk(start, length, rng))
-            .collect()
     }
 
     /// Returns the instantiated out-neighbors of `v` for the current walk,
@@ -253,7 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_end_policies() {
+    fn walks_terminate_at_dead_ends() {
         // Vertex 4 has no out-arcs at all.
         let g = fig1_graph();
         let mut rng = StdRng::seed_from_u64(3);
@@ -264,11 +223,6 @@ mod tests {
         assert_eq!(walk.position(1), None);
         assert_eq!(walk.position(3), None);
         assert_eq!(walk.survived_steps(), 0);
-
-        let mut staying = WalkSampler::with_policy(&g, DeadEndPolicy::StayInPlace);
-        let walk = staying.sample_walk(4, 3, &mut rng);
-        assert_eq!(walk.position(3), Some(4));
-        assert_eq!(staying.dead_end_policy(), DeadEndPolicy::StayInPlace);
     }
 
     #[test]
@@ -300,16 +254,6 @@ mod tests {
         // Survival requires both arcs instantiated: probability 0.25.
         let rate = survived as f64 / trials as f64;
         assert!((rate - 0.25).abs() < 0.02, "survival rate {rate}");
-    }
-
-    #[test]
-    fn sample_walks_returns_requested_count() {
-        let g = fig1_graph();
-        let mut sampler = WalkSampler::new(&g);
-        let mut rng = StdRng::seed_from_u64(9);
-        let walks = sampler.sample_walks(1, 4, 37, &mut rng);
-        assert_eq!(walks.len(), 37);
-        assert!(walks.iter().all(|w| w.horizon() == 4));
     }
 
     #[test]

@@ -156,8 +156,8 @@ pub(crate) fn coin_thresholds_of(probs: &[Probability]) -> Vec<u64> {
 ///
 /// [`CsrView`] implements it for the static CSR arrays, and
 /// [`crate::OverlayView`] implements it for a CSR base patched by a
-/// [`crate::DeltaOverlay`] — so `rwalk::CsrSampler` walks a live, mutating
-/// graph through exactly the same sorted-slice reads it uses for a frozen
+/// [`crate::DeltaOverlay`] — so `rwalk`'s walks read a live, mutating
+/// graph through exactly the same sorted-slice reads they use for a frozen
 /// one.  For any vertex whose adjacency the overlay has not touched, an
 /// implementation must return the *identical* base slices, which is what
 /// keeps the RNG draw order of walks over untouched vertices unchanged.

@@ -75,7 +75,7 @@ pub mod prelude {
         CompactionPolicy, CsrView, DeltaOverlay, DiGraph, DiGraphBuilder, GraphError, GraphUpdate,
         GraphView, UncertainGraph, UncertainGraphBuilder, UpdateError, VertexId,
     };
-    pub use crate::random_walk::{AliasSampler, CsrSampler, WalkArena};
+    pub use crate::random_walk::{alias_walk, WalkArena};
     pub use crate::server::{RequestHandler, Server, ServerOptions};
     pub use crate::simrank::{
         BaselineEstimator, CachedQueryEngine, QueryEngine, SamplerKind, SamplingEstimator,
