@@ -1,5 +1,6 @@
 //! Criterion ablation of the phase-switch parameter `l` of the two-phase
-//! algorithm, and of the Lemma 2/3 shortcut inside `TransPr`.
+//! algorithm, and the cost of the full `TransPr` enumeration (`W(1)..W(5)`
+//! of the paper's Fig. 1 graph) that its exact phase builds on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rwalk::transpr::{transition_matrices, TransPrOptions};
@@ -33,7 +34,7 @@ fn bench_phase_switch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_transpr_shortcut(c: &mut Criterion) {
+fn bench_transpr(c: &mut Criterion) {
     let graph = UncertainGraphBuilder::new(5)
         .arc(0, 2, 0.8)
         .arc(0, 3, 0.5)
@@ -45,28 +46,15 @@ fn bench_transpr_shortcut(c: &mut Criterion) {
         .arc(3, 1, 0.8)
         .build()
         .unwrap();
-    let mut group = c.benchmark_group("transpr_shortcut");
+    let mut group = c.benchmark_group("transpr");
     group.sample_size(10);
     group.measurement_time(Duration::from_millis(500));
     group.warm_up_time(Duration::from_millis(100));
-    group.bench_function("with_shortcut", |b| {
+    group.bench_function("fig1_k5", |b| {
         b.iter(|| transition_matrices(&graph, 5, &TransPrOptions::default()).unwrap())
-    });
-    group.bench_function("without_shortcut", |b| {
-        b.iter(|| {
-            transition_matrices(
-                &graph,
-                5,
-                &TransPrOptions {
-                    use_shortcut: false,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        })
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_phase_switch, bench_transpr_shortcut);
+criterion_group!(benches, bench_phase_switch, bench_transpr);
 criterion_main!(benches);

@@ -43,7 +43,6 @@ fn main() {
             BaselineEstimator::new(&graph, config).with_transpr_options(TransPrOptions {
                 max_walks: 200_000,
                 prune_threshold: 1e-7,
-                ..Default::default()
             });
         // Exact reference values; skip the dataset if infeasible.
         let mut exact = Vec::new();

@@ -31,7 +31,6 @@ fn main() {
         BaselineEstimator::new(&graph, base_config).with_transpr_options(TransPrOptions {
             max_walks: 200_000,
             prune_threshold: 1e-7,
-            ..Default::default()
         });
     let mut reference = Vec::new();
     let mut reference_is_exact = true;

@@ -54,7 +54,6 @@ fn main() {
             BaselineEstimator::new(&graph, config).with_transpr_options(TransPrOptions {
                 max_walks: 200_000,
                 prune_threshold: 1e-7,
-                ..Default::default()
             });
         let mut feasible = true;
         let (_, baseline_time) = measure(|| {

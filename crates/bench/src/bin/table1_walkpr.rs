@@ -4,7 +4,8 @@
 //! the walk `v1 v3 v1 v3 v4 v2 v3 v4 v2`, tabulating `O_W(v)`, `c_W(v)`,
 //! `O_G(v) \ O_W(v)`, the `r(n, x)` table and `α_W(v)` per vertex.  The arc
 //! endpoints of Fig. 1(a) are not fully specified in the text, so the graph
-//! below is reverse-engineered from the rows of Table I (see EXPERIMENTS.md);
+//! below is reverse-engineered from the rows of Table I (the deduced out-arcs
+//! are listed in the comment above its construction);
 //! with it, every α value matches the paper except α(v1), whose published
 //! value (0.64) is inconsistent with the paper's own Eq. (11) — we obtain
 //! P(v1→v3) = 0.8, and flag the discrepancy in the output.

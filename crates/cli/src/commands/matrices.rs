@@ -4,26 +4,23 @@
 //! With `--source U` only the rows `Pr(U →ₖ ·)` are computed (the
 //! single-source restriction the Baseline estimator uses); without it the
 //! full matrices `W(1)..W(K)` are enumerated, which is only feasible on small
-//! graphs.  `--out DIR` additionally writes each full matrix to an on-disk
-//! column store, mirroring the paper's external-memory layout.
+//! graphs.
 
 use crate::args::{ArgSpec, Arguments};
 use crate::graphio::load_graph;
 use crate::table::TextTable;
 use crate::CliError;
 use rwalk::transpr::{transition_matrices, transition_rows_from, TransPrOptions};
-use umatrix::ColumnStore;
 
 const SPEC: ArgSpec<'_> = ArgSpec {
-    options: &["steps", "source", "out", "block-size", "max-walks", "prune"],
-    switches: &["no-shortcut"],
+    options: &["steps", "source", "max-walks", "prune"],
+    switches: &[],
 };
 
 fn options_from_args(args: &Arguments) -> Result<TransPrOptions, CliError> {
     let defaults = TransPrOptions::default();
     Ok(TransPrOptions {
         max_walks: args.parse_option("max-walks", defaults.max_walks)?,
-        use_shortcut: !args.switch("no-shortcut"),
         prune_threshold: args.parse_option("prune", defaults.prune_threshold)?,
     })
 }
@@ -62,8 +59,8 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
             ]);
         }
         let mut output = format!(
-            "single-source transition rows Pr({source_label} →k ·) on {path} (prune = {}, shortcut = {})\n\n",
-            options.prune_threshold, options.use_shortcut
+            "single-source transition rows Pr({source_label} →k ·) on {path} (prune = {})\n\n",
+            options.prune_threshold
         );
         output.push_str(&table.render());
         return Ok(output);
@@ -94,19 +91,6 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     );
     output.push_str(&table.render());
 
-    if let Some(dir) = args.option("out") {
-        let block_size: usize = args.parse_option("block-size", 8192usize)?;
-        std::fs::create_dir_all(dir)?;
-        let n = graph.num_vertices();
-        for k in 1..=steps {
-            let store_path = std::path::Path::new(dir).join(format!("transition_step_{k}.col"));
-            let store = ColumnStore::create(&store_path, n, n, block_size)?;
-            store.write_dense(matrices.step(k))?;
-        }
-        output.push_str(&format!(
-            "\nwrote {steps} column-store file(s) ({n} x {n}, block size {block_size}) to {dir}\n"
-        ));
-    }
     Ok(output)
 }
 
@@ -156,27 +140,6 @@ mod tests {
         ]))
         .unwrap();
         assert!(output.contains("Pr(1 →k ·)"));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn column_store_export_writes_one_file_per_step() {
-        let path = fig1_file("export.tsv");
-        let dir =
-            std::env::temp_dir().join(format!("usim_cli_matrices_out_{}", std::process::id()));
-        let output = run(&tokens(&[
-            path.to_str().unwrap(),
-            "--steps",
-            "2",
-            "--out",
-            dir.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(output.contains("wrote 2 column-store"));
-        for k in 1..=2 {
-            assert!(dir.join(format!("transition_step_{k}.col")).exists());
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -5,9 +5,8 @@ use crate::config::{SimRankConfig, WalkDirection};
 use crate::meeting::MeetingProfile;
 use crate::SimRankEstimator;
 use rwalk::transpr::{transition_matrices, transition_rows_from, TransPrError, TransPrOptions};
-use std::path::Path;
 use ugraph::{UncertainGraph, VertexId};
-use umatrix::{ColumnStore, DenseMatrix, IoStats};
+use umatrix::DenseMatrix;
 
 /// Returns the graph the walk machinery should run on for the configured
 /// direction: the transpose for in-neighbor walks (the SimRank convention),
@@ -46,7 +45,7 @@ impl BaselineEstimator {
         }
     }
 
-    /// Overrides the `TransPr` options (walk budget, shortcut, pruning).
+    /// Overrides the `TransPr` options (walk budget, pruning).
     pub fn with_transpr_options(mut self, options: TransPrOptions) -> Self {
         self.options = options;
         self
@@ -119,110 +118,6 @@ impl SimRankEstimator for BaselineEstimator {
 
     fn name(&self) -> &'static str {
         "Baseline"
-    }
-}
-
-/// The external-memory variant of the Baseline algorithm.
-///
-/// The paper stores each `W(k)` column-by-column on disk and reads two
-/// columns per step of a query, for `O(n·|V|/B)` I/Os per pair.  This struct
-/// materialises the transition matrices once (via `TransPr`), writes them to
-/// [`ColumnStore`] files (one per step, storing `W(k)ᵀ` so that one column
-/// read yields one source row), and then answers queries purely from disk,
-/// exposing the I/O counters so the efficiency experiment can report them.
-#[derive(Debug)]
-pub struct ExternalBaseline {
-    stores: Vec<ColumnStore>,
-    config: SimRankConfig,
-    num_vertices: usize,
-}
-
-impl ExternalBaseline {
-    /// Builds the on-disk transition matrices for `graph` under `config`,
-    /// placing one file per step in `directory`.
-    pub fn build<P: AsRef<Path>>(
-        graph: &UncertainGraph,
-        config: SimRankConfig,
-        directory: P,
-        block_size: usize,
-    ) -> Result<Self, TransPrError> {
-        config.validate();
-        let working = working_graph(graph, config.direction);
-        let tm = transition_matrices(&working, config.horizon, &TransPrOptions::default())?;
-        let n_vertices = working.num_vertices();
-        let directory = directory.as_ref();
-        let mut stores = Vec::with_capacity(config.horizon);
-        for k in 1..=config.horizon {
-            let path = directory.join(format!("transition_step_{k}.col"));
-            let store = ColumnStore::create(&path, n_vertices, n_vertices, block_size)
-                .expect("failed to create transition matrix store");
-            // Column u of the store holds row u of W(k).
-            let wk = tm.step(k);
-            let mut column = vec![0.0; n_vertices];
-            for u in 0..n_vertices {
-                column.copy_from_slice(wk.row(u));
-                store
-                    .write_column(u, &column)
-                    .expect("failed to write transition matrix column");
-            }
-            store.reset_io_stats();
-            stores.push(store);
-        }
-        Ok(ExternalBaseline {
-            stores,
-            config,
-            num_vertices: n_vertices,
-        })
-    }
-
-    /// Exact meeting probabilities read back from disk.
-    pub fn profile(&self, u: VertexId, v: VertexId) -> MeetingProfile {
-        let n = self.config.horizon;
-        let mut meeting = Vec::with_capacity(n + 1);
-        meeting.push(if u == v { 1.0 } else { 0.0 });
-        let mut row_u = vec![0.0; self.num_vertices];
-        let mut row_v = vec![0.0; self.num_vertices];
-        for store in &self.stores {
-            store
-                .read_column(u as usize, &mut row_u)
-                .expect("failed to read transition matrix column");
-            store
-                .read_column(v as usize, &mut row_v)
-                .expect("failed to read transition matrix column");
-            meeting.push(row_u.iter().zip(&row_v).map(|(a, b)| a * b).sum());
-        }
-        MeetingProfile::new(meeting, self.config.decay)
-    }
-
-    /// Aggregate I/O statistics across all per-step stores.
-    pub fn io_stats(&self) -> IoStats {
-        let mut total = IoStats::default();
-        for store in &self.stores {
-            let s = store.io_stats();
-            total.columns_read += s.columns_read;
-            total.columns_written += s.columns_written;
-            total.blocks_read += s.blocks_read;
-            total.blocks_written += s.blocks_written;
-        }
-        total
-    }
-
-    /// Deletes the backing files.
-    pub fn delete(self) -> std::io::Result<()> {
-        for store in self.stores {
-            store.delete()?;
-        }
-        Ok(())
-    }
-}
-
-impl SimRankEstimator for ExternalBaseline {
-    fn similarity(&mut self, u: VertexId, v: VertexId) -> f64 {
-        self.profile(u, v).score()
-    }
-
-    fn name(&self) -> &'static str {
-        "Baseline (external)"
     }
 }
 
@@ -363,29 +258,6 @@ mod tests {
             differs,
             "walk direction should matter on an asymmetric graph"
         );
-    }
-
-    #[test]
-    fn external_baseline_matches_in_memory_and_counts_io() {
-        let g = fig1_graph();
-        let config = SimRankConfig::default().with_horizon(4);
-        let in_memory = BaselineEstimator::new(&g, config);
-        let dir =
-            std::env::temp_dir().join(format!("usim_external_baseline_{}", std::process::id()));
-        let external = ExternalBaseline::build(&g, config, &dir, 4096).unwrap();
-        for u in g.vertices() {
-            for v in g.vertices() {
-                let a = in_memory.try_similarity(u, v).unwrap();
-                let b = external.profile(u, v).score();
-                assert!((a - b).abs() < 1e-10, "pair ({u},{v}): {a} vs {b}");
-            }
-        }
-        let io = external.io_stats();
-        // 25 pairs * 4 steps * 2 columns per step.
-        assert_eq!(io.columns_read, 25 * 4 * 2);
-        assert!(io.blocks_read >= io.columns_read);
-        external.delete().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! evaluate it:
 //!
 //! * [`BaselineEstimator`] — exact `n`-th SimRank via exact k-step transition
-//!   probabilities (Section VI-A), optionally backed by an on-disk column
-//!   store mirroring the paper's external-memory layout;
+//!   probabilities (Section VI-A);
 //! * [`SamplingEstimator`] — the Monte-Carlo estimator that samples `N`
 //!   lazily-instantiated walks per query vertex (Section VI-B, Fig. 4);
 //! * [`TwoPhaseEstimator`] — exact meeting probabilities for steps `k ≤ l`,
@@ -81,7 +80,7 @@ pub mod speedup;
 pub mod top_k;
 pub mod two_phase;
 
-pub use baseline::{BaselineEstimator, ExternalBaseline};
+pub use baseline::BaselineEstimator;
 pub use bounds::{
     corollary1_error_bound, required_samples, theorem2_error_bound, theorem4_error_bound,
 };

@@ -125,7 +125,6 @@ impl SingleSourceResult {
 pub struct SingleSourceEstimator {
     graph: UncertainGraph,
     config: SimRankConfig,
-    options: TransPrOptions,
     source_mode: SourceMode,
     rng: StdRng,
     arena: WalkArena,
@@ -139,19 +138,11 @@ impl SingleSourceEstimator {
         SingleSourceEstimator {
             graph: working_graph(graph, config.direction),
             config,
-            options: TransPrOptions::default(),
             source_mode: SourceMode::Sampled,
             rng: StdRng::seed_from_u64(config.seed),
             arena: WalkArena::default(),
             source_walk: Vec::new(),
         }
-    }
-
-    /// Overrides the `TransPr` options used when [`SourceMode::Exact`] is
-    /// selected.
-    pub fn with_transpr_options(mut self, options: TransPrOptions) -> Self {
-        self.options = options;
-        self
     }
 
     /// Selects how the source-side walk distribution is obtained.
@@ -205,7 +196,12 @@ impl SingleSourceEstimator {
 
         // Exact source rows, if requested (computed once, reused per sample).
         let exact_rows = match self.source_mode {
-            SourceMode::Exact => Some(transition_rows_from(&self.graph, source, n, &self.options)?),
+            SourceMode::Exact => Some(transition_rows_from(
+                &self.graph,
+                source,
+                n,
+                &TransPrOptions::default(),
+            )?),
             SourceMode::Sampled => None,
         };
 

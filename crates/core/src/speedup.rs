@@ -47,7 +47,6 @@ enum Side {
 pub struct SpeedupEstimator {
     graph: UncertainGraph,
     config: SimRankConfig,
-    options: TransPrOptions,
     /// Lazily built source-side filter vectors, one `BitVec` per out-arc of
     /// each vertex, aligned with `graph.out_arcs(v)`.
     filters: HashMap<VertexId, Vec<BitVec>>,
@@ -62,16 +61,9 @@ impl SpeedupEstimator {
         SpeedupEstimator {
             graph: working_graph(graph, config.direction),
             config,
-            options: TransPrOptions::default(),
             filters: HashMap::new(),
             filters_target: HashMap::new(),
         }
-    }
-
-    /// Overrides the `TransPr` options used by the exact phase.
-    pub fn with_transpr_options(mut self, options: TransPrOptions) -> Self {
-        self.options = options;
-        self
     }
 
     /// The configuration in use.
@@ -189,12 +181,12 @@ impl SpeedupEstimator {
         meeting[0] = if u == v { 1.0 } else { 0.0 };
 
         if l >= 1 {
-            let rows_u = transition_rows_from(&self.graph, u, l, &self.options)
+            let rows_u = transition_rows_from(&self.graph, u, l, &TransPrOptions::default())
                 .expect("TransPr walk budget exceeded in the exact phase; lower phase_switch");
             let rows_v = if u == v {
                 rows_u.clone()
             } else {
-                transition_rows_from(&self.graph, v, l, &self.options)
+                transition_rows_from(&self.graph, v, l, &TransPrOptions::default())
                     .expect("TransPr walk budget exceeded in the exact phase; lower phase_switch")
             };
             for k in 1..=l {

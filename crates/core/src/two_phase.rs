@@ -27,7 +27,6 @@ use ugraph::{UncertainGraph, VertexId};
 pub struct TwoPhaseEstimator {
     graph: UncertainGraph,
     config: SimRankConfig,
-    options: TransPrOptions,
     rng: StdRng,
     arena: WalkArena,
     /// The current sample's two walks, `u`'s then `v`'s.
@@ -41,17 +40,10 @@ impl TwoPhaseEstimator {
         TwoPhaseEstimator {
             graph: working_graph(graph, config.direction),
             config,
-            options: TransPrOptions::default(),
             rng: StdRng::seed_from_u64(config.seed),
             arena: WalkArena::default(),
             walks: Vec::new(),
         }
-    }
-
-    /// Overrides the `TransPr` options used by the exact phase.
-    pub fn with_transpr_options(mut self, options: TransPrOptions) -> Self {
-        self.options = options;
-        self
     }
 
     /// The configuration in use.
@@ -70,12 +62,12 @@ impl TwoPhaseEstimator {
 
         // Phase 1: exact meeting probabilities for 1 <= k <= l.
         if l >= 1 {
-            let rows_u = transition_rows_from(&self.graph, u, l, &self.options)
+            let rows_u = transition_rows_from(&self.graph, u, l, &TransPrOptions::default())
                 .expect("TransPr walk budget exceeded in the exact phase; lower phase_switch");
             let rows_v = if u == v {
                 rows_u.clone()
             } else {
-                transition_rows_from(&self.graph, v, l, &self.options)
+                transition_rows_from(&self.graph, v, l, &TransPrOptions::default())
                     .expect("TransPr walk budget exceeded in the exact phase; lower phase_switch")
             };
             for k in 1..=l {

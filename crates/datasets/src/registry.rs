@@ -4,8 +4,10 @@
 //! use as the stand-in.  Two registries are provided: [`paper_registry`]
 //! (full published sizes — generating the largest entries takes minutes and
 //! plenty of memory) and [`ci_registry`] (each dataset scaled down so the
-//! whole experiment suite finishes on a laptop; the scaling factors are
-//! reported in EXPERIMENTS.md next to every measurement).
+//! whole experiment suite finishes on a laptop; the per-dataset scaling
+//! factors are the divisors in [`ci_registry`]'s own entries, and the
+//! `table2_datasets` bin prints each generated size next to the published
+//! one).
 
 use crate::coauthor::CoauthorGenerator;
 use crate::ppi::PpiGenerator;

@@ -14,7 +14,7 @@
 //! `W(1)` plays two roles in the paper:
 //!
 //! * it seeds the `TransPr` walk extension (and is the Lemma 3 shortcut for
-//!   walks that have not yet revisited a vertex);
+//!   walks that have not yet left their end vertex);
 //! * raised to the k-th power it is exactly the (incorrect) k-step matrix
 //!   assumed by Du et al. \[7\], which the paper uses as the SimRank-III
 //!   comparison baseline.

@@ -8,9 +8,7 @@
 //!   of transitions out of `v` in the walk);
 //! * [`walkpr`] — the `WalkPr` algorithm (Fig. 2): the exact probability of a
 //!   walk on an uncertain graph via the out-degree-distribution dynamic
-//!   program of Eq. (11), plus the incremental extension of Lemma 2;
-//! * [`girth`] — directed girth (length of the shortest cycle), needed by the
-//!   Lemma 3 shortcut;
+//!   program of Eq. (11);
 //! * [`transpr`] — the `TransPr` algorithm (Fig. 3): the k-step transition
 //!   probability matrices `W(1), …, W(K)` of an uncertain graph, computed by
 //!   extending walks one arc at a time, and the single-source restriction
@@ -37,7 +35,6 @@
 
 pub mod arena;
 pub mod expected;
-pub mod girth;
 pub mod sampler;
 pub mod transpr;
 pub mod walk;
@@ -45,7 +42,6 @@ pub mod walkpr;
 
 pub use arena::{alias_walk, instantiate_row, WalkArena, DEAD};
 pub use expected::expected_one_step_matrix;
-pub use girth::{directed_girth, girth_at_least};
 pub use sampler::{SampledWalk, WalkSampler};
 pub use transpr::{transition_matrices, transition_rows_from, TransPrOptions, TransitionMatrices};
 pub use walk::Walk;

@@ -7,9 +7,8 @@
 //! obtained by matrix powers; instead `TransPr` extends every walk of length
 //! `k` by one arc to enumerate the walks of length `k + 1`, updating each
 //! walk's probability with the `α`-ratio of Lemma 2 (or, for walks that have
-//! not yet revisited their current end vertex — which Lemma 3's girth
-//! condition guarantees for short walks — directly with the expected one-step
-//! probability).
+//! not yet left their current end vertex, directly with the expected one-step
+//! probability: the shortcut of Lemma 3, decided per walk).
 //!
 //! The number of walks grows like `d^k` (`d` = average out-degree), which is
 //! why the paper keeps the walk files on disk and why its Baseline algorithm
@@ -34,12 +33,6 @@ pub struct TransPrOptions {
     /// horizon on graphs with average degree around 20 when starting from a
     /// single source.
     pub max_walks: usize,
-    /// Use the Lemma 2/3 shortcut: when the current end vertex of a walk has
-    /// not been left before, the extension factor is just the expected
-    /// one-step probability, so no `α` recomputation is needed.  Disabling
-    /// this recomputes `α` ratios for every extension; results are identical
-    /// (the flag exists for the ablation benchmark).
-    pub use_shortcut: bool,
     /// Drop in-flight walks whose probability has fallen below this
     /// threshold.  `0.0` (the default) keeps everything and is exact; a small
     /// positive value trades a bounded absolute error for speed on denser
@@ -51,7 +44,6 @@ impl Default for TransPrOptions {
     fn default() -> Self {
         TransPrOptions {
             max_walks: 5_000_000,
-            use_shortcut: true,
             prune_threshold: 0.0,
         }
     }
@@ -199,7 +191,7 @@ fn extend_frontier(
         } else {
             alpha(g, walk.end, end_out, end_count)
         };
-        let one_step_row = (fresh_end && options.use_shortcut).then(|| {
+        let one_step_row = fresh_end.then(|| {
             &*one_step_rows
                 .entry(walk.end)
                 .or_insert_with(|| expected_one_step_row(g, walk.end))
@@ -414,32 +406,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn shortcut_and_no_shortcut_agree() {
-        let g = fig1_graph();
-        let with = transition_matrices(
-            &g,
-            4,
-            &TransPrOptions {
-                use_shortcut: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let without = transition_matrices(
-            &g,
-            4,
-            &TransPrOptions {
-                use_shortcut: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for k in 1..=4 {
-            assert!(with.step(k).max_abs_diff(without.step(k)) < 1e-12);
         }
     }
 

@@ -102,38 +102,6 @@ pub fn walk_probability(g: &UncertainGraph, walk: &Walk) -> f64 {
     probability
 }
 
-/// The walk-probability ratio of Lemma 2: when a walk `W` ending at vertex
-/// `v_k` is extended by one arc `(v_k, v_{k+1})`, only `α_W(v_k)` changes, so
-///
-/// ```text
-/// Pr(W') / Pr(W) = α_{W'}(v_k) / α_W(v_k).
-/// ```
-///
-/// `old_out` / `old_count` are `O_W(v_k)` / `c_W(v_k)` *before* the
-/// extension; the function returns the multiplicative update factor, or 0 if
-/// `(v_k, v_{k+1})` is not an arc of `g`.
-pub fn extension_factor(
-    g: &UncertainGraph,
-    last_vertex: VertexId,
-    old_out: &[VertexId],
-    old_count: usize,
-    next_vertex: VertexId,
-) -> f64 {
-    if !g.has_arc(last_vertex, next_vertex) {
-        return 0.0;
-    }
-    let old_alpha = alpha(g, last_vertex, old_out, old_count);
-    if old_alpha == 0.0 {
-        return 0.0;
-    }
-    let mut new_out = old_out.to_vec();
-    if let Err(pos) = new_out.binary_search(&next_vertex) {
-        new_out.insert(pos, next_vertex);
-    }
-    let new_alpha = alpha(g, last_vertex, &new_out, old_count + 1);
-    new_alpha / old_alpha
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,36 +265,5 @@ mod tests {
         let g = fig1_graph();
         assert_eq!(alpha(&g, 0, &[], 0), 1.0);
         assert_eq!(alpha(&g, 4, &[], 0), 1.0);
-    }
-
-    #[test]
-    fn extension_factor_matches_full_recomputation() {
-        let g = fig1_graph();
-        let base = Walk::from_vertices(vec![0, 2, 0]);
-        let base_p = walk_probability(&g, &base);
-        // Extend by 2 (vertex 0 -> 2 again) and by 3 (vertex 0 -> 3).
-        for next in [2u32, 3u32] {
-            let stats = base.vertex_stats();
-            let end_stats = &stats[&base.end()];
-            let factor = extension_factor(
-                &g,
-                base.end(),
-                &end_stats.out_neighbors,
-                end_stats.out_count,
-                next,
-            );
-            let extended_p = walk_probability(&g, &base.extended(next));
-            assert!(
-                (base_p * factor - extended_p).abs() < 1e-12,
-                "extension by {next}: incremental {} vs exact {extended_p}",
-                base_p * factor
-            );
-        }
-    }
-
-    #[test]
-    fn extension_factor_of_missing_arc_is_zero() {
-        let g = fig1_graph();
-        assert_eq!(extension_factor(&g, 0, &[2], 1, 1), 0.0);
     }
 }

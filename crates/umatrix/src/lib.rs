@@ -9,10 +9,7 @@
 //!   [`SparseVector`] and [`SparseMatrix`];
 //! * `N`-dimensional bit vectors with fast bitwise AND/OR and popcount — the
 //!   counting tables `M_w[k]` and filter vectors `F_e` of the SR-SP speed-up
-//!   technique (Section VI-D of the paper) — [`BitVec`];
-//! * an external-memory column store mirroring the paper's disk layout of
-//!   transition matrices ("store the elements of W(k) column-by-column in
-//!   consecutive blocks on disk", Section VI-A) — [`ColumnStore`].
+//!   technique (Section VI-D of the paper) — [`BitVec`].
 //!
 //! All structures are self-contained (no linear-algebra dependencies) and are
 //! written for clarity first, with the operations the estimators actually
@@ -22,11 +19,9 @@
 #![deny(unsafe_code)]
 
 pub mod bitvec;
-pub mod colstore;
 pub mod dense;
 pub mod sparse;
 
 pub use bitvec::BitVec;
-pub use colstore::{ColumnStore, IoStats};
 pub use dense::DenseMatrix;
 pub use sparse::{SparseMatrix, SparseVector};

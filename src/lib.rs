@@ -37,8 +37,7 @@
 /// Deterministic and uncertain directed graphs (re-export of [`ugraph`]).
 pub use ugraph as graph;
 
-/// Matrices, bit vectors and the on-disk column store (re-export of
-/// [`umatrix`]).
+/// Dense and sparse matrices and bit vectors (re-export of [`umatrix`]).
 pub use umatrix as matrix;
 
 /// Random walks on uncertain graphs: WalkPr, TransPr, samplers (re-export of

@@ -184,24 +184,3 @@ fn jaccard_is_zero_without_common_neighbors_but_simrank_is_not() {
         "SimRank should see the two-hop structure, got {simrank}"
     );
 }
-
-#[test]
-fn external_baseline_round_trips_through_the_column_store() {
-    let graph = fig1_graph();
-    let config = SimRankConfig::default().with_horizon(3);
-    let directory = std::env::temp_dir().join(format!("usim_integration_{}", std::process::id()));
-    let external =
-        uncertain_simrank::simrank::ExternalBaseline::build(&graph, config, &directory, 1024)
-            .unwrap();
-    let in_memory = BaselineEstimator::new(&graph, config);
-    for u in graph.vertices() {
-        for v in graph.vertices() {
-            let a = in_memory.try_similarity(u, v).unwrap();
-            let b = external.profile(u, v).score();
-            assert!((a - b).abs() < 1e-10);
-        }
-    }
-    assert!(external.io_stats().columns_read > 0);
-    external.delete().unwrap();
-    std::fs::remove_dir_all(&directory).ok();
-}
