@@ -22,7 +22,7 @@ pub const CONFIG_OPTIONS: &[&str] = &[
 
 /// Builds a [`SimRankConfig`] from the shared CLI options, starting from
 /// [`SimRankConfig::default`]: the paper's `c = 0.6`, `n = 5`, `l = 1`, and
-/// the served engine's `N = 250` (`--samples 1000` is the paper's
+/// the served engine's `N = 100` (`--samples 1000` is the paper's
 /// setting).
 pub fn config_from_args(args: &Arguments) -> Result<SimRankConfig, CliError> {
     let defaults = SimRankConfig::default();

@@ -145,7 +145,7 @@ pub fn usage() -> String {
         "SIMRANK OPTIONS (shared by simrank, topk, topk-pairs, er):\n",
         "    --decay C          decay factor c in (0,1)        [default 0.6]\n",
         "    --horizon N        walk horizon n                  [default 5]\n",
-        "    --samples N        sampled walks per query vertex  [default 250]\n",
+        "    --samples N        sampled walks per query vertex  [default 100]\n",
         "    --phase-switch L   exact steps of SR-TS / SR-SP    [default 1]\n",
         "    --seed S           RNG seed                        [default fixed]\n",
         "    --direction in|out walk direction                  [default in]\n",

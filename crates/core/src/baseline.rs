@@ -6,7 +6,7 @@ use crate::meeting::MeetingProfile;
 use crate::SimRankEstimator;
 use rwalk::transpr::{transition_matrices, transition_rows_from, TransPrError, TransPrOptions};
 use ugraph::{UncertainGraph, VertexId};
-use umatrix::DenseMatrix;
+use umatrix::{DenseMatrix, SparseVector};
 
 /// Returns the graph the walk machinery should run on for the configured
 /// direction: the transpose for in-neighbor walks (the SimRank convention),
@@ -15,6 +15,26 @@ pub(crate) fn working_graph(graph: &UncertainGraph, direction: WalkDirection) ->
     match direction {
         WalkDirection::InNeighbors => graph.transpose(),
         WalkDirection::OutNeighbors => graph.clone(),
+    }
+}
+
+/// Exact meeting probabilities `m(0), …, m(l)` of `(u, v)` on the working
+/// `graph`, each the dot product of `TransPr`'s single-source rows of `u`
+/// and `v`: the Baseline's whole profile (`l = n`) and the exact phase of
+/// the two-phase estimators.
+pub(crate) fn exact_meetings(
+    graph: &UncertainGraph,
+    u: VertexId,
+    v: VertexId,
+    l: usize,
+    options: &TransPrOptions,
+) -> Result<Vec<f64>, TransPrError> {
+    let rows_u = transition_rows_from(graph, u, l, options)?;
+    let dot = |rows_v: &[SparseVector]| rows_u.iter().zip(rows_v).map(|(a, b)| a.dot(b)).collect();
+    if u == v {
+        Ok(dot(&rows_u))
+    } else {
+        Ok(dot(&transition_rows_from(graph, v, l, options)?))
     }
 }
 
@@ -59,14 +79,7 @@ impl BaselineEstimator {
     /// Exact meeting probabilities `m(0), …, m(n)` for a pair, or an error if
     /// the walk budget is exceeded.
     pub fn try_profile(&self, u: VertexId, v: VertexId) -> Result<MeetingProfile, TransPrError> {
-        let n = self.config.horizon;
-        let rows_u = transition_rows_from(&self.graph, u, n, &self.options)?;
-        let rows_v = if u == v {
-            rows_u.clone()
-        } else {
-            transition_rows_from(&self.graph, v, n, &self.options)?
-        };
-        let meeting: Vec<f64> = (0..=n).map(|k| rows_u[k].dot(&rows_v[k])).collect();
+        let meeting = exact_meetings(&self.graph, u, v, self.config.horizon, &self.options)?;
         Ok(MeetingProfile::new(meeting, self.config.decay))
     }
 

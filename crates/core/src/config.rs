@@ -75,10 +75,10 @@ impl std::str::FromStr for SamplerKind {
 /// Parameters of the SimRank measure and its estimators.
 ///
 /// Field defaults follow the paper's experimental setting (Section VII-A),
-/// `c = 0.6`, `n = 5`, phase switch `l = 1`, except for `N`: it is 250, not
+/// `c = 0.6`, `n = 5`, phase switch `l = 1`, except for `N`: it is 100, not
 /// the paper's 1000.  `N` is sized for the served `QueryEngine`, whose exact
-/// `m(1)` and all-pairs walk estimate beat Eq. 13 at `N = 1000` with a
-/// quarter of the walks (`tests/accuracy.rs` gates that).  The paper's
+/// `m(1)` and `m(2)` and all-pairs walk estimate beat Eq. 13 at `N = 1000`
+/// with a tenth of the walks (`tests/accuracy.rs` gates that).  The paper's
 /// reproductions set `with_samples(1000)` explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SimRankConfig {
@@ -95,6 +95,8 @@ pub struct SimRankConfig {
     pub num_samples: usize,
     /// The phase-switch step `l` of the two-phase algorithm: meeting
     /// probabilities for `k ≤ l` are computed exactly, the rest are sampled.
+    /// The paper's estimators honour it; the query engine always takes
+    /// `l = 2`.
     pub phase_switch: usize,
     /// Seed of the estimators' internal random number generators; two
     /// estimators built with the same seed produce identical estimates.
@@ -110,7 +112,7 @@ impl Default for SimRankConfig {
         SimRankConfig {
             decay: 0.6,
             horizon: 5,
-            num_samples: 250,
+            num_samples: 100,
             phase_switch: 1,
             seed: 0x5eed_cafe,
             direction: WalkDirection::InNeighbors,
@@ -210,7 +212,7 @@ mod tests {
         let c = SimRankConfig::default();
         assert_eq!(c.decay, 0.6);
         assert_eq!(c.horizon, 5);
-        assert_eq!(c.num_samples, 250);
+        assert_eq!(c.num_samples, 100);
         assert_eq!(c.phase_switch, 1);
         assert_eq!(c.direction, WalkDirection::InNeighbors);
         assert_eq!(c.sampler, SamplerKind::Legacy);

@@ -29,15 +29,19 @@
 //! [`QueryError`] instead of panicking deep inside the CSR arrays — ids
 //! arriving from pair files or network requests are input, not invariants.
 //!
-//! Per pair, the engine serves the paper's two-phase SR-TS with `l = 1`
-//! (Section VI-C): `m(1)` is exact, computed from the two live rows with
-//! zero RNG draws, and `m(k)` for `k ≥ 2` is estimated from **every** pair
-//! of sampled walks, `Σ_w cᵤᵏ(w)·cᵥᵏ(w) / N²`, rather than Eq. 13's `N`
-//! index-matched pairs.  Both cut the variance, so the default `N` is 250
-//! where Eq. 13 needs the paper's 1000 for a larger error.  The engine takes
-//! `l = 1` whatever [`SimRankConfig::phase_switch`] says; the paper's
-//! estimators (`SamplingEstimator`, `TwoPhaseEstimator`, `SpeedupEstimator`)
-//! keep Eq. 13 and honour it.
+//! Per pair, the engine serves the paper's two-phase SR-TS with `l = 2`
+//! (Section VI-C): `m(1)` and `m(2)` are exact, computed from the cached
+//! one-step marginals of the live rows with zero RNG draws, and `m(k)` for
+//! `k ≥ 3` is estimated from **every** pair of sampled walks,
+//! `Σ_w cᵤᵏ(w)·cᵥᵏ(w) / N²`, rather than Eq. 13's `N` index-matched pairs.
+//! All three cut the variance, so the default `N` is 100 where Eq. 13 needs
+//! the paper's 1000 for a larger error.  `m(2)` is exact because a two-step
+//! walk leaves its start only once (Lemma 3: `W(2) = W(1)²`), which a
+//! self-loop at the start breaks: a pair with a self-loop endpoint keeps the
+//! sampled `m̂(2)`.  The engine takes `l = 2` whatever
+//! [`SimRankConfig::phase_switch`] says; the paper's estimators
+//! (`SamplingEstimator`, `TwoPhaseEstimator`, `SpeedupEstimator`) keep
+//! Eq. 13 and honour it.
 
 use crate::config::{SamplerKind, SimRankConfig, WalkDirection};
 use crate::meeting::MeetingProfile;
@@ -106,51 +110,55 @@ struct Scratch {
     /// occupies `i·(n + 1)..(i + 1)·(n + 1)`.
     walks_u: Vec<VertexId>,
     walks_v: Vec<VertexId>,
-    positions: PositionCounts,
+    /// How many of `u`'s walks sit at each vertex after one step `k`, for
+    /// the all-pairs estimate.
+    positions: StampedTable<u32>,
+    /// One endpoint's two-hop row `Pr(a →₂ w)`, for exact `m(2)`.
+    two_hop: StampedTable<f64>,
 }
 
-/// How many of `u`'s walks sit at each vertex after one step `k`, for the
-/// all-pairs estimate.  Entries are epoch-stamped, so starting the next step
-/// costs O(1) instead of clearing `|V|` counters.
+/// A dense per-vertex table of sums that empties in O(1): entries are
+/// epoch-stamped, so starting the next step or pair bumps the epoch instead
+/// of clearing `|V|` slots.
 #[derive(Debug, Default)]
-struct PositionCounts {
-    /// `(stamp, count)` per vertex; a count is live only under the current
+struct StampedTable<T> {
+    /// `(stamp, value)` per vertex; a value is live only under the current
     /// epoch's stamp.
-    slots: Vec<(u32, u32)>,
+    slots: Vec<(u32, T)>,
     epoch: u32,
 }
 
-impl PositionCounts {
+impl<T: Copy + Default + std::ops::AddAssign> StampedTable<T> {
     /// Empties the table, sized for `num_vertices`.
     fn begin(&mut self, num_vertices: usize) {
         if self.slots.len() < num_vertices {
-            self.slots.resize(num_vertices, (0, 0));
+            self.slots.resize(num_vertices, (0, T::default()));
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Wrapped: stale stamps could alias the new epoch.
-            self.slots.fill((0, 0));
+            self.slots.fill((0, T::default()));
             self.epoch = 1;
         }
     }
 
     #[inline]
-    fn add(&mut self, w: VertexId) {
+    fn add(&mut self, w: VertexId, value: T) {
         let slot = &mut self.slots[w as usize];
         if slot.0 == self.epoch {
-            slot.1 += 1;
+            slot.1 += value;
         } else {
-            *slot = (self.epoch, 1);
+            *slot = (self.epoch, value);
         }
     }
 
     #[inline]
-    fn count(&self, w: VertexId) -> u32 {
+    fn get(&self, w: VertexId) -> T {
         let slot = self.slots[w as usize];
         if slot.0 == self.epoch {
             slot.1
         } else {
-            0
+            T::default()
         }
     }
 }
@@ -201,8 +209,8 @@ impl Drop for PooledScratch<'_> {
     }
 }
 
-/// CSR-backed batch SimRank query engine (SR-TS with exact `m(1)` and the
-/// all-pairs walk estimate) over a live, updatable graph.
+/// CSR-backed batch SimRank query engine (SR-TS with exact `m(1)` and
+/// `m(2)` and the all-pairs walk estimate) over a live, updatable graph.
 ///
 /// Build it once per graph and issue any number of single-pair or batch
 /// queries (`&self`, freely shared across threads); apply
@@ -484,16 +492,18 @@ impl QueryEngine {
     /// process-global switch, so a test can meter one call while other
     /// tests query concurrently.
     ///
-    /// The estimator is SR-TS with `l = 1` (Section VI-C) plus the
+    /// The estimator is SR-TS with `l = 2` (Section VI-C) plus the
     /// all-pairs meeting estimate:
     ///
-    /// * `m(1)` is exact ([`exact_step_one`]), with zero RNG draws;
-    /// * `m(k)` for `k ≥ 2` is `Σ_w cᵤᵏ(w)·cᵥᵏ(w) / N²`, where `cᵤᵏ(w)`
-    ///   counts `u`'s walks at `w` after `k` steps.  Every walk starts a
-    ///   fresh possible world, so `u`'s walks are independent of `v`'s and
-    ///   all `N²` walk pairs are unbiased samples of Eq. 12's product of
-    ///   marginals.  The sum is an integer and is divided once, so the
-    ///   estimate is deterministic.
+    /// * `m(1)` and `m(2)` are exact ([`exact_step_one`],
+    ///   [`exact_step_two`]), with zero RNG draws, except that a pair with a
+    ///   self-loop endpoint keeps the sampled `m̂(2)`;
+    /// * `m(k)` for the sampled steps is `Σ_w cᵤᵏ(w)·cᵥᵏ(w) / N²`, where
+    ///   `cᵤᵏ(w)` counts `u`'s walks at `w` after `k` steps.  Every walk
+    ///   starts a fresh possible world, so `u`'s walks are independent of
+    ///   `v`'s and all `N²` walk pairs are unbiased samples of Eq. 12's
+    ///   product of marginals.  The sum is an integer and is divided once,
+    ///   so the estimate is deterministic.
     ///
     /// The walks are Eq. 13's: `N` of `u`'s and `N` of `v`'s, interleaved
     /// on the pair-keyed stream, so the walks at `N` are a prefix of the
@@ -521,16 +531,25 @@ impl QueryEngine {
         if u != v && (view.degree(u) == 0 || view.degree(v) == 0) {
             return MeetingProfile::new(vec![0.0; n + 1], self.config.decay);
         }
-        let mut meeting = vec![0.0f64; n + 1];
-        meeting[0] = if u == v { 1.0 } else { 0.0 };
-        meeting[1] = exact_step_one(&view, u, v);
-        let mut rng = StdRng::seed_from_u64(pair_seed(self.config.seed, u, v));
         let Scratch {
             arena,
             walks_u,
             walks_v,
             positions,
+            two_hop,
         } = scratch;
+        let mut meeting = vec![0.0f64; n + 1];
+        meeting[0] = if u == v { 1.0 } else { 0.0 };
+        meeting[1] = exact_step_one(&view, u, v);
+        // W(2) = W(1)² unless a walk can leave its start twice in two steps,
+        // which only a self-loop at the start allows (Lemma 3).
+        let first_sampled = if n >= 2 && !view.has_arc(u, u) && !view.has_arc(v, v) {
+            meeting[2] = exact_step_two(&view, u, v, two_hop);
+            3
+        } else {
+            2
+        };
+        let mut rng = StdRng::seed_from_u64(pair_seed(self.config.seed, u, v));
         walks_u.clear();
         walks_v.clear();
         for _ in 0..num_samples {
@@ -553,6 +572,7 @@ impl QueryEngine {
         }
         let met = count_all_pair_meetings(
             &mut meeting,
+            first_sampled,
             walks_u,
             walks_v,
             num_samples,
@@ -732,7 +752,7 @@ fn tally_pair_walks(
 }
 
 /// Exact `m(1)(u, v) = Σ_w Pr(u →₁ w)·Pr(v →₁ w)` on the live rows of the
-/// walk direction (SR-TS's exact phase for `l = 1`), with zero RNG draws.
+/// walk direction (the first step of SR-TS's exact phase), with zero RNG draws.
 ///
 /// A merge-join of the two sorted rows finds the shared neighbours; with
 /// none, `m(1) = 0` and neither row's marginals are read.  Otherwise it sums
@@ -748,6 +768,35 @@ fn exact_step_one(view: &OverlayView<'_>, u: VertexId, v: VertexId) -> f64 {
     }
     let (marginals_u, marginals_v) = (view.one_step_marginals(u), view.one_step_marginals(v));
     shared.map(|(i, j)| marginals_u[i] * marginals_v[j]).sum()
+}
+
+/// Exact `m(2)(u, v) = Σ_w Pr(u →₂ w)·Pr(v →₂ w)` from the cached one-step
+/// marginals ([`OverlayView::one_step_marginals`]), with zero RNG draws, for
+/// a pair whose endpoints have no self-loop in the walk direction: then a
+/// two-step walk leaves its start once and `W(2) = W(1)²` (Lemma 3).
+///
+/// `a = min(u, v)` scatters its two-hop row `T[w] = Σₓ W1(a, x)·W1(x, w)`
+/// into `table`; `b = max(u, v)` sums `Σ_y W1(b, y)·Σ_w W1(y, w)·T[w]`.
+/// Taking the sides by id makes `m(2)(u, v)` and `m(2)(v, u)` bit-identical.
+/// Patched rows cache their own marginals, as for [`exact_step_one`], so an
+/// engine that applied updates gives the bits of a fresh engine.
+fn exact_step_two(
+    view: &OverlayView<'_>,
+    u: VertexId,
+    v: VertexId,
+    table: &mut StampedTable<f64>,
+) -> f64 {
+    let (a, b) = (u.min(v), u.max(v));
+    let row = |x: VertexId| view.neighbors(x).iter().zip(view.one_step_marginals(x));
+    table.begin(view.num_vertices());
+    for (&x, &p) in row(a) {
+        for (&w, &q) in row(x) {
+            table.add(w, p * q);
+        }
+    }
+    row(b)
+        .map(|(&y, &p)| p * row(y).map(|(&w, &q)| q * table.get(w)).sum::<f64>())
+        .sum()
 }
 
 /// The index pairs `(i, j)` with `a[i] == b[j]` of two sorted rows, in
@@ -774,31 +823,33 @@ fn shared_arcs<'r>(
 }
 
 /// Writes the all-pairs estimate `m̂(k) = Σ_w cᵤᵏ(w)·cᵥᵏ(w) / N²` into
-/// `meeting[k]` for every `k ≥ 2`, from the `N` walks of each endpoint
-/// (walk-major, `meeting.len()` positions per walk).
+/// `meeting[k]` for every `k ≥ first_sampled`, from the `N` walks of each
+/// endpoint (walk-major, `meeting.len()` positions per walk).
 ///
 /// Per step, `u`'s positions are counted into `positions` and `v`'s walks
 /// sum their lookups: `O(N)` per step instead of the `O(N²)` double loop,
 /// with the same integer count.  A dead slot never meets.  Returns the
-/// meeting walk pairs summed over every `k ≥ 2` (the walk metrics' count).
+/// meeting walk pairs summed over every sampled step (the walk metrics'
+/// count).
 fn count_all_pair_meetings(
     meeting: &mut [f64],
+    first_sampled: usize,
     walks_u: &[VertexId],
     walks_v: &[VertexId],
     num_samples: usize,
     num_vertices: usize,
-    positions: &mut PositionCounts,
+    positions: &mut StampedTable<u32>,
 ) -> u64 {
     let stride = meeting.len();
     debug_assert_eq!(walks_u.len(), num_samples * stride);
     debug_assert_eq!(walks_v.len(), num_samples * stride);
     let walk_pairs = (num_samples as f64) * (num_samples as f64);
     let mut total = 0;
-    for (k, slot) in meeting.iter_mut().enumerate().skip(2) {
+    for (k, slot) in meeting.iter_mut().enumerate().skip(first_sampled) {
         positions.begin(num_vertices);
         for &w in walks_u.iter().skip(k).step_by(stride) {
             if w != DEAD {
-                positions.add(w);
+                positions.add(w, 1);
             }
         }
         let met: u64 = walks_v
@@ -806,7 +857,7 @@ fn count_all_pair_meetings(
             .skip(k)
             .step_by(stride)
             .filter(|&&w| w != DEAD)
-            .map(|&w| u64::from(positions.count(w)))
+            .map(|&w| u64::from(positions.get(w)))
             .sum();
         *slot = met as f64 / walk_pairs;
         total += met;
@@ -1404,40 +1455,134 @@ mod tests {
         met
     }
 
+    /// Fig. 1 plus the self-loops 2 → 2 and 4 → 4: a walk from 2 or 4 can
+    /// leave its start twice in two steps, so `W(2) ≠ W(1)²` on their rows.
+    fn fig1_with_self_loops() -> UncertainGraph {
+        let mut arcs: Vec<_> = fig1_graph()
+            .arcs()
+            .map(|a| (a.source, a.target, a.probability))
+            .collect();
+        arcs.extend([(2, 2, 0.5), (4, 4, 0.6)]);
+        UncertainGraph::from_arcs(5, arcs).unwrap()
+    }
+
+    fn touches_a_self_loop(u: VertexId, v: VertexId) -> bool {
+        [2, 4].contains(&u) || [2, 4].contains(&v)
+    }
+
     #[test]
     fn all_pair_meetings_equal_the_brute_force_double_loop_bit_for_bit() {
-        let g = fig1_with_a_source_vertex();
+        // Exact m(2) leaves k ≥ 3 to the walks; a self-loop endpoint hands
+        // k = 2 back to them.
+        let self_loop_pairs: Vec<_> = all_ordered_pairs(5)
+            .into_iter()
+            .filter(|&(u, v)| touches_a_self_loop(u, v))
+            .collect();
+        let cases = [
+            (fig1_with_a_source_vertex(), all_ordered_pairs(5), 3),
+            (fig1_with_self_loops(), self_loop_pairs, 2),
+        ];
         for sampler in SAMPLER_KINDS {
             let config = SimRankConfig::default()
                 .with_samples(64)
                 .with_seed(41)
                 .with_sampler(sampler);
-            let engine = QueryEngine::new(&g, config);
             let stride = config.horizon + 1;
             let mut scratch = Scratch::default();
             let mut nonzero = 0;
-            for (u, v) in all_ordered_pairs(5) {
-                let mut tally = usim_obs::WalkTally::default();
-                let profile = engine.sample_profile(&mut scratch, u, v, Some(&mut tally));
-                assert_eq!(scratch.walks_u.len(), 64 * stride);
-                let mut met = 0;
-                for k in 2..stride {
-                    let count = brute_force_meetings(&scratch, stride, k);
-                    let expected = count as f64 / (64.0 * 64.0);
+            for (graph, pairs, first_sampled) in &cases {
+                let engine = QueryEngine::new(graph, config);
+                for &(u, v) in pairs {
+                    let mut tally = usim_obs::WalkTally::default();
+                    let profile = engine.sample_profile(&mut scratch, u, v, Some(&mut tally));
+                    assert_eq!(scratch.walks_u.len(), 64 * stride);
+                    let mut met = 0;
+                    for k in *first_sampled..stride {
+                        let count = brute_force_meetings(&scratch, stride, k);
+                        let expected = count as f64 / (64.0 * 64.0);
+                        assert_eq!(
+                            profile.meeting[k].to_bits(),
+                            expected.to_bits(),
+                            "{sampler}: m({k})({u}, {v})"
+                        );
+                        nonzero += usize::from(count > 0);
+                        met += count;
+                    }
                     assert_eq!(
-                        profile.meeting[k].to_bits(),
-                        expected.to_bits(),
-                        "{sampler}: m({k})({u}, {v})"
+                        tally.meetings, met,
+                        "{sampler}: metered meetings ({u}, {v})"
                     );
-                    nonzero += usize::from(count > 0);
-                    met += count;
                 }
-                assert_eq!(
-                    tally.meetings, met,
-                    "{sampler}: metered meetings ({u}, {v})"
-                );
             }
             assert!(nonzero > 40, "{sampler}: only {nonzero} non-zero m(k)");
+        }
+    }
+
+    #[test]
+    fn a_self_loop_endpoint_keeps_the_sampled_m2() {
+        let g = fig1_with_self_loops();
+        let baseline = BaselineEstimator::new(&g, SimRankConfig::default());
+        // The rule is not vacuous: on a self-loop row W(1)² misses W(2).
+        let overlay = DeltaOverlay::new(g.clone());
+        let w1_squared = exact_step_two(&overlay.reverse(), 2, 3, &mut StampedTable::default());
+        assert!((w1_squared - baseline.profile(2, 3).meeting[2]).abs() > 1e-3);
+        for sampler in SAMPLER_KINDS {
+            let config = SimRankConfig::default()
+                .with_samples(64)
+                .with_seed(61)
+                .with_sampler(sampler);
+            let engine = QueryEngine::new(&g, config);
+            let stride = config.horizon + 1;
+            let mut scratch = Scratch::default();
+            let (mut sampled_nonzero, mut exact_nonzero) = (0, 0);
+            for (u, v) in all_ordered_pairs(5) {
+                let profile = engine.sample_profile(&mut scratch, u, v, None);
+                if touches_a_self_loop(u, v) {
+                    let count = brute_force_meetings(&scratch, stride, 2);
+                    let sampled = count as f64 / (64.0 * 64.0);
+                    assert_eq!(
+                        profile.meeting[2].to_bits(),
+                        sampled.to_bits(),
+                        "{sampler}: m(2)({u}, {v}) must be the walks' count"
+                    );
+                    sampled_nonzero += usize::from(count > 0);
+                } else {
+                    let exact = baseline.profile(u, v).meeting[2];
+                    assert!(
+                        (exact - profile.meeting[2]).abs() <= 1e-12,
+                        "{sampler}: m(2)({u}, {v}) is {}, Baseline says {exact}",
+                        profile.meeting[2]
+                    );
+                    exact_nonzero += usize::from(exact > 0.0);
+                }
+            }
+            assert!(sampled_nonzero > 5, "{sampler}: {sampled_nonzero} sampled");
+            assert!(exact_nonzero > 0, "{sampler}: every exact m(2) is zero");
+        }
+    }
+
+    #[test]
+    fn m2_bits_are_symmetric_in_the_pair() {
+        for g in [fig1_graph(), fig1_with_a_source_vertex()] {
+            for sampler in SAMPLER_KINDS {
+                let config = SimRankConfig::default()
+                    .with_samples(10)
+                    .with_seed(67)
+                    .with_sampler(sampler);
+                let engine = QueryEngine::new(&g, config);
+                let n = g.num_vertices() as VertexId;
+                let mut nonzero = 0;
+                for (u, v) in all_ordered_pairs(n).into_iter().filter(|&(u, v)| u < v) {
+                    let (uv, vu) = (engine.profile(u, v), engine.profile(v, u));
+                    assert_eq!(
+                        uv.meeting[2].to_bits(),
+                        vu.meeting[2].to_bits(),
+                        "{sampler}: m(2)({u}, {v})"
+                    );
+                    nonzero += usize::from(uv.meeting[2] > 0.0);
+                }
+                assert!(nonzero > 0, "{sampler}: every m(2) is zero");
+            }
         }
     }
 
@@ -1562,17 +1707,17 @@ mod tests {
 
     #[test]
     fn position_counts_survive_an_epoch_wrap() {
-        let mut counts = PositionCounts::default();
+        let mut counts = StampedTable::<u32>::default();
         counts.begin(4);
-        counts.add(2);
+        counts.add(2, 1);
         counts.epoch = u32::MAX;
         counts.slots[3] = (1, 7); // would alias epoch 1 after the wrap
         counts.begin(4);
         assert_eq!(counts.epoch, 1);
-        assert_eq!((counts.count(2), counts.count(3)), (0, 0));
-        counts.add(3);
-        counts.add(3);
-        assert_eq!(counts.count(3), 2);
+        assert_eq!((counts.get(2), counts.get(3)), (0, 0));
+        counts.add(3, 1);
+        counts.add(3, 1);
+        assert_eq!(counts.get(3), 2);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! For batched traffic, [`QueryEngine`] serves many pairs against one
 //! graph, walking its CSR arrays with per-worker walk arenas and pair-keyed
 //! RNG streams, making batch output bit-identical to sequential queries at
-//! any thread count.  It serves SR-TS with an exact `m(1)` and estimates
-//! `m(k)`, `k ≥ 2`, from all `N²` pairs of its sampled walks.  The engine's graph is *live*: [`QueryEngine::apply_updates`]
+//! any thread count.  It serves SR-TS with exact `m(1)` and `m(2)` and
+//! estimates `m(k)`, `k ≥ 3`, from all `N²` pairs of its sampled walks.  The engine's graph is *live*: [`QueryEngine::apply_updates`]
 //! applies [`ugraph::GraphUpdate`] batches through a [`ugraph::DeltaOverlay`]
 //! (threshold-compacted back into a fresh CSR), so a long-running service
 //! interleaves updates and queries without ever rebuilding the engine.

@@ -23,13 +23,13 @@
 //! propagation side its own filter vectors — same asymptotic cost, unbiased;
 //! the paper's shared construction is not implemented.
 
-use crate::baseline::working_graph;
+use crate::baseline::{exact_meetings, working_graph};
 use crate::config::SimRankConfig;
 use crate::meeting::MeetingProfile;
 use crate::SimRankEstimator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rwalk::transpr::{transition_rows_from, TransPrOptions};
+use rwalk::transpr::TransPrOptions;
 use std::collections::HashMap;
 use ugraph::{UncertainGraph, VertexId};
 use umatrix::BitVec;
@@ -177,22 +177,9 @@ impl SpeedupEstimator {
         let n = self.config.horizon;
         let l = self.config.effective_phase_switch();
         let n_samples = self.config.num_samples;
-        let mut meeting = vec![0.0; n + 1];
-        meeting[0] = if u == v { 1.0 } else { 0.0 };
-
-        if l >= 1 {
-            let rows_u = transition_rows_from(&self.graph, u, l, &TransPrOptions::default())
-                .expect("TransPr walk budget exceeded in the exact phase; lower phase_switch");
-            let rows_v = if u == v {
-                rows_u.clone()
-            } else {
-                transition_rows_from(&self.graph, v, l, &TransPrOptions::default())
-                    .expect("TransPr walk budget exceeded in the exact phase; lower phase_switch")
-            };
-            for k in 1..=l {
-                meeting[k] = rows_u[k].dot(&rows_v[k]);
-            }
-        }
+        let mut meeting = exact_meetings(&self.graph, u, v, l, &TransPrOptions::default())
+            .expect("TransPr walk budget exceeded in the exact phase; lower phase_switch");
+        meeting.resize(n + 1, 0.0);
 
         if l < n {
             let levels_u = self.propagate(u, Side::Source);

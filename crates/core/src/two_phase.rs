@@ -7,14 +7,14 @@
 //! `ε(c^{l+1} − cⁿ)` with probability `1 − δ`, an order of magnitude better
 //! than plain sampling for `l = 1` and typical similarity magnitudes.
 
-use crate::baseline::working_graph;
+use crate::baseline::{exact_meetings, working_graph};
 use crate::config::SimRankConfig;
 use crate::meeting::MeetingProfile;
 use crate::SimRankEstimator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rwalk::arena::{WalkArena, DEAD};
-use rwalk::transpr::{transition_rows_from, TransPrOptions};
+use rwalk::transpr::TransPrOptions;
 use ugraph::{UncertainGraph, VertexId};
 
 /// The two-phase single-pair SimRank estimator (the paper's SR-TS).
@@ -57,23 +57,10 @@ impl TwoPhaseEstimator {
         let n = self.config.horizon;
         let l = self.config.effective_phase_switch();
         let num_samples = self.config.num_samples;
-        let mut meeting = vec![0.0; n + 1];
-        meeting[0] = if u == v { 1.0 } else { 0.0 };
-
-        // Phase 1: exact meeting probabilities for 1 <= k <= l.
-        if l >= 1 {
-            let rows_u = transition_rows_from(&self.graph, u, l, &TransPrOptions::default())
-                .expect("TransPr walk budget exceeded in the exact phase; lower phase_switch");
-            let rows_v = if u == v {
-                rows_u.clone()
-            } else {
-                transition_rows_from(&self.graph, v, l, &TransPrOptions::default())
-                    .expect("TransPr walk budget exceeded in the exact phase; lower phase_switch")
-            };
-            for k in 1..=l {
-                meeting[k] = rows_u[k].dot(&rows_v[k]);
-            }
-        }
+        // Phase 1: exact meeting probabilities for k <= l.
+        let mut meeting = exact_meetings(&self.graph, u, v, l, &TransPrOptions::default())
+            .expect("TransPr walk budget exceeded in the exact phase; lower phase_switch");
+        meeting.resize(n + 1, 0.0);
 
         // Phase 2: sampled meeting probabilities for l < k <= n, walked on
         // the CSR fast path (the working graph's forward view).

@@ -33,7 +33,8 @@ pub struct WalkTally {
     /// instantiated row was empty).
     pub deaths: u64,
     /// Meeting walk pairs of the all-pairs estimate: (u-walk, v-walk)
-    /// pairs at the same vertex after `k ≥ 2` steps, summed over `k`.
+    /// pairs at the same vertex after `k` steps, summed over the sampled
+    /// steps (`k ≥ 3`, or `k ≥ 2` on a pair with a self-loop endpoint).
     pub meetings: u64,
     /// Adjacency-row reads served by the overlay's patched rows.
     pub rows_patched: u64,
@@ -71,7 +72,8 @@ pub struct WalkSnapshot {
     pub steps_alias: u64,
     /// Walks that died before the horizon.
     pub deaths: u64,
-    /// Meeting walk pairs, summed over steps `k ≥ 2`.
+    /// Meeting walk pairs, summed over the sampled steps (`k ≥ 3`, or
+    /// `k ≥ 2` on a pair with a self-loop endpoint).
     pub meetings: u64,
     /// Row reads served by patched overlay rows.
     pub rows_patched: u64,

@@ -967,7 +967,7 @@ impl RequestHandler {
         );
         w.counter(
             "usim_walk_meetings_total",
-            "Walk pairs (any u-walk, any v-walk) at the same vertex after k >= 2 steps, summed over k.",
+            "Walk pairs (any u-walk, any v-walk) at the same vertex after k sampled steps (k >= 3, or k >= 2 on a self-loop pair), summed over k.",
             walk.meetings,
         );
         w.counter_family(
