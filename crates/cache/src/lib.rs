@@ -23,7 +23,7 @@
 //!
 //! The cache is generic over key and value so the map layer stays free of
 //! engine types; the domain key for pair queries is [`PairKey`]
-//! (query kind + ordered vertex pair).  The engine-facing integration —
+//! (query kind + unordered vertex pair).  The engine-facing integration —
 //! `CachedQueryEngine`, which guarantees cached answers are *bit-identical*
 //! to uncached ones at any thread count and across update epochs — lives
 //! in `usim_core::cached`.  Each cache there belongs to one engine and so
@@ -54,37 +54,37 @@ pub enum QueryKind {
     Profile,
 }
 
-/// The domain cache key for pair queries: query kind and the *ordered*
-/// vertex pair.  The pair is ordered because the engine's RNG streams are
-/// keyed on `(seed, u, v)` — `s(u, v)` and `s(v, u)` estimate the same
-/// quantity but are distinct bit patterns.
+/// The domain cache key for pair queries: query kind and the *unordered*
+/// vertex pair, stored as `(min(u, v), max(u, v))`.  The engine keys its
+/// RNG streams on `(seed, vertex)`, so `s(u, v)` and `s(v, u)` are the same
+/// bits and share one entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PairKey {
     /// What kind of answer this key names.
     pub kind: QueryKind,
-    /// First vertex of the ordered pair.
+    /// The smaller vertex of the pair.
     pub u: VertexId,
-    /// Second vertex of the ordered pair.
+    /// The larger vertex of the pair.
     pub v: VertexId,
 }
 
 impl PairKey {
-    /// Key of the cached score of ordered pair `(u, v)`.
-    pub fn score(u: VertexId, v: VertexId) -> Self {
+    fn new(kind: QueryKind, u: VertexId, v: VertexId) -> Self {
         PairKey {
-            kind: QueryKind::Score,
-            u,
-            v,
+            kind,
+            u: u.min(v),
+            v: u.max(v),
         }
     }
 
-    /// Key of the cached meeting profile of ordered pair `(u, v)`.
+    /// Key of the cached score of the pair `{u, v}`.
+    pub fn score(u: VertexId, v: VertexId) -> Self {
+        PairKey::new(QueryKind::Score, u, v)
+    }
+
+    /// Key of the cached meeting profile of the pair `{u, v}`.
     pub fn profile(u: VertexId, v: VertexId) -> Self {
-        PairKey {
-            kind: QueryKind::Profile,
-            u,
-            v,
-        }
+        PairKey::new(QueryKind::Profile, u, v)
     }
 }
 
@@ -387,7 +387,11 @@ mod tests {
         let cache: ResultCache<PairKey, f64> = ResultCache::new(64);
         cache.insert(PairKey::score(1, 2), 0.25, 0);
         assert_eq!(cache.get(&PairKey::profile(1, 2), 0), None);
-        assert_eq!(cache.get(&PairKey::score(2, 1), 0), None, "ordered pair");
+        assert_eq!(
+            cache.get(&PairKey::score(2, 1), 0),
+            Some(0.25),
+            "unordered pair"
+        );
         assert_eq!(cache.get(&PairKey::score(1, 2), 0), Some(0.25));
     }
 

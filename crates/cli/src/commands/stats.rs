@@ -217,6 +217,13 @@ fn render_server_view(addr: &str, stats: &Value, slow: &Value) -> String {
             uint_at(stats, &["cache", "stale"]),
             uint_at(stats, &["cache", "evictions"]),
         ));
+        out.push_str(&format!(
+            "walk sets: {} kept ({} bytes), {} hits, {} misses\n",
+            uint_at(stats, &["cache", "walk_set_entries"]),
+            uint_at(stats, &["cache", "walk_set_bytes"]),
+            uint_at(stats, &["cache", "walk_set_hits"]),
+            uint_at(stats, &["cache", "walk_set_misses"]),
+        ));
     }
 
     if bool_at(stats, &["walks", "enabled"]) {

@@ -2,7 +2,7 @@
 //!
 //! Commands take a `--threads N` option where `N > 0` pins a dedicated
 //! worker pool and `0` (the default) means "use the rayon default pool".
-//! Batch output is bit-identical either way (pair-keyed RNG streams), so
+//! Batch output is bit-identical either way (vertex-keyed RNG streams), so
 //! the choice is purely about resource control.
 
 use crate::CliError;

@@ -7,9 +7,9 @@
 //! concurrent readers.  [`CachedQueryEngine`] owns the engine behind a
 //! reader/writer lock — every query takes the read lock, every update
 //! batch the write lock — and pairs it with an optional
-//! [`usim_cache::ResultCache`] keyed on `(query kind, ordered vertex pair)`
-//! and tagged with the update epoch each answer was computed under.  The
-//! cache is private to its engine, whose config never changes, so the
+//! [`usim_cache::ResultCache`] keyed on `(query kind, unordered vertex
+//! pair)` and tagged with the update epoch each answer was computed under.
+//! The cache is private to its engine, whose config never changes, so the
 //! config needs no place in the key.  The contract is the project's
 //! signature invariant, extended to the cache:
 //!
@@ -19,7 +19,8 @@
 //! Three properties make that easy to guarantee:
 //!
 //! * every pair's answer is a pure function of `(graph state, config)` —
-//!   the engine's RNG streams are keyed on `(seed, u, v)`, never on call
+//!   the engine's RNG streams are keyed on `(seed, vertex)`, with a twin
+//!   stream for the self-pair's second set, never on call order or argument
 //!   order — so replaying a stored answer *is* recomputing it;
 //! * every lookup and every fill happen under **one read-lock
 //!   acquisition**, so the epoch used to validate entries is exactly the
@@ -35,14 +36,27 @@
 //! [`CachedQueryEngine::top_k`].  Each takes an optional [`StageTrace`];
 //! the per-request methods without one are one-line calls of them.
 //!
-//! With the cache disabled (capacity 0) every call goes straight to the
-//! engine's own entry points — which already deduplicate repeated pairs
-//! within one batch.
+//! Next to the result cache sits the **walk-set memo**: vertex → that
+//! vertex's walk set at the current epoch.  The misses a query computes
+//! fill it, and every later pair or `top_k` candidate naming the vertex
+//! reads the set instead of sampling its walks again.  A set is a pure
+//! function of `(seed, vertex, graph state)`, so memo-warm answers are the
+//! bits of a bare [`QueryEngine`].  The memo holds at most the result
+//! cache's capacity in sets; when full it computes without keeping.
+//! [`CachedQueryEngine::apply_updates`] clears it under the write lock, in
+//! O(entries).
+//!
+//! With the cache disabled (capacity 0) there is no memo either, and every
+//! call goes straight to the engine's own entry points — which already
+//! deduplicate repeated pairs within one batch.
 
-use crate::engine::{candidate_pairs, dedup_pairs, rank, QueryEngine, QueryError};
+use crate::engine::{candidate_pairs, dedup_pairs, rank, QueryEngine, QueryError, WalkSet};
 use crate::meeting::MeetingProfile;
 use crate::top_k::ScoredVertex;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use ugraph::{GraphUpdate, UpdateError, UpdateSummary, VertexId};
 use usim_cache::{CacheStats, PairKey, ResultCache};
 use usim_obs::{time_stage, Stage, StageTrace};
@@ -67,6 +81,117 @@ const _: () = {
 enum CachedAnswer {
     Score(f64),
     Profile(MeetingProfile),
+}
+
+/// Shards of a [`WalkSetMemo`] (each with its own lock).
+const MEMO_SHARDS: usize = 16;
+
+/// A snapshot of the walk-set memo (see
+/// [`CachedQueryEngine::walk_set_stats`]).  `hits` and `misses` are
+/// cumulative since construction; `entries` and `bytes` describe the sets
+/// kept at the current epoch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalkSetStats {
+    /// Walk sets kept.
+    pub entries: usize,
+    /// Bytes they hold: each set's fields and heap capacity plus its map
+    /// slot and reference counts.
+    pub bytes: usize,
+    /// Lookups that found the vertex's set.
+    pub hits: u64,
+    /// Lookups that did not, so the set was sampled.
+    pub misses: u64,
+}
+
+/// The epoch-scoped walk-set memo of a [`CachedQueryEngine`]: vertex → its
+/// [`WalkSet`] at the current update epoch, bounded to `capacity` sets.
+/// Fills happen under the engine's read lock and clears under its write
+/// lock, so every kept set belongs to the epoch being served.
+#[derive(Debug)]
+pub(crate) struct WalkSetMemo {
+    shards: Vec<Mutex<HashMap<VertexId, Arc<WalkSet>>>>,
+    capacity: usize,
+    entries: AtomicUsize,
+    bytes: AtomicUsize,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl WalkSetMemo {
+    fn new(capacity: usize) -> Self {
+        WalkSetMemo {
+            shards: (0..MEMO_SHARDS).map(|_| Mutex::default()).collect(),
+            capacity,
+            entries: AtomicUsize::new(0),
+            bytes: AtomicUsize::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    fn shard(&self, vertex: VertexId) -> &Mutex<HashMap<VertexId, Arc<WalkSet>>> {
+        let mixed = u64::from(vertex).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        &self.shards[(mixed >> 32) as usize % MEMO_SHARDS]
+    }
+
+    /// `vertex`'s kept set, counting the lookup as a hit or a miss.
+    pub(crate) fn get(&self, vertex: VertexId) -> Option<Arc<WalkSet>> {
+        let set = self.shard(vertex).lock().get(&vertex).cloned();
+        let counter = if set.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        set
+    }
+
+    /// Keeps a copy of `vertex`'s freshly sampled `set` when there is room.
+    /// Two workers that sampled the same vertex offer equal sets; the
+    /// second offer is dropped.
+    pub(crate) fn offer(&self, vertex: VertexId, set: &WalkSet) {
+        if self.entries.fetch_add(1, Ordering::Relaxed) >= self.capacity {
+            self.entries.fetch_sub(1, Ordering::Relaxed);
+            return;
+        }
+        let kept = Arc::new(set.clone());
+        let bytes = kept.bytes() + Self::SLOT_BYTES;
+        let mut shard = self.shard(vertex).lock();
+        if shard.contains_key(&vertex) {
+            self.entries.fetch_sub(1, Ordering::Relaxed);
+            return;
+        }
+        shard.insert(vertex, kept);
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// A map slot plus an `Arc`'s two reference counts.
+    const SLOT_BYTES: usize =
+        std::mem::size_of::<(VertexId, Arc<WalkSet>)>() + 2 * std::mem::size_of::<usize>();
+
+    /// Drops every kept set; O(entries).  Called under the engine's write
+    /// lock, so no reader is filling the memo meanwhile.
+    fn clear(&self) {
+        for shard in &self.shards {
+            let mut shard = shard.lock();
+            if !shard.is_empty() {
+                // A fresh map: clearing in place would keep the largest
+                // table the memo ever grew to, and `clear` walks it.
+                *shard = HashMap::new();
+            }
+        }
+        self.entries.store(0, Ordering::Relaxed);
+        self.bytes.store(0, Ordering::Relaxed);
+    }
+
+    fn stats(&self) -> WalkSetStats {
+        WalkSetStats {
+            entries: self.entries.load(Ordering::Relaxed),
+            bytes: self.bytes.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// A reader/writer-locked [`QueryEngine`] with an optional epoch-validated
@@ -116,17 +241,28 @@ enum CachedAnswer {
 #[derive(Debug)]
 pub struct CachedQueryEngine {
     engine: RwLock<QueryEngine>,
-    cache: Option<ResultCache<PairKey, CachedAnswer>>,
+    cache: Option<Caches>,
+}
+
+/// The result cache and the walk-set memo, both bounded by one capacity.
+#[derive(Debug)]
+struct Caches {
+    results: ResultCache<PairKey, CachedAnswer>,
+    walk_sets: WalkSetMemo,
 }
 
 impl CachedQueryEngine {
     /// Takes ownership of `engine` behind a reader/writer lock, with a
-    /// result cache bounded to `capacity` entries in front of it;
-    /// `capacity == 0` disables caching entirely (no map is allocated).
+    /// result cache bounded to `capacity` entries and a walk-set memo
+    /// bounded to `capacity` sets in front of it; `capacity == 0` disables
+    /// both (no map is allocated).
     pub fn new(engine: QueryEngine, capacity: usize) -> Self {
         CachedQueryEngine {
             engine: RwLock::new(engine),
-            cache: (capacity > 0).then(|| ResultCache::new(capacity)),
+            cache: (capacity > 0).then(|| Caches {
+                results: ResultCache::new(capacity),
+                walk_sets: WalkSetMemo::new(capacity),
+            }),
         }
     }
 
@@ -186,12 +322,17 @@ impl CachedQueryEngine {
 
     /// The configured cache capacity (0 when disabled).
     pub fn cache_capacity(&self) -> usize {
-        self.cache.as_ref().map_or(0, |c| c.capacity())
+        self.cache.as_ref().map_or(0, |c| c.results.capacity())
     }
 
     /// Snapshot of the cache counters, or `None` when caching is disabled.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
+        self.cache.as_ref().map(|c| c.results.stats())
+    }
+
+    /// Snapshot of the walk-set memo, or `None` when caching is disabled.
+    pub fn walk_set_stats(&self) -> Option<WalkSetStats> {
+        self.cache.as_ref().map(|c| c.walk_sets.stats())
     }
 
     /// `(epoch, score)` of one pair (see [`QueryEngine::try_similarity`]).
@@ -232,7 +373,7 @@ impl CachedQueryEngine {
         self.with_read(|e| {
             e.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
             let epoch = e.update_epoch();
-            Ok((epoch, self.scores_for(e, epoch, pairs, trace)?))
+            Ok((epoch, self.scores_for(e, epoch, pairs, trace)))
         })
     }
 
@@ -248,19 +389,19 @@ impl CachedQueryEngine {
         self.with_read(|e| {
             e.validate_vertices([u, v])?;
             let epoch = e.update_epoch();
-            let Some(cache) = &self.cache else {
+            let Some(Caches { results, walk_sets }) = &self.cache else {
                 return Ok((
                     epoch,
                     time_stage(trace, Stage::WalkSample, || e.profile(u, v)),
                 ));
             };
             let key = PairKey::profile(u, v);
-            let hit = time_stage(trace, Stage::CacheLookup, || cache.get(&key, epoch));
+            let hit = time_stage(trace, Stage::CacheLookup, || results.get(&key, epoch));
             if let Some(CachedAnswer::Profile(profile)) = hit {
                 return Ok((epoch, profile));
             }
-            let profile = time_stage(trace, Stage::WalkSample, || e.profile(u, v));
-            cache.insert(key, CachedAnswer::Profile(profile.clone()), epoch);
+            let profile = time_stage(trace, Stage::WalkSample, || e.profile_memo(u, v, walk_sets));
+            results.insert(key, CachedAnswer::Profile(profile.clone()), epoch);
             Ok((epoch, profile))
         })
     }
@@ -281,7 +422,7 @@ impl CachedQueryEngine {
             e.validate_vertices(std::iter::once(query).chain(candidates.iter().copied()))?;
             let epoch = e.update_epoch();
             let pairs = candidate_pairs(query, candidates, k);
-            let scores = self.scores_for(e, epoch, &pairs, trace)?;
+            let scores = self.scores_for(e, epoch, &pairs, trace);
             Ok((
                 epoch,
                 time_stage(trace, Stage::Merge, || rank(&pairs, &scores, k)),
@@ -294,40 +435,45 @@ impl CachedQueryEngine {
     /// [`QueryEngine::apply_updates`]; a rejected batch leaves the engine
     /// untouched).  The epoch bump invalidates every cached entry: each
     /// one reads as `stale` from then on and is recomputed on its next ask.
+    /// The walk-set memo is cleared before the write lock is released.
     pub fn apply_updates(
         &self,
         updates: &[GraphUpdate],
     ) -> Result<(UpdateSummary, u64), UpdateError> {
         let mut e = self.engine.write();
         let summary = e.apply_updates(updates)?;
+        if let Some(cache) = &self.cache {
+            cache.walk_sets.clear();
+        }
         Ok((summary, e.update_epoch()))
     }
 
     /// Scores for `pairs` in input order at `epoch`, serving hits from the
-    /// cache and computing the misses as one engine batch under the read
-    /// lock already held by the caller (so `epoch` cannot move while the
-    /// misses are computed or inserted).  Ids must already be validated:
-    /// cached entries were validated when first computed, and vertex count
-    /// never changes, so partial cache service cannot mask a bad id.
+    /// cache and computing the misses as one engine batch, on the memo's
+    /// walk sets, under the read lock already held by the caller (so
+    /// `epoch` cannot move while the misses are computed or inserted).  Ids
+    /// must already be validated: cached entries were validated when first
+    /// computed, and vertex count never changes, so partial cache service
+    /// cannot mask a bad id.
     fn scores_for(
         &self,
         e: &QueryEngine,
         epoch: u64,
         pairs: &[(VertexId, VertexId)],
         trace: Option<&StageTrace>,
-    ) -> Result<Vec<f64>, QueryError> {
+    ) -> Vec<f64> {
         if pairs.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
-        let Some(cache) = &self.cache else {
-            return time_stage(trace, Stage::WalkSample, || e.batch_similarities(pairs));
+        let Some(Caches { results, walk_sets }) = &self.cache else {
+            return time_stage(trace, Stage::WalkSample, || e.batch_scores(pairs, None));
         };
         let mut scores = vec![0.0f64; pairs.len()];
         let mut miss_slots: Vec<usize> = Vec::new();
         let mut misses: Vec<(VertexId, VertexId)> = Vec::new();
         time_stage(trace, Stage::CacheLookup, || {
             for (slot, &(u, v)) in pairs.iter().enumerate() {
-                match cache.get(&PairKey::score(u, v), epoch) {
+                match results.get(&PairKey::score(u, v), epoch) {
                     Some(CachedAnswer::Score(score)) => scores[slot] = score,
                     // A profile under a score key cannot happen (the kind is
                     // in the key); recompute rather than trust a corrupt
@@ -344,16 +490,17 @@ impl CachedQueryEngine {
             // inserted once; one engine batch covers them all, sharded
             // across workers.
             let (distinct, distinct_of) = dedup_pairs(&misses);
-            let computed =
-                time_stage(trace, Stage::WalkSample, || e.batch_similarities(&distinct))?;
+            let computed = time_stage(trace, Stage::WalkSample, || {
+                e.batch_scores(&distinct, Some(walk_sets))
+            });
             for (&slot, &index) in miss_slots.iter().zip(distinct_of.iter()) {
                 scores[slot] = computed[index];
             }
             for (&(u, v), &score) in distinct.iter().zip(computed.iter()) {
-                cache.insert(PairKey::score(u, v), CachedAnswer::Score(score), epoch);
+                results.insert(PairKey::score(u, v), CachedAnswer::Score(score), epoch);
             }
         }
-        Ok(scores)
+        scores
     }
 }
 
@@ -416,11 +563,81 @@ mod tests {
     }
 
     #[test]
+    fn memo_warm_answers_equal_a_bare_engine_across_updates_and_when_full() {
+        let g = fig1_graph();
+        let rounds = [
+            GraphUpdate::SetProbability {
+                source: 0,
+                target: 2,
+                probability: 0.05,
+            },
+            GraphUpdate::InsertArc {
+                source: 4,
+                target: 0,
+                probability: 0.7,
+            },
+        ];
+        for sampler in [crate::SamplerKind::Legacy, crate::SamplerKind::Alias] {
+            let config = SimRankConfig::default()
+                .with_samples(90)
+                .with_seed(13)
+                .with_sampler(sampler);
+            for capacity in [1, 256] {
+                let cached = CachedQueryEngine::new(QueryEngine::new(&g, config), capacity);
+                let mut bare = QueryEngine::new(&g, config);
+                for round in 0..=rounds.len() {
+                    // Scores, then profiles and rankings of the same pairs:
+                    // result-cache misses whose vertices the memo holds.
+                    let pairs = all_pairs();
+                    let (_, scores) = cached.batch_similarities(&pairs).unwrap();
+                    assert_eq!(scores, bare.batch_similarities(&pairs).unwrap());
+                    for &(u, v) in &pairs {
+                        let (_, profile) = cached.profile(u, v, None).unwrap();
+                        assert_eq!(profile, bare.profile(u, v), "({u}, {v})");
+                    }
+                    for query in 0..5 {
+                        let (_, ranked) = cached.top_k(query, &[0, 1, 2, 3, 4], 5, None).unwrap();
+                        let want = bare.batch_top_k_similar_to(query, &[0, 1, 2, 3, 4], 5);
+                        assert_eq!(ranked, want.unwrap());
+                    }
+                    let memo = cached.walk_set_stats().unwrap();
+                    assert!(memo.hits > 0, "{sampler}, {capacity}: {memo:?}");
+                    assert!((1..=capacity).contains(&memo.entries), "{memo:?}");
+                    assert!(memo.bytes >= memo.entries * std::mem::size_of::<WalkSet>());
+                    if let Some(update) = rounds.get(round) {
+                        cached.apply_updates(&[*update]).unwrap();
+                        bare.apply_updates(&[*update]).unwrap();
+                        let cleared = cached.walk_set_stats().unwrap();
+                        assert_eq!((cleared.entries, cleared.bytes), (0, 0));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reversed_pairs_share_one_cache_entry() {
+        let (cached, reference) = engines(64);
+        let (_, forward) = cached.batch_similarities(&[(1, 2), (3, 0)]).unwrap();
+        let inserted = cached.cache_stats().unwrap().insertions;
+        let (_, reversed) = cached.batch_similarities(&[(2, 1), (0, 3)]).unwrap();
+        assert_eq!(forward, reversed);
+        assert_eq!(
+            reversed,
+            reference.batch_similarities(&[(2, 1), (0, 3)]).unwrap()
+        );
+        let stats = cached.cache_stats().unwrap();
+        assert_eq!(stats.insertions, inserted, "the reversed pairs hit");
+        assert_eq!(stats.hits, 2);
+    }
+
+    #[test]
     fn disabled_cache_is_a_pass_through() {
         let (cached, reference) = engines(0);
         assert!(!cached.cache_enabled());
         assert_eq!(cached.cache_capacity(), 0);
         assert!(cached.cache_stats().is_none());
+        assert!(cached.walk_set_stats().is_none());
         let (epoch, scores) = cached.batch_similarities(&all_pairs()).unwrap();
         assert_eq!(epoch, 0);
         assert_eq!(scores, reference.batch_similarities(&all_pairs()).unwrap());

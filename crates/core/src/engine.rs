@@ -16,14 +16,19 @@
 //!   state *across* batches; applying updates bumps every pooled arena's
 //!   epoch ([`WalkArena::invalidate`]), discarding all memoized arc
 //!   instantiations without reallocating a single buffer;
-//! * every pair draws its randomness from a **pair-keyed RNG stream**
-//!   (seeded from `(config.seed, u, v)`), so the result of a batch is
-//!   *bit-identical* to looping [`QueryEngine::profile`] over the pairs
-//!   sequentially — **regardless of the number of rayon threads** or how the
-//!   batch is sharded across them.  Because overlay reads return the
-//!   identical base slices for untouched vertices, this determinism also
-//!   survives updates: an engine that applied updates returns bit-identical
-//!   scores to a fresh engine built on the mutated graph.
+//! * every walk set draws its randomness from a **vertex-keyed RNG stream**
+//!   (seeded from `(config.seed, w)` for the set of vertex `w`), so a pair's
+//!   answer is a pure function of its two vertices: `s(u, v)` and `s(v, u)`
+//!   are bit-identical, and the result of a batch is *bit-identical* to
+//!   looping [`QueryEngine::profile`] over the pairs sequentially —
+//!   **regardless of the number of rayon threads**, how the batch is
+//!   sharded across them, or which other pairs share it.  A self-pair
+//!   `(u, u)` scores `u`'s set against a second, independent *twin* set
+//!   drawn from a `(config.seed, u, twin)` stream.  Because overlay reads
+//!   return the identical base slices for untouched vertices, this
+//!   determinism also survives updates: an engine that applied updates
+//!   returns bit-identical scores to a fresh engine built on the mutated
+//!   graph.
 //!
 //! Batch entry points validate every vertex id up front and return a typed
 //! [`QueryError`] instead of panicking deep inside the CSR arrays — ids
@@ -42,7 +47,13 @@
 //! [`SimRankConfig::phase_switch`] says; the paper's estimators
 //! (`SamplingEstimator`, `TwoPhaseEstimator`, `SpeedupEstimator`) keep
 //! Eq. 13 and honour it.
+//!
+//! The engine keeps no walks across calls.  The caching layer
+//! ([`crate::CachedQueryEngine`]) keeps each vertex's walk set for the
+//! current update epoch, so every later pair naming the vertex reads it
+//! instead of sampling it again; the answers are the same bits either way.
 
+use crate::cached::WalkSetMemo;
 use crate::config::{SamplerKind, SimRankConfig, WalkDirection};
 use crate::meeting::MeetingProfile;
 use crate::top_k::ScoredVertex;
@@ -53,20 +64,117 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use rwalk::arena::{alias_walk, WalkArena, DEAD};
 use std::fmt;
+use std::sync::Arc;
 use ugraph::{
     CompactionPolicy, DeltaOverlay, GraphUpdate, OverlayView, UncertainGraph, UpdateError,
     UpdateSummary, VertexId,
 };
 
-/// Derives the deterministic RNG seed of a pair `(u, v)` from the engine
-/// seed: a SplitMix64 finalizer over the packed pair, xor-folded with the
-/// engine seed.  Stable across runs, platforms and thread counts.
-fn pair_seed(seed: u64, u: VertexId, v: VertexId) -> u64 {
-    let mut z = (u as u64) << 32 | v as u64;
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15).wrapping_add(seed);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// The RNG stream one walk set is drawn from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stream {
+    /// The vertex's own walks, shared by every pair that names it.
+    Vertex(VertexId),
+    /// A second, independent set from the same start, scored against the
+    /// vertex's own set for the self-pair `(u, u)`.
+    Twin(VertexId),
+}
+
+impl Stream {
+    /// The vertex the set's walks start from.
+    fn start(self) -> VertexId {
+        match self {
+            Stream::Vertex(w) | Stream::Twin(w) => w,
+        }
+    }
+
+    /// The deterministic RNG seed of the stream: a SplitMix64 finalizer
+    /// over the packed `(vertex, tag)` (tag 0 for the vertex's own set, 1
+    /// for its twin), offset by the engine seed.  Stable across runs,
+    /// platforms and thread counts.
+    fn seed(self, seed: u64) -> u64 {
+        let tag = match self {
+            Stream::Vertex(_) => 0,
+            Stream::Twin(_) => 1,
+        };
+        let mut z = u64::from(self.start()) << 32 | tag;
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15).wrapping_add(seed);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// One vertex's `N` sampled walks as the all-pairs estimate reads them: for
+/// every step `k` in `2..=n`, the positions of the live walks after `k`
+/// steps, sorted (dead walks meet nothing and are dropped).  Step 2 is read
+/// only by pairs with a self-loop endpoint, whose `m(2)` stays sampled.
+///
+/// A set depends only on `(seed, vertex, graph, config)`, so any number of
+/// pairs can share it: the caching layer keeps it per vertex for the
+/// current update epoch.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct WalkSet {
+    /// Step `k`'s sorted positions are `positions[bounds[k - 2]..bounds[k - 1]]`.
+    positions: Vec<VertexId>,
+    /// Run boundaries in `positions`: `0`, then the end of each step's run.
+    bounds: Vec<u32>,
+}
+
+impl WalkSet {
+    /// Rebuilds the set from `N` raw walks, walk-major with `stride`
+    /// (`n + 1`) positions per walk.
+    fn fill(&mut self, walks: &[VertexId], stride: usize) {
+        self.positions.clear();
+        self.bounds.clear();
+        self.bounds.push(0);
+        for k in 2..stride {
+            let start = self.positions.len();
+            let live = walks.iter().skip(k).step_by(stride).filter(|&&w| w != DEAD);
+            self.positions.extend(live);
+            self.positions[start..].sort_unstable();
+            let end = u32::try_from(self.positions.len())
+                .expect("a walk set holds fewer than 2^32 positions");
+            self.bounds.push(end);
+        }
+    }
+
+    /// The sorted live positions after `k` steps, `2 ≤ k ≤ n`.
+    fn step(&self, k: usize) -> &[VertexId] {
+        &self.positions[self.bounds[k - 2] as usize..self.bounds[k - 1] as usize]
+    }
+
+    /// Bytes the set holds: its own fields plus their heap capacity.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.positions.capacity() * std::mem::size_of::<VertexId>()
+            + self.bounds.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// The walk pairs (one walk from each list) that sit at the same vertex:
+/// `Σ_w c_a(w)·c_b(w)` over two sorted position lists, by a merge-join that
+/// multiplies the lengths of equal runs.  Symmetric in its arguments.
+fn count_meetings(a: &[VertexId], b: &[VertexId]) -> u64 {
+    let (mut i, mut j, mut met) = (0, 0, 0u64);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                let w = a[i];
+                let (i0, j0) = (i, j);
+                while i < a.len() && a[i] == w {
+                    i += 1;
+                }
+                while j < b.len() && b[j] == w {
+                    j += 1;
+                }
+                met += ((i - i0) * (j - j0)) as u64;
+            }
+        }
+    }
+    met
 }
 
 /// Why a batch query was rejected before any walk was sampled.
@@ -99,27 +207,52 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Per-worker scratch: one arena, the pair's walks and the estimator's
-/// tables.  Checked out of the engine's [`ScratchPool`] for the
-/// duration of one query (or one worker's chunk of a batch) and returned
-/// afterwards, so buffers are reused across batches, not just within one.
+/// Per-worker scratch: one arena, the walks being sampled, the pair's two
+/// walk sets and the estimator's table.  Checked out of the engine's
+/// [`ScratchPool`] for the duration of one query (or one worker's chunk of
+/// a batch) and returned afterwards, so buffers are reused across batches,
+/// not just within one.
 #[derive(Debug, Default)]
 struct Scratch {
-    arena: WalkArena,
-    /// All `N` walks of the pair's `u` (and `v`), walk-major: walk `i`
-    /// occupies `i·(n + 1)..(i + 1)·(n + 1)`.
-    walks_u: Vec<VertexId>,
-    walks_v: Vec<VertexId>,
-    /// How many of `u`'s walks sit at each vertex after one step `k`, for
-    /// the all-pairs estimate.
-    positions: StampedTable<u32>,
+    sampler: SetSampler,
+    /// The pair's two walk sets, when they are sampled here rather than
+    /// read from a memo.
+    set_u: WalkSet,
+    set_v: WalkSet,
     /// One endpoint's two-hop row `Pr(a →₂ w)`, for exact `m(2)`.
     two_hop: StampedTable<f64>,
 }
 
+/// What sampling one walk set needs: the legacy sampler's arena and the raw
+/// walks.
+#[derive(Debug, Default)]
+struct SetSampler {
+    arena: WalkArena,
+    /// All `N` walks of one set, walk-major: walk `i` occupies
+    /// `i·(n + 1)..(i + 1)·(n + 1)`.
+    walks: Vec<VertexId>,
+}
+
+/// A pair side's walk set: kept by the memo, or sampled into the scratch.
+enum SetRef<'s> {
+    Kept(Arc<WalkSet>),
+    Sampled(&'s WalkSet),
+}
+
+impl std::ops::Deref for SetRef<'_> {
+    type Target = WalkSet;
+
+    fn deref(&self) -> &WalkSet {
+        match self {
+            SetRef::Kept(set) => set,
+            SetRef::Sampled(set) => set,
+        }
+    }
+}
+
 /// A dense per-vertex table of sums that empties in O(1): entries are
-/// epoch-stamped, so starting the next step or pair bumps the epoch instead
-/// of clearing `|V|` slots.
+/// epoch-stamped, so starting the next pair bumps the epoch instead of
+/// clearing `|V|` slots.
 #[derive(Debug, Default)]
 struct StampedTable<T> {
     /// `(stamp, value)` per vertex; a value is live only under the current
@@ -264,8 +397,8 @@ impl QueryEngine {
     ///
     /// Answers are bit-identical to an engine built with
     /// [`QueryEngine::new`] on the same graph: walks only ever see the CSR
-    /// arrays, and the RNG streams are keyed on `(seed, u, v)`, not on how
-    /// the arrays came to be in memory.
+    /// arrays, and the RNG streams are keyed on `(seed, vertex)` (plus the
+    /// self-pair's twin tag), not on how the arrays came to be in memory.
     ///
     /// Nothing derived is built here, under either [`SamplerKind`]: the
     /// walked direction's coin thresholds, one-step marginals and alias rows
@@ -373,7 +506,7 @@ impl QueryEngine {
         }
         self.epoch += 1;
         for scratch in self.scratch.free.get_mut().iter_mut() {
-            scratch.arena.invalidate();
+            scratch.sampler.arena.invalidate();
         }
         Ok(summary)
     }
@@ -409,13 +542,14 @@ impl QueryEngine {
         Ok(())
     }
 
-    /// Estimated meeting probabilities `m̂(0), …, m̂(n)` of one pair, using
-    /// the pair's own deterministic RNG stream.
+    /// Estimated meeting probabilities `m̂(0), …, m̂(n)` of one pair, from
+    /// the walk sets of its two vertices' deterministic RNG streams (the
+    /// self-pair `(u, u)` scores `u`'s set against its twin set).
     ///
     /// Repeated calls with the same pair return identical profiles (the
-    /// stream is keyed on `(seed, u, v)`, not on call order), and a batch
-    /// query over pairs containing `(u, v)` returns this exact profile for
-    /// that entry.
+    /// streams are keyed on `(seed, vertex)`, not on call order), `(u, v)`
+    /// and `(v, u)` return the same bits, and a batch query over pairs
+    /// containing `(u, v)` returns this exact profile for that entry.
     ///
     /// # Panics
     ///
@@ -438,12 +572,27 @@ impl QueryEngine {
     /// // One meeting probability per step 0..=n, combined under Eq. 12.
     /// assert_eq!(profile.meeting.len(), engine.config().horizon + 1);
     /// assert_eq!(profile.score(), engine.similarity(0, 1));
-    /// // Streams are pair-keyed: repeating the call replays the estimate.
+    /// // Streams are vertex-keyed: repeating the call replays the estimate,
+    /// // and the argument order does not matter.
     /// assert_eq!(profile, engine.profile(0, 1));
+    /// assert_eq!(profile, engine.profile(1, 0));
     /// ```
     pub fn profile(&self, u: VertexId, v: VertexId) -> MeetingProfile {
         let mut scratch = self.scratch.checkout();
-        self.profile_with(scratch.get_mut(), u, v)
+        self.profile_with(scratch.get_mut(), u, v, None)
+    }
+
+    /// [`QueryEngine::profile`] reading each vertex's walk set from `memo`
+    /// and offering the sets it samples to it: the caching layer's entry
+    /// point.  The same bits as [`QueryEngine::profile`].
+    pub(crate) fn profile_memo(
+        &self,
+        u: VertexId,
+        v: VertexId,
+        memo: &WalkSetMemo,
+    ) -> MeetingProfile {
+        let mut scratch = self.scratch.checkout();
+        self.profile_with(scratch.get_mut(), u, v, Some(memo))
     }
 
     /// Fallible [`QueryEngine::profile`]: out-of-range ids are a typed
@@ -470,26 +619,32 @@ impl QueryEngine {
         Ok(self.try_profile(u, v)?.score())
     }
 
-    /// The walk loop shared by every query path, metered when walk metrics
+    /// The estimate shared by every query path, metered when walk metrics
     /// are on.
     ///
     /// Walk metrics are derived from the positions buffers the samplers
     /// already wrote — the tally consumes zero RNG draws and never branches
     /// on sampled values, so metered and unmetered calls are bit-identical.
     /// One relaxed load per query when metering is off.
-    fn profile_with(&self, scratch: &mut Scratch, u: VertexId, v: VertexId) -> MeetingProfile {
+    fn profile_with(
+        &self,
+        scratch: &mut Scratch,
+        u: VertexId,
+        v: VertexId,
+        memo: Option<&WalkSetMemo>,
+    ) -> MeetingProfile {
         if !usim_obs::walk_metrics().enabled() {
-            return self.sample_profile(scratch, u, v, None);
+            return self.sample_profile(scratch, u, v, memo, None);
         }
         let mut tally = usim_obs::WalkTally::default();
-        let profile = self.sample_profile(scratch, u, v, Some(&mut tally));
+        let profile = self.sample_profile(scratch, u, v, memo, Some(&mut tally));
         usim_obs::walk_metrics().flush(&tally);
         profile
     }
 
-    /// [`QueryEngine::profile_with`]'s estimate, its walks folded into
-    /// `tally` when one is given.  The tally is an argument, not the
-    /// process-global switch, so a test can meter one call while other
+    /// [`QueryEngine::profile_with`]'s estimate, the walks it samples
+    /// folded into `tally` when one is given.  The tally is an argument, not
+    /// the process-global switch, so a test can meter one call while other
     /// tests query concurrently.
     ///
     /// The estimator is SR-TS with `l = 2` (Section VI-C) plus the
@@ -500,19 +655,22 @@ impl QueryEngine {
     ///   self-loop endpoint keeps the sampled `m̂(2)`;
     /// * `m(k)` for the sampled steps is `Σ_w cᵤᵏ(w)·cᵥᵏ(w) / N²`, where
     ///   `cᵤᵏ(w)` counts `u`'s walks at `w` after `k` steps.  Every walk
-    ///   starts a fresh possible world, so `u`'s walks are independent of
-    ///   `v`'s and all `N²` walk pairs are unbiased samples of Eq. 12's
-    ///   product of marginals.  The sum is an integer and is divided once,
-    ///   so the estimate is deterministic.
+    ///   starts a fresh possible world and the two sets come from different
+    ///   streams, so `u`'s walks are independent of `v`'s and all `N²` walk
+    ///   pairs are unbiased samples of Eq. 12's product of marginals.  The
+    ///   sum is an integer and is divided once, so the estimate is
+    ///   deterministic; it is symmetric in the two sets, and so is every
+    ///   exact step, so `(u, v)` and `(v, u)` give the same bits.
     ///
-    /// The walks are Eq. 13's: `N` of `u`'s and `N` of `v`'s, interleaved
-    /// on the pair-keyed stream, so the walks at `N` are a prefix of the
-    /// walks at any larger `N`.
+    /// `u`'s set is read from `memo` when it holds one; otherwise it is
+    /// sampled and offered to it.  The self-pair's twin set is always
+    /// sampled.
     fn sample_profile(
         &self,
         scratch: &mut Scratch,
         u: VertexId,
         v: VertexId,
+        memo: Option<&WalkSetMemo>,
         mut tally: Option<&mut usim_obs::WalkTally>,
     ) -> MeetingProfile {
         let num_vertices = self.num_vertices();
@@ -521,21 +679,19 @@ impl QueryEngine {
             "query pair ({u}, {v}) out of range (graph has {num_vertices} vertices)"
         );
         let n = self.config.horizon;
-        let num_samples = self.config.num_samples;
         // Every walk terminates at a dead end, so a walk from a vertex with
         // no arc in the walk direction is dead from step 1 on and meets
         // nothing: for u ≠ v every m(k) is exactly 0, the profile the
-        // estimate would give.  Streams are pair-keyed, so skipping this
+        // estimate would give.  Streams are vertex-keyed, so skipping this
         // pair's walks changes no other pair.
         let view = self.view();
         if u != v && (view.degree(u) == 0 || view.degree(v) == 0) {
             return MeetingProfile::new(vec![0.0; n + 1], self.config.decay);
         }
         let Scratch {
-            arena,
-            walks_u,
-            walks_v,
-            positions,
+            sampler,
+            set_u,
+            set_v,
             two_hop,
         } = scratch;
         let mut meeting = vec![0.0f64; n + 1];
@@ -549,40 +705,83 @@ impl QueryEngine {
         } else {
             2
         };
-        let mut rng = StdRng::seed_from_u64(pair_seed(self.config.seed, u, v));
-        walks_u.clear();
-        walks_v.clear();
-        for _ in 0..num_samples {
-            match self.config.sampler {
-                SamplerKind::Legacy => {
-                    arena.sample_walk(&view, u, n, &mut rng, walks_u);
-                    arena.sample_walk(&view, v, n, &mut rng, walks_v);
-                }
-                SamplerKind::Alias => {
-                    alias_walk(&view, u, n, &mut rng, walks_u);
-                    alias_walk(&view, v, n, &mut rng, walks_v);
-                }
-            }
-            if let Some(tally) = tally.as_deref_mut() {
-                // The pair's newest walks are the last n + 1 positions.
-                let walk_u = &walks_u[walks_u.len() - (n + 1)..];
-                let walk_v = &walks_v[walks_v.len() - (n + 1)..];
-                tally_pair_walks(tally, walk_u, walk_v, &view, self.config.sampler);
-            }
+        if first_sampled > n {
+            return MeetingProfile::new(meeting, self.config.decay);
         }
-        let met = count_all_pair_meetings(
-            &mut meeting,
-            first_sampled,
-            walks_u,
-            walks_v,
-            num_samples,
-            num_vertices,
-            positions,
+        let other = if u == v {
+            Stream::Twin(u)
+        } else {
+            Stream::Vertex(v)
+        };
+        let set_u = self.walk_set(
+            sampler,
+            set_u,
+            Stream::Vertex(u),
+            memo,
+            tally.as_deref_mut(),
         );
+        let set_v = self.walk_set(sampler, set_v, other, memo, tally.as_deref_mut());
+        let num_samples = self.config.num_samples as f64;
+        let walk_pairs = num_samples * num_samples;
+        let mut met_total = 0;
+        for (k, slot) in meeting.iter_mut().enumerate().skip(first_sampled) {
+            let met = count_meetings(set_u.step(k), set_v.step(k));
+            *slot = met as f64 / walk_pairs;
+            met_total += met;
+        }
         if let Some(tally) = tally {
-            tally.meetings += met;
+            tally.meetings += met_total;
         }
         MeetingProfile::new(meeting, self.config.decay)
+    }
+
+    /// `stream`'s walk set: `memo`'s copy when it keeps one (twin sets are
+    /// never kept), else sampled into `buf` and offered to `memo`.
+    fn walk_set<'s>(
+        &self,
+        sampler: &mut SetSampler,
+        buf: &'s mut WalkSet,
+        stream: Stream,
+        memo: Option<&WalkSetMemo>,
+        tally: Option<&mut usim_obs::WalkTally>,
+    ) -> SetRef<'s> {
+        let memo = memo.filter(|_| matches!(stream, Stream::Vertex(_)));
+        if let Some(set) = memo.and_then(|memo| memo.get(stream.start())) {
+            return SetRef::Kept(set);
+        }
+        self.sample_set(sampler, buf, stream, tally);
+        if let Some(memo) = memo {
+            memo.offer(stream.start(), buf);
+        }
+        SetRef::Sampled(buf)
+    }
+
+    /// Samples `stream`'s `N` walks (Eq. 13's walks from one vertex, one
+    /// fresh possible world each) into `set`, folding them into `tally` when
+    /// one is given.  The walks are drawn in order from one stream, so the
+    /// walks at `N` are a prefix of the walks at any larger `N`.
+    fn sample_set(
+        &self,
+        sampler: &mut SetSampler,
+        set: &mut WalkSet,
+        stream: Stream,
+        tally: Option<&mut usim_obs::WalkTally>,
+    ) {
+        let view = self.view();
+        let (start, n) = (stream.start(), self.config.horizon);
+        let mut rng = StdRng::seed_from_u64(stream.seed(self.config.seed));
+        let SetSampler { arena, walks } = sampler;
+        walks.clear();
+        for _ in 0..self.config.num_samples {
+            match self.config.sampler {
+                SamplerKind::Legacy => arena.sample_walk(&view, start, n, &mut rng, walks),
+                SamplerKind::Alias => alias_walk(&view, start, n, &mut rng, walks),
+            }
+        }
+        if let Some(tally) = tally {
+            tally_walks(tally, walks, n + 1, &view, self.config.sampler);
+        }
+        set.fill(walks, n + 1);
     }
 
     /// Shards `pairs` across rayon workers (one pooled scratch per worker
@@ -601,12 +800,12 @@ impl QueryEngine {
             .collect()
     }
 
-    /// Computes `f` once per *distinct* pair and scatters the results back
-    /// to input order.  A batch with repeated pairs (hot pairs in serving
-    /// traffic, symmetric pair files) samples each distinct pair's walks
-    /// once instead of once per occurrence; because every pair draws from
-    /// its own `(seed, u, v)`-keyed RNG stream, duplicates were bit-equal
-    /// anyway, so the output is unchanged — only cheaper.
+    /// Computes `f` once per *distinct unordered* pair and scatters the
+    /// results back to input order.  A batch with repeated pairs (hot pairs
+    /// in serving traffic, symmetric pair files) scores each distinct pair
+    /// once instead of once per occurrence; because a pair's answer depends
+    /// only on its two vertices' streams, `(u, v)` and `(v, u)` were
+    /// bit-equal anyway, so the output is unchanged — only cheaper.
     fn par_map_distinct<R: Clone + Send>(
         &self,
         pairs: &[(VertexId, VertexId)],
@@ -626,8 +825,9 @@ impl QueryEngine {
 
     /// Meeting profiles for a batch of pairs, sharded across rayon workers
     /// (one pooled [`WalkArena`] per worker), in input order.  Repeated
-    /// pairs are sampled once and their profile is replicated (pair-keyed
-    /// RNG streams make the copies bit-equal to recomputation).
+    /// pairs, in either order, are scored once and their profile is
+    /// replicated (vertex-keyed RNG streams make the copies bit-equal to
+    /// recomputation).
     ///
     /// Bit-identical to `pairs.iter().map(|&(u, v)| self.profile(u, v))` at
     /// any thread count.  Every id is validated up front: an out-of-range id
@@ -638,13 +838,15 @@ impl QueryEngine {
         pairs: &[(VertexId, VertexId)],
     ) -> Result<Vec<MeetingProfile>, QueryError> {
         self.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
-        Ok(self.par_map_distinct(pairs, |scratch, u, v| self.profile_with(scratch, u, v)))
+        Ok(self.par_map_distinct(pairs, |scratch, u, v| {
+            self.profile_with(scratch, u, v, None)
+        }))
     }
 
     /// SimRank scores for a batch of pairs, in input order.  Bit-identical
     /// to sequential [`QueryEngine::similarity`] calls at any thread count;
     /// out-of-range ids are rejected up front like
-    /// [`QueryEngine::batch_profile`], and repeated pairs are sampled once
+    /// [`QueryEngine::batch_profile`], and repeated pairs are scored once
     /// (their scores were bit-equal anyway — see
     /// [`QueryEngine::batch_profile`]).
     ///
@@ -676,9 +878,19 @@ impl QueryEngine {
         pairs: &[(VertexId, VertexId)],
     ) -> Result<Vec<f64>, QueryError> {
         self.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
-        Ok(self.par_map_distinct(pairs, |scratch, u, v| {
-            self.profile_with(scratch, u, v).score()
-        }))
+        Ok(self.batch_scores(pairs, None))
+    }
+
+    /// [`QueryEngine::batch_similarities`] of pairs whose ids the caller
+    /// validated, reading and filling `memo`'s walk sets when one is given.
+    pub(crate) fn batch_scores(
+        &self,
+        pairs: &[(VertexId, VertexId)],
+        memo: Option<&WalkSetMemo>,
+    ) -> Vec<f64> {
+        self.par_map_distinct(pairs, |scratch, u, v| {
+            self.profile_with(scratch, u, v, memo).score()
+        })
     }
 
     /// The `k` candidates most similar to `query` (the query vertex itself
@@ -701,22 +913,22 @@ impl QueryEngine {
     }
 }
 
-/// Folds one sample pair's walks into a [`usim_obs::WalkTally`]: walk and
-/// step counts per backend, deaths, patched- vs base-row
-/// attribution of every sampled transition (the overlay serves the same
-/// patched rows to both backends, so one [`OverlayView`] answers for both)
-/// and the legacy sampler's instantiated rows.  Runs only when metering is
-/// on; reads the positions the walks already appended to the pair's
-/// walk-major buffers.
-fn tally_pair_walks(
+/// Folds one walk set's freshly sampled walks (walk-major, `stride`
+/// positions each) into a [`usim_obs::WalkTally`]: walk and step counts per
+/// backend, deaths, patched- vs base-row attribution of every sampled
+/// transition (the overlay serves the same patched rows to both backends,
+/// so one [`OverlayView`] answers for both) and the legacy sampler's
+/// instantiated rows.  Runs only when metering is on, once per sampled set,
+/// so a set read from the memo adds nothing.
+fn tally_walks(
     tally: &mut usim_obs::WalkTally,
-    walk_u: &[VertexId],
-    walk_v: &[VertexId],
+    walks: &[VertexId],
+    stride: usize,
     view: &OverlayView<'_>,
     sampler: SamplerKind,
 ) {
-    tally.walks += 2;
-    for walk in [walk_u, walk_v] {
+    for walk in walks.chunks_exact(stride) {
+        tally.walks += 1;
         // A transition was sampled at every position before the first DEAD
         // slot (the dying transition included); a full-horizon walk sampled
         // one per non-final position.
@@ -822,52 +1034,11 @@ fn shared_arcs<'r>(
     })
 }
 
-/// Writes the all-pairs estimate `m̂(k) = Σ_w cᵤᵏ(w)·cᵥᵏ(w) / N²` into
-/// `meeting[k]` for every `k ≥ first_sampled`, from the `N` walks of each
-/// endpoint (walk-major, `meeting.len()` positions per walk).
-///
-/// Per step, `u`'s positions are counted into `positions` and `v`'s walks
-/// sum their lookups: `O(N)` per step instead of the `O(N²)` double loop,
-/// with the same integer count.  A dead slot never meets.  Returns the
-/// meeting walk pairs summed over every sampled step (the walk metrics'
-/// count).
-fn count_all_pair_meetings(
-    meeting: &mut [f64],
-    first_sampled: usize,
-    walks_u: &[VertexId],
-    walks_v: &[VertexId],
-    num_samples: usize,
-    num_vertices: usize,
-    positions: &mut StampedTable<u32>,
-) -> u64 {
-    let stride = meeting.len();
-    debug_assert_eq!(walks_u.len(), num_samples * stride);
-    debug_assert_eq!(walks_v.len(), num_samples * stride);
-    let walk_pairs = (num_samples as f64) * (num_samples as f64);
-    let mut total = 0;
-    for (k, slot) in meeting.iter_mut().enumerate().skip(first_sampled) {
-        positions.begin(num_vertices);
-        for &w in walks_u.iter().skip(k).step_by(stride) {
-            if w != DEAD {
-                positions.add(w, 1);
-            }
-        }
-        let met: u64 = walks_v
-            .iter()
-            .skip(k)
-            .step_by(stride)
-            .filter(|&&w| w != DEAD)
-            .map(|&w| u64::from(positions.get(w)))
-            .sum();
-        *slot = met as f64 / walk_pairs;
-        total += met;
-    }
-    total
-}
-
-/// Splits `pairs` into the distinct pairs (first-occurrence order) and a
-/// per-input slot map into that distinct list, so callers compute each
-/// distinct pair once and scatter the results back to input order.
+/// Splits `pairs` into the distinct unordered pairs, each as `(min, max)`
+/// in first-occurrence order, and a per-input slot map into that distinct
+/// list, so callers compute each distinct pair once and scatter the results
+/// back to input order.  Answers are symmetric, so `(u, v)` and `(v, u)`
+/// share a slot.
 pub(crate) fn dedup_pairs(
     pairs: &[(VertexId, VertexId)],
 ) -> (Vec<(VertexId, VertexId)>, Vec<usize>) {
@@ -875,7 +1046,8 @@ pub(crate) fn dedup_pairs(
     let mut distinct: Vec<(VertexId, VertexId)> = Vec::with_capacity(pairs.len());
     let slots: Vec<usize> = pairs
         .iter()
-        .map(|&pair| {
+        .map(|&(u, v)| {
+            let pair = (u.min(v), u.max(v));
             *first_index.entry(pair).or_insert_with(|| {
                 distinct.push(pair);
                 distinct.len() - 1
@@ -978,7 +1150,10 @@ mod tests {
         let many = ThreadPoolBuilder::new().num_threads(7).build().unwrap();
         let a = single.install(|| engine.batch_similarities(&pairs).unwrap());
         let b = many.install(|| engine.batch_similarities(&pairs).unwrap());
-        assert_eq!(a, b, "pair-keyed RNG streams must make sharding invisible");
+        assert_eq!(
+            a, b,
+            "vertex-keyed RNG streams must make sharding invisible"
+        );
     }
 
     #[test]
@@ -1037,20 +1212,107 @@ mod tests {
         }
     }
 
+    /// Six vertices on a directed ring with chords both ways, so in-neighbour
+    /// walks cycle and revisit their start.
+    fn cyclic_graph() -> UncertainGraph {
+        UncertainGraphBuilder::new(6)
+            .arc(0, 1, 0.9)
+            .arc(1, 2, 0.7)
+            .arc(2, 3, 0.8)
+            .arc(3, 4, 0.6)
+            .arc(4, 5, 0.9)
+            .arc(5, 0, 0.75)
+            .arc(0, 3, 0.5)
+            .arc(3, 0, 0.4)
+            .arc(2, 5, 0.65)
+            .arc(4, 1, 0.55)
+            .build()
+            .unwrap()
+    }
+
     #[test]
-    fn different_pairs_use_different_streams() {
-        // (u, v) and (v, u) are distinct streams; both estimate the same
-        // symmetric quantity but need not be bit-equal.
-        let g = fig1_graph();
-        let engine = QueryEngine::new(&g, SimRankConfig::default().with_samples(2000).with_seed(5));
-        let ab = engine.similarity(0, 1);
-        let ba = engine.similarity(1, 0);
-        assert!((ab - ba).abs() < 0.05, "symmetric in expectation");
-        assert_ne!(
-            pair_seed(5, 0, 1),
-            pair_seed(5, 1, 0),
-            "pair seeds are order-sensitive"
-        );
+    fn answers_are_bitwise_symmetric_before_and_after_updates() {
+        let updates = [
+            GraphUpdate::SetProbability {
+                source: 0,
+                target: 3,
+                probability: 0.95,
+            },
+            GraphUpdate::InsertArc {
+                source: 1,
+                target: 4,
+                probability: 0.6,
+            },
+        ];
+        for g in [fig1_graph(), cyclic_graph()] {
+            for sampler in SAMPLER_KINDS {
+                let config = SimRankConfig::default()
+                    .with_samples(80)
+                    .with_seed(5)
+                    .with_sampler(sampler);
+                let mut engine = QueryEngine::new(&g, config);
+                let n = g.num_vertices() as VertexId;
+                for round in 0..2 {
+                    let mut sampled_nonzero = 0;
+                    for (u, v) in all_ordered_pairs(n).into_iter().filter(|&(u, v)| u < v) {
+                        let (uv, vu) = (engine.profile(u, v), engine.profile(v, u));
+                        assert_eq!(
+                            profile_bits(&uv),
+                            profile_bits(&vu),
+                            "{sampler}, round {round}: ({u}, {v})"
+                        );
+                        sampled_nonzero += usize::from(uv.meeting[3..].iter().any(|&m| m > 0.0));
+                    }
+                    assert!(sampled_nonzero > 0, "{sampler}: no sampled meeting");
+                    if round == 0 {
+                        engine.apply_updates(&updates).unwrap();
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pairs_bits_do_not_depend_on_the_rest_of_its_batch() {
+        let g = cyclic_graph();
+        let pairs = all_ordered_pairs(6);
+        for sampler in SAMPLER_KINDS {
+            let config = SimRankConfig::default()
+                .with_samples(60)
+                .with_seed(71)
+                .with_sampler(sampler);
+            let engine = QueryEngine::new(&g, config);
+            let alone: Vec<u64> = pairs
+                .iter()
+                .map(|&pair| engine.batch_similarities(&[pair]).unwrap()[0].to_bits())
+                .collect();
+            // The whole batch, reversed, and in strided slices with
+            // different neighbours each.
+            let whole = engine.batch_similarities(&pairs).unwrap();
+            assert_eq!(whole.iter().map(|s| s.to_bits()).collect::<Vec<_>>(), alone);
+            let reversed: Vec<_> = pairs.iter().rev().copied().collect();
+            let mut backwards = engine.batch_similarities(&reversed).unwrap();
+            backwards.reverse();
+            assert_eq!(
+                backwards.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                alone
+            );
+            for stride in [2, 5, 7] {
+                for offset in 0..stride {
+                    let slice: Vec<_> =
+                        pairs.iter().skip(offset).step_by(stride).copied().collect();
+                    let scores = engine.batch_similarities(&slice).unwrap();
+                    for (i, score) in scores.iter().enumerate() {
+                        assert_eq!(
+                            score.to_bits(),
+                            alone[offset + i * stride],
+                            "{sampler}: {:?} in a stride-{stride} slice",
+                            slice[i]
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1280,7 +1542,10 @@ mod tests {
         let many = ThreadPoolBuilder::new().num_threads(7).build().unwrap();
         let a = single.install(|| engine.batch_similarities(&pairs).unwrap());
         let b = many.install(|| engine.batch_similarities(&pairs).unwrap());
-        assert_eq!(a, b, "alias mode is pair-keyed too: sharding is invisible");
+        assert_eq!(
+            a, b,
+            "alias mode is vertex-keyed too: sharding is invisible"
+        );
     }
 
     #[test]
@@ -1439,13 +1704,34 @@ mod tests {
         }
     }
 
+    /// One stream's raw walks, walk-major, as the engine samples them.
+    fn raw_walks(engine: &QueryEngine, stream: Stream) -> Vec<VertexId> {
+        let mut sampler = SetSampler::default();
+        engine.sample_set(&mut sampler, &mut WalkSet::default(), stream, None);
+        sampler.walks
+    }
+
+    /// The raw walks a pair's two sets are built from: `u`'s own and `v`'s
+    /// own, or `u`'s twin set for the self-pair.
+    fn pair_walks(engine: &QueryEngine, u: VertexId, v: VertexId) -> [Vec<VertexId>; 2] {
+        let other = if u == v {
+            Stream::Twin(u)
+        } else {
+            Stream::Vertex(v)
+        };
+        [
+            raw_walks(engine, Stream::Vertex(u)),
+            raw_walks(engine, other),
+        ]
+    }
+
     /// The meeting walk pairs at step `k` by the definition: every
     /// (u-walk, v-walk) pair compared.
-    fn brute_force_meetings(scratch: &Scratch, stride: usize, k: usize) -> u64 {
+    fn brute_force_meetings(walks: &[Vec<VertexId>; 2], stride: usize, k: usize) -> u64 {
         let at_k = |walks: &[VertexId]| -> Vec<VertexId> {
             walks.iter().skip(k).step_by(stride).copied().collect()
         };
-        let (from_u, from_v) = (at_k(&scratch.walks_u), at_k(&scratch.walks_v));
+        let (from_u, from_v) = (at_k(&walks[0]), at_k(&walks[1]));
         let mut met = 0u64;
         for &a in &from_u {
             for &b in &from_v {
@@ -1494,11 +1780,12 @@ mod tests {
                 let engine = QueryEngine::new(graph, config);
                 for &(u, v) in pairs {
                     let mut tally = usim_obs::WalkTally::default();
-                    let profile = engine.sample_profile(&mut scratch, u, v, Some(&mut tally));
-                    assert_eq!(scratch.walks_u.len(), 64 * stride);
+                    let profile = engine.sample_profile(&mut scratch, u, v, None, Some(&mut tally));
+                    let walks = pair_walks(&engine, u, v);
+                    assert_eq!(walks[0].len(), 64 * stride);
                     let mut met = 0;
                     for k in *first_sampled..stride {
-                        let count = brute_force_meetings(&scratch, stride, k);
+                        let count = brute_force_meetings(&walks, stride, k);
                         let expected = count as f64 / (64.0 * 64.0);
                         assert_eq!(
                             profile.meeting[k].to_bits(),
@@ -1536,9 +1823,9 @@ mod tests {
             let mut scratch = Scratch::default();
             let (mut sampled_nonzero, mut exact_nonzero) = (0, 0);
             for (u, v) in all_ordered_pairs(5) {
-                let profile = engine.sample_profile(&mut scratch, u, v, None);
+                let profile = engine.sample_profile(&mut scratch, u, v, None, None);
                 if touches_a_self_loop(u, v) {
-                    let count = brute_force_meetings(&scratch, stride, 2);
+                    let count = brute_force_meetings(&pair_walks(&engine, u, v), stride, 2);
                     let sampled = count as f64 / (64.0 * 64.0);
                     assert_eq!(
                         profile.meeting[2].to_bits(),
@@ -1694,13 +1981,18 @@ mod tests {
             let config = SimRankConfig::default().with_seed(43).with_sampler(sampler);
             let small = QueryEngine::new(&g, config.with_samples(40));
             let large = QueryEngine::new(&g, config.with_samples(100));
-            let (mut a, mut b) = (Scratch::default(), Scratch::default());
-            for (u, v) in [(0, 1), (2, 3), (4, 4)] {
-                small.sample_profile(&mut a, u, v, None);
-                large.sample_profile(&mut b, u, v, None);
-                let prefix = a.walks_u.len();
-                assert_eq!(a.walks_u[..], b.walks_u[..prefix], "{sampler}: ({u}, {v})");
-                assert_eq!(a.walks_v[..], b.walks_v[..prefix], "{sampler}: ({u}, {v})");
+            for vertex in 0..5 {
+                for stream in [Stream::Vertex(vertex), Stream::Twin(vertex)] {
+                    let (a, b) = (raw_walks(&small, stream), raw_walks(&large, stream));
+                    assert_eq!(a.len(), 40 * (config.horizon + 1));
+                    assert_eq!(a[..], b[..a.len()], "{sampler}: {stream:?}");
+                }
+                // The twin set is a second, independent draw.
+                assert_ne!(
+                    raw_walks(&large, Stream::Vertex(vertex)),
+                    raw_walks(&large, Stream::Twin(vertex)),
+                    "{sampler}: vertex {vertex}"
+                );
             }
         }
     }
@@ -1732,7 +2024,7 @@ mod tests {
             let mut scratch = Scratch::default();
             let walks = |engine: &QueryEngine, scratch: &mut Scratch, u, v| {
                 let mut tally = usim_obs::WalkTally::default();
-                let profile = engine.sample_profile(scratch, u, v, Some(&mut tally));
+                let profile = engine.sample_profile(scratch, u, v, None, Some(&mut tally));
                 assert_eq!(profile, engine.profile(u, v), "metering changes nothing");
                 (profile, tally.walks)
             };

@@ -23,7 +23,7 @@
 //!   assumption `W(k) = (W(1))^k` the paper refutes (SimRank-III).
 //!
 //! For batched traffic, [`QueryEngine`] serves many pairs against one
-//! graph, walking its CSR arrays with per-worker walk arenas and pair-keyed
+//! graph, walking its CSR arrays with per-worker walk arenas and vertex-keyed
 //! RNG streams, making batch output bit-identical to sequential queries at
 //! any thread count.  It serves SR-TS with exact `m(1)` and `m(2)` and
 //! estimates `m(k)`, `k ≥ 3`, from all `N²` pairs of its sampled walks.  The engine's graph is *live*: [`QueryEngine::apply_updates`]
@@ -84,7 +84,7 @@ pub use baseline::BaselineEstimator;
 pub use bounds::{
     corollary1_error_bound, required_samples, theorem2_error_bound, theorem4_error_bound,
 };
-pub use cached::CachedQueryEngine;
+pub use cached::{CachedQueryEngine, WalkSetStats};
 pub use config::{SamplerKind, SimRankConfig, WalkDirection};
 pub use deterministic::{simrank_all_pairs, simrank_single_pair, DeterministicSimRank};
 pub use du_et_al::DuEtAlEstimator;

@@ -27,7 +27,7 @@
 //!   helpers shared by the `metrics` request frame and the
 //!   `--metrics-port` listener.
 //!
-//! The cardinal rule, inherited from the engine's pair-keyed RNG streams:
+//! The cardinal rule, inherited from the engine's vertex-keyed RNG streams:
 //! **instrumentation never touches the sampling path's RNG or output** —
 //! answers are bit-identical with tracing and metrics on or off.
 

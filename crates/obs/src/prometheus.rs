@@ -54,6 +54,14 @@ impl PromWriter {
         let _ = writeln!(self.body, "{name} {value}");
     }
 
+    /// Emits a gauge family: one sample per label value.
+    pub fn gauge_family(&mut self, name: &str, help: &str, label: &str, samples: &[(&str, f64)]) {
+        self.header(name, help, "gauge");
+        for (label_value, value) in samples {
+            let _ = writeln!(self.body, "{name}{{{label}=\"{label_value}\"}} {value}");
+        }
+    }
+
     /// Emits a [`LatencyHistogram`] as a Prometheus histogram in
     /// **seconds** (the Prometheus base unit), with one optional label.
     ///

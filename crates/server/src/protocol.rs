@@ -712,6 +712,17 @@ impl RequestHandler {
                 ("insertions".to_string(), Value::Uint(stats.insertions)),
             ]);
         }
+        if let Some(memo) = self.engine.walk_set_stats() {
+            cache.extend([
+                (
+                    "walk_set_entries".to_string(),
+                    Value::Uint(memo.entries as u64),
+                ),
+                ("walk_set_bytes".to_string(), Value::Uint(memo.bytes as u64)),
+                ("walk_set_hits".to_string(), Value::Uint(memo.hits)),
+                ("walk_set_misses".to_string(), Value::Uint(memo.misses)),
+            ]);
+        }
         // Latency section: lock-free counter snapshots, like the cache
         // section above.
         let histogram = self.metrics.latency();
@@ -946,6 +957,25 @@ impl RequestHandler {
                     ("eviction", stats.evictions),
                     ("insertion", stats.insertions),
                 ],
+            );
+        }
+        if let Some(memo) = self.engine.walk_set_stats() {
+            w.gauge(
+                "usim_walk_set_entries",
+                "Walk sets the walk-set memo keeps at the current epoch.",
+                memo.entries as f64,
+            );
+            w.counter_family(
+                "usim_walk_set_events_total",
+                "Walk-set memo lookups, by outcome (a miss samples the set).",
+                "event",
+                &[("hit", memo.hits), ("miss", memo.misses)],
+            );
+            w.gauge_family(
+                "usim_memory_bytes",
+                "Bytes held, by structure (computed from lengths and capacities).",
+                "structure",
+                &[("walk_sets", memo.bytes as f64)],
             );
         }
         let walk = walk_metrics().snapshot();
@@ -1597,6 +1627,21 @@ mod tests {
         assert_eq!(get(cache, "stale"), &Value::Uint(stats.stale));
         assert!(matches!(get(cache, "misses"), Value::Uint(_)));
         assert!(matches!(get(cache, "evictions"), Value::Uint(_)));
+        // So does the walk-set memo: the batch and top_k frames read sets
+        // the earlier frames sampled.
+        let memo = cached.cached_engine().walk_set_stats().unwrap();
+        assert!(memo.hits > 0 && memo.misses > 0, "{memo:?}");
+        assert!(memo.entries > 0 && memo.bytes > 0, "{memo:?}");
+        assert_eq!(
+            get(cache, "walk_set_entries"),
+            &Value::Uint(memo.entries as u64)
+        );
+        assert_eq!(
+            get(cache, "walk_set_bytes"),
+            &Value::Uint(memo.bytes as u64)
+        );
+        assert_eq!(get(cache, "walk_set_hits"), &Value::Uint(memo.hits));
+        assert_eq!(get(cache, "walk_set_misses"), &Value::Uint(memo.misses));
     }
 
     #[test]
@@ -1651,7 +1696,8 @@ mod tests {
         // then hit), an update, then every kind once more (stale, except
         // pairs an earlier frame has already refreshed).
         // The batch repeats a pair inside the frame and shares one with the
-        // similarity frame; top_k's candidate pairs overlap the batch's.
+        // similarity frame; top_k's candidate pairs overlap the batch's (keys
+        // are unordered, so (11,10) is (10,11)'s entry).
         let config = SimRankConfig::default().with_samples(150).with_seed(7);
         let cached = RequestHandler::with_cache(
             QueryEngine::new(&fig1_graph(), config),
@@ -1690,12 +1736,12 @@ mod tests {
             [0, 1, 0, 1], [1, 0, 0, 0], // similarity: fill, hit
             [0, 1, 0, 1], [1, 0, 0, 0], // profile: fill, hit
             [2, 1, 0, 1], [3, 0, 0, 0], // batch: (10,11) hits twice, one insert
-            [1, 3, 0, 3], [4, 0, 0, 0], // top_k: (11,12) hits from the batch
+            [2, 2, 0, 2], [4, 0, 0, 0], // top_k: (11,10) and (11,12) hit from the batch
             [0, 0, 0, 0],               // update: no cache traffic
             [0, 0, 1, 1],               // similarity: stale, refreshed
             [0, 0, 1, 1],               // profile: stale, refreshed
             [2, 0, 1, 1],               // batch: (10,11) refreshed just above
-            [1, 0, 3, 3],               // top_k: (11,12) refreshed just above
+            [2, 0, 2, 2],               // top_k: (11,10) and (11,12) refreshed just above
         ];
         assert_eq!(deltas, expected);
     }

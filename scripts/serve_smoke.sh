@@ -214,7 +214,9 @@ CLI_AFTER=$(table_column 2 "$CLI_CHURN")
 # --- cached-server round -----------------------------------------------
 # Same graph and seed, --cache-capacity on: the same batch asked twice must
 # come back byte-identical (the repeat is served from the cache), match the
-# CLI scores, and the stats frame must report the hits.  Then an update
+# CLI scores, and the stats frame must report the hits.  The batch reversed
+# pair by pair must give the same scores, also from the cache: s(u, v) and
+# s(v, u) are the same bits and share one entry.  Then an update
 # that cannot change any cached answer (a self-loop on label 50, which no
 # reverse walk from the queried pairs ever reaches) is applied: its epoch
 # bump still invalidates the whole cache, so the repeated batch reads 3
@@ -236,6 +238,7 @@ echo "--- cached server up on $ADDR ---"
 connect3 "$HOST" "$PORT"
 C_BATCH1=$(ask '{"type":"batch","pairs":[[10,20],[20,30],[30,40]]}')
 C_BATCH2=$(ask '{"type":"batch","pairs":[[10,20],[20,30],[30,40]]}')
+C_REVERSED=$(ask '{"type":"batch","pairs":[[20,10],[30,20],[40,30]]}')
 C_UPDATE=$(ask '{"type":"update","updates":[{"op":"insert","source":50,"target":50,"probability":0.5}]}')
 C_BATCH3=$(ask '{"type":"batch","pairs":[[10,20],[20,30],[30,40]]}')
 C_STATS=$(ask '{"type":"stats"}')
@@ -252,32 +255,36 @@ C_SERVED=$(extract_scores "$C_BATCH1")
 [ "$C_SERVED" = "$CLI_BEFORE" ] || {
     echo "FAIL: cached batch != CLI batch"
     echo "served: $C_SERVED"; echo "cli: $CLI_BEFORE"; exit 1; }
+[ "$C_REVERSED" = "$C_BATCH1" ] || {
+    echo "FAIL: the reversed batch's frame differs from the forward batch's"
+    echo "forward:  $C_BATCH1"; echo "reversed: $C_REVERSED"; exit 1; }
 case "$C_UPDATE" in
     *'"error"'*) echo "FAIL: disjoint update frame errored: $C_UPDATE"; exit 1 ;;
 esac
 # The update moved the epoch, so all 3 entries read as stale and batch 3
-# is recomputed: 3 hits in total (all from the repeat), 3 stale lookups,
-# and scores still equal to the CLI ground truth.
+# is recomputed: 6 hits in total (3 from the repeat, 3 from the reversed
+# batch), 3 stale lookups, and scores still equal to the CLI ground truth.
 C_SERVED3=$(extract_scores "$C_BATCH3")
 [ "$C_SERVED3" = "$CLI_BEFORE" ] || {
     echo "FAIL: recomputed batch after a disjoint update != CLI batch"
     echo "served: $C_SERVED3"; echo "cli: $CLI_BEFORE"; exit 1; }
 case "$C_STATS" in
-    *'"cache":{"enabled":true,"capacity":1024'*'"hits":3'*) echo "$C_STATS" ;;
-    *) echo "FAIL: cached stats frame misses the cache counters: $C_STATS"; exit 1 ;;
+    *'"cache":{"enabled":true,"capacity":1024'*'"hits":6'*) echo "$C_STATS" ;;
+    *) echo "FAIL: cached stats frame misses the cache counters (the reversed batch must hit): $C_STATS"; exit 1 ;;
 esac
 case "$C_STATS" in
     *'"stale":3'*) ;;
     *) echo "FAIL: the update did not leave 3 stale entries: $C_STATS"; exit 1 ;;
 esac
-# Four frames (two batches, the update, the recomputed batch) were answered
-# before the stats frame was built, and each frame's sample lands before its
-# reply is written, so the histogram must have timed exactly those four.
+# Five frames (three batches, the update, the recomputed batch) were
+# answered before the stats frame was built, and each frame's sample lands
+# before its reply is written, so the histogram must have timed exactly
+# those five.
 case "$C_STATS" in
-    *'"latency":{"count":4,'*) ;;
+    *'"latency":{"count":5,'*) ;;
     *) echo "FAIL: latency histogram did not count the served frames: $C_STATS"; exit 1 ;;
 esac
-echo "--- cached server: repeat batch bit-identical, an update left 3 stale entries ---"
+echo "--- cached server: repeat and reversed batches bit-identical from the cache, an update left 3 stale entries ---"
 
 # --- snapshot-backed server round ---------------------------------------
 # Convert the graph into a CSR snapshot, serve it with a durable update
