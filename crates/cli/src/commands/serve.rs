@@ -55,9 +55,9 @@
 //! entries, see `usim_cache`) in front of the engine: hot pairs are served
 //! without re-sampling, answers stay bit-identical, and the `stats` frame
 //! reports hit/miss/stale/eviction counters.  The same N also bounds the
-//! walk-set memo (N per-vertex walk sets, cleared by every update), whose
-//! entries, bytes, hits and misses the `stats` frame reports too.  `0` (the
-//! default) disables both.
+//! walk-set memo (N per-vertex walk sets and N × 4 KiB of two-hop rows,
+//! cleared by every update), whose entries, bytes, hits and misses the
+//! `stats` frame reports too.  `0` (the default) disables both.
 //!
 //! `--trace-sample-rate R` (0 < R ≤ 1) turns on per-request stage tracing:
 //! every ⌈1/R⌉-th request gets a trace id and per-stage wall-clock timings

@@ -224,6 +224,13 @@ fn render_server_view(addr: &str, stats: &Value, slow: &Value) -> String {
             uint_at(stats, &["cache", "walk_set_hits"]),
             uint_at(stats, &["cache", "walk_set_misses"]),
         ));
+        out.push_str(&format!(
+            "two-hop rows: {} kept ({} bytes), {} hits, {} misses\n",
+            uint_at(stats, &["cache", "two_hop_row_entries"]),
+            uint_at(stats, &["cache", "two_hop_row_bytes"]),
+            uint_at(stats, &["cache", "two_hop_row_hits"]),
+            uint_at(stats, &["cache", "two_hop_row_misses"]),
+        ));
     }
 
     if bool_at(stats, &["walks", "enabled"]) {

@@ -175,7 +175,8 @@ pub fn usage() -> String {
         "    --port-file PATH   write the bound address to PATH after binding\n",
         "                       (removed again on clean shutdown)\n",
         "    --cache-capacity N result-cache entries, and also the bound on the\n",
-        "                       walk-set memo's per-vertex sets; 0 = off  [default 0]\n",
+        "                       walk-set memo: N per-vertex sets and N x 4 KiB of\n",
+        "                       two-hop rows; 0 = off                     [default 0]\n",
         "    --snapshot PATH    the graph to serve, in place of the positional path;\n",
         "                       a snapshot boots with no parsing and no per-edge work\n",
         "    --update-log PATH  durable update log: replay logged rounds at boot, then\n",

@@ -42,20 +42,36 @@
 //! reads the set instead of sampling its walks again.  A set is a pure
 //! function of `(seed, vertex, graph state)`, so memo-warm answers are the
 //! bits of a bare [`QueryEngine`].  The memo holds at most the result
-//! cache's capacity in sets; when full it computes without keeping.
-//! [`CachedQueryEngine::apply_updates`] clears it under the write lock, in
-//! O(entries).
+//! cache's capacity in sets; when full it computes without keeping.  A
+//! sampled set is moved into the memo, not copied.
+//!
+//! The memo also keeps **two-hop rows**: for a vertex `a`, the
+//! `(w, Pr(a →₂ w))` entries that exact `m(2)`'s scatter leaves in its
+//! table, in first-touch order (12 bytes each).  A pair whose smaller
+//! endpoint has a kept row fills the table from it instead of reading the
+//! row's two-hop arcs (about eleven per entry on R-MAT), and the other side
+//! gathers as before, so every `m(2)` keeps its bits.  Rows are kept on
+//! *second sight*: a vertex's first miss in an epoch only marks it, its
+//! second records and keeps the row.  The byte rule: kept rows, with the
+//! map slots of marked vertices, hold at most 4 KiB per set of capacity
+//! (256 MiB at 65,536); once a row does not fit, the epoch keeps no more.
+//!
+//! [`CachedQueryEngine::apply_updates`] clears sets, rows and marks under
+//! the write lock, in O(entries).
 //!
 //! With the cache disabled (capacity 0) there is no memo either, and every
 //! call goes straight to the engine's own entry points — which already
 //! deduplicate repeated pairs within one batch.
 
-use crate::engine::{candidate_pairs, dedup_pairs, rank, QueryEngine, QueryError, WalkSet};
+use crate::engine::{
+    candidate_pairs, dedup_pairs, rank, QueryEngine, QueryError, TwoHopRow, WalkSet,
+};
 use crate::meeting::MeetingProfile;
 use crate::top_k::ScoredVertex;
 use parking_lot::{Mutex, RwLock};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use ugraph::{GraphUpdate, UpdateError, UpdateSummary, VertexId};
 use usim_cache::{CacheStats, PairKey, ResultCache};
@@ -86,111 +102,239 @@ enum CachedAnswer {
 /// Shards of a [`WalkSetMemo`] (each with its own lock).
 const MEMO_SHARDS: usize = 16;
 
-/// A snapshot of the walk-set memo (see
-/// [`CachedQueryEngine::walk_set_stats`]).  `hits` and `misses` are
-/// cumulative since construction; `entries` and `bytes` describe the sets
+/// Bytes of two-hop rows a memo may keep per set of its capacity: 256 MiB
+/// at a capacity of 65,536.  A row is kept only while the rows already kept
+/// leave room for it.
+const ROW_BYTES_PER_SET: usize = 4096;
+
+/// A snapshot of one structure of the walk-set memo (see
+/// [`CachedQueryEngine::walk_set_stats`] and
+/// [`CachedQueryEngine::two_hop_row_stats`]).  `hits` and `misses` are
+/// cumulative since construction; `entries` and `bytes` describe what is
 /// kept at the current epoch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalkSetStats {
-    /// Walk sets kept.
+pub struct MemoStats {
+    /// Walk sets, or two-hop rows, kept.
     pub entries: usize,
-    /// Bytes they hold: each set's fields and heap capacity plus its map
-    /// slot and reference counts.
+    /// Bytes they hold: each one's fields and heap capacity plus its map
+    /// slot and reference counts (for rows, also the map slots of vertices
+    /// seen once).
     pub bytes: usize,
-    /// Lookups that found the vertex's set.
+    /// Lookups that found the vertex's set or row.
     pub hits: u64,
-    /// Lookups that did not, so the set was sampled.
+    /// Lookups that did not, so the set was sampled or the row scattered.
     pub misses: u64,
 }
 
-/// The epoch-scoped walk-set memo of a [`CachedQueryEngine`]: vertex → its
-/// [`WalkSet`] at the current update epoch, bounded to `capacity` sets.
-/// Fills happen under the engine's read lock and clears under its write
-/// lock, so every kept set belongs to the epoch being served.
-#[derive(Debug)]
-pub(crate) struct WalkSetMemo {
-    shards: Vec<Mutex<HashMap<VertexId, Arc<WalkSet>>>>,
-    capacity: usize,
+/// Lock-free counters behind one [`MemoStats`].
+#[derive(Debug, Default)]
+struct MemoCounters {
     entries: AtomicUsize,
     bytes: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
+impl MemoCounters {
+    fn count_lookup(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Reserves `bytes` if that keeps the total within `budget`.
+    fn reserve_bytes(&self, bytes: usize, budget: usize) -> bool {
+        let before = self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        if before + bytes <= budget {
+            return true;
+        }
+        self.bytes.fetch_sub(bytes, Ordering::Relaxed);
+        false
+    }
+
+    fn reset(&self) {
+        self.entries.store(0, Ordering::Relaxed);
+        self.bytes.store(0, Ordering::Relaxed);
+    }
+
+    fn stats(&self) -> MemoStats {
+        MemoStats {
+            entries: self.entries.load(Ordering::Relaxed),
+            bytes: self.bytes.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// What a two-hop-row lookup found (see [`WalkSetMemo::row`]).
+pub(crate) enum RowLookup {
+    /// The vertex's kept row.
+    Hit(Arc<TwoHopRow>),
+    /// A miss on a vertex seen before in this epoch, with room left: record
+    /// the row and offer it ([`WalkSetMemo::offer_row`]).
+    Keep,
+    /// A miss to compute without keeping.
+    Skip,
+}
+
+/// One shard: vertex → walk set, and vertex → two-hop row (`None` for a
+/// vertex whose row has been computed once in this epoch).
+#[derive(Debug, Default)]
+struct MemoShard {
+    sets: HashMap<VertexId, Arc<WalkSet>>,
+    rows: HashMap<VertexId, Option<Arc<TwoHopRow>>>,
+}
+
+/// The epoch-scoped memo of a [`CachedQueryEngine`]: vertex → its
+/// [`WalkSet`] and its [`TwoHopRow`] at the current update epoch, with at
+/// most `capacity` sets and `capacity × ROW_BYTES_PER_SET` bytes of rows.
+/// Fills happen under the engine's read lock and clears under its write
+/// lock, so everything kept belongs to the epoch being served.
+///
+/// A row is kept on *second sight*: the first miss on a vertex in an epoch
+/// only marks it seen, and the second records the row and keeps it.  Most
+/// vertices a `churn` round reads are read once before the next update
+/// clears the memo, so they never pay for a row copy.  Once a row does not
+/// fit, no further row is kept until the next clear.
+#[derive(Debug)]
+pub(crate) struct WalkSetMemo {
+    shards: Vec<Mutex<MemoShard>>,
+    capacity: usize,
+    row_budget: usize,
+    rows_full: AtomicBool,
+    sets: MemoCounters,
+    rows: MemoCounters,
+}
+
 impl WalkSetMemo {
-    fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         WalkSetMemo {
             shards: (0..MEMO_SHARDS).map(|_| Mutex::default()).collect(),
             capacity,
-            entries: AtomicUsize::new(0),
-            bytes: AtomicUsize::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            row_budget: capacity.saturating_mul(ROW_BYTES_PER_SET),
+            rows_full: AtomicBool::new(false),
+            sets: MemoCounters::default(),
+            rows: MemoCounters::default(),
         }
     }
 
-    fn shard(&self, vertex: VertexId) -> &Mutex<HashMap<VertexId, Arc<WalkSet>>> {
+    fn shard(&self, vertex: VertexId) -> &Mutex<MemoShard> {
         let mixed = u64::from(vertex).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         &self.shards[(mixed >> 32) as usize % MEMO_SHARDS]
     }
 
     /// `vertex`'s kept set, counting the lookup as a hit or a miss.
     pub(crate) fn get(&self, vertex: VertexId) -> Option<Arc<WalkSet>> {
-        let set = self.shard(vertex).lock().get(&vertex).cloned();
-        let counter = if set.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        let set = self.shard(vertex).lock().sets.get(&vertex).cloned();
+        self.sets.count_lookup(set.is_some());
         set
     }
 
-    /// Keeps a copy of `vertex`'s freshly sampled `set` when there is room.
-    /// Two workers that sampled the same vertex offer equal sets; the
-    /// second offer is dropped.
-    pub(crate) fn offer(&self, vertex: VertexId, set: &WalkSet) {
-        if self.entries.fetch_add(1, Ordering::Relaxed) >= self.capacity {
-            self.entries.fetch_sub(1, Ordering::Relaxed);
-            return;
+    /// Keeps `vertex`'s freshly sampled set when there is room, taking it
+    /// out of `set` (left empty) instead of copying it, and returns it.  Two
+    /// workers that sampled the same vertex offer equal sets; the second is
+    /// returned but not kept.  With no room, `set` is left as it is.
+    pub(crate) fn offer(&self, vertex: VertexId, set: &mut WalkSet) -> Option<Arc<WalkSet>> {
+        if self.sets.entries.fetch_add(1, Ordering::Relaxed) >= self.capacity {
+            self.sets.entries.fetch_sub(1, Ordering::Relaxed);
+            return None;
         }
-        let kept = Arc::new(set.clone());
+        let kept = Arc::new(std::mem::take(set));
         let bytes = kept.bytes() + Self::SLOT_BYTES;
         let mut shard = self.shard(vertex).lock();
-        if shard.contains_key(&vertex) {
-            self.entries.fetch_sub(1, Ordering::Relaxed);
-            return;
+        match shard.sets.entry(vertex) {
+            Entry::Occupied(_) => {
+                self.sets.entries.fetch_sub(1, Ordering::Relaxed);
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(Arc::clone(&kept));
+                self.sets.bytes.fetch_add(bytes, Ordering::Relaxed);
+            }
         }
-        shard.insert(vertex, kept);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        Some(kept)
     }
 
-    /// A map slot plus an `Arc`'s two reference counts.
+    /// `vertex`'s kept two-hop row, or what to do on the miss: the first
+    /// miss in an epoch marks the vertex seen, the second asks for the row.
+    /// Counts the lookup as a hit or a miss.
+    pub(crate) fn row(&self, vertex: VertexId) -> RowLookup {
+        let full = self.rows_full.load(Ordering::Relaxed);
+        let mut shard = self.shard(vertex).lock();
+        let lookup = match shard.rows.get(&vertex) {
+            Some(Some(row)) => RowLookup::Hit(Arc::clone(row)),
+            Some(None) if !full => RowLookup::Keep,
+            Some(None) => RowLookup::Skip,
+            None if full => RowLookup::Skip,
+            None => {
+                if self
+                    .rows
+                    .reserve_bytes(Self::ROW_SLOT_BYTES, self.row_budget)
+                {
+                    shard.rows.insert(vertex, None);
+                } else {
+                    self.rows_full.store(true, Ordering::Relaxed);
+                }
+                RowLookup::Skip
+            }
+        };
+        drop(shard);
+        self.rows.count_lookup(matches!(lookup, RowLookup::Hit(_)));
+        lookup
+    }
+
+    /// Keeps `vertex`'s freshly recorded row, answering a
+    /// [`RowLookup::Keep`], if it fits the budget; a row that does not fit
+    /// stops the keeping of rows until the next clear.
+    pub(crate) fn offer_row(&self, vertex: VertexId, row: TwoHopRow) {
+        let bytes = row.bytes() + 2 * std::mem::size_of::<usize>();
+        if !self.rows.reserve_bytes(bytes, self.row_budget) {
+            self.rows_full.store(true, Ordering::Relaxed);
+            return;
+        }
+        let row = Arc::new(row);
+        let mut shard = self.shard(vertex).lock();
+        match shard.rows.get_mut(&vertex) {
+            Some(slot @ None) => {
+                *slot = Some(row);
+                self.rows.entries.fetch_add(1, Ordering::Relaxed);
+            }
+            // A racing worker kept an equal row first.
+            _ => {
+                self.rows.bytes.fetch_sub(bytes, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// A set's map slot plus an `Arc`'s two reference counts.
     const SLOT_BYTES: usize =
         std::mem::size_of::<(VertexId, Arc<WalkSet>)>() + 2 * std::mem::size_of::<usize>();
 
-    /// Drops every kept set; O(entries).  Called under the engine's write
-    /// lock, so no reader is filling the memo meanwhile.
+    /// A row's map slot, counted from the vertex's first sight.
+    const ROW_SLOT_BYTES: usize = std::mem::size_of::<(VertexId, Option<Arc<TwoHopRow>>)>();
+
+    /// The two-hop rows' counters.
+    pub(crate) fn row_stats(&self) -> MemoStats {
+        self.rows.stats()
+    }
+
+    /// Drops every kept set and row and every seen mark; O(entries).
+    /// Called under the engine's write lock, so no reader is filling the
+    /// memo meanwhile.
     fn clear(&self) {
         for shard in &self.shards {
             let mut shard = shard.lock();
-            if !shard.is_empty() {
-                // A fresh map: clearing in place would keep the largest
-                // table the memo ever grew to, and `clear` walks it.
-                *shard = HashMap::new();
+            // Fresh maps: clearing in place would keep the largest table
+            // the memo ever grew to, and `clear` walks it.
+            if !shard.sets.is_empty() {
+                shard.sets = HashMap::new();
+            }
+            if !shard.rows.is_empty() {
+                shard.rows = HashMap::new();
             }
         }
-        self.entries.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
-    }
-
-    fn stats(&self) -> WalkSetStats {
-        WalkSetStats {
-            entries: self.entries.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
+        self.sets.reset();
+        self.rows.reset();
+        self.rows_full.store(false, Ordering::Relaxed);
     }
 }
 
@@ -254,8 +398,8 @@ struct Caches {
 impl CachedQueryEngine {
     /// Takes ownership of `engine` behind a reader/writer lock, with a
     /// result cache bounded to `capacity` entries and a walk-set memo
-    /// bounded to `capacity` sets in front of it; `capacity == 0` disables
-    /// both (no map is allocated).
+    /// bounded to `capacity` sets and `capacity` × 4 KiB of two-hop rows in
+    /// front of it; `capacity == 0` disables both (no map is allocated).
     pub fn new(engine: QueryEngine, capacity: usize) -> Self {
         CachedQueryEngine {
             engine: RwLock::new(engine),
@@ -330,9 +474,16 @@ impl CachedQueryEngine {
         self.cache.as_ref().map(|c| c.results.stats())
     }
 
-    /// Snapshot of the walk-set memo, or `None` when caching is disabled.
-    pub fn walk_set_stats(&self) -> Option<WalkSetStats> {
-        self.cache.as_ref().map(|c| c.walk_sets.stats())
+    /// Snapshot of the walk-set memo's sets, or `None` when caching is
+    /// disabled.
+    pub fn walk_set_stats(&self) -> Option<MemoStats> {
+        self.cache.as_ref().map(|c| c.walk_sets.sets.stats())
+    }
+
+    /// Snapshot of the walk-set memo's two-hop rows, or `None` when caching
+    /// is disabled.
+    pub fn two_hop_row_stats(&self) -> Option<MemoStats> {
+        self.cache.as_ref().map(|c| c.walk_sets.row_stats())
     }
 
     /// `(epoch, score)` of one pair (see [`QueryEngine::try_similarity`]).
@@ -435,7 +586,8 @@ impl CachedQueryEngine {
     /// [`QueryEngine::apply_updates`]; a rejected batch leaves the engine
     /// untouched).  The epoch bump invalidates every cached entry: each
     /// one reads as `stale` from then on and is recomputed on its next ask.
-    /// The walk-set memo is cleared before the write lock is released.
+    /// The walk-set memo (sets, rows and seen marks) is cleared before the
+    /// write lock is released.
     pub fn apply_updates(
         &self,
         updates: &[GraphUpdate],
@@ -613,6 +765,123 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Three layers of eight: `0..8` point at most of `8..16`, which point
+    /// at most of `16..24`.  An in-neighbour two-hop row of the top layer
+    /// lands several paths on each bottom vertex.
+    fn layered_graph() -> ugraph::UncertainGraph {
+        let mut builder = UncertainGraphBuilder::new(24);
+        for (low, high) in [(0u32, 8u32), (8, 16)] {
+            for s in low..high {
+                for t in (high..high + 8).filter(|t| (s + 2 * t) % 3 != 0) {
+                    builder = builder.arc(s, t, 0.15 + 0.1 * ((s * t) % 8) as f64);
+                }
+            }
+        }
+        builder.build().unwrap()
+    }
+
+    #[test]
+    fn a_vertex_keeps_its_two_hop_row_on_its_second_miss() {
+        let g = layered_graph();
+        let config = SimRankConfig::default().with_samples(40).with_seed(5);
+        let cached = CachedQueryEngine::new(QueryEngine::new(&g, config), 64);
+        let mut bare = QueryEngine::new(&g, config);
+        let rows = || {
+            let rows = cached.two_hop_row_stats().unwrap();
+            (rows.entries, rows.hits, rows.misses)
+        };
+        // 16 is the smaller endpoint of every pair, whose row m(2) reads.
+        assert_eq!(
+            cached.similarity(16, 17).unwrap().1,
+            bare.similarity(16, 17)
+        );
+        assert_eq!(rows(), (0, 0, 1), "the first miss keeps no row");
+        let marked = cached.two_hop_row_stats().unwrap().bytes;
+        assert!(marked > 0, "the mark's map slot is counted");
+        assert_eq!(
+            cached.similarity(16, 18).unwrap().1,
+            bare.similarity(16, 18)
+        );
+        assert_eq!(rows(), (1, 0, 2), "the second miss keeps the row");
+        assert!(cached.two_hop_row_stats().unwrap().bytes > marked);
+        assert_eq!(
+            cached.similarity(19, 16).unwrap().1,
+            bare.similarity(19, 16)
+        );
+        assert_eq!(rows(), (1, 1, 2));
+
+        // An update drops rows and marks: the next miss is a first sight.
+        let update = [GraphUpdate::SetProbability {
+            source: 1,
+            target: 9,
+            probability: 0.9,
+        }];
+        cached.apply_updates(&update).unwrap();
+        bare.apply_updates(&update).unwrap();
+        let cleared = cached.two_hop_row_stats().unwrap();
+        assert_eq!((cleared.entries, cleared.bytes), (0, 0));
+        assert_eq!(
+            cached.similarity(16, 20).unwrap().1,
+            bare.similarity(16, 20)
+        );
+        assert_eq!(rows(), (0, 1, 3));
+    }
+
+    #[test]
+    fn memo_warm_answers_equal_a_bare_engine_when_only_one_side_keeps_a_row() {
+        let g = layered_graph();
+        let config = SimRankConfig::default().with_samples(40).with_seed(9);
+        let bare = QueryEngine::new(&g, config);
+        let bits = |p: &MeetingProfile| p.meeting.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+        // (16, 17) scatters 16's row; (17, 22) fills the table from 17's.
+        // Each order gets a fresh engine, so neither is a result-cache hit.
+        for (u, v) in [(16, 17), (17, 16), (17, 22), (22, 17)] {
+            let cached = CachedQueryEngine::new(QueryEngine::new(&g, config), 256);
+            // Two misses keep 17's row; 16 and 22 are never the smaller
+            // endpoint twice, so theirs are not kept.
+            cached.batch_similarities(&[(17, 20), (17, 21)]).unwrap();
+            let (_, profile) = cached.profile(u, v, None).unwrap();
+            let want = bare.profile(u, v);
+            assert!(want.meeting[2] > 0.0, "({u}, {v})");
+            assert_eq!(bits(&profile), bits(&want), "({u}, {v})");
+            let rows = cached.two_hop_row_stats().unwrap();
+            let hits = u64::from(u.min(v) == 17);
+            assert_eq!((rows.entries, rows.hits), (1, hits), "({u}, {v}): {rows:?}");
+        }
+    }
+
+    #[test]
+    fn two_hop_rows_stop_at_the_byte_budget() {
+        // Capacity 1 allows 4 KiB of rows.
+        let memo = WalkSetMemo::new(1);
+        for vertex in [1, 2, 3] {
+            assert!(matches!(memo.row(vertex), RowLookup::Skip));
+        }
+        let marks = memo.row_stats().bytes;
+        assert_eq!(marks, 3 * WalkSetMemo::ROW_SLOT_BYTES);
+        let row = |entries: u32| TwoHopRow {
+            targets: (0..entries).collect(),
+            sums: vec![0.25; entries as usize],
+        };
+        assert!(matches!(memo.row(1), RowLookup::Keep));
+        memo.offer_row(1, row(8));
+        assert!(matches!(memo.row(1), RowLookup::Hit(_)));
+        // 400 entries take 4.8 KB: the row is dropped, and the epoch keeps
+        // no further row, even one that would fit.
+        assert!(matches!(memo.row(2), RowLookup::Keep));
+        memo.offer_row(2, row(400));
+        assert!(matches!(memo.row(2), RowLookup::Skip));
+        assert!(matches!(memo.row(3), RowLookup::Skip));
+        let rows = memo.row_stats();
+        assert_eq!(rows.entries, 1);
+        assert!(rows.bytes <= 4096, "{rows:?}");
+        // A clear starts a new epoch with the whole budget.
+        memo.clear();
+        assert!(matches!(memo.row(2), RowLookup::Skip));
+        assert!(matches!(memo.row(2), RowLookup::Keep));
+        assert_eq!(memo.row_stats().entries, 0);
     }
 
     #[test]

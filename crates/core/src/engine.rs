@@ -48,12 +48,17 @@
 //! (`SamplingEstimator`, `TwoPhaseEstimator`, `SpeedupEstimator`) keep
 //! Eq. 13 and honour it.
 //!
-//! The engine keeps no walks across calls.  The caching layer
-//! ([`crate::CachedQueryEngine`]) keeps each vertex's walk set for the
-//! current update epoch, so every later pair naming the vertex reads it
-//! instead of sampling it again; the answers are the same bits either way.
+//! The engine keeps no walks and no two-hop rows across calls.  The caching
+//! layer ([`crate::CachedQueryEngine`]) keeps, for the current update
+//! epoch, each vertex's walk set and, from the second time a vertex's
+//! two-hop row is computed in the epoch, that row: the `(w, Pr(a →₂ w))`
+//! entries exact `m(2)`'s scatter leaves in its table, in first-touch
+//! order.  A later pair naming the vertex reads the set instead of sampling
+//! it, and fills the table from the row instead of scattering the row's
+//! two-hop arcs.  Every slot then holds the same `f64` the scatter would
+//! have summed, so the answers are the same bits either way.
 
-use crate::cached::WalkSetMemo;
+use crate::cached::{RowLookup, WalkSetMemo};
 use crate::config::{SamplerKind, SimRankConfig, WalkDirection};
 use crate::meeting::MeetingProfile;
 use crate::top_k::ScoredVertex;
@@ -123,15 +128,20 @@ pub(crate) struct WalkSet {
 
 impl WalkSet {
     /// Rebuilds the set from `N` raw walks, walk-major with `stride`
-    /// (`n + 1`) positions per walk.
+    /// (`n + 1`) positions per walk.  A fresh set's buffers are allocated
+    /// at their exact final lengths, so a set the memo takes holds no spare
+    /// capacity.
     fn fill(&mut self, walks: &[VertexId], stride: usize) {
+        let live = |k: usize| walks.iter().skip(k).step_by(stride).filter(|&&w| w != DEAD);
         self.positions.clear();
+        self.positions
+            .reserve_exact((2..stride).map(|k| live(k).count()).sum());
         self.bounds.clear();
+        self.bounds.reserve_exact(stride - 1);
         self.bounds.push(0);
         for k in 2..stride {
             let start = self.positions.len();
-            let live = walks.iter().skip(k).step_by(stride).filter(|&&w| w != DEAD);
-            self.positions.extend(live);
+            self.positions.extend(live(k));
             self.positions[start..].sort_unstable();
             let end = u32::try_from(self.positions.len())
                 .expect("a walk set holds fewer than 2^32 positions");
@@ -149,6 +159,25 @@ impl WalkSet {
         std::mem::size_of::<Self>()
             + self.positions.capacity() * std::mem::size_of::<VertexId>()
             + self.bounds.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// One vertex `a`'s two-hop row `T_a[w] = Σₓ W1(a, x)·W1(x, w)` exactly as
+/// [`exact_step_two`]'s scatter leaves it in its table: the touched `w` in
+/// first-touch order and each one's final sum.  Filling a table from it
+/// writes the bits the scatter would have summed.
+#[derive(Debug)]
+pub(crate) struct TwoHopRow {
+    pub(crate) targets: Vec<VertexId>,
+    pub(crate) sums: Vec<f64>,
+}
+
+impl TwoHopRow {
+    /// Bytes the row holds: its own fields plus their heap capacity.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.targets.capacity() * std::mem::size_of::<VertexId>()
+            + self.sums.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -221,6 +250,9 @@ struct Scratch {
     set_v: WalkSet,
     /// One endpoint's two-hop row `Pr(a →₂ w)`, for exact `m(2)`.
     two_hop: StampedTable<f64>,
+    /// The table slots a scatter touched, in first-touch order, while it
+    /// records a row for the memo.
+    touched: Vec<VertexId>,
 }
 
 /// What sampling one walk set needs: the legacy sampler's arena and the raw
@@ -275,14 +307,24 @@ impl<T: Copy + Default + std::ops::AddAssign> StampedTable<T> {
         }
     }
 
+    /// Adds `value` to `w`'s sum; true when this is `w`'s first touch
+    /// since [`StampedTable::begin`].
     #[inline]
-    fn add(&mut self, w: VertexId, value: T) {
+    fn add(&mut self, w: VertexId, value: T) -> bool {
         let slot = &mut self.slots[w as usize];
         if slot.0 == self.epoch {
             slot.1 += value;
+            false
         } else {
             *slot = (self.epoch, value);
+            true
         }
+    }
+
+    /// Sets `w`'s sum to `value`.
+    #[inline]
+    fn set(&mut self, w: VertexId, value: T) {
+        self.slots[w as usize] = (self.epoch, value);
     }
 
     #[inline]
@@ -664,7 +706,7 @@ impl QueryEngine {
     ///
     /// `u`'s set is read from `memo` when it holds one; otherwise it is
     /// sampled and offered to it.  The self-pair's twin set is always
-    /// sampled.
+    /// sampled.  Exact `m(2)` reads and offers two-hop rows the same way.
     fn sample_profile(
         &self,
         scratch: &mut Scratch,
@@ -693,6 +735,7 @@ impl QueryEngine {
             set_u,
             set_v,
             two_hop,
+            touched,
         } = scratch;
         let mut meeting = vec![0.0f64; n + 1];
         meeting[0] = if u == v { 1.0 } else { 0.0 };
@@ -700,7 +743,7 @@ impl QueryEngine {
         // W(2) = W(1)² unless a walk can leave its start twice in two steps,
         // which only a self-loop at the start allows (Lemma 3).
         let first_sampled = if n >= 2 && !view.has_arc(u, u) && !view.has_arc(v, v) {
-            meeting[2] = exact_step_two(&view, u, v, two_hop);
+            meeting[2] = exact_step_two(&view, u, v, two_hop, touched, memo);
             3
         } else {
             2
@@ -736,7 +779,8 @@ impl QueryEngine {
     }
 
     /// `stream`'s walk set: `memo`'s copy when it keeps one (twin sets are
-    /// never kept), else sampled into `buf` and offered to `memo`.
+    /// never kept), else sampled into `buf` and offered to `memo`, which
+    /// takes the buffer when it has room and leaves `buf` empty.
     fn walk_set<'s>(
         &self,
         sampler: &mut SetSampler,
@@ -750,10 +794,10 @@ impl QueryEngine {
             return SetRef::Kept(set);
         }
         self.sample_set(sampler, buf, stream, tally);
-        if let Some(memo) = memo {
-            memo.offer(stream.start(), buf);
+        match memo.and_then(|memo| memo.offer(stream.start(), buf)) {
+            Some(set) => SetRef::Kept(set),
+            None => SetRef::Sampled(buf),
         }
-        SetRef::Sampled(buf)
     }
 
     /// Samples `stream`'s `N` walks (Eq. 13's walks from one vertex, one
@@ -992,23 +1036,59 @@ fn exact_step_one(view: &OverlayView<'_>, u: VertexId, v: VertexId) -> f64 {
 /// Taking the sides by id makes `m(2)(u, v)` and `m(2)(v, u)` bit-identical.
 /// Patched rows cache their own marginals, as for [`exact_step_one`], so an
 /// engine that applied updates gives the bits of a fresh engine.
+///
+/// With a `memo`, a kept [`TwoHopRow`] of `a` fills the table instead of the
+/// scatter, writing the same sums; when the memo asks to keep `a`'s row,
+/// the scatter records its first touches in `touched` and the row is
+/// offered to the memo, which takes the buffer.
 fn exact_step_two(
     view: &OverlayView<'_>,
     u: VertexId,
     v: VertexId,
     table: &mut StampedTable<f64>,
+    touched: &mut Vec<VertexId>,
+    memo: Option<&WalkSetMemo>,
 ) -> f64 {
     let (a, b) = (u.min(v), u.max(v));
     let row = |x: VertexId| view.neighbors(x).iter().zip(view.one_step_marginals(x));
     table.begin(view.num_vertices());
-    for (&x, &p) in row(a) {
-        for (&w, &q) in row(x) {
-            table.add(w, p * q);
+    match memo.map(|memo| (memo, memo.row(a))) {
+        Some((_, RowLookup::Hit(kept))) => {
+            for (&w, &sum) in kept.targets.iter().zip(&kept.sums) {
+                table.set(w, sum);
+            }
         }
+        Some((memo, RowLookup::Keep)) => {
+            scatter_two_hop(view, a, table, |w| touched.push(w));
+            let sums = touched.iter().map(|&w| table.get(w)).collect();
+            let mut targets = std::mem::take(touched);
+            targets.shrink_to_fit();
+            memo.offer_row(a, TwoHopRow { targets, sums });
+        }
+        _ => scatter_two_hop(view, a, table, |_| {}),
     }
     row(b)
         .map(|(&y, &p)| p * row(y).map(|(&w, &q)| q * table.get(w)).sum::<f64>())
         .sum()
+}
+
+/// Adds `a`'s two-hop arcs `W1(a, x)·W1(x, w)` into `table`, in row order,
+/// calling `first_touch(w)` when a slot is written for the first time.
+#[inline]
+fn scatter_two_hop(
+    view: &OverlayView<'_>,
+    a: VertexId,
+    table: &mut StampedTable<f64>,
+    mut first_touch: impl FnMut(VertexId),
+) {
+    let row = |x: VertexId| view.neighbors(x).iter().zip(view.one_step_marginals(x));
+    for (&x, &p) in row(a) {
+        for (&w, &q) in row(x) {
+            if table.add(w, p * q) {
+                first_touch(w);
+            }
+        }
+    }
 }
 
 /// The index pairs `(i, j)` with `a[i] == b[j]` of two sorted rows, in
@@ -1811,7 +1891,14 @@ mod tests {
         let baseline = BaselineEstimator::new(&g, SimRankConfig::default());
         // The rule is not vacuous: on a self-loop row W(1)² misses W(2).
         let overlay = DeltaOverlay::new(g.clone());
-        let w1_squared = exact_step_two(&overlay.reverse(), 2, 3, &mut StampedTable::default());
+        let w1_squared = exact_step_two(
+            &overlay.reverse(),
+            2,
+            3,
+            &mut StampedTable::default(),
+            &mut Vec::new(),
+            None,
+        );
         assert!((w1_squared - baseline.profile(2, 3).meeting[2]).abs() > 1e-3);
         for sampler in SAMPLER_KINDS {
             let config = SimRankConfig::default()
@@ -1887,6 +1974,100 @@ mod tests {
             }
         }
         builder.build().unwrap()
+    }
+
+    /// The hub graph plus feeders `40..48`, each pointing at most of
+    /// `0..20`: a two-hop row from the hub or from one of `21..40` lands
+    /// its paths on the eight feeders, so its slots sum several arcs each.
+    fn layered_hub_graph() -> UncertainGraph {
+        let mut arcs: Vec<_> = hub_graph()
+            .arcs()
+            .map(|a| (a.source, a.target, a.probability))
+            .collect();
+        for f in 40..48u32 {
+            for s in (0..20u32).filter(|s| (f + s) % 3 != 0) {
+                arcs.push((f, s, 0.2 + 0.035 * ((f * s) % 20) as f64));
+            }
+        }
+        UncertainGraph::from_arcs(48, arcs).unwrap()
+    }
+
+    #[test]
+    fn m2_filled_from_a_kept_row_has_the_bits_of_the_cold_scatter() {
+        // The hub graph's first edit changes the row of 3, an in-neighbour
+        // of the hub 20: T_20 changes while the hub's own row does not.
+        let cases = [
+            (
+                layered_hub_graph(),
+                [
+                    GraphUpdate::SetProbability {
+                        source: 41,
+                        target: 3,
+                        probability: 0.97,
+                    },
+                    GraphUpdate::InsertArc {
+                        source: 40,
+                        target: 20,
+                        probability: 0.6,
+                    },
+                ],
+            ),
+            (
+                cyclic_graph(),
+                [
+                    GraphUpdate::SetProbability {
+                        source: 0,
+                        target: 3,
+                        probability: 0.95,
+                    },
+                    GraphUpdate::InsertArc {
+                        source: 1,
+                        target: 4,
+                        probability: 0.6,
+                    },
+                ],
+            ),
+        ];
+        for (g, edits) in cases {
+            let mut engine = QueryEngine::new(&g, SimRankConfig::default());
+            let n = g.num_vertices() as VertexId;
+            for round in 0..=edits.len() {
+                // A fresh memo per epoch, as the caching layer clears it.
+                let memo = WalkSetMemo::new(1024);
+                let view = engine.view();
+                let (mut table, mut touched) = (StampedTable::default(), Vec::new());
+                let mut nonzero = 0;
+                // The first sight of a vertex marks it, the second keeps
+                // its row, the third pass reads only kept rows.
+                for _ in 0..3 {
+                    for (u, v) in all_ordered_pairs(n) {
+                        let cold = exact_step_two(&view, u, v, &mut table, &mut touched, None);
+                        let warm =
+                            exact_step_two(&view, u, v, &mut table, &mut touched, Some(&memo));
+                        assert_eq!(warm.to_bits(), cold.to_bits(), "round {round}: ({u}, {v})");
+                        nonzero += usize::from(cold > 0.0);
+                    }
+                }
+                assert!(nonzero > 0, "round {round}: every m(2) is zero");
+                let rows = memo.row_stats();
+                assert_eq!(rows.entries, n as usize, "round {round}: {rows:?}");
+                assert!(rows.hits > rows.misses, "round {round}: {rows:?}");
+                // The rows are not vacuous: some slot sums several arcs.
+                let collapsed = (0..n)
+                    .filter(|&a| match memo.row(a) {
+                        RowLookup::Hit(kept) => {
+                            let arcs = view.neighbors(a).iter().map(|&x| view.degree(x));
+                            kept.targets.len() < arcs.sum()
+                        }
+                        _ => false,
+                    })
+                    .count();
+                assert!(collapsed > 0, "round {round}");
+                if let Some(edit) = edits.get(round) {
+                    engine.apply_updates(&[*edit]).unwrap();
+                }
+            }
+        }
     }
 
     fn profile_bits(profile: &MeetingProfile) -> Vec<u64> {

@@ -84,7 +84,7 @@ pub use baseline::BaselineEstimator;
 pub use bounds::{
     corollary1_error_bound, required_samples, theorem2_error_bound, theorem4_error_bound,
 };
-pub use cached::{CachedQueryEngine, WalkSetStats};
+pub use cached::{CachedQueryEngine, MemoStats};
 pub use config::{SamplerKind, SimRankConfig, WalkDirection};
 pub use deterministic::{simrank_all_pairs, simrank_single_pair, DeterministicSimRank};
 pub use du_et_al::DuEtAlEstimator;

@@ -723,6 +723,20 @@ impl RequestHandler {
                 ("walk_set_misses".to_string(), Value::Uint(memo.misses)),
             ]);
         }
+        if let Some(rows) = self.engine.two_hop_row_stats() {
+            cache.extend([
+                (
+                    "two_hop_row_entries".to_string(),
+                    Value::Uint(rows.entries as u64),
+                ),
+                (
+                    "two_hop_row_bytes".to_string(),
+                    Value::Uint(rows.bytes as u64),
+                ),
+                ("two_hop_row_hits".to_string(), Value::Uint(rows.hits)),
+                ("two_hop_row_misses".to_string(), Value::Uint(rows.misses)),
+            ]);
+        }
         // Latency section: lock-free counter snapshots, like the cache
         // section above.
         let histogram = self.metrics.latency();
@@ -959,7 +973,10 @@ impl RequestHandler {
                 ],
             );
         }
-        if let Some(memo) = self.engine.walk_set_stats() {
+        if let (Some(memo), Some(rows)) = (
+            self.engine.walk_set_stats(),
+            self.engine.two_hop_row_stats(),
+        ) {
             w.gauge(
                 "usim_walk_set_entries",
                 "Walk sets the walk-set memo keeps at the current epoch.",
@@ -971,11 +988,25 @@ impl RequestHandler {
                 "event",
                 &[("hit", memo.hits), ("miss", memo.misses)],
             );
+            w.gauge(
+                "usim_two_hop_row_entries",
+                "Two-hop rows the walk-set memo keeps at the current epoch.",
+                rows.entries as f64,
+            );
+            w.counter_family(
+                "usim_two_hop_row_events_total",
+                "Two-hop row lookups of exact m(2), by outcome (a miss scatters the row).",
+                "event",
+                &[("hit", rows.hits), ("miss", rows.misses)],
+            );
             w.gauge_family(
                 "usim_memory_bytes",
                 "Bytes held, by structure (computed from lengths and capacities).",
                 "structure",
-                &[("walk_sets", memo.bytes as f64)],
+                &[
+                    ("walk_sets", memo.bytes as f64),
+                    ("two_hop_rows", rows.bytes as f64),
+                ],
             );
         }
         let walk = walk_metrics().snapshot();
@@ -1642,6 +1673,19 @@ mod tests {
         );
         assert_eq!(get(cache, "walk_set_hits"), &Value::Uint(memo.hits));
         assert_eq!(get(cache, "walk_set_misses"), &Value::Uint(memo.misses));
+        // And its two-hop rows: every exact m(2) looked one up.
+        let rows = cached.cached_engine().two_hop_row_stats().unwrap();
+        assert!(rows.hits + rows.misses > 0, "{rows:?}");
+        assert_eq!(
+            get(cache, "two_hop_row_entries"),
+            &Value::Uint(rows.entries as u64)
+        );
+        assert_eq!(
+            get(cache, "two_hop_row_bytes"),
+            &Value::Uint(rows.bytes as u64)
+        );
+        assert_eq!(get(cache, "two_hop_row_hits"), &Value::Uint(rows.hits));
+        assert_eq!(get(cache, "two_hop_row_misses"), &Value::Uint(rows.misses));
     }
 
     #[test]

@@ -221,18 +221,23 @@ CLI_AFTER=$(table_column 2 "$CLI_CHURN")
 # reverse walk from the queried pairs ever reaches) is applied: its epoch
 # bump still invalidates the whole cache, so the repeated batch reads 3
 # stale entries, recomputes them, and must still match the CLI scores.
+# The walk-set memo's two-hop rows show in the stats frame and in a scrape
+# of the exporter.
 "$USIM" serve "$TMP/graph.tsv" --addr 127.0.0.1:0 --port-file "$TMP/port" \
     --workers 2 --max-connections 1 --cache-capacity 1024 \
+    --metrics-port 0 --metrics-port-file "$TMP/mport" \
     --samples "$SAMPLES" --seed "$SEED" --sampler "$SMOKE_SAMPLER" &
 SERVER_PID=$!
 for _ in $(seq 100); do
-    [ -s "$TMP/port" ] && break
+    [ -s "$TMP/port" ] && [ -s "$TMP/mport" ] && break
     sleep 0.1
 done
 [ -s "$TMP/port" ] || { echo "FAIL: cached server never wrote the port file"; exit 1; }
+[ -s "$TMP/mport" ] || { echo "FAIL: cached server never wrote the metrics port file"; exit 1; }
 ADDR=$(cat "$TMP/port")
 HOST=${ADDR%:*}
 PORT=${ADDR##*:}
+METRICS_ADDR=$(cat "$TMP/mport")
 echo "--- cached server up on $ADDR ---"
 
 connect3 "$HOST" "$PORT"
@@ -242,11 +247,17 @@ C_REVERSED=$(ask '{"type":"batch","pairs":[[20,10],[30,20],[40,30]]}')
 C_UPDATE=$(ask '{"type":"update","updates":[{"op":"insert","source":50,"target":50,"probability":0.5}]}')
 C_BATCH3=$(ask '{"type":"batch","pairs":[[10,20],[20,30],[30,40]]}')
 C_STATS=$(ask '{"type":"stats"}')
+exec 4<>"/dev/tcp/${METRICS_ADDR%:*}/${METRICS_ADDR##*:}"
+printf 'GET /metrics HTTP/1.0\r\n\r\n' >&4
+C_SCRAPE=$(cat <&4)
+exec 4<&- 4>&-
 exec 3<&- 3>&-
 wait "$SERVER_PID"
 SERVER_PID=""
 [ ! -f "$TMP/port" ] || {
     echo "FAIL: cached server's clean shutdown left the port file behind"; exit 1; }
+[ ! -f "$TMP/mport" ] || {
+    echo "FAIL: cached server's clean shutdown left the metrics port file behind"; exit 1; }
 
 [ "$C_BATCH1" = "$C_BATCH2" ] || {
     echo "FAIL: cached repeat batch differs from the fill batch"
@@ -284,7 +295,22 @@ case "$C_STATS" in
     *'"latency":{"count":5,'*) ;;
     *) echo "FAIL: latency histogram did not count the served frames: $C_STATS"; exit 1 ;;
 esac
-echo "--- cached server: repeat and reversed batches bit-identical from the cache, an update left 3 stale entries ---"
+# Each of the two computed batches ran exact m(2) on 3 pairs, looking up
+# the two-hop row of each pair's smaller compact id: 6 misses, no hit.
+# Labels 30 and 40 get ids 1 and 2, so label 30 is the smaller id of two
+# pairs of a batch, and its second miss keeps its row; the update cleared
+# the first batch's row, so one row is kept.
+case "$C_STATS" in
+    *'"two_hop_row_entries":1,"two_hop_row_bytes":'[0-9]*',"two_hop_row_hits":0,"two_hop_row_misses":6'*) ;;
+    *) echo "FAIL: stats frame misses the two-hop row counters: $C_STATS"; exit 1 ;;
+esac
+printf '%s\n' "$C_SCRAPE" | grep -q '^usim_memory_bytes{structure="two_hop_rows"} ' || {
+    echo "FAIL: the metrics scrape has no two_hop_rows memory line:"; echo "$C_SCRAPE"; exit 1; }
+printf '%s\n' "$C_SCRAPE" | grep -q '^usim_two_hop_row_events_total{event="miss"} 6$' || {
+    echo "FAIL: the metrics scrape does not count the 6 two-hop row misses:"; echo "$C_SCRAPE"; exit 1; }
+printf '%s\n' "$C_SCRAPE" | sed '1,/^\r*$/d' > "$TMP/cached_exposition.txt"
+scripts/lint_prometheus.sh "$TMP/cached_exposition.txt"
+echo "--- cached server: repeat and reversed batches bit-identical from the cache, an update left 3 stale entries, two-hop rows observable ---"
 
 # --- snapshot-backed server round ---------------------------------------
 # Convert the graph into a CSR snapshot, serve it with a durable update

@@ -276,3 +276,87 @@ proptest! {
         );
     }
 }
+
+/// Feeders `0..8` point at most of the middles `8..28`; every middle points
+/// at the hub `28` and a few at the tops `29..40`.  An in-neighbour two-hop
+/// row of the hub or a top lands its paths on the eight feeders, so each
+/// slot of the row sums several arcs.
+fn layered_hub_graph() -> UncertainGraph {
+    let mut builder = UncertainGraphBuilder::new(40);
+    for f in 0..8u32 {
+        for m in (8..28u32).filter(|m| (f + m) % 3 != 0) {
+            builder = builder.arc(f, m, 0.2 + 0.035 * ((f * m) % 20) as f64);
+        }
+    }
+    for m in 8..28u32 {
+        builder = builder.arc(m, 28, 0.05 + 0.04 * (m - 8) as f64);
+        for t in (29..40u32).filter(|t| (m * 7 + t * 3) % 5 == 0) {
+            builder = builder.arc(m, t, 0.1 + 0.04 * ((m + t) % 20) as f64);
+        }
+    }
+    builder.build().unwrap()
+}
+
+/// Memo-warm answers, whose exact m(2) fills its table from a kept two-hop
+/// row, equal a bare engine bit for bit: across update rounds (one edits
+/// the row of the hub's in-neighbour 9, which changes the hub's two-hop row
+/// but not its own row), for `(u, v)` and `(v, u)`, at 1 and 4 threads.
+#[test]
+fn memo_warm_two_hop_rows_equal_a_bare_engine_across_rounds_orders_and_threads() {
+    let g = layered_hub_graph();
+    let rounds = [
+        vec![],
+        vec![GraphUpdate::SetProbability {
+            source: 1,
+            target: 9,
+            probability: 0.9,
+        }],
+        vec![
+            GraphUpdate::InsertArc {
+                source: 2,
+                target: 28,
+                probability: 0.6,
+            },
+            GraphUpdate::DeleteArc {
+                source: 10,
+                target: 28,
+            },
+        ],
+    ];
+    // The hub, then the top 29, is the smaller endpoint of every pair.
+    let forward: Vec<(VertexId, VertexId)> = (29..40)
+        .map(|t| (28, t))
+        .chain((30..40).map(|t| (29, t)))
+        .collect();
+    let bits = |p: &MeetingProfile| p.meeting.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+    for threads in [1, 4] {
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let config = SimRankConfig::default().with_samples(30).with_seed(11);
+        let cached = CachedQueryEngine::new(QueryEngine::new(&g, config), 4096);
+        let mut bare = QueryEngine::new(&g, config);
+        let mut hits = 0;
+        for updates in &rounds {
+            cached.apply_updates(updates).unwrap();
+            bare.apply_updates(updates).unwrap();
+            let want = bare.batch_similarities(&forward).unwrap();
+            assert!(want.iter().all(|&s| s > 0.0));
+            let got = pool.install(|| cached.batch_similarities(&forward).unwrap().1);
+            assert_eq!(got, want, "{threads} threads: {updates:?}");
+            // Profiles are result-cache misses, so the reversed pairs are
+            // computed again, reading the rows the scores kept.
+            for &(u, v) in &forward {
+                let got = pool.install(|| served_profile(&cached, v, u).unwrap());
+                let want = bare.profile(v, u);
+                assert!(want.meeting[2] > 0.0, "({v}, {u})");
+                assert_eq!(bits(&got), bits(&want), "{threads} threads: ({v}, {u})");
+            }
+            let rows = cached.two_hop_row_stats().unwrap();
+            assert!(rows.hits > hits, "{threads} threads, {updates:?}: {rows:?}");
+            assert!(rows.entries >= 1, "{rows:?}");
+            hits = rows.hits;
+        }
+    }
+}
