@@ -6,7 +6,7 @@
 //! (Table V of the paper).
 
 use crate::args::{ArgSpec, Arguments};
-use crate::estimators::{config_from_args, CONFIG_OPTIONS};
+use crate::estimators::{config_from_args, reject_unread_options, OptionReader, CONFIG_OPTIONS};
 use crate::table::{fmt_millis, TextTable};
 use crate::CliError;
 use std::time::Instant;
@@ -57,6 +57,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     // The published experiment uses N = 1000; the CLI default keeps the demo
     // quick and can be raised with --samples.
     let mut config = config_from_args(&args)?;
+    reject_unread_options(&args, OptionReader::PairEstimators)?;
     if args.option("samples").is_none() {
         config = config.with_samples(200);
     }

@@ -6,7 +6,9 @@
 //! [`usim_core::par_top_k_pairs`].
 
 use crate::args::{ArgSpec, Arguments};
-use crate::estimators::{config_from_args, AlgorithmKind, CONFIG_OPTIONS};
+use crate::estimators::{
+    config_from_args, reject_unread_options, AlgorithmKind, OptionReader, CONFIG_OPTIONS,
+};
 use crate::graphio::load_graph;
 use crate::table::{fmt_millis, fmt_score, TextTable};
 use crate::CliError;
@@ -65,6 +67,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     let exhaustive_below: usize = args.parse_option("exhaustive-below", 150usize)?;
     let kind = AlgorithmKind::parse(args.option("algorithm").unwrap_or("two-phase"))?;
     let config = config_from_args(&args)?;
+    reject_unread_options(&args, OptionReader::PairEstimators)?;
 
     let loaded = load_graph(path)?;
     let pairs = candidate_pairs(

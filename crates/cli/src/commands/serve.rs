@@ -81,7 +81,7 @@
 //! commands' output; the returned string is the final serving summary.
 
 use crate::args::{ArgSpec, Arguments};
-use crate::estimators::{config_from_args, CONFIG_OPTIONS};
+use crate::estimators::{config_from_args, reject_unread_options, OptionReader, CONFIG_OPTIONS};
 use crate::graphio::{is_snapshot, load_graph};
 use crate::CliError;
 use std::io::Write;
@@ -122,6 +122,7 @@ fn spec() -> ArgSpec<'static> {
 pub fn run(tokens: &[String]) -> Result<String, CliError> {
     let args = Arguments::parse(tokens, &spec())?;
     let config = config_from_args(&args)?;
+    reject_unread_options(&args, OptionReader::Engine)?;
     let addr: String = args.option("addr").unwrap_or("127.0.0.1:7878").to_string();
     let workers: usize = args.parse_option("workers", 4usize)?;
     let max_batch: usize = args.parse_option("max-batch", DEFAULT_MAX_BATCH)?;

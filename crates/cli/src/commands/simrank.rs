@@ -20,7 +20,9 @@
 //! place through [`usim_core::QueryEngine::apply_updates`], never rebuilt.
 
 use crate::args::{ArgSpec, Arguments};
-use crate::estimators::{config_from_args, AlgorithmKind, CONFIG_OPTIONS};
+use crate::estimators::{
+    config_from_args, reject_unread_options, AlgorithmKind, OptionReader, CONFIG_OPTIONS,
+};
 use crate::graphio::{load_graph, LoadedGraph};
 use crate::table::{fmt_millis, fmt_score, TextTable};
 use crate::updates::read_update_rounds;
@@ -66,6 +68,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
                  walk meetings); --algorithm {algorithm:?} cannot be combined with it"
             )));
         }
+        reject_unread_options(&args, OptionReader::Engine)?;
         let loaded = load_graph(path)?;
         return run_batch(&args, path, batch_path, &loaded, config);
     }
@@ -76,6 +79,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
         ));
     }
 
+    reject_unread_options(&args, OptionReader::PairEstimators)?;
     let source_label: u64 = args.require_option("source")?;
     let target_label: u64 = args.require_option("target")?;
     let loaded = load_graph(path)?;
@@ -508,5 +512,40 @@ mod tests {
         assert!(run(&tokens(&[path.to_str().unwrap()])).is_err());
         assert!(run(&tokens(&[path.to_str().unwrap(), "--source", "0"])).is_err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn each_mode_rejects_the_options_it_does_not_read() {
+        let path = fig1_file("unread.tsv");
+        let pairs_path =
+            std::env::temp_dir().join(format!("usim_cli_simrank_unread_{}", std::process::id()));
+        std::fs::write(&pairs_path, "0 1\n").unwrap();
+        let (graph, pairs) = (path.to_str().unwrap(), pairs_path.to_str().unwrap());
+        let single = [graph, "--source", "0", "--target", "1", "--samples", "50"];
+        let batch = [graph, "--batch", pairs, "--samples", "50"];
+        let with = |base: &[&str], extra: &[&str]| {
+            run(&tokens(&[base, extra].concat())).map_err(|e| e.to_string())
+        };
+        // The batch engine reads --sampler but always takes l = 2.
+        assert!(with(&batch, &["--sampler", "alias"]).is_ok());
+        let err = with(&batch, &["--phase-switch", "2"]).unwrap_err();
+        assert!(
+            err.contains("--phase-switch") && err.contains("l = 2"),
+            "{err}"
+        );
+        // The paper's estimators read --phase-switch, and no --sampler.
+        assert!(with(&single, &["--phase-switch", "2"]).is_ok());
+        for extra in [
+            &["--sampler", "alias"][..],
+            &["--sampler", "legacy", "--compare"],
+        ] {
+            let err = with(&single, extra).unwrap_err();
+            assert!(
+                err.contains("--sampler") && err.contains("batch engine"),
+                "{err}"
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&pairs_path).unwrap();
     }
 }

@@ -12,7 +12,7 @@
 //! with thread-count-invariant output.
 
 use crate::args::{ArgSpec, Arguments};
-use crate::estimators::{config_from_args, CONFIG_OPTIONS};
+use crate::estimators::{config_from_args, reject_unread_options, OptionReader, CONFIG_OPTIONS};
 use crate::graphio::load_graph;
 use crate::table::{fmt_millis, fmt_score, TextTable};
 use crate::CliError;
@@ -50,6 +50,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     let start = Instant::now();
     let (top, how): (Vec<ScoredVertex>, String) = match engine_kind {
         "single-source" => {
+            reject_unread_options(&args, OptionReader::SingleSource)?;
             let mode = if args.switch("exact-source") {
                 SourceMode::Exact
             } else {
@@ -67,6 +68,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
                      always samples the source side",
                 ));
             }
+            reject_unread_options(&args, OptionReader::Engine)?;
             let threads: usize = args.parse_option("threads", 0usize)?;
             let engine = QueryEngine::new(&loaded.graph, config);
             let candidates: Vec<VertexId> = (0..loaded.graph.num_vertices() as VertexId).collect();
@@ -239,6 +241,27 @@ mod tests {
     fn missing_source_is_an_error() {
         let path = graph_file("missing.tsv");
         assert!(run(&tokens(&[path.to_str().unwrap()])).is_err());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn each_engine_rejects_the_options_it_does_not_read() {
+        let path = graph_file("unread.tsv");
+        let graph = path.to_str().unwrap();
+        let with = |extra: &[&str]| {
+            let base = [graph, "--source", "0", "--k", "2", "--samples", "50"];
+            run(&tokens(&[&base[..], extra].concat())).map_err(|e| e.to_string())
+        };
+        assert!(with(&["--engine", "batch", "--sampler", "alias"]).is_ok());
+        for engine in ["batch", "single-source"] {
+            let err = with(&["--engine", engine, "--phase-switch", "2"]).unwrap_err();
+            assert!(err.contains("--phase-switch"), "{engine}: {err}");
+        }
+        let err = with(&["--sampler", "alias"]).unwrap_err();
+        assert!(
+            err.contains("--sampler") && err.contains("batch engine"),
+            "{err}"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -9,7 +9,8 @@ use usim_core::{
 };
 
 /// Option names shared by every command that takes SimRank parameters; splice
-/// these into the command's [`crate::args::ArgSpec`].
+/// these into the command's [`crate::args::ArgSpec`], and call
+/// [`reject_unread_options`] once the command knows what answers.
 pub const CONFIG_OPTIONS: &[&str] = &[
     "decay",
     "horizon",
@@ -65,6 +66,53 @@ pub fn config_from_args(args: &Arguments) -> Result<SimRankConfig, CliError> {
         direction,
         sampler,
     })
+}
+
+/// What answers a command or mode, for the two shared options only some
+/// estimators read: `--phase-switch` and `--sampler`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OptionReader {
+    /// The CSR batch engine (`simrank --batch`, `topk --engine batch`,
+    /// `serve`): reads `--sampler`, and always takes `l = 2`.
+    Engine,
+    /// The paper's single-pair estimators (`simrank` without `--batch`,
+    /// `topk-pairs`, `er`): SR-TS and SR-SP read `--phase-switch`; every
+    /// family walks with the legacy per-arc kernel.
+    PairEstimators,
+    /// The single-source estimator (`topk --engine single-source`): reads
+    /// neither.
+    SingleSource,
+}
+
+/// Where `--sampler` is read, for the estimators that ignore it.
+const SAMPLER_READERS: &str =
+    "only the CSR batch engine (simrank --batch, topk --engine batch, serve) reads --sampler";
+
+/// Rejects `--phase-switch` or `--sampler` when `reader` would ignore it,
+/// so a command accepts only the options it reads.
+pub fn reject_unread_options(args: &Arguments, reader: OptionReader) -> Result<(), CliError> {
+    let unread: &[(&str, &str)] = match reader {
+        OptionReader::Engine => &[(
+            "phase-switch",
+            "the CSR batch engine always computes m(1) and m(2) exactly (SR-TS with l = 2)",
+        )],
+        OptionReader::PairEstimators => &[("sampler", SAMPLER_READERS)],
+        OptionReader::SingleSource => &[
+            (
+                "phase-switch",
+                "the single-source estimator has no exact phase",
+            ),
+            ("sampler", SAMPLER_READERS),
+        ],
+    };
+    for &(name, why) in unread {
+        if let Some(value) = args.option(name) {
+            return Err(CliError::new(format!(
+                "{why}; --{name} {value:?} cannot be combined with it"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// The estimator families the CLI can instantiate.
@@ -266,6 +314,34 @@ mod tests {
                 "{}: s(0,1) = {score}",
                 kind.display_name()
             );
+        }
+    }
+
+    #[test]
+    fn each_reader_rejects_exactly_the_options_it_ignores() {
+        let cases = [
+            (OptionReader::Engine, "phase-switch", false),
+            (OptionReader::Engine, "sampler", true),
+            (OptionReader::PairEstimators, "phase-switch", true),
+            (OptionReader::PairEstimators, "sampler", false),
+            (OptionReader::SingleSource, "phase-switch", false),
+            (OptionReader::SingleSource, "sampler", false),
+        ];
+        for (reader, name, reads) in cases {
+            let value = if name == "sampler" { "alias" } else { "2" };
+            let flag = format!("--{name}");
+            let args = parse(&[&flag, value]);
+            assert!(config_from_args(&args).is_ok());
+            match reject_unread_options(&args, reader) {
+                Ok(()) => assert!(reads, "{reader:?} must reject {flag}"),
+                Err(err) => {
+                    assert!(!reads, "{reader:?} reads {flag}: {err}");
+                    assert!(err.to_string().contains(&flag), "{err}");
+                    assert!(err.to_string().contains("cannot be combined"), "{err}");
+                }
+            }
+            // Without the option every reader accepts the arguments.
+            assert!(reject_unread_options(&parse(&["--seed", "3"]), reader).is_ok());
         }
     }
 }

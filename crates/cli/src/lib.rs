@@ -142,18 +142,22 @@ pub fn usage() -> String {
         "    --out, convert) write a snapshot when the path ends in .usim or .bin\n",
         "    and text otherwise, always in the original labels.\n",
         "\n",
-        "SIMRANK OPTIONS (shared by simrank, topk, topk-pairs, er):\n",
+        "SIMRANK OPTIONS (shared by simrank, topk, topk-pairs, er, serve):\n",
         "    --decay C          decay factor c in (0,1)        [default 0.6]\n",
         "    --horizon N        walk horizon n                  [default 5]\n",
         "    --samples N        sampled walks per query vertex  [default 100]\n",
         "    --phase-switch L   exact steps of SR-TS / SR-SP    [default 1]\n",
+        "                       (single-pair simrank, topk-pairs and er only: the\n",
+        "                       batch engine always takes m(1) and m(2) exactly)\n",
         "    --seed S           RNG seed                        [default fixed]\n",
         "    --direction in|out walk direction                  [default in]\n",
         "    --sampler legacy|alias\n",
-        "                       per-step walk backend: legacy draws each arc\n",
-        "                       lazily; alias draws each step from the vertex's\n",
-        "                       Walker alias row, built on first use (O(1) per step)\n",
-        "                                                       [default legacy]\n",
+        "                       per-step walk backend of the batch engine\n",
+        "                       (simrank --batch, topk --engine batch and serve\n",
+        "                       only): legacy draws each arc lazily; alias draws\n",
+        "                       each step from the vertex's Walker alias row,\n",
+        "                       built on first use (O(1) per step) [default legacy]\n",
+        "    A command or mode given an option it does not read fails with an error.\n",
         "\n",
         "BATCH / DYNAMIC-UPDATE OPTIONS:\n",
         "    --batch FILE       answer a pairs file (`source target` per line) with\n",

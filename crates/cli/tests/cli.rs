@@ -309,3 +309,34 @@ fn query_against_a_missing_file_fails_cleanly() {
     assert!(!output.status.success());
     assert!(stderr(&output).contains("error:"));
 }
+
+#[test]
+fn options_the_chosen_estimator_ignores_exit_2_with_a_named_error() {
+    let graph = temp("unread.tsv");
+    write_fig1(&graph);
+    let g = graph.to_str().unwrap();
+    let single = ["simrank", g, "--source", "0", "--target", "1"];
+    // `serve` gets an address it cannot bind, so a missed rejection fails
+    // instead of serving forever.
+    let serve = ["serve", g, "--addr", "999.999.999.999:1"];
+    let topk = ["topk", g, "--source", "0"];
+    let pairs = ["topk-pairs", g, "--k", "2", "--samples", "50"];
+    let er = ["er", "--records", "40"];
+    for (base, extra) in [
+        (&single[..], ["--sampler", "alias"]),
+        (&serve[..], ["--phase-switch", "2"]),
+        (&topk[..], ["--phase-switch", "2"]),
+        (&pairs[..], ["--sampler", "alias"]),
+        (&er[..], ["--sampler", "alias"]),
+    ] {
+        let output = usim(&[base, &extra[..]].concat());
+        assert_eq!(output.status.code(), Some(2), "{base:?} {extra:?}");
+        let message = stderr(&output);
+        assert!(message.starts_with("error: "), "{extra:?}: {message}");
+        assert!(message.contains(extra[0]), "{extra:?}: {message}");
+    }
+    // The paper's estimators read --phase-switch.
+    let output = usim(&[&pairs[..], &["--phase-switch", "2"]].concat());
+    assert!(output.status.success(), "{}", stderr(&output));
+    std::fs::remove_file(&graph).unwrap();
+}

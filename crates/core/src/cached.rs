@@ -36,43 +36,23 @@
 //! [`CachedQueryEngine::top_k`].  Each takes an optional [`StageTrace`];
 //! the per-request methods without one are one-line calls of them.
 //!
-//! Next to the result cache sits the **walk-set memo**: vertex → that
-//! vertex's walk set at the current epoch.  The misses a query computes
-//! fill it, and every later pair or `top_k` candidate naming the vertex
-//! reads the set instead of sampling its walks again.  A set is a pure
-//! function of `(seed, vertex, graph state)`, so memo-warm answers are the
-//! bits of a bare [`QueryEngine`].  The memo holds at most the result
-//! cache's capacity in sets; when full it computes without keeping.  A
-//! sampled set is moved into the memo, not copied.
-//!
-//! The memo also keeps **two-hop rows**: for a vertex `a`, the
-//! `(w, Pr(a →₂ w))` entries that exact `m(2)`'s scatter leaves in its
-//! table, in first-touch order (12 bytes each).  A pair whose smaller
-//! endpoint has a kept row fills the table from it instead of reading the
-//! row's two-hop arcs (about eleven per entry on R-MAT), and the other side
-//! gathers as before, so every `m(2)` keeps its bits.  Rows are kept on
-//! *second sight*: a vertex's first miss in an epoch only marks it, its
-//! second records and keeps the row.  The byte rule: kept rows, with the
-//! map slots of marked vertices, hold at most 4 KiB per set of capacity
-//! (256 MiB at 65,536); once a row does not fit, the epoch keeps no more.
-//!
-//! [`CachedQueryEngine::apply_updates`] clears sets, rows and marks under
-//! the write lock, in O(entries).
+//! The same capacity switches on the engine's own **walk-set memo**
+//! ([`crate::memo`]): [`CachedQueryEngine::new`] gives the engine a memo of
+//! that many per-vertex walk sets (and that many × 4 KiB of two-hop rows),
+//! which every engine query path reads and fills and
+//! [`QueryEngine::apply_updates`] clears under the write lock.  Its
+//! counters are [`QueryEngine::walk_set_stats`] and
+//! [`QueryEngine::two_hop_row_stats`], read through
+//! [`CachedQueryEngine::with_read`].
 //!
 //! With the cache disabled (capacity 0) there is no memo either, and every
 //! call goes straight to the engine's own entry points — which already
 //! deduplicate repeated pairs within one batch.
 
-use crate::engine::{
-    candidate_pairs, dedup_pairs, rank, QueryEngine, QueryError, TwoHopRow, WalkSet,
-};
+use crate::engine::{candidate_pairs, dedup_pairs, rank, QueryEngine, QueryError};
 use crate::meeting::MeetingProfile;
 use crate::top_k::ScoredVertex;
-use parking_lot::{Mutex, RwLock};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use parking_lot::RwLock;
 use ugraph::{GraphUpdate, UpdateError, UpdateSummary, VertexId};
 use usim_cache::{CacheStats, PairKey, ResultCache};
 use usim_obs::{time_stage, Stage, StageTrace};
@@ -97,245 +77,6 @@ const _: () = {
 enum CachedAnswer {
     Score(f64),
     Profile(MeetingProfile),
-}
-
-/// Shards of a [`WalkSetMemo`] (each with its own lock).
-const MEMO_SHARDS: usize = 16;
-
-/// Bytes of two-hop rows a memo may keep per set of its capacity: 256 MiB
-/// at a capacity of 65,536.  A row is kept only while the rows already kept
-/// leave room for it.
-const ROW_BYTES_PER_SET: usize = 4096;
-
-/// A snapshot of one structure of the walk-set memo (see
-/// [`CachedQueryEngine::walk_set_stats`] and
-/// [`CachedQueryEngine::two_hop_row_stats`]).  `hits` and `misses` are
-/// cumulative since construction; `entries` and `bytes` describe what is
-/// kept at the current epoch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Walk sets, or two-hop rows, kept.
-    pub entries: usize,
-    /// Bytes they hold: each one's fields and heap capacity plus its map
-    /// slot and reference counts (for rows, also the map slots of vertices
-    /// seen once).
-    pub bytes: usize,
-    /// Lookups that found the vertex's set or row.
-    pub hits: u64,
-    /// Lookups that did not, so the set was sampled or the row scattered.
-    pub misses: u64,
-}
-
-/// Lock-free counters behind one [`MemoStats`].
-#[derive(Debug, Default)]
-struct MemoCounters {
-    entries: AtomicUsize,
-    bytes: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl MemoCounters {
-    fn count_lookup(&self, hit: bool) {
-        let counter = if hit { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reserves `bytes` if that keeps the total within `budget`.
-    fn reserve_bytes(&self, bytes: usize, budget: usize) -> bool {
-        let before = self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        if before + bytes <= budget {
-            return true;
-        }
-        self.bytes.fetch_sub(bytes, Ordering::Relaxed);
-        false
-    }
-
-    fn reset(&self) {
-        self.entries.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
-    }
-
-    fn stats(&self) -> MemoStats {
-        MemoStats {
-            entries: self.entries.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// What a two-hop-row lookup found (see [`WalkSetMemo::row`]).
-pub(crate) enum RowLookup {
-    /// The vertex's kept row.
-    Hit(Arc<TwoHopRow>),
-    /// A miss on a vertex seen before in this epoch, with room left: record
-    /// the row and offer it ([`WalkSetMemo::offer_row`]).
-    Keep,
-    /// A miss to compute without keeping.
-    Skip,
-}
-
-/// One shard: vertex → walk set, and vertex → two-hop row (`None` for a
-/// vertex whose row has been computed once in this epoch).
-#[derive(Debug, Default)]
-struct MemoShard {
-    sets: HashMap<VertexId, Arc<WalkSet>>,
-    rows: HashMap<VertexId, Option<Arc<TwoHopRow>>>,
-}
-
-/// The epoch-scoped memo of a [`CachedQueryEngine`]: vertex → its
-/// [`WalkSet`] and its [`TwoHopRow`] at the current update epoch, with at
-/// most `capacity` sets and `capacity × ROW_BYTES_PER_SET` bytes of rows.
-/// Fills happen under the engine's read lock and clears under its write
-/// lock, so everything kept belongs to the epoch being served.
-///
-/// A row is kept on *second sight*: the first miss on a vertex in an epoch
-/// only marks it seen, and the second records the row and keeps it.  Most
-/// vertices a `churn` round reads are read once before the next update
-/// clears the memo, so they never pay for a row copy.  Once a row does not
-/// fit, no further row is kept until the next clear.
-#[derive(Debug)]
-pub(crate) struct WalkSetMemo {
-    shards: Vec<Mutex<MemoShard>>,
-    capacity: usize,
-    row_budget: usize,
-    rows_full: AtomicBool,
-    sets: MemoCounters,
-    rows: MemoCounters,
-}
-
-impl WalkSetMemo {
-    pub(crate) fn new(capacity: usize) -> Self {
-        WalkSetMemo {
-            shards: (0..MEMO_SHARDS).map(|_| Mutex::default()).collect(),
-            capacity,
-            row_budget: capacity.saturating_mul(ROW_BYTES_PER_SET),
-            rows_full: AtomicBool::new(false),
-            sets: MemoCounters::default(),
-            rows: MemoCounters::default(),
-        }
-    }
-
-    fn shard(&self, vertex: VertexId) -> &Mutex<MemoShard> {
-        let mixed = u64::from(vertex).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.shards[(mixed >> 32) as usize % MEMO_SHARDS]
-    }
-
-    /// `vertex`'s kept set, counting the lookup as a hit or a miss.
-    pub(crate) fn get(&self, vertex: VertexId) -> Option<Arc<WalkSet>> {
-        let set = self.shard(vertex).lock().sets.get(&vertex).cloned();
-        self.sets.count_lookup(set.is_some());
-        set
-    }
-
-    /// Keeps `vertex`'s freshly sampled set when there is room, taking it
-    /// out of `set` (left empty) instead of copying it, and returns it.  Two
-    /// workers that sampled the same vertex offer equal sets; the second is
-    /// returned but not kept.  With no room, `set` is left as it is.
-    pub(crate) fn offer(&self, vertex: VertexId, set: &mut WalkSet) -> Option<Arc<WalkSet>> {
-        if self.sets.entries.fetch_add(1, Ordering::Relaxed) >= self.capacity {
-            self.sets.entries.fetch_sub(1, Ordering::Relaxed);
-            return None;
-        }
-        let kept = Arc::new(std::mem::take(set));
-        let bytes = kept.bytes() + Self::SLOT_BYTES;
-        let mut shard = self.shard(vertex).lock();
-        match shard.sets.entry(vertex) {
-            Entry::Occupied(_) => {
-                self.sets.entries.fetch_sub(1, Ordering::Relaxed);
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(Arc::clone(&kept));
-                self.sets.bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
-        }
-        Some(kept)
-    }
-
-    /// `vertex`'s kept two-hop row, or what to do on the miss: the first
-    /// miss in an epoch marks the vertex seen, the second asks for the row.
-    /// Counts the lookup as a hit or a miss.
-    pub(crate) fn row(&self, vertex: VertexId) -> RowLookup {
-        let full = self.rows_full.load(Ordering::Relaxed);
-        let mut shard = self.shard(vertex).lock();
-        let lookup = match shard.rows.get(&vertex) {
-            Some(Some(row)) => RowLookup::Hit(Arc::clone(row)),
-            Some(None) if !full => RowLookup::Keep,
-            Some(None) => RowLookup::Skip,
-            None if full => RowLookup::Skip,
-            None => {
-                if self
-                    .rows
-                    .reserve_bytes(Self::ROW_SLOT_BYTES, self.row_budget)
-                {
-                    shard.rows.insert(vertex, None);
-                } else {
-                    self.rows_full.store(true, Ordering::Relaxed);
-                }
-                RowLookup::Skip
-            }
-        };
-        drop(shard);
-        self.rows.count_lookup(matches!(lookup, RowLookup::Hit(_)));
-        lookup
-    }
-
-    /// Keeps `vertex`'s freshly recorded row, answering a
-    /// [`RowLookup::Keep`], if it fits the budget; a row that does not fit
-    /// stops the keeping of rows until the next clear.
-    pub(crate) fn offer_row(&self, vertex: VertexId, row: TwoHopRow) {
-        let bytes = row.bytes() + 2 * std::mem::size_of::<usize>();
-        if !self.rows.reserve_bytes(bytes, self.row_budget) {
-            self.rows_full.store(true, Ordering::Relaxed);
-            return;
-        }
-        let row = Arc::new(row);
-        let mut shard = self.shard(vertex).lock();
-        match shard.rows.get_mut(&vertex) {
-            Some(slot @ None) => {
-                *slot = Some(row);
-                self.rows.entries.fetch_add(1, Ordering::Relaxed);
-            }
-            // A racing worker kept an equal row first.
-            _ => {
-                self.rows.bytes.fetch_sub(bytes, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// A set's map slot plus an `Arc`'s two reference counts.
-    const SLOT_BYTES: usize =
-        std::mem::size_of::<(VertexId, Arc<WalkSet>)>() + 2 * std::mem::size_of::<usize>();
-
-    /// A row's map slot, counted from the vertex's first sight.
-    const ROW_SLOT_BYTES: usize = std::mem::size_of::<(VertexId, Option<Arc<TwoHopRow>>)>();
-
-    /// The two-hop rows' counters.
-    pub(crate) fn row_stats(&self) -> MemoStats {
-        self.rows.stats()
-    }
-
-    /// Drops every kept set and row and every seen mark; O(entries).
-    /// Called under the engine's write lock, so no reader is filling the
-    /// memo meanwhile.
-    fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            // Fresh maps: clearing in place would keep the largest table
-            // the memo ever grew to, and `clear` walks it.
-            if !shard.sets.is_empty() {
-                shard.sets = HashMap::new();
-            }
-            if !shard.rows.is_empty() {
-                shard.rows = HashMap::new();
-            }
-        }
-        self.sets.reset();
-        self.rows.reset();
-        self.rows_full.store(false, Ordering::Relaxed);
-    }
 }
 
 /// A reader/writer-locked [`QueryEngine`] with an optional epoch-validated
@@ -385,28 +126,20 @@ impl WalkSetMemo {
 #[derive(Debug)]
 pub struct CachedQueryEngine {
     engine: RwLock<QueryEngine>,
-    cache: Option<Caches>,
-}
-
-/// The result cache and the walk-set memo, both bounded by one capacity.
-#[derive(Debug)]
-struct Caches {
-    results: ResultCache<PairKey, CachedAnswer>,
-    walk_sets: WalkSetMemo,
+    results: Option<ResultCache<PairKey, CachedAnswer>>,
 }
 
 impl CachedQueryEngine {
     /// Takes ownership of `engine` behind a reader/writer lock, with a
-    /// result cache bounded to `capacity` entries and a walk-set memo
-    /// bounded to `capacity` sets and `capacity` × 4 KiB of two-hop rows in
-    /// front of it; `capacity == 0` disables both (no map is allocated).
-    pub fn new(engine: QueryEngine, capacity: usize) -> Self {
+    /// result cache bounded to `capacity` entries in front of it, and gives
+    /// the engine a walk-set memo bounded to `capacity` sets and `capacity`
+    /// × 4 KiB of two-hop rows; `capacity == 0` disables both (no map is
+    /// allocated).
+    pub fn new(mut engine: QueryEngine, capacity: usize) -> Self {
+        engine.keep_walk_sets(capacity);
         CachedQueryEngine {
             engine: RwLock::new(engine),
-            cache: (capacity > 0).then(|| Caches {
-                results: ResultCache::new(capacity),
-                walk_sets: WalkSetMemo::new(capacity),
-            }),
+            results: (capacity > 0).then(|| ResultCache::new(capacity)),
         }
     }
 
@@ -461,29 +194,17 @@ impl CachedQueryEngine {
 
     /// Whether a cache is attached.
     pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
+        self.results.is_some()
     }
 
     /// The configured cache capacity (0 when disabled).
     pub fn cache_capacity(&self) -> usize {
-        self.cache.as_ref().map_or(0, |c| c.results.capacity())
+        self.results.as_ref().map_or(0, ResultCache::capacity)
     }
 
     /// Snapshot of the cache counters, or `None` when caching is disabled.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.results.stats())
-    }
-
-    /// Snapshot of the walk-set memo's sets, or `None` when caching is
-    /// disabled.
-    pub fn walk_set_stats(&self) -> Option<MemoStats> {
-        self.cache.as_ref().map(|c| c.walk_sets.sets.stats())
-    }
-
-    /// Snapshot of the walk-set memo's two-hop rows, or `None` when caching
-    /// is disabled.
-    pub fn two_hop_row_stats(&self) -> Option<MemoStats> {
-        self.cache.as_ref().map(|c| c.walk_sets.row_stats())
+        self.results.as_ref().map(ResultCache::stats)
     }
 
     /// `(epoch, score)` of one pair (see [`QueryEngine::try_similarity`]).
@@ -540,18 +261,16 @@ impl CachedQueryEngine {
         self.with_read(|e| {
             e.validate_vertices([u, v])?;
             let epoch = e.update_epoch();
-            let Some(Caches { results, walk_sets }) = &self.cache else {
-                return Ok((
-                    epoch,
-                    time_stage(trace, Stage::WalkSample, || e.profile(u, v)),
-                ));
+            let sample = || time_stage(trace, Stage::WalkSample, || e.profile(u, v));
+            let Some(results) = &self.results else {
+                return Ok((epoch, sample()));
             };
             let key = PairKey::profile(u, v);
             let hit = time_stage(trace, Stage::CacheLookup, || results.get(&key, epoch));
             if let Some(CachedAnswer::Profile(profile)) = hit {
                 return Ok((epoch, profile));
             }
-            let profile = time_stage(trace, Stage::WalkSample, || e.profile_memo(u, v, walk_sets));
+            let profile = sample();
             results.insert(key, CachedAnswer::Profile(profile.clone()), epoch);
             Ok((epoch, profile))
         })
@@ -585,24 +304,21 @@ impl CachedQueryEngine {
     /// under one write-lock acquisition, while no query is in flight (see
     /// [`QueryEngine::apply_updates`]; a rejected batch leaves the engine
     /// untouched).  The epoch bump invalidates every cached entry: each
-    /// one reads as `stale` from then on and is recomputed on its next ask.
-    /// The walk-set memo (sets, rows and seen marks) is cleared before the
-    /// write lock is released.
+    /// one reads as `stale` from then on and is recomputed on its next ask;
+    /// the engine clears its walk-set memo before the write lock is
+    /// released.
     pub fn apply_updates(
         &self,
         updates: &[GraphUpdate],
     ) -> Result<(UpdateSummary, u64), UpdateError> {
         let mut e = self.engine.write();
         let summary = e.apply_updates(updates)?;
-        if let Some(cache) = &self.cache {
-            cache.walk_sets.clear();
-        }
         Ok((summary, e.update_epoch()))
     }
 
     /// Scores for `pairs` in input order at `epoch`, serving hits from the
-    /// cache and computing the misses as one engine batch, on the memo's
-    /// walk sets, under the read lock already held by the caller (so
+    /// cache and computing the misses as one engine batch, under the read
+    /// lock already held by the caller (so
     /// `epoch` cannot move while the misses are computed or inserted).  Ids
     /// must already be validated: cached entries were validated when first
     /// computed, and vertex count never changes, so partial cache service
@@ -617,8 +333,8 @@ impl CachedQueryEngine {
         if pairs.is_empty() {
             return Vec::new();
         }
-        let Some(Caches { results, walk_sets }) = &self.cache else {
-            return time_stage(trace, Stage::WalkSample, || e.batch_scores(pairs, None));
+        let Some(results) = &self.results else {
+            return time_stage(trace, Stage::WalkSample, || e.batch_scores(pairs));
         };
         let mut scores = vec![0.0f64; pairs.len()];
         let mut miss_slots: Vec<usize> = Vec::new();
@@ -642,9 +358,7 @@ impl CachedQueryEngine {
             // inserted once; one engine batch covers them all, sharded
             // across workers.
             let (distinct, distinct_of) = dedup_pairs(&misses);
-            let computed = time_stage(trace, Stage::WalkSample, || {
-                e.batch_scores(&distinct, Some(walk_sets))
-            });
+            let computed = time_stage(trace, Stage::WalkSample, || e.batch_scores(&distinct));
             for (&slot, &index) in miss_slots.iter().zip(distinct_of.iter()) {
                 scores[slot] = computed[index];
             }
@@ -659,6 +373,7 @@ impl CachedQueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::WalkSet;
     use crate::SimRankConfig;
     use ugraph::UncertainGraphBuilder;
 
@@ -752,14 +467,14 @@ mod tests {
                         let want = bare.batch_top_k_similar_to(query, &[0, 1, 2, 3, 4], 5);
                         assert_eq!(ranked, want.unwrap());
                     }
-                    let memo = cached.walk_set_stats().unwrap();
+                    let memo = cached.with_read(QueryEngine::walk_set_stats).unwrap();
                     assert!(memo.hits > 0, "{sampler}, {capacity}: {memo:?}");
                     assert!((1..=capacity).contains(&memo.entries), "{memo:?}");
                     assert!(memo.bytes >= memo.entries * std::mem::size_of::<WalkSet>());
                     if let Some(update) = rounds.get(round) {
                         cached.apply_updates(&[*update]).unwrap();
                         bare.apply_updates(&[*update]).unwrap();
-                        let cleared = cached.walk_set_stats().unwrap();
+                        let cleared = cached.with_read(QueryEngine::walk_set_stats).unwrap();
                         assert_eq!((cleared.entries, cleared.bytes), (0, 0));
                     }
                 }
@@ -789,7 +504,7 @@ mod tests {
         let cached = CachedQueryEngine::new(QueryEngine::new(&g, config), 64);
         let mut bare = QueryEngine::new(&g, config);
         let rows = || {
-            let rows = cached.two_hop_row_stats().unwrap();
+            let rows = cached.with_read(QueryEngine::two_hop_row_stats).unwrap();
             (rows.entries, rows.hits, rows.misses)
         };
         // 16 is the smaller endpoint of every pair, whose row m(2) reads.
@@ -798,14 +513,23 @@ mod tests {
             bare.similarity(16, 17)
         );
         assert_eq!(rows(), (0, 0, 1), "the first miss keeps no row");
-        let marked = cached.two_hop_row_stats().unwrap().bytes;
+        let marked = cached
+            .with_read(QueryEngine::two_hop_row_stats)
+            .unwrap()
+            .bytes;
         assert!(marked > 0, "the mark's map slot is counted");
         assert_eq!(
             cached.similarity(16, 18).unwrap().1,
             bare.similarity(16, 18)
         );
         assert_eq!(rows(), (1, 0, 2), "the second miss keeps the row");
-        assert!(cached.two_hop_row_stats().unwrap().bytes > marked);
+        assert!(
+            cached
+                .with_read(QueryEngine::two_hop_row_stats)
+                .unwrap()
+                .bytes
+                > marked
+        );
         assert_eq!(
             cached.similarity(19, 16).unwrap().1,
             bare.similarity(19, 16)
@@ -820,13 +544,81 @@ mod tests {
         }];
         cached.apply_updates(&update).unwrap();
         bare.apply_updates(&update).unwrap();
-        let cleared = cached.two_hop_row_stats().unwrap();
+        let cleared = cached.with_read(QueryEngine::two_hop_row_stats).unwrap();
         assert_eq!((cleared.entries, cleared.bytes), (0, 0));
         assert_eq!(
             cached.similarity(16, 20).unwrap().1,
             bare.similarity(16, 20)
         );
         assert_eq!(rows(), (0, 1, 3));
+    }
+
+    #[test]
+    fn a_rejected_update_batch_leaves_the_memo_as_it_was() {
+        let g = layered_graph();
+        let config = SimRankConfig::default().with_samples(40).with_seed(5);
+        let cached = CachedQueryEngine::new(QueryEngine::new(&g, config), 64);
+        let bare = QueryEngine::new(&g, config);
+        let memo =
+            || cached.with_read(|e| (e.walk_set_stats().unwrap(), e.two_hop_row_stats().unwrap()));
+        // 16 is the smaller endpoint twice, so it keeps its row; 17 once, so
+        // it is only marked.  Every endpoint keeps its set.  One pair at a
+        // time, so no two workers miss on one vertex at once.
+        for (u, v) in [(16, 18), (16, 19), (17, 20)] {
+            assert_eq!(cached.similarity(u, v).unwrap().1, bare.similarity(u, v));
+        }
+        let (sets, rows) = memo();
+        assert_eq!(
+            (sets.entries, sets.hits, sets.misses),
+            (5, 1, 5),
+            "{sets:?}"
+        );
+        assert_eq!(
+            (rows.entries, rows.hits, rows.misses),
+            (1, 0, 3),
+            "{rows:?}"
+        );
+
+        // A valid edit, then a missing arc: the whole batch is rejected.
+        let rejected = [
+            GraphUpdate::SetProbability {
+                source: 1,
+                target: 9,
+                probability: 0.9,
+            },
+            GraphUpdate::DeleteArc {
+                source: 0,
+                target: 23,
+            },
+        ];
+        assert_eq!(
+            cached.apply_updates(&rejected).unwrap_err(),
+            UpdateError::ArcNotFound {
+                source: 0,
+                target: 23
+            }
+        );
+        assert_eq!(cached.update_epoch(), 0);
+        assert_eq!(memo(), (sets, rows), "sets, rows and marks are kept");
+
+        // The next query hits the kept sets and 16's row, and 17's mark makes
+        // its next miss keep its row.
+        assert_eq!(
+            cached.similarity(16, 20).unwrap().1,
+            bare.similarity(16, 20)
+        );
+        assert_eq!(
+            cached.similarity(17, 21).unwrap().1,
+            bare.similarity(17, 21)
+        );
+        let (sets_after, rows_after) = memo();
+        assert_eq!(sets_after.hits, sets.hits + 3, "{sets_after:?}");
+        assert_eq!(sets_after.misses, sets.misses + 1, "{sets_after:?}");
+        assert_eq!(
+            (rows_after.entries, rows_after.hits, rows_after.misses),
+            (2, 1, 4),
+            "{rows_after:?}"
+        );
     }
 
     #[test]
@@ -846,42 +638,10 @@ mod tests {
             let want = bare.profile(u, v);
             assert!(want.meeting[2] > 0.0, "({u}, {v})");
             assert_eq!(bits(&profile), bits(&want), "({u}, {v})");
-            let rows = cached.two_hop_row_stats().unwrap();
+            let rows = cached.with_read(QueryEngine::two_hop_row_stats).unwrap();
             let hits = u64::from(u.min(v) == 17);
             assert_eq!((rows.entries, rows.hits), (1, hits), "({u}, {v}): {rows:?}");
         }
-    }
-
-    #[test]
-    fn two_hop_rows_stop_at_the_byte_budget() {
-        // Capacity 1 allows 4 KiB of rows.
-        let memo = WalkSetMemo::new(1);
-        for vertex in [1, 2, 3] {
-            assert!(matches!(memo.row(vertex), RowLookup::Skip));
-        }
-        let marks = memo.row_stats().bytes;
-        assert_eq!(marks, 3 * WalkSetMemo::ROW_SLOT_BYTES);
-        let row = |entries: u32| TwoHopRow {
-            targets: (0..entries).collect(),
-            sums: vec![0.25; entries as usize],
-        };
-        assert!(matches!(memo.row(1), RowLookup::Keep));
-        memo.offer_row(1, row(8));
-        assert!(matches!(memo.row(1), RowLookup::Hit(_)));
-        // 400 entries take 4.8 KB: the row is dropped, and the epoch keeps
-        // no further row, even one that would fit.
-        assert!(matches!(memo.row(2), RowLookup::Keep));
-        memo.offer_row(2, row(400));
-        assert!(matches!(memo.row(2), RowLookup::Skip));
-        assert!(matches!(memo.row(3), RowLookup::Skip));
-        let rows = memo.row_stats();
-        assert_eq!(rows.entries, 1);
-        assert!(rows.bytes <= 4096, "{rows:?}");
-        // A clear starts a new epoch with the whole budget.
-        memo.clear();
-        assert!(matches!(memo.row(2), RowLookup::Skip));
-        assert!(matches!(memo.row(2), RowLookup::Keep));
-        assert_eq!(memo.row_stats().entries, 0);
     }
 
     #[test]
@@ -906,7 +666,7 @@ mod tests {
         assert!(!cached.cache_enabled());
         assert_eq!(cached.cache_capacity(), 0);
         assert!(cached.cache_stats().is_none());
-        assert!(cached.walk_set_stats().is_none());
+        assert!(cached.with_read(QueryEngine::walk_set_stats).is_none());
         let (epoch, scores) = cached.batch_similarities(&all_pairs()).unwrap();
         assert_eq!(epoch, 0);
         assert_eq!(scores, reference.batch_similarities(&all_pairs()).unwrap());

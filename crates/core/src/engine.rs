@@ -48,19 +48,17 @@
 //! (`SamplingEstimator`, `TwoPhaseEstimator`, `SpeedupEstimator`) keep
 //! Eq. 13 and honour it.
 //!
-//! The engine keeps no walks and no two-hop rows across calls.  The caching
-//! layer ([`crate::CachedQueryEngine`]) keeps, for the current update
-//! epoch, each vertex's walk set and, from the second time a vertex's
-//! two-hop row is computed in the epoch, that row: the `(w, Pr(a →₂ w))`
-//! entries exact `m(2)`'s scatter leaves in its table, in first-touch
-//! order.  A later pair naming the vertex reads the set instead of sampling
-//! it, and fills the table from the row instead of scattering the row's
-//! two-hop arcs.  Every slot then holds the same `f64` the scatter would
-//! have summed, so the answers are the same bits either way.
+//! A bare engine keeps no walks and no two-hop rows across calls.  An
+//! engine handed to [`crate::CachedQueryEngine::new`] with a capacity above
+//! 0 (`usim serve --cache-capacity`) owns a walk-set memo ([`crate::memo`]):
+//! each vertex's walk set and two-hop row `Pr(a →₂ w)` at the current
+//! epoch, which every query path reads instead of sampling the set or
+//! scattering the row's two-hop arcs, with the same answer bits, and which
+//! [`QueryEngine::apply_updates`] clears.
 
-use crate::cached::{RowLookup, WalkSetMemo};
 use crate::config::{SamplerKind, SimRankConfig, WalkDirection};
 use crate::meeting::MeetingProfile;
+use crate::memo::{MemoStats, RowLookup, WalkSetMemo};
 use crate::top_k::ScoredVertex;
 use crate::SimRankEstimator;
 use parking_lot::Mutex;
@@ -116,7 +114,7 @@ impl Stream {
 /// only by pairs with a self-loop endpoint, whose `m(2)` stays sampled.
 ///
 /// A set depends only on `(seed, vertex, graph, config)`, so any number of
-/// pairs can share it: the caching layer keeps it per vertex for the
+/// pairs can share it: the engine's memo keeps it per vertex for the
 /// current update epoch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct WalkSet {
@@ -424,6 +422,8 @@ pub struct QueryEngine {
     /// used to reason about arena invalidation.
     epoch: u64,
     scratch: ScratchPool,
+    /// The walk-set memo of the current epoch; `None` for a bare engine.
+    memo: Option<WalkSetMemo>,
 }
 
 impl QueryEngine {
@@ -453,7 +453,26 @@ impl QueryEngine {
             config,
             epoch: 0,
             scratch: ScratchPool::default(),
+            memo: None,
         }
+    }
+
+    /// Gives the engine a walk-set memo of `capacity` sets (and `capacity` ×
+    /// 4 KiB of two-hop rows), or none when `capacity` is 0; used by
+    /// [`crate::CachedQueryEngine::new`].
+    pub(crate) fn keep_walk_sets(&mut self, capacity: usize) {
+        self.memo = (capacity > 0).then(|| WalkSetMemo::new(capacity));
+    }
+
+    /// Snapshot of the walk-set memo's sets, or `None` without a memo.
+    pub fn walk_set_stats(&self) -> Option<MemoStats> {
+        self.memo.as_ref().map(WalkSetMemo::set_stats)
+    }
+
+    /// Snapshot of the walk-set memo's two-hop rows, or `None` without a
+    /// memo.
+    pub fn two_hop_row_stats(&self) -> Option<MemoStats> {
+        self.memo.as_ref().map(WalkSetMemo::row_stats)
     }
 
     /// The configuration in use.
@@ -496,10 +515,11 @@ impl QueryEngine {
     /// first and an `Err` leaves the engine untouched.
     ///
     /// On success the live views serve the new adjacency immediately, the
-    /// update epoch is bumped, and every pooled worker arena is invalidated
-    /// in O(1) ([`WalkArena::invalidate`]) — memoized arc instantiations
+    /// update epoch is bumped, every pooled worker arena is invalidated in
+    /// O(1) ([`WalkArena::invalidate`]) — memoized arc instantiations
     /// recorded against the old graph are unreachable without a single
-    /// buffer being reallocated.  When accumulated churn crosses the
+    /// buffer being reallocated — and the walk-set memo, if any, drops its
+    /// sets, rows and seen marks.  When accumulated churn crosses the
     /// overlay's [`CompactionPolicy`] threshold the deltas are folded back
     /// into a fresh CSR base (reported in the returned
     /// [`UpdateSummary::compacted`]).
@@ -549,6 +569,9 @@ impl QueryEngine {
         self.epoch += 1;
         for scratch in self.scratch.free.get_mut().iter_mut() {
             scratch.sampler.arena.invalidate();
+        }
+        if let Some(memo) = &mut self.memo {
+            memo.clear();
         }
         Ok(summary)
     }
@@ -621,20 +644,7 @@ impl QueryEngine {
     /// ```
     pub fn profile(&self, u: VertexId, v: VertexId) -> MeetingProfile {
         let mut scratch = self.scratch.checkout();
-        self.profile_with(scratch.get_mut(), u, v, None)
-    }
-
-    /// [`QueryEngine::profile`] reading each vertex's walk set from `memo`
-    /// and offering the sets it samples to it: the caching layer's entry
-    /// point.  The same bits as [`QueryEngine::profile`].
-    pub(crate) fn profile_memo(
-        &self,
-        u: VertexId,
-        v: VertexId,
-        memo: &WalkSetMemo,
-    ) -> MeetingProfile {
-        let mut scratch = self.scratch.checkout();
-        self.profile_with(scratch.get_mut(), u, v, Some(memo))
+        self.profile_with(scratch.get_mut(), u, v)
     }
 
     /// Fallible [`QueryEngine::profile`]: out-of-range ids are a typed
@@ -668,18 +678,12 @@ impl QueryEngine {
     /// already wrote — the tally consumes zero RNG draws and never branches
     /// on sampled values, so metered and unmetered calls are bit-identical.
     /// One relaxed load per query when metering is off.
-    fn profile_with(
-        &self,
-        scratch: &mut Scratch,
-        u: VertexId,
-        v: VertexId,
-        memo: Option<&WalkSetMemo>,
-    ) -> MeetingProfile {
+    fn profile_with(&self, scratch: &mut Scratch, u: VertexId, v: VertexId) -> MeetingProfile {
         if !usim_obs::walk_metrics().enabled() {
-            return self.sample_profile(scratch, u, v, memo, None);
+            return self.sample_profile(scratch, u, v, None);
         }
         let mut tally = usim_obs::WalkTally::default();
-        let profile = self.sample_profile(scratch, u, v, memo, Some(&mut tally));
+        let profile = self.sample_profile(scratch, u, v, Some(&mut tally));
         usim_obs::walk_metrics().flush(&tally);
         profile
     }
@@ -704,15 +708,14 @@ impl QueryEngine {
     ///   deterministic; it is symmetric in the two sets, and so is every
     ///   exact step, so `(u, v)` and `(v, u)` give the same bits.
     ///
-    /// `u`'s set is read from `memo` when it holds one; otherwise it is
-    /// sampled and offered to it.  The self-pair's twin set is always
+    /// With a memo, `u`'s set is read from it when it holds one; otherwise
+    /// it is sampled and offered to it.  The self-pair's twin set is always
     /// sampled.  Exact `m(2)` reads and offers two-hop rows the same way.
     fn sample_profile(
         &self,
         scratch: &mut Scratch,
         u: VertexId,
         v: VertexId,
-        memo: Option<&WalkSetMemo>,
         mut tally: Option<&mut usim_obs::WalkTally>,
     ) -> MeetingProfile {
         let num_vertices = self.num_vertices();
@@ -743,7 +746,7 @@ impl QueryEngine {
         // W(2) = W(1)² unless a walk can leave its start twice in two steps,
         // which only a self-loop at the start allows (Lemma 3).
         let first_sampled = if n >= 2 && !view.has_arc(u, u) && !view.has_arc(v, v) {
-            meeting[2] = exact_step_two(&view, u, v, two_hop, touched, memo);
+            meeting[2] = exact_step_two(&view, u, v, two_hop, touched, self.memo.as_ref());
             3
         } else {
             2
@@ -756,14 +759,8 @@ impl QueryEngine {
         } else {
             Stream::Vertex(v)
         };
-        let set_u = self.walk_set(
-            sampler,
-            set_u,
-            Stream::Vertex(u),
-            memo,
-            tally.as_deref_mut(),
-        );
-        let set_v = self.walk_set(sampler, set_v, other, memo, tally.as_deref_mut());
+        let set_u = self.walk_set(sampler, set_u, Stream::Vertex(u), tally.as_deref_mut());
+        let set_v = self.walk_set(sampler, set_v, other, tally.as_deref_mut());
         let num_samples = self.config.num_samples as f64;
         let walk_pairs = num_samples * num_samples;
         let mut met_total = 0;
@@ -778,18 +775,20 @@ impl QueryEngine {
         MeetingProfile::new(meeting, self.config.decay)
     }
 
-    /// `stream`'s walk set: `memo`'s copy when it keeps one (twin sets are
-    /// never kept), else sampled into `buf` and offered to `memo`, which
+    /// `stream`'s walk set: the memo's copy when it keeps one (twin sets are
+    /// never kept), else sampled into `buf` and offered to the memo, which
     /// takes the buffer when it has room and leaves `buf` empty.
     fn walk_set<'s>(
         &self,
         sampler: &mut SetSampler,
         buf: &'s mut WalkSet,
         stream: Stream,
-        memo: Option<&WalkSetMemo>,
         tally: Option<&mut usim_obs::WalkTally>,
     ) -> SetRef<'s> {
-        let memo = memo.filter(|_| matches!(stream, Stream::Vertex(_)));
+        let memo = self
+            .memo
+            .as_ref()
+            .filter(|_| matches!(stream, Stream::Vertex(_)));
         if let Some(set) = memo.and_then(|memo| memo.get(stream.start())) {
             return SetRef::Kept(set);
         }
@@ -882,9 +881,7 @@ impl QueryEngine {
         pairs: &[(VertexId, VertexId)],
     ) -> Result<Vec<MeetingProfile>, QueryError> {
         self.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
-        Ok(self.par_map_distinct(pairs, |scratch, u, v| {
-            self.profile_with(scratch, u, v, None)
-        }))
+        Ok(self.par_map_distinct(pairs, |scratch, u, v| self.profile_with(scratch, u, v)))
     }
 
     /// SimRank scores for a batch of pairs, in input order.  Bit-identical
@@ -922,18 +919,14 @@ impl QueryEngine {
         pairs: &[(VertexId, VertexId)],
     ) -> Result<Vec<f64>, QueryError> {
         self.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
-        Ok(self.batch_scores(pairs, None))
+        Ok(self.batch_scores(pairs))
     }
 
     /// [`QueryEngine::batch_similarities`] of pairs whose ids the caller
-    /// validated, reading and filling `memo`'s walk sets when one is given.
-    pub(crate) fn batch_scores(
-        &self,
-        pairs: &[(VertexId, VertexId)],
-        memo: Option<&WalkSetMemo>,
-    ) -> Vec<f64> {
+    /// validated.
+    pub(crate) fn batch_scores(&self, pairs: &[(VertexId, VertexId)]) -> Vec<f64> {
         self.par_map_distinct(pairs, |scratch, u, v| {
-            self.profile_with(scratch, u, v, memo).score()
+            self.profile_with(scratch, u, v).score()
         })
     }
 
@@ -1860,7 +1853,7 @@ mod tests {
                 let engine = QueryEngine::new(graph, config);
                 for &(u, v) in pairs {
                     let mut tally = usim_obs::WalkTally::default();
-                    let profile = engine.sample_profile(&mut scratch, u, v, None, Some(&mut tally));
+                    let profile = engine.sample_profile(&mut scratch, u, v, Some(&mut tally));
                     let walks = pair_walks(&engine, u, v);
                     assert_eq!(walks[0].len(), 64 * stride);
                     let mut met = 0;
@@ -1910,7 +1903,7 @@ mod tests {
             let mut scratch = Scratch::default();
             let (mut sampled_nonzero, mut exact_nonzero) = (0, 0);
             for (u, v) in all_ordered_pairs(5) {
-                let profile = engine.sample_profile(&mut scratch, u, v, None, None);
+                let profile = engine.sample_profile(&mut scratch, u, v, None);
                 if touches_a_self_loop(u, v) {
                     let count = brute_force_meetings(&pair_walks(&engine, u, v), stride, 2);
                     let sampled = count as f64 / (64.0 * 64.0);
@@ -2032,7 +2025,7 @@ mod tests {
             let mut engine = QueryEngine::new(&g, SimRankConfig::default());
             let n = g.num_vertices() as VertexId;
             for round in 0..=edits.len() {
-                // A fresh memo per epoch, as the caching layer clears it.
+                // A fresh memo per epoch, as `apply_updates` clears it.
                 let memo = WalkSetMemo::new(1024);
                 let view = engine.view();
                 let (mut table, mut touched) = (StampedTable::default(), Vec::new());
@@ -2205,7 +2198,7 @@ mod tests {
             let mut scratch = Scratch::default();
             let walks = |engine: &QueryEngine, scratch: &mut Scratch, u, v| {
                 let mut tally = usim_obs::WalkTally::default();
-                let profile = engine.sample_profile(scratch, u, v, None, Some(&mut tally));
+                let profile = engine.sample_profile(scratch, u, v, Some(&mut tally));
                 assert_eq!(profile, engine.profile(u, v), "metering changes nothing");
                 (profile, tally.walks)
             };

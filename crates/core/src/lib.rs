@@ -73,6 +73,7 @@ pub mod deterministic;
 pub mod du_et_al;
 pub mod engine;
 pub mod meeting;
+pub mod memo;
 pub mod parallel;
 pub mod sampling;
 pub mod single_source;
@@ -84,12 +85,13 @@ pub use baseline::BaselineEstimator;
 pub use bounds::{
     corollary1_error_bound, required_samples, theorem2_error_bound, theorem4_error_bound,
 };
-pub use cached::{CachedQueryEngine, MemoStats};
+pub use cached::CachedQueryEngine;
 pub use config::{SamplerKind, SimRankConfig, WalkDirection};
 pub use deterministic::{simrank_all_pairs, simrank_single_pair, DeterministicSimRank};
 pub use du_et_al::DuEtAlEstimator;
 pub use engine::{QueryEngine, QueryError};
 pub use meeting::{combine_meeting_probabilities, MeetingProfile};
+pub use memo::MemoStats;
 pub use parallel::{
     par_mean_similarity, par_scored_pairs, par_similarities, par_top_k_pairs, par_top_k_similar_to,
 };

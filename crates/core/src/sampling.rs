@@ -28,10 +28,59 @@ use ugraph::{CsrView, UncertainGraph, VertexId};
 pub struct SamplingEstimator {
     graph: UncertainGraph,
     config: SimRankConfig,
+    walk_pairs: WalkPairs,
+}
+
+/// Eq. 13's walk-pair loop, shared by SR-SA ([`SamplingEstimator`]) and
+/// SR-TS's sampling phase ([`crate::TwoPhaseEstimator`]): the estimator's
+/// RNG stream, its arena and the current sample's two walks.
+#[derive(Debug)]
+pub(crate) struct WalkPairs {
     rng: StdRng,
     arena: WalkArena,
     /// The current sample's two walks, `u`'s then `v`'s.
     walks: Vec<VertexId>,
+}
+
+impl WalkPairs {
+    pub(crate) fn new(seed: u64) -> Self {
+        WalkPairs {
+            rng: StdRng::seed_from_u64(seed),
+            arena: WalkArena::default(),
+            walks: Vec::new(),
+        }
+    }
+
+    /// Eq. 13 for every step `first ≤ k ≤ n` (`n = meeting.len() - 1`):
+    /// samples `num_samples` pairs of walks on `view`, `u`'s then `v`'s, and
+    /// sets `meeting[k]` to the share of pairs at the same vertex after `k`
+    /// steps.  SR-SA runs it from step 1, SR-TS from step `l + 1`.
+    pub(crate) fn estimate(
+        &mut self,
+        view: &CsrView<'_>,
+        (u, v): (VertexId, VertexId),
+        num_samples: usize,
+        first: usize,
+        meeting: &mut [f64],
+    ) {
+        let n = meeting.len() - 1;
+        let WalkPairs { rng, arena, walks } = self;
+        for _ in 0..num_samples {
+            walks.clear();
+            arena.sample_walk(view, u, n, rng, walks);
+            arena.sample_walk(view, v, n, rng, walks);
+            let (walk_u, walk_v) = walks.split_at(n + 1);
+            for (k, slot) in meeting.iter_mut().enumerate().skip(first) {
+                let a = walk_u[k];
+                if a != DEAD && a == walk_v[k] {
+                    *slot += 1.0;
+                }
+            }
+        }
+        for slot in meeting.iter_mut().skip(first) {
+            *slot /= num_samples as f64;
+        }
+    }
 }
 
 impl SamplingEstimator {
@@ -41,9 +90,7 @@ impl SamplingEstimator {
         SamplingEstimator {
             graph: graph.clone(),
             config,
-            rng: StdRng::seed_from_u64(config.seed),
-            arena: WalkArena::default(),
-            walks: Vec::new(),
+            walk_pairs: WalkPairs::new(config.seed),
         }
     }
 
@@ -54,32 +101,14 @@ impl SamplingEstimator {
 
     /// Estimated meeting probabilities `m̂(0), …, m̂(n)` for a pair.
     pub fn profile(&mut self, u: VertexId, v: VertexId) -> MeetingProfile {
-        let n = self.config.horizon;
-        let num_samples = self.config.num_samples;
-        let mut meeting = vec![0.0; n + 1];
+        let mut meeting = vec![0.0; self.config.horizon + 1];
         meeting[0] = if u == v { 1.0 } else { 0.0 };
-        // Field-level borrow of `graph` only, so the arena, RNG and walk
-        // buffer below can be borrowed mutably alongside the view.
         let view: CsrView<'_> = match self.config.direction {
             WalkDirection::InNeighbors => self.graph.reverse(),
             WalkDirection::OutNeighbors => self.graph.forward(),
         };
-        let (arena, rng, walks) = (&mut self.arena, &mut self.rng, &mut self.walks);
-        for _ in 0..num_samples {
-            walks.clear();
-            arena.sample_walk(&view, u, n, rng, walks);
-            arena.sample_walk(&view, v, n, rng, walks);
-            let (walk_u, walk_v) = walks.split_at(n + 1);
-            for (k, slot) in meeting.iter_mut().enumerate().take(n + 1).skip(1) {
-                let a = walk_u[k];
-                if a != DEAD && a == walk_v[k] {
-                    *slot += 1.0;
-                }
-            }
-        }
-        for slot in meeting.iter_mut().skip(1) {
-            *slot /= num_samples as f64;
-        }
+        self.walk_pairs
+            .estimate(&view, (u, v), self.config.num_samples, 1, &mut meeting);
         MeetingProfile::new(meeting, self.config.decay)
     }
 }

@@ -10,27 +10,23 @@
 use crate::baseline::{exact_meetings, working_graph};
 use crate::config::SimRankConfig;
 use crate::meeting::MeetingProfile;
+use crate::sampling::WalkPairs;
 use crate::SimRankEstimator;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rwalk::arena::{WalkArena, DEAD};
 use rwalk::transpr::TransPrOptions;
 use ugraph::{UncertainGraph, VertexId};
 
 /// The two-phase single-pair SimRank estimator (the paper's SR-TS).
 ///
 /// The exact phase runs `TransPr` on the direction-resolved working graph;
-/// the sampling phase walks the same graph's forward CSR arrays through a
-/// persistent [`WalkArena`] (allocation-free hot loop, RNG-stream-compatible
+/// the sampling phase runs Sampling's Eq. 13 loop from step `l + 1` on the
+/// same graph's forward CSR arrays, through a persistent
+/// [`rwalk::arena::WalkArena`] (allocation-free hot loop, RNG-stream-compatible
 /// with the original `WalkSampler` implementation).
 #[derive(Debug)]
 pub struct TwoPhaseEstimator {
     graph: UncertainGraph,
     config: SimRankConfig,
-    rng: StdRng,
-    arena: WalkArena,
-    /// The current sample's two walks, `u`'s then `v`'s.
-    walks: Vec<VertexId>,
+    walk_pairs: WalkPairs,
 }
 
 impl TwoPhaseEstimator {
@@ -40,9 +36,7 @@ impl TwoPhaseEstimator {
         TwoPhaseEstimator {
             graph: working_graph(graph, config.direction),
             config,
-            rng: StdRng::seed_from_u64(config.seed),
-            arena: WalkArena::default(),
-            walks: Vec::new(),
+            walk_pairs: WalkPairs::new(config.seed),
         }
     }
 
@@ -56,7 +50,6 @@ impl TwoPhaseEstimator {
     pub fn profile(&mut self, u: VertexId, v: VertexId) -> MeetingProfile {
         let n = self.config.horizon;
         let l = self.config.effective_phase_switch();
-        let num_samples = self.config.num_samples;
         // Phase 1: exact meeting probabilities for k <= l.
         let mut meeting = exact_meetings(&self.graph, u, v, l, &TransPrOptions::default())
             .expect("TransPr walk budget exceeded in the exact phase; lower phase_switch");
@@ -65,23 +58,13 @@ impl TwoPhaseEstimator {
         // Phase 2: sampled meeting probabilities for l < k <= n, walked on
         // the CSR fast path (the working graph's forward view).
         if l < n {
-            let view = self.graph.forward();
-            let (arena, rng, walks) = (&mut self.arena, &mut self.rng, &mut self.walks);
-            for _ in 0..num_samples {
-                walks.clear();
-                arena.sample_walk(&view, u, n, rng, walks);
-                arena.sample_walk(&view, v, n, rng, walks);
-                let (walk_u, walk_v) = walks.split_at(n + 1);
-                for (k, slot) in meeting.iter_mut().enumerate().take(n + 1).skip(l + 1) {
-                    let a = walk_u[k];
-                    if a != DEAD && a == walk_v[k] {
-                        *slot += 1.0;
-                    }
-                }
-            }
-            for slot in meeting.iter_mut().skip(l + 1) {
-                *slot /= num_samples as f64;
-            }
+            self.walk_pairs.estimate(
+                &self.graph.forward(),
+                (u, v),
+                self.config.num_samples,
+                l + 1,
+                &mut meeting,
+            );
         }
         MeetingProfile::new(meeting, self.config.decay)
     }

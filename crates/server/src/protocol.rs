@@ -674,12 +674,14 @@ impl RequestHandler {
 
     fn stats(&self, entries: &Entries) -> Result<Value, Reject> {
         reject_unknown_fields(entries, "stats", &[])?;
-        let (epoch, vertices, arcs, config) = self.engine.with_read(|e| {
+        let (epoch, vertices, arcs, config, walk_sets, two_hop_rows) = self.engine.with_read(|e| {
             (
                 e.update_epoch(),
                 e.num_vertices(),
                 e.num_arcs(),
                 *e.config(),
+                e.walk_set_stats(),
+                e.two_hop_row_stats(),
             )
         });
         let sampler = config.sampler;
@@ -689,9 +691,10 @@ impl RequestHandler {
                 format!("cannot serialise the engine configuration: {e}"),
             )
         })?;
-        // Cache counters are lock-free atomics; the snapshot is taken
-        // outside the engine lock (an observability frame, not a
-        // linearisable read).
+        // Result-cache counters are lock-free atomics; the snapshot is
+        // taken outside the engine lock (an observability frame, not a
+        // linearisable read).  The walk-set memo is the engine's, so its
+        // counters were read under the lock taken above.
         let mut cache = vec![
             (
                 "enabled".to_string(),
@@ -712,7 +715,7 @@ impl RequestHandler {
                 ("insertions".to_string(), Value::Uint(stats.insertions)),
             ]);
         }
-        if let Some(memo) = self.engine.walk_set_stats() {
+        if let Some(memo) = walk_sets {
             cache.extend([
                 (
                     "walk_set_entries".to_string(),
@@ -723,7 +726,7 @@ impl RequestHandler {
                 ("walk_set_misses".to_string(), Value::Uint(memo.misses)),
             ]);
         }
-        if let Some(rows) = self.engine.two_hop_row_stats() {
+        if let Some(rows) = two_hop_rows {
             cache.extend([
                 (
                     "two_hop_row_entries".to_string(),
@@ -923,9 +926,15 @@ impl RequestHandler {
     /// when tracing is enabled — one histogram series per pipeline stage.
     /// Served by the `metrics` frame and `usim serve --metrics-port`.
     pub fn prometheus_exposition(&self) -> String {
-        let (epoch, vertices, arcs) = self
-            .engine
-            .with_read(|e| (e.update_epoch(), e.num_vertices(), e.num_arcs()));
+        let (epoch, vertices, arcs, walk_sets, two_hop_rows) = self.engine.with_read(|e| {
+            (
+                e.update_epoch(),
+                e.num_vertices(),
+                e.num_arcs(),
+                e.walk_set_stats(),
+                e.two_hop_row_stats(),
+            )
+        });
         let mut w = PromWriter::new();
         w.gauge(
             "usim_epoch",
@@ -973,10 +982,7 @@ impl RequestHandler {
                 ],
             );
         }
-        if let (Some(memo), Some(rows)) = (
-            self.engine.walk_set_stats(),
-            self.engine.two_hop_row_stats(),
-        ) {
+        if let (Some(memo), Some(rows)) = (walk_sets, two_hop_rows) {
             w.gauge(
                 "usim_walk_set_entries",
                 "Walk sets the walk-set memo keeps at the current epoch.",
@@ -1660,7 +1666,10 @@ mod tests {
         assert!(matches!(get(cache, "evictions"), Value::Uint(_)));
         // So does the walk-set memo: the batch and top_k frames read sets
         // the earlier frames sampled.
-        let memo = cached.cached_engine().walk_set_stats().unwrap();
+        let memo = cached
+            .cached_engine()
+            .with_read(QueryEngine::walk_set_stats)
+            .unwrap();
         assert!(memo.hits > 0 && memo.misses > 0, "{memo:?}");
         assert!(memo.entries > 0 && memo.bytes > 0, "{memo:?}");
         assert_eq!(
@@ -1674,7 +1683,10 @@ mod tests {
         assert_eq!(get(cache, "walk_set_hits"), &Value::Uint(memo.hits));
         assert_eq!(get(cache, "walk_set_misses"), &Value::Uint(memo.misses));
         // And its two-hop rows: every exact m(2) looked one up.
-        let rows = cached.cached_engine().two_hop_row_stats().unwrap();
+        let rows = cached
+            .cached_engine()
+            .with_read(QueryEngine::two_hop_row_stats)
+            .unwrap();
         assert!(rows.hits + rows.misses > 0, "{rows:?}");
         assert_eq!(
             get(cache, "two_hop_row_entries"),

@@ -353,7 +353,7 @@ fn memo_warm_two_hop_rows_equal_a_bare_engine_across_rounds_orders_and_threads()
                 assert!(want.meeting[2] > 0.0, "({v}, {u})");
                 assert_eq!(bits(&got), bits(&want), "{threads} threads: ({v}, {u})");
             }
-            let rows = cached.two_hop_row_stats().unwrap();
+            let rows = cached.with_read(QueryEngine::two_hop_row_stats).unwrap();
             assert!(rows.hits > hits, "{threads} threads, {updates:?}: {rows:?}");
             assert!(rows.entries >= 1, "{rows:?}");
             hits = rows.hits;

@@ -1,5 +1,6 @@
 //! Golden score pins: the exact bit patterns of the estimates the engine
-//! serves on a fixed graph.
+//! serves, and of the paper's Sampling and SR-TS estimators, on a fixed
+//! graph.
 //!
 //! Every other determinism test compares two in-tree code paths against each
 //! other (batch vs sequential, arena vs `WalkSampler`, cached vs uncached).
@@ -12,7 +13,9 @@
 
 use uncertain_simrank::graph::VertexId;
 use uncertain_simrank::prelude::*;
-use uncertain_simrank::simrank::{QueryEngine, SamplerKind, SimRankConfig};
+use uncertain_simrank::simrank::{
+    QueryEngine, SamplerKind, SimRankConfig, SimRankEstimator, WalkDirection,
+};
 
 /// The fixed graph: R-MAT scale 10, 4096 edges before dedup.
 fn golden_graph() -> UncertainGraph {
@@ -95,4 +98,44 @@ fn single_source_scores_match_the_golden_bits() {
         .flat_map(|source| estimator.query(source).similarities())
         .collect();
     assert_pinned("single source", &scores, 0x705a_cb2b_c8c8_ac65);
+}
+
+/// The paper's estimators, each asked the golden pairs in order from one
+/// instance (its RNG stream runs on from pair to pair), in one walk
+/// direction.
+fn estimator_scores<E: SimRankEstimator>(
+    build: impl Fn(&UncertainGraph, SimRankConfig) -> E,
+    direction: WalkDirection,
+) -> Vec<f64> {
+    let graph = golden_graph();
+    let pairs = golden_pairs(graph.num_vertices() as u32);
+    let mut estimator = build(&graph, SimRankConfig::default().with_direction(direction));
+    pairs
+        .iter()
+        .map(|&(u, v)| estimator.similarity(u, v))
+        .collect()
+}
+
+/// SR-SA: Eq. 13's index-matched walk pairs from step 1.
+#[test]
+fn sampling_estimator_scores_match_the_golden_bits() {
+    for (direction, expected) in [
+        (WalkDirection::InNeighbors, 0x6179_5903_9c33_c613),
+        (WalkDirection::OutNeighbors, 0xd509_93a7_4a03_4777),
+    ] {
+        let scores = estimator_scores(SamplingEstimator::new, direction);
+        assert_pinned(&format!("sampling, {direction:?}"), &scores, expected);
+    }
+}
+
+/// SR-TS: TransPr's exact steps up to l, then Eq. 13 from step l + 1.
+#[test]
+fn two_phase_estimator_scores_match_the_golden_bits() {
+    for (direction, expected) in [
+        (WalkDirection::InNeighbors, 0x9001_eb3a_6802_d3fe),
+        (WalkDirection::OutNeighbors, 0x9f7e_c33d_b95d_582e),
+    ] {
+        let scores = estimator_scores(TwoPhaseEstimator::new, direction);
+        assert_pinned(&format!("two-phase, {direction:?}"), &scores, expected);
+    }
 }
