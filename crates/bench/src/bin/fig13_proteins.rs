@@ -10,7 +10,7 @@
 use ugraph::VertexId;
 use usim_bench::Table;
 use usim_core::DeterministicSimRank;
-use usim_core::{top_k::top_k_pairs, SimRankConfig, SimRankEstimator, SpeedupEstimator};
+use usim_core::{top_k::top_k_pairs, SimRankConfig, SpeedupEstimator};
 use usim_datasets::PpiGenerator;
 
 /// Candidate pairs: vertices that share at least one possible in-neighbor
@@ -27,17 +27,6 @@ fn candidate_pairs(graph: &ugraph::UncertainGraph) -> Vec<(VertexId, VertexId)> 
         }
     }
     pairs.into_iter().collect()
-}
-
-struct DsimWrapper(DeterministicSimRank);
-
-impl SimRankEstimator for DsimWrapper {
-    fn similarity(&mut self, u: VertexId, v: VertexId) -> f64 {
-        self.0.similarity(u, v)
-    }
-    fn name(&self) -> &'static str {
-        "DSIM"
-    }
 }
 
 fn main() {
@@ -66,11 +55,7 @@ fn main() {
     let mut usim = SpeedupEstimator::new(graph, config);
     let top_usim = top_k_pairs(&mut usim, candidates.iter().copied(), 20);
 
-    let mut dsim = DsimWrapper(DeterministicSimRank::new(
-        graph.skeleton(),
-        config.decay,
-        config.horizon,
-    ));
+    let mut dsim = DeterministicSimRank::new(graph.skeleton(), config.decay, config.horizon);
     let top_dsim = top_k_pairs(&mut dsim, candidates.iter().copied(), 20);
 
     let mut table = Table::new(&[

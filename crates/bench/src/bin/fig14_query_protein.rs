@@ -7,24 +7,9 @@
 //! complex and the check is how many of its top-5 neighbors by USIM belong to
 //! the same complex, contrasted with the deterministic DSIM ranking.
 
-use ugraph::VertexId;
 use usim_bench::Table;
-use usim_core::{
-    top_k::top_k_similar_to, DeterministicSimRank, SimRankConfig, SimRankEstimator,
-    SpeedupEstimator,
-};
+use usim_core::{top_k::top_k_similar_to, DeterministicSimRank, SimRankConfig, SpeedupEstimator};
 use usim_datasets::PpiGenerator;
-
-struct DsimWrapper(DeterministicSimRank);
-
-impl SimRankEstimator for DsimWrapper {
-    fn similarity(&mut self, u: VertexId, v: VertexId) -> f64 {
-        self.0.similarity(u, v)
-    }
-    fn name(&self) -> &'static str {
-        "DSIM"
-    }
-}
 
 fn main() {
     let dataset = PpiGenerator {
@@ -62,11 +47,7 @@ fn main() {
     let config = SimRankConfig::default().with_samples(500).with_seed(0xf14);
     let mut usim = SpeedupEstimator::new(graph, config);
     let top_usim = top_k_similar_to(&mut usim, query, candidates.iter().copied(), 5);
-    let mut dsim = DsimWrapper(DeterministicSimRank::new(
-        graph.skeleton(),
-        config.decay,
-        config.horizon,
-    ));
+    let mut dsim = DeterministicSimRank::new(graph.skeleton(), config.decay, config.horizon);
     let top_dsim = top_k_similar_to(&mut dsim, query, candidates.iter().copied(), 5);
 
     let mut table = Table::new(&[

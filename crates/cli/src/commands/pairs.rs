@@ -67,7 +67,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     let exhaustive_below: usize = args.parse_option("exhaustive-below", 150usize)?;
     let kind = AlgorithmKind::parse(args.option("algorithm").unwrap_or("two-phase"))?;
     let config = config_from_args(&args)?;
-    reject_unread_options(&args, OptionReader::PairEstimators)?;
+    reject_unread_options(&args, OptionReader::Estimator(kind))?;
 
     let loaded = load_graph(path)?;
     let pairs = candidate_pairs(

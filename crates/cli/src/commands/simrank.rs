@@ -79,14 +79,25 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
         ));
     }
 
-    reject_unread_options(&args, OptionReader::PairEstimators)?;
+    // `--compare` runs every family; otherwise `--algorithm` picks one.
+    let kind = if args.switch("compare") {
+        None
+    } else {
+        Some(AlgorithmKind::parse(
+            args.option("algorithm").unwrap_or("two-phase"),
+        )?)
+    };
+    reject_unread_options(
+        &args,
+        kind.map_or(OptionReader::PairEstimators, OptionReader::Estimator),
+    )?;
     let source_label: u64 = args.require_option("source")?;
     let target_label: u64 = args.require_option("target")?;
     let loaded = load_graph(path)?;
     let u = loaded.vertex_for_label(source_label)?;
     let v = loaded.vertex_for_label(target_label)?;
 
-    if args.switch("compare") {
+    let Some(kind) = kind else {
         let mut table = TextTable::new(&["algorithm", "s(u, v)", "time (ms)"]);
         for kind in AlgorithmKind::all() {
             let start = Instant::now();
@@ -104,9 +115,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
         );
         output.push_str(&table.render());
         return Ok(output);
-    }
-
-    let kind = AlgorithmKind::parse(args.option("algorithm").unwrap_or("two-phase"))?;
+    };
     let start = Instant::now();
     let mut estimator = kind.build(&loaded.graph, config);
     let score = estimator.similarity(u, v);

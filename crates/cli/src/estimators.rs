@@ -2,7 +2,7 @@
 
 use crate::args::Arguments;
 use crate::CliError;
-use ugraph::{UncertainGraph, VertexId};
+use ugraph::UncertainGraph;
 use usim_core::{
     BaselineEstimator, DeterministicSimRank, DuEtAlEstimator, SamplerKind, SamplingEstimator,
     SimRankConfig, SimRankEstimator, SpeedupEstimator, TwoPhaseEstimator, WalkDirection,
@@ -75,10 +75,14 @@ pub enum OptionReader {
     /// The CSR batch engine (`simrank --batch`, `topk --engine batch`,
     /// `serve`): reads `--sampler`, and always takes `l = 2`.
     Engine,
-    /// The paper's single-pair estimators (`simrank` without `--batch`,
-    /// `topk-pairs`, `er`): SR-TS and SR-SP read `--phase-switch`; every
-    /// family walks with the legacy per-arc kernel.
+    /// Every paper estimator family at once (`simrank --compare`, `er`):
+    /// the SR-TS and SR-SP among them read `--phase-switch`; every family
+    /// walks with the legacy per-arc kernel.
     PairEstimators,
+    /// One paper estimator family (`simrank` without `--batch` or
+    /// `--compare`, `topk-pairs`): reads `--phase-switch` only if it is
+    /// SR-TS or SR-SP, and walks with the legacy per-arc kernel.
+    Estimator(AlgorithmKind),
     /// The single-source estimator (`topk --engine single-source`): reads
     /// neither.
     SingleSource,
@@ -88,6 +92,10 @@ pub enum OptionReader {
 const SAMPLER_READERS: &str =
     "only the CSR batch engine (simrank --batch, topk --engine batch, serve) reads --sampler";
 
+/// Where `--phase-switch` is read, for the estimator families that ignore it.
+const PHASE_SWITCH_READERS: &str =
+    "only SR-TS and SR-SP (--algorithm two-phase or speedup) read --phase-switch";
+
 /// Rejects `--phase-switch` or `--sampler` when `reader` would ignore it,
 /// so a command accepts only the options it reads.
 pub fn reject_unread_options(args: &Arguments, reader: OptionReader) -> Result<(), CliError> {
@@ -96,7 +104,14 @@ pub fn reject_unread_options(args: &Arguments, reader: OptionReader) -> Result<(
             "phase-switch",
             "the CSR batch engine always computes m(1) and m(2) exactly (SR-TS with l = 2)",
         )],
-        OptionReader::PairEstimators => &[("sampler", SAMPLER_READERS)],
+        OptionReader::PairEstimators
+        | OptionReader::Estimator(AlgorithmKind::TwoPhase | AlgorithmKind::Speedup) => {
+            &[("sampler", SAMPLER_READERS)]
+        }
+        OptionReader::Estimator(_) => &[
+            ("phase-switch", PHASE_SWITCH_READERS),
+            ("sampler", SAMPLER_READERS),
+        ],
         OptionReader::SingleSource => &[
             (
                 "phase-switch",
@@ -181,35 +196,12 @@ impl AlgorithmKind {
             AlgorithmKind::TwoPhase => Box::new(TwoPhaseEstimator::new(graph, config)),
             AlgorithmKind::Speedup => Box::new(SpeedupEstimator::new(graph, config)),
             AlgorithmKind::DuEtAl => Box::new(DuEtAlEstimator::new(graph, config)),
-            AlgorithmKind::Deterministic => Box::new(DeterministicAdapter::new(graph, config)),
+            AlgorithmKind::Deterministic => Box::new(DeterministicSimRank::new(
+                graph.skeleton(),
+                config.decay,
+                config.horizon,
+            )),
         }
-    }
-}
-
-/// Adapter exposing classic deterministic SimRank (on the skeleton of the
-/// uncertain graph, all probabilities ignored) through the shared
-/// [`SimRankEstimator`] interface — the paper's SimRank-II / DSIM baseline.
-#[derive(Debug)]
-pub struct DeterministicAdapter {
-    inner: DeterministicSimRank,
-}
-
-impl DeterministicAdapter {
-    /// Precomputes the all-pairs deterministic SimRank matrix of the skeleton.
-    pub fn new(graph: &UncertainGraph, config: SimRankConfig) -> Self {
-        DeterministicAdapter {
-            inner: DeterministicSimRank::new(graph.skeleton(), config.decay, config.horizon),
-        }
-    }
-}
-
-impl SimRankEstimator for DeterministicAdapter {
-    fn similarity(&mut self, u: VertexId, v: VertexId) -> f64 {
-        self.inner.similarity(u, v)
-    }
-
-    fn name(&self) -> &'static str {
-        "SimRank-II (no uncertainty)"
     }
 }
 
@@ -319,7 +311,7 @@ mod tests {
 
     #[test]
     fn each_reader_rejects_exactly_the_options_it_ignores() {
-        let cases = [
+        let mut cases = vec![
             (OptionReader::Engine, "phase-switch", false),
             (OptionReader::Engine, "sampler", true),
             (OptionReader::PairEstimators, "phase-switch", true),
@@ -327,6 +319,11 @@ mod tests {
             (OptionReader::SingleSource, "phase-switch", false),
             (OptionReader::SingleSource, "sampler", false),
         ];
+        for kind in AlgorithmKind::all() {
+            let reads = matches!(kind, AlgorithmKind::TwoPhase | AlgorithmKind::Speedup);
+            cases.push((OptionReader::Estimator(kind), "phase-switch", reads));
+            cases.push((OptionReader::Estimator(kind), "sampler", false));
+        }
         for (reader, name, reads) in cases {
             let value = if name == "sampler" { "alias" } else { "2" };
             let flag = format!("--{name}");

@@ -147,7 +147,8 @@ pub fn usage() -> String {
         "    --horizon N        walk horizon n                  [default 5]\n",
         "    --samples N        sampled walks per query vertex  [default 100]\n",
         "    --phase-switch L   exact steps of SR-TS / SR-SP    [default 1]\n",
-        "                       (single-pair simrank, topk-pairs and er only: the\n",
+        "                       (single-pair simrank, topk-pairs and er only, with\n",
+        "                       --algorithm two-phase or speedup or --compare: the\n",
         "                       batch engine always takes m(1) and m(2) exactly)\n",
         "    --seed S           RNG seed                        [default fixed]\n",
         "    --direction in|out walk direction                  [default in]\n",

@@ -322,21 +322,42 @@ fn options_the_chosen_estimator_ignores_exit_2_with_a_named_error() {
     let topk = ["topk", g, "--source", "0"];
     let pairs = ["topk-pairs", g, "--k", "2", "--samples", "50"];
     let er = ["er", "--records", "40"];
-    for (base, extra) in [
-        (&single[..], ["--sampler", "alias"]),
-        (&serve[..], ["--phase-switch", "2"]),
-        (&topk[..], ["--phase-switch", "2"]),
-        (&pairs[..], ["--sampler", "alias"]),
-        (&er[..], ["--sampler", "alias"]),
-    ] {
-        let output = usim(&[base, &extra[..]].concat());
+    let mut cases = vec![
+        (single.to_vec(), ["--sampler", "alias"]),
+        (serve.to_vec(), ["--phase-switch", "2"]),
+        (topk.to_vec(), ["--phase-switch", "2"]),
+        (pairs.to_vec(), ["--sampler", "alias"]),
+        (er.to_vec(), ["--sampler", "alias"]),
+    ];
+    // Only SR-TS and SR-SP read --phase-switch among the single families.
+    for algorithm in ["baseline", "sampling", "du", "deterministic"] {
+        for base in [&single[..], &pairs[..]] {
+            let base = [base, &["--algorithm", algorithm]].concat();
+            cases.push((base, ["--phase-switch", "2"]));
+        }
+    }
+    for (base, extra) in &cases {
+        let output = usim(&[&base[..], &extra[..]].concat());
         assert_eq!(output.status.code(), Some(2), "{base:?} {extra:?}");
         let message = stderr(&output);
         assert!(message.starts_with("error: "), "{extra:?}: {message}");
+        assert!(
+            message.contains("cannot be combined"),
+            "{extra:?}: {message}"
+        );
         assert!(message.contains(extra[0]), "{extra:?}: {message}");
     }
-    // The paper's estimators read --phase-switch.
-    let output = usim(&[&pairs[..], &["--phase-switch", "2"]].concat());
-    assert!(output.status.success(), "{}", stderr(&output));
+    // SR-TS (the default), SR-SP and --compare's SR-TS / SR-SP rows read
+    // --phase-switch.
+    for base in [
+        pairs.to_vec(),
+        [&pairs[..], &["--algorithm", "speedup"]].concat(),
+        single.to_vec(),
+        [&single[..], &["--algorithm", "speedup"]].concat(),
+        [&single[..], &["--compare"]].concat(),
+    ] {
+        let output = usim(&[&base[..], &["--phase-switch", "2"]].concat());
+        assert!(output.status.success(), "{base:?}: {}", stderr(&output));
+    }
     std::fs::remove_file(&graph).unwrap();
 }

@@ -8,6 +8,7 @@
 //! the skeleton of the uncertain graph.
 
 use crate::meeting::combine_meeting_probabilities;
+use crate::SimRankEstimator;
 use ugraph::{DiGraph, VertexId};
 use umatrix::{DenseMatrix, SparseMatrix, SparseVector};
 
@@ -128,6 +129,18 @@ impl DeterministicSimRank {
     /// The number of iterations the matrix was computed with.
     pub fn iterations(&self) -> usize {
         self.iterations
+    }
+}
+
+/// Classic SimRank through the shared estimator interface: the paper's
+/// SimRank-II / DSIM baseline when built on an uncertain graph's skeleton.
+impl SimRankEstimator for DeterministicSimRank {
+    fn similarity(&mut self, u: VertexId, v: VertexId) -> f64 {
+        self.matrix[(u as usize, v as usize)]
+    }
+
+    fn name(&self) -> &'static str {
+        "SimRank-II (no uncertainty)"
     }
 }
 

@@ -23,7 +23,7 @@
 //! the thread count with `rayon::ThreadPoolBuilder` + `install` when exact
 //! reproducibility of sampled batch results is required.
 
-use crate::top_k::{ScoredPair, ScoredVertex};
+use crate::top_k::{sort_descending_by_score, ScoredPair, ScoredVertex};
 use crate::SimRankEstimator;
 use rayon::prelude::*;
 use ugraph::VertexId;
@@ -81,12 +81,11 @@ where
     unique.sort_unstable();
     unique.dedup();
     let mut scored = par_scored_pairs(factory, &unique);
-    scored.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.pair.cmp(&b.pair))
-    });
+    sort_descending_by_score(
+        &mut scored,
+        |s| s.score,
+        |s| (s.pair.0 as u64) << 32 | s.pair.1 as u64,
+    );
     scored.truncate(k);
     scored
 }
@@ -111,12 +110,7 @@ where
             score: estimator.similarity(query, v),
         })
         .collect();
-    scored.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.vertex.cmp(&b.vertex))
-    });
+    sort_descending_by_score(&mut scored, |s| s.score, |s| s.vertex as u64);
     scored.truncate(k);
     scored
 }
@@ -210,6 +204,41 @@ mod tests {
         // Every returned pair is one of the distinct non-self inputs.
         for scored in &top {
             assert!([(0, 1), (2, 3), (0, 2)].contains(&scored.pair));
+        }
+    }
+
+    #[test]
+    fn top_k_pairs_matches_single_threaded_ranking() {
+        // Two parents with identical out-arcs: every pair of their children
+        // ties, so the cut at k = 4 falls inside a run of equal scores and
+        // only the pair-id tie order decides which pairs make it.
+        let mut builder = UncertainGraphBuilder::new(8);
+        for child in 2..8 {
+            builder = builder.arc(0, child, 0.5).arc(1, child, 0.5);
+        }
+        let g = builder.build().unwrap();
+        let config = SimRankConfig::default();
+        let pairs = all_ordered_pairs(8);
+        let mut sequential_estimator = BaselineEstimator::new(&g, config);
+        let sequential =
+            crate::top_k::top_k_pairs(&mut sequential_estimator, pairs.iter().copied(), 4);
+        assert_eq!(sequential.len(), 4);
+        assert_eq!(
+            sequential[1].score, sequential[3].score,
+            "no tie at the cut"
+        );
+        for threads in [1, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let parallel =
+                pool.install(|| par_top_k_pairs(|| BaselineEstimator::new(&g, config), &pairs, 4));
+            assert_eq!(parallel.len(), sequential.len());
+            for (p, s) in parallel.iter().zip(&sequential) {
+                assert_eq!(p.pair, s.pair, "{threads} threads");
+                assert_eq!(p.score.to_bits(), s.score.to_bits(), "{threads} threads");
+            }
         }
     }
 

@@ -104,12 +104,7 @@ impl SingleSourceResult {
                 score: self.similarity(v),
             })
             .collect();
-        scored.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.vertex.cmp(&b.vertex))
-        });
+        crate::top_k::sort_descending_by_score(&mut scored, |s| s.score, |s| s.vertex as u64);
         scored.truncate(k);
         scored
     }

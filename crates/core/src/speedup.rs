@@ -72,7 +72,7 @@ impl SpeedupEstimator {
     }
 
     /// Number of vertices whose filter vectors have been materialised so far
-    /// (across both caches); exposed for memory accounting in the benches.
+    /// (across both caches).
     pub fn cached_filter_vertices(&self) -> usize {
         self.filters.len() + self.filters_target.len()
     }

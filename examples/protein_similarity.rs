@@ -12,17 +12,6 @@ use uncertain_simrank::prelude::*;
 use uncertain_simrank::simrank::top_k::top_k_pairs;
 use uncertain_simrank::simrank::DeterministicSimRank;
 
-struct Deterministic(DeterministicSimRank);
-
-impl SimRankEstimator for Deterministic {
-    fn similarity(&mut self, u: VertexId, v: VertexId) -> f64 {
-        self.0.similarity(u, v)
-    }
-    fn name(&self) -> &'static str {
-        "DSIM"
-    }
-}
-
 fn main() {
     let dataset = PpiGenerator {
         num_proteins: 400,
@@ -56,11 +45,7 @@ fn main() {
     let config = SimRankConfig::default().with_samples(300).with_seed(9);
     let mut usim = SpeedupEstimator::new(graph, config);
     let top_usim = top_k_pairs(&mut usim, candidates.iter().copied(), 10);
-    let mut dsim = Deterministic(DeterministicSimRank::new(
-        graph.skeleton(),
-        config.decay,
-        config.horizon,
-    ));
+    let mut dsim = DeterministicSimRank::new(graph.skeleton(), config.decay, config.horizon);
     let top_dsim = top_k_pairs(&mut dsim, candidates.iter().copied(), 10);
 
     let mut usim_hits = 0;

@@ -1,5 +1,5 @@
 //! Golden score pins: the exact bit patterns of the estimates the engine
-//! serves, and of the paper's Sampling and SR-TS estimators, on a fixed
+//! serves, and of the paper's Sampling, SR-TS and SR-SP estimators, on a fixed
 //! graph.
 //!
 //! Every other determinism test compares two in-tree code paths against each
@@ -137,5 +137,18 @@ fn two_phase_estimator_scores_match_the_golden_bits() {
     ] {
         let scores = estimator_scores(TwoPhaseEstimator::new, direction);
         assert_pinned(&format!("two-phase, {direction:?}"), &scores, expected);
+    }
+}
+
+/// SR-SP: SR-TS's exact phase, then walk pairs read off per-vertex filter
+/// vectors (Section VI-D).
+#[test]
+fn speedup_estimator_scores_match_the_golden_bits() {
+    for (direction, expected) in [
+        (WalkDirection::InNeighbors, 0x2e4a_ae03_dba8_2c2d),
+        (WalkDirection::OutNeighbors, 0x2db3_86e6_b53b_63cf),
+    ] {
+        let scores = estimator_scores(SpeedupEstimator::new, direction);
+        assert_pinned(&format!("speedup, {direction:?}"), &scores, expected);
     }
 }
