@@ -57,7 +57,16 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     // The published experiment uses N = 1000; the CLI default keeps the demo
     // quick and can be raised with --samples.
     let mut config = config_from_args(&args)?;
-    reject_unread_options(&args, OptionReader::PairEstimators)?;
+    // The options are read by SimER (SR-SP) if it runs, else by SimDER's
+    // skeleton SimRank if it runs; EIF and DISTINCT read none.
+    let reader = if kinds.contains(&ErAlgorithmKind::SimEr) {
+        OptionReader::PairEstimators
+    } else if kinds.contains(&ErAlgorithmKind::SimDer) {
+        OptionReader::Skeleton
+    } else {
+        OptionReader::NoSimRank
+    };
+    reject_unread_options(&args, reader)?;
     if args.option("samples").is_none() {
         config = config.with_samples(200);
     }

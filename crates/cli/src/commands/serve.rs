@@ -41,12 +41,13 @@
 //! scripts and tests rendezvous without racing on a fixed port — the file
 //! is removed again on clean shutdown, so a lingering port file always
 //! points at a live (or crashed) server, never a finished one.
-//! `--workers N` serves up to N connections at once, one thread each;
-//! further connections wait in the kernel's accept backlog until one
-//! closes.  `--max-batch N` caps the pairs, candidates or updates of one
-//! request, and with them the request line: a line longer than
-//! `N × 256 + 4096` bytes is discarded unbuffered and answered
-//! `oversized_frame`.
+//! `--workers N` serves up to N connections at once, one thread each, and
+//! is the server's only parallelism knob: each frame is computed on its
+//! connection's thread, so a large `batch` frame uses one core.  Further
+//! connections wait in the kernel's accept backlog until one closes.
+//! `--max-batch N` caps the pairs, candidates or updates of one request,
+//! and with them the request line: a line longer than `N × 256 + 4096`
+//! bytes is discarded unbuffered and answered `oversized_frame`.
 //! `--max-connections N` stops after serving N connections (`0`, the
 //! default, serves forever) — the scripted-shutdown hook used by the
 //! serve-smoke CI job.

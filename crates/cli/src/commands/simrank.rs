@@ -81,6 +81,12 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
 
     // `--compare` runs every family; otherwise `--algorithm` picks one.
     let kind = if args.switch("compare") {
+        if let Some(algorithm) = args.option("algorithm") {
+            return Err(CliError::new(format!(
+                "--compare runs every estimator family; --algorithm {algorithm:?} \
+                 cannot be combined with it"
+            )));
+        }
         None
     } else {
         Some(AlgorithmKind::parse(

@@ -68,14 +68,16 @@ pub fn config_from_args(args: &Arguments) -> Result<SimRankConfig, CliError> {
     })
 }
 
-/// What answers a command or mode, for the two shared options only some
-/// estimators read: `--phase-switch` and `--sampler`.
+/// What answers a command or mode, for the shared options only some
+/// estimators read: `--phase-switch` and `--sampler`, and for `er`'s
+/// non-SimRank algorithms every shared option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptionReader {
     /// The CSR batch engine (`simrank --batch`, `topk --engine batch`,
     /// `serve`): reads `--sampler`, and always takes `l = 2`.
     Engine,
-    /// Every paper estimator family at once (`simrank --compare`, `er`):
+    /// Every paper estimator family at once (`simrank --compare`, `er` with
+    /// SimER among its algorithms):
     /// the SR-TS and SR-SP among them read `--phase-switch`; every family
     /// walks with the legacy per-arc kernel.
     PairEstimators,
@@ -86,6 +88,12 @@ pub enum OptionReader {
     /// The single-source estimator (`topk --engine single-source`): reads
     /// neither.
     SingleSource,
+    /// SimDER alone (`er --algorithm simder`): deterministic SimRank on the
+    /// skeleton reads `--decay` and `--horizon` and no other shared option.
+    Skeleton,
+    /// EIF or DISTINCT alone (`er --algorithm eif|distinct`): reads none of
+    /// the shared options.
+    NoSimRank,
 }
 
 /// Where `--sampler` is read, for the estimators that ignore it.
@@ -119,6 +127,30 @@ pub fn reject_unread_options(args: &Arguments, reader: OptionReader) -> Result<(
             ),
             ("sampler", SAMPLER_READERS),
         ],
+        OptionReader::Skeleton => {
+            const WHY: &str = "SimDER computes SimRank on the skeleton from --decay and \
+                               --horizon only";
+            &[
+                ("samples", WHY),
+                ("phase-switch", WHY),
+                ("seed", WHY),
+                ("direction", WHY),
+                ("sampler", WHY),
+            ]
+        }
+        OptionReader::NoSimRank => {
+            const WHY: &str = "EIF and DISTINCT score records by shared neighbours and \
+                               compute no SimRank";
+            &[
+                ("decay", WHY),
+                ("horizon", WHY),
+                ("samples", WHY),
+                ("phase-switch", WHY),
+                ("seed", WHY),
+                ("direction", WHY),
+                ("sampler", WHY),
+            ]
+        }
     };
     for &(name, why) in unread {
         if let Some(value) = args.option(name) {

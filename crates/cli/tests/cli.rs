@@ -311,6 +311,83 @@ fn query_against_a_missing_file_fails_cleanly() {
 }
 
 #[test]
+fn compare_rejects_an_algorithm_it_would_ignore() {
+    let graph = temp("compare_algorithm.tsv");
+    write_fig1(&graph);
+    let g = graph.to_str().unwrap();
+    let compare = ["simrank", g, "--source", "0", "--target", "1", "--compare"];
+    for algorithm in ["baseline", "bogus"] {
+        let output = usim(&[&compare[..], &["--algorithm", algorithm]].concat());
+        assert_eq!(output.status.code(), Some(2), "{algorithm}");
+        let message = stderr(&output);
+        assert!(message.starts_with("error: --compare"), "{message}");
+        assert!(
+            message.contains(&format!("--algorithm \"{algorithm}\" cannot be combined")),
+            "{message}"
+        );
+    }
+    std::fs::remove_file(&graph).unwrap();
+}
+
+#[test]
+fn er_accepts_only_the_options_its_algorithms_read() {
+    let er = |algorithm: &str, extra: &[&str]| {
+        let base = ["er", "--records", "40", "--algorithm", algorithm];
+        usim(&[&base[..], extra].concat())
+    };
+    // EIF and DISTINCT compute no SimRank; SimDER reads --decay and
+    // --horizon only.
+    let mut rejected: Vec<(&str, [&str; 2])> = Vec::new();
+    for algorithm in ["eif", "distinct"] {
+        for extra in [
+            ["--phase-switch", "3"],
+            ["--samples", "7"],
+            ["--seed", "3"],
+            ["--decay", "0.5"],
+            ["--horizon", "3"],
+            ["--direction", "out"],
+        ] {
+            rejected.push((algorithm, extra));
+        }
+    }
+    for extra in [
+        ["--phase-switch", "3"],
+        ["--samples", "7"],
+        ["--seed", "3"],
+        ["--direction", "out"],
+    ] {
+        rejected.push(("simder", extra));
+    }
+    for (algorithm, extra) in rejected {
+        let output = er(algorithm, &extra);
+        assert_eq!(output.status.code(), Some(2), "{algorithm} {extra:?}");
+        let message = stderr(&output);
+        assert!(message.starts_with("error: "), "{message}");
+        assert!(
+            message.contains(&format!("{} \"{}\" cannot be combined", extra[0], extra[1])),
+            "{algorithm} {extra:?}: {message}"
+        );
+    }
+    // SimER, and `all` (which runs it), read every SimRank option.
+    let simrank_options = ["--phase-switch", "3", "--samples", "7", "--seed", "3"];
+    for (algorithm, extra) in [
+        ("simer", &simrank_options[..]),
+        ("all", &simrank_options[..]),
+        ("simder", &["--decay", "0.5", "--horizon", "3"][..]),
+        ("eif", &[][..]),
+        ("distinct", &[][..]),
+    ] {
+        let output = er(algorithm, extra);
+        assert!(
+            output.status.success(),
+            "{algorithm} {extra:?}: {}",
+            stderr(&output)
+        );
+        assert!(stdout(&output).contains("AVERAGE"), "{algorithm}");
+    }
+}
+
+#[test]
 fn options_the_chosen_estimator_ignores_exit_2_with_a_named_error() {
     let graph = temp("unread.tsv");
     write_fig1(&graph);

@@ -5,11 +5,12 @@
 //! [`current_num_threads`] to control the degree of parallelism.
 //!
 //! Work is executed on real OS threads via [`std::thread::scope`]: the input
-//! is split into one contiguous chunk per thread, each chunk is mapped on its
-//! own thread (with one `map_init` state per chunk, mirroring rayon's
-//! per-split init semantics), and the per-chunk outputs are concatenated in
-//! input order.  There is no work stealing, so throughput is best for
-//! uniform workloads — exactly the batch-query pattern this workspace uses.
+//! is split into one contiguous chunk per thread, the last chunk is mapped on
+//! the calling thread and each other chunk on a scoped thread of its own
+//! (with one `map_init` state per chunk, mirroring rayon's per-split init
+//! semantics), and the per-chunk outputs are concatenated in input order.
+//! There is no work stealing, so throughput is best for uniform workloads —
+//! exactly the batch-query pattern this workspace uses.
 //!
 //! [`rayon`]: https://docs.rs/rayon
 
@@ -259,8 +260,9 @@ impl<'data, T: Sync, INIT, F> ParMapInit<'data, T, INIT, F> {
     }
 }
 
-/// Splits `items` into one contiguous chunk per thread, runs `work` on each
-/// chunk on its own scoped thread, and concatenates the outputs in order.
+/// Splits `items` into one contiguous chunk per thread, runs `work` on the
+/// last chunk on the calling thread and on each other chunk on its own
+/// scoped thread, and concatenates the outputs in order.
 fn run_chunked<'data, T, R>(
     items: Vec<&'data T>,
     work: &(dyn Fn(&[&'data T]) -> Vec<R> + Sync),
@@ -274,15 +276,18 @@ where
         return work(&items);
     }
     let chunk_size = items.len().div_ceil(threads);
+    let mut chunks = items.chunks(chunk_size);
+    let last = chunks.next_back().expect("at least two items");
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_size)
+        let handles: Vec<_> = chunks
             .map(|chunk| scope.spawn(move || work(chunk)))
             .collect();
+        let tail = work(last);
         let mut out = Vec::with_capacity(items.len());
         for handle in handles {
             out.extend(handle.join().expect("parallel worker panicked"));
         }
+        out.extend(tail);
         out
     })
 }

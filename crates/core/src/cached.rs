@@ -46,8 +46,15 @@
 //! [`CachedQueryEngine::with_read`].
 //!
 //! With the cache disabled (capacity 0) there is no memo either, and every
-//! call goes straight to the engine's own entry points — which already
-//! deduplicate repeated pairs within one batch.
+//! pair a frame names is computed, each distinct pair once.
+//!
+//! A frame runs on the thread that calls it — in the server, its
+//! connection's thread — and never enters rayon: its distinct misses are
+//! computed in input order with one pooled scratch, so the server's
+//! parallelism is its connections (`usim serve --workers`), one level, with
+//! no OS thread spawned per frame.  [`QueryEngine::batch_similarities`] and
+//! [`QueryEngine::batch_profile`] keep sharding across rayon workers for the
+//! CLI's batch commands.
 
 use crate::engine::{candidate_pairs, dedup_pairs, rank, QueryEngine, QueryError};
 use crate::meeting::MeetingProfile;
@@ -233,9 +240,9 @@ impl CachedQueryEngine {
 
     /// `(epoch, scores)` of a pair batch in input order (see
     /// [`QueryEngine::batch_similarities`]), under one read lock.  Cached
-    /// pairs are served from the cache; the misses are computed as one
-    /// engine batch (each distinct pair sampled once) and inserted for the
-    /// next ask.  With a trace, cache probes count toward `cache_lookup`
+    /// pairs are served from the cache; the misses are computed on the
+    /// calling thread (each distinct pair once) and inserted for the next
+    /// ask.  With a trace, cache probes count toward `cache_lookup`
     /// and walks toward `walk_sample`.
     pub fn scores(
         &self,
@@ -317,12 +324,12 @@ impl CachedQueryEngine {
     }
 
     /// Scores for `pairs` in input order at `epoch`, serving hits from the
-    /// cache and computing the misses as one engine batch, under the read
-    /// lock already held by the caller (so
-    /// `epoch` cannot move while the misses are computed or inserted).  Ids
-    /// must already be validated: cached entries were validated when first
-    /// computed, and vertex count never changes, so partial cache service
-    /// cannot mask a bad id.
+    /// cache and computing each distinct miss once on the calling thread
+    /// with one pooled scratch, under the read lock already held by the
+    /// caller (so `epoch` cannot move while the misses are computed or
+    /// inserted).  Ids must already be validated: cached entries were
+    /// validated when first computed, and vertex count never changes, so
+    /// partial cache service cannot mask a bad id.
     fn scores_for(
         &self,
         e: &QueryEngine,
@@ -334,7 +341,9 @@ impl CachedQueryEngine {
             return Vec::new();
         }
         let Some(results) = &self.results else {
-            return time_stage(trace, Stage::WalkSample, || e.batch_scores(pairs));
+            let (distinct, slots) = dedup_pairs(pairs);
+            let computed = time_stage(trace, Stage::WalkSample, || e.sequential_scores(&distinct));
+            return slots.into_iter().map(|slot| computed[slot]).collect();
         };
         let mut scores = vec![0.0f64; pairs.len()];
         let mut miss_slots: Vec<usize> = Vec::new();
@@ -355,10 +364,9 @@ impl CachedQueryEngine {
         });
         if !misses.is_empty() {
             // Deduplicate the misses so each distinct pair is computed and
-            // inserted once; one engine batch covers them all, sharded
-            // across workers.
+            // inserted once, in input order on this connection's thread.
             let (distinct, distinct_of) = dedup_pairs(&misses);
-            let computed = time_stage(trace, Stage::WalkSample, || e.batch_scores(&distinct));
+            let computed = time_stage(trace, Stage::WalkSample, || e.sequential_scores(&distinct));
             for (&slot, &index) in miss_slots.iter().zip(distinct_of.iter()) {
                 scores[slot] = computed[index];
             }
@@ -641,6 +649,49 @@ mod tests {
             let rows = cached.with_read(QueryEngine::two_hop_row_stats).unwrap();
             let hits = u64::from(u.min(v) == 17);
             assert_eq!((rows.entries, rows.hits), (1, hits), "({u}, {v}): {rows:?}");
+        }
+    }
+
+    #[test]
+    fn a_frame_runs_on_the_calling_thread_with_one_scratch() {
+        // A 64-vertex circulant: every vertex has in-arcs, so every pair
+        // samples walks, and a rayon chunk of a few pairs outlives the
+        // spawn of the next chunk's thread.
+        let mut builder = UncertainGraphBuilder::new(64);
+        for s in 0..64u32 {
+            let mut targets = vec![(s + 1) % 64, (7 * s + 3) % 64, (13 * s + 5) % 64];
+            targets.sort_unstable();
+            targets.dedup();
+            for t in targets {
+                builder = builder.arc(s, t, 0.5 + 0.05 * f64::from(s % 8));
+            }
+        }
+        let g = builder.build().unwrap();
+        let config = SimRankConfig::default().with_samples(2000).with_seed(11);
+        let pairs: Vec<(VertexId, VertexId)> = (0..32).map(|u| (u, u + 20)).collect();
+        let candidates: Vec<VertexId> = (32..64).collect();
+        let bare = QueryEngine::new(&g, config);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        for capacity in [0, 256] {
+            let cached = CachedQueryEngine::new(QueryEngine::new(&g, config), capacity);
+            // Inside a 4-thread install a rayon batch would check out one
+            // scratch per chunk; a frame computed on the calling thread
+            // checks out one, whatever the installed thread count.
+            pool.install(|| {
+                let (_, scores) = cached.batch_similarities(&pairs).unwrap();
+                assert_eq!(scores, bare.batch_similarities(&pairs).unwrap());
+                let (_, ranked) = cached.top_k(40, &candidates, 5, None).unwrap();
+                let want = bare.batch_top_k_similar_to(40, &candidates, 5);
+                assert_eq!(ranked, want.unwrap());
+            });
+            assert_eq!(
+                cached.with_read(QueryEngine::pooled_scratches),
+                1,
+                "capacity {capacity}"
+            );
         }
     }
 

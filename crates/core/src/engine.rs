@@ -338,7 +338,8 @@ impl<T: Copy + Default + std::ops::AddAssign> StampedTable<T> {
 
 /// A lock-protected free list of [`Scratch`] instances.  Checkout pops (or
 /// creates) a scratch; drop of the guard pushes it back.  The lock is taken
-/// once per worker chunk, not per pair, so contention is negligible.
+/// once per call — one served frame, one single-pair query or one rayon
+/// chunk of a CLI batch — not per pair, so contention is negligible.
 #[derive(Default)]
 struct ScratchPool {
     free: Mutex<Vec<Scratch>>,
@@ -351,6 +352,11 @@ impl ScratchPool {
             pool: self,
             scratch: Some(scratch),
         }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.free.lock().len()
     }
 }
 
@@ -919,15 +925,29 @@ impl QueryEngine {
         pairs: &[(VertexId, VertexId)],
     ) -> Result<Vec<f64>, QueryError> {
         self.validate_vertices(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
-        Ok(self.batch_scores(pairs))
+        Ok(self.par_map_distinct(pairs, |scratch, u, v| {
+            self.profile_with(scratch, u, v).score()
+        }))
     }
 
-    /// [`QueryEngine::batch_similarities`] of pairs whose ids the caller
-    /// validated.
-    pub(crate) fn batch_scores(&self, pairs: &[(VertexId, VertexId)]) -> Vec<f64> {
-        self.par_map_distinct(pairs, |scratch, u, v| {
-            self.profile_with(scratch, u, v).score()
-        })
+    /// Scores of `distinct` pairs (already deduplicated, ids validated) in
+    /// input order, computed on the calling thread with one pooled scratch:
+    /// the serving path's entry, where each connection thread computes its
+    /// own frame and parallelism comes from the connections.  Bit-identical
+    /// to [`QueryEngine::batch_similarities`].
+    pub(crate) fn sequential_scores(&self, distinct: &[(VertexId, VertexId)]) -> Vec<f64> {
+        let mut scratch = self.scratch.checkout();
+        distinct
+            .iter()
+            .map(|&(u, v)| self.profile_with(scratch.get_mut(), u, v).score())
+            .collect()
+    }
+
+    /// How many scratches the pool holds between queries: the most that
+    /// were ever checked out at once.
+    #[cfg(test)]
+    pub(crate) fn pooled_scratches(&self) -> usize {
+        self.scratch.len()
     }
 
     /// The `k` candidates most similar to `query` (the query vertex itself

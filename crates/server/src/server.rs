@@ -13,11 +13,13 @@
 //! connections are being served, and only then spawns the connection's
 //! thread; while it waits, further connections queue in the kernel's TCP
 //! accept backlog instead of an unbounded buffer.  Each thread serves its
-//! connection line by line until the client disconnects: queries take the
-//! engine's read lock (any number run concurrently, across connections),
-//! `update` frames take the write lock and bump the epoch, so a client
-//! interleaving updates and queries on one connection observes its own
-//! writes, and other connections observe the epoch change.
+//! connection line by line until the client disconnects and computes every
+//! frame itself, with no further fan-out: `workers` is the server's only
+//! parallelism.  Queries take the engine's read lock (any number run
+//! concurrently, across connections), `update` frames take the write lock
+//! and bump the epoch, so a client interleaving updates and queries on one
+//! connection observes its own writes, and other connections observe the
+//! epoch change.
 //!
 //! Nothing here panics on client input: every malformed frame becomes a
 //! typed error line (see [`crate::protocol`]) and the connection stays up.
