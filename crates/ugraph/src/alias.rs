@@ -85,8 +85,10 @@ const LANES: usize = 8;
 /// deconvolved distributions of one top-down group.
 #[derive(Debug, Default, Clone)]
 pub struct MarginalScratch {
-    /// Presence-count distribution of all arcs of the row.
+    /// Presence-count distribution of all arcs of the row, and the DP's
+    /// second buffer.
     full: Vec<f64>,
+    spare: Vec<f64>,
     /// Arcs with `p ≤ 0.5`, deconvolved from the bottom of `full`.
     bottom_up: Vec<usize>,
     /// Arcs with `p > 0.5`, deconvolved from the top of `full`.
@@ -118,7 +120,7 @@ pub fn one_step_marginals(
         return;
     }
     out.resize(probs.len(), 0.0);
-    presence_count_distribution_into(probs, &mut scratch.full);
+    presence_count_dp(probs, &mut scratch.full, &mut scratch.spare);
     scratch.bottom_up.clear();
     scratch.top_down.clear();
     for (j, &p) in probs.iter().enumerate() {
@@ -304,16 +306,29 @@ pub(crate) fn build_alias_row(neighbors: &[VertexId], marginals: &[f64]) -> Box<
 /// table of the paper's Fig. 2): `out[x] = Pr(exactly x of the arcs
 /// exist)`, `out.len() == probs.len() + 1`.  `O(d²)`.
 pub fn presence_count_distribution_into(probs: &[Probability], out: &mut Vec<f64>) {
+    presence_count_dp(probs, out, &mut Vec::new());
+}
+
+/// [`presence_count_distribution_into`] with a caller's second buffer.
+/// Each arc's row is computed forward from the previous one into the other
+/// buffer, `next[j] = cur[j − 1]·p + cur[j]·(1 − p)`: the `f64` operations
+/// of an in-place backward loop, so the same bits, but the loop reads one
+/// buffer and writes the other, so it vectorizes.
+fn presence_count_dp(probs: &[Probability], out: &mut Vec<f64>, spare: &mut Vec<f64>) {
     out.clear();
     out.resize(probs.len() + 1, 0.0);
+    spare.clear();
+    spare.resize(probs.len() + 1, 0.0);
     out[0] = 1.0;
     for (i, &p) in probs.iter().enumerate() {
         let upper = i + 1;
-        out[upper] = out[upper - 1] * p;
-        for j in (1..upper).rev() {
-            out[j] = out[j - 1] * p + out[j] * (1.0 - p);
+        let (cur, next) = (&out[..upper], &mut spare[..=upper]);
+        next[upper] = cur[upper - 1] * p;
+        for ((slot, &below), &at) in next[1..upper].iter_mut().zip(cur).zip(&cur[1..]) {
+            *slot = below * p + at * (1.0 - p);
         }
-        out[0] *= 1.0 - p;
+        next[0] = cur[0] * (1.0 - p);
+        std::mem::swap(out, spare);
     }
 }
 
@@ -394,15 +409,31 @@ mod tests {
         }
     }
 
+    /// The one-buffer presence-count DP: each arc's row is updated in place,
+    /// from the top down, so every read sees the previous arc's value.
+    fn in_place_presence_counts(probs: &[Probability]) -> Vec<f64> {
+        let mut out = vec![0.0; probs.len() + 1];
+        out[0] = 1.0;
+        for (i, &p) in probs.iter().enumerate() {
+            let upper = i + 1;
+            out[upper] = out[upper - 1] * p;
+            for j in (1..upper).rev() {
+                out[j] = out[j - 1] * p + out[j] * (1.0 - p);
+            }
+            out[0] *= 1.0 - p;
+        }
+        out
+    }
+
     /// The per-arc reference: one presence-count DP, then each arc's
     /// leave-one-out deconvolution and expectation on its own, in the order
     /// the lockstep kernel must reproduce bit for bit.
     fn per_arc_marginals(probs: &[Probability]) -> Vec<f64> {
-        let (mut full, mut others) = (Vec::new(), Vec::new());
+        let mut others = Vec::new();
         if probs.is_empty() {
             return Vec::new();
         }
-        presence_count_distribution_into(probs, &mut full);
+        let full = in_place_presence_counts(probs);
         probs
             .iter()
             .map(|&p| {
@@ -433,8 +464,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lockstep_marginals_are_the_bits_of_the_per_arc_loop() {
+    /// The rows the bit tests run over: for each degree of `1..=64` and
+    /// `255, 256, 257, 4096`, a random row mixing the grid and `special`
+    /// probabilities and, for `d ≤ 64` and `257`, a row of only `special`
+    /// ones and a row of certain arcs.
+    fn bit_test_rows() -> Vec<Vec<f64>> {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let half = 0.5f64.to_bits();
@@ -449,22 +483,41 @@ mod tests {
             1.0 / (1u64 << 53) as f64,
         ];
         let mut rng = StdRng::seed_from_u64(0x0b5e_55ed);
-        let mut scratch = MarginalScratch::default();
-        let degrees = (1..=64).chain([255, 256, 257, 4096]);
-        for d in degrees {
-            let random_row: Vec<f64> = (0..d)
-                .map(|_| match rng.gen_range(0..4u32) {
-                    0 => special[rng.gen_range(0..special.len())],
-                    // Uniform on the 53-bit grid in (0, 1].
-                    _ => ((rng.gen::<u64>() >> 11) + 1) as f64 / (1u64 << 53) as f64,
-                })
-                .collect();
-            assert_kernel_matches_per_arc_loop(&random_row, &mut scratch);
+        let mut rows = Vec::new();
+        for d in (1..=64).chain([255, 256, 257, 4096]) {
+            rows.push(
+                (0..d)
+                    .map(|_| match rng.gen_range(0..4u32) {
+                        0 => special[rng.gen_range(0..special.len())],
+                        // Uniform on the 53-bit grid in (0, 1].
+                        _ => ((rng.gen::<u64>() >> 11) + 1) as f64 / (1u64 << 53) as f64,
+                    })
+                    .collect(),
+            );
             if d <= 64 || d == 257 {
-                let special_row: Vec<f64> = (0..d).map(|j| special[j % special.len()]).collect();
-                assert_kernel_matches_per_arc_loop(&special_row, &mut scratch);
-                assert_kernel_matches_per_arc_loop(&vec![1.0; d], &mut scratch);
+                rows.push((0..d).map(|j| special[j % special.len()]).collect());
+                rows.push(vec![1.0; d]);
             }
+        }
+        rows
+    }
+
+    #[test]
+    fn two_buffer_presence_counts_are_the_bits_of_the_in_place_loop() {
+        let (mut out, mut spare) = (Vec::new(), Vec::new());
+        for probs in bit_test_rows().iter().map(Vec::as_slice).chain([&[][..]]) {
+            presence_count_dp(probs, &mut out, &mut spare);
+            let reference = in_place_presence_counts(probs);
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&reference), "d = {}", probs.len());
+        }
+    }
+
+    #[test]
+    fn lockstep_marginals_are_the_bits_of_the_per_arc_loop() {
+        let mut scratch = MarginalScratch::default();
+        for row in bit_test_rows() {
+            assert_kernel_matches_per_arc_loop(&row, &mut scratch);
         }
         // A certain row: every other arc is present, so each marginal is 1/d.
         let mut certain = Vec::new();
