@@ -2204,9 +2204,47 @@ mod tests {
         profile.meeting.iter().map(|m| m.to_bits()).collect()
     }
 
+    /// Applies `edits` one at a time to an engine over `g`, under both
+    /// samplers and compaction policies: after each edit the live profile
+    /// of `pair` has the bits of a fresh engine on `snapshot()`, and its
+    /// m(1) has moved.
+    fn assert_profiles_follow_every_edit(
+        g: &UncertainGraph,
+        pair: (VertexId, VertexId),
+        edits: &[GraphUpdate],
+    ) {
+        for sampler in SAMPLER_KINDS {
+            for policy in [CompactionPolicy::never(), CompactionPolicy::eager()] {
+                let config = SimRankConfig::default()
+                    .with_samples(60)
+                    .with_seed(47)
+                    .with_sampler(sampler);
+                let mut engine = QueryEngine::new(g, config);
+                engine.set_compaction_policy(policy);
+                let mut previous = engine.profile(pair.0, pair.1);
+                assert!(previous.meeting[1] > 0.0, "the pair shares arcs");
+                for &edit in edits {
+                    engine.apply_updates(&[edit]).unwrap();
+                    let live = engine.profile(pair.0, pair.1);
+                    let fresh = QueryEngine::new(&engine.snapshot(), config);
+                    assert_eq!(
+                        profile_bits(&live),
+                        profile_bits(&fresh.profile(pair.0, pair.1)),
+                        "{sampler}, {policy:?}: after {edit:?}"
+                    );
+                    assert_ne!(
+                        live.meeting[1].to_bits(),
+                        previous.meeting[1].to_bits(),
+                        "{sampler}, {policy:?}: m(1) must see {edit:?}"
+                    );
+                    previous = live;
+                }
+            }
+        }
+    }
+
     #[test]
     fn cached_hub_marginals_follow_every_edit_of_their_row() {
-        let hub_pair = (20, 23);
         let edits = [
             GraphUpdate::SetProbability {
                 source: 3,
@@ -2223,34 +2261,48 @@ mod tests {
                 target: 20,
             },
         ];
-        for sampler in SAMPLER_KINDS {
-            for policy in [CompactionPolicy::never(), CompactionPolicy::eager()] {
-                let config = SimRankConfig::default()
-                    .with_samples(60)
-                    .with_seed(47)
-                    .with_sampler(sampler);
-                let mut engine = QueryEngine::new(&hub_graph(), config);
-                engine.set_compaction_policy(policy);
-                let mut previous = engine.profile(hub_pair.0, hub_pair.1);
-                assert!(previous.meeting[1] > 0.0, "the pair shares arcs");
-                for edit in edits {
-                    engine.apply_updates(&[edit]).unwrap();
-                    let live = engine.profile(hub_pair.0, hub_pair.1);
-                    let fresh = QueryEngine::new(&engine.snapshot(), config);
-                    assert_eq!(
-                        profile_bits(&live),
-                        profile_bits(&fresh.profile(hub_pair.0, hub_pair.1)),
-                        "{sampler}, {policy:?}: after {edit:?}"
-                    );
-                    assert_ne!(
-                        live.meeting[1].to_bits(),
-                        previous.meeting[1].to_bits(),
-                        "{sampler}, {policy:?}: m(1) must see {edit:?}"
-                    );
-                    previous = live;
-                }
+        assert_profiles_follow_every_edit(&hub_graph(), (20, 23), &edits);
+    }
+
+    /// A hub of in-degree 840 underflows (`Π(1 − p)` is far below the
+    /// smallest normal `f64`), so its patched row's marginals run the
+    /// kernel's window after every edit.
+    #[test]
+    fn patched_hub_marginals_at_window_scale_follow_every_edit() {
+        const HUB_DEGREE: u32 = 840;
+        let (hub, partner, newcomer) = (0, HUB_DEGREE + 1, HUB_DEGREE + 2);
+        let mut builder = UncertainGraphBuilder::new(HUB_DEGREE as usize + 3);
+        for s in 1..=HUB_DEGREE {
+            builder = builder.arc(s, hub, 0.05 + 0.009 * ((s * 37) % 100) as f64);
+            if s % 3 == 0 {
+                builder = builder.arc(s, partner, 0.1 + 0.016 * ((s * 11) % 50) as f64);
             }
         }
+        let g = builder.build().unwrap();
+        let log_absent: f64 = g
+            .reverse()
+            .probabilities(hub)
+            .iter()
+            .map(|p| (1.0 - p).ln())
+            .sum();
+        assert!(log_absent < f64::MIN_POSITIVE.ln(), "{log_absent}");
+        let edits = [
+            GraphUpdate::SetProbability {
+                source: 3,
+                target: hub,
+                probability: 0.97,
+            },
+            GraphUpdate::InsertArc {
+                source: newcomer,
+                target: hub,
+                probability: 0.4,
+            },
+            GraphUpdate::DeleteArc {
+                source: 6,
+                target: hub,
+            },
+        ];
+        assert_profiles_follow_every_edit(&g, (hub, partner), &edits);
     }
 
     #[test]
